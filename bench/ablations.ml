@@ -142,7 +142,7 @@ let link_stress ~scale () =
       let topo =
         P2p_topology.Transit_stub.generate ~rng:(Rng.create 99) scale.topology
       in
-      let routing = P2p_topology.Routing.create topo.P2p_topology.Transit_stub.graph in
+      let routing = P2p_topology.Transit_stub.routing topo in
       let stress = P2p_topology.Link_stress.create topo.P2p_topology.Transit_stub.graph in
       let snet_policy =
         if landmarks > 0 then begin
@@ -212,12 +212,11 @@ let churn_live () =
         }
       in
       let h = H.create ~seed:19
-          ~routing:(P2p_topology.Routing.create
-                      (let g = P2p_topology.Graph.create 257 in
-                       for host = 0 to 255 do
-                         P2p_topology.Graph.add_edge g host 256 ~latency:2.0
-                       done;
-                       g))
+          ~routing:(let g = P2p_topology.Graph.create 257 in
+                    for host = 0 to 255 do
+                      P2p_topology.Graph.add_edge g host 256 ~latency:2.0
+                    done;
+                    P2p_topology.Routing.link_state g ~is_transit:(fun u -> u = 256))
           ~config ()
       in
       ignore (H.grow h ~count:150 ~s_fraction:0.7 : Peer.t array);

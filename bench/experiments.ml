@@ -14,7 +14,6 @@ module World = Hybrid_p2p.World
 module Data_ops = Hybrid_p2p.Data_ops
 module Rng = P2p_sim.Rng
 module Transit_stub = P2p_topology.Transit_stub
-module Routing = P2p_topology.Routing
 module Landmark = P2p_topology.Landmark
 module Metrics = P2p_net.Metrics
 module Keys = P2p_workload.Keys
@@ -95,7 +94,7 @@ let build ?(config = Config.default) ?(seed = 1) ?(ps = 0.5) ?(heterogeneity = f
     ?(landmarks = 0) ~scale () =
   let rng = Rng.create (seed * 7919) in
   let topo = Transit_stub.generate ~rng:(Rng.create (seed * 31 + 7)) scale.topology in
-  let routing = Routing.create topo.Transit_stub.graph in
+  let routing = Transit_stub.routing topo in
   let snet_policy =
     if landmarks > 0 then begin
       let marks =

@@ -1,13 +1,10 @@
 (* Hot-path speed proof (SCALING.md, "hot-path speed pass").
 
-   Three configurations of the same 10k-peer workload, isolating the
+   Two configurations of the same 10k-peer workload, isolating the
    cost of underlay routing:
 
-     dijkstra    on-demand per-source Dijkstra (LRU-capped cache) on the
-                 transit-stub underlay — the pre-link-state baseline that
-                 forced bench/scale.ml onto a fake Synthetic underlay
-     link_state  precomputed link-state tables on the same underlay —
-                 the shipping configuration
+     link_state  precomputed link-state tables on a transit-stub
+                 underlay — the runtime router of every CLI and figure run
      synthetic   the fake uniform-latency underlay — the routing cost
                  ceiling the real graph is measured against
 
@@ -17,24 +14,16 @@
 
    Output: BENCH_hotpath.json.  Gates (CI runs [--smoke]):
      - recall 1.0 in every configuration
-     - link_state >= 1.5x the dijkstra baseline events/sec
-     - link_state allocates fewer minor words/event than the
-       baseline, and stays under an absolute ceiling (the
+     - link_state stays under an absolute minor-words/event ceiling (the
        allocation-regression check: an accidental boxing on the hop path
        shows up here long before it shows up in wall clock)
      - events/sec floor as in the scale bench
-     - every --slo spec against the shipping configuration's registry
-
-   The dijkstra baseline runs a reduced operation count (each message
-   re-runs an O(E log V) shortest-path computation when the source
-   misses the cache, which is the point): events/sec is a rate, so the
-   comparison stands. *)
+     - every --slo spec against the link_state configuration's registry *)
 
 module H = Hybrid_p2p.Hybrid
 module Config = Hybrid_p2p.Config
 module Data_ops = Hybrid_p2p.Data_ops
 module Routing = P2p_topology.Routing
-module Transit_stub = P2p_topology.Transit_stub
 module Engine = P2p_sim.Engine
 module Trace = P2p_sim.Trace
 module Rng = P2p_sim.Rng
@@ -50,18 +39,13 @@ let n_peers = 10_000
 let telemetry_sample_rate = 0.01
 let min_events_per_s = 10_000.0
 
-(* The headline gate: the shipping configuration must beat the Dijkstra
-   baseline by at least this factor on the routed graph. *)
-let min_speedup = 1.5
-
-(* Allocation-regression ceiling for the shipping configuration, in
-   minor words per executed event.  Measured ~185 on the seed machine
-   (PR-9; the residue is protocol payload closures and sampled-trace
-   spans — the event queue itself recycles entries).  The ceiling leaves
-   headroom for workload drift while still catching a reintroduced
-   per-hop handle/closure/boxing regression, which costs hundreds of
-   words per event at this fan-out: the dijkstra baseline sits at
-   ~135,000. *)
+(* Allocation-regression ceiling for the link_state configuration, in
+   minor words per executed event.  The residue is protocol payload
+   closures and sampled-trace spans: the event queue recycles entries
+   and routing queries allocate no tuples.  The ceiling leaves headroom
+   for workload drift while still catching a reintroduced per-hop
+   handle/closure/boxing regression, which costs hundreds of words per
+   event at this fan-out. *)
 let max_minor_words_per_event = 300.0
 
 type result = {
@@ -83,13 +67,6 @@ type result = {
 let make_routing ~seed = function
   | `Synthetic -> (Routing.synthetic ~nodes:n_peers ~latency:5.0, "synthetic")
   | `Link_state -> (Scale.link_state_routing ~seed n_peers, "link_state")
-  | `Dijkstra ->
-    let params = Scale.transit_stub_params n_peers in
-    let ts = Transit_stub.generate ~rng:(Rng.create (seed + 3)) params in
-    (* uncapped would be O(n^2) memory; the cap makes eviction churn
-       part of what is being measured, as it would be in production *)
-    ( Routing.create ~max_cached_sources:512 ts.Transit_stub.graph,
-      "dijkstra" )
 
 let measure ~seed ~name ~routing_mode ~items ~lookups () =
   let routing, routing_label = make_routing ~seed routing_mode in
@@ -199,17 +176,9 @@ let run ~smoke () =
   Printf.printf "== hotpath%s ==\n%!" (if smoke then " (smoke)" else "");
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* rates stabilise within a few hundred ops; the baseline pays an
-     O(E log V) recompute per cache miss, so it gets the small corpus *)
-  let base_ops = if smoke then 200 else 400 in
   let items, lookups =
     if smoke then (2_000, 2_000) else Scale.sized n_peers
   in
-  let dijkstra, _ =
-    measure ~seed ~name:"dijkstra" ~routing_mode:`Dijkstra ~items:base_ops
-      ~lookups:base_ops ()
-  in
-  print_result dijkstra;
   let ls, ls_reg =
     measure ~seed ~name:"link_state" ~routing_mode:`Link_state ~items ~lookups ()
   in
@@ -218,7 +187,7 @@ let run ~smoke () =
     measure ~seed ~name:"synthetic" ~routing_mode:`Synthetic ~items ~lookups ()
   in
   print_result syn;
-  let all = [ dijkstra; ls; syn ] in
+  let all = [ ls; syn ] in
   (* recall: every configuration must find every looked-up item *)
   List.iter
     (fun r ->
@@ -228,24 +197,12 @@ let run ~smoke () =
       | None -> ()
       | Some m -> fail "%s: invariants violated: %s" r.name m)
     all;
-  let speedup =
-    if dijkstra.events_per_s > 0.0 then ls.events_per_s /. dijkstra.events_per_s
-    else infinity
-  in
-  Printf.printf "  speedup vs dijkstra baseline: %.1fx\n%!" speedup;
-  if speedup < min_speedup then
-    fail "speedup %.2fx below the %.1fx floor (link_state %.0f ev/s vs \
-          dijkstra %.0f ev/s)"
-      speedup min_speedup ls.events_per_s dijkstra.events_per_s;
-  if ls.minor_words_per_event >= dijkstra.minor_words_per_event then
-    fail "no allocation drop: link_state %.1f minor words/event vs dijkstra %.1f"
-      ls.minor_words_per_event dijkstra.minor_words_per_event;
   if ls.minor_words_per_event > max_minor_words_per_event then
     fail "allocation regression: %.1f minor words/event exceeds ceiling %.1f"
       ls.minor_words_per_event max_minor_words_per_event;
   if ls.events_per_s < min_events_per_s then
     fail "events/sec %.0f below floor %.0f" ls.events_per_s min_events_per_s;
-  (* latency SLO gates (--slo) against the shipping configuration *)
+  (* latency SLO gates (--slo) against the link_state configuration *)
   (match !Experiments.slo_specs with
   | [] -> ()
   | specs ->
@@ -263,11 +220,9 @@ let run ~smoke () =
         ("peers", Json.Int n_peers);
         ("telemetry_sample_rate", Json.Float telemetry_sample_rate);
         ("configs", Json.List (List.map result_json all));
-        ("speedup_vs_dijkstra", Json.Float speedup);
         ( "gate",
           Json.Obj
             [
-              ("min_speedup", Json.Float min_speedup);
               ("max_minor_words_per_event", Json.Float max_minor_words_per_event);
               ("min_events_per_s", Json.Float min_events_per_s);
               ( "failures",

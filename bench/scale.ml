@@ -189,15 +189,9 @@ let transit_stub_params n =
   }
 
 let link_state_routing ~seed n =
-  let params = transit_stub_params n in
-  let ts =
-    P2p_topology.Transit_stub.generate ~rng:(Rng.create (seed + 3)) params
-  in
-  Routing.link_state ts.P2p_topology.Transit_stub.graph
-    ~is_transit:(fun u ->
-      match ts.P2p_topology.Transit_stub.classes.(u) with
-      | P2p_topology.Transit_stub.Transit _ -> true
-      | P2p_topology.Transit_stub.Stub _ -> false)
+  P2p_topology.Transit_stub.routing
+    (P2p_topology.Transit_stub.generate ~rng:(Rng.create (seed + 3))
+       (transit_stub_params n))
 
 let measure_point ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () =
   let items, lookups = sized n in

@@ -33,7 +33,6 @@ module Gc_stats = P2p_obs.Gc_stats
 module Engine_stats = P2p_obs.Engine_stats
 module Flight_recorder = P2p_obs.Flight_recorder
 module Transit_stub = P2p_topology.Transit_stub
-module Routing = P2p_topology.Routing
 module Metrics = P2p_net.Metrics
 module Summary = P2p_stats.Summary
 module Keys = P2p_workload.Keys
@@ -58,8 +57,18 @@ let ps_arg =
     & info [ "p"; "ps" ] ~docv:"PS"
         ~doc:"System parameter $(i,p_s): fraction of peers that are s-peers.")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let peers_arg =
-  Arg.(value & opt int 300 & info [ "n"; "peers" ] ~docv:"N" ~doc:"Number of peers.")
+  Arg.(
+    value & opt positive_int 300
+    & info [ "n"; "peers" ] ~docv:"N" ~doc:"Number of peers (at least 1).")
 
 let items_arg =
   Arg.(value & opt int 2000 & info [ "items" ] ~docv:"K" ~doc:"Data items to insert.")
@@ -353,8 +362,7 @@ let topology_for n =
 
 let build_system ?trace ?(profile = false) ~seed ~ps ~n ~config () =
   let topo = Transit_stub.generate ~rng:(Rng.create (seed + 1)) (topology_for n) in
-  let routing = Routing.create topo.Transit_stub.graph in
-  let h = H.create ~seed ~routing ~config ?trace () in
+  let h = H.create ~seed ~routing:(Transit_stub.routing topo) ~config ?trace () in
   if profile then Engine.enable_profiling (H.engine h);
   let rng = Rng.create (seed + 2) in
   let roles = Array.init n (fun _ -> if Rng.bernoulli rng ps then Peer.S_peer else Peer.T_peer) in
@@ -783,8 +791,7 @@ let scenario_cmd =
          exit 1);
       let topo = Transit_stub.generate ~rng:(Rng.create (seed + 1)) (topology_for n) in
       let h =
-        H.create ~seed ~routing:(Routing.create topo.Transit_stub.graph) ~config
-          ?trace ()
+        H.create ~seed ~routing:(Transit_stub.routing topo) ~config ?trace ()
       in
       let report = Scenario.run ?audit_interval h ~seed ~script in
       Format.printf "%a@." Scenario.pp_report report;

@@ -66,7 +66,8 @@ let create_star ~seed ~peers ?(latency = 1.0) ?config ?snet_policy ?s_fraction ?
   for host = 0 to peers - 1 do
     Graph.add_edge graph host hub ~latency
   done;
-  let routing = Routing.create graph in
+  (* the hub is the only transit node; each host is a one-node stub domain *)
+  let routing = Routing.link_state graph ~is_transit:(fun u -> u = hub) in
   create ~seed ~routing ?config ?snet_policy ?s_fraction ?trace ()
 
 let engine t = t.w.World.engine

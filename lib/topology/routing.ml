@@ -1,19 +1,8 @@
 type source_result = { dist : float array; prev : int array }
 
-type graph_routed = {
-  graph : Graph.t;
-  cache : source_result option array;
-  max_cached : int;
-  (* Intrusive LRU list over cached sources: [lru_prev]/[lru_next] chain
-     exactly the sources whose cache slot is [Some], so touching a source
-     and evicting the coldest one are both O(1) pointer splices — no scan,
-     no stamps. *)
-  lru_prev : int array;
-  lru_next : int array;
-  mutable lru_head : int; (* least recently used cached source; -1 = none *)
-  mutable lru_tail : int; (* most recently used cached source; -1 = none *)
-  mutable cached : int;
-}
+(* The reference router: one Dijkstra tree per source, cached without
+   bound once computed. *)
+type graph_routed = { graph : Graph.t; cache : source_result option array }
 
 (* Precomputed link-state tables over a transit-stub hierarchy (the
    TinyOS LinkStateC idea: pay for SPF once, amortize over every routed
@@ -57,20 +46,8 @@ type t =
   | Synthetic of { graph : Graph.t; latency : float }
   | Link_state of ls_box
 
-let create ?(max_cached_sources = max_int) graph =
-  if max_cached_sources < 1 then invalid_arg "Routing.create: max_cached_sources";
-  let n = Graph.node_count graph in
-  Graph_routed
-    {
-      graph;
-      cache = Array.make n None;
-      max_cached = max_cached_sources;
-      lru_prev = Array.make n (-1);
-      lru_next = Array.make n (-1);
-      lru_head = -1;
-      lru_tail = -1;
-      cached = 0;
-    }
+let create graph =
+  Graph_routed { graph; cache = Array.make (Graph.node_count graph) None }
 
 let synthetic ~nodes ~latency =
   if nodes < 0 then invalid_arg "Routing.synthetic: negative node count";
@@ -155,56 +132,15 @@ let dijkstra graph src =
   loop ();
   { dist; prev }
 
-(* --- graph-routed cache: intrusive LRU --- *)
-
-let lru_unlink t src =
-  let p = t.lru_prev.(src) and n = t.lru_next.(src) in
-  if p >= 0 then t.lru_next.(p) <- n else t.lru_head <- n;
-  if n >= 0 then t.lru_prev.(n) <- p else t.lru_tail <- p;
-  t.lru_prev.(src) <- -1;
-  t.lru_next.(src) <- -1
-
-let lru_push_tail t src =
-  t.lru_prev.(src) <- t.lru_tail;
-  t.lru_next.(src) <- -1;
-  if t.lru_tail >= 0 then t.lru_next.(t.lru_tail) <- src else t.lru_head <- src;
-  t.lru_tail <- src
-
-(* Evict the least-recently-used cached source: the head of the
-   intrusive list, an O(1) splice. *)
-let evict_lru t =
-  let victim = t.lru_head in
-  if victim >= 0 then begin
-    lru_unlink t victim;
-    t.cache.(victim) <- None;
-    t.cached <- t.cached - 1
-  end
-
 let source_result t src =
   match t.cache.(src) with
-  | Some r ->
-    if t.lru_tail <> src then begin
-      lru_unlink t src;
-      lru_push_tail t src
-    end;
-    r
+  | Some r -> r
   | None ->
-    if t.cached >= t.max_cached then evict_lru t;
     let r = dijkstra t.graph src in
     t.cache.(src) <- Some r;
-    t.cached <- t.cached + 1;
-    lru_push_tail t src;
     r
 
-let drop_cache t =
-  for src = 0 to Array.length t.cache - 1 do
-    t.cache.(src) <- None;
-    t.lru_prev.(src) <- -1;
-    t.lru_next.(src) <- -1
-  done;
-  t.lru_head <- -1;
-  t.lru_tail <- -1;
-  t.cached <- 0
+let drop_cache t = Array.fill t.cache 0 (Array.length t.cache) None
 
 (* --- link-state construction --- *)
 
@@ -400,19 +336,20 @@ let ls_t_next ls u v =
   let g = Array.length ls.t_nodes in
   ls.t_next.((ls.t_index.(u) * g) + ls.t_index.(v))
 
-(* Distance (and hops) from a node up to its backbone attachment point:
-   0 for a transit node; intra-path to the gateway plus the access link
-   for a stub node.  Infinity when the domain has no access link. *)
-let ls_to_backbone ls u du =
-  if du < 0 then (u, 0.0, 0)
-  else begin
-    let gw = ls.dom_gateway.(du) in
-    if gw < 0 then (-1, infinity, 0)
-    else
-      ( ls.dom_attach.(du),
-        ls_intra_dist ls du u gw +. ls.dom_access.(du),
-        ls_intra_hops ls du u gw + 1 )
-  end
+(* The climb from node [u] (in stub domain [du]; -1 for a transit node)
+   up to its backbone attachment point, read as separate scalars so the
+   per-message queries allocate no tuple.  [ls_attach] is [u] itself for
+   a transit node and -1 when the domain has no access link; the climb's
+   latency and hop count are meaningful only when the attachment
+   exists. *)
+let ls_attach ls u du =
+  if du < 0 then u else if ls.dom_gateway.(du) < 0 then -1 else ls.dom_attach.(du)
+
+let[@inline] ls_up_dist ls u du =
+  if du < 0 then 0.0 else ls_intra_dist ls du u ls.dom_gateway.(du) +. ls.dom_access.(du)
+
+let ls_up_hops ls u du =
+  if du < 0 then 0 else ls_intra_hops ls du u ls.dom_gateway.(du) + 1
 
 let ls_distance ls u v =
   if u = v then 0.0
@@ -421,9 +358,9 @@ let ls_distance ls u v =
     if du >= 0 && du = dv then ls_intra_dist ls du u v
     else if du < 0 && dv < 0 then ls_t_dist ls u v
     else begin
-      let au, up, _ = ls_to_backbone ls u du in
-      let av, down, _ = ls_to_backbone ls v dv in
-      if au < 0 || av < 0 then infinity else up +. ls_t_dist ls au av +. down
+      let au = ls_attach ls u du and av = ls_attach ls v dv in
+      if au < 0 || av < 0 then infinity
+      else ls_up_dist ls u du +. ls_t_dist ls au av +. ls_up_dist ls v dv
     end
   end
 
@@ -434,9 +371,9 @@ let ls_hop_count ls u v =
     if du >= 0 && du = dv then ls_intra_hops ls du u v
     else if du < 0 && dv < 0 then ls_t_hops ls u v
     else begin
-      let au, _, hu = ls_to_backbone ls u du in
-      let av, _, hv = ls_to_backbone ls v dv in
-      if au < 0 || av < 0 then 0 else hu + ls_t_hops ls au av + hv
+      let au = ls_attach ls u du and av = ls_attach ls v dv in
+      if au < 0 || av < 0 then 0
+      else ls_up_hops ls u du + ls_t_hops ls au av + ls_up_hops ls v dv
     end
   end
 

@@ -4,26 +4,26 @@
     [u -> v] traverses the latency-shortest physical path from [u] to [v].
     Three backends compute those paths:
 
-    - {!create} — on-demand per-source Dijkstra with an LRU-bounded cache.
-      Exact on any graph; the right default below a few thousand nodes.
-    - {!link_state} — precomputed tables exploiting the transit-stub
+    - {!link_state} — the runtime router: precomputed tables exploiting the transit-stub
       hierarchy (each stub domain reaches the backbone through exactly one
       access link, so every inter-domain path factors through the
       gateways).  All-pairs state is kept only inside each small domain
       and across the transit backbone — O(Σ sᵢ² + g²) memory, O(1)
       [distance]/[hop_count] — so the real graph stays affordable on the
-      hot message path at 10k+ nodes.
+      hot message path at 10k+ nodes.  {!Transit_stub.routing} builds
+      it for a generated topology.
+    - {!create} — the reference: exact per-source Dijkstra on any graph,
+      each source's tree cached once computed.  Tests check the other
+      backends against it.
     - {!synthetic} — a fake uniform-latency clique for overlay-only
       scalability studies. *)
 
 type t
 
-(** [create graph] prepares a Dijkstra router; no paths are computed yet.
-    [max_cached_sources] caps how many single-source results stay cached
-    (O(1) LRU eviction beyond it); the default is unlimited — O(n²) memory
-    once every node has sent, which is the right trade below a few
-    thousand nodes.  @raise Invalid_argument when [max_cached_sources < 1]. *)
-val create : ?max_cached_sources:int -> Graph.t -> t
+(** [create graph] prepares the reference Dijkstra router; no paths are
+    computed yet.  Each source's shortest-path tree is cached once
+    computed, so memory grows to O(n²) once every node has sent. *)
+val create : Graph.t -> t
 
 (** [link_state graph ~is_transit] precomputes hierarchical routing
     tables over a transit-stub graph; [is_transit u] classifies node [u].

@@ -117,16 +117,16 @@ let generate ~rng p =
   done;
   { graph; classes }
 
-let transit_nodes t =
-  let acc = ref [] in
-  Array.iteri
-    (fun u c -> match c with Transit _ -> acc := u :: !acc | Stub _ -> ())
-    t.classes;
-  List.rev !acc
+let is_transit t u = match t.classes.(u) with Transit _ -> true | Stub _ -> false
 
-let stub_nodes t =
+let nodes_where t pred =
   let acc = ref [] in
-  Array.iteri
-    (fun u c -> match c with Stub _ -> acc := u :: !acc | Transit _ -> ())
-    t.classes;
-  List.rev !acc
+  for u = Array.length t.classes - 1 downto 0 do
+    if pred u then acc := u :: !acc
+  done;
+  !acc
+
+let transit_nodes t = nodes_where t (is_transit t)
+let stub_nodes t = nodes_where t (fun u -> not (is_transit t u))
+
+let routing t = Routing.link_state t.graph ~is_transit:(is_transit t)

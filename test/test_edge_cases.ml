@@ -163,6 +163,35 @@ let test_metrics_message_counts_monotone () =
   ignore (lookup_sync h ~from:(H.random_peer h) ~key:"item-00000" () : Data_ops.lookup_outcome);
   checkb "lookups send messages" true (Metrics.messages (H.metrics h) > m1)
 
+(* p2psim rejects a peer count below one with a usage error naming the
+   option, instead of dying on an uncaught exception. *)
+let test_cli_rejects_non_positive_peers () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun args ->
+      let err = Filename.temp_file "p2psim" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/p2psim.exe %s > /dev/null 2> %s" args (Filename.quote err))
+      in
+      let msg = In_channel.with_open_text err In_channel.input_all in
+      Sys.remove err;
+      checkb (args ^ ": non-zero exit") true (code <> 0);
+      checkb (args ^ ": no uncaught exception") false (contains msg "exception");
+      checkb (args ^ ": names the option") true (contains msg "--peers"))
+    [
+      "run --peers 0";
+      "churn --peers 0";
+      "compare --peers 0";
+      "audit --peers 0";
+      "scenario --peers 0";
+      "run --peers=-3";
+    ]
+
 let suite =
   [
     Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -178,4 +207,6 @@ let suite =
     Alcotest.test_case "run_for partial progress" `Quick test_run_for_partial_progress;
     Alcotest.test_case "empty distribution" `Quick test_zero_items_distribution;
     Alcotest.test_case "message counts monotone" `Quick test_metrics_message_counts_monotone;
+    Alcotest.test_case "CLI rejects non-positive --peers" `Quick
+      test_cli_rejects_non_positive_peers;
   ]

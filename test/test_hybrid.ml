@@ -8,6 +8,8 @@ module Data_ops = Hybrid_p2p.Data_ops
 module Metrics = P2p_net.Metrics
 module Summary = P2p_stats.Summary
 module Rng = P2p_sim.Rng
+module Transit_stub = P2p_topology.Transit_stub
+module Routing = P2p_topology.Routing
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -333,6 +335,56 @@ let test_determinism () =
   let a = run () and b = run () in
   checkb "identical runs" true (a = b)
 
+(* The runtime router against the reference: one seeded workload over
+   the transit-stub graph p2psim builds for 200 peers, routed once by
+   link-state tables and once by per-source Dijkstra, must behave the
+   same. *)
+let test_link_state_run_matches_dijkstra () =
+  let params =
+    {
+      Transit_stub.default_params with
+      Transit_stub.transit_domains = 3;
+      transit_nodes = 3;
+      stub_domains_per_node = 4;
+      stub_nodes = 6;
+    }
+  in
+  let run routing_of =
+    let topo = Transit_stub.generate ~rng:(Rng.create 31) params in
+    let h = H.create ~seed:30 ~routing:(routing_of topo) () in
+    let rng = Rng.create 32 in
+    for host = 0 to 199 do
+      let role = if host = 0 || not (Rng.bernoulli rng 0.7) then Peer.T_peer else Peer.S_peer in
+      ignore (H.join h ~host ~role () : Peer.t);
+      H.run h
+    done;
+    let keys = Array.of_list (insert_items h ~count:300) in
+    let latencies = Array.make (Array.length keys) (-1.0) in
+    Array.iteri
+      (fun i key ->
+        H.lookup h ~from:(H.random_peer h) ~key
+          ~on_result:(function
+            | Data_ops.Found { latency; _ } -> latencies.(i) <- latency
+            | Data_ops.Timed_out -> ())
+          ())
+      keys;
+    H.run h;
+    (H.metrics h, H.total_items h, latencies)
+  in
+  let m, items, lat = run (fun topo -> Routing.create topo.Transit_stub.graph) in
+  let m', items', lat' = run Transit_stub.routing in
+  List.iter
+    (fun (name, f) -> checki name (f m) (f m'))
+    [
+      ("messages", Metrics.messages);
+      ("physical hops", Metrics.physical_hops);
+      ("lookups ok", Metrics.lookups_succeeded);
+      ("lookups failed", Metrics.lookups_failed);
+      ("connum", Metrics.connum);
+    ];
+  checki "stored items" items items';
+  Array.iter2 (Alcotest.check (Alcotest.float 1e-6) "lookup latency") lat lat'
+
 let suite =
   [
     Alcotest.test_case "bootstrap forces first t-peer" `Quick test_bootstrap_single;
@@ -363,4 +415,6 @@ let suite =
     Alcotest.test_case "interest-based s-networks" `Quick test_interest_policy_groups;
     Alcotest.test_case "delta respected" `Quick test_delta_respected_under_load;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "link-state run matches Dijkstra" `Quick
+      test_link_state_run_matches_dijkstra;
   ]

@@ -186,29 +186,6 @@ let test_routing_triangle_inequality () =
       (Routing.distance r a c <= Routing.distance r a b +. Routing.distance r b c +. 1e-9)
   done
 
-let test_routing_lru_bound () =
-  (* A router capped at 2 cached sources must evict (LRU) yet keep
-     answering exactly like an unbounded one. *)
-  let rng = Rng.create 6 in
-  let t = Transit_stub.generate ~rng small_params in
-  let unbounded = Routing.create t.Transit_stub.graph in
-  let capped = Routing.create ~max_cached_sources:2 t.Transit_stub.graph in
-  (* cycle through more sources than the cap, twice, so every source is
-     computed, evicted and recomputed at least once *)
-  for round = 1 to 2 do
-    ignore round;
-    for u = 0 to 9 do
-      for v = 0 to 53 do
-        checkf "capped = unbounded"
-          (Routing.distance unbounded u v)
-          (Routing.distance capped u v)
-      done
-    done
-  done;
-  Alcotest.check_raises "cap must be positive"
-    (Invalid_argument "Routing.create: max_cached_sources") (fun () ->
-      ignore (Routing.create ~max_cached_sources:0 t.Transit_stub.graph : Routing.t))
-
 let test_routing_eccentricity () =
   let r = Routing.create (line_graph 5) in
   checkf "end node" 4.0 (Routing.eccentricity r 0);
@@ -226,11 +203,6 @@ let test_graph_set_latency () =
       Graph.set_latency g 0 1 ~latency:0.0)
 
 (* --- link-state routing --- *)
-
-let is_transit_of t u =
-  match t.Transit_stub.classes.(u) with
-  | Transit_stub.Transit _ -> true
-  | Transit_stub.Stub _ -> false
 
 (* When [u ~ v], the backend's reported path must be real (edges exist),
    cost exactly the reported distance, and agree with [hop_count].  This
@@ -258,29 +230,41 @@ let check_path_valid g r name u v =
       (Routing.hop_count r u v)
   end
 
-(* Property: over random transit-stub graphs, the precomputed link-state
-   tables answer exactly like per-source Dijkstra on every pair
-   (distances to float tolerance — hierarchical composition sums in a
-   different order), and both backends report self-consistent paths. *)
+(* The star [Hybrid.create_star] builds: hub [n - 1] is the only transit
+   node, so every other host is a one-node stub domain. *)
+let star_routing n =
+  let g = Graph.create n in
+  for host = 0 to n - 2 do
+    Graph.add_edge g host (n - 1) ~latency:1.5
+  done;
+  (g, Routing.link_state g ~is_transit:(fun u -> u = n - 1))
+
+(* Property: over random transit-stub graphs and a star, the precomputed
+   link-state tables answer like per-source Dijkstra on every pair —
+   distances to float tolerance (hierarchical composition sums in a
+   different order), hop counts exactly (random latencies leave no
+   equal-cost ties) — and both backends report self-consistent paths. *)
 let test_link_state_matches_dijkstra () =
   List.iter
-    (fun seed ->
-      let rng = Rng.create seed in
-      let t = Transit_stub.generate ~rng small_params in
-      let g = t.Transit_stub.graph in
+    (fun (g, ls) ->
       let dij = Routing.create g in
-      let ls = Routing.link_state g ~is_transit:(is_transit_of t) in
       let n = Graph.node_count g in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
           Alcotest.check (Alcotest.float 1e-6) "distance agrees"
             (Routing.distance dij u v)
             (Routing.distance ls u v);
+          checki "hop count agrees" (Routing.hop_count dij u v) (Routing.hop_count ls u v);
           check_path_valid g dij "dijkstra" u v;
           check_path_valid g ls "link_state" u v
         done
       done)
-    [ 11; 12; 13 ]
+    (star_routing 9
+    :: List.map
+         (fun seed ->
+           let t = Transit_stub.generate ~rng:(Rng.create seed) small_params in
+           (t.Transit_stub.graph, Transit_stub.routing t))
+         [ 11; 12; 13 ])
 
 (* Hand-built hierarchy where every figure is known exactly: transit
    backbone 0 -- 1, a 3-node stub domain {2,3,4} on node 0, a 2-node
@@ -334,8 +318,9 @@ let test_link_state_update_link () =
   let rng = Rng.create 21 in
   let t = Transit_stub.generate ~rng small_params in
   let g = t.Transit_stub.graph in
-  let is_t = is_transit_of t in
-  let ls = Routing.link_state g ~is_transit:is_t in
+  let transit = Transit_stub.transit_nodes t in
+  let is_t u = List.mem u transit in
+  let ls = Transit_stub.routing t in
   let edges = Graph.edges g in
   let pick pred = List.find pred edges in
   let intra = pick (fun e -> (not (is_t e.Graph.u)) && not (is_t e.Graph.v)) in
@@ -388,18 +373,6 @@ let test_routing_refresh () =
   Graph.add_edge g2 0 2 ~latency:0.5;
   Routing.refresh r2;
   checkf "line after" 0.5 (Routing.distance r2 0 2)
-
-let test_routing_lru_cap_one () =
-  (* cap 1 thrashes the intrusive LRU list on every alternating source:
-     head/tail bookkeeping must survive constant single-entry churn *)
-  let rng = Rng.create 8 in
-  let t = Transit_stub.generate ~rng small_params in
-  let unbounded = Routing.create t.Transit_stub.graph in
-  let capped = Routing.create ~max_cached_sources:1 t.Transit_stub.graph in
-  for v = 0 to 53 do
-    checkf "source 0" (Routing.distance unbounded 0 v) (Routing.distance capped 0 v);
-    checkf "source 9" (Routing.distance unbounded 9 v) (Routing.distance capped 9 v)
-  done
 
 (* --- Link_stress --- *)
 
@@ -497,7 +470,6 @@ let suite =
     Alcotest.test_case "routing: symmetric" `Quick test_routing_symmetric;
     Alcotest.test_case "routing: triangle inequality" `Quick test_routing_triangle_inequality;
     Alcotest.test_case "routing: eccentricity" `Quick test_routing_eccentricity;
-    Alcotest.test_case "routing: LRU-bounded cache" `Quick test_routing_lru_bound;
     Alcotest.test_case "graph: set_latency" `Quick test_graph_set_latency;
     Alcotest.test_case "routing: link-state matches Dijkstra" `Quick
       test_link_state_matches_dijkstra;
@@ -509,7 +481,6 @@ let suite =
     Alcotest.test_case "routing: Dijkstra update_link drops cache" `Quick
       test_graph_routed_update_link;
     Alcotest.test_case "routing: refresh after structural change" `Quick test_routing_refresh;
-    Alcotest.test_case "routing: LRU cap of one" `Quick test_routing_lru_cap_one;
     Alcotest.test_case "stress: accounting" `Quick test_stress_basic;
     Alcotest.test_case "stress: trivial paths" `Quick test_stress_trivial_paths;
     Alcotest.test_case "stress: clear" `Quick test_stress_clear;
