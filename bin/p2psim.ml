@@ -65,6 +65,14 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let unit_interval =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x >= 0.0 && x <= 1.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a number in [0,1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let peers_arg =
   Arg.(
     value & opt positive_int 300
@@ -155,25 +163,45 @@ let trace_out_arg =
     value
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:"Write the structured event trace as JSON Lines to $(docv).")
+        ~doc:
+          "Write the causal span trees as Chrome trace-event JSON to $(docv), \
+           loadable in Perfetto / chrome://tracing.")
 
 let trace_cap_arg =
   Arg.(
-    value & opt int 200_000
+    value & opt positive_int 200_000
     & info [ "trace-cap" ] ~docv:"N"
-        ~doc:"Trace ring-buffer capacity: the newest $(docv) events are kept.")
+        ~doc:"Trace ring-buffer capacity: the newest $(docv) spans are kept.")
 
 let trace_sample_arg =
   Arg.(
-    value & opt float 1.0
+    value & opt unit_interval 1.0
     & info [ "trace-sample" ] ~docv:"RATE"
         ~doc:
           "Head-based op sampling rate in [0,1]: each operation either carries \
-           its full event/span record ($(docv) of them, chosen by a \
-           deterministic hash of the op id, so replays trace identical ops) or \
-           costs one integer compare per record.  Latency percentiles and \
-           $(b,--slo) gates always count 100% of operations regardless of the \
-           rate.  1 (default) traces everything.")
+           its full span tree ($(docv) of them, chosen by a deterministic hash \
+           of the op id, so replays trace identical ops) or costs one integer \
+           compare per span.  Latency percentiles and $(b,--slo) gates always \
+           count 100% of operations regardless of the rate.  1 (default) \
+           traces everything.")
+
+(* The trace options run, scenario and audit share.  A trace exists when
+   there is a file to write or [force] asks for one; its ops are sampled
+   on the command's seed. *)
+type tracing = {
+  trace_out : string option;
+  make_trace : seed:int -> force:bool -> Trace.t option;
+}
+
+let tracing_term =
+  let tracing trace_out capacity sample_rate =
+    let make_trace ~seed ~force =
+      if trace_out = None && not force then None
+      else Some (Trace.create ~capacity ~sample_rate ~sample_seed:seed ())
+    in
+    { trace_out; make_trace }
+  in
+  Term.(const tracing $ trace_out_arg $ trace_cap_arg $ trace_sample_arg)
 
 let dump_on_exit_arg =
   Arg.(
@@ -193,16 +221,6 @@ let dump_dir_arg =
            spans, and a metrics snapshot — is written automatically when an \
            $(b,--slo) gate fails, an audit check finds an error, or \
            $(b,--dump-on-exit) is set.")
-
-let trace_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
-    & info [ "trace-format" ] ~docv:"FMT"
-        ~doc:
-          "Format of $(b,--trace-out): $(b,jsonl) (one event object per line) or \
-           $(b,chrome) (Chrome trace-event JSON of the causal spans, loadable in \
-           Perfetto / chrome://tracing).")
 
 let timeline_out_arg =
   Arg.(
@@ -295,8 +313,7 @@ let snapshot_engine_stats h =
   Engine_stats.record reg (H.engine h);
   reg
 
-let export_observability h ?(trace_format = `Jsonl) ~trace_out ~metrics_out
-    ~metrics_csv ~profile () =
+let export_observability h ~trace_out ~metrics_out ~metrics_csv ~profile () =
   let reg = snapshot_engine_stats h in
   (* fold the span analysis into the registry first, so the exported
      metrics carry the latency/* percentiles and tier attribution *)
@@ -304,19 +321,11 @@ let export_observability h ?(trace_format = `Jsonl) ~trace_out ~metrics_out
   try
   (match trace_out with
    | Some path ->
-     (match trace_format with
-      | `Jsonl ->
-        Export.write_trace ~path (H.trace h);
-        Printf.printf "trace: %d events (%d ops) -> %s\n"
-          (Trace.length (H.trace h))
-          (Trace.ops_started (H.trace h))
-          path
-      | `Chrome ->
-        Export.write_chrome_trace ~path (H.trace h);
-        Printf.printf "trace: %d spans (%d ops) -> %s (chrome trace-event)\n"
-          (Trace.spans_started (H.trace h))
-          (Trace.ops_started (H.trace h))
-          path)
+     Export.write_trace ~path (H.trace h);
+     Printf.printf "trace: %d spans (%d ops) -> %s\n"
+       (Trace.total_recorded (H.trace h))
+       (Trace.ops_started (H.trace h))
+       path
    | None -> ());
   (match metrics_out with
    | Some path ->
@@ -385,7 +394,7 @@ let print_metrics h =
 let run_cmd =
   let run seed ps n items lookups ttl delta placement bloom_bits bloom_depth
       cache_capacity cache_ttl replication anti_entropy
-      trace_out trace_cap trace_sample trace_format timeline_out
+      { trace_out; make_trace } timeline_out
       timeline_interval slos metrics_out metrics_csv profile audit_interval
       dump_on_exit dump_dir =
     let config =
@@ -406,32 +415,16 @@ let run_cmd =
      | Error e ->
        Printf.eprintf "p2psim: %s\n" e;
        exit 1);
-    if trace_cap <= 0 then begin
-      Printf.eprintf "p2psim: --trace-cap must be positive (got %d)\n" trace_cap;
-      exit 1
-    end;
     if timeline_interval <= 0.0 then begin
       Printf.eprintf "p2psim: --timeline-interval must be positive (got %g)\n"
         timeline_interval;
       exit 1
     end;
-    if trace_sample < 0.0 || trace_sample > 1.0 then begin
-      Printf.eprintf "p2psim: --trace-sample must be in [0,1] (got %g)\n"
-        trace_sample;
-      exit 1
-    end;
-    let trace =
-      (* SLO specs over latency/* percentiles need the op-completion
-         stream, so a gate also turns tracing on (without a --trace-out
-         file nothing is written); same for an exit dump, whose chrome
-         trace comes from the retained spans *)
-      match (trace_out, slos, dump_on_exit) with
-      | Some _, _, _ | None, _ :: _, _ | None, [], true ->
-        Some
-          (Trace.create ~capacity:trace_cap ~sample_rate:trace_sample
-             ~sample_seed:seed ())
-      | None, [], false -> None
-    in
+    (* SLO specs over latency/* percentiles need the op-completion
+       stream, so a gate also turns tracing on (without a --trace-out
+       file nothing is written); same for an exit dump, whose chrome
+       trace comes from the retained spans *)
+    let trace = make_trace ~seed ~force:(slos <> [] || dump_on_exit) in
     Printf.printf "building %d peers (p_s = %.2f) over a transit-stub underlay...\n%!" n ps;
     let h, rng = build_system ?trace ~profile ~seed ~ps ~n ~config () in
     let manager =
@@ -536,8 +529,7 @@ let run_cmd =
     (* final pull of the runtime gauges so the exported snapshot (and
        the report header rendered from it) carries them *)
     Gc_stats.update gcs;
-    export_observability h ~trace_format ~trace_out ~metrics_out ~metrics_csv
-      ~profile ();
+    export_observability h ~trace_out ~metrics_out ~metrics_csv ~profile ();
     (match (sampler, timeline_out) with
      | Some s, Some path ->
        (try
@@ -584,8 +576,8 @@ let run_cmd =
     Term.(
       const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ ttl_arg
       $ delta_arg $ scheme_arg $ bloom_bits_arg $ bloom_depth_arg $ cache_arg
-      $ cache_ttl_arg $ replication_arg $ anti_entropy_arg $ trace_out_arg
-      $ trace_cap_arg $ trace_sample_arg $ trace_format_arg $ timeline_out_arg
+      $ cache_ttl_arg $ replication_arg $ anti_entropy_arg $ tracing_term
+      $ timeline_out_arg
       $ timeline_interval_arg $ slo_arg $ metrics_out_arg $ metrics_csv_arg
       $ profile_arg $ audit_interval_arg $ dump_on_exit_arg $ dump_dir_arg)
   in
@@ -760,29 +752,13 @@ let parse_script text =
 
 let scenario_cmd =
   let run seed n script_text replication assert_no_loss
-      audit_interval trace_out trace_cap trace_sample trace_format metrics_out =
+      audit_interval { trace_out; make_trace } metrics_out =
     match parse_script script_text with
     | Error token ->
       Printf.printf "cannot parse script token %S\n" token;
       exit 1
     | Ok script ->
-      if trace_cap <= 0 then begin
-        Printf.eprintf "p2psim: --trace-cap must be positive (got %d)\n" trace_cap;
-        exit 1
-      end;
-      if trace_sample < 0.0 || trace_sample > 1.0 then begin
-        Printf.eprintf "p2psim: --trace-sample must be in [0,1] (got %g)\n"
-          trace_sample;
-        exit 1
-      end;
-      let trace =
-        match trace_out with
-        | Some _ ->
-          Some
-            (Trace.create ~capacity:trace_cap ~sample_rate:trace_sample
-               ~sample_seed:seed ())
-        | None -> None
-      in
+      let trace = make_trace ~seed ~force:false in
       let config = { Config.default with Config.replication_factor = replication } in
       (match Config.validate config with
        | Ok () -> ()
@@ -795,33 +771,8 @@ let scenario_cmd =
       in
       let report = Scenario.run ?audit_interval h ~seed ~script in
       Format.printf "%a@." Scenario.pp_report report;
-      let reg = Metrics.registry (H.metrics h) in
-      if Trace.enabled (H.trace h) then Spans.record reg (H.trace h);
-      (try
-         (match trace_out with
-          | Some path ->
-            (match trace_format with
-             | `Jsonl ->
-               Export.write_trace ~path (H.trace h);
-               Printf.printf "trace: %d events (%d ops) -> %s\n"
-                 (Trace.length (H.trace h))
-                 (Trace.ops_started (H.trace h))
-                 path
-             | `Chrome ->
-               Export.write_chrome_trace ~path (H.trace h);
-               Printf.printf "trace: %d spans (%d ops) -> %s (chrome trace-event)\n"
-                 (Trace.spans_started (H.trace h))
-                 (Trace.ops_started (H.trace h))
-                 path)
-          | None -> ());
-         match metrics_out with
-         | Some path ->
-           Export.write_metrics ~path reg;
-           Printf.printf "metrics -> %s\n" path
-         | None -> ()
-       with Sys_error e ->
-         Printf.eprintf "p2psim: cannot write output: %s\n" e;
-         exit 1);
+      export_observability h ~trace_out ~metrics_out ~metrics_csv:None
+        ~profile:false ();
       if
         assert_no_loss
         && report.Scenario.final_items < report.Scenario.inserted
@@ -859,8 +810,8 @@ let scenario_cmd =
   in
   let term =
     Term.(
-      const run $ seed_arg $ peers_arg $ script_arg $ replication_arg $ assert_no_loss_arg $ audit_interval_arg $ trace_out_arg
-      $ trace_cap_arg $ trace_sample_arg $ trace_format_arg $ metrics_out_arg)
+      const run $ seed_arg $ peers_arg $ script_arg $ replication_arg $ assert_no_loss_arg $ audit_interval_arg $ tracing_term
+      $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a declarative churn/workload script and report.")
@@ -925,8 +876,7 @@ let inject_corruption h ~config = function
 
 let audit_cmd =
   let run seed ps n items lookups interval inject bloom_bits bloom_depth cache_capacity
-      replication checks trace_out trace_cap trace_sample trace_format
-      metrics_out metrics_csv =
+      replication checks { trace_out; make_trace } metrics_out metrics_csv =
     let config =
       {
         Config.default with
@@ -941,15 +891,6 @@ let audit_cmd =
      | Error e ->
        Printf.eprintf "p2psim: %s\n" e;
        exit 1);
-    if trace_cap <= 0 then begin
-      Printf.eprintf "p2psim: --trace-cap must be positive (got %d)\n" trace_cap;
-      exit 1
-    end;
-    if trace_sample < 0.0 || trace_sample > 1.0 then begin
-      Printf.eprintf "p2psim: --trace-sample must be in [0,1] (got %g)\n"
-        trace_sample;
-      exit 1
-    end;
     let selected =
       match checks with
       | [] -> Checks.all
@@ -961,14 +902,7 @@ let audit_cmd =
             (String.concat ", " Checks.names);
           exit 1)
     in
-    let trace =
-      match trace_out with
-      | Some _ ->
-        Some
-          (Trace.create ~capacity:trace_cap ~sample_rate:trace_sample
-             ~sample_seed:seed ())
-      | None -> None
-    in
+    let trace = make_trace ~seed ~force:false in
     Printf.printf "building %d peers (p_s = %.2f)...\n%!" n ps;
     let h, rng = build_system ?trace ~seed ~ps ~n ~config () in
     let manager =
@@ -1013,8 +947,7 @@ let audit_cmd =
        Printf.printf "heal pass: replication_factor %s\n"
          (if healed then "restored (check clean)" else "STILL VIOLATED")
      | _ -> ());
-    export_observability h ~trace_format ~trace_out ~metrics_out ~metrics_csv
-      ~profile:false ();
+    export_observability h ~trace_out ~metrics_out ~metrics_csv ~profile:false ();
     match finish_audit a with Some code -> exit code | None -> ()
   in
   let interval_arg =
@@ -1046,8 +979,7 @@ let audit_cmd =
     Term.(
       const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ interval_arg
       $ inject_arg $ bloom_bits_arg $ bloom_depth_arg $ cache_arg $ replication_arg
-      $ checks_arg $ trace_out_arg $ trace_cap_arg $ trace_sample_arg
-      $ trace_format_arg $ metrics_out_arg $ metrics_csv_arg)
+      $ checks_arg $ tracing_term $ metrics_out_arg $ metrics_csv_arg)
   in
   Cmd.v
     (Cmd.info "audit"

@@ -107,7 +107,7 @@ let tick t =
             t.errors_total <- t.errors_total + 1;
             if t.first_error = None then t.first_error <- Some v
           end;
-          Trace.record trace ~time ~tag:(severity_tag v) ~op
+          Trace.mark_span trace ~time ~op ~tier:"audit" ~phase:(severity_tag v)
             ?src:v.Checks.subject
             (Printf.sprintf "%s: %s" v.Checks.check v.Checks.detail);
           match t.on_violation with
@@ -124,7 +124,7 @@ let tick t =
   t.next_due <- time +. t.interval;
   t.ticked_at <- time;
   Trace.end_op trace ~time ~op
-    (Printf.sprintf "violations=%d" !tick_violations);
+    "violations=%d" !tick_violations;
   snap
 
 let due t = Engine.now t.world.World.engine >= t.next_due

@@ -64,7 +64,7 @@ let trace_path t ~kind ~label path =
     in
     hops path;
     Trace.end_op tr ~time:!time ~op
-      (Printf.sprintf "%d hops" (Stdlib.max 0 (List.length path - 1)));
+      "%d hops" (Stdlib.max 0 (List.length path - 1));
     t.clock <- !time +. 1.0
   | Some _ | None -> ()
 

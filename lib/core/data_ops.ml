@@ -94,7 +94,7 @@ let insert w ~from ~key ~value ?route_id () ~on_done =
   let on_done ~holder ~hops =
     link_if_cross_network w from holder;
     Trace.end_op (World.trace w) ~time:(World.now w) ~op
-      (Printf.sprintf "stored at #%d after %d hops" holder.Peer.host hops);
+      "stored at #%d after %d hops" holder.Peer.host hops;
     on_done ~holder ~hops
   in
   if snet_covers from d_id then
@@ -144,7 +144,7 @@ let finish_success ctx ~holder ~value ~hops =
     let latency = World.now ctx.w -. ctx.started in
     Metrics.record_lookup_success ctx.w.World.metrics ~latency ~hops;
     Trace.end_op (World.trace ctx.w) ~time:(World.now ctx.w) ~op:ctx.op
-      (Printf.sprintf "found at #%d, %d hops, %.2f ms" holder.Peer.host hops latency);
+      "found at #%d, %d hops, %.2f ms" holder.Peer.host hops latency;
     link_if_cross_network ctx.w ctx.requester holder;
     (* the Section-7 caching scheme: the requester keeps a soft copy, so
        the next popular request is served locally *)
@@ -399,7 +399,7 @@ let keyword_lookup w ~from ~substring ~route_id ?ttl ~window () ~on_result =
     (World.one_shot w ~delay:window (fun () ->
          closed := true;
          Trace.end_op (World.trace w) ~time:(World.now w) ~op
-           (Printf.sprintf "%d matches" (List.length !matches));
+           "%d matches" (List.length !matches);
          on_result (List.rev !matches))
       : Transport.timer);
   let scan_peer peer =

@@ -46,9 +46,9 @@ val insert :
     expires.  [ttl] defaults to the configured flood TTL.  Metrics
     (issued/success/failure counters, latency, connum) are recorded on the
     world's metrics sink.  A trace operation id (kind [Lookup]) is minted
-    at initiation and stamped on every message of the resolution — ring
-    forwarding, s-network flood/walks, and the reply — so the whole lookup
-    can be replayed from the trace ({!P2p_sim.Trace.events_of_op}). *)
+    at initiation and every message of the resolution — ring forwarding,
+    s-network flood/walks, and the reply — is a span of it, so the whole
+    lookup reads back as its span tree ({!P2p_sim.Trace.spans_of_op}). *)
 val lookup :
   World.t ->
   from:Peer.t ->

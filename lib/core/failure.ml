@@ -170,9 +170,6 @@ let install_query_hook w =
 let crash w peer =
   if not peer.Peer.alive then invalid_arg "Failure.crash: peer already dead";
   World.bump w ~subsystem:"failure" ~name:"crashes";
-  Trace.record (World.trace w) ~time:(World.now w) ~tag:"crash"
-    ~src:peer.Peer.host
-    (if Peer.is_t_peer peer then "t-peer" else "s-peer");
   peer.Peer.alive <- false;
   Data_store.clear peer.Peer.store;
   Data_store.clear peer.Peer.replicas;
@@ -304,4 +301,4 @@ let repair w =
    | Some heal -> heal ~op:(Some op)
    | None -> ());
   Trace.end_op (World.trace w) ~time:(World.now w) ~op
-    (Printf.sprintf "%d live peers" (World.peer_count w))
+    "%d live peers" (World.peer_count w)

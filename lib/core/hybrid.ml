@@ -44,9 +44,9 @@ let create ~seed ~routing ?(config = Config.default) ?snet_policy ?(s_fraction =
          P2p_obs.Log_hist.observe h (c.Trace.comp_stop -. c.Trace.comp_start))
    | Some _ | None -> ());
   let underlay =
-    Underlay.create ~engine ~routing ~metrics ?stress ?trace ~processing_delay ()
+    Underlay.create ~engine ~routing ~metrics ?stress ~processing_delay ()
   in
-  let w = World.create ~engine ~underlay ~metrics ~config ?snet_policy () in
+  let w = World.create ~engine ~underlay ~metrics ?trace ~config ?snet_policy () in
   Failure.install_query_hook w;
   if config.Config.transmission_ms > 0.0 then
     Underlay.set_transmission_delay underlay (fun ~src ~dst ->
@@ -71,7 +71,7 @@ let create_star ~seed ~peers ?(latency = 1.0) ?config ?snet_policy ?s_fraction ?
   create ~seed ~routing ?config ?snet_policy ?s_fraction ?trace ()
 
 let engine t = t.w.World.engine
-let trace t = Underlay.trace t.w.World.underlay
+let trace t = World.trace t.w
 let metrics t = t.w.World.metrics
 let config t = t.w.World.config
 let world t = t.w
@@ -96,7 +96,7 @@ let finish_join t peer started ~op ?(on_done = fun (_ : join_outcome) -> ()) ~ho
   let latency = now t -. started in
   Metrics.record_join (metrics t) ~latency ~hops;
   Trace.end_op (trace t) ~time:(now t) ~op
-    (Printf.sprintf "#%d joined, %d hops, %.2f ms" peer.Peer.host hops latency);
+    "#%d joined, %d hops, %.2f ms" peer.Peer.host hops latency;
   Failure.enable_heartbeats t.w peer;
   on_done { peer; hops; latency }
 
@@ -211,7 +211,7 @@ let leave t peer ?(on_done = fun () -> ()) () =
   in
   let on_done () =
     Trace.end_op (trace t) ~time:(now t) ~op
-      (Printf.sprintf "#%d left" peer.Peer.host);
+      "#%d left" peer.Peer.host;
     on_done ()
   in
   match peer.Peer.role with

@@ -24,6 +24,7 @@ type t = {
   underlay : Underlay.t;
   transport : Transport.t;
   metrics : Metrics.t;
+  trace : Trace.t;
   config : Config.t;
   rng : Rng.t;
   interner : Intern.t;
@@ -51,7 +52,8 @@ type t = {
   mutable replication_pending : int;
 }
 
-let create ~engine ~underlay ~metrics ~config ?(snet_policy = Smallest_s_network) () =
+let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
+    ?(snet_policy = Smallest_s_network) () =
   (match Config.validate config with
    | Ok () -> ()
    | Error reason -> invalid_arg ("World.create: " ^ reason));
@@ -60,6 +62,7 @@ let create ~engine ~underlay ~metrics ~config ?(snet_policy = Smallest_s_network
     underlay;
     transport = P2p_transport.Sim_transport.create ~underlay;
     metrics;
+    trace;
     config;
     rng = Rng.split (Engine.rng engine);
     interner = Intern.create ();
@@ -82,12 +85,12 @@ let create ~engine ~underlay ~metrics ~config ?(snet_policy = Smallest_s_network
 
 let now t = Transport.now t.transport
 
-let trace t = Underlay.trace t.underlay
+let trace t = t.trace
 
 let interner t = t.interner
 
-let send t ?op ~src ~dst f =
-  Transport.send t.transport ?op ~src:src.Peer.host ~dst:dst.Peer.host f
+let send t ~src ~dst f =
+  Transport.send t.transport ~src:src.Peer.host ~dst:dst.Peer.host f
 
 (* Timers on the transport clock — the protocol layers' only way to arm
    delayed work, so the same code runs over the simulation engine and
@@ -111,12 +114,12 @@ let send_span t ?op ~tier ~phase ~src ~dst f =
       Trace.begin_span tr ~time:(now t) ~op:op_id ~tier ~phase
         ~src:src.Peer.host ~dst:dst.Peer.host phase
     in
-    Transport.send t.transport ~op:op_id ~src:src.Peer.host ~dst:dst.Peer.host
+    Transport.send t.transport ~src:src.Peer.host ~dst:dst.Peer.host
       (fun () ->
         Fun.protect
           ~finally:(fun () -> Trace.end_span tr ~time:(now t) span)
           f)
-  | _ -> send t ?op ~src ~dst f
+  | _ -> send t ~src ~dst f
 
 (* A zero-duration span: an instant of attributable work (a cache probe,
    a heal step) that costs no simulated time. *)

@@ -1,8 +1,8 @@
 (** Shared simulation context for one hybrid system instance.
 
-    Bundles the engine, the underlay, the metrics sink, the configuration
-    and the membership directory, and implements the two centralized
-    entities the paper assumes:
+    Bundles the engine, the underlay, the metrics sink, the trace, the
+    configuration and the membership directory, and implements the two
+    centralized entities the paper assumes:
 
     - the {e well-known server} peers contact to join: it generates p_ids,
       decides roles, and assigns joining s-peers to s-networks
@@ -31,6 +31,8 @@ type t = {
           Unix backend implements the same signature for real
           deployments *)
   metrics : P2p_net.Metrics.t;
+  trace : P2p_sim.Trace.t;
+      (** where operation ids are minted and their span trees recorded *)
   config : Config.t;
   rng : P2p_sim.Rng.t;
   interner : Intern.t;
@@ -94,6 +96,7 @@ val create :
   engine:P2p_sim.Engine.t ->
   underlay:P2p_net.Underlay.t ->
   metrics:P2p_net.Metrics.t ->
+  ?trace:P2p_sim.Trace.t ->
   config:Config.t ->
   ?snet_policy:snet_policy ->
   unit ->
@@ -101,13 +104,14 @@ val create :
 
 val now : t -> float
 
-(** The underlay's trace — where operation ids are minted and every
-    message event lands. *)
+(** The world's trace (default {!P2p_sim.Trace.disabled}) — where
+    operation ids are minted and their span trees recorded. *)
 val trace : t -> P2p_sim.Trace.t
 
-(** [send t ?op ~src ~dst f] delivers [f] through the transport seam,
-    attributing the message to operation [op] in the trace. *)
-val send : t -> ?op:int -> src:Peer.t -> dst:Peer.t -> (unit -> unit) -> unit
+(** [send t ~src ~dst f] delivers [f] through the transport seam.  It
+    traces nothing; {!send_span} is the send that records a span of an
+    operation. *)
+val send : t -> src:Peer.t -> dst:Peer.t -> (unit -> unit) -> unit
 
 (** [one_shot t ~delay f] arms a timer on the transport clock.  The
     protocol layers must use these (not {!P2p_sim.Timer} directly) so

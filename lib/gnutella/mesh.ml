@@ -51,13 +51,13 @@ let trace_hop t tr_op ~phase ~src ~dst ~depth =
     Trace.end_span tr ~time:(time +. 1.0) s
   | None -> ()
 
-let trace_finish t tr_op ~depth label =
+let trace_finish t tr_op ~depth fmt =
   match tr_op with
   | Some (tr, op) ->
     let stop = t.clock +. float_of_int depth +. 1.0 in
-    Trace.end_op tr ~time:stop ~op label;
-    t.clock <- stop +. 1.0
-  | None -> ()
+    t.clock <- stop +. 1.0;
+    Trace.end_op tr ~time:stop ~op fmt
+  | None -> Printf.ikfprintf ignore () fmt
 
 let peer_count t = t.count
 let peers t = t.members
@@ -159,8 +159,8 @@ let flood_lookup t ~from ~key ~ttl =
       !frontier;
     frontier := !next
   done;
-  trace_finish t tr_op ~depth:!depth
-    (Printf.sprintf "%d messages, %d contacted" !messages !contacted);
+  trace_finish t tr_op ~depth:!depth "%d messages, %d contacted" !messages
+    !contacted;
   { value = !value; contacted = !contacted; messages = !messages; hops_to_hit = !hops_to_hit }
 
 let random_walk_lookup t ~from ~key ~walkers ~ttl =
@@ -201,8 +201,8 @@ let random_walk_lookup t ~from ~key ~walkers ~ttl =
         current := next
     done
   done;
-  trace_finish t tr_op ~depth:!max_depth
-    (Printf.sprintf "%d messages, %d contacted" !messages !contacted);
+  trace_finish t tr_op ~depth:!max_depth "%d messages, %d contacted" !messages
+    !contacted;
   { value = !value; contacted = !contacted; messages = !messages; hops_to_hit = !hops_to_hit }
 
 let is_connected t =

@@ -1,65 +1,5 @@
 module Trace = P2p_sim.Trace
 
-let opt_int_field name = function
-  | Some i -> [ (name, Json.Int i) ]
-  | None -> []
-
-let event_to_json (e : Trace.event) =
-  Json.Obj
-    ([ ("t", Json.Float e.Trace.time); ("tag", Json.String e.Trace.tag) ]
-    @ opt_int_field "op" e.Trace.op
-    @ opt_int_field "src" e.Trace.src
-    @ opt_int_field "dst" e.Trace.dst
-    @ [ ("detail", Json.String e.Trace.detail) ])
-
-let event_of_json json =
-  let open Json in
-  match (Option.bind (member "t" json) to_float, Option.bind (member "tag" json) to_str)
-  with
-  | Some time, Some tag ->
-    let detail =
-      Option.value ~default:"" (Option.bind (member "detail" json) to_str)
-    in
-    let int_field name = Option.bind (member name json) to_int in
-    Ok
-      {
-        Trace.time;
-        tag;
-        op = int_field "op";
-        src = int_field "src";
-        dst = int_field "dst";
-        detail;
-      }
-  | _ -> Error "trace event needs numeric \"t\" and string \"tag\" fields"
-
-let trace_to_buffer buf trace =
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Json.to_string (event_to_json e));
-      Buffer.add_char buf '\n')
-    (Trace.events trace)
-
-let trace_to_string trace =
-  let buf = Buffer.create 4096 in
-  trace_to_buffer buf trace;
-  Buffer.contents buf
-
-let events_of_jsonl text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  in
-  let rec parse_lines acc lineno = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match Json.parse line with
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-      | Ok json -> (
-        match event_of_json json with
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-        | Ok e -> parse_lines (e :: acc) (lineno + 1) rest))
-  in
-  parse_lines [] 1 lines
-
 let metrics_to_string registry = Json.to_string (Registry.to_json registry)
 
 (* --- Chrome trace-event / Perfetto export ---
@@ -78,60 +18,62 @@ let span_pid (s : Trace.span) =
   | None, Some src -> src
   | None, None -> 0
 
-let chrome_events trace =
-  let spans = Trace.spans trace in
-  let pids = Hashtbl.create 16 in
-  let span_event ~pid ~tid (s : Trace.span) stop =
-    Json.Obj
-      [
-        ("name", Json.String s.Trace.phase);
-        ("cat", Json.String s.Trace.tier);
-        ("ph", Json.String "X");
-        ("ts", Json.Float (s.Trace.span_start *. 1000.0));
-        ("dur", Json.Float ((stop -. s.Trace.span_start) *. 1000.0));
-        ("pid", Json.Int pid);
-        ("tid", Json.Int tid);
-        ( "args",
-          Json.Obj
-            [
-              ("op", Json.Int s.Trace.span_op);
-              ("span", Json.Int s.Trace.span_id);
-              ("parent", Json.Int s.Trace.parent);
-              ("label", Json.String s.Trace.span_label);
-            ] );
-      ]
+let span_event ((s : Trace.span), stop) =
+  let outcome =
+    if s.Trace.parent < 0 then [ ("outcome", Json.String s.Trace.span_outcome) ]
+    else []
   in
-  let events =
-    List.filter_map
-      (fun (s : Trace.span) ->
-        match s.Trace.span_stop with
-        | None -> None
-        | Some stop ->
-          let pid = span_pid s in
-          if not (Hashtbl.mem pids pid) then Hashtbl.add pids pid ();
-          Some (span_event ~pid ~tid:s.Trace.span_op s stop))
-      spans
-  in
-  let meta ~pid ~tid ~what name =
-    Json.Obj
-      [
-        ("name", Json.String what);
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int tid);
-        ("args", Json.Obj [ ("name", Json.String name) ]);
-      ]
-  in
-  let metadata =
-    Hashtbl.fold (fun pid () acc -> pid :: acc) pids []
-    |> List.sort compare
-    |> List.map (fun pid ->
-           meta ~pid ~tid:0 ~what:"process_name"
-             (if pid = 0 then "ops" else Printf.sprintf "peer %d" pid))
-  in
-  metadata @ events
+  Json.Obj
+    [
+      ("name", Json.String s.Trace.phase);
+      ("cat", Json.String s.Trace.tier);
+      ("ph", Json.String "X");
+      ("ts", Json.Float (s.Trace.span_start *. 1000.0));
+      ("dur", Json.Float ((stop -. s.Trace.span_start) *. 1000.0));
+      ("pid", Json.Int (span_pid s));
+      ("tid", Json.Int s.Trace.span_op);
+      ( "args",
+        Json.Obj
+          ([
+             ("op", Json.Int s.Trace.span_op);
+             ("span", Json.Int s.Trace.span_id);
+             ("parent", Json.Int s.Trace.parent);
+             ("label", Json.String s.Trace.span_label);
+           ]
+          @ outcome) );
+    ]
 
-let trace_to_chrome trace = Json.to_string (Json.List (chrome_events trace))
+let process_name pid =
+  Json.Obj
+    [
+      ("name", Json.String "process_name");
+      ("ph", Json.String "M");
+      ("pid", Json.Int pid);
+      ("tid", Json.Int 0);
+      ( "args",
+        Json.Obj
+          [
+            ( "name",
+              Json.String (if pid = 0 then "ops" else Printf.sprintf "peer %d" pid) );
+          ] );
+    ]
+
+(* The completed spans with their stops, and the sorted pids they run on:
+   the metadata events are derived from the pids, the span events are
+   built one at a time by whoever consumes them. *)
+let completed trace =
+  let spans =
+    List.filter_map
+      (fun (s : Trace.span) -> Option.map (fun stop -> (s, stop)) s.Trace.span_stop)
+      (Trace.spans trace)
+  in
+  let pids = Hashtbl.create 16 in
+  List.iter (fun (s, _) -> Hashtbl.replace pids (span_pid s) ()) spans;
+  (spans, List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) pids []))
+
+let chrome_events trace =
+  let spans, pids = completed trace in
+  List.map process_name pids @ List.map span_event spans
 
 let write_file ~path contents =
   let oc = open_out path in
@@ -145,9 +87,21 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_trace ~path trace = write_file ~path (trace_to_string trace)
-
-let write_chrome_trace ~path trace = write_file ~path (trace_to_chrome trace)
+let write_trace ~path trace =
+  let spans, pids = completed trace in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      let first = ref true in
+      let emit json =
+        output_string oc (if !first then "[" else ",\n");
+        first := false;
+        output_string oc (Json.to_string json)
+      in
+      List.iter (fun pid -> emit (process_name pid)) pids;
+      List.iter (fun s -> emit (span_event s)) spans;
+      output_string oc (if !first then "[]\n" else "]\n"))
 
 let write_metrics ~path registry = write_file ~path (metrics_to_string registry)
 

@@ -1,44 +1,22 @@
 (** Serialization of traces and metric registries.
 
-    Traces export as JSONL — one compact JSON object per line, schema
-    [{"t": <ms>, "tag": "...", "op"?: <id>, "src"?: <host>,
-    "dst"?: <host>, "detail": "..."}] — so any line-oriented tool (jq,
-    grep, a spreadsheet import) can slice a run by tag or operation id.
-    Registries export as a single JSON object ({!Registry.to_json}
-    schema) or CSV. *)
-
-(** [event_to_json e] — the JSONL object for one event.  Optional fields
-    ([op], [src], [dst]) are omitted when unset, never [null]. *)
-val event_to_json : P2p_sim.Trace.event -> Json.t
-
-(** [event_of_json j] inverts {!event_to_json}.  A missing [detail]
-    defaults to [""]; missing [t]/[tag] is an error. *)
-val event_of_json : Json.t -> (P2p_sim.Trace.event, string) result
-
-(** [trace_to_string trace] — retained events, oldest first, one JSON
-    object per line. *)
-val trace_to_string : P2p_sim.Trace.t -> string
-
-(** [events_of_jsonl text] parses a JSONL trace dump back into events
-    (blank lines skipped).  The error names the offending line. *)
-val events_of_jsonl : string -> (P2p_sim.Trace.event list, string) result
+    Traces export as Chrome trace-event JSON, loadable by
+    [ui.perfetto.dev] and [chrome://tracing]; registries export as a
+    single JSON object ({!Registry.to_json} schema) or CSV. *)
 
 (** [metrics_to_string registry] — the registry snapshot as one JSON
     document. *)
 val metrics_to_string : Registry.t -> string
 
-(** [trace_to_chrome trace] — the trace's completed spans in Chrome
-    trace-event format (a JSON array of [ph:"X"] complete events plus
-    [ph:"M"] process-name metadata), loadable by [ui.perfetto.dev] and
-    [chrome://tracing].  One process row per peer ([pid] 0 holds the
-    operation root spans), one thread per operation id; simulated ms map
-    to the format's microseconds.  Still-open spans are skipped. *)
-val trace_to_chrome : P2p_sim.Trace.t -> string
-
-(** The chrome trace-event objects behind {!trace_to_chrome}, as JSON
-    values — [ph:"M"] process metadata first, then the [ph:"X"] span
-    events.  Lets a cross-process aggregator pool several traces' events
-    and emit one merged file ({!P2p_obs.Scrape.merged_chrome}). *)
+(** The trace's completed spans as Chrome trace-event objects:
+    [ph:"M"] process-name metadata first, then one [ph:"X"] complete
+    event per completed span.  One process row per peer ([pid] 0 holds
+    the operation root spans), one thread per operation id; simulated ms
+    map to the format's microseconds.  [args] carries the span's [op],
+    [span], [parent] and [label], and a root span's [outcome] (what
+    {!P2p_sim.Trace.end_op} reported).  Still-open spans are skipped.  A
+    cross-process aggregator pools several traces' events into one file
+    ({!P2p_obs.Scrape.merged_chrome}). *)
 val chrome_events : P2p_sim.Trace.t -> Json.t list
 
 (** {1 Files} *)
@@ -50,8 +28,9 @@ val write_file : path:string -> string -> unit
     failure. *)
 val read_file : string -> string
 
+(** [write_trace ~path trace] writes {!chrome_events} as one JSON array,
+    streaming it an event at a time. *)
 val write_trace : path:string -> P2p_sim.Trace.t -> unit
 
-val write_chrome_trace : path:string -> P2p_sim.Trace.t -> unit
 val write_metrics : path:string -> Registry.t -> unit
 val write_metrics_csv : path:string -> Registry.t -> unit

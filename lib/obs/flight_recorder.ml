@@ -124,7 +124,7 @@ let dump t ?trace ?registry ~dir ~reason () =
   (match trace with
    | Some tr when Trace.enabled tr ->
      let chrome = path ".chrome.json" in
-     Export.write_chrome_trace ~path:chrome tr;
+     Export.write_trace ~path:chrome tr;
      written := chrome :: !written
    | Some _ | None -> ());
   (match registry with

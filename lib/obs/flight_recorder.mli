@@ -59,7 +59,7 @@ val to_jsonl : ?reason:string -> t -> string
 
 (** [dump t ~dir ~reason ()] writes [dir/flight-<reason>.jsonl] (the
     ring), plus [flight-<reason>.chrome.json] when [trace] is an enabled
-    trace ({!Export.write_chrome_trace} of its retained spans) and
+    trace ({!Export.write_trace} of its retained spans) and
     [flight-<reason>.metrics.json] when
     [registry] is given.  Creates [dir] (and parents) as needed; returns
     the paths written, JSONL first. *)

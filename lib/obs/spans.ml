@@ -158,7 +158,7 @@ let record reg trace =
       (Registry.gauge reg ~subsystem:"trace" ~name)
       (float_of_int v)
   in
-  trace_gauge "spans_started" (Trace.spans_started trace);
+  trace_gauge "spans_started" (Trace.total_recorded trace);
   trace_gauge "span_orphans" (Trace.span_orphans trace);
   trace_gauge "orphan_ends" (Trace.orphan_ends trace);
   trace_gauge "evicted_ends" (Trace.evicted_ends trace);

@@ -10,31 +10,26 @@
 
 type t
 
-(** [create ~engine ~routing ~metrics ?stress ?trace ~processing_delay ()]
+(** [create ~engine ~routing ~metrics ?stress ~processing_delay ()]
     wires an underlay.  [stress] enables per-link stress accounting
     (slightly more work per message as paths must be materialized);
-    [trace] (default {!P2p_sim.Trace.disabled}) records every message as a
-    ["message"] event; [processing_delay] (ms) models per-hop handling
-    cost and is added once per overlay message. *)
+    [processing_delay] (ms) models per-hop handling cost and is added
+    once per overlay message. *)
 val create :
   engine:P2p_sim.Engine.t ->
   routing:P2p_topology.Routing.t ->
   metrics:Metrics.t ->
   ?stress:P2p_topology.Link_stress.t ->
-  ?trace:P2p_sim.Trace.t ->
   processing_delay:float ->
   unit ->
   t
 
-(** The trace this underlay records into. *)
-val trace : t -> P2p_sim.Trace.t
-
-(** [send t ?op ~src ~dst f] delivers [f] at [now + delay src dst].
-    Sending to self delivers after just the processing delay.  [op] stamps
-    the traced ["message"] event with the operation id of the insert /
-    lookup / join that caused it (see {!P2p_sim.Trace.begin_op}), making
-    the operation's hop sequence replayable. *)
-val send : t -> ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit
+(** [send t ~src ~dst f] delivers [f] at [now + delay src dst].
+    Sending to self delivers after just the processing delay.  The
+    underlay counts the message and its physical hops; it traces
+    nothing — the protocol layers attribute a message to an operation
+    with a span ({!P2p_sim.Trace.begin_span}). *)
+val send : t -> src:int -> dst:int -> (unit -> unit) -> unit
 
 (** [set_transmission_delay t f] installs an additional per-message delay
     [f ~src ~dst] (ms) — used to model heterogeneous access-link

@@ -169,7 +169,7 @@ let heal ?op t =
   Summaries.invalidate_all w;
   if own_op then
     Trace.end_op (World.trace w) ~time:(World.now w) ~op
-      (Printf.sprintf "promoted %d, re-replicated %d" !promoted !restored)
+      "promoted %d, re-replicated %d" !promoted !restored
 
 (* Online failure path: detections arrive once per watching neighbour and
    possibly for several victims of one storm; a single debounced timer
@@ -268,7 +268,7 @@ let anti_entropy_round t =
           (Policy.ring_successors w ~home ~factor:t.factor))
       homes;
     Trace.end_op (World.trace w) ~time:(World.now w) ~op
-      (Printf.sprintf "%d segment digests, %d mismatches" !segments !mismatches)
+      "%d segment digests, %d mismatches" !segments !mismatches
   end
 
 let start t =

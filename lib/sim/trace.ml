@@ -34,15 +34,6 @@ let op_kind_of_string = function
   | "anti-entropy" -> Anti_entropy
   | s -> Custom s
 
-type event = {
-  time : float;
-  tag : string;
-  op : int option;
-  src : int option;
-  dst : int option;
-  detail : string;
-}
-
 type span = {
   span_id : int;
   parent : int;
@@ -54,6 +45,7 @@ type span = {
   span_start : float;
   mutable span_stop : float option;
   span_label : string;
+  mutable span_outcome : string;
 }
 
 type op_completion = {
@@ -66,21 +58,17 @@ type op_completion = {
 
 type t = {
   capacity : int;
-  buffer : event option array;
-  mutable next : int; (* slot for the next write *)
-  mutable retained : int;
-  mutable total : int;
   mutable next_op : int;
   active : bool;
   (* head-based op sampling: the decision is a pure hash of the op id, so
-     an unsampled op costs one integer compare per record/begin_span and
+     an unsampled op costs one integer compare per begin_span and
      the sampled set is identical across same-seed runs *)
   sample_rate : float;
   sample_seed : int;
   sample_all : bool;
   sample_threshold : int; (* sampled iff hash62 op < threshold *)
-  (* one-entry decision memo: events arrive in per-op bursts, so this
-     turns the per-record hash (boxed Int64 arithmetic) into an integer
+  (* one-entry decision memo: spans arrive in per-op bursts, so this
+     turns the per-span hash (boxed Int64 arithmetic) into an integer
      compare on the hot path *)
   mutable memo_op : int;
   mutable memo_sampled : bool;
@@ -116,10 +104,6 @@ let create ~capacity ?(sample_rate = 1.0) ?(sample_seed = 0)
     invalid_arg "Trace.create: first_span_id must be >= 0";
   {
     capacity;
-    buffer = Array.make capacity None;
-    next = 0;
-    retained = 0;
-    total = 0;
     next_op = 0;
     active = true;
     sample_rate;
@@ -150,10 +134,6 @@ let create ~capacity ?(sample_rate = 1.0) ?(sample_seed = 0)
 let disabled =
   {
     capacity = 1;
-    buffer = [| None |];
-    next = 0;
-    retained = 0;
-    total = 0;
     next_op = 0;
     active = false;
     sample_rate = 1.0;
@@ -195,19 +175,6 @@ let sampled t op =
 
 let sample_rate t = t.sample_rate
 
-let record t ~time ~tag ?op ?src ?dst detail =
-  if t.active && (match op with None -> true | Some o -> sampled t o) then begin
-    t.buffer.(t.next) <- Some { time; tag; op; src; dst; detail };
-    t.next <- (t.next + 1) mod t.capacity;
-    if t.retained < t.capacity then t.retained <- t.retained + 1;
-    t.total <- t.total + 1
-  end
-
-let record_f t ~time ~tag ?op ?src ?dst fmt =
-  if t.active && (match op with None -> true | Some o -> sampled t o) then
-    Printf.ksprintf (record t ~time ~tag ?op ?src ?dst) fmt
-  else Printf.ikfprintf (fun () -> ()) () fmt
-
 (* --- causal spans --- *)
 
 let find_span t id =
@@ -236,6 +203,7 @@ let mint_span t ~time ~op ~tier ~phase ~parent ?src ?dst label =
         span_start = time;
         span_stop = None;
         span_label = label;
+        span_outcome = "";
       };
   t.span_next <- id + 1;
   if t.span_retained < t.capacity then t.span_retained <- t.span_retained + 1;
@@ -301,7 +269,6 @@ let mark_span t ~time ~op ~tier ~phase ?parent ?src ?dst label =
 let begin_op t ~time ~kind detail =
   let id = t.next_op in
   t.next_op <- t.next_op + 1;
-  record t ~time ~tag:(op_kind_to_string kind ^ "-start") ~op:id detail;
   if t.active then begin
     (* every op is accounted exactly, sampled or not: percentile gates
        must not depend on the sample rate *)
@@ -325,7 +292,6 @@ let begin_op t ~time ~kind detail =
    later {!begin_op} never re-mints the id. *)
 let begin_extern_op t ~time ~op ~kind ?src ?dst detail =
   if op >= t.next_op then t.next_op <- op + 1;
-  record t ~time ~tag:(op_kind_to_string kind ^ "-start") ~op ?src ?dst detail;
   if t.active then begin
     Hashtbl.replace t.open_ops op (op_kind_to_string kind, time);
     if sampled t op then begin
@@ -338,30 +304,43 @@ let begin_extern_op t ~time ~op ~kind ?src ?dst detail =
     end
   end
 
-let end_op t ~time ~op detail =
-  record t ~time ~tag:"op-end" ~op detail;
-  if t.active then begin
-    (match Hashtbl.find_opt t.open_ops op with
-     | None -> ()
-     | Some (kind, start) ->
-       Hashtbl.remove t.open_ops op;
-       (match t.op_listener with
-        | None -> ()
-        | Some f ->
-          f
-            {
-              comp_op = op;
-              comp_kind = kind;
-              comp_start = start;
-              comp_stop = time;
-              comp_sampled = sampled t op;
-            }));
-    match Hashtbl.find_opt t.op_roots op with
-    | None -> ()
-    | Some root ->
+(* The completion is reported to the listener first, sampled or not;
+   the outcome is formatted only for an op whose root span is still
+   open, since nothing else would ever read it. *)
+let end_op t ~time ~op fmt =
+  let root =
+    if not t.active then None
+    else begin
+      (match Hashtbl.find_opt t.open_ops op with
+       | None -> ()
+       | Some (kind, start) ->
+         Hashtbl.remove t.open_ops op;
+         (match t.op_listener with
+          | None -> ()
+          | Some f ->
+            f
+              {
+                comp_op = op;
+                comp_kind = kind;
+                comp_start = start;
+                comp_stop = time;
+                comp_sampled = sampled t op;
+              }));
+      let root = Hashtbl.find_opt t.op_roots op in
       Hashtbl.remove t.op_roots op;
-      end_span t ~time root
-  end
+      root
+    end
+  in
+  match root with
+  | None -> Printf.ikfprintf ignore () fmt
+  | Some root ->
+    Printf.ksprintf
+      (fun outcome ->
+        (match find_span t root with
+         | Some s -> s.span_outcome <- outcome
+         | None -> ());
+        end_span t ~time root)
+      fmt
 
 let on_op_complete t f =
   if t.active then
@@ -385,8 +364,6 @@ let spans t =
 
 let spans_of_op t op = List.filter (fun s -> s.span_op = op) (spans t)
 
-let spans_started t = t.span_next
-
 let span_orphans t = t.span_orphans
 
 let orphan_ends t = t.orphan_ends
@@ -405,25 +382,9 @@ let spans_clamped t = t.spans_clamped
 
 let ops_started t = t.next_op
 
-let length t = t.retained
-
-let total_recorded t = t.total
-
-let events t =
-  (* the oldest retained event sits [retained] writes behind [next] *)
-  let start = (t.next - t.retained + t.capacity) mod t.capacity in
-  List.init t.retained (fun i ->
-      match t.buffer.((start + i) mod t.capacity) with
-      | Some e -> e
-      | None -> assert false)
-
-let find t ~tag = List.filter (fun e -> e.tag = tag) (events t)
-
-let events_of_op t op = List.filter (fun e -> e.op = Some op) (events t)
+let total_recorded t = t.span_next - t.span_first
 
 let clear t =
-  Array.fill t.buffer 0 t.capacity None;
-  t.retained <- 0;
   Array.fill t.spans 0 t.capacity None;
   t.span_retained <- 0;
   Hashtbl.reset t.op_roots;
@@ -431,8 +392,6 @@ let clear t =
 
 let reset t =
   clear t;
-  t.next <- 0;
-  t.total <- 0;
   t.next_op <- 0;
   t.span_next <- t.span_first;
   t.span_orphans <- 0;
@@ -443,18 +402,3 @@ let reset t =
   t.spans_clamped <- 0;
   t.ops_sampled <- 0;
   t.spans_unsampled <- 0
-
-let pp_event ppf e =
-  let pp_id ppf = function
-    | Some i -> Format.fprintf ppf "#%d" i
-    | None -> Format.pp_print_char ppf '-'
-  in
-  Format.fprintf ppf "%.3f [%s]" e.time e.tag;
-  (match e.op with Some op -> Format.fprintf ppf " op=%d" op | None -> ());
-  (match (e.src, e.dst) with
-   | None, None -> ()
-   | src, dst -> Format.fprintf ppf " %a->%a" pp_id src pp_id dst);
-  Format.fprintf ppf " %s" e.detail
-
-let pp ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) (events t)

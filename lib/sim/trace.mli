@@ -1,16 +1,13 @@
-(** Bounded in-memory event tracing with operation-scoped correlation.
+(** Bounded in-memory span tracing with operation-scoped correlation.
 
-    A trace is a ring buffer of timestamped, tagged events.  Subsystems
-    record what they do ([message], [join], [lookup], ...); tests and
-    debugging sessions inspect, filter, or dump the buffer.  Keeping the
-    buffer bounded makes tracing safe to leave enabled in long experiments
-    — old events fall off the back.
-
-    Every top-level operation (an insert, a lookup, a join, ...) can mint
-    an {e operation id} with {!begin_op}; each message, timer, and handler
-    the operation causes records events carrying that id, so a single
-    lookup can be replayed afterwards as an ordered per-hop event list
-    ({!events_of_op}).
+    Every top-level operation (an insert, a lookup, a join, ...) mints an
+    {e operation id} with {!begin_op}, which opens the operation's root
+    span.  The work the operation causes — a ring hop, a flood branch, a
+    replica probe — is recorded as a child span carrying that id, so one
+    lookup can be read back afterwards as its causal span tree
+    ({!spans_of_op}).  Spans live in a ring buffer: keeping it bounded
+    makes tracing safe to leave enabled in long experiments — old spans
+    fall off the back.
 
     Recording through a disabled trace is a no-op costing one branch, so
     library code can trace unconditionally. *)
@@ -37,20 +34,11 @@ val op_kind_to_string : op_kind -> string
 (** Inverse of {!op_kind_to_string}; unknown names map to [Custom]. *)
 val op_kind_of_string : string -> op_kind
 
-type event = {
-  time : float;  (** simulated ms *)
-  tag : string;  (** category, e.g. ["message"], ["join"], ["crash"] *)
-  op : int option;  (** operation id the event belongs to, if any *)
-  src : int option;  (** sending host for message events *)
-  dst : int option;  (** receiving host for message events *)
-  detail : string;
-}
-
 (** One node of an operation's causal span tree: a timed unit of work —
     a ring hop, a flood branch, a replica probe — attributed to a tier
-    and phase.  Spans live in their own ring buffer sized like the event
-    buffer; span id [k] occupies slot [k mod capacity], so a still-open
-    span can be evicted by wraparound (counted by {!span_orphans}). *)
+    and phase.  Span id [k] occupies ring slot [k mod capacity], so a
+    still-open span can be evicted by wraparound (counted by
+    {!span_orphans}). *)
 type span = {
   span_id : int;
   parent : int;  (** parent span id; [-1] marks an operation root *)
@@ -62,16 +50,19 @@ type span = {
   span_start : float;  (** simulated ms *)
   mutable span_stop : float option;  (** [None] while still open *)
   span_label : string;
+  mutable span_outcome : string;
+      (** what {!end_op} reported for a root span (["found at #6, ..."],
+          ["timed out"]); [""] for other spans and open roots *)
 }
 
 (** [create ~capacity ()] makes a trace keeping the last [capacity]
-    events.
+    spans.
 
     [sample_rate] (default [1.0], full tracing) enables head-based op
     sampling: each operation minted by {!begin_op} is either {e sampled}
-    — its events, root span, and child spans are recorded as usual — or
+    — its root span and child spans are recorded as usual — or
     {e unsampled} — its root span is never minted and every
-    {!record}/{!begin_span}/{!mark_span} for it returns after a single
+    {!begin_span}/{!mark_span} for it returns after a single
     integer compare ({!spans_unsampled} counts the skipped spans).  The
     decision is a pure hash of the op id on stream [sample_seed]
     ({!Rng.hash62}), so two runs with equal seeds sample the identical
@@ -130,31 +121,13 @@ val on_op_complete : t -> (op_completion -> unit) -> unit
     sampled, bounded set) use this to avoid double counting. *)
 val has_op_listener : t -> bool
 
-(** [record t ~time ~tag ?op ?src ?dst detail] appends an event (dropping
-    the oldest if full).  [op] attributes the event to an operation minted
-    with {!begin_op}; [src]/[dst] identify the hosts of a message event. *)
-val record :
-  t -> time:float -> tag:string -> ?op:int -> ?src:int -> ?dst:int -> string -> unit
-
-(** [record_f t ~time ~tag fmt ...] — like {!record} with a format string;
-    the message is not built when the trace is disabled. *)
-val record_f :
-  t ->
-  time:float ->
-  tag:string ->
-  ?op:int ->
-  ?src:int ->
-  ?dst:int ->
-  ('a, unit, string, unit) format4 ->
-  'a
-
-(** [begin_op t ~time ~kind detail] mints a fresh operation id and records
-    a ["<kind>-start"] event carrying it.  Ids are consecutive from [0] in
-    minting order, so a fixed seed yields identical ids run to run.  The id
-    is minted (and unique) even when the trace is disabled.  On an enabled
-    trace it also opens the operation's {e root span} (tier ["op"], phase
-    the kind's wire name) when the op is sampled (see {!create});
-    {!end_op} closes it.  Exact open-op accounting happens for every op
+(** [begin_op t ~time ~kind detail] mints a fresh operation id.  Ids are
+    consecutive from [0] in minting order, so a fixed seed yields identical
+    ids run to run.  The id is minted (and unique) even when the trace is
+    disabled.  On an enabled trace it also opens the operation's
+    {e root span} (tier ["op"], phase the kind's wire name, label
+    [detail]) when the op is sampled (see {!create}); {!end_op} closes
+    it.  Exact open-op accounting happens for every op
     regardless of sampling. *)
 val begin_op : t -> time:float -> kind:op_kind -> string -> int
 
@@ -176,11 +149,13 @@ val begin_extern_op :
   string ->
   unit
 
-(** [end_op t ~time ~op detail] records the terminal ["op-end"] event of
-    operation [op] ([detail] conventionally carries the outcome) and closes
-    the operation's root span.  Spans begun for [op] afterwards are
-    suppressed (see {!begin_span}). *)
-val end_op : t -> time:float -> op:int -> string -> unit
+(** [end_op t ~time ~op fmt ...] completes operation [op]: it reports
+    the completion to the {!on_op_complete} listeners and closes the
+    operation's root span, storing the formatted outcome in its
+    [span_outcome].  The outcome is formatted only when [op] has an open
+    root span, so unsampled ops and disabled traces pay no formatting.
+    Spans begun for [op] afterwards are suppressed (see {!begin_span}). *)
+val end_op : t -> time:float -> op:int -> ('a, unit, string, unit) format4 -> 'a
 
 (** [begin_span t ~time ~op ~tier ~phase label] opens a span under
     operation [op] and returns its id.  [parent] defaults to the op's root
@@ -235,9 +210,6 @@ val spans : t -> span list
     first (the root span included). *)
 val spans_of_op : t -> int -> span list
 
-(** Span ids minted so far (monotonic; survives {!clear}). *)
-val spans_started : t -> int
-
 (** Still-open spans evicted by ring-buffer wraparound. *)
 val span_orphans : t -> int
 
@@ -268,24 +240,12 @@ val spans_clamped : t -> int
 (** Number of operation ids minted so far. *)
 val ops_started : t -> int
 
-(** Number of events currently retained. *)
-val length : t -> int
-
-(** Total events ever recorded (including dropped ones). *)
+(** Spans minted so far, evicted ones included.  Survives {!clear};
+    {!reset} zeroes it. *)
 val total_recorded : t -> int
 
-(** Retained events, oldest first. *)
-val events : t -> event list
-
-(** [find t ~tag] retains only events with the given tag, oldest first. *)
-val find : t -> tag:string -> event list
-
-(** [events_of_op t op] — the retained events of one operation, oldest
-    first: the operation's replayable hop-by-hop record. *)
-val events_of_op : t -> int -> event list
-
-(** [clear t] empties the buffer (events and spans; still-open operations
-    lose their root, so their later spans are suppressed).  The lifetime
+(** [clear t] empties the span buffer (still-open operations lose their
+    root, so their later spans are suppressed).  The lifetime
     accounting survives:
     {!total_recorded} and {!ops_started} keep counting from where they
     were, so a consumer draining the buffer in slices still sees how much
@@ -298,10 +258,3 @@ val clear : t -> unit
     safe when no live operation id minted before the reset will be used
     afterwards (ids restart and would collide). *)
 val reset : t -> unit
-
-(** [pp_event ppf e] prints one event:
-    ["%.3f [tag] op=N #src->#dst detail"] (op and hosts only when set). *)
-val pp_event : Format.formatter -> event -> unit
-
-(** [pp ppf t] prints one event per line with {!pp_event}. *)
-val pp : Format.formatter -> t -> unit

@@ -206,7 +206,7 @@ let reply_client t ~req ~found ~value ~holder ~hops =
     (* the operation completes when its entry node answers the client:
        this fires the completion listener (exact latency histograms +
        flight recorder) and closes the root span *)
-    Trace.end_op t.trace ~time:(now_ms t) ~op:req
+    Trace.end_op t.trace ~time:(now_ms t) ~op:req "%s"
       (if found then "found" else "not-found");
     send t ~dst:client (Wire.Client_reply { req; found; value; holder; hops })
 

@@ -1,10 +1,9 @@
 (* Simulation backend of the transport seam: a thin adapter over
-   [Underlay] (delivery with propagation delay, stress and trace
-   accounting) and [Timer] (engine-clock timers).  The adapter adds no
-   scheduling of its own — every [send] maps 1:1 onto the same
-   [Underlay.send] call the protocol code used to make directly, so
-   event order, sequence numbers and traces are bit-identical to the
-   pre-seam code. *)
+   [Underlay] (delivery with propagation delay and stress accounting)
+   and [Timer] (engine-clock timers).  The adapter adds no scheduling of
+   its own — every [send] maps 1:1 onto the same [Underlay.send] call
+   the protocol code used to make directly, so event order and sequence
+   numbers are bit-identical to the pre-seam code. *)
 
 open P2p_sim
 
@@ -34,10 +33,10 @@ let make ~underlay =
 
 let now t = Engine.now t.engine
 
-let send t ?op ~src ~dst payload =
-  if t.default_dispatch then P2p_net.Underlay.send t.underlay ?op ~src ~dst payload
+let send t ~src ~dst payload =
+  if t.default_dispatch then P2p_net.Underlay.send t.underlay ~src ~dst payload
   else
-    P2p_net.Underlay.send t.underlay ?op ~src ~dst (fun () ->
+    P2p_net.Underlay.send t.underlay ~src ~dst (fun () ->
         t.handler ~src ~dst payload)
 
 let set_handler t f =
@@ -59,7 +58,7 @@ let periodic t ?label ~period f =
 let transport t =
   {
     Transport.now = (fun () -> now t);
-    send = (fun ?op ~src ~dst f -> send t ?op ~src ~dst f);
+    send = (fun ~src ~dst f -> send t ~src ~dst f);
     one_shot = (fun ?label ~delay f -> one_shot t ?label ~delay f);
     periodic = (fun ?label ~period f -> periodic t ?label ~period f);
   }

@@ -1,11 +1,11 @@
 (** Deterministic simulation backend of the transport seam.
 
     A thin adapter over {!P2p_net.Underlay} (message delivery with
-    propagation delay, link stress and tracing) and {!P2p_sim.Timer}
+    propagation delay and link stress) and {!P2p_sim.Timer}
     (engine-clock timers).  It introduces no scheduling of its own:
     [send] maps 1:1 onto [Underlay.send] and timers onto [Timer], so a
-    simulation driven through this seam produces bit-identical traces to
-    one calling the underlay directly. *)
+    simulation driven through this seam runs event for event like one
+    calling the underlay directly. *)
 
 type t
 

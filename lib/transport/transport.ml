@@ -32,10 +32,10 @@ module type S = sig
       wall clock — protocol code must not care which. *)
   val now : t -> float
 
-  (** [send t ?op ~src ~dst payload] hands [payload] to the transport
-      for delivery to [dst].  [op] attributes the message to a traced
-      operation. *)
-  val send : t -> ?op:int -> src:addr -> dst:addr -> payload -> unit
+  (** [send t ~src ~dst payload] hands [payload] to the transport for
+      delivery to [dst].  Operation ids do not cross the seam: the
+      protocol layers trace a message as a span before sending it. *)
+  val send : t -> src:addr -> dst:addr -> payload -> unit
 
   (** [set_handler t f] installs the receive dispatch: every delivered
       payload is passed to [f]. *)
@@ -57,14 +57,14 @@ end
    protocol stack.) *)
 type t = {
   now : unit -> float;
-  send : ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit;
+  send : src:int -> dst:int -> (unit -> unit) -> unit;
   one_shot : ?label:string -> delay:float -> (unit -> unit) -> timer;
   periodic : ?label:string -> period:float -> (unit -> unit) -> timer;
 }
 
 let now t = t.now ()
 
-let send t ?op ~src ~dst f = t.send ?op ~src ~dst f
+let send t ~src ~dst f = t.send ~src ~dst f
 
 let one_shot t ?label ~delay f = t.one_shot ?label ~delay f
 

@@ -8,13 +8,15 @@
 
     - {!Sim_transport} — a thin adapter over the deterministic event
       engine.  Payloads are closures, time is simulated, every existing
-      test/bench/scenario runs unchanged (bit-identical traces).
+      test/bench/scenario runs unchanged (bit-identical event order).
     - {!Live_transport} — non-blocking TCP sockets with a select loop,
       per-connection connect/retry/backoff state machines and a
       wall-clock timer wheel.  Payloads are {!Wire.msg} values.
 
     The first-class record {!t} is the closure-payload instance the
-    in-process protocol core holds (see [World.t]). *)
+    in-process protocol core holds (see [World.t]).  Operation ids do not
+    cross the seam: the protocol layers trace a message as a span before
+    they send it. *)
 
 (** A cancellable timer.  Cancelling after the timer fired is a silent
     no-op counted under the shared [timer/cancel_late] counter
@@ -38,7 +40,7 @@ module type S = sig
 
   val now : t -> float
 
-  val send : t -> ?op:int -> src:addr -> dst:addr -> payload -> unit
+  val send : t -> src:addr -> dst:addr -> payload -> unit
 
   val set_handler : t -> (src:addr -> dst:addr -> payload -> unit) -> unit
 
@@ -53,14 +55,14 @@ end
     the backend clock. *)
 type t = {
   now : unit -> float;
-  send : ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit;
+  send : src:int -> dst:int -> (unit -> unit) -> unit;
   one_shot : ?label:string -> delay:float -> (unit -> unit) -> timer;
   periodic : ?label:string -> period:float -> (unit -> unit) -> timer;
 }
 
 val now : t -> float
 
-val send : t -> ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit
+val send : t -> src:int -> dst:int -> (unit -> unit) -> unit
 
 val one_shot : t -> ?label:string -> delay:float -> (unit -> unit) -> timer
 

@@ -40,3 +40,14 @@ let lookup_sync h ~from ~key ?ttl () =
   | None -> Alcotest.fail "lookup callback never fired"
 
 let found = function Data_ops.Found _ -> true | Data_ops.Timed_out -> false
+
+(* [n] completed ops on [trace], one root span each, labelled "1".."n". *)
+let completed_ops trace n =
+  let open P2p_sim in
+  for i = 1 to n do
+    let time = float_of_int i in
+    let op = Trace.begin_op trace ~time ~kind:Trace.Insert (string_of_int i) in
+    Trace.end_op trace ~time ~op "done"
+  done
+
+let span_labels spans = List.map (fun (s : P2p_sim.Trace.span) -> s.span_label) spans

@@ -74,7 +74,7 @@ let test_online_clean_churn () =
 (* --- deliberate corruption: the acceptance scenario --- *)
 
 (* Force an s-peer over the degree cap while the auditor's periodic timer
-   is armed: the next tick must emit a severity-tagged trace event and
+   is armed: the next tick must emit a severity-tagged span and
    bump the matching audit/* counter. *)
 let test_degree_corruption_detected () =
   let trace = Trace.create ~capacity:50_000 () in
@@ -99,17 +99,31 @@ let test_degree_corruption_detected () =
   checkb "timer ticked" true (Auditor.ticks a >= 2);
   checkb "errors counted" true (Auditor.errors_total a > 0);
   checkb "counter bumped" true (audit_counter h "tree_structure_violations" > 0);
-  let events = Trace.find trace ~tag:"audit-error" in
-  checkb "severity-tagged trace event" true (events <> []);
-  checkb "event names the check" true
+  let spans =
+    List.filter
+      (fun (s : Trace.span) -> s.Trace.phase = "audit-error")
+      (Trace.spans trace)
+  in
+  checkb "severity-tagged span" true (spans <> []);
+  checkb "span names the check" true
     (List.exists
-       (fun e ->
-         String.length e.Trace.detail >= 14
-         && String.sub e.Trace.detail 0 14 = "tree_structure")
-       events);
-  (* violation events carry the audit tick's operation id *)
-  checkb "event attributed to an audit op" true
-    (List.for_all (fun e -> e.Trace.op <> None) events);
+       (fun (s : Trace.span) ->
+         String.length s.Trace.span_label >= 14
+         && String.sub s.Trace.span_label 0 14 = "tree_structure")
+       spans);
+  checkb "zero-duration spans" true
+    (List.for_all
+       (fun (s : Trace.span) -> s.Trace.span_stop = Some s.Trace.span_start)
+       spans);
+  (* violation spans sit under the audit tick's root span *)
+  checkb "span attributed to an audit op" true
+    (List.for_all
+       (fun (s : Trace.span) ->
+         List.exists
+           (fun (r : Trace.span) ->
+             r.Trace.span_id = s.Trace.parent && r.Trace.phase = "audit")
+           (Trace.spans_of_op trace s.Trace.span_op))
+       spans);
   checkb "result reports first error" true (Result.is_error (Auditor.result a))
 
 let test_broken_successor_detected () =

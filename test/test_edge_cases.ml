@@ -163,8 +163,9 @@ let test_metrics_message_counts_monotone () =
   ignore (lookup_sync h ~from:(H.random_peer h) ~key:"item-00000" () : Data_ops.lookup_outcome);
   checkb "lookups send messages" true (Metrics.messages (H.metrics h) > m1)
 
-(* p2psim rejects a peer count below one with a usage error naming the
-   option, instead of dying on an uncaught exception. *)
+(* p2psim rejects a peer count below one, a trace capacity below one and
+   a sample rate outside [0,1] with a usage error (cmdliner's exit 124)
+   naming the option, instead of dying on an uncaught exception. *)
 let test_cli_rejects_non_positive_peers () =
   let contains s sub =
     let n = String.length sub in
@@ -172,7 +173,7 @@ let test_cli_rejects_non_positive_peers () =
     go 0
   in
   List.iter
-    (fun args ->
+    (fun (args, option) ->
       let err = Filename.temp_file "p2psim" ".err" in
       let code =
         Sys.command
@@ -180,16 +181,20 @@ let test_cli_rejects_non_positive_peers () =
       in
       let msg = In_channel.with_open_text err In_channel.input_all in
       Sys.remove err;
-      checkb (args ^ ": non-zero exit") true (code <> 0);
+      checki (args ^ ": usage error") 124 code;
       checkb (args ^ ": no uncaught exception") false (contains msg "exception");
-      checkb (args ^ ": names the option") true (contains msg "--peers"))
+      checkb (args ^ ": names the option") true (contains msg option))
     [
-      "run --peers 0";
-      "churn --peers 0";
-      "compare --peers 0";
-      "audit --peers 0";
-      "scenario --peers 0";
-      "run --peers=-3";
+      ("run --peers 0", "--peers");
+      ("churn --peers 0", "--peers");
+      ("compare --peers 0", "--peers");
+      ("audit --peers 0", "--peers");
+      ("scenario --peers 0", "--peers");
+      ("run --peers=-3", "--peers");
+      ("run --trace-cap 0", "--trace-cap");
+      ("scenario --trace-cap 0", "--trace-cap");
+      ("audit --trace-sample 2", "--trace-sample");
+      ("run --trace-sample 2", "--trace-sample");
     ]
 
 let suite =

@@ -1,4 +1,4 @@
-(* Observability layer: operation-scoped traces, JSONL round-trips,
+(* Observability layer: operation-scoped traces, the Chrome trace file,
    the metrics registry, the legacy-Metrics-as-view guarantee, engine
    profiling, and report rendering. *)
 
@@ -10,12 +10,11 @@ module Registry = P2p_obs.Registry
 module Export = P2p_obs.Export
 module Report = P2p_obs.Report
 module Summary = P2p_stats.Summary
+module Json = P2p_obs.Json
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
-
-let event : Trace.event Alcotest.testable = Alcotest.testable Trace.pp_event ( = )
 
 (* A traced star system grown to [n] peers. *)
 let traced_system ?(seed = 11) ?(n = 40) ?(ps = 0.5) () =
@@ -28,66 +27,62 @@ let traced_system ?(seed = 11) ?(n = 40) ?(ps = 0.5) () =
 
 let test_ring_buffer () =
   let t = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.record t ~time:(float_of_int i) ~tag:"tick" (string_of_int i)
-  done;
-  checki "retained" 4 (Trace.length t);
+  completed_ops t 10;
+  checki "retained" 4 (List.length (Trace.spans t));
   checki "total" 10 (Trace.total_recorded t);
   checks "oldest retained" "7"
-    (match Trace.events t with e :: _ -> e.Trace.detail | [] -> "");
+    (match Trace.spans t with s :: _ -> s.Trace.span_label | [] -> "");
   Trace.clear t;
-  checki "cleared" 0 (Trace.length t);
+  checki "cleared" 0 (List.length (Trace.spans t));
   checki "total survives clear" 10 (Trace.total_recorded t)
 
 let test_reset () =
   let t = Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Trace.record t ~time:(float_of_int i) ~tag:"tick" (string_of_int i)
-  done;
+  completed_ops t 6;
   let op = Trace.begin_op t ~time:7.0 ~kind:Trace.Lookup "k" in
   checkb "op id advanced" true (op >= 0);
-  checki "ops before reset" 1 (Trace.ops_started t);
+  checki "ops before reset" 7 (Trace.ops_started t);
   Trace.reset t;
-  checki "reset empties" 0 (Trace.length t);
+  checki "reset empties" 0 (List.length (Trace.spans t));
   checki "reset zeroes total" 0 (Trace.total_recorded t);
   checki "reset zeroes ops" 0 (Trace.ops_started t);
   (* a reset trace behaves like a fresh one: ids restart at 0 *)
-  checki "ids restart" 0 (Trace.begin_op t ~time:8.0 ~kind:Trace.Insert "k2");
-  Trace.record t ~time:9.0 ~tag:"tick" "after";
-  checki "records again" 2 (Trace.length t)
+  let op = Trace.begin_op t ~time:8.0 ~kind:Trace.Insert "k2" in
+  checki "ids restart" 0 op;
+  Trace.mark_span t ~time:9.0 ~op ~tier:"x" ~phase:"p" "after";
+  checki "records again" 2 (List.length (Trace.spans t))
 
 (* Wraparound: the semantics of every read operation once more than
-   [capacity] events have been recorded. *)
+   [capacity] spans have been minted. *)
 let test_wraparound () =
   let t = Trace.create ~capacity:5 () in
   let op_a = Trace.begin_op t ~time:0.0 ~kind:Trace.Lookup "a" in
   let op_b = Trace.begin_op t ~time:0.5 ~kind:Trace.Insert "b" in
   for i = 1 to 12 do
     let op = if i mod 2 = 0 then op_a else op_b in
-    Trace.record t ~time:(float_of_int i) ~tag:(if i mod 3 = 0 then "three" else "other")
-      ~op (string_of_int i)
+    Trace.mark_span t ~time:(float_of_int i) ~op ~tier:"x"
+      ~phase:(if i mod 3 = 0 then "three" else "other")
+      (string_of_int i)
   done;
-  (* 2 op-start events + 12 records = 14 total, newest 5 retained *)
+  (* 2 root spans + 12 marks = 14 minted, newest 5 retained *)
   checki "total counts evicted too" 14 (Trace.total_recorded t);
-  checki "retained = capacity" 5 (Trace.length t);
-  let details = List.map (fun e -> e.Trace.detail) (Trace.events t) in
   Alcotest.check (Alcotest.list Alcotest.string) "oldest-first after wrap"
-    [ "8"; "9"; "10"; "11"; "12" ] details;
-  (* find only sees retained events *)
-  let threes = Trace.find t ~tag:"three" in
-  Alcotest.check (Alcotest.list Alcotest.string) "find after wrap" [ "9"; "12" ]
-    (List.map (fun e -> e.Trace.detail) threes);
-  (* op correlation survives eviction of the op's start event *)
-  let of_a = Trace.events_of_op t op_a in
-  Alcotest.check (Alcotest.list Alcotest.string) "op events after wrap"
-    [ "8"; "10"; "12" ]
-    (List.map (fun e -> e.Trace.detail) of_a);
+    [ "8"; "9"; "10"; "11"; "12" ] (span_labels (Trace.spans t));
+  (* filters only see retained spans *)
+  Alcotest.check (Alcotest.list Alcotest.string) "phase filter after wrap" [ "9"; "12" ]
+    (span_labels
+       (List.filter (fun (s : Trace.span) -> s.Trace.phase = "three") (Trace.spans t)));
+  (* op correlation survives eviction of the op's root span *)
+  Alcotest.check (Alcotest.list Alcotest.string) "op spans after wrap"
+    [ "8"; "10"; "12" ] (span_labels (Trace.spans_of_op t op_a));
   (* minted ids keep counting: eviction never recycles them *)
   checki "ops minted" 2 (Trace.ops_started t);
   let op_c = Trace.begin_op t ~time:20.0 ~kind:Trace.Leave "c" in
   checki "next id past eviction" (op_b + 1) op_c;
   Trace.end_op t ~time:21.0 ~op:op_c "bye";
-  checkb "new op readable" true (List.length (Trace.events_of_op t op_c) = 2)
+  match Trace.spans_of_op t op_c with
+  | [ root ] -> checks "new op readable" "bye" root.Trace.span_outcome
+  | _ -> Alcotest.fail "expected the new op's root span"
 
 let test_op_kind_names () =
   List.iter
@@ -106,59 +101,93 @@ let test_begin_end_op () =
   let a = Trace.begin_op t ~time:1.0 ~kind:Trace.Lookup "key-a" in
   let b = Trace.begin_op t ~time:2.0 ~kind:Trace.Insert "key-b" in
   checki "consecutive ids" (a + 1) b;
-  Trace.record t ~time:3.0 ~tag:"message" ~op:a ~src:1 ~dst:2 "hop";
+  Trace.mark_span t ~time:3.0 ~op:a ~tier:"t_network" ~phase:"ring_hop" ~src:1 ~dst:2
+    "hop";
   Trace.end_op t ~time:4.0 ~op:a "done";
   checki "ops minted" 2 (Trace.ops_started t);
-  let of_a = Trace.events_of_op t a in
-  checki "three events for op a" 3 (List.length of_a);
-  checks "starts with kind-start" "lookup-start"
-    (match of_a with e :: _ -> e.Trace.tag | [] -> "");
-  checks "ends with op-end" "op-end"
-    (match List.rev of_a with e :: _ -> e.Trace.tag | [] -> "");
+  (match Trace.spans_of_op t a with
+   | [ root; hop ] ->
+     checks "root phase is the kind" "lookup" root.Trace.phase;
+     checki "hop under the root" root.Trace.span_id hop.Trace.parent;
+     checkb "root closed at end_op" true (root.Trace.span_stop = Some 4.0);
+     checks "outcome on the root" "done" root.Trace.span_outcome
+   | _ -> Alcotest.fail "expected root + hop for op a");
   (* ids are minted even when the trace is disabled *)
   let d = Trace.begin_op Trace.disabled ~time:0.0 ~kind:Trace.Lookup "x" in
   checkb "disabled still mints" true (d >= 0)
 
-(* --- JSONL export round-trip --- *)
+(* --- Chrome trace file --- *)
 
-let test_jsonl_roundtrip () =
+let with_trace_file f =
+  let path = Filename.temp_file "p2p-trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_trace_file path =
+  match Json.parse (Export.read_file path) with
+  | Ok (Json.List events) -> events
+  | Ok _ -> Alcotest.fail "trace file is not a JSON array"
+  | Error e -> Alcotest.fail ("trace file does not parse: " ^ e)
+
+let str_field name e = Option.bind (Json.member name e) Json.to_str
+
+let args_field name e = Option.bind (Json.member "args" e) (Json.member name)
+
+(* The written file is one JSON array: one [ph:"X"] event per completed
+   span (open spans skipped), and every root span carries its outcome. *)
+let test_chrome_synthetic () =
   let t = Trace.create ~capacity:64 () in
   let op = Trace.begin_op t ~time:0.25 ~kind:Trace.Lookup "file \"quoted\"\n" in
-  Trace.record t ~time:1.5 ~tag:"message" ~op ~src:3 ~dst:9 "12.50 ms, 4 links";
-  Trace.record t ~time:2.0 ~tag:"crash" ~src:7 "t-peer";
-  Trace.end_op t ~time:3.75 ~op "found at #9";
-  let text = Export.trace_to_string t in
-  match Export.events_of_jsonl text with
-  | Error e -> Alcotest.fail ("parse: " ^ e)
-  | Ok events ->
-    Alcotest.check (Alcotest.list event) "round-trip" (Trace.events t) events
+  let hop =
+    Trace.begin_span t ~time:1.5 ~op ~tier:"t_network" ~phase:"ring_hop" ~src:3 ~dst:9
+      "hop"
+  in
+  Trace.end_span t ~time:2.0 hop;
+  ignore (Trace.begin_span t ~time:2.5 ~op ~tier:"s_network" ~phase:"flood" "open" : int);
+  Trace.end_op t ~time:3.75 ~op "found at #%d" 9;
+  ignore (Trace.begin_op t ~time:4.0 ~kind:Trace.Insert "still running" : int);
+  with_trace_file (fun path ->
+      Export.write_trace ~path t;
+      let events = read_trace_file path in
+      let xs = List.filter (fun e -> str_field "ph" e = Some "X") events in
+      let completed =
+        List.filter (fun (s : Trace.span) -> s.Trace.span_stop <> None) (Trace.spans t)
+      in
+      checki "one X event per completed span" (List.length completed) (List.length xs);
+      let is_root e = args_field "parent" e = Some (Json.Int (-1)) in
+      let roots = List.filter is_root xs in
+      checki "one completed root" 1 (List.length roots);
+      List.iter
+        (fun e ->
+          checkb "root carries its outcome" true
+            (args_field "outcome" e = Some (Json.String "found at #9"));
+          checkb "label survives escaping" true
+            (args_field "label" e = Some (Json.String "file \"quoted\"\n")))
+        roots;
+      checkb "children carry no outcome" true
+        (List.for_all (fun e -> is_root e || args_field "outcome" e = None) xs))
 
-let test_jsonl_bad_input () =
-  checkb "not json" true
-    (Result.is_error (Export.events_of_jsonl "not json at all"));
-  checkb "missing tag" true
-    (Result.is_error (Export.events_of_jsonl {|{"t":1.0,"detail":"x"}|}));
-  checkb "blank lines ok" true
-    (match Export.events_of_jsonl "\n\n" with Ok [] -> true | _ -> false)
-
-let test_system_trace_jsonl () =
+let test_chrome_system_trace () =
   let h, trace, _ = traced_system () in
   let keys = insert_items h ~count:20 in
   let r = lookup_sync h ~from:(H.random_peer h) ~key:(List.hd keys) () in
   checkb "lookup found" true (found r);
-  match Export.events_of_jsonl (Export.trace_to_string trace) with
-  | Error e -> Alcotest.fail ("system trace does not re-parse: " ^ e)
-  | Ok events ->
-    checki "re-parses in full" (Trace.length trace) (List.length events);
-    (* the lookup's events all share its op id and end with op-end *)
-    let start =
-      List.find (fun e -> e.Trace.tag = "lookup-start") (List.rev events)
-    in
-    let op = match start.Trace.op with Some op -> op | None -> -1 in
-    let of_op = List.filter (fun e -> e.Trace.op = Some op) events in
-    checkb "lookup spans several events" true (List.length of_op >= 2);
-    checkb "terminal op-end" true
-      (List.exists (fun e -> e.Trace.tag = "op-end") of_op)
+  with_trace_file (fun path ->
+      Export.write_trace ~path trace;
+      let xs =
+        List.filter (fun e -> str_field "ph" e = Some "X") (read_trace_file path)
+      in
+      (* the lookup's spans all share its op id, and its root says where
+         the item was found *)
+      let root =
+        List.find (fun e -> str_field "name" e = Some "lookup") (List.rev xs)
+      in
+      let op = args_field "op" root in
+      let of_op = List.filter (fun e -> args_field "op" e = op) xs in
+      checkb "lookup spans several events" true (List.length of_op >= 2);
+      checkb "outcome names the holder" true
+        (match args_field "outcome" root with
+         | Some (Json.String o) -> String.length o > 8 && String.sub o 0 8 = "found at"
+         | _ -> false))
 
 let test_trace_determinism () =
   let run () =
@@ -169,10 +198,14 @@ let test_trace_determinism () =
       keys;
     H.repair h;
     H.run h;
-    (Export.trace_to_string trace, Export.metrics_to_string (Metrics.registry (H.metrics h)))
+    ( with_trace_file (fun path ->
+          Export.write_trace ~path trace;
+          Export.read_file path),
+      Export.metrics_to_string (Metrics.registry (H.metrics h)) )
   in
   let trace1, metrics1 = run () in
   let trace2, metrics2 = run () in
+  checkb "non-trivial trace" true (String.length trace1 > 2);
   checks "identical trace" trace1 trace2;
   checks "identical metrics" metrics1 metrics2
 
@@ -355,14 +388,13 @@ let test_export_files () =
   let dir = Filename.temp_file "p2p-obs" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
-  let tpath = Filename.concat dir "t.jsonl"
+  let tpath = Filename.concat dir "t.json"
   and mpath = Filename.concat dir "m.json"
   and cpath = Filename.concat dir "m.csv" in
   Export.write_trace ~path:tpath trace;
   Export.write_metrics ~path:mpath (Metrics.registry (H.metrics h));
   Export.write_metrics_csv ~path:cpath (Metrics.registry (H.metrics h));
-  checkb "trace re-reads" true
-    (Result.is_ok (Export.events_of_jsonl (Export.read_file tpath)));
+  checkb "trace re-reads" true (Result.is_ok (Json.parse (Export.read_file tpath)));
   checkb "metrics re-read" true
     (Result.is_ok (Report.of_string (Export.read_file mpath)));
   let csv = Export.read_file cpath in
@@ -374,7 +406,6 @@ let test_export_files () =
 (* --- log-histogram JSON round-trip and cluster merge --- *)
 
 module Log_hist = P2p_obs.Log_hist
-module Json = P2p_obs.Json
 module Scrape = P2p_obs.Scrape
 
 let reparse h =
@@ -548,9 +579,8 @@ let suite =
     Alcotest.test_case "trace: wraparound" `Quick test_wraparound;
     Alcotest.test_case "trace: op kind names" `Quick test_op_kind_names;
     Alcotest.test_case "trace: begin/end op" `Quick test_begin_end_op;
-    Alcotest.test_case "jsonl: synthetic round-trip" `Quick test_jsonl_roundtrip;
-    Alcotest.test_case "jsonl: bad input" `Quick test_jsonl_bad_input;
-    Alcotest.test_case "jsonl: system trace" `Quick test_system_trace_jsonl;
+    Alcotest.test_case "chrome: synthetic trace" `Quick test_chrome_synthetic;
+    Alcotest.test_case "chrome: system trace" `Quick test_chrome_system_trace;
     Alcotest.test_case "trace: deterministic across runs" `Quick test_trace_determinism;
     Alcotest.test_case "registry: shapes" `Quick test_registry_basics;
     Alcotest.test_case "registry: histogram bins" `Quick test_histogram_bins;

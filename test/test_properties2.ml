@@ -70,23 +70,17 @@ let prop_cache_never_serves_stale =
 (* --- trace retention --- *)
 
 let prop_trace_retention =
-  QCheck.Test.make ~name:"trace keeps exactly the newest min(total, capacity) events"
+  QCheck.Test.make ~name:"trace keeps exactly the newest min(total, capacity) spans"
     ~count:300
     (QCheck.pair (QCheck.make (QCheck.Gen.int_range 1 8)) QCheck.small_nat)
     (fun (capacity, n) ->
       QCheck.assume (n <= 200);
       let t = Trace.create ~capacity () in
-      for i = 1 to n do
-        Trace.record t ~time:(float_of_int i) ~tag:"t" (string_of_int i)
-      done;
-      let events = Trace.events t in
-      Trace.length t = min n capacity
-      && Trace.total_recorded t = n
-      && List.length events = min n capacity
-      && List.for_all2
-           (fun e expected -> e.Trace.detail = string_of_int expected)
-           events
-           (List.init (min n capacity) (fun i -> n - min n capacity + i + 1)))
+      Helpers.completed_ops t n;
+      let spans = Trace.spans t in
+      Trace.total_recorded t = n
+      && Helpers.span_labels spans
+         = List.init (min n capacity) (fun i -> string_of_int (n - min n capacity + i + 1)))
 
 (* --- data conservation through placement --- *)
 

@@ -18,69 +18,70 @@ let contains ~needle haystack =
 
 let test_trace_records_in_order () =
   let t = Trace.create ~capacity:10 () in
-  Trace.record t ~time:1.0 ~tag:"a" "first";
-  Trace.record t ~time:2.0 ~tag:"b" "second";
-  checki "length" 2 (Trace.length t);
+  let op = Trace.begin_op t ~time:1.0 ~kind:Trace.Lookup "first" in
+  Trace.mark_span t ~time:2.0 ~op ~tier:"t_network" ~phase:"ring_hop" "second";
   checki "total" 2 (Trace.total_recorded t);
-  match Trace.events t with
-  | [ e1; e2 ] ->
-    Alcotest.check Alcotest.string "first detail" "first" e1.Trace.detail;
-    Alcotest.check Alcotest.string "second tag" "b" e2.Trace.tag
-  | _ -> Alcotest.fail "expected two events"
+  match Trace.spans t with
+  | [ s1; s2 ] ->
+    Alcotest.check Alcotest.string "first label" "first" s1.Trace.span_label;
+    Alcotest.check Alcotest.string "second phase" "ring_hop" s2.Trace.phase
+  | _ -> Alcotest.fail "expected two spans"
 
 let test_trace_ring_overwrites () =
   let t = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.record t ~time:(float_of_int i) ~tag:"x" (string_of_int i)
-  done;
-  checki "bounded" 3 (Trace.length t);
+  Helpers.completed_ops t 5;
   checki "total counts everything" 5 (Trace.total_recorded t);
   Alcotest.check (Alcotest.list Alcotest.string) "keeps the newest" [ "3"; "4"; "5" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.events t))
+    (Helpers.span_labels (Trace.spans t))
 
 let test_trace_find_and_clear () =
   let t = Trace.create ~capacity:10 () in
-  Trace.record t ~time:1.0 ~tag:"join" "a";
-  Trace.record t ~time:2.0 ~tag:"message" "b";
-  Trace.record t ~time:3.0 ~tag:"join" "c";
-  checki "two joins" 2 (List.length (Trace.find t ~tag:"join"));
+  let op = Trace.begin_op t ~time:1.0 ~kind:Trace.T_join "a" in
+  Trace.mark_span t ~time:2.0 ~op ~tier:"t_network" ~phase:"ring_hop" "b";
+  Trace.mark_span t ~time:3.0 ~op ~tier:"t_network" ~phase:"ring_hop" "c";
+  checki "two ring hops" 2
+    (List.length
+       (List.filter (fun (s : Trace.span) -> s.Trace.phase = "ring_hop") (Trace.spans t)));
   Trace.clear t;
-  checki "cleared" 0 (Trace.length t);
+  checki "cleared" 0 (List.length (Trace.spans t));
   checki "lifetime counter survives" 3 (Trace.total_recorded t)
 
+(* A disabled trace records nothing and never runs end_op's formatting. *)
 let test_trace_disabled_is_noop () =
   let t = Trace.disabled in
   checkb "disabled" false (Trace.enabled t);
-  Trace.record t ~time:1.0 ~tag:"x" "dropped";
-  Trace.record_f t ~time:1.0 ~tag:"x" "%s" "dropped";
-  checki "nothing retained" 0 (Trace.length t)
+  let op = Trace.begin_op t ~time:1.0 ~kind:Trace.Lookup "k" in
+  Trace.mark_span t ~time:1.0 ~op ~tier:"x" ~phase:"p" "dropped";
+  let formatted = ref false in
+  Trace.end_op t ~time:2.0 ~op "%t" (fun () -> formatted := true; "");
+  checkb "outcome not formatted" false !formatted;
+  checki "nothing retained" 0 (List.length (Trace.spans t))
 
-let test_trace_record_f () =
+let test_trace_end_op_outcome () =
   let t = Trace.create ~capacity:4 () in
-  Trace.record_f t ~time:1.0 ~tag:"fmt" "%d-%s" 42 "x";
-  Alcotest.check Alcotest.string "formatted" "42-x"
-    (List.hd (Trace.events t)).Trace.detail
+  let op = Trace.begin_op t ~time:1.0 ~kind:Trace.Lookup "k" in
+  Trace.end_op t ~time:2.0 ~op "%d-%s" 42 "x";
+  Alcotest.check Alcotest.string "formatted onto the root" "42-x"
+    (List.hd (Trace.spans t)).Trace.span_outcome
 
 let test_trace_captures_system_messages () =
   let trace = Trace.create ~capacity:1000 () in
-  let h =
-    H.create_star ~seed:80 ~peers:32
-      ~config:Hybrid_p2p.Config.default ()
-  in
-  ignore h;
-  (* create_star has no trace hook; use Hybrid.create with one *)
   let g = P2p_topology.Graph.create 4 in
   P2p_topology.Graph.add_edge g 0 1 ~latency:1.0;
   P2p_topology.Graph.add_edge g 1 2 ~latency:1.0;
   P2p_topology.Graph.add_edge g 2 3 ~latency:1.0;
-  let h2 =
+  let h =
     H.create ~seed:81 ~routing:(P2p_topology.Routing.create g) ~trace ()
   in
-  ignore (H.join h2 ~host:0 () : Hybrid_p2p.Peer.t);
-  H.run h2;
-  ignore (H.join h2 ~host:1 ~role:Hybrid_p2p.Peer.S_peer () : Hybrid_p2p.Peer.t);
-  H.run h2;
-  checkb "messages traced" true (Trace.find trace ~tag:"message" <> [])
+  ignore (H.join h ~host:0 () : Hybrid_p2p.Peer.t);
+  H.run h;
+  ignore (H.join h ~host:1 ~role:Hybrid_p2p.Peer.S_peer () : Hybrid_p2p.Peer.t);
+  H.run h;
+  (* the s-join's messages are spans carrying their two hosts *)
+  checkb "messages traced" true
+    (List.exists
+       (fun (s : Trace.span) -> s.Trace.span_src <> None && s.Trace.span_dst <> None)
+       (Trace.spans trace))
 
 (* --- Ascii_plot --- *)
 
@@ -196,7 +197,7 @@ let suite =
     Alcotest.test_case "trace: ring overwrite" `Quick test_trace_ring_overwrites;
     Alcotest.test_case "trace: find and clear" `Quick test_trace_find_and_clear;
     Alcotest.test_case "trace: disabled no-op" `Quick test_trace_disabled_is_noop;
-    Alcotest.test_case "trace: record_f" `Quick test_trace_record_f;
+    Alcotest.test_case "trace: end_op outcome" `Quick test_trace_end_op_outcome;
     Alcotest.test_case "trace: captures system messages" `Quick
       test_trace_captures_system_messages;
     Alcotest.test_case "plot: dimensions" `Quick test_plot_dimensions;
