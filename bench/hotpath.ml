@@ -34,6 +34,7 @@ module Spans = P2p_obs.Spans
 module Log_hist = P2p_obs.Log_hist
 module Slo = P2p_obs.Slo
 module Json = P2p_obs.Json
+module Checks = P2p_audit.Checks
 
 let n_peers = 10_000
 let telemetry_sample_rate = 0.01
@@ -134,7 +135,9 @@ let measure ~seed ~name ~routing_mode ~items ~lookups () =
       p99_ms;
       stored_total = H.total_items h;
       invariant_error =
-        (match H.check_invariants h with Ok () -> None | Error m -> Some m);
+        (match Checks.(to_result (final (H.world h))) with
+         | Ok () -> None
+         | Error m -> Some m);
     }
   in
   (r, reg)

@@ -34,6 +34,7 @@ module Registry = P2p_obs.Registry
 module Spans = P2p_obs.Spans
 module Log_hist = P2p_obs.Log_hist
 module Json = P2p_obs.Json
+module Checks = P2p_audit.Checks
 
 let underlay_latency_ms = 5.0
 let s_fraction = 0.8
@@ -262,7 +263,9 @@ let measure_point ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () 
   let hops = Metrics.lookup_hops (H.metrics h) in
   let stored_total = H.total_items h in
   let invariant_error =
-    match H.check_invariants h with Ok () -> None | Error m -> Some m
+    match Checks.(to_result (final (H.world h))) with
+    | Ok () -> None
+    | Error m -> Some m
   in
   Gc.compact ();
   let live_bytes = (Gc.stat ()).Gc.live_words * (Sys.word_size / 8) in

@@ -73,6 +73,16 @@ let unit_interval =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* A --slo spec, checked by Slo.parse at parse time and kept as written
+   (Slo.enforce and Serve.run take the raw specs). *)
+let slo_spec =
+  let parse s =
+    match Slo.parse s with
+    | Ok _ -> Ok s
+    | Error msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let peers_arg =
   Arg.(
     value & opt positive_int 300
@@ -241,7 +251,7 @@ let timeline_interval_arg =
 let slo_arg =
   Arg.(
     value
-    & opt_all string []
+    & opt_all slo_spec []
     & info [ "slo" ] ~docv:"SPEC"
         ~doc:
           "Latency objective gate, repeatable: $(i,target):p$(i,N)<=$(i,MS), e.g. \
@@ -383,11 +393,17 @@ let build_system ?trace ?(profile = false) ~seed ~ps ~n ~config () =
     roles;
   (h, rng)
 
+(* Print the run's metrics and the end-of-run invariant verdict; [false]
+   when the catalogue found an error, which the caller turns into exit 1. *)
 let print_metrics h =
   Format.printf "%a@." Metrics.pp (H.metrics h);
-  match H.check_invariants h with
-  | Ok () -> print_endline "invariants: OK"
-  | Error e -> Printf.printf "invariants: VIOLATED (%s)\n" e
+  match Checks.(to_result (final (H.world h))) with
+  | Ok () ->
+    print_endline "invariants: OK";
+    true
+  | Error e ->
+    Printf.printf "invariants: VIOLATED (%s)\n" e;
+    false
 
 (* --- run subcommand --- *)
 
@@ -525,7 +541,7 @@ let run_cmd =
        Printf.eprintf "p2psim: --anti-entropy requires --replication > 0\n";
        exit 1
      | _, None -> ());
-    print_metrics h;
+    let invariants_ok = print_metrics h in
     (* final pull of the runtime gauges so the exported snapshot (and
        the report header rendered from it) carries them *)
     Gc_stats.update gcs;
@@ -552,6 +568,7 @@ let run_cmd =
        let reason =
          if not slo_ok then Some "slo"
          else if audit_failed then Some "audit"
+         else if not invariants_ok then Some "invariants"
          else if dump_on_exit then Some "exit"
          else None
        in
@@ -570,7 +587,7 @@ let run_cmd =
     (match Option.bind auditor finish_audit with
      | Some code -> exit code
      | None -> ());
-    if not slo_ok then exit 1
+    if not (slo_ok && invariants_ok) then exit 1
   in
   let term =
     Term.(
@@ -618,7 +635,7 @@ let churn_cmd =
     H.run h;
     Printf.printf "lookup failure ratio after storm: %.4f\n"
       (Metrics.failure_ratio (H.metrics h));
-    print_metrics h
+    if not (print_metrics h) then exit 1
   in
   let fraction_arg =
     Arg.(
@@ -782,13 +799,13 @@ let scenario_cmd =
           report.Scenario.inserted;
         exit 1
       end;
-      (* with auditing on, the exit code carries health: any violation at
-         any tick fails the command (CI gates on this) *)
-      (match report.Scenario.audit with
-       | Some a when a.Scenario.audit_violations > 0 -> exit 1
-       | Some _ | None ->
-         if audit_interval <> None && Result.is_error report.Scenario.invariants then
-           exit 1)
+      (* the exit code carries health: a violated end state, and with
+         auditing on any violation at any tick, fails the command (CI
+         gates on this) *)
+      if Result.is_error report.Scenario.invariants then exit 1;
+      match report.Scenario.audit with
+      | Some a when a.Scenario.audit_violations > 0 -> exit 1
+      | Some _ | None -> ()
   in
   let script_arg =
     Arg.(
@@ -1106,22 +1123,6 @@ let report_cmd =
 let serve_cmd =
   let run peers port_base smoke inserts lookups ready_timeout dump_dir
       sample_rate sample_seed slo linger =
-    if peers < 1 then begin
-      Printf.eprintf "p2psim serve: --peers must be >= 1\n";
-      exit 2
-    end;
-    if sample_rate < 0.0 || sample_rate > 1.0 then begin
-      Printf.eprintf "p2psim serve: --trace-sample must be within [0, 1]\n";
-      exit 2
-    end;
-    List.iter
-      (fun spec ->
-        match Slo.parse spec with
-        | Ok _ -> ()
-        | Error msg ->
-          Printf.eprintf "p2psim serve: bad --slo %S: %s\n" spec msg;
-          exit 2)
-      slo;
     let outcome =
       P2p_transport.Serve.run ~inserts ~lookups ~ready_timeout ~dump_dir
         ~sample_rate ~sample_seed ~slo ~linger ~peers ~port_base ~smoke ()
@@ -1131,7 +1132,7 @@ let serve_cmd =
   in
   let peers_arg =
     Arg.(
-      value & opt int 8
+      value & opt positive_int 8
       & info [ "peers" ] ~docv:"N" ~doc:"Number of worker processes to fork.")
   in
   let port_base_arg =
@@ -1178,7 +1179,7 @@ let serve_cmd =
   let sample_rate_arg =
     Arg.(
       value
-      & opt float Config.default.Config.trace_sample_rate
+      & opt unit_interval P2p_transport.Serve.default_sample_rate
       & info [ "trace-sample" ] ~docv:"RATE"
           ~doc:
             "Cluster-wide head-sampling rate for cross-process traces \
@@ -1188,13 +1189,13 @@ let serve_cmd =
   let sample_seed_arg =
     Arg.(
       value
-      & opt int Config.default.Config.trace_sample_seed
+      & opt int P2p_transport.Serve.default_sample_seed
       & info [ "trace-seed" ] ~docv:"SEED"
           ~doc:"Seed of the sampling hash (must also match cluster-wide).")
   in
   let slo_arg =
     Arg.(
-      value & opt_all string []
+      value & opt_all slo_spec []
       & info [ "slo" ] ~docv:"SPEC"
           ~doc:
             "Latency objective such as $(i,lookup:p99<=2000), enforced in \
@@ -1229,7 +1230,7 @@ let serve_cmd =
 let aggregator_args =
   let peers_arg =
     Arg.(
-      value & opt int 8
+      value & opt positive_int 8
       & info [ "peers" ] ~docv:"N"
           ~doc:"Ring size of the serving cluster to poll.")
   in
@@ -1249,10 +1250,6 @@ let aggregator_args =
 
 let top_cmd =
   let run peers port_base timeout interval count =
-    if peers < 1 then begin
-      Printf.eprintf "p2psim top: --peers must be >= 1\n";
-      exit 2
-    end;
     let agg = P2p_transport.Serve.aggregator ~peers ~port_base () in
     let rounds = ref 0 in
     let stop = ref false in
@@ -1307,18 +1304,6 @@ let top_cmd =
 
 let cluster_report_cmd =
   let run peers port_base timeout slo metrics_out trace_out =
-    if peers < 1 then begin
-      Printf.eprintf "p2psim cluster-report: --peers must be >= 1\n";
-      exit 2
-    end;
-    List.iter
-      (fun spec ->
-        match Slo.parse spec with
-        | Ok _ -> ()
-        | Error msg ->
-          Printf.eprintf "p2psim cluster-report: bad --slo %S: %s\n" spec msg;
-          exit 2)
-      slo;
     let agg = P2p_transport.Serve.aggregator ~peers ~port_base () in
     let snapshots =
       P2p_transport.Serve.aggregator_scrape agg ~spans:true ~timeout ()
@@ -1365,7 +1350,7 @@ let cluster_report_cmd =
   let peers_arg, port_base_arg, timeout_arg = aggregator_args in
   let slo_arg =
     Arg.(
-      value & opt_all string []
+      value & opt_all slo_spec []
       & info [ "slo" ] ~docv:"SPEC"
           ~doc:
             "Latency objective such as $(i,lookup:p99<=2000), enforced \

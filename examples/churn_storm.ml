@@ -15,6 +15,7 @@ module Config = Hybrid_p2p.Config
 module Data_ops = Hybrid_p2p.Data_ops
 module Churn = P2p_workload.Churn
 module Rng = P2p_sim.Rng
+module Checks = P2p_audit.Checks
 
 let () =
   let config =
@@ -48,7 +49,7 @@ let () =
 
   (* let the heartbeat machinery detect and heal *)
   H.run_for h 3_000.0;
-  (match H.check_invariants h with
+  (match Checks.(to_result (final (H.world h))) with
    | Ok () -> print_endline "Online recovery complete: all invariants hold again."
    | Error e -> Printf.printf "still healing: %s\n" e);
   Printf.printf "Survivors: %d peers, %d t-peers, %d items survived\n"

@@ -6,6 +6,7 @@ module H = Hybrid_p2p.Hybrid
 module Peer = Hybrid_p2p.Peer
 module Data_ops = Hybrid_p2p.Data_ops
 module Metrics = P2p_net.Metrics
+module Checks = P2p_audit.Checks
 
 let () =
   (* A 100-peer system on a synthetic star underlay; 70% of peers join the
@@ -53,6 +54,6 @@ let () =
     "\nTotals: %d overlay messages, %d lookups (%d ok / %d failed), connum %d\n"
     (Metrics.messages m) (Metrics.lookups_issued m) (Metrics.lookups_succeeded m)
     (Metrics.lookups_failed m) (Metrics.connum m);
-  match H.check_invariants h with
+  match Checks.(to_result (final (H.world h))) with
   | Ok () -> print_endline "Invariants hold."
   | Error e -> Printf.printf "INVARIANT VIOLATION: %s\n" e

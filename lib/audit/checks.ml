@@ -29,8 +29,9 @@ type snapshot = {
 type check = {
   c_name : string;
   c_describe : string;
-  c_run : string -> World.t -> status;
-      (* the check's own name is threaded in so violations self-attribute *)
+  c_run : final:bool -> string -> World.t -> status;
+      (* the check's own name is threaded in so violations self-attribute;
+         [final] switches every in-flight tolerance off *)
 }
 
 let check_name c = c.c_name
@@ -68,7 +69,9 @@ let finish col =
    A tick can land mid-protocol: between two legs of a join/leave
    triangle, or while an orphaned subtree is walking back to its root.
    [Peer.quiet] flags the former (engaged mutexes); a live s-peer whose
-   cp chain ends at a live s-peer with no connect point is the latter. *)
+   cp chain ends at a live s-peer with no connect point is the latter.
+   Online ticks tolerate both; the [final] pass, run at rest, reports
+   them as errors. *)
 
 (* Where does [peer]'s cp chain end? *)
 type attachment =
@@ -91,7 +94,7 @@ let resolve_attachment peer =
 
 (* --- ring symmetry ------------------------------------------------------ *)
 
-let ring_symmetry who w =
+let ring_symmetry ~final who w =
   let col = collector who in
   let arr = World.t_peers w in
   let n = Array.length arr in
@@ -101,16 +104,28 @@ let ring_symmetry who w =
      join triangle in flight — the joiner becomes visible atomically with
      the final leg. *)
   let mid_join q =
-    q.Peer.alive && Peer.is_t_peer q && not (Hashtbl.mem registered q.Peer.host)
+    (not final) && q.Peer.alive && Peer.is_t_peer q
+    && not (Hashtbl.mem registered q.Peer.host)
   in
   let busy = ref 0 in
-  Array.iter (fun p -> if not (Peer.quiet p) then incr busy) arr;
+  Array.iter
+    (fun p ->
+      if not (Peer.quiet p) then incr busy;
+      if final then
+        if p.Peer.joining then
+          err col ~subject:p.Peer.host "t-peer #%d: joining mutex engaged" p.Peer.host
+        else if p.Peer.leaving then
+          err col ~subject:p.Peer.host "t-peer #%d: leaving mutex engaged" p.Peer.host
+        else if p.Peer.join_queue <> [] then
+          err col ~subject:p.Peer.host "t-peer #%d: non-empty join queue" p.Peer.host)
+    arr;
   gauge col "ring_busy_peers" (float_of_int !busy);
   for i = 0 to n - 1 do
     let a = arr.(i) and b = arr.((i + 1) mod n) in
-    (* Only judge a segment whose endpoints are not mid-operation: the
-       join/leave triangles rewire pointers leg by leg under the mutex. *)
-    if Peer.quiet a && Peer.quiet b then begin
+    (* Online, only judge a segment whose endpoints are not mid-operation:
+       the join/leave triangles rewire pointers leg by leg under the
+       mutex. *)
+    if final || (Peer.quiet a && Peer.quiet b) then begin
       (match a.Peer.succ with
        | Some s when s == b || n = 1 -> ()
        | Some s when mid_join s -> ()
@@ -146,7 +161,7 @@ let ring_symmetry who w =
 
 (* --- finger tables vs the oracle ---------------------------------------- *)
 
-let finger_tables who w =
+let finger_tables ~final:_ who w =
   let col = collector who in
   if not (World.fingers_fresh w) then begin
     (* Fingers are refreshed lazily; comparing a stale table against the
@@ -187,7 +202,7 @@ let finger_tables who w =
 
 (* --- s-tree shape and the degree cap ------------------------------------ *)
 
-let tree_structure who w =
+let tree_structure ~final:_ who w =
   let col = collector who in
   let delta = w.World.config.Config.delta in
   let seen = Hashtbl.create 256 in
@@ -241,7 +256,7 @@ let tree_structure who w =
 
 (* --- membership: every live peer hangs under exactly one live root ------ *)
 
-let membership who w =
+let membership ~final who w =
   let col = collector who in
   let in_transit = ref 0 in
   let by_root : (int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -270,11 +285,21 @@ let membership who w =
            | Some home ->
              err col ~subject:p.Peer.host "s-peer #%d: t_home is #%d but attached under #%d"
                p.Peer.host home.Peer.host root.Peer.host
-           | None -> err col ~subject:p.Peer.host "s-peer #%d: no t_home" p.Peer.host)
+           | None -> err col ~subject:p.Peer.host "s-peer #%d: no t_home" p.Peer.host);
+          (* the parent side of the edge: a tree walk from the root never
+             reaches an s-peer its cp does not list *)
+          (match p.Peer.cp with
+           | Some cp when not (List.memq p cp.Peer.children) ->
+             err col ~subject:p.Peer.host "s-peer #%d: cp #%d does not list it as a child"
+               p.Peer.host cp.Peer.host
+           | Some _ | None -> ())
         | In_transit ->
           (* a detached subtree walking back to its root — legitimate
              between a graceful leave / promotion and the re-attach *)
-          incr in_transit
+          incr in_transit;
+          if final then
+            err col ~subject:p.Peer.host "s-peer #%d: detached from every s-network"
+              p.Peer.host
         | Stranded dead ->
           err col ~subject:p.Peer.host "s-peer #%d: stranded under dead peer #%d"
             p.Peer.host dead.Peer.host
@@ -297,7 +322,7 @@ let membership who w =
 
 (* --- data placement (Schemes A and B) ----------------------------------- *)
 
-let data_placement who w =
+let data_placement ~final who w =
   let col = collector who in
   let arr = World.t_peers w in
   if Array.length arr > 0 then begin
@@ -314,10 +339,11 @@ let data_placement who w =
                before the ring is rewired); judge the segment only when
                both ends are settled. *)
             let boundary_settled =
-              Peer.quiet home
-              && (match home.Peer.pred with
-                  | Some pre -> Peer.quiet pre
-                  | None -> false)
+              final
+              || Peer.quiet home
+                 && (match home.Peer.pred with
+                     | Some pre -> Peer.quiet pre
+                     | None -> false)
             in
             if boundary_settled then
               Data_store.iter p.Peer.store (fun ~key ~value:_ ~route_id ->
@@ -336,7 +362,7 @@ let data_placement who w =
 
 (* --- replication factor (durability invariant) -------------------------- *)
 
-let replication_factor who w =
+let replication_factor ~final who w =
   let col = collector who in
   let r = w.World.config.Config.replication_factor in
   if r > 0 then begin
@@ -346,7 +372,7 @@ let replication_factor who w =
        targets are moving while a join/leave triangle is mid-rewire —
        only a settled system owes the full factor. *)
     let settled =
-      pending = 0 && Array.for_all Peer.quiet (World.t_peers w)
+      final || (pending = 0 && Array.for_all Peer.quiet (World.t_peers w))
     in
     let copies_of : (string, int) Hashtbl.t = Hashtbl.create 1024 in
     World.iter_peers w
@@ -403,7 +429,7 @@ let gini sizes =
     end
   end
 
-let load_balance who w =
+let load_balance ~final:_ who w =
   let col = collector who in
   let sizes = Array.make (World.peer_count w) 0.0 in
   let i = ref 0 in
@@ -430,7 +456,7 @@ let load_balance who w =
    simulated results are unchanged), then verifies the contract against
    the live placement.  No-op while summaries are disabled. *)
 
-let bloom_coverage who w =
+let bloom_coverage ~final:_ who w =
   let col = collector who in
   if w.World.config.Config.bloom_bits_per_key <= 0 then finish col
   else begin
@@ -497,7 +523,7 @@ let bloom_coverage who w =
    bookkeeping itself broke), and an op's critical-path attribution never
    exceeds its end-to-end latency.  No-op while tracing is off. *)
 
-let latency_sanity who w =
+let latency_sanity ~final:_ who w =
   let module Trace = P2p_sim.Trace in
   let module Spans = P2p_obs.Spans in
   let col = collector who in
@@ -610,10 +636,16 @@ let select wanted =
   in
   resolve [] wanted
 
-let run c w = c.c_run c.c_name w
+let run c w = c.c_run ~final:false c.c_name w
 
 let run_all ?(checks = all) w =
   { time = World.now w; statuses = List.map (fun c -> run c w) checks }
+
+let final w =
+  {
+    time = World.now w;
+    statuses = List.map (fun c -> c.c_run ~final:true c.c_name w) all;
+  }
 
 let violations snap = List.concat_map (fun s -> s.violations) snap.statuses
 

@@ -8,14 +8,16 @@
     add a load-balance view (items-per-peer spread and a Gini
     coefficient).
 
-    Unlike {!Hybrid_p2p.Hybrid.check_invariants}, which presumes
-    quiescence, these checks are safe to run {e online}, mid-churn:
-    protocol states that are legitimately in flight (an engaged join
-    mutex, a subtree walking back to its root after a graceful leave) are
-    recognized and skipped rather than misreported.  Genuine damage — a
-    dangling ring pointer to a crashed peer, a tree edge over the degree
-    cap, an item outside its owner's segment — is still caught the moment
-    it exists. *)
+    The catalogue is the system's only invariant oracle, with two modes.
+    {!run_all} is safe to run {e online}, mid-churn: protocol states
+    that are legitimately in flight (an engaged join mutex, a subtree
+    walking back to its root after a graceful leave) are recognized and
+    skipped rather than misreported.  Genuine damage — a dangling ring
+    pointer to a crashed peer, a tree edge over the degree cap, an item
+    outside its owner's segment — is still caught the moment it exists.
+    {!final} runs the same checks at rest with every in-flight tolerance
+    off, so a state that is only legitimate mid-protocol is an error
+    there. *)
 
 (** [Error] marks structural damage; [Warning] marks drift that routing
     survives (e.g. stale server-side accounting). *)
@@ -52,17 +54,20 @@ val describe : check -> string
 
 (** The full catalogue, in canonical order: [ring_symmetry],
     [finger_tables], [tree_structure], [membership], [data_placement],
-    [replication_factor], [bloom_coverage], [load_balance].
+    [replication_factor], [bloom_coverage], [load_balance],
+    [latency_sanity].
     [bloom_coverage] verifies the edge-summary contract of
     {!Hybrid_p2p.Summaries} — no stored key is invisible to an ancestor
     edge's attenuated Bloom filter (pruned floods can only over-visit,
     never miss); it rebuilds stale summaries first (derived state only)
     and is a no-op while [bloom_bits_per_key = 0].
+    [membership] also checks the parent side of every s-tree edge: a
+    rooted s-peer's connect point lists it among its children.
     [replication_factor] holds
     every primary item to [min r (Policy.expected_copies)] live replica
-    copies; it stays quiet (gauges only) while copies are in flight
-    ([World.replication_pending > 0]) or t-peers are mid-triangle, and
-    is a no-op when replication is off.
+    copies; online it stays quiet (gauges only) while copies are in
+    flight ([World.replication_pending > 0]) or t-peers are
+    mid-triangle, and it is a no-op when replication is off.
     [latency_sanity] verifies the causal-span contract of
     {!P2p_sim.Trace} — every completed child span's interval nests
     inside its parent's, and no op's critical-path attribution
@@ -85,6 +90,15 @@ val run : check -> Hybrid_p2p.World.t -> status
     the world's current simulated time. *)
 val run_all : ?checks:check list -> Hybrid_p2p.World.t -> snapshot
 
+(** [final w] executes the whole catalogue at rest: the end-of-run
+    invariant check behind every [invariants:] line.  Every in-flight
+    tolerance is off — an engaged join/leave mutex or a queued join on
+    any t-peer, a ring segment with a busy endpoint, a detached s-peer,
+    an unsettled segment boundary and outstanding replica copies are
+    all errors.  Call it once the event queue holds no protocol work
+    (periodic timers such as heartbeats may stay armed). *)
+val final : Hybrid_p2p.World.t -> snapshot
+
 (** All violations of a snapshot, in catalogue order. *)
 val violations : snapshot -> violation list
 
@@ -93,8 +107,7 @@ val errors : violation list -> violation list
 
 (** [to_result snap] is [Ok ()] when the snapshot carries no
     [Error]-severity violation, otherwise [Error reason] with the first
-    one — the drop-in replacement for a final
-    {!Hybrid_p2p.Hybrid.check_invariants}. *)
+    one. *)
 val to_result : snapshot -> (unit, string) result
 
 val pp_violation : Format.formatter -> violation -> unit

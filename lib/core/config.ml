@@ -9,12 +9,9 @@ type t = {
   default_ttl : int;
   placement : placement;
   s_style : s_style;
-  use_fingers_for_join : bool;
   use_fingers_for_data : bool;
   hello_period : float;
   hello_timeout : float;
-  ack_timeout : float;
-  suppress_period : float;
   lookup_timeout : float;
   heartbeats : bool;
   bypass_enabled : bool;
@@ -31,8 +28,6 @@ type t = {
   replica_placement : replica_placement;
   anti_entropy_interval : float;
   successor_list_length : int;
-  trace_sample_rate : float;
-  trace_sample_seed : int;
 }
 
 let default =
@@ -41,12 +36,9 @@ let default =
     default_ttl = 4;
     placement = Spread_to_neighbors;
     s_style = Flooding_tree;
-    use_fingers_for_join = true;
     use_fingers_for_data = false;
     hello_period = 500.0;
     hello_timeout = 1600.0;
-    ack_timeout = 800.0;
-    suppress_period = 250.0;
     lookup_timeout = 60_000.0;
     heartbeats = false;
     bypass_enabled = false;
@@ -63,8 +55,6 @@ let default =
     replica_placement = Ring_successors;
     anti_entropy_interval = 5_000.0;
     successor_list_length = 8;
-    trace_sample_rate = 0.01;
-    trace_sample_seed = 0;
   }
 
 let validate t =
@@ -73,8 +63,6 @@ let validate t =
   else if t.hello_period <= 0.0 then Error "hello_period must be positive"
   else if t.hello_timeout <= t.hello_period then
     Error "hello_timeout must exceed hello_period"
-  else if t.ack_timeout <= 0.0 then Error "ack_timeout must be positive"
-  else if t.suppress_period < 0.0 then Error "suppress_period must be >= 0"
   else if t.lookup_timeout <= 0.0 then Error "lookup_timeout must be positive"
   else if t.bypass_lifetime <= 0.0 then Error "bypass_lifetime must be positive"
   else if t.link_usage_threshold <= 0.0 then
@@ -90,8 +78,6 @@ let validate t =
     Error "anti_entropy_interval must be positive"
   else if t.successor_list_length < 1 then
     Error "successor_list_length must be >= 1"
-  else if t.trace_sample_rate < 0.0 || t.trace_sample_rate > 1.0 then
-    Error "trace_sample_rate must be within [0, 1]"
   else
     match t.s_style with
     | Random_walks walkers when walkers <= 0 ->

@@ -41,18 +41,14 @@ type t = {
   default_ttl : int;  (** flood TTL for s-network lookups *)
   placement : placement;
   s_style : s_style;
-  use_fingers_for_join : bool;
-      (** route t-peer join requests through finger tables (O(log N)); the
-          paper's Fig. 3a analysis assumes this *)
   use_fingers_for_data : bool;
-      (** route data operations through finger tables.  The paper's
+      (** route data operations through finger tables (t-peer joins
+          always do: the paper's Fig. 3a analysis assumes it).  The paper's
           simulation forwards data "along the ring" (Table 2's connum at
           [p_s = 0] is ~N/2 per lookup), so this defaults to [false];
           enabling it is the [ablate-fingers] experiment *)
   hello_period : float;  (** ms between HELLO heartbeats *)
   hello_timeout : float;  (** ms of silence before a neighbour is presumed dead *)
-  ack_timeout : float;  (** ms to wait for a query acknowledgment *)
-  suppress_period : float;  (** minimum ms between acknowledgments sent *)
   lookup_timeout : float;  (** ms before a pending lookup is declared failed *)
   heartbeats : bool;
       (** drive HELLO/ack failure detection online.  Disable for
@@ -106,16 +102,6 @@ type t = {
           repair (also the Chord baseline's list length; >= 1).
           Replication across [Ring_successors] is capped independently
           by [replication_factor]. *)
-  trace_sample_rate : float;
-      (** head-based operation-trace sampling probability in [0, 1]
-          (default 0.01).  In live mode this must be identical on every
-          process: each node re-derives the per-op decision from the op
-          id, so a shared rate (and [trace_sample_seed]) is what makes
-          the wire-propagated sampling bit agree with local decisions
-          cluster-wide. *)
-  trace_sample_seed : int;
-      (** seed of the sampling hash; vary it to sample a different
-          population of operations at the same rate *)
 }
 
 (** Paper-faithful defaults: [δ = 3] (the simulations' setting),

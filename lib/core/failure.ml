@@ -143,6 +143,9 @@ let enable_heartbeats w peer =
     List.iter (fun neighbor -> arm_watchdog w peer ~target:neighbor) (overlay_neighbors peer)
   end
 
+(* Minimum ms between two acknowledgments from one peer. *)
+let suppress_period = 250.0
+
 (* Acknowledgment machinery (Section 3.2.2): a queried peer acks the
    sender unless the suppress timer forbids it; the ack refreshes the
    sender's watchdog, and sending it postpones the peer's own HELLO. *)
@@ -153,8 +156,7 @@ let install_query_hook w =
         (fun ~receiver ~sender ->
           if receiver.Peer.alive then begin
             let now = World.now w in
-            if now -. receiver.Peer.last_ack_sent >= w.World.config.Config.suppress_period
-            then begin
+            if now -. receiver.Peer.last_ack_sent >= suppress_period then begin
               receiver.Peer.last_ack_sent <- now;
               (* The scheduled HELLO is cancelled to save bandwidth: the ack
                  doubles as the heartbeat. *)

@@ -241,56 +241,3 @@ let data_distribution t =
 
 let total_items t =
   List.fold_left (fun acc p -> acc + Data_store.size p.Peer.store) 0 (peers t)
-
-let check_invariants t =
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let* () = T_network.check_ring t.w in
-  let tpeers = World.t_peers t.w in
-  let delta = (config t).Config.delta in
-  let rec check_trees i =
-    if i >= Array.length tpeers then Ok ()
-    else
-      let* () = S_network.check_tree ~delta tpeers.(i) in
-      check_trees (i + 1)
-  in
-  let* () = check_trees 0 in
-  (* Every live peer must belong to exactly one tree. *)
-  let seen = Hashtbl.create 256 in
-  Array.iter
-    (fun root ->
-      List.iter (fun m -> Hashtbl.replace seen m.Peer.host ()) (Peer.tree_members root))
-    tpeers;
-  let* () =
-    List.fold_left
-      (fun acc p ->
-        let* () = acc in
-        if Hashtbl.mem seen p.Peer.host then Ok ()
-        else Error (Printf.sprintf "peer #%d is in no s-network" p.Peer.host))
-      (Ok ()) (peers t)
-  in
-  let* () =
-    if Hashtbl.length seen = peer_count t then Ok ()
-    else
-      Error
-        (Printf.sprintf "tree membership mismatch: %d in trees, %d live"
-           (Hashtbl.length seen) (peer_count t))
-  in
-  (* Every stored item must sit in the s-network serving its d_id. *)
-  if Array.length tpeers = 0 then Ok ()
-  else begin
-    let bad = ref None in
-    List.iter
-      (fun p ->
-        match p.Peer.t_home with
-        | None -> bad := Some (Printf.sprintf "peer #%d has no t_home" p.Peer.host)
-        | Some home ->
-          Data_store.iter p.Peer.store (fun ~key ~value:_ ~route_id ->
-              if !bad = None && not (Peer.covers home route_id) then
-                bad :=
-                  Some
-                    (Printf.sprintf
-                       "item %S (route_id %#x) stored at #%d outside its segment" key
-                       route_id p.Peer.host)))
-      (peers t);
-    match !bad with Some reason -> Error reason | None -> Ok ()
-  end

@@ -175,8 +175,3 @@ val data_distribution : t -> P2p_stats.Histogram.t
 
 (** Total items stored across all live peers. *)
 val total_items : t -> int
-
-(** [check_invariants t] validates ring order, tree shape (degree [<= δ],
-    acyclicity, cp symmetry), role/p_id consistency, and that every stored
-    item lies in the s-network serving its [d_id].  Call at quiescence. *)
-val check_invariants : t -> (unit, string) result

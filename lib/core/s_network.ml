@@ -158,61 +158,3 @@ let flood w ?op ?prune_key ~from ~ttl ~visit () =
     end
   in
   deliver from ~depth:0 ~sender:None
-
-let check_tree ~delta root =
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let* () =
-    if Peer.is_t_peer root then Ok ()
-    else Error (Printf.sprintf "root #%d is not a t-peer" root.Peer.host)
-  in
-  let* () =
-    match root.Peer.cp with
-    | None -> Ok ()
-    | Some _ -> Error (Printf.sprintf "root #%d has a connect point" root.Peer.host)
-  in
-  let seen = Hashtbl.create 64 in
-  let rec check peer =
-    if Hashtbl.mem seen peer.Peer.host then
-      Error (Printf.sprintf "cycle at peer #%d" peer.Peer.host)
-    else begin
-      Hashtbl.add seen peer.Peer.host ();
-      let* () =
-        if Peer.tree_degree peer <= delta then Ok ()
-        else Error (Printf.sprintf "peer #%d exceeds degree %d" peer.Peer.host delta)
-      in
-      let* () =
-        match peer.Peer.t_home with
-        | Some home when home == root -> Ok ()
-        | Some home ->
-          Error
-            (Printf.sprintf "peer #%d: t_home is #%d, expected #%d" peer.Peer.host
-               home.Peer.host root.Peer.host)
-        | None -> Error (Printf.sprintf "peer #%d: no t_home" peer.Peer.host)
-      in
-      let* () =
-        if peer.Peer.p_id = root.Peer.p_id then Ok ()
-        else Error (Printf.sprintf "peer #%d: p_id differs from root" peer.Peer.host)
-      in
-      let rec check_children = function
-        | [] -> Ok ()
-        | child :: rest ->
-          let* () =
-            match child.Peer.cp with
-            | Some cp when cp == peer -> Ok ()
-            | Some _ | None ->
-              Error
-                (Printf.sprintf "child #%d: cp does not point to parent #%d"
-                   child.Peer.host peer.Peer.host)
-          in
-          let* () = check child in
-          check_children rest
-      in
-      check_children peer.Peer.children
-    end
-  in
-  let* () =
-    match root.Peer.t_home with
-    | Some home when home == root -> Ok ()
-    | Some _ | None -> Error (Printf.sprintf "root #%d: t_home not itself" root.Peer.host)
-  in
-  check root

@@ -77,9 +77,3 @@ val flood :
   visit:(Peer.t -> depth:int -> bool) ->
   unit ->
   unit
-
-(** [check_tree root] verifies structural invariants of [root]'s s-network:
-    cp/children symmetry, no cycles, consistent [t_home] and [p_id].
-    Returns [Error reason] on the first violation.  The degree bound is
-    checked against [delta]. *)
-val check_tree : delta:int -> Peer.t -> (unit, string) result

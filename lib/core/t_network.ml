@@ -19,10 +19,10 @@ let closest_preceding_finger current target =
   !best
 
 (* Walk the ring from [current] until [p_id] falls in (current, succ];
-   each forward is a message.  [use_fingers] switches between the
-   O(log N) finger walk and the plain successor walk. *)
-let find_position w ?op ~current ~p_id ~hops ~use_fingers ~on_found () =
-  if use_fingers then World.ensure_fingers w;
+   each forward is a message.  Joins always take the O(log N) finger walk
+   (the paper's Fig. 3a analysis assumes it). *)
+let find_position w ?op ~current ~p_id ~hops ~on_found () =
+  World.ensure_fingers w;
   let max_hops = (4 * Id_space.bits) + (2 * World.peer_count w) + 8 in
   let rec step current hops =
     let succ = successor_or_self current in
@@ -43,11 +43,9 @@ let find_position w ?op ~current ~p_id ~hops ~use_fingers ~on_found () =
     end
     else begin
       let next =
-        if use_fingers then
-          match closest_preceding_finger current p_id with
-          | Some f -> f
-          | None -> succ
-        else succ
+        match closest_preceding_finger current p_id with
+        | Some f -> f
+        | None -> succ
       in
       World.send_span w ?op ~tier:"t_network" ~phase:"ring_hop" ~src:current
         ~dst:next (fun () -> step next (hops + 1))
@@ -89,7 +87,6 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
     (match World.random_t_peer w with
      | Some other ->
        find_position w ?op ~current:other ~p_id:joiner.Peer.p_id ~hops
-         ~use_fingers:w.World.config.Config.use_fingers_for_join
          ~on_found:(fun ~pre ~hops ->
            begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail ())
          ()
@@ -107,7 +104,6 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
     (* The segment shrank while this request was queued; re-route the
        candidate and keep draining this peer's queue. *)
     find_position w ?op ~current:pre ~p_id:joiner.Peer.p_id ~hops
-      ~use_fingers:w.World.config.Config.use_fingers_for_join
       ~on_found:(fun ~pre ~hops ->
         begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail ())
       ();
@@ -162,7 +158,6 @@ let join w ?op ~joiner ~introducer ?(on_fail = fun () -> ()) ~on_done () =
   World.send_span w ?op ~tier:"t_network" ~phase:"join_request" ~src:joiner
     ~dst:introducer (fun () ->
       find_position w ?op ~current:introducer ~p_id:joiner.Peer.p_id ~hops:1
-        ~use_fingers:w.World.config.Config.use_fingers_for_join
         ~on_found:(fun ~pre ~hops ->
           begin_insert w ?op ~pre ~joiner ~hops ~announce:on_done ~on_fail ())
         ())
@@ -340,45 +335,3 @@ let route_to_owner w ?op ~from ~d_id ~visit ~on_arrive () =
     end
   in
   step from 0
-
-let check_ring w =
-  let arr = World.t_peers w in
-  let n = Array.length arr in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let rec check i =
-    if i >= n then Ok ()
-    else begin
-      let node = arr.(i) in
-      let expected_succ = arr.((i + 1) mod n) in
-      let expected_pred = arr.((i + n - 1) mod n) in
-      let* () =
-        match node.Peer.succ with
-        | Some s when s == expected_succ || n = 1 -> Ok ()
-        | Some s ->
-          Error
-            (Printf.sprintf "t-peer #%d: successor #%d, expected #%d" node.Peer.host
-               s.Peer.host expected_succ.Peer.host)
-        | None -> Error (Printf.sprintf "t-peer #%d: no successor" node.Peer.host)
-      in
-      let* () =
-        match node.Peer.pred with
-        | Some p when p == expected_pred || n = 1 -> Ok ()
-        | Some p ->
-          Error
-            (Printf.sprintf "t-peer #%d: predecessor #%d, expected #%d" node.Peer.host
-               p.Peer.host expected_pred.Peer.host)
-        | None -> Error (Printf.sprintf "t-peer #%d: no predecessor" node.Peer.host)
-      in
-      let* () =
-        if node.Peer.joining then
-          Error (Printf.sprintf "t-peer #%d: joining mutex engaged" node.Peer.host)
-        else if node.Peer.leaving then
-          Error (Printf.sprintf "t-peer #%d: leaving mutex engaged" node.Peer.host)
-        else if node.Peer.join_queue <> [] then
-          Error (Printf.sprintf "t-peer #%d: non-empty join queue" node.Peer.host)
-        else Ok ()
-      in
-      check (i + 1)
-    end
-  in
-  check 0

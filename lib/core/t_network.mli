@@ -82,8 +82,3 @@ val route_to_owner :
   on_arrive:(owner:Peer.t -> hops:int -> unit) ->
   unit ->
   unit
-
-(** [check_ring w] validates the ring: t-peers sorted by p_id with
-    mutually consistent successor/predecessor pointers and no engaged
-    mutexes (call at quiescence). *)
-val check_ring : World.t -> (unit, string) result

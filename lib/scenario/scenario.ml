@@ -202,23 +202,21 @@ let run ?audit_interval ?audit_checks h ~seed ~script =
     H.repair st.h;
     H.run st.h
   end;
-  let invariants, audit =
-    match auditor with
-    | None -> (H.check_invariants h, None)
-    | Some a ->
-      (* close with a tick at the final (repaired, drained) state so the
-         reported invariants describe where the run ended *)
-      let final = P2p_audit.Auditor.tick a in
-      let summary =
+  let audit =
+    Option.map
+      (fun a ->
+        (* close with a tick at the final (repaired, drained) state so the
+           timeline ends where the run did *)
+        ignore (P2p_audit.Auditor.tick a : P2p_audit.Checks.snapshot);
         {
           audit_ticks = P2p_audit.Auditor.ticks a;
           audit_violations = P2p_audit.Auditor.violations_total a;
           audit_errors = P2p_audit.Auditor.errors_total a;
           timeline = P2p_audit.Auditor.timeline a;
-        }
-      in
-      (P2p_audit.Checks.to_result final, Some summary)
+        })
+      auditor
   in
+  let invariants = P2p_audit.Checks.(to_result (final (H.world h))) in
   {
     joined = st.joined;
     left = st.left;

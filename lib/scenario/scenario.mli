@@ -71,11 +71,11 @@ type report = {
     With [audit_interval] (simulated ms), an online
     {!P2p_audit.Auditor} audits the system throughout the run: every
     settle/advance passes through the auditor so invariant checks fire on
-    cadence mid-churn, the report's [audit] field summarizes what they
-    saw, and [invariants] comes from a final audit tick over the drained,
-    repaired end state instead of the single offline
-    [Hybrid.check_invariants].  [audit_checks] narrows the catalogue
-    (default: all checks).
+    cadence mid-churn, and the report's [audit] field summarizes what
+    they saw, closing with a tick over the drained, repaired end state.
+    [audit_checks] narrows the online catalogue (default: all checks).
+    Either way [invariants] comes from {!P2p_audit.Checks.final} over
+    the end state.
 
     When the system's config has [replication_factor > 0] the runner
     installs the replication manager before the first action, so inserts

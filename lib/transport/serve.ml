@@ -367,8 +367,13 @@ let smoke_workload c ~n ~inserts ~lookups =
   done;
   (!inserts_ok, !found)
 
+let default_sample_rate = 0.01
+
+let default_sample_seed = 0
+
 let run ?(inserts = 200) ?(lookups = 500) ?(ready_timeout = 30.)
-    ?(dump_dir = "_serve_health") ?(sample_rate = 0.01) ?(sample_seed = 0)
+    ?(dump_dir = "_serve_health") ?(sample_rate = default_sample_rate)
+    ?(sample_seed = default_sample_seed)
     ?(slo = []) ?(linger = 0.) ~peers:n ~port_base ~smoke () =
   (* The live loop selects with [Unix.select], whose fd_set caps out at
      FD_SETSIZE (typically 1024).  The tracker node and the parent

@@ -26,13 +26,21 @@ type outcome = {
   exit_code : int;  (** 0 = ring formed, recall 1.0, dumps clean, gates ok *)
 }
 
+(** Cluster-wide trace sampling defaults of {!run}: rate and hash seed.
+    Every worker must use the same pair, so wire-propagated sampling
+    bits agree with local decisions. *)
+val default_sample_rate : float
+
+val default_sample_seed : int
+
 (** [run ~peers ~port_base ~smoke ()] forks the ring and returns after
     shutdown (smoke mode) or after SIGINT/SIGTERM (serve mode).
     [dump_dir] (default ["_serve_health"]) receives
     [health-<node>.jsonl] per worker plus, in smoke mode,
     [scrape-<node>.json], [cluster-metrics.json] and
     [cluster-trace.chrome.json].  [sample_rate]/[sample_seed] (default
-    0.01 / 0) set cluster-wide trace sampling; [slo] holds
+    {!default_sample_rate} / {!default_sample_seed}) set cluster-wide
+    trace sampling; [slo] holds
     [metric:pNN<=value] specs enforced against the merged registry.
     Workers dump their flight recorder on SIGTERM/SIGINT before
     exiting.  [linger] (smoke mode, default 0) keeps the warmed-up ring

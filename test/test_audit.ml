@@ -176,6 +176,51 @@ let test_crash_damage_then_repair () =
   H.run h;
   no_violations (Checks.run_all (H.world h))
 
+(* --- faults at rest: what the final pass adds --- *)
+
+(* Error-severity findings of [check] about [subject]. *)
+let flagged snap ~check ~subject =
+  List.exists
+    (fun v -> v.Checks.check = check && v.Checks.subject = Some subject.Peer.host)
+    (Checks.errors (Checks.violations snap))
+
+(* An s-peer whose connect point does not list it as a child: a flood from
+   the root never reaches it, online or at rest. *)
+let test_one_way_cp_detected () =
+  let h, _ = star_system ~n:40 ~ps:0.7 () in
+  let w = H.world h in
+  let child = List.find (fun p -> Peer.is_s_peer p && p.Peer.cp <> None) (H.peers h) in
+  let cp = Option.get child.Peer.cp in
+  cp.Peer.children <- List.filter (fun c -> c != child) cp.Peer.children;
+  checkb "online pass flags it" true
+    (flagged (Checks.run_all w) ~check:"membership" ~subject:child);
+  checkb "final pass flags it" true
+    (flagged (Checks.final w) ~check:"membership" ~subject:child)
+
+(* An engaged join mutex is a triangle in flight: tolerated online, an
+   error at rest. *)
+let test_engaged_mutex_final_only () =
+  let h, _ = star_system ~n:30 ~ps:0.5 () in
+  let w = H.world h in
+  let p = (World.t_peers w).(0) in
+  p.Peer.joining <- true;
+  no_violations (Checks.run_all w);
+  checkb "final pass flags it" true (flagged (Checks.final w) ~check:"ring_symmetry" ~subject:p)
+
+(* A detached s-peer is walking back to its root online; at rest it is in
+   no s-network. *)
+let test_detached_speer_final_only () =
+  let h, _ = star_system ~n:40 ~ps:0.7 () in
+  let w = H.world h in
+  let leaf =
+    List.find
+      (fun p -> Peer.is_s_peer p && p.Peer.cp <> None && p.Peer.children = [])
+      (H.peers h)
+  in
+  Peer.detach_child ~parent:(Option.get leaf.Peer.cp) ~child:leaf;
+  no_violations (Checks.run_all w);
+  checkb "final pass flags it" true (flagged (Checks.final w) ~check:"membership" ~subject:leaf)
+
 (* --- gauges --- *)
 
 let test_load_balance_gauges () =
@@ -270,8 +315,8 @@ let test_scenario_audit_off () =
   checkb "no audit summary" true (report.Scenario.audit = None);
   checkb "invariants ok" true (Result.is_ok report.Scenario.invariants)
 
-(* The online checks and the strict offline checker agree on quiescent,
-   repaired states. *)
+(* The online pass and the final pass agree on quiescent, repaired
+   states. *)
 let test_agreement_with_offline_checker () =
   let h, _ = star_system ~seed:19 ~n:45 ~ps:0.7 () in
   let _ = insert_items h ~count:80 in
@@ -292,6 +337,9 @@ let suite =
     Alcotest.test_case "checks: broken successor" `Quick test_broken_successor_detected;
     Alcotest.test_case "checks: misplaced item" `Quick test_misplaced_item_detected;
     Alcotest.test_case "checks: crash then repair" `Quick test_crash_damage_then_repair;
+    Alcotest.test_case "checks: one-way cp pointer" `Quick test_one_way_cp_detected;
+    Alcotest.test_case "final: engaged join mutex" `Quick test_engaged_mutex_final_only;
+    Alcotest.test_case "final: detached s-peer" `Quick test_detached_speer_final_only;
     Alcotest.test_case "gauges: load balance" `Quick test_load_balance_gauges;
     Alcotest.test_case "gauges: empty gini" `Quick test_gini;
     Alcotest.test_case "scenario: clean audited run" `Quick test_scenario_clean_audit;

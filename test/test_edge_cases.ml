@@ -195,7 +195,27 @@ let test_cli_rejects_non_positive_peers () =
       ("scenario --trace-cap 0", "--trace-cap");
       ("audit --trace-sample 2", "--trace-sample");
       ("run --trace-sample 2", "--trace-sample");
+      ("serve --peers 0", "--peers");
+      ("top --peers 0", "--peers");
+      ("cluster-report --peers 0", "--peers");
+      ("serve --trace-sample 2", "--trace-sample");
+      ("run --slo lookup", "--slo");
+      ("serve --slo lookup:p99", "--slo");
+      ("cluster-report --slo bogus", "--slo");
     ]
+
+(* The audit command's exit code is its verdict: every injected fault
+   class fails it, a clean run passes. *)
+let test_cli_audit_inject_exit_codes () =
+  List.iter
+    (fun (inject, expected) ->
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/p2psim.exe audit --peers 100 --inject %s > /dev/null 2>&1"
+             inject)
+      in
+      checki ("--inject " ^ inject) expected code)
+    [ ("none", 0); ("degree", 1); ("ring", 1); ("placement", 1) ]
 
 let suite =
   [
@@ -214,4 +234,6 @@ let suite =
     Alcotest.test_case "message counts monotone" `Quick test_metrics_message_counts_monotone;
     Alcotest.test_case "CLI rejects non-positive --peers" `Quick
       test_cli_rejects_non_positive_peers;
+    Alcotest.test_case "CLI audit --inject exit codes" `Quick
+      test_cli_audit_inject_exit_codes;
   ]

@@ -17,9 +17,7 @@ let test_tree_shape_delta2 () =
   let h, _ = star_system ~config ~seed:20 ~n:40 ~ps:1.0 () in
   (* single t-peer, 39 s-peers, binary-ish tree *)
   let root = List.find Peer.is_t_peer (H.peers h) in
-  (match S_network.check_tree ~delta:2 root with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e);
+  ok_invariants h;
   checki "all members in tree" 40 (List.length (Peer.tree_members root));
   (* depth must be at least log2(39) ~ 5 for a degree-2 tree *)
   let max_depth =
@@ -119,9 +117,7 @@ let test_s_leave_transfers_to_cp () =
 
 let test_ring_sorted_after_many_joins () =
   let h, _ = star_system ~seed:27 ~n:80 ~ps:0.0 () in
-  (match T_network.check_ring (H.world h) with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e);
+  ok_invariants h;
   checki "all t" 80 (H.t_peer_count h)
 
 let test_id_conflict_resolved () =

@@ -240,7 +240,7 @@ let prop_hybrid_churn_invariants =
         ops;
       if !crashed then H.repair h;
       H.run h;
-      match H.check_invariants h with Ok () -> true | Error _ -> false)
+      Result.is_ok (Helpers.final_invariants h))
 
 let prop_hybrid_graceful_conserves_data =
   QCheck.Test.make ~name:"hybrid graceful churn conserves data" ~count:15

@@ -100,7 +100,7 @@ let prop_insert_conserves_items =
         H.insert h ~from:(H.random_peer h) ~key:(Printf.sprintf "c%d" i) ~value:"v" ()
       done;
       H.run h;
-      H.total_items h = n_items && Result.is_ok (H.check_invariants h))
+      H.total_items h = n_items && Result.is_ok (Helpers.final_invariants h))
 
 (* --- scenario runner --- *)
 

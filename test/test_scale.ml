@@ -150,8 +150,7 @@ let stored_items h =
   List.sort compare !acc
 
 let churn_run () =
-  let config = { Config.default with Config.replication_factor = 1 } in
-  let h, _ = star_system ~config ~seed:7 ~capacity:2200 ~n:2000 ~ps:0.8 () in
+  let h, _ = star_system ~seed:7 ~capacity:2200 ~n:2000 ~ps:0.8 () in
   ignore (insert_items h ~count:200 : string list);
   (* churn: crash a deterministic slice, then heal *)
   let victims =

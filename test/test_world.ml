@@ -185,9 +185,7 @@ let test_stabilize_ring_rewires () =
       p.Peer.pred <- None)
     peers;
   World.stabilize_ring w;
-  match Hybrid_p2p.T_network.check_ring w with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
+  ok_invariants h
 
 let test_snet_size_accounting_via_joins () =
   let h, tpeers = world_with_ring [ 100 ] in
