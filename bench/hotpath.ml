@@ -12,12 +12,20 @@
    (Gc.quick_stat deltas around the workload), lookup p50/p99 from the
    exact op-completion histograms, recall and invariants.
 
+   A third, engine-only leg measures the event queue at depth: K
+   concurrent delivery chains for K = 100, 2,000 and 20,000, the depths
+   between a shallow replay and a 1,000-peer run with 20-40k messages in
+   flight.  Per depth: ns/event (CPU time), and minor and promoted words
+   per event.
+
    Output: BENCH_hotpath.json.  Gates (CI runs [--smoke]):
      - recall 1.0 in every configuration
      - link_state stays under an absolute minor-words/event ceiling (the
        allocation-regression check: an accidental boxing on the hop path
        shows up here long before it shows up in wall clock)
      - events/sec floor as in the scale bench
+     - every deep-queue depth stays under an absolute minor-words/event
+       ceiling (deterministic; its ns/event is recorded, not gated)
      - every --slo spec against the link_state configuration's registry *)
 
 module H = Hybrid_p2p.Hybrid
@@ -48,6 +56,14 @@ let min_events_per_s = 10_000.0
    handle/closure/boxing regression, which costs hundreds of words per
    event at this fan-out. *)
 let max_minor_words_per_event = 300.0
+
+(* Allocation ceiling for the deep-queue leg, in minor words per event.
+   The residue is the engine's event record, the chain's boxed delay and
+   RNG state, about 15 words; a queue that allocated per insertion or per
+   sift step would cross it. *)
+let max_deep_minor_words_per_event = 32.0
+
+let deep_depths = [ 100; 2_000; 20_000 ]
 
 type result = {
   name : string;
@@ -142,6 +158,59 @@ let measure ~seed ~name ~routing_mode ~items ~lookups () =
   in
   (r, reg)
 
+type depth_result = {
+  chains : int;
+  deep_events : int;
+  ns_per_event : float;
+  deep_minor_words_per_event : float;
+  promoted_words_per_event : float;
+}
+
+(* [chains] delivery chains on a bare engine: each event schedules its
+   chain's next one after a seeded delay, as a message hop schedules the
+   next hop, until [events] have run.  The queue holds [chains] events
+   throughout, all fire-and-forget, as underlay deliveries are. *)
+let deep_queue ~seed ~chains ~events =
+  let e = Engine.create ~seed () in
+  let rng = Rng.create seed in
+  let remaining = ref (events - chains) in
+  let rec deliver () =
+    if !remaining > 0 then begin
+      decr remaining;
+      Engine.schedule_detached e ~label:None ~delay:(Rng.float rng 100.0) deliver
+    end
+  in
+  for _ = 1 to chains do
+    Engine.schedule_detached e ~label:None ~delay:(Rng.float rng 100.0) deliver
+  done;
+  let g0 = Gc.quick_stat () in
+  let w0 = Sys.time () in
+  Engine.run e;
+  let wall = Sys.time () -. w0 in
+  let g1 = Gc.quick_stat () in
+  let n = float_of_int (Engine.events_executed e) in
+  {
+    chains;
+    deep_events = Engine.events_executed e;
+    ns_per_event = wall *. 1e9 /. n;
+    deep_minor_words_per_event = (g1.Gc.minor_words -. g0.Gc.minor_words) /. n;
+    promoted_words_per_event = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. n;
+  }
+
+let print_depth d =
+  Printf.printf "  deep K=%-6d %8.1f ns/ev  %6.2f minor w/ev  %6.2f promoted w/ev\n%!"
+    d.chains d.ns_per_event d.deep_minor_words_per_event d.promoted_words_per_event
+
+let depth_json d =
+  Json.Obj
+    [
+      ("chains", Json.Int d.chains);
+      ("events", Json.Int d.deep_events);
+      ("ns_per_event", Json.Float d.ns_per_event);
+      ("minor_words_per_event", Json.Float d.deep_minor_words_per_event);
+      ("promoted_words_per_event", Json.Float d.promoted_words_per_event);
+    ]
+
 let print_result r =
   Printf.printf
     "  %-12s %8.0f ev/s  %6.1f minor w/ev  found %d/%d  p50 %s p99 %s\n%!"
@@ -190,6 +259,11 @@ let run ~smoke () =
     measure ~seed ~name:"synthetic" ~routing_mode:`Synthetic ~items ~lookups ()
   in
   print_result syn;
+  let deep_events = if smoke then 400_000 else 2_000_000 in
+  let deep =
+    List.map (fun chains -> deep_queue ~seed ~chains ~events:deep_events) deep_depths
+  in
+  List.iter print_depth deep;
   let all = [ ls; syn ] in
   (* recall: every configuration must find every looked-up item *)
   List.iter
@@ -203,6 +277,12 @@ let run ~smoke () =
   if ls.minor_words_per_event > max_minor_words_per_event then
     fail "allocation regression: %.1f minor words/event exceeds ceiling %.1f"
       ls.minor_words_per_event max_minor_words_per_event;
+  List.iter
+    (fun d ->
+      if d.deep_minor_words_per_event > max_deep_minor_words_per_event then
+        fail "deep queue K=%d: %.1f minor words/event exceeds ceiling %.1f" d.chains
+          d.deep_minor_words_per_event max_deep_minor_words_per_event)
+    deep;
   if ls.events_per_s < min_events_per_s then
     fail "events/sec %.0f below floor %.0f" ls.events_per_s min_events_per_s;
   (* latency SLO gates (--slo) against the link_state configuration *)
@@ -223,11 +303,14 @@ let run ~smoke () =
         ("peers", Json.Int n_peers);
         ("telemetry_sample_rate", Json.Float telemetry_sample_rate);
         ("configs", Json.List (List.map result_json all));
+        ("deep_queue", Json.List (List.map depth_json deep));
         ( "gate",
           Json.Obj
             [
               ("max_minor_words_per_event", Json.Float max_minor_words_per_event);
               ("min_events_per_s", Json.Float min_events_per_s);
+              ( "max_deep_minor_words_per_event",
+                Json.Float max_deep_minor_words_per_event );
               ( "failures",
                 Json.List (List.rev_map (fun s -> Json.String s) !failures) );
             ] );

@@ -89,7 +89,9 @@ let peers_arg =
     & info [ "n"; "peers" ] ~docv:"N" ~doc:"Number of peers (at least 1).")
 
 let items_arg =
-  Arg.(value & opt int 2000 & info [ "items" ] ~docv:"K" ~doc:"Data items to insert.")
+  Arg.(
+    value & opt positive_int 2000
+    & info [ "items" ] ~docv:"K" ~doc:"Data items to insert (at least 1).")
 
 let lookups_arg =
   Arg.(value & opt int 2000 & info [ "lookups" ] ~docv:"K" ~doc:"Lookups to issue.")

@@ -128,6 +128,7 @@ let insert w ~from ~key ~value ?route_id () ~on_done =
 type ctx = {
   requester : Peer.t;
   key : string;
+  mutable key_id : int;  (* [key]'s id in the world interner, [-1] until interned *)
   op : int;  (* trace operation id minted at lookup initiation *)
   started : float;
   mutable finished : bool;
@@ -157,17 +158,31 @@ let finish_success ctx ~holder ~value ~hops =
     ctx.on_result (Found { holder; latency; hops })
   end
 
+(* Probe [store] for the lookup's key.  Stores on the world interner are
+   probed by id, which is looked up once per lookup rather than hashed
+   again at every contacted peer.  While the key has never been interned
+   no store holds it, and each probe asks the interner again, so an
+   insert that interns the key mid-lookup is seen exactly as by string. *)
+let find_key ctx store =
+  let interner = World.interner ctx.w in
+  if Data_store.interner store != interner then Data_store.find store ~key:ctx.key
+  else begin
+    if ctx.key_id < 0 then
+      ctx.key_id <- Option.value (Intern.find interner ctx.key) ~default:(-1);
+    if ctx.key_id < 0 then None else Data_store.find_id store ctx.key_id
+  end
+
 (* Check one peer's database (and soft cache); reply to the requester on
    a hit.  Returns whether this peer keeps forwarding the flood. *)
 let check_peer ctx peer ~hops =
   Metrics.record_contact ctx.w.World.metrics;
   let found =
-    match Data_store.find peer.Peer.store ~key:ctx.key with
+    match find_key ctx peer.Peer.store with
     | Some _ as hit -> hit
     | None -> (
       (* replica fallback: a redundant copy serves the read when the
          primary is gone (empty unless replication is on) *)
-      match Data_store.find peer.Peer.replicas ~key:ctx.key with
+      match find_key ctx peer.Peer.replicas with
       | Some _ as hit ->
         World.bump ctx.w ~subsystem:"replication" ~name:"replica_hits";
         World.mark_span ctx.w ~op:ctx.op ~tier:"replication" ~phase:"replica_hit"
@@ -303,6 +318,7 @@ let lookup w ~from ~key ?ttl ?route_id () ~on_result =
     {
       requester = from;
       key;
+      key_id = -1;
       op;
       started = World.now w;
       finished = false;

@@ -94,27 +94,30 @@ let insert_routed t ~route_id ~key ~value =
 let insert t ~key ~value =
   insert_routed t ~route_id:(Key_hash.of_string key) ~key ~value
 
-(* Probe for [key]'s slot, or [-1] when absent (including: never interned,
-   or interned only by other stores sharing the interner). *)
-let slot_of t ~key =
+(* Probe for key id [kid]'s slot, or [-1] when absent. *)
+let slot_of_id t kid =
   if t.live = 0 then -1
   else
-    match Intern.find t.interner key with
-    | None -> -1
-    | Some kid ->
-      let cap = Array.length t.keys in
-      let rec probe i =
-        let k = t.keys.(i) in
-        if k = kid then i
-        else if k = empty_slot then -1
-        else probe ((i + 1) land (cap - 1))
-      in
-      probe (mix kid cap)
+    let cap = Array.length t.keys in
+    let rec probe i =
+      let k = t.keys.(i) in
+      if k = kid then i
+      else if k = empty_slot then -1
+      else probe ((i + 1) land (cap - 1))
+    in
+    probe (mix kid cap)
 
-let find t ~key =
-  match slot_of t ~key with
-  | -1 -> None
-  | i -> Some (Intern.name t.interner t.vals.(i))
+(* [-1] also when [key] was never interned, or interned only by other
+   stores sharing the interner. *)
+let slot_of t ~key =
+  if t.live = 0 then -1
+  else match Intern.find t.interner key with None -> -1 | Some kid -> slot_of_id t kid
+
+let value_at t = function -1 -> None | i -> Some (Intern.name t.interner t.vals.(i))
+
+let find t ~key = value_at t (slot_of t ~key)
+
+let find_id t kid = value_at t (slot_of_id t kid)
 
 let mem t ~key = slot_of t ~key >= 0
 

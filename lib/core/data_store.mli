@@ -38,6 +38,11 @@ val insert_routed : t -> route_id:Id_space.id -> key:string -> value:string -> u
 (** [find t ~key] is the stored value, if any. *)
 val find : t -> key:string -> string option
 
+(** [find_id t kid] is {!find} for the key whose id in [interner t] is
+    [kid]: the probe without hashing the key string, for a caller that
+    probes many stores sharing one interner with the same key. *)
+val find_id : t -> int -> string option
+
 (** [remove t ~key] deletes the item if present. *)
 val remove : t -> key:string -> unit
 

@@ -46,9 +46,10 @@ val schedule_at : ?label:string -> t -> time:float -> (unit -> unit) -> handle
 
 (** [schedule_detached t ~label ~delay f] is {!schedule} for
     fire-and-forget events: no handle is returned, so nothing cancellable
-    is allocated (the queue reuses a shared never-dead handle and a pooled
-    entry).  [label] is a plain argument — pass a hoisted value at hot
-    call sites and the call allocates only the event record.  This is the
+    is allocated (the queue uses a shared never-dead handle and stores
+    the event in a free slot of its arrays).  [label] is a plain
+    argument — pass a hoisted value at hot call sites and the call
+    allocates only the event record.  This is the
     per-message path of the underlay, which never cancels deliveries.
     @raise Invalid_argument if [delay < 0.]. *)
 val schedule_detached :

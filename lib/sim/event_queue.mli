@@ -1,20 +1,27 @@
 (** Priority queue of timestamped events — the simulator's one event
     ordering policy.
 
-    A binary min-heap ordered by [(time, sequence)].  The sequence number is
-    a monotonically increasing tie-breaker so that two events scheduled for
-    the same instant fire in scheduling order.  Keys are unique, so the pop
-    sequence is a pure function of the [add*] call sequence — this keeps
-    simulations deterministic.  Cancellation is lazy: a cancelled event
-    stays in the heap until it reaches the top and is then discarded — but
-    when cancelled entries outnumber live ones the whole heap is compacted
-    in one pass (amortized O(1) per cancellation), so timer-heavy churn
-    cannot leak heap slots indefinitely.
+    An indexed binary min-heap ordered by [(time, sequence)].  The
+    sequence number is a monotonically increasing tie-breaker so that two
+    events scheduled for the same instant fire in scheduling order.  Keys
+    are unique, so the pop sequence is a pure function of the [add*] call
+    sequence — this keeps simulations deterministic.  Cancellation is
+    lazy: a cancelled event stays in the heap until it reaches the top and
+    is then discarded — but when cancelled entries outnumber live ones the
+    whole heap is compacted in one pass (amortized O(1) per cancellation),
+    so timer-heavy churn cannot leak heap slots indefinitely.
 
-    The hot insertion/removal path is allocation-conscious: event times
-    live in a parallel unboxed float array, popped entries are recycled
-    through a bounded pool (at most 1024 stale ['a] references are
-    retained per queue), and {!add_fast} skips the per-event handle. *)
+    The heap order lives in three unboxed arrays indexed by heap position
+    — times (float), sequence numbers and payload slots (int) — so a sift
+    step moves only floats and ints.  Payloads and handles live in
+    slot-indexed arrays: each is written once when its event is added and
+    cleared once when it is removed, and never moves in between.  A
+    pointer store into a long-lived array pays OCaml's write barrier; the
+    sifts, which do O(log n) moves per event, pay none, which is what
+    keeps a queue holding tens of thousands of events fast.  A removed
+    event's payload is released at once, so the queue never keeps a
+    popped or discarded payload alive; {!add_fast} skips the per-event
+    handle. *)
 
 type 'a t
 
@@ -28,8 +35,8 @@ val create : unit -> 'a t
 val add : 'a t -> time:float -> 'a -> handle
 
 (** [add_fast t ~time v] schedules [v] at [time] with no way to cancel
-    it; the queue's shared never-dead handle is used, so nothing beyond
-    the (pooled) entry is allocated. *)
+    it; the queue's shared never-dead handle is used, so the queue
+    allocates nothing for it (beyond growing its arrays). *)
 val add_fast : 'a t -> time:float -> 'a -> unit
 
 (** [cancel h] marks the event dead; it will never be returned by

@@ -3,7 +3,9 @@
 open Helpers
 module Metrics = P2p_net.Metrics
 module Data_store = Hybrid_p2p.Data_store
+module Intern = Hybrid_p2p.Intern
 module Id_space = P2p_hashspace.Id_space
+module Key_hash = P2p_hashspace.Key_hash
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -83,6 +85,39 @@ let test_store_take_all () =
   checki "two items" 2 (List.length all);
   checki "empty after" 0 (Data_store.size s)
 
+(* [find_id] probes by interned id and agrees with [find] for present,
+   absent, removed and post-rehash keys, and for a key interned only by
+   another store sharing the interner. *)
+let test_store_find_id () =
+  let interner = Intern.create () in
+  let s = Data_store.create ~interner () in
+  let other = Data_store.create ~interner () in
+  let agree key =
+    let by_id =
+      match Intern.find interner key with
+      | Some kid -> Data_store.find_id s kid
+      | None -> None
+    in
+    Alcotest.check (Alcotest.option Alcotest.string) key (Data_store.find s ~key) by_id
+  in
+  Data_store.insert s ~key:"present" ~value:"1";
+  Data_store.insert other ~key:"elsewhere" ~value:"2";
+  Data_store.insert s ~key:"removed" ~value:"3";
+  Data_store.remove s ~key:"removed";
+  List.iter agree [ "present"; "never-interned"; "elsewhere"; "removed" ];
+  (* grow through several rehashes, leaving tombstones behind *)
+  for i = 0 to 199 do
+    let key = Printf.sprintf "k-%d" i in
+    Data_store.insert s ~key ~value:(string_of_int i);
+    if i mod 3 = 0 then Data_store.remove s ~key
+  done;
+  for i = 0 to 199 do
+    agree (Printf.sprintf "k-%d" i)
+  done;
+  List.iter agree [ "present"; "elsewhere"; "removed" ];
+  Alcotest.check (Alcotest.option Alcotest.string) "present after rehash" (Some "1")
+    (Data_store.find_id s (Option.get (Intern.find interner "present")))
+
 (* --- Data_ops --- *)
 
 let test_insert_local_stays_home () =
@@ -154,6 +189,31 @@ let test_lookup_ttl_zero_vs_large () =
   checkb "ttl 0 misses deep item" false (found r0);
   let r8 = lookup_sync h ~from:other ~key:"deep-item" ~ttl:8 () in
   checkb "ttl 8 finds it" true (found r8)
+
+(* A lookup issued before its key was ever inserted, raced by the insert
+   that first interns the key: the lookup's first probe, at the
+   requester, runs before the key exists; the insert then stores it in
+   the owner's s-network, and the flood that later reaches that s-network
+   must find it there. *)
+let test_lookup_raced_by_first_insert () =
+  let h, _ = star_system ~seed:45 ~n:60 ~ps:0.7 () in
+  ignore (insert_items h ~count:20 : string list);
+  let w = H.world h in
+  let key = "raced-item" in
+  checkb "key not yet interned" true (Intern.find (World.interner w) key = None);
+  let owner = Option.get (World.oracle_owner w (Key_hash.of_string key)) in
+  let inserter = List.find (fun p -> p != owner) (Peer.tree_members owner) in
+  let requester = List.find (fun p -> p.Peer.t_home != Some owner) (H.peers h) in
+  let result = ref None in
+  H.lookup h ~from:requester ~key ~ttl:8 ~on_result:(fun r -> result := Some r) ();
+  H.insert h ~from:inserter ~key ~value:"v" ();
+  H.run h;
+  match !result with
+  | Some (Data_ops.Found { holder; hops; _ }) ->
+    checkb "found at the inserter" true (holder == inserter);
+    checki "hops, as by string" 5 hops
+  | Some Data_ops.Timed_out -> Alcotest.fail "lookup timed out"
+  | None -> Alcotest.fail "lookup callback never fired"
 
 let test_connum_counts_ring_contacts () =
   let h, _ = star_system ~seed:43 ~n:50 ~ps:0.0 () in
@@ -310,10 +370,13 @@ let suite =
     Alcotest.test_case "data_store: segment view/digest across wrap" `Quick
       test_store_segment_items_wraparound;
     Alcotest.test_case "data_store: take_all" `Quick test_store_take_all;
+    Alcotest.test_case "data_store: find_id agrees with find" `Quick test_store_find_id;
     Alcotest.test_case "insert: local stays home" `Quick test_insert_local_stays_home;
     Alcotest.test_case "insert: remote lands in owner segment" `Quick
       test_insert_remote_lands_in_owner_segment;
     Alcotest.test_case "lookup: ttl gates deep items" `Quick test_lookup_ttl_zero_vs_large;
+    Alcotest.test_case "lookup: raced by the key's first insert" `Quick
+      test_lookup_raced_by_first_insert;
     Alcotest.test_case "lookup: connum counts ring walk" `Quick
       test_connum_counts_ring_contacts;
     Alcotest.test_case "lookup: latency only on success" `Quick

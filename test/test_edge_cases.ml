@@ -163,9 +163,10 @@ let test_metrics_message_counts_monotone () =
   ignore (lookup_sync h ~from:(H.random_peer h) ~key:"item-00000" () : Data_ops.lookup_outcome);
   checkb "lookups send messages" true (Metrics.messages (H.metrics h) > m1)
 
-(* p2psim rejects a peer count below one, a trace capacity below one and
-   a sample rate outside [0,1] with a usage error (cmdliner's exit 124)
-   naming the option, instead of dying on an uncaught exception. *)
+(* p2psim rejects a peer or item count below one, a trace capacity below
+   one and a sample rate outside [0,1] with a usage error (cmdliner's
+   exit 124) naming the option, instead of dying on an uncaught
+   exception. *)
 let test_cli_rejects_non_positive_peers () =
   let contains s sub =
     let n = String.length sub in
@@ -191,6 +192,9 @@ let test_cli_rejects_non_positive_peers () =
       ("audit --peers 0", "--peers");
       ("scenario --peers 0", "--peers");
       ("run --peers=-3", "--peers");
+      ("run --peers 50 --items 0", "--items");
+      ("compare --items 0", "--items");
+      ("audit --items 0", "--items");
       ("run --trace-cap 0", "--trace-cap");
       ("scenario --trace-cap 0", "--trace-cap");
       ("audit --trace-sample 2", "--trace-sample");

@@ -105,7 +105,7 @@ let test_queue_interleaved () =
     end
   done
 
-(* --- handle-free insertion and the entry pool --- *)
+(* --- handle-free insertion and slot reuse --- *)
 
 let test_queue_add_fast () =
   let q = Event_queue.create () in
@@ -133,9 +133,9 @@ let test_queue_pop_apply () =
     "chain" [ (1.0, 1); (2.0, 2); (3.0, 3) ] (List.rev !seen);
   checkb "empty returns false" false (Event_queue.pop_apply q f)
 
-let test_queue_pool_reuse () =
-  (* thousands of add/pop cycles churn through the entry pool; recycled
-     entries must never leak a stale value or break ordering *)
+let test_queue_slot_reuse () =
+  (* thousands of add/pop cycles churn through the payload slots; a
+     reused slot must never leak a stale value or break ordering *)
   let q = Event_queue.create () in
   for round = 0 to 99 do
     for i = 0 to 49 do
@@ -152,6 +152,141 @@ let test_queue_pool_reuse () =
     done;
     checkb "drained" true (Event_queue.is_empty q)
   done
+
+(* A popped or discarded event's payload is not retained by the queue:
+   once the event is gone and a major collection has run, the payload is
+   collected, even while other events stay queued. *)
+let test_queue_releases_payloads () =
+  let q = Event_queue.create () in
+  let w = Weak.create 2 in
+  let add_tracked i ~time =
+    let v = Bytes.make 16 'x' in
+    Weak.set w i (Some v);
+    Event_queue.add q ~time v
+  in
+  ignore (add_tracked 0 ~time:1.0 : Event_queue.handle);
+  Event_queue.cancel (add_tracked 1 ~time:2.0);
+  Event_queue.add_fast q ~time:3.0 (Bytes.make 16 'y');
+  checkb "pops the first" true (Event_queue.pop_apply q (fun _ _ -> ()));
+  (* the cancelled event is discarded on the way to the third *)
+  checkf "third is next" 3.0 (Event_queue.next_time q);
+  Gc.full_major ();
+  checkb "popped payload collected" true (Weak.get w 0 = None);
+  checkb "discarded payload collected" true (Weak.get w 1 = None);
+  checki "third still queued" 1 (Event_queue.live_length q)
+
+(* Differential test: random operation sequences against a reference
+   model, a list of live events ordered by (time, insertion index). *)
+type queue_op =
+  | Add of int
+  | Add_fast of int
+  | Cancel of int  (* the n-th handle issued, modulo the number issued *)
+  | Cancel_every of int  (* every k-th handle issued: mass cancellation *)
+  | Pop
+  | Pop_apply
+  | Peek_time
+  | Next_time
+  | Is_empty
+
+let pp_queue_op = function
+  | Add t -> Printf.sprintf "add %d" t
+  | Add_fast t -> Printf.sprintf "add_fast %d" t
+  | Cancel n -> Printf.sprintf "cancel #%d" n
+  | Cancel_every k -> Printf.sprintf "cancel every %d" k
+  | Pop -> "pop"
+  | Pop_apply -> "pop_apply"
+  | Peek_time -> "peek_time"
+  | Next_time -> "next_time"
+  | Is_empty -> "is_empty"
+
+let queue_op_gen =
+  let open QCheck.Gen in
+  (* few distinct times, so equal-time ties are common *)
+  let time = int_bound 20 in
+  frequency
+    [
+      (6, map (fun t -> Add t) time);
+      (3, map (fun t -> Add_fast t) time);
+      (2, map (fun n -> Cancel n) nat);
+      (1, map (fun k -> Cancel_every k) (int_range 1 3));
+      (2, return Pop);
+      (2, return Pop_apply);
+      (1, return Peek_time);
+      (1, return Next_time);
+      (1, return Is_empty);
+    ]
+
+let queue_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_queue_op ops))
+    QCheck.Gen.(list_size (int_range 0 300) queue_op_gen)
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"queue: matches a sorted-list model" ~count:300 queue_ops_arb
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* model: live events as (time, index), sorted *)
+      let model = ref [] in
+      let handles = ref [||] in  (* (index, handle) in issue order *)
+      let next_index = ref 0 in
+      let insert time =
+        let i = !next_index in
+        incr next_index;
+        model := List.merge compare !model [ (time, i) ];
+        i
+      in
+      let cancel (i, h) =
+        Event_queue.cancel h;
+        model := List.filter (fun (_, j) -> j <> i) !model
+      in
+      let front () = match !model with [] -> None | e :: _ -> Some e in
+      let model_pop () =
+        let e = front () in
+        if e <> None then model := List.tl !model;
+        e
+      in
+      let fail op what = QCheck.Test.fail_reportf "after %s: %s" (pp_queue_op op) what in
+      List.iter
+        (fun op ->
+          (match op with
+           | Add t ->
+             let time = float_of_int t in
+             let i = insert time in
+             handles := Array.append !handles [| (i, Event_queue.add q ~time i) |]
+           | Add_fast t ->
+             let time = float_of_int t in
+             Event_queue.add_fast q ~time (insert time)
+           | Cancel n ->
+             let hs = !handles in
+             if Array.length hs > 0 then cancel hs.(n mod Array.length hs)
+           | Cancel_every k -> Array.iteri (fun j e -> if j mod k = 0 then cancel e) !handles
+           | Pop ->
+             let expected = model_pop () in
+             if Event_queue.pop q <> expected then fail op "pop disagrees"
+           | Pop_apply ->
+             let expected = model_pop () in
+             let got = ref None in
+             let popped = Event_queue.pop_apply q (fun time i -> got := Some (time, i)) in
+             if popped <> Option.is_some expected || !got <> expected then
+               fail op "pop_apply disagrees"
+           | Peek_time ->
+             if Event_queue.peek_time q <> Option.map fst (front ()) then
+               fail op "peek_time disagrees"
+           | Next_time ->
+             let expected = Option.fold ~none:infinity ~some:fst (front ()) in
+             if Event_queue.next_time q <> expected then fail op "next_time disagrees"
+           | Is_empty -> if Event_queue.is_empty q <> (!model = []) then fail op "is_empty disagrees");
+          let live = Event_queue.live_length q in
+          if live <> List.length !model then
+            fail op (Printf.sprintf "live_length %d, model %d" live (List.length !model));
+          if Event_queue.length q < live then fail op "length < live_length")
+        ops;
+      (* drain: the rest pops in model order *)
+      List.iter
+        (fun expected ->
+          if Event_queue.pop q <> Some expected then QCheck.Test.fail_reportf "drain disagrees")
+        !model;
+      Event_queue.pop q = None)
 
 (* --- Engine --- *)
 
@@ -317,7 +452,10 @@ let suite =
     Alcotest.test_case "queue: interleaved ops stay sorted" `Quick test_queue_interleaved;
     Alcotest.test_case "queue: add_fast ordering" `Quick test_queue_add_fast;
     Alcotest.test_case "queue: pop_apply" `Quick test_queue_pop_apply;
-    Alcotest.test_case "queue: entry pool reuse" `Quick test_queue_pool_reuse;
+    Alcotest.test_case "queue: slot reuse" `Quick test_queue_slot_reuse;
+    Alcotest.test_case "queue: releases popped payloads" `Quick test_queue_releases_payloads;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
+      prop_queue_matches_model;
     Alcotest.test_case "engine: clock and ordering" `Quick test_engine_clock;
     Alcotest.test_case "engine: negative delay rejected" `Quick test_engine_negative_delay;
     Alcotest.test_case "engine: schedule_at past rejected" `Quick test_engine_schedule_at_past;
