@@ -4,13 +4,22 @@ module Trace = P2p_sim.Trace
 module Registry = P2p_obs.Registry
 module Metrics = P2p_net.Metrics
 
+(* One check's registry rows.  Its health gauges are cached on first
+   sight, in first-seen order, so a tick resolves them without a
+   registry lookup. *)
+type check_rows = {
+  violations_c : Registry.counter;
+  last_run_g : Registry.gauge;
+  mutable health : (string * Registry.gauge) list;
+}
+
 type t = {
   world : World.t;
   interval : float;
   checks : Checks.check list;
+  state : Checks.state;
   ticks_c : Registry.counter;
-  violation_counters : (string * Registry.counter) list;  (* check -> counter *)
-  freshness_gauges : (string * Registry.gauge) list;  (* check -> last-run gauge *)
+  rows : check_rows list;  (* aligned with [checks] *)
   mutable tick_count : int;
   mutable violations_total : int;
   mutable errors_total : int;
@@ -23,6 +32,7 @@ type t = {
   mutable on_violation :
     (time:float -> check:string -> severity:string -> detail:string -> unit)
     option;
+  mutable on_snapshot : (Checks.snapshot -> unit) option;
 }
 
 let subsystem = "audit"
@@ -31,27 +41,29 @@ let create ?(interval = 250.0) ?(checks = Checks.all) world =
   if interval <= 0.0 then invalid_arg "Auditor.create: interval must be positive";
   let reg = Metrics.registry world.World.metrics in
   let ticks_c = Registry.counter reg ~subsystem ~name:"ticks" in
-  let violation_counters =
+  let violations_c =
     List.map
-      (fun c ->
-        let name = Checks.check_name c in
-        (name, Registry.counter reg ~subsystem ~name:(name ^ "_violations")))
+      (fun c -> Registry.counter reg ~subsystem ~name:(Checks.check_name c ^ "_violations"))
       checks
   in
-  let freshness_gauges =
-    List.map
-      (fun c ->
-        let name = Checks.check_name c in
-        (name, Registry.gauge reg ~subsystem ~name:(name ^ "_last_run_ms")))
-      checks
+  let rows =
+    List.map2
+      (fun c violations_c ->
+        {
+          violations_c;
+          last_run_g =
+            Registry.gauge reg ~subsystem ~name:(Checks.check_name c ^ "_last_run_ms");
+          health = [];
+        })
+      checks violations_c
   in
   {
     world;
     interval;
     checks;
+    state = Checks.state ();
     ticks_c;
-    violation_counters;
-    freshness_gauges;
+    rows;
     tick_count = 0;
     violations_total = 0;
     errors_total = 0;
@@ -62,9 +74,12 @@ let create ?(interval = 250.0) ?(checks = Checks.all) world =
     ticked_at = Float.nan;
     timer = None;
     on_violation = None;
+    on_snapshot = None;
   }
 
 let set_on_violation t f = t.on_violation <- Some f
+
+let set_on_snapshot t f = t.on_snapshot <- Some f
 
 let world t = t.world
 
@@ -75,6 +90,14 @@ let severity_tag v =
   | Checks.Error -> "audit-error"
   | Checks.Warning -> "audit-warning"
 
+let health_gauge reg rows name =
+  match List.find_opt (fun (n, _) -> String.equal n name) rows.health with
+  | Some (_, g) -> g
+  | None ->
+    let g = Registry.gauge reg ~subsystem ~name in
+    rows.health <- rows.health @ [ (name, g) ];
+    g
+
 let tick t =
   let w = t.world in
   let time = World.now w in
@@ -84,21 +107,15 @@ let tick t =
     Trace.begin_op trace ~time ~kind:(Trace.Custom "audit")
       (Printf.sprintf "tick %d" t.tick_count)
   in
-  let snap = Checks.run_all ~checks:t.checks w in
+  let snap = Checks.run_all ~state:t.state ~checks:t.checks w in
+  Option.iter (fun f -> f snap) t.on_snapshot;
   let tick_violations = ref 0 in
-  List.iter
-    (fun (s : Checks.status) ->
-      (match List.assoc_opt s.Checks.name t.violation_counters with
-       | Some c when s.Checks.violations <> [] ->
-         Registry.incr ~by:(List.length s.Checks.violations) c
-       | _ -> ());
-      (match List.assoc_opt s.Checks.name t.freshness_gauges with
-       | Some g -> Registry.set g time
-       | None -> ());
-      List.iter
-        (fun (gname, v) ->
-          Registry.set (Registry.gauge reg ~subsystem ~name:gname) v)
-        s.Checks.gauges;
+  List.iter2
+    (fun rows (s : Checks.status) ->
+      if s.Checks.violations <> [] then
+        Registry.incr ~by:(List.length s.Checks.violations) rows.violations_c;
+      Registry.set rows.last_run_g time;
+      List.iter (fun (gname, v) -> Registry.set (health_gauge reg rows gname) v) s.Checks.gauges;
       List.iter
         (fun (v : Checks.violation) ->
           incr tick_violations;
@@ -116,7 +133,7 @@ let tick t =
             f ~time ~check:v.Checks.check ~severity:(severity_tag v)
               ~detail:v.Checks.detail)
         s.Checks.violations)
-    snap.Checks.statuses;
+    t.rows snap.Checks.statuses;
   Registry.incr t.ticks_c;
   t.tick_count <- t.tick_count + 1;
   t.last_snapshot <- Some snap;

@@ -15,6 +15,12 @@
     - the auditor itself keeps a violations-over-time timeline and the
       last snapshot for end-of-run summaries.
 
+    The auditor keeps a {!Checks.state} from tick to tick, so a tick
+    costs what changed since the last one rather than the whole trace
+    history (see {!Checks} for each check's cost).  Every snapshot is
+    exactly what {!Checks.run_all} from a fresh state returns at the
+    same instant.
+
     Three driving modes, matching how the rest of the repo drives the
     engine:
 
@@ -31,9 +37,13 @@ type t
 
 (** [create ?interval ?checks w] binds an auditor to [w].  [interval]
     (default [250.] simulated ms) is the audit cadence; [checks] (default
-    {!Checks.all}) selects the catalogue subset.  All registry metrics
-    are pre-registered here so exports show zeroed health rows even
-    before the first tick.  @raise Invalid_argument if [interval <= 0.]. *)
+    {!Checks.all}) selects the catalogue subset.  The [ticks] counter
+    and each check's [<name>_violations] counter and
+    [<name>_last_run_ms] gauge are registered here, so exports show
+    zeroed rows even before the first tick.  A check's health gauges are
+    registered at the first tick that reports them, and their handles
+    cached for later ticks.
+    @raise Invalid_argument if [interval <= 0.]. *)
 val create :
   ?interval:float -> ?checks:Checks.check list -> Hybrid_p2p.World.t -> t
 
@@ -49,6 +59,12 @@ val set_on_violation :
   t ->
   (time:float -> check:string -> severity:string -> detail:string -> unit) ->
   unit
+
+(** [set_on_snapshot t f] — call [f] with every future tick's snapshot,
+    right after the checks ran and before anything is recorded, so [f]
+    sees the world and trace at the instant the checks saw them.
+    Replaces any previously set callback. *)
+val set_on_snapshot : t -> (Checks.snapshot -> unit) -> unit
 
 (** [tick t] runs the catalogue right now, unconditionally, and records
     the results; returns the snapshot.  Resets the cadence: the next

@@ -2,6 +2,10 @@ module World = Hybrid_p2p.World
 module Peer = Hybrid_p2p.Peer
 module Config = Hybrid_p2p.Config
 module Data_store = Hybrid_p2p.Data_store
+module Intern = Hybrid_p2p.Intern
+module Trace = P2p_sim.Trace
+module Spans = P2p_obs.Spans
+module Int_map = Map.Make (Int)
 open P2p_hashspace
 
 type severity = Warning | Error
@@ -25,18 +29,6 @@ type snapshot = {
   time : float;
   statuses : status list;
 }
-
-type check = {
-  c_name : string;
-  c_describe : string;
-  c_run : final:bool -> string -> World.t -> status;
-      (* the check's own name is threaded in so violations self-attribute;
-         [final] switches every in-flight tolerance off *)
-}
-
-let check_name c = c.c_name
-
-let describe c = c.c_describe
 
 (* Collector threaded through a check body. *)
 type collector = {
@@ -202,16 +194,26 @@ let finger_tables ~final:_ who w =
 
 (* --- s-tree shape and the degree cap ------------------------------------ *)
 
+(* [first_sight host] is [true] the first time it sees [host]: one byte
+   per host below [World.host_bound], and a table for any other host —
+   hand-wired peers (tests, fault injection) carry negative hosts. *)
+let host_marks w =
+  let bound = World.host_bound w in
+  let dense = Bytes.make bound '\000' and stray = Hashtbl.create 1 in
+  fun host ->
+    if host >= 0 && host < bound then
+      Bytes.get dense host = '\000' && (Bytes.set dense host '\001'; true)
+    else (not (Hashtbl.mem stray host)) && (Hashtbl.add stray host (); true)
+
 let tree_structure ~final:_ who w =
   let col = collector who in
   let delta = w.World.config.Config.delta in
-  let seen = Hashtbl.create 256 in
+  let first_sight = host_marks w in
   let rec walk root peer =
-    if Hashtbl.mem seen peer.Peer.host then
+    if not (first_sight peer.Peer.host) then
       err col ~subject:peer.Peer.host "cycle at peer #%d in s-network of #%d"
         peer.Peer.host root.Peer.host
     else begin
-      Hashtbl.add seen peer.Peer.host ();
       if Peer.tree_degree peer > delta then
         err col ~subject:peer.Peer.host "peer #%d: degree %d exceeds cap %d"
           peer.Peer.host (Peer.tree_degree peer) delta;
@@ -259,7 +261,10 @@ let tree_structure ~final:_ who w =
 let membership ~final who w =
   let col = collector who in
   let in_transit = ref 0 in
-  let by_root : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* s-peers counted per root host; a root outside [0, host_bound) has
+     no size-table entry to compare with *)
+  let bound = World.host_bound w in
+  let by_root = Array.make bound 0 in
   World.iter_peers w
     (fun p ->
       if Peer.is_t_peer p then begin
@@ -278,8 +283,8 @@ let membership ~final who w =
       else
         match resolve_attachment p with
         | Rooted root ->
-          Hashtbl.replace by_root root.Peer.host
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_root root.Peer.host));
+          let r = root.Peer.host in
+          if r >= 0 && r < bound then by_root.(r) <- by_root.(r) + 1;
           (match p.Peer.t_home with
            | Some home when home == root -> ()
            | Some home ->
@@ -312,7 +317,7 @@ let membership ~final who w =
   if !in_transit = 0 then
     List.iter
       (fun (host, recorded) ->
-        let actual = Option.value ~default:0 (Hashtbl.find_opt by_root host) in
+        let actual = if host < bound then by_root.(host) else 0 in
         if recorded <> actual then
           warn col ~subject:host
             "server size table: s-network of #%d recorded as %d, counted %d" host recorded
@@ -362,6 +367,36 @@ let data_placement ~final who w =
 
 (* --- replication factor (durability invariant) -------------------------- *)
 
+(* Key ids for one tick: the world interner's, so per-key tallies are
+   flat arrays of [size] entries.  A store on another interner (a peer
+   built by hand) is translated by name, and a key the world never
+   interned gets an id past [base] from a tick-local interner. *)
+type key_ids = { wi : Intern.t; base : int; extra : Intern.t; size : int }
+
+let key_ids w =
+  let wi = World.interner w in
+  let foreign = ref 0 in
+  let count store =
+    if Data_store.interner store != wi then foreign := !foreign + Data_store.size store
+  in
+  World.iter_peers w (fun p ->
+      count p.Peer.store;
+      count p.Peer.replicas);
+  let base = Intern.count wi in
+  { wi; base; extra = Intern.create ~initial_capacity:1 (); size = base + !foreign }
+
+let iter_key_ids k store f =
+  if Data_store.interner store == k.wi then Data_store.iter_ids store f
+  else
+    Data_store.iter store (fun ~key ~value:_ ~route_id:_ ->
+        f
+          (match Intern.find k.wi key with
+           | Some id -> id
+           | None -> k.base + Intern.intern k.extra key))
+
+let key_name k id =
+  if id < k.base then Intern.name k.wi id else Intern.name k.extra (id - k.base)
+
 let replication_factor ~final who w =
   let col = collector who in
   let r = w.World.config.Config.replication_factor in
@@ -374,31 +409,29 @@ let replication_factor ~final who w =
     let settled =
       final || (pending = 0 && Array.for_all Peer.quiet (World.t_peers w))
     in
-    let copies_of : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-    World.iter_peers w
-      (fun p ->
-        Data_store.iter p.Peer.replicas (fun ~key ~value:_ ~route_id:_ ->
-            Hashtbl.replace copies_of key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt copies_of key))));
-    let checked = Hashtbl.create 1024 in
+    let k = key_ids w in
+    let copies_of = Array.make k.size 0 in
+    World.iter_peers w (fun p ->
+        iter_key_ids k p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
+    (* a primary is checked at its first holder in host order *)
+    let checked = Bytes.make k.size '\000' in
     let items = ref 0 and copies = ref 0 and under = ref 0 in
-    World.iter_peers w
-      (fun p ->
-        Data_store.iter p.Peer.store (fun ~key ~value:_ ~route_id:_ ->
-            if not (Hashtbl.mem checked key) then begin
-              Hashtbl.add checked key ();
+    World.iter_peers w (fun p ->
+        let expected = ref (-1) in
+        iter_key_ids k p.Peer.store (fun id ->
+            if Bytes.get checked id = '\000' then begin
+              Bytes.set checked id '\001';
               incr items;
-              let have = Option.value ~default:0 (Hashtbl.find_opt copies_of key) in
+              let have = copies_of.(id) in
               copies := !copies + have;
-              let expected =
-                min r (P2p_replication.Policy.expected_copies w ~primary:p)
-              in
-              if have < expected then begin
+              if !expected < 0 then
+                expected := min r (P2p_replication.Policy.expected_copies w ~primary:p);
+              if have < !expected then begin
                 incr under;
                 if settled && !under <= 8 then
                   err col ~subject:p.Peer.host
-                    "item %S at #%d has %d replica copies, expected %d" key
-                    p.Peer.host have expected
+                    "item %S at #%d has %d replica copies, expected %d" (key_name k id)
+                    p.Peer.host have !expected
               end
             end));
     if settled && !under > 8 then
@@ -418,7 +451,7 @@ let gini sizes =
   if n = 0 then 0.0
   else begin
     let sorted = Array.copy sizes in
-    Array.sort compare sorted;
+    Array.sort Float.compare sorted;
     let total = Array.fold_left ( +. ) 0.0 sorted in
     if total <= 0.0 then 0.0
     else begin
@@ -521,49 +554,271 @@ let bloom_coverage ~final:_ who w =
    inside its parent's ([begin_span] suppresses children born after the
    parent closed, [end_span] clamps overruns — so an escape means the
    bookkeeping itself broke), and an op's critical-path attribution never
-   exceeds its end-to-end latency.  No-op while tracing is off. *)
+   exceeds its end-to-end latency.  No-op while tracing is off.
 
-let latency_sanity ~final:_ who w =
-  let module Trace = P2p_sim.Trace in
-  let module Spans = P2p_obs.Spans in
+   The check keeps a state across ticks and reads only what changed since
+   the last one: spans minted, closed or evicted, plus closed children
+   whose parent was still open.  A fresh state has seen nothing, so its
+   first tick is the full scan.  Facts that make a tick equal a rescan:
+   - a span closes at most once, and eviction runs oldest id first, so
+     the retained ids form a window [lo, next) that only slides up;
+   - a closed child's escape verdict is final once its parent has closed
+     too; until then the child is judged again every tick;
+   - an op's set of closed retained children changes only when one
+     closes or is evicted, so only such a tick re-analyses the op.
+   Violating spans and ops stay recorded, and are re-reported every tick,
+   until they are evicted. *)
+
+(* An op's closed children and closed roots (several only when an op id
+   is re-registered from the wire). *)
+type op_entry = {
+  e_op : int;
+  mutable kids : Trace.span list;  (* closed non-root spans; pruned on analysis *)
+  mutable roots : Trace.span list;  (* closed retained root spans *)
+  mutable queued : bool;  (* in [dirty] for this tick's analysis *)
+}
+
+(* What [latency_sanity] carries from tick to tick — the only check that
+   keeps a state. *)
+type state = {
+  mutable trace : Trace.t option;  (* the trace the fields below describe *)
+  mutable resets : int;
+  mutable lo : int;  (* oldest retained span id at the last tick *)
+  mutable cursor : int;  (* every span id below it has been ingested *)
+  mutable opened : Trace.span list;  (* ingested while still open *)
+  mutable pending : Trace.span list;
+      (* closed children whose parent is open or not minted yet *)
+  mutable checked : int;  (* retained closed children of closed retained parents *)
+  (* Two rings indexed by span id mod their length, which grows with the
+     retained window (never past the trace's capacity): *)
+  mutable expiry : int array;  (* [checked] entries that end when the id is evicted *)
+  mutable kid_op : int array;  (* the op of a closed child span, or [no_op] *)
+  mutable escaped : (Trace.span * Trace.span) Int_map.t;
+      (* child id -> (child, closed parent): final escapes *)
+  ops : (int, op_entry) Hashtbl.t;
+  roots : (int, op_entry) Hashtbl.t;  (* closed retained root span id -> its op *)
+  mutable dirty : op_entry list;
+  mutable bad_ops : Spans.op Int_map.t;  (* root span id -> over-long critical path *)
+}
+
+let no_op = min_int
+
+let state () =
+  {
+    trace = None;
+    resets = 0;
+    lo = 0;
+    cursor = 0;
+    opened = [];
+    pending = [];
+    checked = 0;
+    expiry = [||];
+    kid_op = [||];
+    escaped = Int_map.empty;
+    ops = Hashtbl.create 64;
+    roots = Hashtbl.create 64;
+    dirty = [];
+    bad_ops = Int_map.empty;
+  }
+
+(* Forget everything and start over on [tr] (a first tick, another trace,
+   or a trace reset since the last tick). *)
+let rebind st tr =
+  st.trace <- Some tr;
+  st.resets <- Trace.resets tr;
+  st.lo <- fst (Trace.span_window tr);
+  st.cursor <- st.lo;
+  st.opened <- [];
+  st.pending <- [];
+  st.checked <- 0;
+  st.expiry <- [||];
+  st.kid_op <- [||];
+  st.escaped <- Int_map.empty;
+  Hashtbl.reset st.ops;
+  Hashtbl.reset st.roots;
+  st.dirty <- [];
+  st.bad_ops <- Int_map.empty
+
+let op_entry st op =
+  match Hashtbl.find_opt st.ops op with
+  | Some e -> e
+  | None ->
+    let e = { e_op = op; kids = []; roots = []; queued = false } in
+    Hashtbl.replace st.ops op e;
+    e
+
+let queue st e =
+  if not e.queued then begin
+    e.queued <- true;
+    st.dirty <- e :: st.dirty
+  end
+
+let escapes (s : Trace.span) ~stop (parent : Trace.span) =
+  let pstop = Option.value parent.Trace.span_stop ~default:Float.infinity in
+  s.Trace.span_start < parent.Trace.span_start -. 1e-9 || stop > pstop +. 1e-9
+
+(* Slide the window from [st.lo] up to [lo]: drop what the evicted ids
+   contributed. *)
+let evict st ~lo =
+  let cap = Array.length st.expiry in
+  for id = st.lo to min lo st.cursor - 1 do
+    let slot = id mod cap in
+    st.checked <- st.checked - st.expiry.(slot);
+    st.expiry.(slot) <- 0;
+    (match st.kid_op.(slot) with
+     | op when op = no_op -> ()
+     | op ->
+       st.kid_op.(slot) <- no_op;
+       queue st (Hashtbl.find st.ops op));
+    match Hashtbl.find_opt st.roots id with
+    | None -> ()
+    | Some e ->
+      Hashtbl.remove st.roots id;
+      e.roots <- List.filter (fun (r : Trace.span) -> r.Trace.span_id <> id) e.roots;
+      st.bad_ops <- Int_map.remove id st.bad_ops;
+      queue st e
+  done;
+  st.lo <- max st.lo lo;
+  st.escaped <-
+    Int_map.filter
+      (fun _ ((c : Trace.span), (p : Trace.span)) ->
+        c.Trace.span_id >= lo && p.Trace.span_id >= lo)
+      st.escaped
+
+(* Make the rings hold ids [lo, next) without collisions.  Only ids in
+   [lo, st.cursor) have entries (older ones were just evicted), so those
+   are the ones to move. *)
+let ensure_rings st tr ~lo ~next =
+  let size = Array.length st.expiry in
+  if next - lo > size then begin
+    let n = min (Trace.capacity tr) (max (next - lo) (2 * size)) in
+    let expiry = Array.make n 0 and kid_op = Array.make n no_op in
+    for id = lo to st.cursor - 1 do
+      expiry.(id mod n) <- st.expiry.(id mod size);
+      kid_op.(id mod n) <- st.kid_op.(id mod size)
+    done;
+    st.expiry <- expiry;
+    st.kid_op <- kid_op
+  end
+
+(* A span seen closed for the first time. *)
+let on_close st (s : Trace.span) =
+  if s.Trace.parent >= 0 then begin
+    let e = op_entry st s.Trace.span_op in
+    e.kids <- s :: e.kids;
+    st.kid_op.(s.Trace.span_id mod Array.length st.kid_op) <- s.Trace.span_op;
+    queue st e;
+    st.pending <- s :: st.pending
+  end
+  else if s.Trace.parent = -1 then begin
+    let e = op_entry st s.Trace.span_op in
+    e.roots <- s :: e.roots;
+    Hashtbl.replace st.roots s.Trace.span_id e;
+    queue st e
+  end
+
+(* Judge the pending children: a child whose parent has closed gets its
+   final verdict; one whose parent is open is counted and judged for this
+   tick only.  Returns the open-parent count and escapes. *)
+let judge_pending st tr ~lo ~next =
+  let counted = ref 0 and open_escapes = ref [] in
+  st.pending <-
+    List.filter
+      (fun (c : Trace.span) ->
+        let p = c.Trace.parent in
+        let stop = Option.get c.Trace.span_stop in
+        if c.Trace.span_id < lo then false
+        else
+          match Trace.find tr p with
+          | Some parent when parent.Trace.span_stop <> None ->
+            let key = min p c.Trace.span_id in
+            let slot = key mod Array.length st.expiry in
+            st.checked <- st.checked + 1;
+            st.expiry.(slot) <- st.expiry.(slot) + 1;
+            if escapes c ~stop parent then
+              st.escaped <- Int_map.add c.Trace.span_id (c, parent) st.escaped;
+            false
+          | Some parent ->
+            incr counted;
+            if escapes c ~stop parent then open_escapes := (c, parent) :: !open_escapes;
+            true
+          | None -> p >= next (* not minted yet; below the window it never returns *))
+      st.pending;
+  (!counted, !open_escapes)
+
+(* Re-analyse the ops whose children or roots changed this tick. *)
+let analyse_ops st ~lo =
+  List.iter
+    (fun e ->
+      e.queued <- false;
+      let kids =
+        List.filter (fun (k : Trace.span) -> k.Trace.span_id >= lo) e.kids
+        |> List.sort (fun (a : Trace.span) b -> Int.compare b.Trace.span_id a.Trace.span_id)
+      in
+      e.kids <- kids;
+      List.iter
+        (fun (root : Trace.span) ->
+          let o = Spans.analyze ~root kids in
+          st.bad_ops <-
+            (if o.Spans.critical_ms > o.Spans.total_ms +. 1e-6 then
+               Int_map.add root.Trace.span_id o st.bad_ops
+             else Int_map.remove root.Trace.span_id st.bad_ops))
+        e.roots;
+      if kids = [] && e.roots = [] then Hashtbl.remove st.ops e.e_op)
+    st.dirty;
+  st.dirty <- []
+
+let latency_sanity st ~final:_ who w =
   let col = collector who in
   let tr = World.trace w in
   if not (Trace.enabled tr) then finish col
   else begin
-    let spans = Trace.spans tr in
-    let by_id = Hashtbl.create 256 in
-    List.iter (fun (s : Trace.span) -> Hashtbl.replace by_id s.Trace.span_id s) spans;
-    let checked = ref 0 and escapes = ref 0 in
-    List.iter
-      (fun (s : Trace.span) ->
-        match (s.Trace.span_stop, Hashtbl.find_opt by_id s.Trace.parent) with
-        | Some stop, Some (parent : Trace.span) ->
-          incr checked;
-          let pstop =
-            (* an open parent bounds its children only from below *)
-            Option.value parent.Trace.span_stop ~default:Float.infinity
-          in
-          if s.Trace.span_start < parent.Trace.span_start -. 1e-9 || stop > pstop +. 1e-9
-          then begin
-            incr escapes;
-            if !escapes <= 8 then
-              err col ?subject:s.Trace.span_src
-                "span %d (%s/%s) [%g, %g] escapes parent %d [%g, %g]"
-                s.Trace.span_id s.Trace.tier s.Trace.phase s.Trace.span_start stop
-                parent.Trace.span_id parent.Trace.span_start pstop
-          end
-        | (None, _ | _, None) -> ())
-      spans;
-    if !escapes > 8 then err col "...and %d more escaped spans" (!escapes - 8);
-    let ops = Spans.completed tr in
-    List.iter
-      (fun (o : Spans.op) ->
-        if o.Spans.critical_ms > o.Spans.total_ms +. 1e-6 then
-          err col "op %d (%s): critical path %.3f ms exceeds total latency %.3f ms"
-            o.Spans.op_id o.Spans.kind o.Spans.critical_ms o.Spans.total_ms)
-      ops;
-    gauge col "spans_checked" (float_of_int !checked);
-    gauge col "ops_checked" (float_of_int (List.length ops));
+    let lo, next = Trace.span_window tr in
+    (match st.trace with
+     | Some t when t == tr && st.resets = Trace.resets tr && st.cursor <= next -> ()
+     | Some _ | None -> rebind st tr);
+    evict st ~lo;
+    ensure_rings st tr ~lo ~next;
+    Trace.iter_spans tr ~from:st.cursor (fun s ->
+        if s.Trace.span_stop <> None then on_close st s else st.opened <- s :: st.opened);
+    st.cursor <- next;
+    st.opened <-
+      List.filter
+        (fun (s : Trace.span) ->
+          if s.Trace.span_id < lo then false
+          else if s.Trace.span_stop <> None then (on_close st s; false)
+          else true)
+        st.opened;
+    let counted, open_escapes = judge_pending st tr ~lo ~next in
+    analyse_ops st ~lo;
+    let escaped =
+      List.merge
+        (fun ((a : Trace.span), _) ((b : Trace.span), _) ->
+          Int.compare a.Trace.span_id b.Trace.span_id)
+        (List.map snd (Int_map.bindings st.escaped))
+        (List.sort
+           (fun ((a : Trace.span), _) ((b : Trace.span), _) ->
+             Int.compare a.Trace.span_id b.Trace.span_id)
+           open_escapes)
+    in
+    List.iteri
+      (fun i ((s : Trace.span), (parent : Trace.span)) ->
+        if i < 8 then
+          err col ?subject:s.Trace.span_src
+            "span %d (%s/%s) [%g, %g] escapes parent %d [%g, %g]" s.Trace.span_id
+            s.Trace.tier s.Trace.phase s.Trace.span_start (Option.get s.Trace.span_stop)
+            parent.Trace.span_id parent.Trace.span_start
+            (Option.value parent.Trace.span_stop ~default:Float.infinity))
+      escaped;
+    let n_escaped = List.length escaped in
+    if n_escaped > 8 then err col "...and %d more escaped spans" (n_escaped - 8);
+    Int_map.iter
+      (fun _ (o : Spans.op) ->
+        err col "op %d (%s): critical path %.3f ms exceeds total latency %.3f ms"
+          o.Spans.op_id o.Spans.kind o.Spans.critical_ms o.Spans.total_ms)
+      st.bad_ops;
+    gauge col "spans_checked" (float_of_int (st.checked + counted));
+    gauge col "ops_checked" (float_of_int (Hashtbl.length st.roots));
     gauge col "span_mismatches" (float_of_int (Trace.span_mismatches tr));
     gauge col "spans_clamped" (float_of_int (Trace.spans_clamped tr));
     finish col
@@ -571,48 +826,63 @@ let latency_sanity ~final:_ who w =
 
 (* --- catalogue ----------------------------------------------------------- *)
 
+type check = {
+  c_name : string;
+  c_describe : string;
+  c_run : state -> final:bool -> string -> World.t -> status;
+      (* the check's own name is threaded in so violations self-attribute;
+         [final] switches every in-flight tolerance off; only
+         [latency_sanity] keeps anything in the state *)
+}
+
+let check_name c = c.c_name
+
+let describe c = c.c_describe
+
+let stateless f (_ : state) = f
+
 let all =
   [
     {
       c_name = "ring_symmetry";
       c_describe = "t-ring successor/predecessor symmetry and p_id uniqueness";
-      c_run = ring_symmetry;
+      c_run = stateless ring_symmetry;
     };
     {
       c_name = "finger_tables";
       c_describe = "finger tables agree with the membership oracle (when fresh)";
-      c_run = finger_tables;
+      c_run = stateless finger_tables;
     };
     {
       c_name = "tree_structure";
       c_describe = "s-tree acyclicity, cp symmetry, t_home/p_id, degree cap delta";
-      c_run = tree_structure;
+      c_run = stateless tree_structure;
     };
     {
       c_name = "membership";
       c_describe = "every live peer attached under one live root; server size table";
-      c_run = membership;
+      c_run = stateless membership;
     };
     {
       c_name = "data_placement";
       c_describe = "every stored item inside its holder's ring segment";
-      c_run = data_placement;
+      c_run = stateless data_placement;
     };
     {
       c_name = "replication_factor";
       c_describe = "every primary item keeps its configured replica count (when r > 0)";
-      c_run = replication_factor;
+      c_run = stateless replication_factor;
     };
     {
       c_name = "bloom_coverage";
       c_describe =
         "s-tree edge summaries never hide stored data (no false negatives)";
-      c_run = bloom_coverage;
+      c_run = stateless bloom_coverage;
     };
     {
       c_name = "load_balance";
       c_describe = "items-per-peer spread and Gini coefficient (gauges only)";
-      c_run = load_balance;
+      c_run = stateless load_balance;
     };
     {
       c_name = "latency_sanity";
@@ -636,16 +906,14 @@ let select wanted =
   in
   resolve [] wanted
 
-let run c w = c.c_run ~final:false c.c_name w
+let run_with st ~final checks w =
+  { time = World.now w; statuses = List.map (fun c -> c.c_run st ~final c.c_name w) checks }
 
-let run_all ?(checks = all) w =
-  { time = World.now w; statuses = List.map (fun c -> run c w) checks }
+let run c w = c.c_run (state ()) ~final:false c.c_name w
 
-let final w =
-  {
-    time = World.now w;
-    statuses = List.map (fun c -> c.c_run ~final:true c.c_name w) all;
-  }
+let run_all ?(state = state ()) ?(checks = all) w = run_with state ~final:false checks w
+
+let final w = run_with (state ()) ~final:true all w
 
 let violations snap = List.concat_map (fun s -> s.violations) snap.statuses
 

@@ -17,7 +17,28 @@
     outside its owner's segment — is still caught the moment it exists.
     {!final} runs the same checks at rest with every in-flight tolerance
     off, so a state that is only legitimate mid-protocol is an error
-    there. *)
+    there.
+
+    {2 Cost per tick}
+
+    With T t-peers, P registered peers and I stored items (primaries and
+    replica copies), one tick costs:
+    - [ring_symmetry]: O(T);
+    - [finger_tables]: O(T log T) (one oracle search per finger);
+    - [tree_structure], [membership], [load_balance]: O(P), over flat
+      host-indexed arrays;
+    - [data_placement]: O(P + I);
+    - [replication_factor]: O(P log T + I), tallying copies per
+      interned key id in flat arrays;
+    - [bloom_coverage]: O(I × tree depth) while summaries are enabled;
+    - [latency_sanity]: O(spans changed since the last tick) — minted,
+      closed or evicted, plus closed children whose parent is still open
+      — with an [O(k log k)] critical-path analysis for each op whose
+      [k] closed children changed.  This needs a {!state} carried from
+      tick to tick; a fresh state has seen nothing, so its first tick is
+      the full scan over every retained span, and produces exactly what
+      any later tick of a long-lived state produces at the same
+      instant. *)
 
 (** [Error] marks structural damage; [Warning] marks drift that routing
     survives (e.g. stale server-side accounting). *)
@@ -83,12 +104,22 @@ val find : string -> check option
     [Error unknown] carries the first unknown name. *)
 val select : string list -> (check list, string) result
 
-(** [run check w] executes one check. *)
+(** What the checks carry from one tick to the next (only
+    [latency_sanity] keeps anything).  A state belongs to one world:
+    pass the same one to every {!run_all} over that world, as
+    {!Auditor} does. *)
+type state
+
+(** A fresh state: the next run with it is a full scan. *)
+val state : unit -> state
+
+(** [run check w] executes one check from a fresh state. *)
 val run : check -> Hybrid_p2p.World.t -> status
 
-(** [run_all ?checks w] executes the catalogue (or [checks]) and stamps
-    the world's current simulated time. *)
-val run_all : ?checks:check list -> Hybrid_p2p.World.t -> snapshot
+(** [run_all ?state ?checks w] executes the catalogue (or [checks]) and
+    stamps the world's current simulated time.  [state] defaults to a
+    fresh one; the result is the same either way. *)
+val run_all : ?state:state -> ?checks:check list -> Hybrid_p2p.World.t -> snapshot
 
 (** [final w] executes the whole catalogue at rest: the end-of-run
     invariant check behind every [invariants:] line.  Every in-flight
@@ -96,7 +127,8 @@ val run_all : ?checks:check list -> Hybrid_p2p.World.t -> snapshot
     any t-peer, a ring segment with a busy endpoint, a detached s-peer,
     an unsettled segment boundary and outstanding replica copies are
     all errors.  Call it once the event queue holds no protocol work
-    (periodic timers such as heartbeats may stay armed). *)
+    (periodic timers such as heartbeats may stay armed).  Runs from a
+    fresh state. *)
 val final : Hybrid_p2p.World.t -> snapshot
 
 (** All violations of a snapshot, in catalogue order. *)

@@ -138,6 +138,8 @@ let iter t f =
           ~route_id:t.routes.(i))
     t.keys
 
+let iter_ids t f = Array.iter (fun kid -> if kid >= 0 then f kid) t.keys
+
 let segment_items t ~left ~right =
   let acc = ref [] in
   Array.iteri

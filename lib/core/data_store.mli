@@ -81,6 +81,11 @@ val take_all : t -> (string * string * Id_space.id) list
 (** [iter t f] applies [f ~key ~value ~route_id] to each item. *)
 val iter : t -> (key:string -> value:string -> route_id:Id_space.id -> unit) -> unit
 
+(** [iter_ids t f] applies [f] to the id in [interner t] of each stored
+    key, in {!iter}'s order: a walk that tallies keys in flat arrays
+    without materializing a string per item. *)
+val iter_ids : t -> (int -> unit) -> unit
+
 (** [keys t] lists stored keys in unspecified order. *)
 val keys : t -> string list
 

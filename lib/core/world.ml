@@ -190,6 +190,8 @@ let find_peer t ~host =
 
 let peer_count t = t.live_count
 
+let host_bound t = Array.length t.slots
+
 let iter_peers t f =
   Array.iter (function Some p -> f p | None -> ()) t.slots
 

@@ -170,6 +170,11 @@ val find_peer : t -> host:int -> Peer.t option
 
 val peer_count : t -> int
 
+(** Every registered peer's host, and every host {!snet_size_entries}
+    names, lies in [\[0, host_bound t)]: a size for host-indexed arrays
+    (hosts are dense graph-node ids). *)
+val host_bound : t -> int
+
 (** All registered peers in ascending host order. *)
 val live_peers : t -> Peer.t list
 

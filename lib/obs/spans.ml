@@ -58,36 +58,34 @@ let critical_chain ~(root : Trace.span) children =
     sorted;
   !chain
 
+let analyze ~(root : Trace.span) children =
+  let stop = Option.value root.Trace.span_stop ~default:root.Trace.span_start in
+  let chain = critical_chain ~root children in
+  {
+    op_id = root.Trace.span_op;
+    kind = root.Trace.phase;
+    op_start = root.Trace.span_start;
+    op_stop = stop;
+    total_ms = stop -. root.Trace.span_start;
+    critical_ms = List.fold_left (fun a c -> a +. c.seg_ms) 0.0 chain;
+    chain;
+    span_count = List.length children;
+  }
+
 let completed trace =
-  let spans = Trace.spans trace in
   let by_op = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Trace.span) ->
+  Trace.iter_spans trace (fun (s : Trace.span) ->
       if s.Trace.parent >= 0 && s.Trace.span_stop <> None then
         Hashtbl.replace by_op s.Trace.span_op
-          (s :: (try Hashtbl.find by_op s.Trace.span_op with Not_found -> [])))
-    spans;
-  List.filter_map
-    (fun (s : Trace.span) ->
-      match (s.Trace.parent, s.Trace.span_stop) with
-      | -1, Some stop ->
+          (s :: (try Hashtbl.find by_op s.Trace.span_op with Not_found -> [])));
+  let ops = ref [] in
+  Trace.iter_spans trace (fun (s : Trace.span) ->
+      if s.Trace.parent = -1 && s.Trace.span_stop <> None then
         let children =
           try Hashtbl.find by_op s.Trace.span_op with Not_found -> []
         in
-        let chain = critical_chain ~root:s children in
-        Some
-          {
-            op_id = s.Trace.span_op;
-            kind = s.Trace.phase;
-            op_start = s.Trace.span_start;
-            op_stop = stop;
-            total_ms = stop -. s.Trace.span_start;
-            critical_ms = List.fold_left (fun a c -> a +. c.seg_ms) 0.0 chain;
-            chain;
-            span_count = List.length children;
-          }
-      | _ -> None)
-    spans
+        ops := analyze ~root:s children :: !ops);
+  List.rev !ops
 
 let by_kind ops =
   let order = ref [] in
@@ -145,14 +143,12 @@ let record reg trace =
            (Registry.gauge reg ~subsystem:"latency"
               ~name:(Printf.sprintf "%s_tier_%s_ms" kind tier))
            ms);
-  List.iter
-    (fun (s : Trace.span) ->
+  Trace.iter_spans trace (fun (s : Trace.span) ->
       if s.Trace.parent >= 0 && s.Trace.span_stop <> None then
         Log_hist.observe
           (Registry.log_histogram reg ~subsystem:"latency"
              ~name:("phase_" ^ s.Trace.phase ^ "_ms"))
-          (duration s))
-    (Trace.spans trace);
+          (duration s));
   let trace_gauge name v =
     Registry.set
       (Registry.gauge reg ~subsystem:"trace" ~name)

@@ -26,6 +26,12 @@ type op = {
 (** Duration of a completed span; [0.] while open. *)
 val duration : P2p_sim.Trace.span -> float
 
+(** [analyze ~root children] is the analysis of the closed root span
+    [root] over [children], its op's completed non-root spans, newest
+    (highest id) first: the order {!completed} passes, which decides
+    between spans that stop at the same instant. *)
+val analyze : root:P2p_sim.Trace.span -> P2p_sim.Trace.span list -> op
+
 (** All completed operations retained in the trace, oldest first. *)
 val completed : P2p_sim.Trace.t -> op list
 

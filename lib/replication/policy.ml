@@ -5,14 +5,21 @@ module Config = Hybrid_p2p.Config
 (* The next [factor] live t-peers clockwise from [home] on the sorted
    oracle ring, excluding [home] itself.  With fewer than [factor + 1]
    t-peers the list is simply shorter: the ID space has no more distinct
-   segments to copy into. *)
+   segments to copy into.  [home] is found by binary search on its p_id,
+   then among the run of t-peers sharing that p_id by identity. *)
 let ring_successors w ~home ~factor =
   let arr = World.t_peers w in
   let n = Array.length arr in
-  let idx = ref (-1) in
-  Array.iteri (fun i p -> if p == home then idx := i) arr;
-  if !idx < 0 || n <= 1 then []
-  else List.init (min factor (n - 1)) (fun k -> arr.((!idx + k + 1) mod n))
+  let rec find i =
+    if i >= n || arr.(i).Peer.p_id <> home.Peer.p_id then -1
+    else if arr.(i) == home then i
+    else find (i + 1)
+  in
+  let idx =
+    match World.successor_index w home.Peer.p_id with -1 -> -1 | i -> find i
+  in
+  if idx < 0 || n <= 1 then []
+  else List.init (min factor (n - 1)) (fun k -> arr.((idx + k + 1) mod n))
 
 let targets w ~primary =
   let config = w.World.config in

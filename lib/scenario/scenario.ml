@@ -166,13 +166,14 @@ let step st = function
        Manager.stop m;
        drain st)
 
-let run ?audit_interval ?audit_checks h ~seed ~script =
+let run ?audit_interval ?audit_checks ?on_audit h ~seed ~script =
   let auditor =
     match audit_interval with
     | None -> None
     | Some interval ->
-      Some
-        (P2p_audit.Auditor.create ~interval ?checks:audit_checks (H.world h))
+      let a = P2p_audit.Auditor.create ~interval ?checks:audit_checks (H.world h) in
+      Option.iter (P2p_audit.Auditor.set_on_snapshot a) on_audit;
+      Some a
   in
   let replication =
     if (H.config h).Config.replication_factor > 0 then Some (Manager.install (H.world h))

@@ -73,7 +73,9 @@ type report = {
     settle/advance passes through the auditor so invariant checks fire on
     cadence mid-churn, and the report's [audit] field summarizes what
     they saw, closing with a tick over the drained, repaired end state.
-    [audit_checks] narrows the online catalogue (default: all checks).
+    [audit_checks] narrows the online catalogue (default: all checks),
+    and [on_audit] sees every tick's snapshot
+    ({!P2p_audit.Auditor.set_on_snapshot}).
     Either way [invariants] comes from {!P2p_audit.Checks.final} over
     the end state.
 
@@ -84,6 +86,7 @@ type report = {
 val run :
   ?audit_interval:float ->
   ?audit_checks:P2p_audit.Checks.check list ->
+  ?on_audit:(P2p_audit.Checks.snapshot -> unit) ->
   Hybrid_p2p.Hybrid.t ->
   seed:int ->
   script:action list ->

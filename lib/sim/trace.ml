@@ -87,6 +87,7 @@ type t = {
   mutable span_mismatches : int; (* double end, or time running backwards *)
   mutable spans_suppressed : int; (* begin after the parent had closed *)
   mutable spans_clamped : int; (* stop clamped to the parent's stop *)
+  mutable resets : int; (* reset calls: span ids restart after each *)
   op_roots : (int, int) Hashtbl.t; (* open op id -> its root span id *)
   (* exact latency accounting for 100% of ops, independent of sampling *)
   open_ops : (int, string * float) Hashtbl.t; (* op id -> kind, start *)
@@ -126,6 +127,7 @@ let create ~capacity ?(sample_rate = 1.0) ?(sample_seed = 0)
     span_mismatches = 0;
     spans_suppressed = 0;
     spans_clamped = 0;
+    resets = 0;
     op_roots = Hashtbl.create 64;
     open_ops = Hashtbl.create 64;
     op_listener = None;
@@ -154,6 +156,7 @@ let disabled =
     span_mismatches = 0;
     spans_suppressed = 0;
     spans_clamped = 0;
+    resets = 0;
     op_roots = Hashtbl.create 1;
     open_ops = Hashtbl.create 1;
     op_listener = None;
@@ -357,6 +360,17 @@ let has_op_listener t = t.op_listener <> None
 
 let op_root_span t op = Hashtbl.find_opt t.op_roots op
 
+let find = find_span
+
+let capacity t = t.capacity
+
+let span_window t = (t.span_next - t.span_retained, t.span_next)
+
+let iter_spans t ?(from = min_int) f =
+  for id = max from (t.span_next - t.span_retained) to t.span_next - 1 do
+    match t.spans.(id mod t.capacity) with Some s -> f s | None -> assert false
+  done
+
 let spans t =
   let start = t.span_next - t.span_retained in
   List.init t.span_retained (fun i ->
@@ -390,8 +404,11 @@ let clear t =
   Hashtbl.reset t.op_roots;
   Hashtbl.reset t.open_ops
 
+let resets t = t.resets
+
 let reset t =
   clear t;
+  t.resets <- t.resets + 1;
   t.next_op <- 0;
   t.span_next <- t.span_first;
   t.span_orphans <- 0;

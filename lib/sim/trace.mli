@@ -206,6 +206,24 @@ val op_root_span : t -> int -> int option
 (** Retained spans, oldest first. *)
 val spans : t -> span list
 
+(** [find t id] is the retained span with id [id], if any: [None] for an
+    id evicted by wraparound or not minted yet.  O(1). *)
+val find : t -> int -> span option
+
+(** [span_window t] is [(lo, next)]: the retained spans are exactly ids
+    [lo .. next - 1], and the next span minted gets id [next].  Eviction
+    runs oldest id first, so [lo] only grows (until {!reset}). *)
+val span_window : t -> int * int
+
+(** [iter_spans t ?from f] applies [f] to every retained span with id
+    [>= from] (default: all of them), oldest first — a consumer that
+    remembers the last [next] of {!span_window} visits only newer spans. *)
+val iter_spans : t -> ?from:int -> (span -> unit) -> unit
+
+(** The [capacity] the trace was created with: at most this many spans
+    are retained, and span [k] occupies ring slot [k mod capacity]. *)
+val capacity : t -> int
+
 (** [spans_of_op t op] — the retained spans of one operation, oldest
     first (the root span included). *)
 val spans_of_op : t -> int -> span list
@@ -251,6 +269,11 @@ val total_recorded : t -> int
     were, so a consumer draining the buffer in slices still sees how much
     was ever recorded.  Use {!reset} to also zero the counters. *)
 val clear : t -> unit
+
+(** Number of {!reset} calls so far: span ids restart after each, so a
+    consumer that remembers span ids compares this to know they are
+    stale. *)
+val resets : t -> int
 
 (** [reset t] empties the buffer {e and} zeroes the lifetime counters:
     after [reset], {!total_recorded} and {!ops_started} are [0] and the

@@ -328,6 +328,204 @@ let test_agreement_with_offline_checker () =
   ok_invariants h;
   no_violations (Checks.run_all (H.world h))
 
+(* --- the stateful auditor against fresh full scans --- *)
+
+(* One line per snapshot, every field: time and gauges in hex floats. *)
+let snapshot_text (snap : Checks.snapshot) =
+  let status (st : Checks.status) =
+    Printf.sprintf "%s{%s}{%s}" st.Checks.name
+      (String.concat ";"
+         (List.map
+            (fun (v : Checks.violation) ->
+              Printf.sprintf "%s/%s/%s/%s" v.Checks.check
+                (Checks.severity_to_string v.Checks.severity)
+                (match v.Checks.subject with Some h -> string_of_int h | None -> "-")
+                v.Checks.detail)
+            st.Checks.violations))
+      (String.concat ";"
+         (List.map (fun (n, v) -> Printf.sprintf "%s=%h" n v) st.Checks.gauges))
+  in
+  Printf.sprintf "%h|%s\n" snap.Checks.time
+    (String.concat "|" (List.map status snap.Checks.statuses))
+
+let gauge_of (snap : Checks.snapshot) check name =
+  List.find_map
+    (fun (st : Checks.status) ->
+      if st.Checks.name = check then List.assoc_opt name st.Checks.gauges else None)
+    snap.Checks.statuses
+
+(* Each auditor snapshot must be exactly what a fresh state's full scan
+   returns at the same instant. *)
+let agree_with_fresh_scan w count snap =
+  let fresh = Checks.run_all w in
+  if snap <> fresh then
+    Alcotest.failf "tick %d differs from a fresh scan:\n%s%s" !count (snapshot_text snap)
+      (snapshot_text fresh);
+  incr count
+
+(* --- latency_sanity's violation paths --- *)
+
+let latency_details (snap : Checks.snapshot) =
+  List.filter_map
+    (fun (v : Checks.violation) ->
+      if v.Checks.check = "latency_sanity" then Some v.Checks.detail else None)
+    (Checks.violations snap)
+
+(* A closed child whose stop is pushed past its closed parent's must be
+   reported at every tick while both spans are retained, and never once
+   wraparound has evicted them. *)
+let test_escape_reported_until_evicted () =
+  let trace = Trace.create ~capacity:32 () in
+  let h = H.create_star ~seed:11 ~peers:50 ~trace () in
+  let w = H.world h in
+  let a = Auditor.create ~interval:1.0 w in
+  let t0 = World.now w in
+  let op = Trace.begin_op trace ~time:t0 ~kind:Trace.Lookup "escape" in
+  let child = Trace.begin_span trace ~time:t0 ~op ~tier:"t_network" ~phase:"ring_hop" "hop" in
+  Trace.end_span trace ~time:(t0 +. 1.0) child;
+  Trace.end_op trace ~time:(t0 +. 2.0) ~op "done";
+  let span = Option.get (Trace.find trace child) in
+  span.Trace.span_stop <- Some (t0 +. 5.0);
+  let root = span.Trace.parent in
+  let expected =
+    Printf.sprintf "span %d (t_network/ring_hop) [%g, %g] escapes parent %d [%g, %g]" child
+      t0 (t0 +. 5.0) root t0 (t0 +. 2.0)
+  in
+  let ticks = ref 0 and reported = ref 0 and after = ref 0 in
+  Auditor.set_on_snapshot a (fun snap ->
+      agree_with_fresh_scan w ticks snap;
+      let retained = Trace.find trace child <> None && Trace.find trace root <> None in
+      let details = latency_details snap in
+      if retained then begin
+        Alcotest.(check (list string)) "reported while retained" [ expected ] details;
+        incr reported
+      end
+      else begin
+        Alcotest.(check (list string)) "silent once evicted" [] details;
+        incr after
+      end);
+  (* each tick mints its own root span and one per violation, so ticks
+     alone wrap the 32-span ring *)
+  for _ = 1 to 40 do
+    ignore (Auditor.tick a : Checks.snapshot)
+  done;
+  checkb "reported at several ticks" true (!reported >= 3);
+  checkb "evicted at last" true (!after >= 3)
+
+(* Children judged while their root is open, then again once it closes:
+   [early] starts before the root, so it escapes either way; [late]
+   stops after the root's eventual stop, so it escapes only once the
+   root has closed.  [early] also outweighs the root, so the op's
+   critical path exceeds its latency — until [held] closes, is clamped to
+   the root's stop, and takes over the critical path. *)
+let test_children_of_an_open_root () =
+  let trace = Trace.create ~capacity:1000 () in
+  let h = H.create_star ~seed:12 ~peers:50 ~trace () in
+  let w = H.world h in
+  let a = Auditor.create ~interval:1.0 w in
+  let ticks = ref 0 in
+  Auditor.set_on_snapshot a (agree_with_fresh_scan w ticks);
+  let t0 = World.now w in
+  let op = Trace.begin_op trace ~time:t0 ~kind:Trace.Insert "op" in
+  let child ~start label = Trace.begin_span trace ~time:start ~op ~tier:"data" ~phase:label label in
+  let early = child ~start:(t0 -. 3.0) "early" in
+  let late = child ~start:t0 "late" in
+  let held = child ~start:t0 "held" in
+  Trace.end_span trace ~time:(t0 +. 1.0) early;
+  Trace.end_span trace ~time:(t0 +. 5.0) late;
+  let root = (Option.get (Trace.find trace early)).Trace.parent in
+  let escape id label start stop pstop =
+    Printf.sprintf "span %d (data/%s) [%g, %g] escapes parent %d [%g, %g]" id label start
+      stop root t0 pstop
+  in
+  let tick () = Auditor.tick a in
+  let snap = tick () in
+  Alcotest.(check (list string)) "open root"
+    [ escape early "early" (t0 -. 3.0) (t0 +. 1.0) Float.infinity ]
+    (latency_details snap);
+  Alcotest.(check (option (float 0.0))) "both closed children counted" (Some 2.0)
+    (gauge_of snap "latency_sanity" "spans_checked");
+  Trace.end_op trace ~time:(t0 +. 2.0) ~op "done";
+  let escapes =
+    [
+      escape early "early" (t0 -. 3.0) (t0 +. 1.0) (t0 +. 2.0);
+      escape late "late" t0 (t0 +. 5.0) (t0 +. 2.0);
+    ]
+  in
+  let over =
+    Printf.sprintf "op %d (insert): critical path 4.000 ms exceeds total latency 2.000 ms" op
+  in
+  Alcotest.(check (list string)) "closed root" (escapes @ [ over ]) (latency_details (tick ()));
+  Alcotest.(check (list string)) "still reported" (escapes @ [ over ])
+    (latency_details (tick ()));
+  Trace.end_span trace ~time:(t0 +. 3.0) held;
+  Alcotest.(check (list string)) "held takes the critical path" escapes
+    (latency_details (tick ()));
+  checki "every tick compared" 4 !ticks
+
+(* Mirrors the benchmark's churn workload shape: crash-and-repair waves
+   between writes and reads, then an anti-entropy window. *)
+let churn_script ~peers ~initial ~crashes ~inserts ~lookups ~final_lookups =
+  let open Scenario in
+  [ Join_many (peers, 0.8); Insert_items initial; Settle ]
+  @ List.concat (List.init crashes (fun _ -> [ Crash_random; Repair ]))
+  @ [ Insert_items inserts; Lookup_items lookups; Settle; Anti_entropy 10000.0;
+      Lookup_items final_lookups; Settle ]
+
+let replicated_star ?latency ~seed ~trace () =
+  let config = { Config.default with Config.replication_factor = 2 } in
+  H.create_star ~seed ~peers:400 ?latency ~config ~trace ()
+
+(* Full tracing into a 256-span ring, so wraparound evicts spans between
+   ticks, roots before their children and parents while children are
+   still open.  Slow links (20 ms a hop) keep ops in flight across
+   ticks, so children close under open parents. *)
+let test_stateful_matches_fresh_scan () =
+  let trace = Trace.create ~capacity:256 () in
+  let h = replicated_star ~latency:20.0 ~seed:23 ~trace () in
+  let w = H.world h in
+  let ticks = ref 0 and evicting = ref 0 and judged = ref 0 in
+  let report =
+    Scenario.run ~audit_interval:40.0 h ~seed:23
+      ~on_audit:(fun snap ->
+        if fst (Trace.span_window trace) > 0 then incr evicting;
+        (match gauge_of snap "latency_sanity" "spans_checked" with
+         | Some n when n > 0.0 -> incr judged
+         | Some _ | None -> ());
+        agree_with_fresh_scan w ticks snap)
+      ~script:
+        (churn_script ~peers:60 ~initial:120 ~crashes:3 ~inserts:40 ~lookups:120
+           ~final_lookups:80)
+  in
+  checkb "invariants ok" true (Result.is_ok report.Scenario.invariants);
+  checkb "many ticks compared" true (!ticks > 50);
+  checkb "most of them after wraparound" true (!evicting > !ticks / 2);
+  checkb "spans were evicted" true (Trace.total_recorded trace > 10 * 256);
+  checkb "most ticks judged spans" true (!judged > !ticks / 2)
+
+(* Digest of every snapshot of the churn-100 script (the benchmark's
+   small churn case: 100 peers, replication 2, audit every 2000 ms,
+   1% op sampling), recorded before the auditor kept state across
+   ticks.  Catches a change that moves the stateful and fresh paths
+   together. *)
+let churn_100_digest = "3851bb6fdb9db8fccfc40aa2c5da1961"
+
+let test_churn_100_snapshots_pinned () =
+  let seed = 42000 in
+  let trace = Trace.create ~capacity:200_000 ~sample_rate:0.01 ~sample_seed:seed () in
+  let h = replicated_star ~seed ~trace () in
+  let buf = Buffer.create 4096 in
+  let report =
+    Scenario.run ~audit_interval:2000.0 h ~seed
+      ~on_audit:(fun snap -> Buffer.add_string buf (snapshot_text snap))
+      ~script:
+        (churn_script ~peers:100 ~initial:300 ~crashes:3 ~inserts:100 ~lookups:300
+           ~final_lookups:200)
+  in
+  checkb "invariants ok" true (Result.is_ok report.Scenario.invariants);
+  Alcotest.(check string) "snapshot digest" churn_100_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "catalogue: clean system" `Quick test_clean_system;
@@ -348,4 +546,12 @@ let suite =
     Alcotest.test_case "scenario: audit off" `Quick test_scenario_audit_off;
     Alcotest.test_case "offline/online agreement" `Quick
       test_agreement_with_offline_checker;
+    Alcotest.test_case "auditor: every tick equals a fresh scan" `Quick
+      test_stateful_matches_fresh_scan;
+    Alcotest.test_case "auditor: churn-100 snapshots pinned" `Quick
+      test_churn_100_snapshots_pinned;
+    Alcotest.test_case "latency_sanity: escape reported until evicted" `Quick
+      test_escape_reported_until_evicted;
+    Alcotest.test_case "latency_sanity: children of an open root" `Quick
+      test_children_of_an_open_root;
   ]

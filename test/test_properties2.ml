@@ -7,13 +7,16 @@
      duplicate items whatever the tree shape;
    - scenario runner: invariants hold and population arithmetic balances
      for arbitrary scripts;
-   - ascii plots: never raise, always bounded output. *)
+   - ascii plots: never raise, always bounded output;
+   - the incremental latency_sanity check equals a fresh scan on random
+     span programs. *)
 
 module Cache = Hybrid_p2p.Cache
 module Trace = P2p_sim.Trace
 module Ascii_plot = P2p_stats.Ascii_plot
 module Scenario = P2p_scenario.Scenario
 module H = Hybrid_p2p.Hybrid
+module Checks = P2p_audit.Checks
 
 (* --- cache laws --- *)
 
@@ -174,6 +177,63 @@ let prop_histogram_total_function =
     (fun bars ->
       String.length (Ascii_plot.histogram ~width:20 ~bars ()) > 0)
 
+(* --- incremental latency_sanity --- *)
+
+(* A random span program on a small ring: ops open and close, spans start
+   before their parent or end after it, name closed or not-yet-minted
+   parents, end twice or backwards, and the trace is sometimes cleared
+   or reset.  At random instants the check's long-lived state must give
+   exactly what a fresh full scan gives. *)
+let prop_latency_sanity_incremental =
+  QCheck.Test.make ~name:"latency_sanity: stateful ticks equal fresh scans" ~count:200
+    (QCheck.pair (QCheck.make (QCheck.Gen.int_range 4 40)) QCheck.small_nat)
+    (fun (capacity, seed) ->
+      let rnd = Random.State.make [| seed |] in
+      let trace = Trace.create ~capacity () in
+      let w = H.world (H.create_star ~seed:1 ~peers:4 ~trace ()) in
+      let check = Option.get (Checks.find "latency_sanity") in
+      let state = Checks.state () in
+      let ops = ref [] and spans = ref [] and time = ref 0.0 and agree = ref true in
+      let pick l = List.nth l (Random.State.int rnd (List.length l)) in
+      for _ = 1 to 300 do
+        time := !time +. Random.State.float rnd 1.0;
+        let t = !time in
+        (match Random.State.int rnd 20 with
+         | 0 | 1 | 2 -> ops := Trace.begin_op trace ~time:t ~kind:Trace.Lookup "op" :: !ops
+         | (3 | 4) when !ops <> [] -> Trace.end_op trace ~time:t ~op:(pick !ops) "done"
+         | (5 | 6 | 7 | 8 | 9 | 10) when !ops <> [] ->
+           let parent =
+             match Random.State.int rnd 4 with
+             | 0 when !spans <> [] -> Some (pick !spans)
+             | 1 -> Some (snd (Trace.span_window trace) + Random.State.int rnd 3)
+             | _ -> None
+           in
+           let id =
+             Trace.begin_span trace ~time:(t -. Random.State.float rnd 2.0) ~op:(pick !ops)
+               ~tier:"t" ~phase:"p" ?parent "s"
+           in
+           if id >= 0 then spans := id :: !spans
+         | (11 | 12 | 13 | 14 | 15) when !spans <> [] ->
+           Trace.end_span trace ~time:(t +. Random.State.float rnd 3.0 -. 1.0) (pick !spans)
+         | 16 when !ops <> [] ->
+           Trace.mark_span trace ~time:t ~op:(pick !ops) ~tier:"t" ~phase:"m" "mark"
+         | 17 when Random.State.int rnd 10 = 0 -> Trace.clear trace
+         | 18 when Random.State.int rnd 10 = 0 ->
+           (* span ids restart: a burst may mint past the ids seen before *)
+           Trace.reset trace;
+           ops :=
+             List.init (Random.State.int rnd 200) (fun _ ->
+                 Trace.begin_op trace ~time:t ~kind:Trace.Lookup "burst");
+           spans := []
+         | _ -> ());
+        if Random.State.int rnd 8 = 0 then begin
+          let kept = Checks.run_all ~state ~checks:[ check ] w in
+          let fresh = Checks.run_all ~checks:[ check ] w in
+          if kept <> fresh then agree := false
+        end
+      done;
+      !agree)
+
 (* pinned randomness: property runs are reproducible across invocations *)
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260705 |]))
@@ -187,4 +247,5 @@ let suite =
       prop_scenario_lookups_accounted;
       prop_plot_total_function;
       prop_histogram_total_function;
+      prop_latency_sanity_incremental;
     ]

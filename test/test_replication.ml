@@ -197,6 +197,82 @@ let test_dropped_replica_flagged_then_healed () =
   let expected = min 2 (Policy.expected_copies w ~primary:(primary_holder h key)) in
   checki "factor restored" expected (replica_copy_count h key)
 
+(* The exact report for one dropped copy, under both placements: the
+   check tallies copies by interned key id, and must still name the key
+   by its text, at its primary holder. *)
+let test_dropped_replica_report placement () =
+  let h, _, _ = replicated_system ~placement ~seed:69 ~n:60 ~ps:0.7 ~r:2 () in
+  let keys = insert_items h ~count:100 in
+  check_clean h;
+  let w = H.world h in
+  let key =
+    List.find
+      (fun key ->
+        Policy.expected_copies w ~primary:(primary_holder h key) >= 2
+        && replica_copy_count h key = 2)
+      keys
+  in
+  let holder = List.find (fun p -> Data_store.mem p.Peer.replicas ~key) (H.peers h) in
+  Data_store.remove holder.Peer.replicas ~key;
+  Alcotest.(check (list string))
+    "one violation, key text intact"
+    [
+      Printf.sprintf "item %S at #%d has 1 replica copies, expected 2" key
+        (primary_holder h key).Peer.host;
+    ]
+    (List.map (fun v -> v.Checks.detail) (run_replication_check h).Checks.violations)
+
+(* A peer built by hand keeps its stores on a private interner: the check
+   tallies its copies by key text, whether or not the world ever
+   interned the key. *)
+let test_foreign_interner_tallied () =
+  let h, _, _ = replicated_system ~seed:71 ~n:60 ~ps:0.7 ~r:2 () in
+  let keys = insert_items h ~count:40 in
+  let w = H.world h in
+  let key = List.find (fun key -> replica_copy_count h key = 2) keys in
+  let holder = List.find (fun p -> Data_store.mem p.Peer.replicas ~key) (H.peers h) in
+  let home = (World.t_peers w).(0) in
+  let stranger =
+    Peer.make ~host:(H.fresh_host h) ~p_id:home.Peer.p_id ~role:Peer.S_peer
+      ~link_capacity:1.0 ()
+  in
+  stranger.Peer.t_home <- Some home;
+  World.register w stranger;
+  (* the copy moves to the stranger: still two *)
+  Data_store.remove holder.Peer.replicas ~key;
+  Data_store.insert stranger.Peer.replicas ~key ~value:"v";
+  (* a primary only the stranger's interner knows *)
+  Data_store.insert stranger.Peer.store ~key:"ghost" ~value:"g";
+  let expected = min 2 (Policy.expected_copies w ~primary:stranger) in
+  Alcotest.(check (list string))
+    "only the ghost is short"
+    [
+      Printf.sprintf "item %S at #%d has 0 replica copies, expected %d" "ghost"
+        stranger.Peer.host expected;
+    ]
+    (List.map (fun v -> v.Checks.detail) (run_replication_check h).Checks.violations)
+
+(* [ring_successors] finds its home by binary search: it must agree with
+   a scan of the sorted ring for every t-peer and factor. *)
+let test_ring_successors_search () =
+  let h, _, _ = replicated_system ~seed:70 ~n:80 ~ps:0.6 ~r:2 () in
+  let w = H.world h in
+  let arr = World.t_peers w in
+  let n = Array.length arr in
+  Array.iteri
+    (fun i home ->
+      for factor = 0 to 4 do
+        let expected = List.init (min factor (n - 1)) (fun k -> arr.((i + k + 1) mod n)) in
+        checkb "same successors" true
+          (List.for_all2 ( == ) expected (Policy.ring_successors w ~home ~factor))
+      done)
+    arr;
+  let stranger =
+    Peer.make ~host:(-1) ~p_id:arr.(0).Peer.p_id ~role:Peer.T_peer ~link_capacity:1.0 ()
+  in
+  checki "a peer off the ring has none" 0
+    (List.length (Policy.ring_successors w ~home:stranger ~factor:2))
+
 (* --- anti-entropy ------------------------------------------------------ *)
 
 let test_anti_entropy_converges () =
@@ -287,6 +363,14 @@ let suite =
       test_baseline_r0_loses_data;
     Alcotest.test_case "audit: dropped copy flagged then healed" `Quick
       test_dropped_replica_flagged_then_healed;
+    Alcotest.test_case "audit: dropped copy report (ring successors)" `Quick
+      (test_dropped_replica_report Config.Ring_successors);
+    Alcotest.test_case "audit: dropped copy report (tree neighbors)" `Quick
+      (test_dropped_replica_report Config.Tree_neighbors);
+    Alcotest.test_case "audit: stores on a private interner tallied" `Quick
+      test_foreign_interner_tallied;
+    Alcotest.test_case "policy: ring successors by binary search" `Quick
+      test_ring_successors_search;
     Alcotest.test_case "anti-entropy: restores and prunes" `Quick
       test_anti_entropy_converges;
     Alcotest.test_case "anti-entropy: quiet when synced" `Quick
