@@ -4,7 +4,7 @@
      run       build a system, insert items, run lookups, print metrics
      churn     crash a fraction of the population and report the damage
      compare   hybrid vs pure Chord vs pure Gnutella on one workload
-     scenario  run a declarative churn/workload script (see parse_script)
+     scenario  run a declarative churn/workload script (see Scenario.script_conv)
      audit     run the invariant-check catalogue online over a live system
      analyze   print the Section-4 analytical model for given parameters
      report    pretty-print (and merge) metrics JSON files written by run/serve
@@ -16,23 +16,15 @@ module H = Hybrid_p2p.Hybrid
 module Peer = Hybrid_p2p.Peer
 module World = Hybrid_p2p.World
 module Config = Hybrid_p2p.Config
-module Data_ops = Hybrid_p2p.Data_ops
 module Data_store = Hybrid_p2p.Data_store
 module Auditor = P2p_audit.Auditor
 module Checks = P2p_audit.Checks
 module Rng = P2p_sim.Rng
 module Trace = P2p_sim.Trace
-module Engine = P2p_sim.Engine
 module Registry = P2p_obs.Registry
 module Export = P2p_obs.Export
 module Report = P2p_obs.Report
-module Spans = P2p_obs.Spans
-module Sampler = P2p_obs.Sampler
 module Slo = P2p_obs.Slo
-module Gc_stats = P2p_obs.Gc_stats
-module Engine_stats = P2p_obs.Engine_stats
-module Flight_recorder = P2p_obs.Flight_recorder
-module Transit_stub = P2p_topology.Transit_stub
 module Metrics = P2p_net.Metrics
 module Summary = P2p_stats.Summary
 module Keys = P2p_workload.Keys
@@ -40,6 +32,7 @@ module Churn = P2p_workload.Churn
 module Chord = P2p_chord.Ring
 module Replication = P2p_replication.Manager
 module Scenario = P2p_scenario.Scenario
+module Pipeline = P2p_scenario.Pipeline
 module Mesh = P2p_gnutella.Mesh
 module F = P2p_analysis.Formulas
 
@@ -57,21 +50,25 @@ let ps_arg =
     & info [ "p"; "ps" ] ~docv:"PS"
         ~doc:"System parameter $(i,p_s): fraction of peers that are s-peers.")
 
-let positive_int =
+(* A converter accepting what [of_string] reads and [ok] admits. *)
+let checked of_string ok pp what =
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    match of_string s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, pp)
+
+let positive_int =
+  checked int_of_string_opt (fun n -> n >= 1) Format.pp_print_int "a positive integer"
+
+let positive_float =
+  checked float_of_string_opt (fun x -> x > 0.0) Format.pp_print_float "a positive number"
 
 let unit_interval =
-  let parse s =
-    match float_of_string_opt s with
-    | Some x when x >= 0.0 && x <= 1.0 -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected a number in [0,1], got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
+  checked float_of_string_opt
+    (fun x -> x >= 0.0 && x <= 1.0)
+    Format.pp_print_float "a number in [0,1]"
 
 (* A --slo spec, checked by Slo.parse at parse time and kept as written
    (Slo.enforce and Serve.run take the raw specs). *)
@@ -104,7 +101,29 @@ let delta_arg =
     value & opt int 3
     & info [ "delta" ] ~docv:"D" ~doc:"Degree constraint of s-network trees.")
 
-let scheme_arg =
+(* --- Config flags --- *)
+
+(* A Config flag is its value as an update of the config, tagged with
+   the flag's name; [Pipeline.config] turns a command's flags into a
+   validated config, so a bad value is a usage error naming its flag,
+   raised before any peer is built. *)
+let config_flag flag arg set = Term.(const (fun v -> (flag, fun c -> set c v)) $ arg)
+
+(* A Config flag with its own option: [--name], or [-alias]. *)
+let config_opt kind default ?(alias = []) name ~docv doc set =
+  config_flag ("--" ^ name) Arg.(value & opt kind default & info (alias @ [ name ]) ~docv ~doc) set
+
+let config_term flags =
+  let updates =
+    List.fold_right (fun f acc -> Term.(const List.cons $ f $ acc)) flags (Term.const [])
+  in
+  Term.(cli_parse_result (const Pipeline.config $ updates))
+
+let ttl = config_flag "--ttl" ttl_arg (fun c v -> { c with Config.default_ttl = v })
+
+let delta = config_flag "--delta" delta_arg (fun c v -> { c with Config.delta = v })
+
+let placement =
   let parse = function
     | "tpeer" -> Ok Config.Store_at_tpeer
     | "spread" -> Ok Config.Spread_to_neighbors
@@ -114,50 +133,38 @@ let scheme_arg =
     | Config.Store_at_tpeer -> Format.fprintf ppf "tpeer"
     | Config.Spread_to_neighbors -> Format.fprintf ppf "spread"
   in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Config.Spread_to_neighbors
-    & info [ "placement" ] ~docv:"SCHEME" ~doc:"Data placement: tpeer or spread.")
+  config_opt (Arg.conv (parse, print)) Config.Spread_to_neighbors "placement" ~docv:"SCHEME"
+    "Data placement: tpeer or spread."
+    (fun c v -> { c with Config.placement = v })
 
-let bloom_bits_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "bloom-bits" ] ~docv:"B"
-        ~doc:
-          "Bits per key of the attenuated Bloom summaries on s-tree edges; keyed \
-           floods prune child branches whose summary misses the key (0 disables \
-           pruning).")
+let bloom_bits =
+  config_opt Arg.int 0 "bloom-bits" ~docv:"B"
+    "Bits per key of the attenuated Bloom summaries on s-tree edges; keyed floods \
+     prune child branches whose summary misses the key (0 disables pruning)."
+    (fun c v -> { c with Config.bloom_bits_per_key = v })
 
-let bloom_depth_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "bloom-depth" ] ~docv:"D"
-        ~doc:
-          "Attenuation depth of the edge summaries: levels beyond $(docv) hops \
-           collapse into the last filter.")
+let bloom_depth =
+  config_opt Arg.int 4 "bloom-depth" ~docv:"D"
+    "Attenuation depth of the edge summaries: levels beyond $(docv) hops collapse \
+     into the last filter."
+    (fun c v -> { c with Config.bloom_depth = v })
 
-let cache_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "cache" ] ~docv:"CAP"
-        ~doc:
-          "Per-peer result-cache capacity: successful lookups leave a copy at the \
-           requester, serving repeat (Zipf-popular) requests locally (0 disables \
-           caching).")
+let cache =
+  config_opt Arg.int 0 "cache" ~docv:"CAP"
+    "Per-peer result-cache capacity: successful lookups leave a copy at the \
+     requester, serving repeat (Zipf-popular) requests locally (0 disables caching)."
+    (fun c v -> { c with Config.cache_capacity = v })
 
-let cache_ttl_arg =
-  Arg.(
-    value & opt float Config.default.Config.cache_lifetime
-    & info [ "cache-ttl" ] ~docv:"MS"
-        ~doc:"Lifetime of cached lookup results, in simulated milliseconds.")
+let cache_ttl =
+  config_opt Arg.float Config.default.Config.cache_lifetime "cache-ttl" ~docv:"MS"
+    "Lifetime of cached lookup results, in simulated milliseconds."
+    (fun c v -> { c with Config.cache_lifetime = v })
 
-let replication_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "r"; "replication" ] ~docv:"R"
-        ~doc:
-          "Replication factor: keep $(docv) redundant copies of every item beyond \
-           the primary (0 disables the durability layer).")
+let replication =
+  config_opt Arg.int 0 ~alias:[ "r" ] "replication" ~docv:"R"
+    "Replication factor: keep $(docv) redundant copies of every item beyond the \
+     primary (0 disables the durability layer)."
+    (fun c v -> { c with Config.replication_factor = v })
 
 let anti_entropy_arg =
   Arg.(
@@ -231,7 +238,7 @@ let dump_dir_arg =
           "Directory for flight-recorder dumps (created on demand).  A dump — \
            the recent-completion ring as JSONL, a chrome trace of the retained \
            spans, and a metrics snapshot — is written automatically when an \
-           $(b,--slo) gate fails, an audit check finds an error, or \
+           $(b,--slo) gate fails, an audit check finds a violation, or \
            $(b,--dump-on-exit) is set.")
 
 let timeline_out_arg =
@@ -246,7 +253,7 @@ let timeline_out_arg =
 
 let timeline_interval_arg =
   Arg.(
-    value & opt float 50.0
+    value & opt positive_float 50.0
     & info [ "timeline-interval" ] ~docv:"MS"
         ~doc:"Sampling cadence of $(b,--timeline-out), simulated milliseconds.")
 
@@ -293,312 +300,58 @@ let audit_interval_arg =
            violations are printed, counted under the audit/* metrics, and make the \
            command exit non-zero.")
 
-(* Shared epilogue for audited commands: per-check summary, then the exit
-   code carries whether any Error-severity violation was ever seen. *)
-let finish_audit a =
-  Printf.printf "audit: %d ticks, %d violations (%d errors)\n" (Auditor.ticks a)
-    (Auditor.violations_total a) (Auditor.errors_total a);
-  (match Auditor.last_snapshot a with
-   | None -> ()
-   | Some snap ->
-     List.iter
-       (fun (s : Checks.status) ->
-         let verdict =
-           match s.Checks.violations with
-           | [] -> "OK"
-           | vs -> Printf.sprintf "VIOLATED (%d)" (List.length vs)
-         in
-         Printf.printf "  %-16s %s\n" s.Checks.name verdict;
-         List.iteri
-           (fun i v ->
-             if i < 5 then Printf.printf "    %s\n" (Format.asprintf "%a" Checks.pp_violation v))
-           s.Checks.violations;
-         if List.length s.Checks.violations > 5 then
-           Printf.printf "    ... and %d more\n" (List.length s.Checks.violations - 5))
-       snap.Checks.statuses);
-  if Auditor.errors_total a > 0 then Some 1 else None
-
-(* Snapshot engine counters into the registry so exported metrics carry
-   them alongside the protocol subsystems. *)
-let snapshot_engine_stats h =
-  let reg = Metrics.registry (H.metrics h) in
-  Engine_stats.record reg (H.engine h);
-  reg
-
-let export_observability h ~trace_out ~metrics_out ~metrics_csv ~profile () =
-  let reg = snapshot_engine_stats h in
-  (* fold the span analysis into the registry first, so the exported
-     metrics carry the latency/* percentiles and tier attribution *)
-  if Trace.enabled (H.trace h) then Spans.record reg (H.trace h);
-  try
-  (match trace_out with
-   | Some path ->
-     Export.write_trace ~path (H.trace h);
-     Printf.printf "trace: %d spans (%d ops) -> %s\n"
-       (Trace.total_recorded (H.trace h))
-       (Trace.ops_started (H.trace h))
-       path
-   | None -> ());
-  (match metrics_out with
-   | Some path ->
-     Export.write_metrics ~path reg;
-     Printf.printf "metrics -> %s\n" path
-   | None -> ());
-  (match metrics_csv with
-   | Some path ->
-     Export.write_metrics_csv ~path reg;
-     Printf.printf "metrics (csv) -> %s\n" path
-   | None -> ());
-  if profile then begin
-    let engine = H.engine h in
-    Printf.printf "engine: %d events executed, queue high-water %d\n"
-      (Engine.events_executed engine)
-      (Engine.queue_high_water engine);
-    List.iter
-      (fun (label, fires, cpu_s) ->
-        Printf.printf "  %-12s %9d fires  %9.3f ms cpu\n" label fires (cpu_s *. 1e3))
-      (Engine.profile engine)
-  end
-  with Sys_error e ->
-    Printf.eprintf "p2psim: cannot write output: %s\n" e;
-    exit 1
-
-(* --- system construction over a transit-stub underlay --- *)
-
-let topology_for n =
-  (* pick transit-stub parameters that give at least n nodes *)
-  let rec fit stub_nodes =
-    let p =
-      {
-        Transit_stub.default_params with
-        Transit_stub.transit_domains = 3;
-        transit_nodes = 3;
-        stub_domains_per_node = 4;
-        stub_nodes;
-      }
-    in
-    if Transit_stub.node_count p >= n then p else fit (stub_nodes + 1)
-  in
-  fit 3
-
-let build_system ?trace ?(profile = false) ~seed ~ps ~n ~config () =
-  let topo = Transit_stub.generate ~rng:(Rng.create (seed + 1)) (topology_for n) in
-  let h = H.create ~seed ~routing:(Transit_stub.routing topo) ~config ?trace () in
-  if profile then Engine.enable_profiling (H.engine h);
-  let rng = Rng.create (seed + 2) in
-  let roles = Array.init n (fun _ -> if Rng.bernoulli rng ps then Peer.S_peer else Peer.T_peer) in
-  roles.(0) <- Peer.T_peer;
-  Array.iteri
-    (fun host role ->
-      ignore (H.join h ~host ~role () : Peer.t);
-      H.run h)
-    roles;
-  (h, rng)
-
-(* Print the run's metrics and the end-of-run invariant verdict; [false]
-   when the catalogue found an error, which the caller turns into exit 1. *)
-let print_metrics h =
-  Format.printf "%a@." Metrics.pp (H.metrics h);
-  match Checks.(to_result (final (H.world h))) with
-  | Ok () ->
-    print_endline "invariants: OK";
-    true
-  | Error e ->
-    Printf.printf "invariants: VIOLATED (%s)\n" e;
-    false
-
 (* --- run subcommand --- *)
 
 let run_cmd =
-  let run seed ps n items lookups ttl delta placement bloom_bits bloom_depth
-      cache_capacity cache_ttl replication anti_entropy
-      { trace_out; make_trace } timeline_out
-      timeline_interval slos metrics_out metrics_csv profile audit_interval
+  let run seed ps n items lookups (config, anti_entropy) { trace_out; make_trace }
+      timeline_out timeline_interval slos metrics_out metrics_csv profile audit_interval
       dump_on_exit dump_dir =
-    let config =
-      {
-        Config.default with
-        Config.default_ttl = ttl;
-        delta;
-        placement;
-        bloom_bits_per_key = bloom_bits;
-        bloom_depth;
-        cache_capacity;
-        cache_lifetime = cache_ttl;
-        replication_factor = replication;
-      }
-    in
-    (match Config.validate config with
-     | Ok () -> ()
-     | Error e ->
-       Printf.eprintf "p2psim: %s\n" e;
-       exit 1);
-    if timeline_interval <= 0.0 then begin
-      Printf.eprintf "p2psim: --timeline-interval must be positive (got %g)\n"
-        timeline_interval;
-      exit 1
-    end;
     (* SLO specs over latency/* percentiles need the op-completion
        stream, so a gate also turns tracing on (without a --trace-out
        file nothing is written); same for an exit dump, whose chrome
        trace comes from the retained spans *)
     let trace = make_trace ~seed ~force:(slos <> [] || dump_on_exit) in
     Printf.printf "building %d peers (p_s = %.2f) over a transit-stub underlay...\n%!" n ps;
-    let h, rng = build_system ?trace ~profile ~seed ~ps ~n ~config () in
-    let manager =
-      if replication > 0 then Some (Replication.install (H.world h)) else None
-    in
+    let h, rng = Pipeline.build ?trace ~profile ~ps ~seed ~n ~config () in
+    let manager = Pipeline.replication h in
     let auditor =
       Option.map (fun interval -> Auditor.create ~interval (H.world h)) audit_interval
     in
-    let reg = Metrics.registry (H.metrics h) in
-    let gcs = Gc_stats.create reg in
-    (* The always-on flight recorder: fed 100% of op completions by the
-       trace listener (independent of --trace-sample) and every audit
-       violation; dumped when something trips. *)
-    let recorder =
-      match (trace, auditor) with
-      | None, None -> None
-      | _ -> Some (Flight_recorder.create ~capacity:8192 ())
+    let out =
+      { Pipeline.trace_out; metrics_out; metrics_csv; profile; timeline_out;
+        timeline_interval; slos; dump_dir = Some dump_dir; dump_on_exit; gc_gauges = true }
     in
-    (match (recorder, trace) with
-     | Some fr, Some tr -> Trace.on_op_complete tr (Flight_recorder.observe fr)
-     | _ -> ());
-    (match (recorder, auditor) with
-     | Some fr, Some a ->
-       Auditor.set_on_violation a (fun ~time ~check ~severity ~detail ->
-           Flight_recorder.record_audit fr ~at:time ~check ~severity ~detail)
-     | _ -> ());
-    let sampler =
-      Option.map
-        (fun _ ->
-          Sampler.create ~interval:timeline_interval
-            ~on_sample:(fun () ->
-              Gc_stats.update gcs;
-              Engine_stats.record reg (H.engine h))
-            reg)
-        timeline_out
-    in
-    let drain () =
-      match sampler with
-      | None -> (
-        match auditor with None -> H.run h | Some a -> Auditor.settle a)
-      | Some s ->
-        (* custom step loop: interleave metric sampling (and due audit
-           ticks) with event execution, then close the window *)
-        let engine = H.engine h in
-        let continue = ref true in
-        while !continue do
-          Sampler.poll s ~now:(Engine.now engine);
-          (match auditor with
-           | Some a when Auditor.due a -> ignore (Auditor.tick a : Checks.snapshot)
-           | Some _ | None -> ());
-          if not (Engine.step engine) then continue := false
-        done;
-        Sampler.poll s ~now:(Engine.now engine);
-        (match auditor with
-         | Some a -> ignore (Auditor.tick a : Checks.snapshot)
-         | None -> ())
-    in
+    let p = Pipeline.attach ?auditor ~out h in
     Printf.printf "system: %d t-peers, %d s-peers\n%!" (H.t_peer_count h) (H.s_peer_count h);
-    let corpus = Keys.generate ~rng ~count:items ~categories:4 in
-    Array.iter
-      (fun it ->
-        H.insert h ~from:(H.random_peer h) ~key:it.Keys.key ~value:it.Keys.value ())
-      corpus;
-    drain ();
+    let corpus = Pipeline.insert p ~rng ~count:items in
     Printf.printf "inserted %d items\n%!" (H.total_items h);
-    let targets = Keys.lookup_sequence ~rng ~items:corpus ~count:lookups in
-    Array.iter
-      (fun it ->
-        H.lookup h ~from:(H.random_peer h) ~key:it.Keys.key ~on_result:(fun _ -> ()) ())
-      targets;
-    drain ();
-    (match (manager, anti_entropy) with
-     | Some m, Some ms ->
-       (* the periodic timer keeps the queue non-empty: bracket it *)
-       Printf.printf "anti-entropy window: %.0f ms\n%!" ms;
-       Replication.start m;
-       (match sampler with
-        | None -> (
-          match auditor with
-          | None -> H.run_for h ms
-          | Some a -> Auditor.advance a ~ms)
-        | Some s ->
-          (* advance in sampling-cadence slices so the timeline keeps
-             ticking through the otherwise opaque window *)
-          let engine = H.engine h in
-          let target = Engine.now engine +. ms in
-          while Engine.now engine < target do
-            let next = Float.min target (Engine.now engine +. timeline_interval) in
-            Engine.run_until engine ~time:next;
-            Sampler.poll s ~now:(Engine.now engine);
-            match auditor with
-            | Some a when Auditor.due a -> ignore (Auditor.tick a : Checks.snapshot)
-            | Some _ | None -> ()
-          done);
-       Replication.stop m;
-       drain ()
-     | None, Some _ ->
-       Printf.eprintf "p2psim: --anti-entropy requires --replication > 0\n";
-       exit 1
-     | _, None -> ());
-    let invariants_ok = print_metrics h in
-    (* final pull of the runtime gauges so the exported snapshot (and
-       the report header rendered from it) carries them *)
-    Gc_stats.update gcs;
-    export_observability h ~trace_out ~metrics_out ~metrics_csv ~profile ();
-    (match (sampler, timeline_out) with
-     | Some s, Some path ->
-       (try
-          Export.write_file ~path (Sampler.to_string s);
-          Printf.printf "timeline: %d samples -> %s\n" (Sampler.count s) path
-        with Sys_error e ->
-          Printf.eprintf "p2psim: cannot write output: %s\n" e;
-          exit 1)
-     | _ -> ());
-    let slo_ok =
-      slos = [] || Slo.enforce reg ~specs:slos ~print:print_endline
+    Pipeline.lookup p (Keys.lookup_sequence ~rng ~items:corpus ~count:lookups);
+    Option.iter
+      (fun ms ->
+        Printf.printf "anti-entropy window: %.0f ms\n%!" ms;
+        Option.iter (fun m -> Pipeline.anti_entropy p m ~ms) manager)
+      anti_entropy;
+    exit (Pipeline.finish p ~end_state:Check_final)
+  in
+  let setup =
+    let check config anti_entropy =
+      if anti_entropy <> None && config.Config.replication_factor = 0 then
+        Error (`Msg "option '--anti-entropy': requires --replication > 0")
+      else Ok (config, anti_entropy)
     in
-    let audit_failed =
-      match auditor with Some a -> Auditor.errors_total a > 0 | None -> false
-    in
-    (* flight dump before any failure exit, so a tripped gate always
-       leaves its post-mortem record behind *)
-    (match recorder with
-     | Some fr ->
-       let reason =
-         if not slo_ok then Some "slo"
-         else if audit_failed then Some "audit"
-         else if not invariants_ok then Some "invariants"
-         else if dump_on_exit then Some "exit"
-         else None
-       in
-       (match reason with
-        | Some reason ->
-          (try
-             let files =
-               Flight_recorder.dump fr ?trace ~registry:reg ~dir:dump_dir ~reason ()
-             in
-             List.iter (fun f -> Printf.printf "flight dump -> %s\n" f) files
-           with Sys_error e ->
-             Printf.eprintf "p2psim: cannot write flight dump: %s\n" e;
-             exit 1)
-        | None -> ())
-     | None -> ());
-    (match Option.bind auditor finish_audit with
-     | Some code -> exit code
-     | None -> ());
-    if not (slo_ok && invariants_ok) then exit 1
+    Term.(
+      cli_parse_result
+        (const check
+        $ config_term
+            [ ttl; delta; placement; bloom_bits; bloom_depth; cache; cache_ttl; replication ]
+        $ anti_entropy_arg))
   in
   let term =
     Term.(
-      const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ ttl_arg
-      $ delta_arg $ scheme_arg $ bloom_bits_arg $ bloom_depth_arg $ cache_arg
-      $ cache_ttl_arg $ replication_arg $ anti_entropy_arg $ tracing_term
-      $ timeline_out_arg
-      $ timeline_interval_arg $ slo_arg $ metrics_out_arg $ metrics_csv_arg
-      $ profile_arg $ audit_interval_arg $ dump_on_exit_arg $ dump_dir_arg)
+      const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ setup
+      $ tracing_term $ timeline_out_arg $ timeline_interval_arg $ slo_arg
+      $ metrics_out_arg $ metrics_csv_arg $ profile_arg $ audit_interval_arg
+      $ dump_on_exit_arg $ dump_dir_arg)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Build a hybrid system, insert items, run lookups, print metrics.")
@@ -607,69 +360,49 @@ let run_cmd =
 (* --- churn subcommand --- *)
 
 let churn_cmd =
-  let run seed ps n crash_fraction replication =
-    let config = { Config.default with Config.replication_factor = replication } in
-    let h, rng = build_system ~seed ~ps ~n ~config () in
-    let manager =
-      if replication > 0 then Some (Replication.install (H.world h)) else None
-    in
+  let run seed ps n crash_fraction config =
+    let h, rng = Pipeline.build ~ps ~seed ~n ~config () in
     Option.iter
       (fun m -> Printf.printf "replication: factor %d\n" (Replication.factor m))
-      manager;
-    let corpus = Keys.generate ~rng ~count:1000 ~categories:4 in
-    Array.iter
-      (fun it ->
-        H.insert h ~from:(H.random_peer h) ~key:it.Keys.key ~value:it.Keys.value ())
-      corpus;
-    H.run h;
+      (Pipeline.replication h);
+    let p = Pipeline.attach h in
+    let corpus = Pipeline.insert p ~rng ~count:1000 in
     let before = H.total_items h in
     let peers = Array.of_list (H.peers h) in
     let victims = Churn.crash_storm ~rng ~population:(Array.length peers) ~fraction:crash_fraction in
     Array.iter (fun i -> H.crash h peers.(i)) victims;
     H.repair h;
-    H.run h;
+    Pipeline.settle p;
     Printf.printf "crashed %d peers; %d/%d items survived\n" (Array.length victims)
       (H.total_items h) before;
-    Array.iter
-      (fun it ->
-        H.lookup h ~from:(H.random_peer h) ~key:it.Keys.key ~on_result:(fun _ -> ()) ())
-      corpus;
-    H.run h;
+    Pipeline.lookup p corpus;
     Printf.printf "lookup failure ratio after storm: %.4f\n"
       (Metrics.failure_ratio (H.metrics h));
-    if not (print_metrics h) then exit 1
+    exit (Pipeline.finish p ~end_state:Check_final)
   in
   let fraction_arg =
     Arg.(
-      value & opt float 0.2
+      value & opt unit_interval 0.2
       & info [ "crash" ] ~docv:"F" ~doc:"Fraction of peers to crash.")
   in
   let term =
-    Term.(const run $ seed_arg $ ps_arg $ peers_arg $ fraction_arg $ replication_arg)
+    Term.(
+      const run $ seed_arg $ ps_arg $ peers_arg $ fraction_arg $ config_term [ replication ])
   in
   Cmd.v (Cmd.info "churn" ~doc:"Crash a fraction of peers and measure the damage.") term
 
 (* --- compare subcommand: hybrid vs pure baselines --- *)
 
 let compare_cmd =
-  let run seed n items lookups ttl =
-    let rng = Rng.create seed in
-    let corpus = Keys.generate ~rng ~count:items ~categories:4 in
+  let run seed n items lookups config =
+    let ttl = config.Config.default_ttl in
     (* hybrid at the paper's sweet spot *)
-    let config = { Config.default with Config.default_ttl = ttl } in
-    let h, hrng = build_system ~seed ~ps:0.7 ~n ~config () in
-    ignore hrng;
-    Array.iter
-      (fun it ->
-        H.insert h ~from:(H.random_peer h) ~key:it.Keys.key ~value:it.Keys.value ())
-      corpus;
-    H.run h;
+    let h, _ = Pipeline.build ~ps:0.7 ~seed ~n ~config () in
+    let p = Pipeline.attach h in
+    let rng = Rng.create seed in
+    let corpus = Pipeline.insert p ~rng ~count:items in
     let targets = Keys.lookup_sequence ~rng ~items:corpus ~count:lookups in
-    Array.iter
-      (fun it ->
-        H.lookup h ~from:(H.random_peer h) ~key:it.Keys.key ~on_result:(fun _ -> ()) ())
-      targets;
-    H.run h;
+    Pipeline.lookup p targets;
     let hm = H.metrics h in
     Printf.printf "%-22s failure %6.4f   mean hops %6.2f   connum/lookup %8.1f\n"
       "hybrid (ps=0.7)" (Metrics.failure_ratio hm)
@@ -730,89 +463,39 @@ let compare_cmd =
       ttl
   in
   let term =
-    Term.(const run $ seed_arg $ peers_arg $ items_arg $ lookups_arg $ ttl_arg)
+    Term.(const run $ seed_arg $ peers_arg $ items_arg $ lookups_arg $ config_term [ ttl ])
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Hybrid vs pure Chord vs pure Gnutella on one workload.")
     term
 
+
 (* --- scenario subcommand --- *)
 
-(* Compact script syntax, whitespace-separated tokens:
-     join:N:PS  leave  crash  crash:F  repair  insert:N  lookup:N
-     settle     advance:MS  anti-entropy:MS
-   e.g. "join:80:0.7 insert:200 crash:0.2 repair lookup:200" *)
-let parse_script text =
-  let parse_token token =
-    match String.split_on_char ':' token with
-    | [ "join"; n; ps ] -> Ok (Scenario.Join_many (int_of_string n, float_of_string ps))
-    | [ "join" ] -> Ok (Scenario.Join_many (1, 0.5))
-    | [ "leave" ] -> Ok Scenario.Leave_random
-    | [ "crash" ] -> Ok Scenario.Crash_random
-    | [ "crash"; f ] -> Ok (Scenario.Crash_fraction (float_of_string f))
-    | [ "repair" ] -> Ok Scenario.Repair
-    | [ "insert"; n ] -> Ok (Scenario.Insert_items (int_of_string n))
-    | [ "lookup"; n ] -> Ok (Scenario.Lookup_items (int_of_string n))
-    | [ "settle" ] -> Ok Scenario.Settle
-    | [ "advance"; ms ] -> Ok (Scenario.Advance (float_of_string ms))
-    | [ "anti-entropy"; ms ] -> Ok (Scenario.Anti_entropy (float_of_string ms))
-    | _ -> Error token
-  in
-  String.split_on_char ' ' text
-  |> List.filter (fun t -> t <> "")
-  |> List.fold_left
-       (fun acc token ->
-         match (acc, parse_token token) with
-         | Ok actions, Ok a -> Ok (a :: actions)
-         | (Error _ as e), _ -> e
-         | Ok _, Error t -> Error t)
-       (Ok [])
-  |> Result.map List.rev
-
 let scenario_cmd =
-  let run seed n script_text replication assert_no_loss
-      audit_interval { trace_out; make_trace } metrics_out =
-    match parse_script script_text with
-    | Error token ->
-      Printf.printf "cannot parse script token %S\n" token;
-      exit 1
-    | Ok script ->
-      let trace = make_trace ~seed ~force:false in
-      let config = { Config.default with Config.replication_factor = replication } in
-      (match Config.validate config with
-       | Ok () -> ()
-       | Error e ->
-         Printf.eprintf "p2psim: %s\n" e;
-         exit 1);
-      let topo = Transit_stub.generate ~rng:(Rng.create (seed + 1)) (topology_for n) in
-      let h =
-        H.create ~seed ~routing:(Transit_stub.routing topo) ~config ?trace ()
-      in
-      let report = Scenario.run ?audit_interval h ~seed ~script in
-      Format.printf "%a@." Scenario.pp_report report;
-      export_observability h ~trace_out ~metrics_out ~metrics_csv:None
-        ~profile:false ();
-      if
-        assert_no_loss
-        && report.Scenario.final_items < report.Scenario.inserted
-      then begin
-        Printf.printf "DATA LOST: %d of %d inserted items missing at the end\n"
-          (report.Scenario.inserted - report.Scenario.final_items)
-          report.Scenario.inserted;
-        exit 1
-      end;
-      (* the exit code carries health: a violated end state, and with
-         auditing on any violation at any tick, fails the command (CI
-         gates on this) *)
-      if Result.is_error report.Scenario.invariants then exit 1;
-      match report.Scenario.audit with
-      | Some a when a.Scenario.audit_violations > 0 -> exit 1
-      | Some _ | None -> ()
+  let run seed n script config assert_no_loss audit_interval { trace_out; make_trace }
+      metrics_out =
+    let trace = make_trace ~seed ~force:false in
+    let h, _ = Pipeline.build ?trace ~seed ~n ~config () in
+    let auditor =
+      Option.map (fun interval -> Auditor.create ~interval (H.world h)) audit_interval
+    in
+    let p =
+      Pipeline.attach ?auditor ~out:{ Pipeline.no_outputs with trace_out; metrics_out } h
+    in
+    let report = Scenario.exec p ~seed ~script in
+    Format.printf "%a@." Scenario.pp_report report;
+    exit
+      (Pipeline.finish p ~end_state:(Reported report.Scenario.invariants)
+         ?inserted:(if assert_no_loss then Some report.Scenario.inserted else None))
   in
   let script_arg =
     Arg.(
       value
-      & opt string "join:80:0.7 insert:200 settle crash:0.2 repair lookup:200"
+      & opt Scenario.script_conv
+          Scenario.
+            [ Join_many (80, 0.7); Insert_items 200; Settle; Crash_fraction 0.2; Repair;
+              Lookup_items 200 ]
       & info [ "script" ] ~docv:"SCRIPT"
           ~doc:
             "Whitespace-separated actions: join:N:PS, leave, crash, crash:F, \
@@ -829,8 +512,8 @@ let scenario_cmd =
   in
   let term =
     Term.(
-      const run $ seed_arg $ peers_arg $ script_arg $ replication_arg $ assert_no_loss_arg $ audit_interval_arg $ tracing_term
-      $ metrics_out_arg)
+      const run $ seed_arg $ peers_arg $ script_arg $ config_term [ replication ]
+      $ assert_no_loss_arg $ audit_interval_arg $ tracing_term $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a declarative churn/workload script and report.")
@@ -893,63 +576,33 @@ let inject_corruption h ~config = function
           Printf.printf "dropped replica copy of %S at host %d\n" key p.Peer.host))
   | other -> failwith (Printf.sprintf "unknown injection %S" other)
 
+
 let audit_cmd =
-  let run seed ps n items lookups interval inject bloom_bits bloom_depth cache_capacity
-      replication checks { trace_out; make_trace } metrics_out metrics_csv =
-    let config =
-      {
-        Config.default with
-        Config.bloom_bits_per_key = bloom_bits;
-        bloom_depth;
-        cache_capacity;
-        replication_factor = replication;
-      }
-    in
-    (match Config.validate config with
-     | Ok () -> ()
-     | Error e ->
-       Printf.eprintf "p2psim: %s\n" e;
-       exit 1);
-    let selected =
-      match checks with
-      | [] -> Checks.all
-      | names -> (
-        match Checks.select names with
-        | Ok cs -> cs
-        | Error unknown ->
-          Printf.eprintf "p2psim audit: unknown check %S (have: %s)\n" unknown
-            (String.concat ", " Checks.names);
-          exit 1)
-    in
+  let run seed ps n items lookups interval inject config checks { trace_out; make_trace }
+      metrics_out metrics_csv =
     let trace = make_trace ~seed ~force:false in
     Printf.printf "building %d peers (p_s = %.2f)...\n%!" n ps;
-    let h, rng = build_system ?trace ~seed ~ps ~n ~config () in
-    let manager =
-      if replication > 0 then Some (Replication.install (H.world h)) else None
+    let h, rng = Pipeline.build ?trace ~ps ~seed ~n ~config () in
+    let manager = Pipeline.replication h in
+    let checks = if checks = [] then Checks.all else checks in
+    let a = Auditor.create ~interval ~checks (H.world h) in
+    let p =
+      Pipeline.attach ~auditor:a
+        ~out:{ Pipeline.no_outputs with trace_out; metrics_out; metrics_csv }
+        h
     in
-    let a = Auditor.create ~interval ~checks:selected (H.world h) in
-    let corpus = Keys.generate ~rng ~count:items ~categories:4 in
-    Array.iter
-      (fun it ->
-        H.insert h ~from:(H.random_peer h) ~key:it.Keys.key ~value:it.Keys.value ())
-      corpus;
-    Auditor.settle a;
-    let targets = Keys.lookup_sequence ~rng ~items:corpus ~count:lookups in
-    Array.iter
-      (fun it ->
-        H.lookup h ~from:(H.random_peer h) ~key:it.Keys.key ~on_result:(fun _ -> ()) ())
-      targets;
-    Auditor.settle a;
+    let corpus = Pipeline.insert p ~rng ~count:items in
+    Pipeline.lookup p (Keys.lookup_sequence ~rng ~items:corpus ~count:lookups);
     (try inject_corruption h ~config inject
      with Failure msg ->
        Printf.eprintf "p2psim audit: %s\n" msg;
        exit 2);
     if inject <> "none" then
       Printf.printf "injected corruption: %s\n" inject;
-    (* let the armed periodic timer catch whatever state the run ended in *)
-    Auditor.start a;
-    H.run_for h (2.0 *. interval);
-    Auditor.stop a;
+    (* two audit periods catch whatever state the run ended in; a tick
+       due at the window's end runs too *)
+    Pipeline.advance p ~ms:(2.0 *. interval);
+    if Auditor.due a then ignore (Auditor.tick a : Checks.snapshot);
     (* for the replication demo, close the loop: a heal pass restores the
        dropped copy and a final tick shows the check going quiet again *)
     (match (manager, inject) with
@@ -966,12 +619,11 @@ let audit_cmd =
        Printf.printf "heal pass: replication_factor %s\n"
          (if healed then "restored (check clean)" else "STILL VIOLATED")
      | _ -> ());
-    export_observability h ~trace_out ~metrics_out ~metrics_csv ~profile:false ();
-    match finish_audit a with Some code -> exit code | None -> ()
+    exit (Pipeline.finish p ~end_state:Audit_only)
   in
   let interval_arg =
     Arg.(
-      value & opt float 250.0
+      value & opt positive_float 250.0
       & info [ "interval" ] ~docv:"MS" ~doc:"Audit cadence in simulated milliseconds.")
   in
   let inject_arg =
@@ -988,23 +640,30 @@ let audit_cmd =
              window), or $(b,none).")
   in
   let checks_arg =
+    let parse name =
+      Option.to_result (Checks.find name)
+        ~none:
+          (`Msg
+             (Printf.sprintf "unknown check %S (have: %s)" name (String.concat ", " Checks.names)))
+    in
+    let print ppf c = Format.pp_print_string ppf (Checks.check_name c) in
     Arg.(
       value
-      & opt_all string []
+      & opt_all (conv (parse, print)) []
       & info [ "check" ] ~docv:"NAME"
           ~doc:"Run only this catalogue check (repeatable; default: all).")
   in
   let term =
     Term.(
       const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ interval_arg
-      $ inject_arg $ bloom_bits_arg $ bloom_depth_arg $ cache_arg $ replication_arg
+      $ inject_arg $ config_term [ bloom_bits; bloom_depth; cache; replication ]
       $ checks_arg $ tracing_term $ metrics_out_arg $ metrics_csv_arg)
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:
          "Build a system, run a workload under the online invariant auditor, and exit \
-          non-zero if any Error-severity violation is found.  $(b,--inject) \
+          non-zero if any violation (of either severity) is found.  $(b,--inject) \
           demonstrates detection by corrupting the system first.")
     term
 
@@ -1120,7 +779,30 @@ let report_cmd =
           charts; $(b,--timeline) adds sparkline time series.")
     term
 
-(* --- serve subcommand --- *)
+(* --- serve, top and cluster-report: a live localhost ring --- *)
+
+let ring_peers_arg =
+  Arg.(
+    value & opt positive_int 8
+    & info [ "peers" ] ~docv:"N"
+        ~doc:"Ring size: the worker processes $(b,serve) forks and the others poll.")
+
+let port_base_arg =
+  Arg.(
+    value & opt int 4700
+    & info [ "port-base" ] ~docv:"PORT"
+        ~doc:
+          "First TCP port; worker $(i,i) listens on 127.0.0.1:PORT+$(i,i) and the \
+           client on PORT+N.")
+
+let ring_slo_arg =
+  Arg.(
+    value & opt_all slo_spec []
+    & info [ "slo" ] ~docv:"SPEC"
+        ~doc:
+          "Latency objective such as $(i,lookup:p99<=2000), enforced against the \
+           cluster-merged histograms ($(b,serve): in smoke mode); repeatable; any \
+           violation makes the exit code non-zero.")
 
 let serve_cmd =
   let run peers port_base smoke inserts lookups ready_timeout dump_dir
@@ -1131,19 +813,6 @@ let serve_cmd =
     in
     P2p_transport.Serve.print_outcome outcome;
     exit outcome.P2p_transport.Serve.exit_code
-  in
-  let peers_arg =
-    Arg.(
-      value & opt positive_int 8
-      & info [ "peers" ] ~docv:"N" ~doc:"Number of worker processes to fork.")
-  in
-  let port_base_arg =
-    Arg.(
-      value & opt int 4700
-      & info [ "port-base" ] ~docv:"PORT"
-          ~doc:
-            "First TCP port; worker $(i,i) listens on 127.0.0.1:PORT+$(i,i) \
-             and the client on PORT+N.")
   in
   let smoke_arg =
     Arg.(
@@ -1195,15 +864,6 @@ let serve_cmd =
       & info [ "trace-seed" ] ~docv:"SEED"
           ~doc:"Seed of the sampling hash (must also match cluster-wide).")
   in
-  let slo_arg =
-    Arg.(
-      value & opt_all slo_spec []
-      & info [ "slo" ] ~docv:"SPEC"
-          ~doc:
-            "Latency objective such as $(i,lookup:p99<=2000), enforced in \
-             smoke mode against the cluster-merged histograms; repeatable; \
-             any violation makes the exit code non-zero.")
-  in
   let linger_arg =
     Arg.(
       value & opt float 0.
@@ -1215,9 +875,9 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ peers_arg $ port_base_arg $ smoke_arg $ inserts_arg
+      const run $ ring_peers_arg $ port_base_arg $ smoke_arg $ inserts_arg
       $ lookups_arg $ ready_timeout_arg $ dump_dir_arg $ sample_rate_arg
-      $ sample_seed_arg $ slo_arg $ linger_arg)
+      $ sample_seed_arg $ ring_slo_arg $ linger_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1227,28 +887,11 @@ let serve_cmd =
           scrapes, and write periodic JSONL health dumps per process.")
     term
 
-(* --- top / cluster-report subcommands (live-ring aggregator) --- *)
-
-let aggregator_args =
-  let peers_arg =
-    Arg.(
-      value & opt positive_int 8
-      & info [ "peers" ] ~docv:"N"
-          ~doc:"Ring size of the serving cluster to poll.")
-  in
-  let port_base_arg =
-    Arg.(
-      value & opt int 4700
-      & info [ "port-base" ] ~docv:"PORT"
-          ~doc:"The serving ring's $(b,--port-base).")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 5.
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"How long to wait for scrape replies each round.")
-  in
-  (peers_arg, port_base_arg, timeout_arg)
+let timeout_arg =
+  Arg.(
+    value & opt float 5.
+    & info [ "timeout" ] ~docv:"SECONDS"
+        ~doc:"How long to wait for scrape replies each round.")
 
 let top_cmd =
   let run peers port_base timeout interval count =
@@ -1278,7 +921,6 @@ let top_cmd =
     P2p_transport.Serve.aggregator_stop agg;
     exit 0
   in
-  let peers_arg, port_base_arg, timeout_arg = aggregator_args in
   let interval_arg =
     Arg.(
       value & opt float 2.
@@ -1293,7 +935,7 @@ let top_cmd =
   in
   let term =
     Term.(
-      const run $ peers_arg $ port_base_arg $ timeout_arg $ interval_arg
+      const run $ ring_peers_arg $ port_base_arg $ timeout_arg $ interval_arg
       $ count_arg)
   in
   Cmd.v
@@ -1349,35 +991,9 @@ let cluster_report_cmd =
     in
     exit (if slo_ok then 0 else 1)
   in
-  let peers_arg, port_base_arg, timeout_arg = aggregator_args in
-  let slo_arg =
-    Arg.(
-      value & opt_all slo_spec []
-      & info [ "slo" ] ~docv:"SPEC"
-          ~doc:
-            "Latency objective such as $(i,lookup:p99<=2000), enforced \
-             against the cluster-merged histograms; repeatable; exits \
-             non-zero on violation.")
-  in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the merged registry JSON here.")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the merged chrome/Perfetto trace here (one track per \
-             process, cross-process span trees intact).")
-  in
   let term =
     Term.(
-      const run $ peers_arg $ port_base_arg $ timeout_arg $ slo_arg
+      const run $ ring_peers_arg $ port_base_arg $ timeout_arg $ ring_slo_arg
       $ metrics_out_arg $ trace_out_arg)
   in
   Cmd.v

@@ -23,12 +23,9 @@ type t = {
   mutable tick_count : int;
   mutable violations_total : int;
   mutable errors_total : int;
-  mutable first_error : Checks.violation option;
   mutable last_snapshot : Checks.snapshot option;
   mutable timeline_rev : (float * int) list;
   mutable next_due : float;
-  mutable ticked_at : float;  (* clock value of the last tick; nan = never *)
-  mutable timer : Engine.handle option;
   mutable on_violation :
     (time:float -> check:string -> severity:string -> detail:string -> unit)
     option;
@@ -67,12 +64,9 @@ let create ?(interval = 250.0) ?(checks = Checks.all) world =
     tick_count = 0;
     violations_total = 0;
     errors_total = 0;
-    first_error = None;
     last_snapshot = None;
     timeline_rev = [];
     next_due = Engine.now world.World.engine +. interval;
-    ticked_at = Float.nan;
-    timer = None;
     on_violation = None;
     on_snapshot = None;
   }
@@ -80,10 +74,6 @@ let create ?(interval = 250.0) ?(checks = Checks.all) world =
 let set_on_violation t f = t.on_violation <- Some f
 
 let set_on_snapshot t f = t.on_snapshot <- Some f
-
-let world t = t.world
-
-let interval t = t.interval
 
 let severity_tag v =
   match v.Checks.severity with
@@ -120,10 +110,7 @@ let tick t =
         (fun (v : Checks.violation) ->
           incr tick_violations;
           t.violations_total <- t.violations_total + 1;
-          if v.Checks.severity = Checks.Error then begin
-            t.errors_total <- t.errors_total + 1;
-            if t.first_error = None then t.first_error <- Some v
-          end;
+          if v.Checks.severity = Checks.Error then t.errors_total <- t.errors_total + 1;
           Trace.mark_span trace ~time ~op ~tier:"audit" ~phase:(severity_tag v)
             ?src:v.Checks.subject
             (Printf.sprintf "%s: %s" v.Checks.check v.Checks.detail);
@@ -139,59 +126,13 @@ let tick t =
   t.last_snapshot <- Some snap;
   t.timeline_rev <- (time, !tick_violations) :: t.timeline_rev;
   t.next_due <- time +. t.interval;
-  t.ticked_at <- time;
   Trace.end_op trace ~time ~op
     "violations=%d" !tick_violations;
   snap
 
+let next_due t = t.next_due
+
 let due t = Engine.now t.world.World.engine >= t.next_due
-
-let settle t =
-  let engine = t.world.World.engine in
-  let progressed = ref false in
-  let continue = ref true in
-  while !continue do
-    if due t then ignore (tick t);
-    if Engine.step engine then progressed := true else continue := false
-  done;
-  (* Close the window: audit the drained state unless the last tick
-     already saw it. *)
-  if !progressed || Float.is_nan t.ticked_at then ignore (tick t)
-
-let advance t ~ms =
-  if ms < 0.0 then invalid_arg "Auditor.advance: negative duration";
-  let engine = t.world.World.engine in
-  let target = Engine.now engine +. ms in
-  let continue = ref true in
-  while !continue do
-    if t.next_due < target then begin
-      Engine.run_until engine ~time:t.next_due;
-      ignore (tick t)
-    end
-    else begin
-      Engine.run_until engine ~time:target;
-      continue := false
-    end
-  done
-
-let rec arm t =
-  let engine = t.world.World.engine in
-  let delay = Float.max 0.0 (t.next_due -. Engine.now engine) in
-  let handle =
-    Engine.schedule ~label:"audit" engine ~delay (fun () ->
-        ignore (tick t);
-        if t.timer <> None then arm t)
-  in
-  t.timer <- Some handle
-
-let start t = if t.timer = None then arm t
-
-let stop t =
-  match t.timer with
-  | None -> ()
-  | Some h ->
-    Engine.cancel h;
-    t.timer <- None
 
 let ticks t = t.tick_count
 
@@ -202,9 +143,3 @@ let errors_total t = t.errors_total
 let last_snapshot t = t.last_snapshot
 
 let timeline t = List.rev t.timeline_rev
-
-let result t =
-  match t.first_error with
-  | None -> Ok ()
-  | Some v ->
-    Error (Printf.sprintf "%s: %s" v.Checks.check v.Checks.detail)

@@ -21,17 +21,9 @@
     exactly what {!Checks.run_all} from a fresh state returns at the
     same instant.
 
-    Three driving modes, matching how the rest of the repo drives the
-    engine:
-
-    - {!settle} drains the event queue like [Engine.run], ticking
-      whenever the simulated clock crosses a due time — the drop-in
-      replacement for [Hybrid.run] in scenarios;
-    - {!advance} plays the engine forward a fixed duration like
-      [Hybrid.run_for], ticking at every due time in the window;
-    - {!start}/{!stop} arm a self-rearming engine timer for callers that
-      drive the engine themselves.  While started, the event queue never
-      empties — drive with [run_for]/[run_until], not [run]. *)
+    The auditor schedules nothing itself: [P2p_scenario.Pipeline.settle]
+    and [P2p_scenario.Pipeline.advance] drive the engine and tick
+    whenever the simulated clock reaches {!next_due}. *)
 
 type t
 
@@ -46,9 +38,6 @@ type t
     @raise Invalid_argument if [interval <= 0.]. *)
 val create :
   ?interval:float -> ?checks:Checks.check list -> Hybrid_p2p.World.t -> t
-
-val world : t -> Hybrid_p2p.World.t
-val interval : t -> float
 
 (** [set_on_violation t f] — call [f] for every violation any future
     tick finds (severity is the trace tag, ["audit-error"] or
@@ -71,27 +60,12 @@ val set_on_snapshot : t -> (Checks.snapshot -> unit) -> unit
     periodic tick is due [interval] from now. *)
 val tick : t -> Checks.snapshot
 
-(** Whether the next periodic tick's due time has been reached — for
-    callers driving the engine with their own step loop (e.g. one that
-    interleaves metric sampling) instead of {!settle}/{!advance}. *)
+(** The simulated time the next periodic tick is due: [interval] after
+    the last tick, or after creation before the first. *)
+val next_due : t -> float
+
+(** Whether the simulated clock has reached {!next_due}. *)
 val due : t -> bool
-
-(** [settle t] executes pending events until the queue drains (like
-    [Hybrid.run]), ticking whenever simulated time reaches a due time,
-    plus one final tick at the drained state if anything ran since the
-    last one. *)
-val settle : t -> unit
-
-(** [advance t ~ms] plays the engine forward [ms] simulated milliseconds
-    (like [Hybrid.run_for]), ticking at every due time inside the
-    window. *)
-val advance : t -> ms:float -> unit
-
-(** [start t] arms the periodic engine timer (no-op if armed). *)
-val start : t -> unit
-
-(** [stop t] cancels the periodic timer (no-op if not armed). *)
-val stop : t -> unit
 
 (** {1 Accumulated results} *)
 
@@ -110,7 +84,3 @@ val last_snapshot : t -> Checks.snapshot option
 (** [(time, violations_found)] per tick, oldest first — the
     violations-over-time series scenario reports summarize. *)
 val timeline : t -> (float * int) list
-
-(** [result t] — [Ok ()] if no [Error]-severity violation was ever seen,
-    otherwise the first one's description. *)
-val result : t -> (unit, string) result

@@ -1,10 +1,10 @@
 module H = Hybrid_p2p.Hybrid
 module Peer = Hybrid_p2p.Peer
-module Config = Hybrid_p2p.Config
 module Data_ops = Hybrid_p2p.Data_ops
 module Manager = P2p_replication.Manager
 module Rng = P2p_sim.Rng
 module Churn = P2p_workload.Churn
+module Auditor = P2p_audit.Auditor
 
 type action =
   | Join_t
@@ -41,9 +41,9 @@ type report = {
 }
 
 type state = {
+  p : Pipeline.t;
   h : H.t;
   rng : Rng.t;
-  auditor : P2p_audit.Auditor.t option;
   replication : Manager.t option;
   mutable keys : string list; (* inserted keys, newest first *)
   mutable key_count : int;
@@ -56,18 +56,11 @@ type state = {
   mutable needs_repair : bool;
 }
 
-(* Drive to quiescence; with auditing on, the drain passes through the
-   auditor so ticks land at their due times inside the drain. *)
-let drain st =
-  match st.auditor with
-  | None -> H.run st.h
-  | Some a -> P2p_audit.Auditor.settle a
-
 let join_one st ~role =
   let host = H.fresh_host st.h in
   let role = if H.peer_count st.h = 0 then Peer.T_peer else role in
   ignore (H.join st.h ~host ~role () : Peer.t);
-  drain st;
+  Pipeline.settle st.p;
   st.joined <- st.joined + 1
 
 let random_live st =
@@ -86,7 +79,7 @@ let insert_items st count =
       st.inserted <- st.inserted + 1;
       H.insert st.h ~from ~key ~value:("v:" ^ key) ()
   done;
-  drain st
+  Pipeline.settle st.p
 
 let lookup_items st count =
   let pool = Array.of_list st.keys in
@@ -103,7 +96,7 @@ let lookup_items st count =
             | Data_ops.Timed_out -> st.lookups_failed <- st.lookups_failed + 1)
           ()
   done;
-  drain st
+  Pipeline.settle st.p
 
 let crash_fraction st fraction =
   let peers = Array.of_list (H.peers st.h) in
@@ -132,7 +125,7 @@ let step st = function
      | None -> ()
      | Some victim ->
        H.leave st.h victim ();
-       drain st;
+       Pipeline.settle st.p;
        st.left <- st.left + 1)
   | Crash_random ->
     (match random_live st with
@@ -144,47 +137,22 @@ let step st = function
   | Crash_fraction fraction -> crash_fraction st fraction
   | Repair ->
     H.repair st.h;
-    drain st;
+    Pipeline.settle st.p;
     st.needs_repair <- false
   | Insert_items count -> insert_items st count
   | Lookup_items count -> lookup_items st count
-  | Settle -> drain st
-  | Advance ms ->
-    (match st.auditor with
-     | None -> H.run_for st.h ms
-     | Some a -> P2p_audit.Auditor.advance a ~ms)
-  | Anti_entropy ms ->
-    (match st.replication with
-     | None -> ()
-     | Some m ->
-       (* the periodic timer keeps the queue non-empty, so bracket it
-          around a bounded advance rather than a drain *)
-       Manager.start m;
-       (match st.auditor with
-        | None -> H.run_for st.h ms
-        | Some a -> P2p_audit.Auditor.advance a ~ms);
-       Manager.stop m;
-       drain st)
+  | Settle -> Pipeline.settle st.p
+  | Advance ms -> Pipeline.advance st.p ~ms
+  | Anti_entropy ms -> Option.iter (fun m -> Pipeline.anti_entropy st.p m ~ms) st.replication
 
-let run ?audit_interval ?audit_checks ?on_audit h ~seed ~script =
-  let auditor =
-    match audit_interval with
-    | None -> None
-    | Some interval ->
-      let a = P2p_audit.Auditor.create ~interval ?checks:audit_checks (H.world h) in
-      Option.iter (P2p_audit.Auditor.set_on_snapshot a) on_audit;
-      Some a
-  in
-  let replication =
-    if (H.config h).Config.replication_factor > 0 then Some (Manager.install (H.world h))
-    else None
-  in
+let exec p ~seed ~script =
+  let h = Pipeline.hybrid p in
   let st =
     {
+      p;
       h;
       rng = Rng.create seed;
-      auditor;
-      replication;
+      replication = Pipeline.replication h;
       keys = [];
       key_count = 0;
       joined = 0;
@@ -208,14 +176,14 @@ let run ?audit_interval ?audit_checks ?on_audit h ~seed ~script =
       (fun a ->
         (* close with a tick at the final (repaired, drained) state so the
            timeline ends where the run did *)
-        ignore (P2p_audit.Auditor.tick a : P2p_audit.Checks.snapshot);
+        ignore (Auditor.tick a : P2p_audit.Checks.snapshot);
         {
-          audit_ticks = P2p_audit.Auditor.ticks a;
-          audit_violations = P2p_audit.Auditor.violations_total a;
-          audit_errors = P2p_audit.Auditor.errors_total a;
-          timeline = P2p_audit.Auditor.timeline a;
+          audit_ticks = Auditor.ticks a;
+          audit_violations = Auditor.violations_total a;
+          audit_errors = Auditor.errors_total a;
+          timeline = Auditor.timeline a;
         })
-      auditor
+      (Pipeline.auditor p)
   in
   let invariants = P2p_audit.Checks.(to_result (final (H.world h))) in
   {
@@ -231,6 +199,17 @@ let run ?audit_interval ?audit_checks ?on_audit h ~seed ~script =
     audit;
   }
 
+let run ?audit_interval ?audit_checks ?on_audit h ~seed ~script =
+  let auditor =
+    Option.map
+      (fun interval ->
+        let a = Auditor.create ~interval ?checks:audit_checks (H.world h) in
+        Option.iter (Auditor.set_on_snapshot a) on_audit;
+        a)
+      audit_interval
+  in
+  exec (Pipeline.attach ?auditor h) ~seed ~script
+
 let pp_report ppf (r : report) =
   Format.fprintf ppf
     "@[<v>joined %d, left %d, crashed %d@,inserted %d items@,lookups: %d ok, %d failed@,final: %d peers, %d items@,invariants: %s@]"
@@ -242,3 +221,57 @@ let pp_report ppf (r : report) =
   | Some a ->
     Format.fprintf ppf "@,audit: %d ticks, %d violations (%d errors)" a.audit_ticks
       a.audit_violations a.audit_errors
+
+let action_of_token token =
+  let num of_string ok s = Option.bind (of_string s) (fun x -> if ok x then Some x else None) in
+  let count = num int_of_string_opt (fun n -> n >= 0)
+  and fraction = num float_of_string_opt (fun x -> x >= 0.0 && x <= 1.0)
+  and ms = num float_of_string_opt (fun x -> x >= 0.0 && Float.is_finite x) in
+  match String.split_on_char ':' token with
+  | [ "join"; n; ps ] ->
+    Option.bind (count n) (fun n -> Option.map (fun ps -> Join_many (n, ps)) (fraction ps))
+  | [ "join" ] -> Some (Join_many (1, 0.5))
+  | [ "leave" ] -> Some Leave_random
+  | [ "crash" ] -> Some Crash_random
+  | [ "crash"; f ] -> Option.map (fun f -> Crash_fraction f) (fraction f)
+  | [ "repair" ] -> Some Repair
+  | [ "insert"; n ] -> Option.map (fun n -> Insert_items n) (count n)
+  | [ "lookup"; n ] -> Option.map (fun n -> Lookup_items n) (count n)
+  | [ "settle" ] -> Some Settle
+  | [ "advance"; t ] -> Option.map (fun t -> Advance t) (ms t)
+  | [ "anti-entropy"; t ] -> Option.map (fun t -> Anti_entropy t) (ms t)
+  | _ -> None
+
+(* Join_t and Join_s have no token of their own: they print as a
+   one-peer join with the role's s-peer fraction. *)
+let token_of_action = function
+  | Join_t -> "join:1:0"
+  | Join_s -> "join:1:1"
+  | Join_many (n, ps) -> Printf.sprintf "join:%d:%g" n ps
+  | Leave_random -> "leave"
+  | Crash_random -> "crash"
+  | Crash_fraction f -> Printf.sprintf "crash:%g" f
+  | Repair -> "repair"
+  | Insert_items n -> Printf.sprintf "insert:%d" n
+  | Lookup_items n -> Printf.sprintf "lookup:%d" n
+  | Settle -> "settle"
+  | Advance t -> Printf.sprintf "advance:%g" t
+  | Anti_entropy t -> Printf.sprintf "anti-entropy:%g" t
+
+let script_conv =
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | "" :: rest -> parse acc rest
+    | token :: rest -> (
+      match action_of_token token with
+      | Some a -> parse (a :: acc) rest
+      | None ->
+        Error
+          (`Msg
+             (Printf.sprintf
+                "bad script token %S (see --help; N, MS >= 0 and PS, F in [0,1])" token)))
+  in
+  let print ppf script =
+    Format.pp_print_string ppf (String.concat " " (List.map token_of_action script))
+  in
+  Cmdliner.Arg.conv ((fun text -> parse [] (String.split_on_char ' ' text)), print)

@@ -92,4 +92,15 @@ val run :
   script:action list ->
   report
 
+(** [exec p ~seed ~script] is {!run} over a system whose observers are
+    already attached: the pipeline's auditor, if any, audits the run
+    and closes it with a tick at the end state. *)
+val exec : Pipeline.t -> seed:int -> script:action list -> report
+
 val pp_report : Format.formatter -> report -> unit
+
+(** The [--script] converter: whitespace-separated tokens [join:N:PS],
+    [join], [leave], [crash], [crash:F], [repair], [insert:N],
+    [lookup:N], [settle], [advance:MS] and [anti-entropy:MS], with
+    [N, MS >= 0] and [PS, F] in \[0,1\]. *)
+val script_conv : action list Cmdliner.Arg.conv

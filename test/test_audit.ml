@@ -10,6 +10,7 @@ module Registry = P2p_obs.Registry
 module Metrics = P2p_net.Metrics
 module Data_store = Hybrid_p2p.Data_store
 module Scenario = P2p_scenario.Scenario
+module Pipeline = P2p_scenario.Pipeline
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -54,34 +55,34 @@ let test_catalogue_names () =
 let test_online_clean_churn () =
   let h, _ = star_system ~n:30 ~ps:0.6 () in
   let a = Auditor.create ~interval:20.0 (H.world h) in
+  let p = Pipeline.attach ~auditor:a h in
   let _ = H.grow h ~count:15 ~s_fraction:0.5 in
-  Auditor.settle a;
+  Pipeline.settle p;
   let keys = insert_items h ~count:60 in
-  Auditor.settle a;
+  Pipeline.settle p;
   List.iter
     (fun key -> ignore (lookup_sync h ~from:(H.random_peer h) ~key () : _))
     keys;
-  Auditor.settle a;
+  Pipeline.settle p;
   (* a few graceful leaves, drained through the auditor *)
   for _ = 1 to 4 do
     H.leave h (H.random_peer h) ();
-    Auditor.settle a
+    Pipeline.settle p
   done;
   checkb "ticked repeatedly" true (Auditor.ticks a > 3);
-  checki "no violations under graceful churn" 0 (Auditor.violations_total a);
-  checkb "result ok" true (Result.is_ok (Auditor.result a))
+  checki "no violations under graceful churn" 0 (Auditor.violations_total a)
 
 (* --- deliberate corruption: the acceptance scenario --- *)
 
-(* Force an s-peer over the degree cap while the auditor's periodic timer
-   is armed: the next tick must emit a severity-tagged span and
-   bump the matching audit/* counter. *)
+(* Force an s-peer over the degree cap, then advance through two audit
+   periods: the next tick must emit a severity-tagged span and bump the
+   matching audit/* counter. *)
 let test_degree_corruption_detected () =
   let trace = Trace.create ~capacity:50_000 () in
   let h = H.create_star ~seed:7 ~peers:300 ~trace () in
   let _ = H.grow h ~count:40 ~s_fraction:0.6 in
   let a = Auditor.create ~interval:50.0 (H.world h) in
-  Auditor.start a;
+  let p = Pipeline.attach ~auditor:a h in
   checki "no tick yet" 0 (Auditor.ticks a);
   checki "counter starts at zero" 0 (audit_counter h "tree_structure_violations");
   (* over-cap wiring: stowaway children on the first root *)
@@ -94,9 +95,8 @@ let test_degree_corruption_detected () =
     Peer.attach_child ~parent:root ~child
   done;
   checkb "degree now over cap" true (Peer.tree_degree root > delta);
-  H.run_for h 120.0;
-  Auditor.stop a;
-  checkb "timer ticked" true (Auditor.ticks a >= 2);
+  Pipeline.advance p ~ms:120.0;
+  checkb "ticked on cadence" true (Auditor.ticks a >= 2);
   checkb "errors counted" true (Auditor.errors_total a > 0);
   checkb "counter bumped" true (audit_counter h "tree_structure_violations" > 0);
   let spans =
@@ -123,8 +123,7 @@ let test_degree_corruption_detected () =
            (fun (r : Trace.span) ->
              r.Trace.span_id = s.Trace.parent && r.Trace.phase = "audit")
            (Trace.spans_of_op trace s.Trace.span_op))
-       spans);
-  checkb "result reports first error" true (Result.is_error (Auditor.result a))
+       spans)
 
 let test_broken_successor_detected () =
   let h, _ = star_system ~n:25 ~ps:0.4 () in
@@ -526,6 +525,51 @@ let test_churn_100_snapshots_pinned () =
   Alcotest.(check string) "snapshot digest" churn_100_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* --- the run pipeline's drive loop and verdict --- *)
+
+(* Attaching a timeline sampler must not move an audit tick: the same
+   workload driven through the same settle/advance calls, once with the
+   auditor alone and once with a sampler whose slices (250 ms) do not
+   line up with the audit cadence (300 ms), audits at the same instants
+   and finds the same violations. *)
+let test_sampler_keeps_audit_ticks () =
+  let drive ~sampled =
+    let config = { Config.default with Config.replication_factor = 2 } in
+    let h, rng = Pipeline.build ~ps:0.7 ~seed:5 ~n:80 ~config () in
+    let m = Option.get (Pipeline.replication h) in
+    let a = Auditor.create ~interval:300.0 (H.world h) in
+    let out =
+      if sampled then
+        { Pipeline.no_outputs with timeline_out = Some "unwritten.jsonl"; timeline_interval = 250.0 }
+      else Pipeline.no_outputs
+    in
+    let p = Pipeline.attach ~auditor:a ~out h in
+    let corpus = Pipeline.insert p ~rng ~count:100 in
+    Pipeline.lookup p (P2p_workload.Keys.lookup_sequence ~rng ~items:corpus ~count:100);
+    Pipeline.anti_entropy p m ~ms:3000.0;
+    Pipeline.advance p ~ms:1000.0;
+    Auditor.timeline a
+  in
+  let bare = drive ~sampled:false in
+  checkb "ticked inside the windows" true (List.length bare > 10);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "same ticks with a sampler" bare (drive ~sampled:true)
+
+(* Every audit violation fails the verdict, a Warning too: a world
+   whose only fault is a stale server size table (membership's Warning)
+   exits 1. *)
+let test_warning_fails_verdict () =
+  let h, _ = star_system ~n:30 ~ps:0.6 () in
+  let w = H.world h in
+  let root = (World.t_peers w).(0) in
+  World.set_snet_size w root (World.snet_size w root + 1);
+  let a = Auditor.create (H.world h) in
+  ignore (Auditor.tick a : Checks.snapshot);
+  checki "one violation" 1 (Auditor.violations_total a);
+  checki "no error" 0 (Auditor.errors_total a);
+  checki "verdict fails" 1
+    (Pipeline.finish (Pipeline.attach ~auditor:a h) ~end_state:Pipeline.Audit_only)
+
 let suite =
   [
     Alcotest.test_case "catalogue: clean system" `Quick test_clean_system;
@@ -554,4 +598,8 @@ let suite =
       test_escape_reported_until_evicted;
     Alcotest.test_case "latency_sanity: children of an open root" `Quick
       test_children_of_an_open_root;
+    Alcotest.test_case "pipeline: a sampler keeps the audit ticks" `Quick
+      test_sampler_keeps_audit_ticks;
+    Alcotest.test_case "pipeline: a warning fails the verdict" `Quick
+      test_warning_fails_verdict;
   ]

@@ -164,9 +164,11 @@ let test_metrics_message_counts_monotone () =
   checkb "lookups send messages" true (Metrics.messages (H.metrics h) > m1)
 
 (* p2psim rejects a peer or item count below one, a trace capacity below
-   one and a sample rate outside [0,1] with a usage error (cmdliner's
-   exit 124) naming the option, instead of dying on an uncaught
-   exception. *)
+   one, a sample rate outside [0,1], a malformed scenario script, an
+   invalid Config value and a flag combination that cannot run with a
+   usage error (cmdliner's exit 124) naming the option, before building
+   anything, instead of dying on an uncaught exception or failing after
+   the run. *)
 let test_cli_rejects_non_positive_peers () =
   let contains s sub =
     let n = String.length sub in
@@ -206,7 +208,40 @@ let test_cli_rejects_non_positive_peers () =
       ("run --slo lookup", "--slo");
       ("serve --slo lookup:p99", "--slo");
       ("cluster-report --slo bogus", "--slo");
+      ("scenario --script join:abc:0.7", "--script");
+      ("scenario --script crash:2", "--script");
+      ("scenario --script join:10:1.5", "--script");
+      ("scenario --script insert:-5", "--script");
+      ("scenario --script bogus", "--script");
+      ("run --anti-entropy 100", "--anti-entropy");
+      ("run --delta 1", "--delta");
+      ("run --timeline-interval 0", "--timeline-interval");
     ]
+
+(* Observing a run does not change what it audits: the same audited run
+   with and without a timeline sampler prints the same audit line. *)
+let test_cli_timeline_keeps_audit () =
+  let audit_line extra =
+    let out = Filename.temp_file "p2psim" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "../bin/p2psim.exe run --peers 200 --ps 0.7 --items 300 --lookups 300 \
+            --replication 2 --anti-entropy 5000 --audit-interval 300 %s > %s 2>&1"
+           extra (Filename.quote out))
+    in
+    let lines = In_channel.with_open_text out In_channel.input_all |> String.split_on_char '\n' in
+    Sys.remove out;
+    checki (extra ^ ": exit") 0 code;
+    List.find (fun l -> String.starts_with ~prefix:"audit:" l) lines
+  in
+  let timeline = Filename.temp_file "p2psim" ".jsonl" in
+  let sampled =
+    audit_line
+      (Printf.sprintf "--timeline-out %s --timeline-interval 250" (Filename.quote timeline))
+  in
+  Sys.remove timeline;
+  Alcotest.(check string) "same audit line" (audit_line "") sampled
 
 (* The audit command's exit code is its verdict: every injected fault
    class fails it, a clean run passes. *)
@@ -240,4 +275,5 @@ let suite =
       test_cli_rejects_non_positive_peers;
     Alcotest.test_case "CLI audit --inject exit codes" `Quick
       test_cli_audit_inject_exit_codes;
+    Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;
   ]
