@@ -4,21 +4,27 @@
    (live heap + process high-water RSS) and lookup latency percentiles
    over populations of 10k / 100k / 1M peers.
 
-   Populations are built directly through the membership oracle — the
-   paper's centralized server — rather than through protocol joins:
-   every t-join invalidates all finger tables (an O(t) lazy rebuild)
-   and every s-join scans the size table, so protocol-driven
-   construction is O(n^2) and infeasible at these scales.  We register
-   peers, wire the ring once with [World.stabilize_ring], and attach
-   s-peers breadth-first under the degree constraint δ, exactly the
-   end state the join protocol converges to.  The measured workload
-   (inserts and lookups) then runs through the genuine protocol
-   message paths.
+   The swept populations are built directly through the membership
+   oracle — the paper's centralized server — rather than through
+   protocol joins: we register peers, wire the ring once with
+   [World.stabilize_ring], and attach s-peers breadth-first under the
+   degree constraint δ, exactly the end state the join protocol
+   converges to.  The measured workload (inserts and lookups) then runs
+   through the genuine protocol message paths.
 
-   Output: BENCH_scale.json.  [run ~smoke:true] does the 10k points
-   only and gates on an events/sec floor and on the median telemetry
-   overhead over alternating off/sampled pairs — the CI
-   configuration. *)
+   Protocol joins no longer cost O(n^2): a t-join recomputes only the
+   finger tables its walks read, and the ring and the size table change
+   by one entry per join.  `p2psim run --peers 5000 --ps 0.6 --items 1
+   --lookups 1 --profile` (2,026 t-peers) spends 6.2 s of message CPU
+   when every t-join refreshes every table, about 0.2 s now (one core
+   of a shared 2-vCPU Linux VM).  A protocol-built leg measures that path:
+   5,000 peers through [H.grow] at s_fraction 0.6, gated on the
+   deterministic count of finger tables recomputed.
+
+   Output: BENCH_scale.json.  [run ~smoke:true] does the 10k points and
+   the protocol-built leg only, and gates on an events/sec floor, on the
+   median telemetry overhead over alternating off/sampled pairs and on
+   the finger-refresh count — the CI configuration. *)
 
 module H = Hybrid_p2p.Hybrid
 module World = Hybrid_p2p.World
@@ -364,6 +370,42 @@ let measure_point ?telemetry ?routing_mode ~seed ~n () =
   finish_leg l
 
 (* ------------------------------------------------------------------ *)
+(* Protocol-built population                                           *)
+
+let protocol_peers = 5_000
+let protocol_s_fraction = 0.6
+
+(* The finger work the protocol-built leg may do: about four tables per
+   t-peer per ring doubling.  Refreshing every table at every t-join
+   would cost about T^2/2. *)
+let refresh_ceiling t_count =
+  4 * t_count * int_of_float (Float.ceil (Float.log2 (float_of_int (max 2 t_count))))
+
+type protocol_point = {
+  pb_t_count : int;
+  pb_build_s : float;
+  pb_refreshes : int;
+  pb_invariant_error : string option;
+}
+
+(* Every peer joins through the protocol, one at a time, each join run
+   to quiescence — the path `p2psim run` builds its systems on. *)
+let protocol_build ~seed =
+  let routing = Routing.synthetic ~nodes:protocol_peers ~latency:underlay_latency_ms in
+  let h = H.create ~seed ~routing () in
+  let t0 = Sys.time () in
+  ignore (H.grow h ~count:protocol_peers ~s_fraction:protocol_s_fraction : Peer.t array);
+  let build_s = Sys.time () -. t0 in
+  let w = H.world h in
+  {
+    pb_t_count = Array.length (World.t_peers w);
+    pb_build_s = build_s;
+    pb_refreshes = World.finger_refreshes w;
+    pb_invariant_error =
+      (match Checks.(to_result (final w)) with Ok () -> None | Error m -> Some m);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 
 let opt_float = function Some f -> Json.Float f | None -> Json.Null
@@ -503,6 +545,18 @@ let run ~smoke () =
   (match p10k_ls.invariant_error with
   | None -> ()
   | Some msg -> fail "invariants violated at 10k (link_state): %s" msg);
+  let pb = protocol_build ~seed in
+  let pb_ceiling = refresh_ceiling pb.pb_t_count in
+  Printf.printf
+    "  %7d peers (%d t) [protocol-built, s_fraction %g]  build %.3f s cpu  %d finger \
+     tables recomputed (ceiling %d)\n%!"
+    protocol_peers pb.pb_t_count protocol_s_fraction pb.pb_build_s pb.pb_refreshes pb_ceiling;
+  if pb.pb_refreshes > pb_ceiling then
+    fail "protocol-built %d peers: %d finger tables recomputed, above the ceiling %d"
+      protocol_peers pb.pb_refreshes pb_ceiling;
+  (match pb.pb_invariant_error with
+  | None -> ()
+  | Some msg -> fail "invariants violated after the protocol build: %s" msg);
   let points = ref [ p10k; p10k_ls ] in
   let attempted_1m = ref "not attempted (smoke mode)" in
   if not smoke then begin
@@ -554,6 +608,16 @@ let run ~smoke () =
                 Json.Float min_sampled_throughput_ratio );
             ] );
         ("points", Json.List (List.map point_json !points));
+        ( "protocol_build",
+          Json.Obj
+            [
+              ("peers", Json.Int protocol_peers);
+              ("s_fraction", Json.Float protocol_s_fraction);
+              ("t_peers", Json.Int pb.pb_t_count);
+              ("protocol_build_s", Json.Float pb.pb_build_s);
+              ("finger_refreshes", Json.Int pb.pb_refreshes);
+              ("finger_refresh_ceiling", Json.Int pb_ceiling);
+            ] );
         ( "gate",
           Json.Obj
             [

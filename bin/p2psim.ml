@@ -473,7 +473,7 @@ let compare_cmd =
 (* --- scenario subcommand --- *)
 
 let scenario_cmd =
-  let run seed n script config assert_no_loss audit_interval { trace_out; make_trace }
+  let run seed (n, script) config assert_no_loss audit_interval { trace_out; make_trace }
       metrics_out =
     let trace = make_trace ~seed ~force:false in
     let h, _ = Pipeline.build ?trace ~seed ~n ~config () in
@@ -501,6 +501,22 @@ let scenario_cmd =
             "Whitespace-separated actions: join:N:PS, leave, crash, crash:F, \
              repair, insert:N, lookup:N, settle, advance:MS, anti-entropy:MS.")
   in
+  (* Every join takes a fresh host of the --peers underlay. *)
+  let sized_script =
+    let check n script =
+      let hosts = P2p_topology.Transit_stub.node_count (Pipeline.topology_for n) in
+      let joins = Scenario.joins script in
+      if joins <= hosts then Ok (n, script)
+      else
+        Error
+          (`Msg
+             (Printf.sprintf
+                "option '--script': joins %d peers, but the underlay of --peers %d has \
+                 %d hosts"
+                joins n hosts))
+    in
+    Term.(cli_parse_result (const check $ peers_arg $ script_arg))
+  in
   let assert_no_loss_arg =
     Arg.(
       value & flag
@@ -512,7 +528,7 @@ let scenario_cmd =
   in
   let term =
     Term.(
-      const run $ seed_arg $ peers_arg $ script_arg $ config_term [ replication ]
+      const run $ seed_arg $ sized_script $ config_term [ replication ]
       $ assert_no_loss_arg $ audit_interval_arg $ tracing_term $ metrics_out_arg)
   in
   Cmd.v

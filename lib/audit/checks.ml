@@ -166,7 +166,7 @@ let finger_tables ~final:_ who w =
     let arr = World.t_peers w in
     Array.iter
       (fun p ->
-        let fingers = p.Peer.fingers in
+        let fingers = World.fingers w p in
         if Array.length fingers <> Id_space.bits then
           err col ~subject:p.Peer.host "t-peer #%d: finger table has %d entries, want %d"
             p.Peer.host (Array.length fingers) Id_space.bits

@@ -35,7 +35,9 @@ type t = {
   (* t-network state *)
   mutable succ : t option;
   mutable pred : t option;
-  mutable fingers : t option array;  (** length [Id_space.bits]; t-peers only *)
+  mutable fingers : t option array;
+      (** length [Id_space.bits]; t-peers only.  Read it through
+          {!World.fingers}, which brings it up to date first. *)
   mutable joining : bool;  (** mutex: a join after me is in flight *)
   mutable leaving : bool;  (** mutex: I am executing the leave triangle *)
   mutable join_queue : t pending_join list;  (** FIFO, newest last *)

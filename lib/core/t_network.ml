@@ -4,9 +4,9 @@ module Engine = P2p_sim.Engine
 
 let successor_or_self peer = Option.value peer.Peer.succ ~default:peer
 
-let closest_preceding_finger current target =
+let closest_preceding_finger w current target =
   let best = ref None in
-  let fingers = current.Peer.fingers in
+  let fingers = World.fingers w current in
   for k = Array.length fingers - 1 downto 0 do
     if !best = None then
       match fingers.(k) with
@@ -43,7 +43,7 @@ let find_position w ?op ~current ~p_id ~hops ~on_found () =
     end
     else begin
       let next =
-        match closest_preceding_finger current p_id with
+        match closest_preceding_finger w current p_id with
         | Some f -> f
         | None -> succ
       in
@@ -323,7 +323,7 @@ let route_to_owner w ?op ~from ~d_id ~visit ~on_arrive () =
       let succ = successor_or_self current in
       let next =
         if use_fingers then
-          match closest_preceding_finger current d_id with
+          match closest_preceding_finger w current d_id with
           | Some f -> f
           | None -> succ
         else succ

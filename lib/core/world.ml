@@ -12,6 +12,18 @@ type snet_policy =
   | By_interest
   | By_cluster of Landmark.t
 
+(* The server's size table as (s-network size, p_id, host), smallest
+   first: ring order breaks ties, as a first-minimum scan of the ring
+   would. *)
+module By_size = Set.Make (struct
+  type t = int * int * int
+
+  let compare (s1, p1, h1) (s2, p2, h2) =
+    if s1 <> s2 then Int.compare s1 s2
+    else if p1 <> p2 then Int.compare p1 p2
+    else Int.compare h1 h2
+end)
+
 (* Membership state is flat: hosts are dense graph-node ids, so a
    [Peer.t option array] indexed by host replaces the host->peer Hashtbl,
    and an int array (-1 = no entry) replaces the s-network size table.
@@ -34,7 +46,16 @@ type t = {
   mutable t_sorted : Peer.t array;
   mutable t_ids : int array;
   mutable t_dirty : bool;
+  mutable ring_joined : Peer.t list;
+  mutable ring_dropped : Peer.t list;
+  mutable ring_left : Peer.t list;
+  mutable by_size : By_size.t;
+  mutable size_key : int array;
   mutable fingers_dirty : bool;
+  mutable finger_sorted : Peer.t array;
+  mutable finger_ids : int array;
+  mutable finger_stale : Bytes.t;
+  mutable finger_refreshes : int;
   mutable summary_epoch : int;
   snet_policy : snet_policy;
   pending_election : (int, Peer.t option) Hashtbl.t;
@@ -72,7 +93,16 @@ let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
     t_sorted = [||];
     t_ids = [||];
     t_dirty = false;
+    ring_joined = [];
+    ring_dropped = [];
+    ring_left = [];
+    by_size = By_size.empty;
+    size_key = [||];
     fingers_dirty = false;
+    finger_sorted = [||];
+    finger_ids = [||];
+    finger_stale = Bytes.empty;
+    finger_refreshes = 0;
     summary_epoch = 0;
     snet_policy;
     pending_election = Hashtbl.create 8;
@@ -156,7 +186,23 @@ let ensure_slot t host =
     t.slots <- slots;
     let snet = Array.make !cap (-1) in
     Array.blit t.snet 0 snet 0 n;
-    t.snet <- snet
+    t.snet <- snet;
+    let size_key = Array.make !cap (-1) in
+    Array.blit t.size_key 0 size_key 0 n;
+    t.size_key <- size_key
+  end
+
+(* [size_key.(host)] is the p_id under which the ring member on [host]
+   sits in [by_size] (-1 = none).  Every size-table write goes through
+   [write_snet], so an entry always carries its host's current size. *)
+let size_entry t host = (max 0 t.snet.(host), t.size_key.(host), host)
+
+let write_snet t host n =
+  if t.size_key.(host) < 0 then t.snet.(host) <- n
+  else begin
+    t.by_size <- By_size.remove (size_entry t host) t.by_size;
+    t.snet.(host) <- n;
+    t.by_size <- By_size.add (size_entry t host) t.by_size
   end
 
 let register t peer =
@@ -165,11 +211,17 @@ let register t peer =
   ensure_slot t host;
   (match t.slots.(host) with
    | None -> t.live_count <- t.live_count + 1
-   | Some _ -> ());
+   | Some previous ->
+     (* a t-peer displaced from its host leaves the ring *)
+     if previous != peer && Peer.is_t_peer previous then begin
+       t.ring_dropped <- previous :: t.ring_dropped;
+       touch_ring t
+     end);
   t.slots.(host) <- Some peer;
   if Peer.is_t_peer peer then begin
+    t.ring_joined <- peer :: t.ring_joined;
     touch_ring t;
-    if t.snet.(host) < 0 then t.snet.(host) <- 0
+    if t.snet.(host) < 0 then write_snet t host 0
   end
 
 let unregister t peer =
@@ -180,8 +232,9 @@ let unregister t peer =
      | None -> ());
     t.slots.(host) <- None;
     if Peer.is_t_peer peer then begin
+      t.ring_dropped <- peer :: t.ring_dropped;
       touch_ring t;
-      t.snet.(host) <- -1
+      write_snet t host (-1)
     end
   end
 
@@ -202,39 +255,135 @@ let live_peers t =
   done;
   !acc
 
+(* Ring order: p_id, then host (p_ids are unique on a healthy ring). *)
+let ring_compare a b =
+  let c = Int.compare a.Peer.p_id b.Peer.p_id in
+  if c <> 0 then c else Int.compare a.Peer.host b.Peer.host
+
+(* The ring's membership rule, checked for each peer [register] or
+   [unregister] saw since the last merge (all on hosts with a slot): a
+   live t-peer registered on its host.  A t-peer that dies is
+   unregistered with it, so those calls are the only ring changes. *)
+let on_ring t p =
+  Peer.is_t_peer p && p.Peer.alive
+  && match t.slots.(p.Peer.host) with Some q -> q == p | None -> false
+
+(* The first index of [ids] (sorted) holding a value >= [d_id]. *)
+let lower_bound ids d_id =
+  let lo = ref 0 and hi = ref (Array.length ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if ids.(mid) >= d_id then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Where the key (p_id, host) goes in the ring [sorted]/[ids]: the
+   number of members ordered before it — a member's own index. *)
+let ring_position sorted ids ~p_id ~host =
+  let i = ref (lower_bound ids p_id) in
+  while !i < Array.length ids && ids.(!i) = p_id && sorted.(!i).Peer.host < host do
+    incr i
+  done;
+  !i
+
+(* [p]'s index in the ring [sorted]/[ids]; -1 when not on it. *)
+let ring_index sorted ids p =
+  let i = ring_position sorted ids ~p_id:p.Peer.p_id ~host:p.Peer.host in
+  if i < Array.length sorted && sorted.(i) == p then i else -1
+
+(* Bring the sorted ring up to date with the registrations since the
+   last call, in one pass that copies the unchanged runs of the old
+   arrays into fresh ones (so a snapshot of the old arrays stays valid),
+   and move the size-table entries along.  Each pending peer is checked
+   against the membership rule now: a peer registered and unregistered
+   in between, or registered twice, counts once.  [size_key] doubles as
+   the membership mark — it is set exactly on the hosts of ring
+   members. *)
 let t_peers t =
   if t.t_dirty then begin
-    let acc = ref [] in
-    for i = Array.length t.slots - 1 downto 0 do
-      match t.slots.(i) with
-      | Some p when Peer.is_t_peer p && p.Peer.alive -> acc := p :: !acc
-      | Some _ | None -> ()
+    let old = t.t_sorted and old_ids = t.t_ids in
+    let removed = ref [] in
+    List.iter
+      (fun p ->
+        let host = p.Peer.host in
+        if (not (on_ring t p)) && t.size_key.(host) >= 0 then begin
+          let i = ring_index old old_ids p in
+          if i >= 0 then begin
+            t.by_size <- By_size.remove (size_entry t host) t.by_size;
+            t.size_key.(host) <- -1;
+            t.ring_left <- p :: t.ring_left;
+            removed := i :: !removed
+          end
+        end)
+      t.ring_dropped;
+    let added = ref [] in
+    List.iter
+      (fun p ->
+        let host = p.Peer.host in
+        if on_ring t p && t.size_key.(host) < 0 then begin
+          t.size_key.(host) <- p.Peer.p_id;
+          t.by_size <- By_size.add (size_entry t host) t.by_size;
+          added := p :: !added
+        end)
+      t.ring_joined;
+    t.ring_dropped <- [];
+    t.ring_joined <- [];
+    let removed = Array.of_list !removed and added = Array.of_list !added in
+    Array.sort Int.compare removed;
+    Array.sort ring_compare added;
+    let n = Array.length old - Array.length removed + Array.length added in
+    let sorted =
+      if n = 0 then [||] else Array.make n (if Array.length added > 0 then added.(0) else old.(0))
+    in
+    let ids = Array.make n 0 in
+    let src = ref 0 and dst = ref 0 in
+    let copy_to stop =
+      Array.blit old !src sorted !dst (stop - !src);
+      Array.blit old_ids !src ids !dst (stop - !src);
+      dst := !dst + (stop - !src);
+      src := stop
+    in
+    let at =
+      Array.map (fun p -> ring_position old old_ids ~p_id:p.Peer.p_id ~host:p.Peer.host) added
+    in
+    let ri = ref 0 and ai = ref 0 in
+    while !ri < Array.length removed || !ai < Array.length added do
+      let rpos = if !ri < Array.length removed then removed.(!ri) else max_int in
+      let apos = if !ai < Array.length added then at.(!ai) else max_int in
+      if apos <= rpos then begin
+        copy_to apos;
+        sorted.(!dst) <- added.(!ai);
+        ids.(!dst) <- added.(!ai).Peer.p_id;
+        incr dst;
+        incr ai
+      end
+      else begin
+        copy_to rpos;
+        incr src;
+        incr ri
+      end
     done;
-    let arr = Array.of_list !acc in
-    Array.sort (fun a b -> compare a.Peer.p_id b.Peer.p_id) arr;
-    t.t_sorted <- arr;
-    t.t_ids <- Array.map (fun p -> p.Peer.p_id) arr;
+    copy_to (Array.length old);
+    t.t_sorted <- sorted;
+    t.t_ids <- ids;
     t.t_dirty <- false
   end;
   t.t_sorted
 
-(* Index into the sorted t-peer array of [d_id]'s successor — the first
-   p_id >= d_id, wrapping to index 0 past the highest p_id.  The search
-   runs over the flat [t_ids] int array (no pointer chasing per probe);
-   [-1] on an empty ring. *)
-let successor_index t d_id =
-  ignore (t_peers t);
-  let ids = t.t_ids in
+(* Index of [d_id]'s successor in a ring's id array — the first p_id >=
+   d_id, wrapping to index 0 past the highest p_id; [-1] on an empty
+   ring.  The search runs over the flat int array, no pointer chasing
+   per probe. *)
+let successor_in ids d_id =
   let n = Array.length ids in
   if n = 0 then -1
-  else begin
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if ids.(mid) >= d_id then hi := mid else lo := mid + 1
-    done;
-    if !lo = n then 0 else !lo
-  end
+  else
+    let i = lower_bound ids d_id in
+    if i = n then 0 else i
+
+let successor_index t d_id =
+  ignore (t_peers t);
+  successor_in t.t_ids d_id
 
 let oracle_owner t d_id =
   match successor_index t d_id with
@@ -255,7 +404,7 @@ let set_snet_size t tpeer n =
   let host = tpeer.Peer.host in
   if host < 0 then invalid_arg "World.set_snet_size: negative host";
   ensure_slot t host;
-  t.snet.(host) <- n
+  write_snet t host n
 
 let snet_size_changed t tpeer ~delta =
   set_snet_size t tpeer (snet_size t tpeer + delta)
@@ -269,14 +418,13 @@ let snet_size_entries t =
 
 let fingers_fresh t = not t.fingers_dirty
 
+(* The first smallest s-network in ring order: the minimum of
+   [by_size], found back on the ring by its (p_id, host) key. *)
 let smallest_s_network t =
   let arr = t_peers t in
-  if Array.length arr = 0 then None
-  else begin
-    let best = ref arr.(0) in
-    Array.iter (fun p -> if snet_size t p < snet_size t !best then best := p) arr;
-    Some !best
-  end
+  match By_size.min_elt_opt t.by_size with
+  | None -> None
+  | Some (_, p_id, host) -> Some arr.(ring_position arr t.t_ids ~p_id ~host)
 
 (* Interest-based assignment: a category's home is the s-network serving
    the category's routing ID, so interested peers and the category's data
@@ -315,7 +463,18 @@ let choose_s_network t ~joiner =
   | By_interest -> by_interest t ~joiner
   | By_cluster landmark -> by_cluster t landmark ~joiner
 
-let refresh_fingers_of t peer =
+(* --- finger tables, refreshed when read ---
+
+   A refresh point ([ensure_fingers] on a changed ring) stands for the
+   eager refresh of every ring member's fingers from the ring as it is
+   at that moment.  Rather than recompute T tables there, it keeps that
+   ring (the arrays of [t_peers], which later changes replace rather
+   than mutate) with one stale mark per member; [fingers] recomputes a
+   member's table from the kept ring on its first read, and clears the
+   mark.  Every table therefore holds, whenever it is read, what the
+   eager schedule would have put there. *)
+
+let fill_fingers t peer sorted ids =
   let fingers =
     if Array.length peer.Peer.fingers = Id_space.bits then peer.Peer.fingers
     else begin
@@ -325,12 +484,40 @@ let refresh_fingers_of t peer =
     end
   in
   for k = 0 to Id_space.bits - 1 do
-    fingers.(k) <- oracle_owner t (Id_space.finger_start ~base:peer.Peer.p_id k)
-  done
+    fingers.(k) <-
+      (match successor_in ids (Id_space.finger_start ~base:peer.Peer.p_id k) with
+       | -1 -> None
+       | i -> Some sorted.(i))
+  done;
+  t.finger_refreshes <- t.finger_refreshes + 1
+
+let fingers t peer =
+  let i = ring_index t.finger_sorted t.finger_ids peer in
+  if i >= 0 && Bytes.get t.finger_stale i = '\001' then begin
+    fill_fingers t peer t.finger_sorted t.finger_ids;
+    Bytes.set t.finger_stale i '\000'
+  end;
+  peer.Peer.fingers
+
+let finger_refreshes t = t.finger_refreshes
+
+let refresh_fingers_of t peer =
+  let sorted = t_peers t in
+  fill_fingers t peer sorted t.t_ids;
+  let i = ring_index t.finger_sorted t.finger_ids peer in
+  if i >= 0 then Bytes.set t.finger_stale i '\000'
 
 let ensure_fingers t =
   if t.fingers_dirty then begin
-    Array.iter (refresh_fingers_of t) (t_peers t);
+    let sorted = t_peers t in
+    (* A peer that left the ring since the last refresh point keeps that
+       point's fingers for good (in-flight walks may still read them):
+       settle them before the ring they come from is dropped. *)
+    List.iter (fun p -> ignore (fingers t p : Peer.t option array)) t.ring_left;
+    t.ring_left <- [];
+    t.finger_sorted <- sorted;
+    t.finger_ids <- t.t_ids;
+    t.finger_stale <- Bytes.make (Array.length sorted) '\001';
     t.fingers_dirty <- false
   end
 
@@ -348,10 +535,11 @@ let stabilize_ring t =
 let substitute_in_fingers t ~old_peer ~replacement =
   Array.iter
     (fun p ->
+      let fingers = fingers t p in
       Array.iteri
         (fun k f ->
           match f with
-          | Some q when q == old_peer -> p.Peer.fingers.(k) <- Some replacement
+          | Some q when q == old_peer -> fingers.(k) <- Some replacement
           | Some _ | None -> ())
-        p.Peer.fingers)
+        fingers)
     (t_peers t)

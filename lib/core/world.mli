@@ -22,6 +22,9 @@ type snet_policy =
       (** topology-aware: same landmark cluster -> same s-network, spread
           round-robin when clusters outnumber s-networks (Section 5.2) *)
 
+(** The server's size table ordered by (size, p_id, host). *)
+module By_size : Set.S with type elt = int * int * int
+
 type t = {
   engine : P2p_sim.Engine.t;
   underlay : P2p_net.Underlay.t;
@@ -44,12 +47,34 @@ type t = {
   mutable live_count : int;  (** registered peers, i.e. occupied [slots] *)
   mutable snet : int array;
       (** host-indexed s-peer counts for t-peers; [-1] = no entry *)
-  mutable t_sorted : Peer.t array;  (** live t-peers by p_id (lazy) *)
+  mutable t_sorted : Peer.t array;
+      (** live t-peers by (p_id, host), brought up to date lazily; each
+          update builds fresh arrays, so an old one stays a valid
+          snapshot *)
   mutable t_ids : int array;
       (** p_ids of [t_sorted], same order — the flat successor array the
           oracle binary-searches without touching peer records *)
   mutable t_dirty : bool;
+  mutable ring_joined : Peer.t list;
+      (** t-peers registered since [t_sorted] was last brought up to date *)
+  mutable ring_dropped : Peer.t list;  (** t-peers unregistered since then *)
+  mutable ring_left : Peer.t list;
+      (** peers dropped from [t_sorted] since the last finger refresh
+          point *)
+  mutable by_size : By_size.t;
+      (** the ring members' rows of the size table, keyed
+          (size, p_id, host) *)
+  mutable size_key : int array;
+      (** host-indexed p_id under which the host's ring member sits in
+          [by_size]; [-1] = none *)
   mutable fingers_dirty : bool;
+  mutable finger_sorted : Peer.t array;
+      (** the ring ([t_sorted]) as of the last finger refresh point *)
+  mutable finger_ids : int array;  (** its p_ids *)
+  mutable finger_stale : Bytes.t;
+      (** per member of [finger_sorted]: ['\001'] while its table still
+          waits for the recomputation that refresh point stands for *)
+  mutable finger_refreshes : int;
   mutable summary_epoch : int;
       (** generation counter for the s-tree edge summaries ({!Summaries}):
           bumped whenever a structural change may have invalidated every
@@ -183,7 +208,7 @@ val live_peers : t -> Peer.t list
     (audits, replication sweeps) should prefer this to {!live_peers}. *)
 val iter_peers : t -> (Peer.t -> unit) -> unit
 
-(** Live t-peers sorted by p_id. *)
+(** Live t-peers sorted by p_id (host breaks a tie). *)
 val t_peers : t -> Peer.t array
 
 (** [successor_index t d_id] is the index into {!t_peers} of [d_id]'s
@@ -192,7 +217,8 @@ val t_peers : t -> Peer.t array
     the flat [t_ids] array. *)
 val successor_index : t -> Id_space.id -> int
 
-(** Mark the t-ring membership changed (invalidates oracle and fingers). *)
+(** Mark the t-ring membership changed: the oracle catches up on its next
+    use, and the next {!ensure_fingers} is a refresh point. *)
 val touch_ring : t -> unit
 
 (** {1 Oracle / server services} *)
@@ -235,14 +261,42 @@ val snet_size_entries : t -> (int * int) list
     while stale. *)
 val fingers_fresh : t -> bool
 
-(** {1 Finger tables} *)
+(** {1 Finger tables}
 
-(** [ensure_fingers t] recomputes every live t-peer's fingers if stale. *)
+    Fingers follow an eager schedule, computed lazily.  The schedule: at
+    each {e refresh point} every ring member's table is recomputed from
+    the ring of that moment; {!refresh_fingers_of} recomputes one table
+    from the current ring; {!substitute_in_fingers} rewrites entries in
+    place.  A refresh point is an {!ensure_fingers} call after a ring
+    change — never the change itself ({!touch_ring}), so a walk in
+    flight keeps reading the previous point's fingers while other joins
+    change the ring.
+
+    The computation: a refresh point only keeps the ring of that moment
+    and marks its members stale; {!fingers} recomputes a stale member's
+    table from the kept ring when it is first read.  A peer that leaves
+    the ring keeps the tables of the last refresh point it was part
+    of.  Reading through {!fingers} therefore always gives what the
+    eager schedule would hold, at O(log T) per recomputed entry and only
+    for the tables actually read. *)
+
+(** [fingers t peer] is [peer]'s finger table, recomputed first from the
+    last refresh point's ring when [peer] was on it and has not been
+    brought up to date since.  The one way to read [Peer.fingers]. *)
+val fingers : t -> Peer.t -> Peer.t option array
+
+(** [ensure_fingers t] is a refresh point if the ring changed since the
+    last one; otherwise a no-op. *)
 val ensure_fingers : t -> unit
 
 (** [refresh_fingers_of t peer] recomputes one node's fingers from the
-    oracle. *)
+    current ring now (joins, bootstrap, promotion). *)
 val refresh_fingers_of : t -> Peer.t -> unit
+
+(** Finger tables recomputed so far (each counts its [Id_space.bits]
+    entries once), lazy and explicit alike — a plain counter for tests
+    and benches, not a registry metric. *)
+val finger_refreshes : t -> int
 
 (** [stabilize_ring t] rewires every live t-peer's successor/predecessor
     from the sorted membership oracle and refreshes fingers — the end
@@ -252,6 +306,8 @@ val stabilize_ring : t -> unit
 
 (** [substitute_in_fingers t ~old_peer ~replacement] performs the paper's
     cheap finger update when an s-peer takes over a leaving/crashed
-    t-peer: every finger entry pointing at [old_peer] is rewritten to
-    [replacement]; nothing is recomputed. *)
+    t-peer: every finger entry of a ring member pointing at [old_peer] is
+    rewritten to [replacement].  Tables still pending from the last
+    refresh point are brought up to date first; nothing else is
+    recomputed. *)
 val substitute_in_fingers : t -> old_peer:Peer.t -> replacement:Peer.t -> unit

@@ -10,6 +10,11 @@ val config :
   (string * (Hybrid_p2p.Config.t -> Hybrid_p2p.Config.t)) list ->
   (Hybrid_p2p.Config.t, [ `Msg of string ]) result
 
+(** [topology_for n] is the transit-stub shape [build] generates for [n]
+    peers: 3 transit domains of 3 nodes, 4 stub domains per transit
+    node, stub domains as small as still gives at least [n] hosts. *)
+val topology_for : int -> P2p_topology.Transit_stub.params
+
 (** [build ~seed ~n ~config ()] is a system over a transit-stub underlay
     of at least [n] hosts, generated from seed [seed + 1].  With [ps],
     [n] peers join one at a time, each run to quiescence: s-peers with

@@ -145,6 +145,16 @@ let step st = function
   | Advance ms -> Pipeline.advance st.p ~ms
   | Anti_entropy ms -> Option.iter (fun m -> Pipeline.anti_entropy st.p m ~ms) st.replication
 
+let joins script =
+  List.fold_left
+    (fun acc -> function
+      | Join_t | Join_s -> acc + 1
+      | Join_many (count, _) -> acc + count
+      | Leave_random | Crash_random | Crash_fraction _ | Repair | Insert_items _
+      | Lookup_items _ | Settle | Advance _ | Anti_entropy _ ->
+        acc)
+    0 script
+
 let exec p ~seed ~script =
   let h = Pipeline.hybrid p in
   let st =

@@ -99,6 +99,11 @@ val exec : Pipeline.t -> seed:int -> script:action list -> report
 
 val pp_report : Format.formatter -> report -> unit
 
+(** [joins script] is the number of peers [script] joins.  Each takes a
+    fresh host and a departed peer's host is not reused, so a script
+    runs only on an underlay of at least that many hosts. *)
+val joins : action list -> int
+
 (** The [--script] converter: whitespace-separated tokens [join:N:PS],
     [join], [leave], [crash], [crash:F], [repair], [insert:N],
     [lookup:N], [settle], [advance:MS] and [anti-entropy:MS], with

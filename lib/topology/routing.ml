@@ -145,11 +145,37 @@ let drop_cache t = Array.fill t.cache 0 (Array.length t.cache) None
 (* --- link-state construction --- *)
 
 (* All-pairs Dijkstra over the subgraph induced by [members] (neighbours
-   outside the set are ignored).  Domains and the transit backbone are
-   small, so a scan-min O(s^2) Dijkstra per source beats heap overhead
-   and allocates only the result tables. *)
+   outside the set are ignored), one source at a time.  The induced
+   subgraph is flattened once into a domain-local adjacency (CSR arrays,
+   neighbours in [Graph.iter_neighbors] order), so the relax loop reads
+   only int and float arrays.  The frontier is a binary heap over the
+   pair (tentative distance, local index) with lazy deletion: nodes
+   settle smallest distance first, ties to the lowest index, and
+   relaxation uses a strict [<] — the order and tie rule of a scan for
+   the minimum, so the tables do not depend on the frontier structure.
+   O(s (s + e) log s) per set instead of the scan's O(s^3). *)
 let restricted_all_pairs graph ~members ~index_of ~in_set =
   let s = Array.length members in
+  let adj_start = Array.make (s + 1) 0 in
+  Array.iteri
+    (fun i u ->
+      let deg = ref 0 in
+      Graph.iter_neighbors graph u (fun v _ -> if in_set v then incr deg);
+      adj_start.(i + 1) <- adj_start.(i) + !deg)
+    members;
+  let e = adj_start.(s) in
+  let adj = Array.make e 0 in
+  let adj_w = Array.make e 0.0 in
+  Array.iteri
+    (fun i u ->
+      let k = ref adj_start.(i) in
+      Graph.iter_neighbors graph u (fun v w ->
+          if in_set v then begin
+            adj.(!k) <- index_of v;
+            adj_w.(!k) <- w;
+            incr k
+          end))
+    members;
   let dist = Array.make (s * s) infinity in
   let next = Array.make (s * s) (-1) in
   let hops = Array.make (s * s) 0 in
@@ -157,44 +183,82 @@ let restricted_all_pairs graph ~members ~index_of ~in_set =
   let settled = Array.make s false in
   let first = Array.make s (-1) in
   let hop = Array.make s 0 in
+  (* every push follows a successful relaxation, so e + 1 entries bound
+     the heap *)
+  let hd = Array.make (e + 1) 0.0 in
+  let hi = Array.make (e + 1) 0 in
+  let size = ref 0 in
+  let[@inline] less a b =
+    hd.(a) < hd.(b) || (hd.(a) = hd.(b) && hi.(a) < hi.(b))
+  in
+  let swap a b =
+    let td = hd.(a) and ti = hi.(a) in
+    hd.(a) <- hd.(b);
+    hi.(a) <- hi.(b);
+    hd.(b) <- td;
+    hi.(b) <- ti
+  in
+  let push dv v =
+    let i = ref !size in
+    hd.(!i) <- dv;
+    hi.(!i) <- v;
+    incr size;
+    while !i > 0 && less !i ((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      swap !i p;
+      i := p
+    done
+  in
+  let pop () =
+    let top = hi.(0) in
+    decr size;
+    if !size > 0 then begin
+      hd.(0) <- hd.(!size);
+      hi.(0) <- hi.(!size);
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        let m = if l < !size && less l !i then l else !i in
+        let m = if l + 1 < !size && less (l + 1) m then l + 1 else m in
+        if m = !i then continue := false
+        else begin
+          swap !i m;
+          i := m
+        end
+      done
+    end;
+    top
+  in
   for si = 0 to s - 1 do
     Array.fill d 0 s infinity;
     Array.fill settled 0 s false;
     Array.fill first 0 s (-1);
     Array.fill hop 0 s 0;
     d.(si) <- 0.0;
-    let src = members.(si) in
-    for _round = 0 to s - 1 do
-      (* pick the unsettled node with the smallest tentative distance *)
-      let best = ref (-1) in
-      let best_d = ref infinity in
-      for j = 0 to s - 1 do
-        if (not settled.(j)) && d.(j) < !best_d then begin
-          best := j;
-          best_d := d.(j)
-        end
-      done;
-      if !best >= 0 then begin
-        let u = !best in
+    size := 0;
+    push 0.0 si;
+    while !size > 0 do
+      let u = pop () in
+      (* a stale entry: [u] settled through a shorter entry already *)
+      if not settled.(u) then begin
         settled.(u) <- true;
-        Graph.iter_neighbors graph members.(u) (fun v w ->
-            if in_set v then begin
-              let vi = index_of v in
-              let alt = d.(u) +. w in
-              if alt < d.(vi) then begin
-                d.(vi) <- alt;
-                first.(vi) <- (if members.(u) = src then v else first.(u));
-                hop.(vi) <- hop.(u) + 1
-              end
-            end)
+        let du = d.(u) in
+        for k = adj_start.(u) to adj_start.(u + 1) - 1 do
+          let vi = adj.(k) in
+          let alt = du +. adj_w.(k) in
+          if alt < d.(vi) then begin
+            d.(vi) <- alt;
+            first.(vi) <- (if u = si then members.(vi) else first.(u));
+            hop.(vi) <- hop.(u) + 1;
+            push alt vi
+          end
+        done
       end
     done;
     let row = si * s in
-    for j = 0 to s - 1 do
-      dist.(row + j) <- d.(j);
-      next.(row + j) <- first.(j);
-      hops.(row + j) <- hop.(j)
-    done
+    Array.blit d 0 dist row s;
+    Array.blit first 0 next row s;
+    Array.blit hop 0 hops row s
   done;
   (dist, next, hops)
 

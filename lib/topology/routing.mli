@@ -78,5 +78,23 @@ val refresh : t -> unit
 (** [eccentricity t u] is the maximum finite distance from [u]. *)
 val eccentricity : t -> int -> float
 
+(** [restricted_all_pairs graph ~members ~index_of ~in_set] is the
+    all-pairs table set the link-state backend keeps per stub domain and
+    for the backbone: shortest paths over the subgraph induced by
+    [members] ([in_set v] tells membership, [index_of v] the position of
+    member [v] in [members]).  It returns [(dist, next, hops)], each
+    [s*s] row-major in member positions: the distance, the first hop as
+    a global node id ([-1] when unreachable or on the diagonal) and the
+    hop count.  Among equal-length paths the one whose nodes settle
+    first — smallest distance, then lowest position — wins, so the
+    tables are a pure function of the graph and the member order.
+    Exposed for the test that holds it to a reference implementation. *)
+val restricted_all_pairs :
+  Graph.t ->
+  members:int array ->
+  index_of:(int -> int) ->
+  in_set:(int -> bool) ->
+  float array * int array * int array
+
 (** [graph t] is the underlying graph. *)
 val graph : t -> Graph.t

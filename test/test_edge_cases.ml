@@ -213,10 +213,22 @@ let test_cli_rejects_non_positive_peers () =
       ("scenario --script join:10:1.5", "--script");
       ("scenario --script insert:-5", "--script");
       ("scenario --script bogus", "--script");
+      ("scenario --peers 100 --script join:150:0.8", "--script");
+      ("scenario --peers 100 --script 'join:100:0.8 settle join:18:0.8'", "--peers");
       ("run --anti-entropy 100", "--anti-entropy");
       ("run --delta 1", "--delta");
       ("run --timeline-interval 0", "--timeline-interval");
     ]
+
+(* The host check is exact: a script that joins every host of the
+   underlay (117 at --peers 100) still runs. *)
+let test_cli_scenario_fills_underlay () =
+  let code =
+    Sys.command
+      "../bin/p2psim.exe scenario --peers 100 --script 'join:110:0.8 settle join:7:0.5' \
+       > /dev/null 2>&1"
+  in
+  checki "all 117 hosts joined" 0 code
 
 (* Observing a run does not change what it audits: the same audited run
    with and without a timeline sampler prints the same audit line. *)
@@ -273,6 +285,8 @@ let suite =
     Alcotest.test_case "message counts monotone" `Quick test_metrics_message_counts_monotone;
     Alcotest.test_case "CLI rejects non-positive --peers" `Quick
       test_cli_rejects_non_positive_peers;
+    Alcotest.test_case "CLI scenario joins every host" `Quick
+      test_cli_scenario_fills_underlay;
     Alcotest.test_case "CLI audit --inject exit codes" `Quick
       test_cli_audit_inject_exit_codes;
     Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;

@@ -1,6 +1,7 @@
 (* Scale-refactor tests: key interning, the flat data store, the flat
-   world membership (successor-index wraparound) and the event schedule
-   of a seeded churn run, pinned to constants. *)
+   world membership (successor-index wraparound), the event schedules of
+   a seeded churn run and a concurrent-join run, pinned to constants,
+   and the finger work of a protocol-built system. *)
 
 open Helpers
 module Intern = Hybrid_p2p.Intern
@@ -173,6 +174,89 @@ let test_schedule_pinned () =
   checki "underlay messages" 43597 messages;
   checks "stored-item digest" "cc2116870eb1605de9289f3e900c13e2" digest
 
+(* --- concurrent joins over finger routing -------------------------------- *)
+
+(* Waves of 60 joins in flight at once, with inserts and lookups issued
+   while the ring is still changing, then crashes, repairs and t-peer
+   leaves between waves.  Finger walks started before a wave's later
+   joins land keep reading the fingers of the ring as it was when they
+   began, so this run pins the finger-refresh schedule, not just the
+   final state. *)
+let concurrent_join_run () =
+  let config = { default_config with Config.use_fingers_for_data = true } in
+  let h = H.create_star ~seed:19 ~peers:800 ~config () in
+  let w = H.world h in
+  let rng = P2p_sim.Rng.create 23 in
+  let keys = ref [||] in
+  let ok = ref 0 and failed = ref 0 in
+  let random_live () = P2p_sim.Rng.pick_list rng (World.live_peers w) in
+  for wave = 0 to 9 do
+    for i = 0 to 59 do
+      let role =
+        if P2p_sim.Rng.bernoulli rng 0.5 then Peer.S_peer else Peer.T_peer
+      in
+      ignore (H.join h ~host:(H.fresh_host h) ~role () : Peer.t);
+      if i mod 3 = 0 && World.peer_count w > 0 then begin
+        let key = Printf.sprintf "cj-%d-%d" wave i in
+        keys := Array.append !keys [| key |];
+        H.insert h ~from:(random_live ()) ~key ~value:("v:" ^ key) ()
+      end;
+      if i mod 3 = 1 && Array.length !keys > 0 then
+        H.lookup h ~from:(random_live ())
+          ~key:(P2p_sim.Rng.pick rng !keys)
+          ~on_result:(function
+            | Data_ops.Found _ -> incr ok
+            | Data_ops.Timed_out -> incr failed)
+          ()
+    done;
+    H.run h;
+    if wave mod 3 = 1 then begin
+      let victims =
+        List.filteri (fun i _ -> i mod 29 = wave) (World.live_peers w)
+      in
+      List.iter (fun p -> H.crash h p) victims;
+      H.repair h;
+      H.run h
+    end;
+    if wave mod 3 = 2 then begin
+      let t_peers = World.t_peers w in
+      List.iter
+        (fun i -> H.leave h t_peers.(i * 7 mod Array.length t_peers) ())
+        [ 1; 2; 3 ];
+      H.run h
+    end
+  done;
+  ok_invariants h;
+  (h, !ok, !failed)
+
+let test_concurrent_joins_pinned () =
+  let h, ok, failed = concurrent_join_run () in
+  let m = H.metrics h in
+  let digest =
+    Digest.to_hex (Digest.string (String.concat "\n" (stored_items h)))
+  in
+  checki "events executed" 5628 (Engine.events_executed (H.engine h));
+  checki "underlay messages" 5621 (P2p_net.Metrics.messages m);
+  checki "lookups found" 193 ok;
+  checki "lookups timed out" 7 failed;
+  checki "connum" 1464 (P2p_net.Metrics.connum m);
+  checks "stored-item digest" "fe745e9fc0f9820359267033b26c637e" digest
+
+(* Join-time finger work is near-linear: a 2,000-peer build at p_s 0.6
+   (~800 t-peers) recomputes about one table per t-join plus the few
+   tables each join walk reads.  Refreshing every table at every t-join
+   would cost about T^2/2, some 320,000 tables. *)
+let test_join_refresh_work_bounded () =
+  let h, _ = star_system ~seed:5 ~capacity:2100 ~n:2000 ~ps:0.6 () in
+  let w = H.world h in
+  let t = Array.length (World.t_peers w) in
+  let log2_t = int_of_float (Float.ceil (Float.log2 (float_of_int t))) in
+  let ceiling = 4 * t * log2_t in
+  let refreshes = World.finger_refreshes w in
+  checkb
+    (Printf.sprintf "%d tables recomputed for %d t-peers (ceiling %d)" refreshes t ceiling)
+    true (refreshes <= ceiling)
+
 let suite =
   [
     Alcotest.test_case "intern: round trips" `Quick test_intern_round_trip;
@@ -186,4 +270,8 @@ let suite =
     Alcotest.test_case "world: successor index wraparound" `Quick
       test_successor_index_wraparound;
     Alcotest.test_case "schedule: churn run pinned" `Slow test_schedule_pinned;
+    Alcotest.test_case "schedule: concurrent joins pinned" `Slow
+      test_concurrent_joins_pinned;
+    Alcotest.test_case "joins: finger work near-linear" `Slow
+      test_join_refresh_work_bounded;
   ]

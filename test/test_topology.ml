@@ -344,6 +344,156 @@ let test_link_state_update_link () =
   Routing.update_link ls access.Graph.u access.Graph.v ~latency:9.5;
   check_against_fresh "after access-link update"
 
+(* The scan-min all-pairs build [Routing.restricted_all_pairs] replaced:
+   per source, settle the unsettled node with the smallest tentative
+   distance (ties to the lowest position), relaxing with a strict [<].
+   O(s^3) per member set; kept here as the reference. *)
+let scan_min_all_pairs graph ~members ~index_of ~in_set =
+  let s = Array.length members in
+  let dist = Array.make (s * s) infinity in
+  let next = Array.make (s * s) (-1) in
+  let hops = Array.make (s * s) 0 in
+  let d = Array.make s infinity in
+  let settled = Array.make s false in
+  let first = Array.make s (-1) in
+  let hop = Array.make s 0 in
+  for si = 0 to s - 1 do
+    Array.fill d 0 s infinity;
+    Array.fill settled 0 s false;
+    Array.fill first 0 s (-1);
+    Array.fill hop 0 s 0;
+    d.(si) <- 0.0;
+    let src = members.(si) in
+    for _round = 0 to s - 1 do
+      let best = ref (-1) in
+      let best_d = ref infinity in
+      for j = 0 to s - 1 do
+        if (not settled.(j)) && d.(j) < !best_d then begin
+          best := j;
+          best_d := d.(j)
+        end
+      done;
+      if !best >= 0 then begin
+        let u = !best in
+        settled.(u) <- true;
+        Graph.iter_neighbors graph members.(u) (fun v w ->
+            if in_set v then begin
+              let vi = index_of v in
+              let alt = d.(u) +. w in
+              if alt < d.(vi) then begin
+                d.(vi) <- alt;
+                first.(vi) <- (if members.(u) = src then v else first.(u));
+                hop.(vi) <- hop.(u) + 1
+              end
+            end)
+      end
+    done;
+    let row = si * s in
+    for j = 0 to s - 1 do
+      dist.(row + j) <- d.(j);
+      next.(row + j) <- first.(j);
+      hops.(row + j) <- hop.(j)
+    done
+  done;
+  (dist, next, hops)
+
+(* The member sets the link-state backend builds tables for: the
+   transit backbone and each stub domain (a connected component of the
+   stub-only subgraph), members in ascending node order. *)
+let routing_sets t =
+  let g = t.Transit_stub.graph in
+  let n = Graph.node_count g in
+  let transit u =
+    match t.Transit_stub.classes.(u) with
+    | Transit_stub.Transit _ -> true
+    | Transit_stub.Stub _ -> false
+  in
+  let comp = Array.make n (-1) in
+  let sets = ref [] in
+  for u = 0 to n - 1 do
+    if (not (transit u)) && comp.(u) < 0 then begin
+      let c = List.length !sets in
+      let acc = ref [] and stack = ref [ u ] in
+      comp.(u) <- c;
+      while !stack <> [] do
+        let v = List.hd !stack in
+        stack := List.tl !stack;
+        acc := v :: !acc;
+        Graph.iter_neighbors g v (fun w _ ->
+            if (not (transit w)) && comp.(w) < 0 then begin
+              comp.(w) <- c;
+              stack := w :: !stack
+            end)
+      done;
+      let members = Array.of_list (List.sort compare !acc) in
+      sets := (members, fun v -> (not (transit v)) && comp.(v) = c) :: !sets
+    end
+  done;
+  let backbone = Array.of_list (List.filter transit (List.init n Fun.id)) in
+  (backbone, transit) :: List.rev !sets
+
+(* Graphs for the table comparison: [shape] 0 is small, 1 the paper's
+   1,000-node default, 2 four stub domains of 101-140 nodes with extra
+   chords.  With [ties], every latency is redrawn from {1.0, 2.0}, so
+   equal-length paths are everywhere and only the settle order decides
+   the first-hop and hop tables. *)
+let table_graph ~seed ~shape ~ties =
+  let rng = Rng.create seed in
+  let params =
+    match shape with
+    | 0 -> small_params
+    | 1 -> Transit_stub.default_params
+    | _ ->
+      {
+        Transit_stub.default_params with
+        Transit_stub.transit_domains = 2;
+        transit_nodes = 2;
+        stub_domains_per_node = 1;
+        stub_nodes = 101 + Rng.int rng 40;
+        extra_stub_edges = 40;
+      }
+  in
+  let t = Transit_stub.generate ~rng params in
+  if ties then
+    List.iter
+      (fun e ->
+        Graph.set_latency t.Transit_stub.graph e.Graph.u e.Graph.v
+          ~latency:(if Rng.bool rng then 1.0 else 2.0))
+      (Graph.edges t.Transit_stub.graph);
+  t
+
+(* Property: the heap-ordered build gives the scan-min build's tables
+   bit for bit — distances compared as IEEE bit patterns, first hops
+   and hop counts exactly. *)
+let prop_all_pairs_match_scan_min =
+  QCheck.Test.make ~name:"restricted_all_pairs = scan-min reference" ~count:15
+    QCheck.(triple (int_bound 10_000) (int_bound 2) bool)
+    (fun (seed, shape, ties) ->
+      let t = table_graph ~seed ~shape ~ties in
+      let g = t.Transit_stub.graph in
+      let index = Array.make (Graph.node_count g) (-1) in
+      List.for_all
+        (fun (members, in_set) ->
+          Array.iteri (fun i u -> index.(u) <- i) members;
+          let index_of v = index.(v) in
+          let d1, n1, h1 = Routing.restricted_all_pairs g ~members ~index_of ~in_set in
+          let d0, n0, h0 = scan_min_all_pairs g ~members ~index_of ~in_set in
+          Array.map Int64.bits_of_float d1 = Array.map Int64.bits_of_float d0
+          && n1 = n0 && h1 = h0)
+        (routing_sets t))
+
+(* The shapes the property draws really have ties and big domains. *)
+let test_table_graph_shapes () =
+  let t = table_graph ~seed:3 ~shape:2 ~ties:true in
+  let largest =
+    List.fold_left (fun acc (m, _) -> max acc (Array.length m)) 0 (routing_sets t)
+  in
+  checkb "a stub domain of more than 100 nodes" true (largest > 100);
+  checkb "latencies drawn from {1, 2}" true
+    (List.for_all
+       (fun e -> e.Graph.latency = 1.0 || e.Graph.latency = 2.0)
+       (Graph.edges t.Transit_stub.graph))
+
 let test_graph_routed_update_link () =
   let g = line_graph 5 in
   let r = Routing.create g in
@@ -481,6 +631,10 @@ let suite =
     Alcotest.test_case "routing: Dijkstra update_link drops cache" `Quick
       test_graph_routed_update_link;
     Alcotest.test_case "routing: refresh after structural change" `Quick test_routing_refresh;
+    Alcotest.test_case "routing: table-test graphs have ties and big domains" `Quick
+      test_table_graph_shapes;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
+      prop_all_pairs_match_scan_min;
     Alcotest.test_case "stress: accounting" `Quick test_stress_basic;
     Alcotest.test_case "stress: trivial paths" `Quick test_stress_trivial_paths;
     Alcotest.test_case "stress: clear" `Quick test_stress_clear;

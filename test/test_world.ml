@@ -165,15 +165,131 @@ let test_refresh_and_substitute_fingers () =
   World.ensure_fingers w;
   let p100 = List.nth peers 0 and p200 = List.nth peers 1 in
   (* finger 0 of 100 targets 101 -> owner is 200 *)
-  (match p100.Peer.fingers.(0) with
+  (match (World.fingers w p100).(0) with
    | Some f -> checki "finger 0" 200 f.Peer.p_id
    | None -> Alcotest.fail "no finger");
   (* substitution: replace 200 by a stand-in everywhere *)
   let stand_in = Peer.make ~host:60 ~p_id:200 ~role:Peer.T_peer ~link_capacity:1.0 () in
   World.substitute_in_fingers w ~old_peer:p200 ~replacement:stand_in;
-  (match p100.Peer.fingers.(0) with
+  (match (World.fingers w p100).(0) with
    | Some f -> checkb "substituted" true (f == stand_in)
    | None -> Alcotest.fail "no finger")
+
+(* The refresh-point rule: a ring change alone leaves every table as the
+   last refresh point made it, and a peer that leaves the ring keeps the
+   fingers of the last refresh point it was part of. *)
+let test_fingers_follow_refresh_points () =
+  let h, peers = world_with_ring [ 100; 200; 300; 400 ] in
+  let w = H.world h in
+  let p300 = List.nth peers 2 in
+  let finger0 p =
+    match (World.fingers w p).(0) with
+    | Some f -> f.Peer.p_id
+    | None -> Alcotest.fail "no finger"
+  in
+  let t_peer ~host ~p_id =
+    let p = Peer.make ~host ~p_id ~role:Peer.T_peer ~link_capacity:1.0 () in
+    World.register w p;
+    p
+  in
+  (* 400 joined after the last refresh point: 300's table still has the
+     ring {100, 200, 300}, where 301's owner wraps to 100 *)
+  let p350 = t_peer ~host:50 ~p_id:350 in
+  checki "a ring change is not a refresh point" 100 (finger0 p300);
+  let before = World.finger_refreshes w in
+  World.ensure_fingers w;
+  checki "a refresh point recomputes no table" before (World.finger_refreshes w);
+  checki "the first read after it does" 350 (finger0 p300);
+  checki "one table recomputed" (before + 1) (World.finger_refreshes w);
+  (* 350 leaves unread; 370 joins; then the next refresh point *)
+  p350.Peer.alive <- false;
+  World.unregister w p350;
+  ignore (t_peer ~host:51 ~p_id:370 : Peer.t);
+  World.ensure_fingers w;
+  checki "a departed peer keeps its last refresh point's ring" 400 (finger0 p350);
+  checki "members read the new ring" 370 (finger0 p300)
+
+(* The server's size table answers like a first-minimum scan of the ring
+   in p_id order, through joins, crashes and leaves. *)
+let test_smallest_s_network_matches_scan () =
+  let h, _ = star_system ~seed:13 ~n:120 ~ps:0.6 () in
+  let w = H.world h in
+  let agree label =
+    let arr = World.t_peers w in
+    let best = ref arr.(0) in
+    Array.iter (fun p -> if World.snet_size w p < World.snet_size w !best then best := p) arr;
+    let joiner = Peer.make ~host:(-1) ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+    match World.choose_s_network w ~joiner with
+    | Some p -> checkb label true (p == !best)
+    | None -> Alcotest.fail "no assignment"
+  in
+  agree "after build";
+  List.iteri
+    (fun i p -> if i mod 9 = 2 then H.crash h p)
+    (World.live_peers w);
+  H.repair h;
+  H.run h;
+  agree "after crashes and repair";
+  Array.iter (fun p -> World.set_snet_size w p 3) (World.t_peers w);
+  agree "after a tie on every s-network";
+  (match List.find_opt Peer.is_t_peer (World.live_peers w) with
+   | Some p ->
+     H.leave h p ();
+     H.run h
+   | None -> Alcotest.fail "no t-peer");
+  agree "after a graceful t-leave";
+  ignore (H.grow h ~count:10 ~s_fraction:0.5 : Peer.t array);
+  agree "after more joins"
+
+(* Property: after any mix of t-peer registrations (p_ids from a small
+   range, so they collide), unregistrations, hosts taken over by another
+   peer and size-table writes, the incrementally kept ring is the slots'
+   live t-peers sorted by (p_id, host), and the smallest-first server
+   picks the first smallest s-network in that order.  Some steps skip
+   the check, so several changes merge at once. *)
+let prop_ring_matches_scan =
+  QCheck.Test.make ~name:"ring and size table = a scan of the slots" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 60) (triple (int_bound 3) (int_bound 11) (int_bound 7)))
+    (fun ops ->
+      let h = H.create_star ~seed:3 ~peers:16 () in
+      let w = H.world h in
+      let agrees () =
+        let expected =
+          World.live_peers w
+          |> List.filter (fun p -> Peer.is_t_peer p && p.Peer.alive)
+          |> List.sort (fun a b -> compare (a.Peer.p_id, a.Peer.host) (b.Peer.p_id, b.Peer.host))
+        in
+        let ring = World.t_peers w in
+        let first_smallest =
+          List.fold_left
+            (fun best p ->
+              match best with
+              | Some b when World.snet_size w b <= World.snet_size w p -> best
+              | Some _ | None -> Some p)
+            None expected
+        in
+        List.equal ( == ) expected (Array.to_list ring)
+        && Array.for_all2 (fun p id -> p.Peer.p_id = id) ring w.World.t_ids
+        && Option.equal ( == ) first_smallest
+             (World.choose_s_network w
+                ~joiner:(Peer.make ~host:999 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ()))
+      in
+      List.for_all
+        (fun (kind, host, x) ->
+          let host = 100 + host in
+          let make role = Peer.make ~host ~p_id:x ~role ~link_capacity:1.0 () in
+          (match (kind, World.find_peer w ~host) with
+           | 0, _ -> World.register w (make Peer.T_peer)
+           | 1, Some p ->
+             p.Peer.alive <- false;
+             World.unregister w p
+           | 2, _ -> World.register w (make Peer.S_peer)
+           | 3, Some p when Peer.is_t_peer p -> World.set_snet_size w p x
+           | _ -> ());
+          x land 1 = 1 || agrees ())
+        ops
+      && agrees ())
 
 let test_stabilize_ring_rewires () =
   let h, peers = world_with_ring [ 100; 200; 300; 400 ] in
@@ -216,6 +332,12 @@ let suite =
     Alcotest.test_case "fresh p_id in range" `Quick test_fresh_p_id_in_range;
     Alcotest.test_case "finger refresh and substitution" `Quick
       test_refresh_and_substitute_fingers;
+    Alcotest.test_case "fingers follow refresh points" `Quick
+      test_fingers_follow_refresh_points;
+    Alcotest.test_case "smallest s-network = first-minimum scan" `Quick
+      test_smallest_s_network_matches_scan;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
+      prop_ring_matches_scan;
     Alcotest.test_case "stabilize_ring rewires" `Quick test_stabilize_ring_rewires;
     Alcotest.test_case "s-network size accounting" `Quick test_snet_size_accounting_via_joins;
   ]
