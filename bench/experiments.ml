@@ -164,11 +164,50 @@ let dump_metrics ?name b =
 
 (* --- latency SLO gates (--slo) --- *)
 
-(* When non-empty (filled by main's repeatable --slo flag), benches that
-   measure latency check each spec ("lookup:p99<=40") against every
-   measured system's registry and fail the run on violation, turning the
-   bench into a latency regression gate for CI. *)
+(* When non-empty (filled by main's repeatable --slo flag), every bench
+   that measures lookup latency checks each spec ("lookup:p99<=40")
+   against each measured system's registry through [slo_pass], turning
+   the bench into a latency regression gate for CI. *)
 let slo_specs : string list ref = ref []
+
+(* Systems checked against the specs so far, and the labels of those
+   that failed one. *)
+let slo_checked = ref 0
+
+let slo_failures : string list ref = ref []
+
+(* Check every --slo spec against [reg], one printed line per spec;
+   [label] names the system there and in [slo_verdict].  Returns [false]
+   on a violation.  Without specs, checks nothing and returns [true]. *)
+let slo_pass ?label reg =
+  match !slo_specs with
+  | [] -> true
+  | specs ->
+    incr slo_checked;
+    let label =
+      match label with Some l -> l | None -> Printf.sprintf "system %d" !slo_checked
+    in
+    let ok =
+      P2p_obs.Slo.enforce reg ~specs ~print:(fun line ->
+          Printf.printf "  [slo %s] %s\n%!" label line)
+    in
+    if not ok then slo_failures := label :: !slo_failures;
+    ok
+
+(* Exit 1 when a spec failed, and also when specs were given but
+   [command] checked none of them: a gate that measured nothing must not
+   pass. *)
+let slo_verdict ~command =
+  if !slo_specs <> [] then
+    match List.rev !slo_failures with
+    | [] when !slo_checked = 0 ->
+      Printf.eprintf "bench: %s checked no --slo spec (it measures no lookup latency)\n"
+        command;
+      exit 1
+    | [] -> ()
+    | fs ->
+      List.iter (Printf.eprintf "bench: SLO VIOLATION at %s\n") fs;
+      exit 1
 
 (* --- invariant sanity pass (--audit) --- *)
 
@@ -217,6 +256,7 @@ let run_lookups ?ttl b ~count =
     targets;
   H.run b.h;
   audit_pass b;
+  ignore (slo_pass (Metrics.registry (H.metrics b.h)) : bool);
   dump_metrics b
 
 (* --- output helpers --- *)

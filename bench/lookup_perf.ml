@@ -19,31 +19,7 @@
 open Experiments
 module Registry = P2p_obs.Registry
 module Json = P2p_obs.Json
-module Slo = P2p_obs.Slo
 module Engine = P2p_sim.Engine
-
-(* "zipf=... ps=... variant" labels of configurations that failed a --slo
-   spec; non-empty at the end of the run means a non-zero exit. *)
-let slo_failures : string list ref = ref []
-
-(* Check every --slo spec against the measured system's registry.  The
-   registry was reset after corpus insertion, so data_ops/lookup_latency_ms
-   (the shorthand fallback for specs like "lookup:p99<=40") holds exactly
-   the lookups this variant replayed. *)
-let slo_pass ~exponent ~ps ~variant b =
-  match !slo_specs with
-  | [] -> ()
-  | specs ->
-    let ok =
-      Slo.enforce
-        (Metrics.registry (H.metrics b.h))
-        ~specs
-        ~print:(fun line -> row "  [slo %-12s] %s\n%!" variant line)
-    in
-    if not ok then
-      slo_failures :=
-        Printf.sprintf "zipf=%.2f ps=%.2f %s" exponent ps variant
-        :: !slo_failures
 
 (* The gate point from the roadmap: Zipf s = 1.0, p_s = 0.8, delta = 4. *)
 let gate_zipf = 1.0
@@ -138,7 +114,14 @@ let measure ~scale ~lookups ~ps ~exponent (variant, (bloom_bits, cache_cap)) =
   let wall = Sys.time () -. t0 in
   audit_pass b;
   dump_metrics b;
-  slo_pass ~exponent ~ps ~variant b;
+  (* The registry was reset after corpus insertion, so
+     data_ops/lookup_latency_ms (the shorthand fallback for specs like
+     "lookup:p99<=40") holds exactly the lookups this variant replayed. *)
+  ignore
+    (slo_pass
+       ~label:(Printf.sprintf "zipf=%.2f ps=%.2f %s" exponent ps variant)
+       (Metrics.registry (H.metrics b.h))
+      : bool);
   let per c0 c1 = float_of_int (c1 - c0) /. float_of_int lookups in
   let hits = counter_value b ~subsystem:"cache" ~name:"hits" - hits0 in
   let misses = counter_value b ~subsystem:"cache" ~name:"misses" - misses0 in
@@ -292,11 +275,6 @@ let run ?(smoke = false) ~scale () =
    | [] -> ()
    | fs ->
      List.iter (fun f -> Printf.eprintf "lookup_perf: RECALL REGRESSION %s\n" f) fs;
-     exit 1);
-  (match List.rev !slo_failures with
-   | [] -> ()
-   | fs ->
-     List.iter (fun f -> Printf.eprintf "lookup_perf: SLO VIOLATION at %s\n" f) fs;
      exit 1);
   (* The 40%-fewer-visits target is enforced only on full runs: smoke
      workloads are too small to hold the bench to a perf promise. *)

@@ -9,18 +9,22 @@
 
    Experiments: fig3a fig3b fig3-sim fig4 fig5a fig5b durability fig6a fig6b
                 table2 ablate-delta ablate-fingers ablate-bypass ablate-bt
-                ablate-cache stress churn-live lookup-perf *)
+                ablate-cache stress churn-live lookup-perf scale
+
+   An unknown option, a flag without its value, a malformed --slo spec or
+   a second command prints the usage and exits 2 before anything runs.
+   With --slo, a command that checked no spec exits 1. *)
 
 open Experiments
 
-let usage () =
-  print_endline
+let usage oc =
+  output_string oc
     "usage: main.exe [all|fig3a|fig3b|fig3-sim|fig4|fig5a|fig5b|durability|fig6a|\n\
     \                 fig6b|table2|ablate-delta|ablate-fingers|ablate-bypass|\n\
-    \                 ablate-bt|ablate-cache|stress|lookup-perf|scale|hotpath|\n\
+    \                 ablate-bt|ablate-cache|stress|churn-live|lookup-perf|scale|\n\
     \                 bechamel]\n\
     \                [--paper] [--metrics-dir DIR] [--audit] [--smoke]\n\
-    \                [--slo 'lookup:p99<=40']..."
+    \                [--slo 'lookup:p99<=40']...\n"
 
 (* --- Bechamel micro-benchmarks: one per experiment kernel plus the hot
    core operations. --- *)
@@ -106,77 +110,89 @@ let run_bechamel () =
         (Test.elements test))
     (bechamel_tests ())
 
+let bad_usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "main.exe: %s\n" msg;
+      usage stderr;
+      exit 2)
+    fmt
+
+(* The commands by name.  [all] runs the experiments in list order;
+   [scale] and the [lookup_perf] spelling run only when named. *)
+let commands ~scale ~smoke =
+  let experiments =
+    [
+      ("fig3a", fun () -> Fig3.fig3a ());
+      ("fig3b", fun () -> Fig3.fig3b ());
+      ("fig3-sim", fun () -> Fig3.fig3_sim ~scale ());
+      ("fig4", fun () -> Fig4.run ~scale ());
+      ("fig5a", fun () -> Fig5.fig5a ~scale ());
+      ("fig5b", fun () -> Fig5.fig5b ~scale ());
+      ("durability", fun () -> Fig5.durability ~scale ());
+      ("fig6a", fun () -> Fig6.fig6a ~scale ());
+      ("fig6b", fun () -> Fig6.fig6b ~scale ());
+      ("table2", fun () -> Table2.run ~scale ());
+      ("ablate-delta", fun () -> Ablations.ablate_delta ~scale ());
+      ("ablate-fingers", fun () -> Ablations.ablate_fingers ~scale ());
+      ("ablate-bypass", fun () -> Ablations.ablate_bypass ~scale ());
+      ("ablate-bt", fun () -> Ablations.ablate_bittorrent ~scale ());
+      ("ablate-cache", fun () -> Ablations.ablate_cache ~scale ());
+      ("stress", fun () -> Ablations.link_stress ~scale ());
+      ("churn-live", fun () -> Ablations.churn_live ());
+      ("lookup-perf", fun () -> Lookup_perf.run ~smoke ~scale ());
+      ("bechamel", run_bechamel);
+    ]
+  in
+  (("all", fun () -> List.iter (fun (_, run) -> run ()) experiments) :: experiments)
+  @ [
+      ("lookup_perf", fun () -> Lookup_perf.run ~smoke ~scale ());
+      ("scale", fun () -> Scale.run ~smoke ());
+    ]
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let paper = List.mem "--paper" args in
-  let smoke = List.mem "--smoke" args in
-  let scale = if paper then paper_scale else small_scale in
-  audit_enabled := List.mem "--audit" args;
-  (* consume "--metrics-dir DIR" and "--slo SPEC" (repeatable) before
-     picking the command *)
-  let rec extract_options = function
+  let paper = ref false and smoke = ref false and command = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--paper" :: rest ->
+      paper := true;
+      parse rest
+    | "--smoke" :: rest ->
+      smoke := true;
+      parse rest
+    | "--audit" :: rest ->
+      audit_enabled := true;
+      parse rest
+    | ("--metrics-dir" | "--slo") :: value :: _ when String.starts_with ~prefix:"-" value ->
+      bad_usage "%S is not a value" value
     | "--metrics-dir" :: dir :: rest ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       metrics_dir := Some dir;
-      extract_options rest
+      parse rest
     | "--slo" :: spec :: rest ->
-      slo_specs := !slo_specs @ [ spec ];
-      extract_options rest
-    | a :: rest -> a :: extract_options rest
-    | [] -> []
+      (match P2p_obs.Slo.parse spec with
+       | Ok _ -> slo_specs := !slo_specs @ [ spec ]
+       | Error msg -> bad_usage "--slo: %s" msg);
+      parse rest
+    | [ ("--metrics-dir" | "--slo") as flag ] -> bad_usage "%s needs a value" flag
+    | ("help" | "--help" | "-h") :: _ ->
+      usage stdout;
+      exit 0
+    | arg :: _ when String.starts_with ~prefix:"-" arg -> bad_usage "unknown option %S" arg
+    | c :: rest ->
+      (match !command with
+       | Some first -> bad_usage "one command at a time, got %S and %S" first c
+       | None -> command := Some c);
+      parse rest
   in
-  let commands =
-    extract_options
-      (List.filter (fun a -> a <> "--paper" && a <> "--audit" && a <> "--smoke") args)
+  parse (List.tl (Array.to_list Sys.argv));
+  let scale = if !paper then paper_scale else small_scale in
+  let command = Option.value !command ~default:"all" in
+  let run =
+    match List.assoc_opt command (commands ~scale ~smoke:!smoke) with
+    | Some run -> run
+    | None -> bad_usage "unknown command %S" command
   in
-  let command = match commands with [] -> "all" | c :: _ -> c in
+  Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) !metrics_dir;
   Printf.printf "scale: %s\n%!" scale.label;
-  let all () =
-    Fig3.fig3a ();
-    Fig3.fig3b ();
-    Fig3.fig3_sim ~scale ();
-    Fig4.run ~scale ();
-    Fig5.fig5a ~scale ();
-    Fig5.fig5b ~scale ();
-    Fig5.durability ~scale ();
-    Fig6.fig6a ~scale ();
-    Fig6.fig6b ~scale ();
-    Table2.run ~scale ();
-    Ablations.ablate_delta ~scale ();
-    Ablations.ablate_fingers ~scale ();
-    Ablations.ablate_bypass ~scale ();
-    Ablations.ablate_bittorrent ~scale ();
-    Ablations.ablate_cache ~scale ();
-    Ablations.link_stress ~scale ();
-    Ablations.churn_live ();
-    Lookup_perf.run ~smoke ~scale ();
-    run_bechamel ()
-  in
-  match command with
-  | "all" -> all ()
-  | "fig3a" -> Fig3.fig3a ()
-  | "fig3b" -> Fig3.fig3b ()
-  | "fig3-sim" -> Fig3.fig3_sim ~scale ()
-  | "fig4" -> Fig4.run ~scale ()
-  | "fig5a" -> Fig5.fig5a ~scale ()
-  | "fig5b" -> Fig5.fig5b ~scale ()
-  | "durability" -> Fig5.durability ~scale ()
-  | "fig6a" -> Fig6.fig6a ~scale ()
-  | "fig6b" -> Fig6.fig6b ~scale ()
-  | "table2" -> Table2.run ~scale ()
-  | "ablate-delta" -> Ablations.ablate_delta ~scale ()
-  | "ablate-fingers" -> Ablations.ablate_fingers ~scale ()
-  | "ablate-bypass" -> Ablations.ablate_bypass ~scale ()
-  | "ablate-bt" -> Ablations.ablate_bittorrent ~scale ()
-  | "ablate-cache" -> Ablations.ablate_cache ~scale ()
-  | "stress" -> Ablations.link_stress ~scale ()
-  | "churn-live" -> Ablations.churn_live ()
-  | "lookup-perf" | "lookup_perf" -> Lookup_perf.run ~smoke ~scale ()
-  | "scale" -> Scale.run ~smoke ()
-  | "hotpath" -> Hotpath.run ~smoke ()
-  | "bechamel" -> run_bechamel ()
-  | "help" | "--help" | "-h" -> usage ()
-  | unknown ->
-    Printf.printf "unknown command %S\n" unknown;
-    usage ();
-    exit 1
+  run ();
+  slo_verdict ~command

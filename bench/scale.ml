@@ -1,8 +1,8 @@
 (* Million-peer scale sweep (SCALING.md).
 
-   Measures raw engine throughput (events/sec), memory footprint
-   (live heap + process high-water RSS) and lookup latency percentiles
-   over populations of 10k / 100k / 1M peers.
+   Measures raw engine throughput (events/sec), minor words allocated
+   per event, memory footprint (live heap + process high-water RSS) and
+   lookup latency percentiles over populations of 10k / 100k / 1M peers.
 
    The swept populations are built directly through the membership
    oracle — the paper's centralized server — rather than through
@@ -11,6 +11,11 @@
    degree constraint δ, exactly the end state the join protocol
    converges to.  The measured workload (inserts and lookups) then runs
    through the genuine protocol message paths.
+
+   The 10k point runs on two underlays: the synthetic uniform-latency
+   clique (the routing-cost ceiling) and a real transit-stub graph
+   routed by precomputed link-state tables (the runtime router of every
+   CLI and figure run), the latter with head-sampled tracing.
 
    Protocol joins no longer cost O(n^2): a t-join recomputes only the
    finger tables its walks read, and the ring and the size table change
@@ -21,10 +26,23 @@
    5,000 peers through [H.grow] at s_fraction 0.6, gated on the
    deterministic count of finger tables recomputed.
 
-   Output: BENCH_scale.json.  [run ~smoke:true] does the 10k points and
-   the protocol-built leg only, and gates on an events/sec floor, on the
-   median telemetry overhead over alternating off/sampled pairs and on
-   the finger-refresh count — the CI configuration. *)
+   An engine-only leg measures the event queue at depth: K concurrent
+   delivery chains for K = 100, 2,000 and 20,000, the depths between a
+   shallow replay and a 1,000-peer run with 20-40k messages in flight.
+
+   Output: BENCH_scale.json.  [run ~smoke:true] does the 10k points, the
+   protocol-built leg and the deep-queue leg only — the CI
+   configuration.  The run exits 1 when any gate fails:
+     - recall 1.0 and clean invariants on every point
+     - an events/sec floor on both 10k points
+     - the median telemetry overhead over alternating off/sampled pairs,
+       and telemetry leaving the event schedule and outcomes unchanged
+     - link-state minor words/event under an absolute ceiling (the
+       allocation-regression check)
+     - every deep-queue depth under an absolute minor-words/event
+       ceiling (deterministic; its ns/event is recorded, not gated)
+     - every --slo spec against the link-state point's registry
+     - the finger-refresh count of the protocol-built leg *)
 
 module H = Hybrid_p2p.Hybrid
 module World = Hybrid_p2p.World
@@ -62,6 +80,23 @@ let min_sampled_throughput_ratio = 0.9
 let overhead_pairs = 5
 let overhead_chunk = 100
 
+(* Allocation-regression ceiling for the link-state point, in minor
+   words per executed event at [telemetry_sample_rate].  The residue is
+   protocol payload closures and sampled-trace spans: the event queue
+   recycles entries and routing queries allocate no tuples.  The ceiling
+   leaves headroom for workload drift while still catching a
+   reintroduced per-hop handle/closure/boxing regression, which costs
+   hundreds of words per event at this fan-out. *)
+let max_minor_words_per_event = 300.0
+
+(* Allocation ceiling for the deep-queue leg, in minor words per event.
+   The residue is the engine's event record, the chain's boxed delay and
+   RNG state, about 15 words; a queue that allocated per insertion or per
+   sift step would cross it. *)
+let max_deep_minor_words_per_event = 32.0
+
+let deep_depths = [ 100; 2_000; 20_000 ]
+
 type point = {
   n : int;
   telemetry : string;  (* "off" | "sampled-<rate>" | "full" *)
@@ -74,6 +109,7 @@ type point = {
   build_s : float;
   wall_s : float;
   events_per_s : float;
+  minor_words_per_event : float;
   live_bytes : int;
   bytes_per_peer : float;
   vm_rss_kb : int option;
@@ -211,8 +247,8 @@ let link_state_routing ~seed n =
 (* One sweep point in three steps, so that two points can run side by
    side: [start_leg] builds and populates the system, [advance] runs the
    next [ops] workload operations (every insert, then every lookup) and
-   charges their CPU time to the leg, and [finish_leg] reads the
-   results. *)
+   charges their CPU time and minor words to the leg, and [finish_leg]
+   reads the results. *)
 type leg = {
   l_n : int;
   l_h : H.t;
@@ -228,6 +264,7 @@ type leg = {
   mutable l_next : int;  (* workload operations run so far *)
   mutable l_found : int;
   mutable l_cpu_s : float;
+  mutable l_minor_words : float;
 }
 
 let start_leg ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () =
@@ -274,6 +311,7 @@ let start_leg ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () =
     l_next = 0;
     l_found = 0;
     l_cpu_s = 0.0;
+    l_minor_words = 0.0;
   }
 
 let leg_done l = l.l_next >= l.l_items + l.l_lookups
@@ -282,6 +320,7 @@ let key i = Printf.sprintf "item-%06d" i
 
 let advance l ~ops =
   let stop = l.l_next + min ops (l.l_items + l.l_lookups - l.l_next) in
+  let g0 = Gc.quick_stat () in
   let t0 = Sys.time () in
   while l.l_next < stop do
     let from = l.l_peers.(Rng.int l.l_rng l.l_n) in
@@ -298,7 +337,9 @@ let advance l ~ops =
     H.run l.l_h;
     l.l_next <- l.l_next + 1
   done;
-  l.l_cpu_s <- l.l_cpu_s +. (Sys.time () -. t0)
+  l.l_cpu_s <- l.l_cpu_s +. (Sys.time () -. t0);
+  l.l_minor_words <-
+    l.l_minor_words +. ((Gc.quick_stat ()).Gc.minor_words -. g0.Gc.minor_words)
 
 (* Two legs over the same workload in alternating chunks of
    [overhead_chunk] operations: both see the same host conditions, so
@@ -350,6 +391,8 @@ let finish_leg l =
       build_s = l.l_build_s;
       wall_s = l.l_cpu_s;
       events_per_s;
+      minor_words_per_event =
+        (if events > 0 then l.l_minor_words /. float_of_int events else 0.0);
       live_bytes;
       bytes_per_peer = float_of_int live_bytes /. float_of_int n;
       vm_rss_kb = proc_status_kb "VmRSS";
@@ -364,8 +407,8 @@ let finish_leg l =
   in
   point
 
-let measure_point ?telemetry ?routing_mode ~seed ~n () =
-  let l = start_leg ?telemetry ?routing_mode ~seed ~n () in
+let measure_point ~seed ~n () =
+  let l = start_leg ~seed ~n () in
   advance l ~ops:max_int;
   finish_leg l
 
@@ -406,6 +449,48 @@ let protocol_build ~seed =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Event queue at depth                                                *)
+
+type depth_result = {
+  chains : int;
+  deep_events : int;
+  ns_per_event : float;
+  deep_minor_words_per_event : float;
+  promoted_words_per_event : float;
+}
+
+(* [chains] delivery chains on a bare engine: each event schedules its
+   chain's next one after a seeded delay, as a message hop schedules the
+   next hop, until [events] have run.  The queue holds [chains] events
+   throughout, all fire-and-forget, as underlay deliveries are. *)
+let deep_queue ~seed ~chains ~events =
+  let e = Engine.create ~seed () in
+  let rng = Rng.create seed in
+  let remaining = ref (events - chains) in
+  let rec deliver () =
+    if !remaining > 0 then begin
+      decr remaining;
+      Engine.schedule_detached e ~label:None ~delay:(Rng.float rng 100.0) deliver
+    end
+  in
+  for _ = 1 to chains do
+    Engine.schedule_detached e ~label:None ~delay:(Rng.float rng 100.0) deliver
+  done;
+  let g0 = Gc.quick_stat () in
+  let w0 = Sys.time () in
+  Engine.run e;
+  let wall = Sys.time () -. w0 in
+  let g1 = Gc.quick_stat () in
+  let n = float_of_int (Engine.events_executed e) in
+  {
+    chains;
+    deep_events = Engine.events_executed e;
+    ns_per_event = wall *. 1e9 /. n;
+    deep_minor_words_per_event = (g1.Gc.minor_words -. g0.Gc.minor_words) /. n;
+    promoted_words_per_event = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. n;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 
 let opt_float = function Some f -> Json.Float f | None -> Json.Null
@@ -430,6 +515,7 @@ let point_json p =
       ("workload_cpu_s", Json.Float p.wall_s);
       ("events", Json.Int p.events);
       ("events_per_s", Json.Float p.events_per_s);
+      ("minor_words_per_event", Json.Float p.minor_words_per_event);
       ("live_heap_bytes", Json.Int p.live_bytes);
       ("bytes_per_peer", Json.Float p.bytes_per_peer);
       ("vm_rss_kb", opt_kb p.vm_rss_kb);
@@ -446,12 +532,26 @@ let point_json p =
 
 let print_point p =
   Printf.printf
-    "  %7d peers (%d t) [%-12s %-10s]  %8.0f ev/s  %6.1f MB live (%5.0f B/peer)  found %d/%d  p50 %s p99 %s\n%!"
-    p.n p.t_count p.telemetry p.routing p.events_per_s
+    "  %7d peers (%d t) [%-12s %-10s]  %8.0f ev/s  %6.1f minor w/ev  %6.1f MB live (%5.0f B/peer)  found %d/%d  p50 %s p99 %s\n%!"
+    p.n p.t_count p.telemetry p.routing p.events_per_s p.minor_words_per_event
     (float_of_int p.live_bytes /. 1048576.0)
     p.bytes_per_peer p.found p.lookups
     (match p.p50_ms with Some f -> Printf.sprintf "%.1fms" f | None -> "-")
     (match p.p99_ms with Some f -> Printf.sprintf "%.1fms" f | None -> "-")
+
+let print_depth d =
+  Printf.printf "  deep K=%-6d %8.1f ns/ev  %6.2f minor w/ev  %6.2f promoted w/ev\n%!"
+    d.chains d.ns_per_event d.deep_minor_words_per_event d.promoted_words_per_event
+
+let depth_json d =
+  Json.Obj
+    [
+      ("chains", Json.Int d.chains);
+      ("events", Json.Int d.deep_events);
+      ("ns_per_event", Json.Float d.ns_per_event);
+      ("minor_words_per_event", Json.Float d.deep_minor_words_per_event);
+      ("promoted_words_per_event", Json.Float d.promoted_words_per_event);
+    ]
 
 let write_json ~path doc =
   let oc = open_out path in
@@ -527,24 +627,28 @@ let run ~smoke () =
         fail "telemetry changed lookup outcomes (off %d, sampled %d, full %d)"
           off.found sampled.found p10k.found)
     pairs;
-  if p10k.events_per_s < smoke_min_events_per_s then
-    fail "events/sec %.0f below floor %.0f" p10k.events_per_s
-      smoke_min_events_per_s;
-  (match p10k.invariant_error with
-  | None -> ()
-  | Some msg -> fail "invariants violated at 10k: %s" msg);
   (* The real transit-stub underlay, routed with the precomputed
-     link-state tables: since PR-9 this holds the same events/sec floor
-     as the synthetic clique — physical routing is no longer the reason
-     to fake the underlay at scale. *)
-  let p10k_ls = measure_point ~routing_mode:`Link_state ~seed ~n:10_000 () in
+     link-state tables, at the sampled telemetry rate the scale runs use:
+     it holds the same events/sec floor as the synthetic clique, and its
+     allocation and its latency are what the ceilings and --slo gate. *)
+  let ls =
+    start_leg ~telemetry:(`Sampled telemetry_sample_rate) ~routing_mode:`Link_state ~seed
+      ~n:10_000 ()
+  in
+  advance ls ~ops:max_int;
+  let p10k_ls = finish_leg ls in
   print_point p10k_ls;
-  if p10k_ls.events_per_s < smoke_min_events_per_s then
-    fail "link_state routed graph: events/sec %.0f below floor %.0f"
-      p10k_ls.events_per_s smoke_min_events_per_s;
-  (match p10k_ls.invariant_error with
-  | None -> ()
-  | Some msg -> fail "invariants violated at 10k (link_state): %s" msg);
+  if p10k_ls.minor_words_per_event > max_minor_words_per_event then
+    fail "link_state: %.1f minor words/event exceeds the ceiling %.1f"
+      p10k_ls.minor_words_per_event max_minor_words_per_event;
+  if not (Experiments.slo_pass ~label:"10k link_state" (Metrics.registry (H.metrics ls.l_h)))
+  then fail "link_state: latency SLO violated (see the [slo] lines above)";
+  List.iter
+    (fun p ->
+      if p.events_per_s < smoke_min_events_per_s then
+        fail "10k %s: events/sec %.0f below floor %.0f" p.routing p.events_per_s
+          smoke_min_events_per_s)
+    [ p10k; p10k_ls ];
   let pb = protocol_build ~seed in
   let pb_ceiling = refresh_ceiling pb.pb_t_count in
   Printf.printf
@@ -557,6 +661,17 @@ let run ~smoke () =
   (match pb.pb_invariant_error with
   | None -> ()
   | Some msg -> fail "invariants violated after the protocol build: %s" msg);
+  let deep_events = if smoke then 400_000 else 2_000_000 in
+  let deep =
+    List.map (fun chains -> deep_queue ~seed ~chains ~events:deep_events) deep_depths
+  in
+  List.iter print_depth deep;
+  List.iter
+    (fun d ->
+      if d.deep_minor_words_per_event > max_deep_minor_words_per_event then
+        fail "deep queue K=%d: %.1f minor words/event exceeds the ceiling %.1f" d.chains
+          d.deep_minor_words_per_event max_deep_minor_words_per_event)
+    deep;
   let points = ref [ p10k; p10k_ls ] in
   let attempted_1m = ref "not attempted (smoke mode)" in
   if not smoke then begin
@@ -572,6 +687,14 @@ let run ~smoke () =
         attempted_1m := "out of memory";
         Printf.printf "  1M point: out of memory\n%!")
   end;
+  List.iter
+    (fun p ->
+      if p.found <> p.lookups then
+        fail "%d %s: recall %d/%d (expected 1.0)" p.n p.routing p.found p.lookups;
+      match p.invariant_error with
+      | None -> ()
+      | Some msg -> fail "%d %s: invariants violated: %s" p.n p.routing msg)
+    !points;
   let doc =
     Json.Obj
       [
@@ -608,6 +731,7 @@ let run ~smoke () =
                 Json.Float min_sampled_throughput_ratio );
             ] );
         ("points", Json.List (List.map point_json !points));
+        ("deep_queue", Json.List (List.map depth_json deep));
         ( "protocol_build",
           Json.Obj
             [
@@ -622,6 +746,9 @@ let run ~smoke () =
           Json.Obj
             [
               ("min_events_per_s", Json.Float smoke_min_events_per_s);
+              ("max_minor_words_per_event", Json.Float max_minor_words_per_event);
+              ( "max_deep_minor_words_per_event",
+                Json.Float max_deep_minor_words_per_event );
               ("failures", Json.List
                  (List.rev_map (fun s -> Json.String s) !failures));
             ] );

@@ -408,11 +408,7 @@ let compare_cmd =
       "hybrid (ps=0.7)" (Metrics.failure_ratio hm)
       (Summary.mean (Metrics.lookup_hops hm))
       (float_of_int (Metrics.connum hm) /. float_of_int lookups);
-    (* pure Chord, with the same successor-list budget the hybrid ring uses *)
-    let ring =
-      Chord.create
-        ~successor_list_length:Config.default.Config.successor_list_length ()
-    in
+    let ring = Chord.create () in
     let crng = Rng.create (seed + 10) in
     let nodes = ref [] in
     let used = Hashtbl.create n in

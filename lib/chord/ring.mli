@@ -23,9 +23,8 @@ type node
 
 (** [create ()] makes an empty ring.  [successor_list_length] (default 8,
     >= 1) sizes the per-node successor list used to survive crashed
-    successors until the next {!stabilize}; benches ablate it via
-    [Config.successor_list_length].  When [trace] is given, every routed
-    operation ({!join}, {!store}, {!lookup}) is replayed into it as a
+    successors until the next {!stabilize}.  When [trace] is given, every
+    routed operation ({!join}, {!store}, {!lookup}) is replayed into it as a
     [Custom] op with one "ring_hop" span per path edge, timed on an
     internal logical clock (1 ms per hop) — the overlay itself stays
     synchronous.

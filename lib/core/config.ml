@@ -27,7 +27,6 @@ type t = {
   replication_factor : int;
   replica_placement : replica_placement;
   anti_entropy_interval : float;
-  successor_list_length : int;
 }
 
 let default =
@@ -54,7 +53,6 @@ let default =
     replication_factor = 0;
     replica_placement = Ring_successors;
     anti_entropy_interval = 5_000.0;
-    successor_list_length = 8;
   }
 
 let validate t =
@@ -76,8 +74,6 @@ let validate t =
   else if t.replication_factor < 0 then Error "replication_factor must be >= 0"
   else if t.anti_entropy_interval <= 0.0 then
     Error "anti_entropy_interval must be positive"
-  else if t.successor_list_length < 1 then
-    Error "successor_list_length must be >= 1"
   else
     match t.s_style with
     | Random_walks walkers when walkers <= 0 ->

@@ -97,11 +97,6 @@ type t = {
   anti_entropy_interval : float;
       (** ms between anti-entropy digest exchanges while the periodic
           timer is running (see {!P2p_replication.Manager.start}) *)
-  successor_list_length : int;
-      (** length of the successor list each t-peer maintains for ring
-          repair (also the Chord baseline's list length; >= 1).
-          Replication across [Ring_successors] is capped independently
-          by [replication_factor]. *)
 }
 
 (** Paper-faithful defaults: [δ = 3] (the simulations' setting),

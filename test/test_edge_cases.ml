@@ -268,6 +268,26 @@ let test_cli_audit_inject_exit_codes () =
       checki ("--inject " ^ inject) expected code)
     [ ("none", 0); ("degree", 1); ("ring", 1); ("placement", 1) ]
 
+(* The bench harness runs only what it was asked for: a misspelt flag,
+   a flag without its value or a second command is a usage error (exit
+   2) before anything runs, and --slo fails closed both on a violation
+   and on a command that measures no lookup latency. *)
+let test_cli_bench_arguments () =
+  List.iter
+    (fun (args, expected) ->
+      let code =
+        Sys.command (Printf.sprintf "../bench/main.exe %s > /dev/null 2>&1" args)
+      in
+      checki args expected code)
+    [
+      ("fig3a", 0);
+      ("fig3a --smok", 2);
+      ("fig3a --slo", 2);
+      ("fig3a fig3b", 2);
+      ("fig3a --slo 'lookup:p99<=40'", 1);
+      ("ablate-bt --slo 'lookup:p99<=0.001'", 1);
+    ]
+
 let suite =
   [
     Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -290,4 +310,5 @@ let suite =
     Alcotest.test_case "CLI audit --inject exit codes" `Quick
       test_cli_audit_inject_exit_codes;
     Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;
+    Alcotest.test_case "CLI bench rejects bad arguments" `Quick test_cli_bench_arguments;
   ]

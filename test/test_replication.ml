@@ -58,10 +58,7 @@ let test_config_validation () =
        (Config.validate { default_config with Config.replication_factor = -1 }));
   checkb "zero anti-entropy interval rejected" true
     (Result.is_error
-       (Config.validate { default_config with Config.anti_entropy_interval = 0.0 }));
-  checkb "zero successor list rejected" true
-    (Result.is_error
-       (Config.validate { default_config with Config.successor_list_length = 0 }))
+       (Config.validate { default_config with Config.anti_entropy_interval = 0.0 }))
 
 (* --- placement policy -------------------------------------------------- *)
 
