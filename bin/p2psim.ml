@@ -29,7 +29,6 @@ module Metrics = P2p_net.Metrics
 module Summary = P2p_stats.Summary
 module Keys = P2p_workload.Keys
 module Churn = P2p_workload.Churn
-module Chord = P2p_chord.Ring
 module Replication = P2p_replication.Manager
 module Scenario = P2p_scenario.Scenario
 module Pipeline = P2p_scenario.Pipeline
@@ -396,47 +395,28 @@ let churn_cmd =
 let compare_cmd =
   let run seed n items lookups config =
     let ttl = config.Config.default_ttl in
-    (* hybrid at the paper's sweet spot *)
-    let h, _ = Pipeline.build ~ps:0.7 ~seed ~n ~config () in
-    let p = Pipeline.attach h in
-    let rng = Rng.create seed in
-    let corpus = Pipeline.insert p ~rng ~count:items in
-    let targets = Keys.lookup_sequence ~rng ~items:corpus ~count:lookups in
-    Pipeline.lookup p targets;
-    let hm = H.metrics h in
-    Printf.printf "%-22s failure %6.4f   mean hops %6.2f   connum/lookup %8.1f\n"
-      "hybrid (ps=0.7)" (Metrics.failure_ratio hm)
-      (Summary.mean (Metrics.lookup_hops hm))
-      (float_of_int (Metrics.connum hm) /. float_of_int lookups);
-    let ring = Chord.create () in
-    let crng = Rng.create (seed + 10) in
-    let nodes = ref [] in
-    let used = Hashtbl.create n in
-    while List.length !nodes < n do
-      let id = Rng.int crng P2p_hashspace.Id_space.size in
-      if not (Hashtbl.mem used id) then begin
-        Hashtbl.add used id ();
-        nodes := fst (Chord.join ring ~host:(Hashtbl.length used) ~p_id:id) :: !nodes
-      end
-    done;
-    let node_arr = Array.of_list !nodes in
-    Array.iter
-      (fun it ->
-        ignore
-          (Chord.store ring ~from:(Rng.pick crng node_arr) ~key:it.Keys.key
-             ~value:it.Keys.value
-            : Chord.node list))
-      corpus;
-    let chops = ref 0 and cfail = ref 0 in
-    Array.iter
-      (fun it ->
-        let value, path = Chord.lookup ring ~from:(Rng.pick crng node_arr) ~key:it.Keys.key in
-        chops := !chops + List.length path - 1;
-        if value = None then incr cfail)
-      targets;
-    Printf.printf "%-22s failure %6.4f   mean hops %6.2f   (finger-routed)\n" "pure Chord"
-      (float_of_int !cfail /. float_of_int lookups)
-      (float_of_int !chops /. float_of_int lookups);
+    (* one workload, drawn from [seed], on a hybrid built at [ps] *)
+    let hybrid label ~ps ~config =
+      let h, _ = Pipeline.build ~ps ~seed ~n ~config () in
+      let p = Pipeline.attach h in
+      let rng = Rng.create seed in
+      let corpus = Pipeline.insert p ~rng ~count:items in
+      let targets = Keys.lookup_sequence ~rng ~items:corpus ~count:lookups in
+      Pipeline.lookup p targets;
+      let hm = H.metrics h in
+      Printf.printf "%-22s failure %6.4f   mean hops %6.2f   connum/lookup %8.1f\n" label
+        (Metrics.failure_ratio hm)
+        (Summary.mean (Metrics.lookup_hops hm))
+        (float_of_int (Metrics.connum hm) /. float_of_int lookups);
+      (corpus, targets)
+    in
+    (* the paper's sweet spot, then its p_s = 0 end: every peer a t-peer,
+       the ring routed by fingers *)
+    let corpus, targets = hybrid "hybrid (ps=0.7)" ~ps:0.7 ~config in
+    ignore
+      (hybrid "pure Chord (ps=0)" ~ps:0.0
+         ~config:{ config with Config.use_fingers_for_data = true }
+        : Keys.item array * Keys.item array);
     (* pure Gnutella *)
     let mesh = Mesh.create ~rng:(Rng.create (seed + 20)) ~links_per_join:3 () in
     let mpeers = Array.init n (fun host -> Mesh.join mesh ~host) in

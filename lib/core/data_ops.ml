@@ -112,7 +112,7 @@ let insert w ~from ~key ~value ?route_id () ~on_done =
        | Some home ->
          let forward_from_home () =
            T_network.route_to_owner w ~op ~from:home ~d_id
-             ~visit:(fun _ -> ())
+             ~visit:(fun _ ~hops:_ -> ())
              ~on_arrive:(fun ~owner ~hops ->
                place_in_snetwork w ~op owner ~route_id:d_id ~key ~value ~hops:(hops + 1)
                  ~on_done)
@@ -351,10 +351,10 @@ let lookup w ~from ~key ?ttl ?route_id () ~on_result =
          | Some home ->
            let route_from_home ~base_hops =
              T_network.route_to_owner w ~op ~from:home ~d_id
-               ~visit:(fun tpeer ->
+               ~visit:(fun tpeer ~hops ->
                  (* every t-peer on the ring path checks its database *)
                  if tpeer.Peer.alive then
-                   ignore (check_peer ctx tpeer ~hops:base_hops : bool))
+                   ignore (check_peer ctx tpeer ~hops:(base_hops + hops) : bool))
                ~on_arrive:(fun ~owner ~hops ->
                  resolve_in_snetwork ctx ~entry:owner ~base_hops:(base_hops + hops) ~ttl
                    ~skip_entry_check:true)
@@ -442,6 +442,6 @@ let keyword_lookup w ~from ~substring ~route_id ?ttl ~window () ~on_result =
         ~dst:home (fun () ->
           if home.Peer.alive then
             T_network.route_to_owner w ~op ~from:home ~d_id:route_id
-              ~visit:(fun _ -> ())
+              ~visit:(fun _ ~hops:_ -> ())
               ~on_arrive:(fun ~owner ~hops:_ -> flood_from owner)
               ())

@@ -310,7 +310,7 @@ let route_to_owner w ?op ~from ~d_id ~visit ~on_arrive () =
   if use_fingers then World.ensure_fingers w;
   let max_hops = (4 * Id_space.bits) + (2 * World.peer_count w) + 8 in
   let rec step current hops =
-    visit current;
+    visit current ~hops;
     if Peer.covers current d_id then on_arrive ~owner:current ~hops
     else if hops > max_hops then begin
       World.stabilize_ring w;

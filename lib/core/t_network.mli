@@ -70,15 +70,16 @@ val promote_replacement :
 (** [route_to_owner w ~from ~d_id ~visit ~on_arrive] forwards a data
     operation along the ring from the t-peer [from] to the t-peer owning
     [d_id].  [visit] runs at every t-peer the request reaches (including
-    [from] and the owner) at message-arrival time; [on_arrive] fires at the
-    owner with the accumulated hop count.  [op] stamps every forwarding
-    hop with the operation id in the trace. *)
+    [from] and the owner) at message-arrival time, with the ring hops taken
+    to reach it: [0] at [from], counting up by one per forwarding hop;
+    [on_arrive] fires at the owner with the accumulated hop count.  [op]
+    stamps every forwarding hop with the operation id in the trace. *)
 val route_to_owner :
   World.t ->
   ?op:int ->
   from:Peer.t ->
   d_id:Id_space.id ->
-  visit:(Peer.t -> unit) ->
+  visit:(Peer.t -> hops:int -> unit) ->
   on_arrive:(owner:Peer.t -> hops:int -> unit) ->
   unit ->
   unit

@@ -226,6 +226,29 @@ let test_connum_counts_ring_contacts () =
   checkb (Printf.sprintf "ring-walk connum %d" per_lookup) true
     (per_lookup >= 1 && per_lookup <= 50)
 
+(* Pure ring (p_s 0), linear forwarding: a holder k successors along the
+   ring from the requester is found by the ring walk's own check at that
+   t-peer, k ring hops out, plus the reply hop. *)
+let test_lookup_hops_count_ring_path () =
+  let h, _ = star_system ~seed:46 ~n:40 ~ps:0.0 () in
+  let requester = H.random_peer h in
+  let rec along peer k = if k = 0 then peer else along (Option.get peer.Peer.succ) (k - 1) in
+  for k = 1 to 4 do
+    let holder = along requester k in
+    let rec owned_key i =
+      let key = Printf.sprintf "ring-%d-%d" k i in
+      if Peer.covers holder (Key_hash.of_string key) then key else owned_key (i + 1)
+    in
+    let key = owned_key 0 in
+    H.insert h ~from:holder ~key ~value:"v" ();
+    H.run h;
+    match lookup_sync h ~from:requester ~key () with
+    | Data_ops.Found { holder = found_at; hops; _ } ->
+      checkb (Printf.sprintf "found at the t-peer %d hops out" k) true (found_at == holder);
+      checki (Printf.sprintf "hops for a holder %d ring hops out" k) (k + 1) hops
+    | Data_ops.Timed_out -> Alcotest.fail "lookup timed out"
+  done
+
 let test_lookup_latency_metrics_only_successes () =
   let h, _ = star_system ~seed:44 ~n:40 ~ps:0.5 () in
   ignore (insert_items h ~count:10 : string list);
@@ -379,6 +402,8 @@ let suite =
       test_lookup_raced_by_first_insert;
     Alcotest.test_case "lookup: connum counts ring walk" `Quick
       test_connum_counts_ring_contacts;
+    Alcotest.test_case "lookup: hops count the ring path" `Quick
+      test_lookup_hops_count_ring_path;
     Alcotest.test_case "lookup: latency only on success" `Quick
       test_lookup_latency_metrics_only_successes;
     Alcotest.test_case "failure: double crash rejected" `Quick test_crash_dead_peer_rejected;

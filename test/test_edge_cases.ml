@@ -255,6 +255,24 @@ let test_cli_timeline_keeps_audit () =
   Sys.remove timeline;
   Alcotest.(check string) "same audit line" (audit_line "") sampled
 
+(* compare's pure-Chord line is the hybrid at p_s 0: it runs and finds
+   every item. *)
+let test_cli_compare_pure_ring () =
+  let out = Filename.temp_file "p2psim" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/p2psim.exe compare --peers 100 --items 200 --lookups 200 > %s 2>&1"
+         (Filename.quote out))
+  in
+  let lines = In_channel.with_open_text out In_channel.input_all |> String.split_on_char '\n' in
+  Sys.remove out;
+  checki "exit" 0 code;
+  match List.find_opt (String.starts_with ~prefix:"pure Chord") lines with
+  | None -> Alcotest.fail "no pure Chord line"
+  | Some line ->
+    Alcotest.(check string) "pure Chord failure" "0.0000"
+      (Scanf.sscanf line "pure Chord (ps=0) failure %s" Fun.id)
+
 (* The audit command's exit code is its verdict: every injected fault
    class fails it, a clean run passes. *)
 let test_cli_audit_inject_exit_codes () =
@@ -310,5 +328,6 @@ let suite =
     Alcotest.test_case "CLI audit --inject exit codes" `Quick
       test_cli_audit_inject_exit_codes;
     Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;
+    Alcotest.test_case "CLI compare runs the pure ring" `Quick test_cli_compare_pure_ring;
     Alcotest.test_case "CLI bench rejects bad arguments" `Quick test_cli_bench_arguments;
   ]

@@ -10,6 +10,8 @@ module Summary = P2p_stats.Summary
 module Rng = P2p_sim.Rng
 module Transit_stub = P2p_topology.Transit_stub
 module Routing = P2p_topology.Routing
+module Pipeline = P2p_scenario.Pipeline
+module Keys = P2p_workload.Keys
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -385,6 +387,24 @@ let test_link_state_run_matches_dijkstra () =
   checki "stored items" items items';
   Array.iter2 (Alcotest.check (Alcotest.float 1e-6) "lookup latency") lat lat'
 
+(* The hybrid at p_s 0 is a Chord ring: with fingers routing data, a
+   lookup on compare's workload (300 peers, 2,000 items and lookups)
+   takes O(log N) ring hops plus the reply. *)
+let test_pure_ring_logarithmic () =
+  let n = 300 and seed = 42 in
+  let config = { default_config with Config.use_fingers_for_data = true } in
+  let h, _ = Pipeline.build ~ps:0.0 ~seed ~n ~config () in
+  let p = Pipeline.attach h in
+  let rng = Rng.create seed in
+  let corpus = Pipeline.insert p ~rng ~count:2000 in
+  Pipeline.lookup p (Keys.lookup_sequence ~rng ~items:corpus ~count:2000);
+  let m = H.metrics h in
+  let mean = Summary.mean (Metrics.lookup_hops m) in
+  let ceiling = Float.ceil (Float.log2 (float_of_int n)) +. 2.0 in
+  Alcotest.(check (float 0.0)) "no lookup fails" 0.0 (Metrics.failure_ratio m);
+  checkb (Printf.sprintf "mean hops %.2f in [2, %.0f]" mean ceiling) true
+    (mean >= 2.0 && mean <= ceiling)
+
 let suite =
   [
     Alcotest.test_case "bootstrap forces first t-peer" `Quick test_bootstrap_single;
@@ -417,4 +437,6 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "link-state run matches Dijkstra" `Quick
       test_link_state_run_matches_dijkstra;
+    Alcotest.test_case "pure ring: finger routing stays logarithmic" `Quick
+      test_pure_ring_logarithmic;
   ]

@@ -9,7 +9,6 @@ let () =
       ("hashspace", Test_hashspace.suite);
       ("topology", Test_topology.suite);
       ("p2pnet", Test_p2pnet.suite);
-      ("chord", Test_chord.suite);
       ("gnutella", Test_gnutella.suite);
       ("workload", Test_workload.suite);
       ("hybrid.peer", Test_peer.suite);

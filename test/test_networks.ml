@@ -202,16 +202,20 @@ let test_route_to_owner_visits_ring () =
   let visited = ref [] in
   let arrived = ref None in
   T_network.route_to_owner w ~from ~d_id:123_456
-    ~visit:(fun p -> visited := p :: !visited)
+    ~visit:(fun p ~hops -> visited := (p, hops) :: !visited)
     ~on_arrive:(fun ~owner ~hops -> arrived := Some (owner, hops))
     ();
   H.run h;
   match !arrived with
   | None -> Alcotest.fail "never arrived"
   | Some (owner, hops) ->
+    let visited = List.rev !visited in
     checkb "owner covers the id" true (Peer.covers owner 123_456);
-    checki "visits = hops + 1" (hops + 1) (List.length !visited);
-    checkb "owner visited" true (List.exists (fun p -> p == owner) !visited)
+    checki "visits = hops + 1" (hops + 1) (List.length visited);
+    Alcotest.(check (list int))
+      "visit hop indices run 0..hops in order" (List.init (hops + 1) Fun.id)
+      (List.map snd visited);
+    checkb "owner visited" true (List.exists (fun (p, _) -> p == owner) visited)
 
 let test_route_with_fingers_is_shorter () =
   let hops_with fingers =
@@ -224,7 +228,7 @@ let test_route_with_fingers_is_shorter () =
       let d_id = i * 50_000_000 in
       let got = ref 0 in
       T_network.route_to_owner w ~from ~d_id
-        ~visit:(fun _ -> ())
+        ~visit:(fun _ ~hops:_ -> ())
         ~on_arrive:(fun ~owner:_ ~hops -> got := hops)
         ();
       H.run h;

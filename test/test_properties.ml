@@ -2,16 +2,14 @@
 
    These pin down the algebraic laws and structural invariants the
    protocols rely on, over randomized inputs: ring-interval algebra,
-   event-queue ordering, summary-statistics bounds, Chord ring invariants
-   under random membership churn, and hybrid-system invariants under
-   random churn scripts. *)
+   event-queue ordering, summary-statistics bounds, and hybrid-system
+   invariants under random churn scripts, the pure ring (p_s 0) among
+   them. *)
 
 module Id_space = P2p_hashspace.Id_space
 module Event_queue = P2p_sim.Event_queue
 module Summary = P2p_stats.Summary
 module Histogram = P2p_stats.Histogram
-module Ring = P2p_chord.Ring
-module Rng = P2p_sim.Rng
 module H = Hybrid_p2p.Hybrid
 module Peer = Hybrid_p2p.Peer
 
@@ -117,81 +115,6 @@ let prop_histogram_total =
       in
       sum_assoc = List.length xs && sum_rebin = List.length xs)
 
-(* --- Chord ring invariants under churn --- *)
-
-let chord_script_gen =
-  (* a seed plus a list of churn ops: true = join, false = leave *)
-  QCheck.pair QCheck.small_int (QCheck.list_of_size (QCheck.Gen.int_range 1 60) QCheck.bool)
-
-let prop_chord_churn_invariants =
-  QCheck.Test.make ~name:"chord invariants after random join/leave script" ~count:50
-    chord_script_gen (fun (seed, script) ->
-      let rng = Rng.create seed in
-      let ring = Ring.create () in
-      let live = ref [] in
-      let host = ref 0 in
-      let used = Hashtbl.create 64 in
-      List.iter
-        (fun is_join ->
-          if is_join || !live = [] then begin
-            let rec fresh () =
-              let id = Rng.int rng Id_space.size in
-              if Hashtbl.mem used id then fresh () else id
-            in
-            let id = fresh () in
-            Hashtbl.add used id ();
-            let node, _ = Ring.join ring ~host:!host ~p_id:id in
-            incr host;
-            live := node :: !live
-          end
-          else begin
-            let victim = Rng.pick_list rng !live in
-            live := List.filter (fun n -> n != victim) !live;
-            Ring.leave ring victim
-          end)
-        script;
-      match Ring.check_invariants ring with Ok () -> true | Error _ -> false)
-
-let prop_chord_data_conservation =
-  QCheck.Test.make ~name:"chord graceful churn conserves data" ~count:30 chord_script_gen
-    (fun (seed, script) ->
-      let rng = Rng.create seed in
-      let ring = Ring.create () in
-      let node0, _ = Ring.join ring ~host:999999 ~p_id:0 in
-      ignore node0;
-      let live = ref [ node0 ] in
-      let host = ref 0 in
-      let used = Hashtbl.create 64 in
-      Hashtbl.add used 0 ();
-      for i = 0 to 19 do
-        ignore
-          (Ring.store ring ~from:(List.hd !live) ~key:(Printf.sprintf "c%d" i) ~value:"v"
-            : Ring.node list)
-      done;
-      List.iter
-        (fun is_join ->
-          if is_join || List.length !live <= 1 then begin
-            let rec fresh () =
-              let id = Rng.int rng Id_space.size in
-              if Hashtbl.mem used id then fresh () else id
-            in
-            let id = fresh () in
-            Hashtbl.add used id ();
-            let node, _ = Ring.join ring ~host:!host ~p_id:id in
-            incr host;
-            live := node :: !live
-          end
-          else begin
-            let victim = Rng.pick_list rng !live in
-            live := List.filter (fun n -> n != victim) !live;
-            Ring.leave ring victim
-          end)
-        script;
-      let total =
-        List.fold_left (fun acc n -> acc + Ring.stored_items n) 0 (Ring.nodes ring)
-      in
-      total = 20)
-
 (* --- Hybrid system invariants under churn scripts --- *)
 
 type churn_op = Op_join_t | Op_join_s | Op_leave | Op_crash
@@ -242,13 +165,15 @@ let prop_hybrid_churn_invariants =
       H.run h;
       Result.is_ok (Helpers.final_invariants h))
 
+(* [all_t] makes every peer a t-peer: the pure ring (p_s 0) the hybrid
+   degenerates to. *)
 let prop_hybrid_graceful_conserves_data =
   QCheck.Test.make ~name:"hybrid graceful churn conserves data" ~count:15
-    (QCheck.pair QCheck.small_int (QCheck.list_of_size (QCheck.Gen.int_range 3 15) QCheck.bool))
-    (fun (seed, script) ->
+    (QCheck.triple QCheck.small_int QCheck.bool
+       (QCheck.list_of_size (QCheck.Gen.int_range 3 15) QCheck.bool))
+    (fun (seed, all_t, script) ->
       let h = H.create_star ~seed ~peers:200 () in
-      let members = H.grow h ~count:40 ~s_fraction:0.6 in
-      ignore members;
+      ignore (H.grow h ~count:40 ~s_fraction:(if all_t then 0.0 else 0.6) : Peer.t array);
       List.iteri
         (fun i key ->
           ignore i;
@@ -256,11 +181,12 @@ let prop_hybrid_graceful_conserves_data =
         (List.init 30 (fun i -> Printf.sprintf "pk%d" i));
       H.run h;
       let expected = H.total_items h in
+      let role = if all_t then Some Peer.T_peer else None in
       let next_host = ref 40 in
       List.iter
         (fun is_join ->
           if is_join && !next_host < 200 then begin
-            ignore (H.join h ~host:!next_host () : Peer.t);
+            ignore (H.join h ~host:!next_host ?role () : Peer.t);
             incr next_host
           end
           else if H.peer_count h > 1 then H.leave h (H.random_peer h) ();
@@ -289,8 +215,6 @@ let suite =
       prop_event_queue_sorted;
       prop_summary_bounds;
       prop_histogram_total;
-      prop_chord_churn_invariants;
-      prop_chord_data_conservation;
       prop_hybrid_churn_invariants;
       prop_hybrid_graceful_conserves_data;
       prop_hybrid_degree_bound;

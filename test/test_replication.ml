@@ -10,7 +10,6 @@ module Manager = P2p_replication.Manager
 module Registry = P2p_obs.Registry
 module Metrics = P2p_net.Metrics
 module Checks = P2p_audit.Checks
-module Chord = P2p_chord.Ring
 module Scenario = P2p_scenario.Scenario
 
 let checkb = Alcotest.check Alcotest.bool
@@ -334,16 +333,6 @@ let test_scenario_anti_entropy_action () =
   checki "no items lost" report.Scenario.inserted report.Scenario.final_items;
   checki "all lookups succeed" 100 report.Scenario.lookups_ok
 
-(* --- successor list length (chord baseline) ---------------------------- *)
-
-let test_successor_list_length () =
-  let ring = Chord.create ~successor_list_length:5 () in
-  checki "explicit length" 5 (Chord.successor_list_length ring);
-  checki "default length" 8 (Chord.successor_list_length (Chord.create ()));
-  Alcotest.check_raises "zero rejected"
-    (Invalid_argument "Ring.create: successor_list_length must be >= 1") (fun () ->
-      ignore (Chord.create ~successor_list_length:0 () : Chord.t))
-
 let suite =
   [
     Alcotest.test_case "config: durability fields validated" `Quick
@@ -376,6 +365,4 @@ let suite =
       test_digest_order_independent;
     Alcotest.test_case "scenario: anti-entropy action, no loss" `Quick
       test_scenario_anti_entropy_action;
-    Alcotest.test_case "chord: successor list length configurable" `Quick
-      test_successor_list_length;
   ]
