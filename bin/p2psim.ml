@@ -142,12 +142,6 @@ let bloom_bits =
      prune child branches whose summary misses the key (0 disables pruning)."
     (fun c v -> { c with Config.bloom_bits_per_key = v })
 
-let bloom_depth =
-  config_opt Arg.int 4 "bloom-depth" ~docv:"D"
-    "Attenuation depth of the edge summaries: levels beyond $(docv) hops collapse \
-     into the last filter."
-    (fun c v -> { c with Config.bloom_depth = v })
-
 let cache =
   config_opt Arg.int 0 "cache" ~docv:"CAP"
     "Per-peer result-cache capacity: successful lookups leave a copy at the \
@@ -274,13 +268,6 @@ let metrics_out_arg =
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:"Dump the metrics registry as JSON to $(docv) (read by $(b,report)).")
 
-let metrics_csv_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-csv" ] ~docv:"FILE"
-        ~doc:"Dump the metrics registry as CSV to $(docv).")
-
 let profile_arg =
   Arg.(
     value & flag
@@ -303,7 +290,7 @@ let audit_interval_arg =
 
 let run_cmd =
   let run seed ps n items lookups (config, anti_entropy) { trace_out; make_trace }
-      timeline_out timeline_interval slos metrics_out metrics_csv profile audit_interval
+      timeline_out timeline_interval slos metrics_out profile audit_interval
       dump_on_exit dump_dir =
     (* SLO specs over latency/* percentiles need the op-completion
        stream, so a gate also turns tracing on (without a --trace-out
@@ -317,7 +304,7 @@ let run_cmd =
       Option.map (fun interval -> Auditor.create ~interval (H.world h)) audit_interval
     in
     let out =
-      { Pipeline.trace_out; metrics_out; metrics_csv; profile; timeline_out;
+      { Pipeline.trace_out; metrics_out; profile; timeline_out;
         timeline_interval; slos; dump_dir = Some dump_dir; dump_on_exit; gc_gauges = true }
     in
     let p = Pipeline.attach ?auditor ~out h in
@@ -342,14 +329,14 @@ let run_cmd =
       cli_parse_result
         (const check
         $ config_term
-            [ ttl; delta; placement; bloom_bits; bloom_depth; cache; cache_ttl; replication ]
+            [ ttl; delta; placement; bloom_bits; cache; cache_ttl; replication ]
         $ anti_entropy_arg))
   in
   let term =
     Term.(
       const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ setup
       $ tracing_term $ timeline_out_arg $ timeline_interval_arg $ slo_arg
-      $ metrics_out_arg $ metrics_csv_arg $ profile_arg $ audit_interval_arg
+      $ metrics_out_arg $ profile_arg $ audit_interval_arg
       $ dump_on_exit_arg $ dump_dir_arg)
   in
   Cmd.v
@@ -516,9 +503,15 @@ let scenario_cmd =
 (* Deliberate corruption of a live system, for demonstrating (and testing)
    that the auditor catches real damage.  Each injection violates exactly
    one invariant class. *)
+type injection = No_injection | Degree | Ring | Placement | Replica_drop
+
+let injections =
+  [ ("none", No_injection); ("degree", Degree); ("ring", Ring); ("placement", Placement);
+    ("replication", Replica_drop) ]
+
 let inject_corruption h ~config = function
-  | "none" -> ()
-  | "degree" ->
+  | No_injection -> ()
+  | Degree ->
     (* wire unregistered stowaway children onto a root until its tree
        degree exceeds delta *)
     let w = H.world h in
@@ -533,12 +526,12 @@ let inject_corruption h ~config = function
       in
       Peer.attach_child ~parent:root ~child
     done
-  | "ring" ->
+  | Ring ->
     let w = H.world h in
     let arr = World.t_peers w in
     if Array.length arr < 2 then failwith "need at least 2 t-peers to break the ring";
     arr.(0).Peer.succ <- Some arr.(0)
-  | "placement" ->
+  | Placement ->
     (* plant an item whose route_id falls outside its holder's segment *)
     let w = H.world h in
     let arr = World.t_peers w in
@@ -547,11 +540,10 @@ let inject_corruption h ~config = function
     let outside = Peer.segment_left victim in
     Data_store.insert_routed victim.Peer.store ~route_id:outside
       ~key:"audit-misplaced" ~value:"x"
-  | "replication" ->
+  | Replica_drop ->
     (* silently drop one replica copy: the replication_factor check must
-       flag the under-replicated item, and a heal pass must restore it *)
-    if config.Config.replication_factor = 0 then
-      failwith "--inject replication requires --replication > 0";
+       flag the under-replicated item, and a heal pass must restore it;
+       the audit term has checked that replication is on *)
     let w = H.world h in
     let holder =
       List.find_opt
@@ -566,12 +558,11 @@ let inject_corruption h ~config = function
         | key :: _ ->
           Data_store.remove p.Peer.replicas ~key;
           Printf.printf "dropped replica copy of %S at host %d\n" key p.Peer.host))
-  | other -> failwith (Printf.sprintf "unknown injection %S" other)
 
 
 let audit_cmd =
-  let run seed ps n items lookups interval inject config checks { trace_out; make_trace }
-      metrics_out metrics_csv =
+  let run seed ps n items lookups interval (inject, config) checks { trace_out; make_trace }
+      metrics_out =
     let trace = make_trace ~seed ~force:false in
     Printf.printf "building %d peers (p_s = %.2f)...\n%!" n ps;
     let h, rng = Pipeline.build ?trace ~ps ~seed ~n ~config () in
@@ -580,7 +571,7 @@ let audit_cmd =
     let a = Auditor.create ~interval ~checks (H.world h) in
     let p =
       Pipeline.attach ~auditor:a
-        ~out:{ Pipeline.no_outputs with trace_out; metrics_out; metrics_csv }
+        ~out:{ Pipeline.no_outputs with trace_out; metrics_out }
         h
     in
     let corpus = Pipeline.insert p ~rng ~count:items in
@@ -589,8 +580,9 @@ let audit_cmd =
      with Failure msg ->
        Printf.eprintf "p2psim audit: %s\n" msg;
        exit 2);
-    if inject <> "none" then
-      Printf.printf "injected corruption: %s\n" inject;
+    if inject <> No_injection then
+      Printf.printf "injected corruption: %s\n"
+        (fst (List.find (fun (_, kind) -> kind = inject) injections));
     (* two audit periods catch whatever state the run ended in; a tick
        due at the window's end runs too *)
     Pipeline.advance p ~ms:(2.0 *. interval);
@@ -598,7 +590,7 @@ let audit_cmd =
     (* for the replication demo, close the loop: a heal pass restores the
        dropped copy and a final tick shows the check going quiet again *)
     (match (manager, inject) with
-     | Some m, "replication" ->
+     | Some m, Replica_drop ->
        Replication.heal m;
        H.run h;
        let snap = Auditor.tick a in
@@ -621,7 +613,7 @@ let audit_cmd =
   let inject_arg =
     Arg.(
       value
-      & opt string "none"
+      & opt (enum injections) No_injection
       & info [ "inject" ] ~docv:"KIND"
           ~doc:
             "Deliberately corrupt the system before the final audit window: \
@@ -645,11 +637,20 @@ let audit_cmd =
       & info [ "check" ] ~docv:"NAME"
           ~doc:"Run only this catalogue check (repeatable; default: all).")
   in
+  let setup =
+    let check inject config =
+      if inject = Replica_drop && config.Config.replication_factor = 0 then
+        Error (`Msg "option '--inject': replication requires --replication > 0")
+      else Ok (inject, config)
+    in
+    Term.(
+      cli_parse_result
+        (const check $ inject_arg $ config_term [ bloom_bits; cache; replication ]))
+  in
   let term =
     Term.(
       const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ interval_arg
-      $ inject_arg $ config_term [ bloom_bits; bloom_depth; cache; replication ]
-      $ checks_arg $ tracing_term $ metrics_out_arg $ metrics_csv_arg)
+      $ setup $ checks_arg $ tracing_term $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "audit"
@@ -681,14 +682,25 @@ let analyze_cmd =
 
 (* --- report subcommand --- *)
 
+(* A [serve] scrape snapshot wraps its registry doc in [metrics]. *)
+let scrape_metrics doc =
+  match P2p_obs.Scrape.of_json doc with
+  | Ok snap -> Some snap.P2p_obs.Scrape.metrics
+  | Error _ -> None
+
 (* Merge several metrics documents (e.g. one per live node, or serve's
    per-node scrape files) into one registry export: counters sum,
    gauges keep the maximum, log histograms merge bucketwise.  A single
    file passes through unmerged so Summary-backed histograms (which the
-   merge cannot rebuild) stay visible. *)
+   merge cannot rebuild) stay visible; a single scrape file is only
+   unwrapped. *)
 let merged_metrics_doc paths =
   match paths with
-  | [ path ] -> Ok (Export.read_file path)
+  | [ path ] -> (
+    let text = Export.read_file path in
+    match Option.bind (Result.to_option (P2p_obs.Json.parse text)) scrape_metrics with
+    | Some metrics -> Ok (P2p_obs.Json.to_string metrics)
+    | None -> Ok text)
   | paths ->
     let reg = Registry.create () in
     let rec fold = function
@@ -697,13 +709,8 @@ let merged_metrics_doc paths =
         match P2p_obs.Json.parse (Export.read_file path) with
         | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
         | Ok doc ->
-          (* scrape snapshots wrap the registry doc in [metrics] *)
-          let doc =
-            match P2p_obs.Scrape.of_json doc with
-            | Ok snap -> snap.P2p_obs.Scrape.metrics
-            | Error _ -> doc
-          in
-          P2p_obs.Scrape.merge_metrics_into reg doc;
+          P2p_obs.Scrape.merge_metrics_into reg
+            (Option.value (scrape_metrics doc) ~default:doc);
           fold rest)
     in
     fold paths

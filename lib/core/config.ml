@@ -2,8 +2,6 @@ type placement = Store_at_tpeer | Spread_to_neighbors
 
 type s_style = Flooding_tree | Random_walks of int | Bittorrent_tracker
 
-type replica_placement = Ring_successors | Tree_neighbors
-
 type t = {
   delta : int;
   default_ttl : int;
@@ -17,16 +15,12 @@ type t = {
   bypass_enabled : bool;
   bypass_lifetime : float;
   link_usage_aware : bool;
-  link_usage_threshold : float;
   transmission_ms : float;
   reflood_attempts : int;
   cache_capacity : int;
   cache_lifetime : float;
   bloom_bits_per_key : int;
-  bloom_depth : int;
   replication_factor : int;
-  replica_placement : replica_placement;
-  anti_entropy_interval : float;
 }
 
 let default =
@@ -43,16 +37,12 @@ let default =
     bypass_enabled = false;
     bypass_lifetime = 30_000.0;
     link_usage_aware = false;
-    link_usage_threshold = 1.0;
     transmission_ms = 0.0;
     reflood_attempts = 0;
     cache_capacity = 0;
     cache_lifetime = 20_000.0;
     bloom_bits_per_key = 0;
-    bloom_depth = 4;
     replication_factor = 0;
-    replica_placement = Ring_successors;
-    anti_entropy_interval = 5_000.0;
   }
 
 let validate t =
@@ -63,17 +53,12 @@ let validate t =
     Error "hello_timeout must exceed hello_period"
   else if t.lookup_timeout <= 0.0 then Error "lookup_timeout must be positive"
   else if t.bypass_lifetime <= 0.0 then Error "bypass_lifetime must be positive"
-  else if t.link_usage_threshold <= 0.0 then
-    Error "link_usage_threshold must be positive"
   else if t.transmission_ms < 0.0 then Error "transmission_ms must be >= 0"
   else if t.reflood_attempts < 0 then Error "reflood_attempts must be >= 0"
   else if t.cache_capacity < 0 then Error "cache_capacity must be >= 0"
   else if t.cache_lifetime <= 0.0 then Error "cache_lifetime must be positive"
   else if t.bloom_bits_per_key < 0 then Error "bloom_bits_per_key must be >= 0"
-  else if t.bloom_depth < 1 then Error "bloom_depth must be >= 1"
   else if t.replication_factor < 0 then Error "replication_factor must be >= 0"
-  else if t.anti_entropy_interval <= 0.0 then
-    Error "anti_entropy_interval must be positive"
   else
     match t.s_style with
     | Random_walks walkers when walkers <= 0 ->

@@ -1,9 +1,13 @@
 (** System configuration for the hybrid peer-to-peer system.
 
-    Collects every tunable the paper defines: the degree constraint [δ] on
-    s-network trees, the flood TTL, the data placement scheme (Section 3.4),
-    the enhancement switches of Section 5, the failure-detection timer
-    periods of Section 3.2.2, and the routing mode of the t-network. *)
+    The paper's parameters — the degree constraint [δ] on s-network
+    trees, the flood TTL, the data placement scheme (Section 3.4), the
+    enhancement switches of Section 5 and the failure-detection timer
+    periods of Section 3.2.2 — plus the t-network's data-routing mode and
+    the switches of this implementation's own accelerators (result cache,
+    Bloom summaries) and durability layer (replication factor).  Every
+    field is set by some command, bench or example; values no caller
+    varies are constants beside their one reader. *)
 
 (** Where an item routed through the t-network is finally stored
     (Section 3.4). *)
@@ -24,18 +28,6 @@ type s_style =
       (** the t-peer indexes every item in its s-network and answers
           lookups directly; no flooding *)
 
-(** Where the durability layer ({!module:P2p_replication}) places the
-    [replication_factor] redundant copies of each item. *)
-type replica_placement =
-  | Ring_successors
-      (** one copy with each of the next [r] live t-peers clockwise from
-          the owner's segment — survives whole-s-network loss, the
-          Chord-style successor-list discipline *)
-  | Tree_neighbors
-      (** copies on the primary holder's s-tree parent and children —
-          cheapest placement (one underlay hop in the tree), but a
-          crashed subtree can take every copy with it *)
-
 type t = {
   delta : int;  (** degree constraint [δ] on s-network trees (>= 2) *)
   default_ttl : int;  (** flood TTL for s-network lookups *)
@@ -45,8 +37,9 @@ type t = {
       (** route data operations through finger tables (t-peer joins
           always do: the paper's Fig. 3a analysis assumes it).  The paper's
           simulation forwards data "along the ring" (Table 2's connum at
-          [p_s = 0] is ~N/2 per lookup), so this defaults to [false];
-          enabling it is the [ablate-fingers] experiment *)
+          [p_s = 0] is ~N/2 per lookup), so this defaults to [false].
+          [compare]'s pure-Chord line, the [scale] bench and the
+          [ablate-fingers] experiment enable it *)
   hello_period : float;  (** ms between HELLO heartbeats *)
   hello_timeout : float;  (** ms of silence before a neighbour is presumed dead *)
   lookup_timeout : float;  (** ms before a pending lookup is declared failed *)
@@ -57,10 +50,9 @@ type t = {
   bypass_enabled : bool;  (** maintain bypass links (Section 5.4) *)
   bypass_lifetime : float;  (** ms a bypass link survives without traffic *)
   link_usage_aware : bool;
-      (** connect-point selection checks link usage (Section 5.1) *)
-  link_usage_threshold : float;
-      (** a connect point accepts a child while degree/capacity is below
-          this *)
+      (** connect-point selection checks link usage (Section 5.1): a
+          connect point accepts a child only while its tree degree, that
+          child included, stays within its link capacity *)
   transmission_ms : float;
       (** per-message transmission cost at unit link capacity; a message
           between two peers pays [transmission_ms / min(cap_src, cap_dst)].
@@ -82,21 +74,15 @@ type t = {
           {!S_network.flood} prunes branches whose edge summary misses the
           looked-up key ({!Summaries}); [0] (default) disables the
           summaries and every flood visits the whole in-range tree. *)
-  bloom_depth : int;
-      (** number of attenuation levels per edge summary (>= 1): level [i]
-          holds keys exactly [i+1] tree hops below the edge, and the last
-          level absorbs everything deeper *)
   replication_factor : int;
       (** number of redundant copies of each item kept beyond the
           primary ([r]); [0] (default) reproduces the paper's
           no-durability behaviour where a crashed peer's items are lost.
           Takes effect once {!P2p_replication.Manager.install} hooks the
           subsystem into the world (the scenario runner and [p2psim] do
-          this automatically when [r > 0]). *)
-  replica_placement : replica_placement;
-  anti_entropy_interval : float;
-      (** ms between anti-entropy digest exchanges while the periodic
-          timer is running (see {!P2p_replication.Manager.start}) *)
+          this automatically when [r > 0]).  The copies go to the next
+          [r] live t-peers clockwise from the owner
+          ({!P2p_replication.Policy}). *)
 }
 
 (** Paper-faithful defaults: [δ = 3] (the simulations' setting),

@@ -260,19 +260,15 @@ let random_walk_snetwork ctx ~entry ~base_hops ~ttl ~walkers ~skip_entry_check =
       step entry 0
     done
 
-(* Read-path fallback probe: in [Ring_successors] mode the redundant
-   copies live with the next [r] t-peers clockwise from the owner, which
-   neither the tree flood nor the ring route (it approaches the owner
-   from the predecessor side) ever visits.  Walk the successor chain in
-   parallel with the in-network resolution; the [ctx.replied] guard
-   makes duplicate hits harmless.  [Tree_neighbors] copies sit inside
-   the flooded tree, so the normal visit already reaches them. *)
+(* Read-path fallback probe: the redundant copies live with the next
+   [r] t-peers clockwise from the owner, which neither the tree flood nor
+   the ring route (it approaches the owner from the predecessor side)
+   ever visits.  Walk the successor chain in parallel with the
+   in-network resolution; the [ctx.replied] guard makes duplicate hits
+   harmless. *)
 let probe_ring_replicas ctx ~entry ~base_hops =
   let config = ctx.w.World.config in
-  if
-    config.Config.replication_factor > 0
-    && config.Config.replica_placement = Config.Ring_successors
-  then
+  if config.Config.replication_factor > 0 then
     match entry.Peer.t_home with
     | None -> ()
     | Some home ->

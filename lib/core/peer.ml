@@ -84,11 +84,17 @@ let quiet p =
 let tree_degree p =
   List.length p.children + (match p.cp with Some _ -> 1 | None -> 0)
 
+(* Section 5.1's link-usage rule: a connect point takes one more child
+   while its tree degree, that child included, does not exceed its link
+   capacity — one tree link per unit of capacity.  Capacities are
+   relative (1.0 is the default peer), so the bound is 1.0 and a peer's
+   capacity alone sets how many children it can carry. *)
+let link_usage_threshold = 1.0
+
 let has_free_slot config p =
   tree_degree p < config.Config.delta
   && (not config.Config.link_usage_aware
-      || float_of_int (tree_degree p + 1) /. p.link_capacity
-         <= config.Config.link_usage_threshold)
+      || float_of_int (tree_degree p + 1) /. p.link_capacity <= link_usage_threshold)
 
 let attach_child ~parent ~child =
   child.cp <- Some parent;

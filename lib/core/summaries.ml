@@ -17,8 +17,14 @@ let invalidate_all w = w.World.summary_epoch <- w.World.summary_epoch + 1
 let local_keys peer =
   List.rev_append (Data_store.keys peer.Peer.store) (Data_store.keys peer.Peer.replicas)
 
+(* Attenuation levels per edge summary: level [i] holds keys exactly
+   [i+1] tree hops below the edge, and the last level absorbs everything
+   deeper.  A flood's TTL (4 by default) bounds how far below an edge it
+   can still reach, so four levels let a TTL-4 flood check each distance
+   it can reach against its own filter. *)
+let depth = 4
+
 let rebuild w root =
-  let depth = w.World.config.Config.bloom_depth in
   let bits_per_key = w.World.config.Config.bloom_bits_per_key in
   (* Postorder walk: [collect peer] fills [peer.summaries] for each live
      child and returns the keys of [peer]'s subtree bucketed by distance

@@ -104,5 +104,3 @@ let write_trace ~path trace =
       output_string oc (if !first then "[]\n" else "]\n"))
 
 let write_metrics ~path registry = write_file ~path (metrics_to_string registry)
-
-let write_metrics_csv ~path registry = write_file ~path (Registry.to_csv registry)

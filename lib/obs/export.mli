@@ -2,7 +2,7 @@
 
     Traces export as Chrome trace-event JSON, loadable by
     [ui.perfetto.dev] and [chrome://tracing]; registries export as a
-    single JSON object ({!Registry.to_json} schema) or CSV. *)
+    single JSON object ({!Registry.to_json} schema). *)
 
 (** [metrics_to_string registry] — the registry snapshot as one JSON
     document. *)
@@ -33,4 +33,3 @@ val read_file : string -> string
 val write_trace : path:string -> P2p_sim.Trace.t -> unit
 
 val write_metrics : path:string -> Registry.t -> unit
-val write_metrics_csv : path:string -> Registry.t -> unit

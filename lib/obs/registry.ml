@@ -184,59 +184,6 @@ let to_json t =
   in
   Json.Obj by_subsystem
 
-(* RFC-4180 field escaping: names containing the delimiter, a quote, or
-   a line break are wrapped in double quotes with inner quotes doubled —
-   otherwise such a name shifts every later column of its row. *)
-let csv_field s =
-  let needs_quoting =
-    String.exists (function ',' | '"' | '\n' | '\r' -> true | _ -> false) s
-  in
-  if not needs_quoting then s
-  else begin
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let to_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "subsystem,name,kind,count,value,mean,min,max\n";
-  List.iter
-    (fun b ->
-      let subsystem = csv_field b.subsystem and name = csv_field b.name in
-      match b.metric with
-      | Counter c ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%s,counter,%d,%d,,,\n" subsystem name c.count c.count)
-      | Gauge g ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%s,gauge,,%g,,,\n" subsystem name g.value)
-      | Histogram h ->
-        let s = h.summary in
-        if Summary.count s = 0 then
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%s,histogram,0,,,,\n" subsystem name)
-        else
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%s,histogram,%d,,%g,%g,%g\n" subsystem name
-               (Summary.count s) (Summary.mean s) (Summary.min s) (Summary.max s))
-      | Log l ->
-        if Log_hist.count l = 0 then
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%s,log_histogram,0,,,,\n" subsystem name)
-        else
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%s,log_histogram,%d,,%g,%g,%g\n" subsystem name
-               (Log_hist.count l) (Log_hist.mean l) (Log_hist.min_value l)
-               (Log_hist.max_value l)))
-    (bindings t);
-  Buffer.contents buf
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter

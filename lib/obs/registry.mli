@@ -97,14 +97,4 @@ val histogram_bins : ?bins:int -> P2p_stats.Summary.t -> (float * int) list
     [{"kind":"histogram","count":n,"mean":...,"bins":[...]}]. *)
 val to_json : t -> Json.t
 
-(** [csv_field s] — RFC-4180 escaping of one CSV field: quoted (with
-    inner quotes doubled) when [s] contains a comma, quote, or line
-    break; returned verbatim otherwise. *)
-val csv_field : string -> string
-
-(** [to_csv t] — one row per metric with a fixed
-    [subsystem,name,kind,count,value,mean,min,max] header; subsystem and
-    metric names pass through {!csv_field}. *)
-val to_csv : t -> string
-
 val pp : Format.formatter -> t -> unit

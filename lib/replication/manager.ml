@@ -195,89 +195,86 @@ let on_failure t _dead =
    replica digest disagrees pulls the item list and converges on it —
    missing copies are shipped, stale copies inside the segment pruned.
    Message-for-message this is the classic push-pull digest exchange,
-   attributed to one [Anti_entropy] trace op per round.
-
-   [Tree_neighbors] placement has no per-segment replica locality to
-   digest (each item's copies follow its own holder), so a round falls
-   back to the synchronous heal pass, which converges the same state. *)
+   attributed to one [Anti_entropy] trace op per round. *)
 let anti_entropy_round t =
   let w = t.w in
   Registry.incr t.anti_entropy_rounds;
-  if w.World.config.Config.replica_placement = Config.Tree_neighbors then heal t
-  else begin
-    let op =
-      Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Anti_entropy ""
-    in
-    let homes = Array.copy (World.t_peers w) in
-    let segments = ref 0 and mismatches = ref 0 in
-    Array.iter
-      (fun home ->
-        let left = Peer.segment_left home in
-        let right = home.Peer.p_id in
-        let items =
-          List.concat_map
-            (fun member -> Data_store.segment_items member.Peer.store ~left ~right)
-            (Peer.tree_members home)
-        in
-        let digest = Data_store.digest_items items in
-        List.iter
-          (fun target ->
-            incr segments;
-            w.World.replication_pending <- w.World.replication_pending + 1;
-            World.send_span w ~op ~tier:"replication" ~phase:"digest_push"
-              ~src:home ~dst:target (fun () ->
-                w.World.replication_pending <- w.World.replication_pending - 1;
-                if
-                  target.Peer.alive
-                  && Data_store.segment_digest target.Peer.replicas ~left ~right
-                     <> digest
-                then begin
-                  incr mismatches;
-                  Registry.incr t.digest_mismatches;
-                  (* pull: the target asks for the list and converges *)
-                  w.World.replication_pending <- w.World.replication_pending + 1;
-                  World.send_span w ~op ~tier:"replication" ~phase:"digest_pull"
-                    ~src:target ~dst:home (fun () ->
-                      w.World.replication_pending <- w.World.replication_pending - 1;
-                      if target.Peer.alive then begin
-                        let wanted = Hashtbl.create (List.length items) in
-                        List.iter
-                          (fun (key, value, route_id) ->
-                            Hashtbl.replace wanted key ();
-                            match Data_store.find target.Peer.replicas ~key with
-                            | Some v when v = value -> ()
-                            | Some _ | None ->
-                              if not (Data_store.mem target.Peer.store ~key) then begin
-                                Data_store.insert_routed target.Peer.replicas ~route_id
-                                  ~key ~value;
-                                Summaries.note_stored w ~holder:target ~key;
-                                Registry.incr t.copies_written;
-                                Registry.incr t.bytes_re_replicated
-                                  ~by:(String.length key + String.length value)
-                              end)
-                          items;
-                        List.iter
-                          (fun (key, _, _) ->
-                            if not (Hashtbl.mem wanted key) then begin
-                              Data_store.remove target.Peer.replicas ~key;
-                              Registry.incr t.stale_pruned
+  let op =
+    Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Anti_entropy ""
+  in
+  let homes = Array.copy (World.t_peers w) in
+  let segments = ref 0 and mismatches = ref 0 in
+  Array.iter
+    (fun home ->
+      let left = Peer.segment_left home in
+      let right = home.Peer.p_id in
+      let items =
+        List.concat_map
+          (fun member -> Data_store.segment_items member.Peer.store ~left ~right)
+          (Peer.tree_members home)
+      in
+      let digest = Data_store.digest_items items in
+      List.iter
+        (fun target ->
+          incr segments;
+          w.World.replication_pending <- w.World.replication_pending + 1;
+          World.send_span w ~op ~tier:"replication" ~phase:"digest_push"
+            ~src:home ~dst:target (fun () ->
+              w.World.replication_pending <- w.World.replication_pending - 1;
+              if
+                target.Peer.alive
+                && Data_store.segment_digest target.Peer.replicas ~left ~right
+                   <> digest
+              then begin
+                incr mismatches;
+                Registry.incr t.digest_mismatches;
+                (* pull: the target asks for the list and converges *)
+                w.World.replication_pending <- w.World.replication_pending + 1;
+                World.send_span w ~op ~tier:"replication" ~phase:"digest_pull"
+                  ~src:target ~dst:home (fun () ->
+                    w.World.replication_pending <- w.World.replication_pending - 1;
+                    if target.Peer.alive then begin
+                      let wanted = Hashtbl.create (List.length items) in
+                      List.iter
+                        (fun (key, value, route_id) ->
+                          Hashtbl.replace wanted key ();
+                          match Data_store.find target.Peer.replicas ~key with
+                          | Some v when v = value -> ()
+                          | Some _ | None ->
+                            if not (Data_store.mem target.Peer.store ~key) then begin
+                              Data_store.insert_routed target.Peer.replicas ~route_id
+                                ~key ~value;
+                              Summaries.note_stored w ~holder:target ~key;
+                              Registry.incr t.copies_written;
+                              Registry.incr t.bytes_re_replicated
+                                ~by:(String.length key + String.length value)
                             end)
-                          (Data_store.segment_items target.Peer.replicas ~left ~right)
-                      end)
-                end))
-          (Policy.ring_successors w ~home ~factor:t.factor))
-      homes;
-    Trace.end_op (World.trace w) ~time:(World.now w) ~op
-      "%d segment digests, %d mismatches" !segments !mismatches
-  end
+                        items;
+                      List.iter
+                        (fun (key, _, _) ->
+                          if not (Hashtbl.mem wanted key) then begin
+                            Data_store.remove target.Peer.replicas ~key;
+                            Registry.incr t.stale_pruned
+                          end)
+                        (Data_store.segment_items target.Peer.replicas ~left ~right)
+                    end)
+              end))
+        (Policy.ring_successors w ~home ~factor:t.factor))
+    homes;
+  Trace.end_op (World.trace w) ~time:(World.now w) ~op
+    "%d segment digests, %d mismatches" !segments !mismatches
+
+(* Simulated ms between anti-entropy rounds.  A heal pass runs one hello
+   timeout (1,600 ms by default) after a membership change; rounds about
+   three of those apart let the pending heal land first, so a round
+   digests the drift heals leave behind (dropped or stale copies)
+   instead of racing them. *)
+let anti_entropy_interval = 5_000.0
 
 let start t =
   if t.factor > 0 && t.ae_timer = None then
     t.ae_timer <-
-      Some
-        (World.periodic t.w
-           ~period:t.w.World.config.Config.anti_entropy_interval (fun () ->
-             anti_entropy_round t))
+      Some (World.periodic t.w ~period:anti_entropy_interval (fun () -> anti_entropy_round t))
 
 let stop t =
   match t.ae_timer with

@@ -45,13 +45,11 @@ val factor : t -> int
 val heal : ?op:int -> t -> unit
 
 (** [anti_entropy_round t] runs one digest-exchange round immediately
-    (also what the periodic timer fires).  [Tree_neighbors] placement
-    has no per-segment locality to digest, so the round degenerates to
-    {!heal}. *)
+    (also what the periodic timer fires). *)
 val anti_entropy_round : t -> unit
 
-(** [start t] arms the periodic anti-entropy timer
-    ([config.anti_entropy_interval] ms); no-op if running or factor 0. *)
+(** [start t] arms the periodic anti-entropy timer (a round every
+    5,000 simulated ms); no-op if running or factor 0. *)
 val start : t -> unit
 
 (** [stop t] cancels the timer so batch drains can terminate. *)

@@ -22,18 +22,11 @@ let ring_successors w ~home ~factor =
   else List.init (min factor (n - 1)) (fun k -> arr.((idx + k + 1) mod n))
 
 let targets w ~primary =
-  let config = w.World.config in
-  let factor = config.Config.replication_factor in
+  let factor = w.World.config.Config.replication_factor in
   if factor <= 0 || not primary.Peer.alive then []
   else
-    match config.Config.replica_placement with
-    | Config.Ring_successors -> (
-      match primary.Peer.t_home with
-      | Some home when home.Peer.alive -> ring_successors w ~home ~factor
-      | Some _ | None -> [])
-    | Config.Tree_neighbors ->
-      Peer.tree_neighbors primary
-      |> List.filter (fun q -> q.Peer.alive)
-      |> List.filteri (fun i _ -> i < factor)
+    match primary.Peer.t_home with
+    | Some home when home.Peer.alive -> ring_successors w ~home ~factor
+    | Some _ | None -> []
 
 let expected_copies w ~primary = List.length (targets w ~primary)

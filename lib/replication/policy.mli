@@ -2,18 +2,11 @@
     [replication_factor] redundant copies of an item whose primary copy
     lives at a given peer.
 
-    Two modes ([Config.replica_placement]):
-
-    - {e Ring_successors}: one copy with each of the next [r] live
-      t-peers clockwise from the owner of the primary holder's segment —
-      distinct s-networks, so losing a whole tree (or its t-peer) leaves
-      [r] copies standing.  This mirrors the successor-list discipline
-      structured overlays use for their own state.
-    - {e Tree_neighbors}: copies on the primary holder's s-tree parent
-      and children (truncated to [r]), honouring the paper's Scheme A/B
-      placement — after a spreading walk the copies stay one tree hop
-      from wherever the walk ended.  Cheap, but correlated with the
-      primary's failure domain.
+    One copy goes with each of the next [r] live t-peers clockwise from
+    the owner of the primary holder's segment — distinct s-networks, so
+    losing a whole tree (or its t-peer) leaves [r] copies standing.  This
+    mirrors the successor-list discipline structured overlays use for
+    their own state.
 
     The policy is {e location-agnostic}: targets are computed from the
     current membership, so after churn the "right" target set moves and
@@ -24,11 +17,10 @@ module Peer := Hybrid_p2p.Peer
 
 (** [targets w ~primary] lists the peers that should hold a replica of
     an item whose primary copy sits at [primary], under the world's
-    configured placement and factor.  Never includes [primary]; at most
+    configured factor.  Never includes [primary]; at most
     [replication_factor] peers; shorter when the membership cannot
-    support the full factor (fewer than [r + 1] t-peers, or a sparse
-    tree).  Empty when replication is off, [primary] is dead, or its
-    t-home is dead (pre-repair limbo — the post-repair heal recomputes). *)
+    support the full factor (fewer than [r + 1] t-peers).  Empty when
+    replication is off, [primary] is dead, or its t-home is dead (pre-repair limbo — the post-repair heal recomputes). *)
 val targets : World.t -> primary:Peer.t -> Peer.t list
 
 (** [expected_copies w ~primary] is [List.length (targets w ~primary)] —
@@ -36,8 +28,8 @@ val targets : World.t -> primary:Peer.t -> Peer.t list
 val expected_copies : World.t -> primary:Peer.t -> int
 
 (** [ring_successors w ~home ~factor] is the raw successor enumeration
-    [Ring_successors] mode builds on: the next [min factor (n-1)] live
-    t-peers clockwise from [home].  Exposed for the per-segment
+    {!targets} builds on: the next [min factor (n-1)] live t-peers
+    clockwise from [home].  Exposed for the per-segment
     anti-entropy exchange, which pairs each segment owner with exactly
     these peers. *)
 val ring_successors : World.t -> home:Peer.t -> factor:int -> Peer.t list

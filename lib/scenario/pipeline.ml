@@ -71,7 +71,6 @@ let replication h =
 type outputs = {
   trace_out : string option;
   metrics_out : string option;
-  metrics_csv : string option;
   profile : bool;
   timeline_out : string option;
   timeline_interval : float;
@@ -82,7 +81,7 @@ type outputs = {
 }
 
 let no_outputs =
-  { trace_out = None; metrics_out = None; metrics_csv = None; profile = false;
+  { trace_out = None; metrics_out = None; profile = false;
     timeline_out = None; timeline_interval = 50.0; slos = []; dump_dir = None;
     dump_on_exit = false; gc_gauges = false }
 
@@ -233,7 +232,7 @@ let print_audit_summary a =
         snap.Checks.statuses)
     (Auditor.last_snapshot a)
 
-(* Trace, metrics, CSV, profile and timeline; raises [Sys_error] when a
+(* Trace, metrics, profile and timeline; raises [Sys_error] when a
    file cannot be written. *)
 let write_outputs t reg =
   let trace = H.trace t.h and engine = H.engine t.h in
@@ -250,7 +249,6 @@ let write_outputs t reg =
     t.out.trace_out
     (fun path -> Export.write_trace ~path trace);
   written "metrics" t.out.metrics_out (fun path -> Export.write_metrics ~path reg);
-  written "metrics (csv)" t.out.metrics_csv (fun path -> Export.write_metrics_csv ~path reg);
   if t.out.profile then begin
     Printf.printf "engine: %d events executed, queue high-water %d\n"
       (Engine.events_executed engine) (Engine.queue_high_water engine);

@@ -35,7 +35,6 @@ val replication : Hybrid_p2p.Hybrid.t -> P2p_replication.Manager.t option
 type outputs = {
   trace_out : string option;
   metrics_out : string option;
-  metrics_csv : string option;
   profile : bool;
   timeline_out : string option;
   timeline_interval : float;
@@ -100,7 +99,7 @@ type end_state =
   | Audit_only  (** the auditor alone decides *)
 
 (** [finish ?inserted t ~end_state] prints the end state, writes the
-    trace, metrics, CSV, profile and timeline, checks the SLOs, writes
+    trace, metrics, profile and timeline, checks the SLOs, writes
     the flight dump if a gate tripped (or [dump_on_exit]), prints the
     audit summary (unless [Reported]) and checks that [inserted] items
     are still stored.  Returns the exit code: 1 if any of these failed

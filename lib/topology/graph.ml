@@ -36,18 +36,6 @@ let latency t u v =
   check_node t v;
   List.assoc v t.adjacency.(u)
 
-let set_latency t u v ~latency =
-  check_node t u;
-  check_node t v;
-  if latency <= 0.0 then invalid_arg "Graph.set_latency: non-positive latency";
-  let rec update target = function
-    | [] -> raise Not_found
-    | (x, _) :: rest when x = target -> (x, latency) :: rest
-    | pair :: rest -> pair :: update target rest
-  in
-  t.adjacency.(u) <- update v t.adjacency.(u);
-  t.adjacency.(v) <- update u t.adjacency.(v)
-
 let neighbors t u =
   check_node t u;
   t.adjacency.(u)

@@ -29,14 +29,6 @@ val has_edge : t -> int -> int -> bool
     @raise Not_found if absent. *)
 val latency : t -> int -> int -> float
 
-(** [set_latency t u v ~latency] changes the weight of the existing edge
-    [u -- v] (both directions).  Routing state computed from the old
-    weight is not informed — callers go through {!Routing.update_link},
-    which re-derives the affected tables.
-    @raise Not_found if the edge is absent; [Invalid_argument] if
-    [latency <= 0]. *)
-val set_latency : t -> int -> int -> latency:float -> unit
-
 (** [neighbors t u] lists [(v, latency)] for every edge at [u]. *)
 val neighbors : t -> int -> (int * float) list
 

@@ -35,8 +35,6 @@ type link_state = {
   t_hops : int array;
 }
 
-type ls_box = { mutable ls : link_state }
-
 (* [Synthetic] short-circuits path computation entirely: every distinct
    pair is one hop at a fixed latency.  Million-node underlays cannot
    afford per-source Dijkstra (the cache alone is O(n) per source), and
@@ -44,7 +42,7 @@ type ls_box = { mutable ls : link_state }
 type t =
   | Graph_routed of graph_routed
   | Synthetic of { graph : Graph.t; latency : float }
-  | Link_state of ls_box
+  | Link_state of link_state
 
 let create graph =
   Graph_routed { graph; cache = Array.make (Graph.node_count graph) None }
@@ -139,8 +137,6 @@ let source_result t src =
     let r = dijkstra t.graph src in
     t.cache.(src) <- Some r;
     r
-
-let drop_cache t = Array.fill t.cache 0 (Array.length t.cache) None
 
 (* --- link-state construction --- *)
 
@@ -372,7 +368,7 @@ let build_link_state graph ~is_transit =
   }
 
 let link_state graph ~is_transit =
-  Link_state { ls = build_link_state graph ~is_transit }
+  Link_state (build_link_state graph ~is_transit)
 
 (* --- link-state queries --- *)
 
@@ -471,61 +467,13 @@ let ls_path ls u v =
   in
   if u = v then [ u ] else collect u []
 
-(* --- incremental recomputation --- *)
-
-let rebuild_domain ls d =
-  let members = ls.dom_members.(d) in
-  let dist, next, hops =
-    restricted_all_pairs ls.ls_graph ~members
-      ~index_of:(fun v -> ls.dom_index.(v))
-      ~in_set:(fun v -> (not ls.is_transit.(v)) && ls.domain_of.(v) = d)
-  in
-  ls.dom_dist.(d) <- dist;
-  ls.dom_next.(d) <- next;
-  ls.dom_hops.(d) <- hops
-
-let rebuild_transit ls =
-  let dist, next, hops =
-    restricted_all_pairs ls.ls_graph ~members:ls.t_nodes
-      ~index_of:(fun v -> ls.t_index.(v))
-      ~in_set:(fun v -> ls.is_transit.(v))
-  in
-  Array.blit dist 0 ls.t_dist 0 (Array.length dist);
-  Array.blit next 0 ls.t_next 0 (Array.length next);
-  Array.blit hops 0 ls.t_hops 0 (Array.length hops)
-
-let update_link t u v ~latency =
-  match t with
-  | Synthetic _ -> invalid_arg "Routing.update_link: synthetic router"
-  | Graph_routed r ->
-    Graph.set_latency r.graph u v ~latency;
-    (* every cached single-source tree may route through the edge *)
-    drop_cache r
-  | Link_state b ->
-    let ls = b.ls in
-    Graph.set_latency ls.ls_graph u v ~latency;
-    let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-    if du < 0 && dv < 0 then rebuild_transit ls
-    else if du >= 0 && du = dv then rebuild_domain ls du
-    else
-      (* the only stub-to-transit edges are access links *)
-      let d = if du >= 0 then du else dv in
-      ls.dom_access.(d) <- latency
-
-let refresh t =
-  match t with
-  | Synthetic _ -> ()
-  | Graph_routed r -> drop_cache r
-  | Link_state b ->
-    b.ls <- build_link_state b.ls.ls_graph ~is_transit:(fun u -> b.ls.is_transit.(u))
-
 (* --- the common query surface --- *)
 
 let distance t u v =
   match t with
   | Graph_routed t -> (source_result t u).dist.(v)
   | Synthetic { latency; _ } -> if u = v then 0.0 else latency
-  | Link_state b -> ls_distance b.ls u v
+  | Link_state ls -> ls_distance ls u v
 
 let path t u v =
   match t with
@@ -537,7 +485,7 @@ let path t u v =
     in
     build [] v
   | Synthetic _ -> if u = v then [ u ] else [ u; v ]
-  | Link_state b -> ls_path b.ls u v
+  | Link_state ls -> ls_path ls u v
 
 (* Hop counting never materializes the path: graph mode walks the
    predecessor chain, link-state mode adds three table entries. *)
@@ -557,27 +505,11 @@ let hop_count t u v =
       !hops
     end
   | Synthetic _ -> if u = v then 0 else 1
-  | Link_state b ->
-    if u <> v && ls_distance b.ls u v = infinity then raise Not_found;
-    ls_hop_count b.ls u v
-
-let eccentricity t u =
-  match t with
-  | Graph_routed t ->
-    let r = source_result t u in
-    Array.fold_left (fun acc d -> if d <> infinity && d > acc then d else acc) 0.0 r.dist
-  | Synthetic { latency; _ } -> latency
-  | Link_state b ->
-    let ls = b.ls in
-    let n = Graph.node_count ls.ls_graph in
-    let acc = ref 0.0 in
-    for v = 0 to n - 1 do
-      let d = ls_distance ls u v in
-      if d <> infinity && d > !acc then acc := d
-    done;
-    !acc
+  | Link_state ls ->
+    if u <> v && ls_distance ls u v = infinity then raise Not_found;
+    ls_hop_count ls u v
 
 let graph = function
   | Graph_routed t -> t.graph
   | Synthetic { graph; _ } -> graph
-  | Link_state b -> b.ls.ls_graph
+  | Link_state ls -> ls.ls_graph

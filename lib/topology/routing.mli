@@ -60,24 +60,6 @@ val path : t -> int -> int -> int list
     @raise Not_found when unreachable. *)
 val hop_count : t -> int -> int -> int
 
-(** [update_link t u v ~latency] changes the weight of the existing edge
-    [u -- v] and re-derives only the routing state the change can affect:
-    the Dijkstra backend drops its cache; the link-state backend rebuilds
-    the one stub domain (intra-domain edge), the backbone tables
-    (transit-transit edge), or just the stored access latency
-    (stub-to-transit edge).
-    @raise Invalid_argument on a {!synthetic} router; [Not_found] when
-    the edge is absent. *)
-val update_link : t -> int -> int -> latency:float -> unit
-
-(** [refresh t] recomputes all routing state from the current graph.
-    Required after structural changes ([Graph.add_edge]) that
-    {!update_link} does not cover.  No-op for {!synthetic}. *)
-val refresh : t -> unit
-
-(** [eccentricity t u] is the maximum finite distance from [u]. *)
-val eccentricity : t -> int -> float
-
 (** [restricted_all_pairs graph ~members ~index_of ~in_set] is the
     all-pairs table set the link-state backend keeps per stub domain and
     for the backbone: shortest paths over the subgraph induced by

@@ -392,7 +392,11 @@ let handle t ~src ~trace msg =
       (Wire.Scrape_reply { req; node = t.node; snapshot = Scrape.to_string snap })
   | Wire.Shutdown -> t.stopping <- true
   | Wire.Ping { nonce } -> send t ~dst:src (Wire.Pong { nonce })
-  | _ -> ()
+  (* replies addressed to the client or the aggregator, and the
+     transport's own handshake and liveness frames *)
+  | Wire.Hello _ | Wire.Pong _ | Wire.Client_reply _ | Wire.Status _ | Wire.Scrape_reply _
+    ->
+    ()
 
 (* --- lifecycle ------------------------------------------------------- *)
 

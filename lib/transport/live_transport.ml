@@ -58,9 +58,9 @@ type stats = {
   mutable drops : int;
   mutable decode_errors : int;
   mutable trace_bytes : int;
-      (* bytes spent on wire-v2 trace plumbing beyond the v1 layout:
-         one flags byte per sent frame plus 16 bytes per stamped trace
-         header (see {!Wire.trace_overhead}) *)
+      (* bytes spent on trace plumbing: one flags byte per sent frame
+         plus 16 bytes per stamped trace header (see
+         {!Wire.trace_overhead}) *)
 }
 
 type t = {

@@ -38,9 +38,8 @@ type stats = {
   mutable drops : int;
   mutable decode_errors : int;
   mutable trace_bytes : int;
-      (** bytes spent on wire-v2 trace plumbing beyond the v1 frame
-          layout: one flags byte per sent frame plus 16 per stamped
-          trace header *)
+      (** bytes spent on trace plumbing: one flags byte per sent frame
+          plus 16 per stamped trace header *)
 }
 
 (** [create ~self ()] makes a transport for node [self].  [p_id] is
@@ -68,8 +67,7 @@ val stats : t -> stats
 val send_traced : t -> ?trace:Wire.trace_ctx -> dst:int -> Wire.msg -> unit
 
 (** [set_handler_traced t f] installs a handler that also receives each
-    frame's trace context ([None] for v1 frames and unstamped v2
-    frames).  Replaces — and is replaced by — {!set_handler}. *)
+    frame's trace context ([None] for unstamped frames).  Replaces — and is replaced by — {!set_handler}. *)
 val set_handler_traced :
   t ->
   (src:int -> dst:int -> trace:Wire.trace_ctx option -> Wire.msg -> unit) ->

@@ -43,7 +43,7 @@ type outcome = {
   decode_errors : int;
   scraped : int;  (* nodes that answered the mid-run scrape *)
   slo_ok : bool;
-  trace_overhead_pct : float;  (* trace header bytes vs v1 bytes-on-wire *)
+  trace_overhead_pct : float;  (* trace bytes vs untraced bytes-on-wire *)
   exit_code : int;
 }
 
@@ -193,17 +193,18 @@ let aggregator_stop a = Live_transport.stop a.agg_client.tr
 
 (* --- observability gates ---------------------------------------------- *)
 
-(* Trace overhead vs plain v1 framing, from the merged wire counters:
+(* Trace overhead vs untraced framing, from the merged wire counters:
    [trace_bytes] counts the flags byte and stamped headers, so
-   [bytes_sent - trace_bytes] is what the same traffic cost under v1. *)
+   [bytes_sent - trace_bytes] is what the same traffic costs without
+   trace plumbing. *)
 let overhead_pct merged =
   let value name =
     Registry.counter_value (Registry.counter merged ~subsystem:"wire" ~name)
   in
   let trace_bytes = value "trace_bytes" and bytes_sent = value "bytes_sent" in
-  let v1_bytes = bytes_sent - trace_bytes in
-  if v1_bytes <= 0 then 0.0
-  else 100.0 *. float_of_int trace_bytes /. float_of_int v1_bytes
+  let untraced_bytes = bytes_sent - trace_bytes in
+  if untraced_bytes <= 0 then 0.0
+  else 100.0 *. float_of_int trace_bytes /. float_of_int untraced_bytes
 
 type obs_outcome = {
   obs_scraped : int;

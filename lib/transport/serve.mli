@@ -21,8 +21,8 @@ type outcome = {
   scraped : int;  (** nodes that answered the mid-run scrape *)
   slo_ok : bool;  (** [--slo] specs held on the merged registry *)
   trace_overhead_pct : float;
-      (** wire-v2 trace bytes as a percentage of what the same traffic
-          would cost under v1 framing *)
+      (** trace bytes (flags byte and stamped headers) as a percentage
+          of what the same traffic would cost without them *)
   exit_code : int;  (** 0 = ring formed, recall 1.0, dumps clean, gates ok *)
 }
 

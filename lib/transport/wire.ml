@@ -10,9 +10,10 @@
    flags + optional trace header + payload).  [flags] bit 0 says a trace
    header follows — operation id (8 bytes) then parent span id (8
    bytes) — and bit 1 carries the head-sampling decision, so a relay
-   can propagate trace context without re-hashing the op id.  Wire v1
-   frames (no flags byte, payload straight after the tag) still decode;
-   the encoder always emits v2.
+   can propagate trace context without re-hashing the op id.  v2 is the
+   only version: every node and aggregator runs the same binary, so a
+   frame of any other version is an [Error].  Tags 4-8 and 14-18 belong
+   to retired message kinds and decode to [Error] like any unknown tag.
 
    Integers in payloads are 8-byte two's complement (OCaml's 63-bit ints
    round-trip exactly); strings are u32-length-prefixed bytes; lists are
@@ -22,17 +23,12 @@
 
 let version = 2
 
-(* Still accepted by the decoder: PR-8 peers and checked-in captures. *)
-let version_v1 = 1
-
 let magic0 = 'P'
 let magic1 = '2'
 
 (* Frames larger than this are rejected as corruption rather than
    trusted as an allocation size. *)
 let max_body = 16 * 1024 * 1024
-
-type role = T | S
 
 (* Cross-process trace context: the operation id the frame belongs to,
    the sender-side span that caused it (the receiver's parent), and the
@@ -44,11 +40,6 @@ type msg =
   | Hello of { node : int; p_id : int }
   | Ping of { nonce : int }
   | Pong of { nonce : int }
-  | Join_request of { host : int; p_id : int; role : role }
-  | Join_welcome of { succ : int; pred : int }
-  | Attach_child of { parent : int; child : int }
-  | Stabilize_notify of { host : int; p_id : int }
-  | Leave of { host : int }
   | Insert of {
       op : int;
       origin : int;
@@ -68,11 +59,6 @@ type msg =
     }
   | Found of { op : int; key : string; value : string; holder : int; hops : int }
   | Not_found of { op : int; key : string; hops : int }
-  | Flood of { op : int; route_id : int; key : string; ttl : int }
-  | Walk of { op : int; route_id : int; key : string; ttl : int }
-  | Replicate of { route_id : int; key : string; value : string }
-  | Digest of { left : int; right : int; digest : int }
-  | Digest_pull of { left : int; right : int }
   | Tracker_announce of { host : int; p_id : int; port : int }
   | Tracker_peers of { peers : (int * int * int) list }
   | Client_insert of { req : int; key : string; value : string }
@@ -105,21 +91,11 @@ let tag_of = function
   | Hello _ -> 1
   | Ping _ -> 2
   | Pong _ -> 3
-  | Join_request _ -> 4
-  | Join_welcome _ -> 5
-  | Attach_child _ -> 6
-  | Stabilize_notify _ -> 7
-  | Leave _ -> 8
   | Insert _ -> 9
   | Insert_ack _ -> 10
   | Lookup _ -> 11
   | Found _ -> 12
   | Not_found _ -> 13
-  | Flood _ -> 14
-  | Walk _ -> 15
-  | Replicate _ -> 16
-  | Digest _ -> 17
-  | Digest_pull _ -> 18
   | Tracker_announce _ -> 19
   | Tracker_peers _ -> 20
   | Client_insert _ -> 21
@@ -135,21 +111,11 @@ let tag_name = function
   | Hello _ -> "hello"
   | Ping _ -> "ping"
   | Pong _ -> "pong"
-  | Join_request _ -> "join_request"
-  | Join_welcome _ -> "join_welcome"
-  | Attach_child _ -> "attach_child"
-  | Stabilize_notify _ -> "stabilize_notify"
-  | Leave _ -> "leave"
   | Insert _ -> "insert"
   | Insert_ack _ -> "insert_ack"
   | Lookup _ -> "lookup"
   | Found _ -> "found"
   | Not_found _ -> "not_found"
-  | Flood _ -> "flood"
-  | Walk _ -> "walk"
-  | Replicate _ -> "replicate"
-  | Digest _ -> "digest"
-  | Digest_pull _ -> "digest_pull"
   | Tracker_announce _ -> "tracker_announce"
   | Tracker_peers _ -> "tracker_peers"
   | Client_insert _ -> "client_insert"
@@ -175,14 +141,12 @@ let put_string b s =
 
 let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
 
-let put_role b = function T -> Buffer.add_char b 'T' | S -> Buffer.add_char b 'S'
-
 let flag_trace = 0x01
 let flag_sampled = 0x02
 
-(* Bytes a frame carries beyond its v1 layout: the flags byte, plus the
+(* Bytes a frame spends on trace context: the flags byte, plus the
    16-byte trace header when context is stamped.  This is what the
-   [wire/trace_bytes] stat counts, so "v2 overhead vs v1" is exact. *)
+   [wire/trace_bytes] stat counts. *)
 let trace_overhead = function None -> 1 | Some _ -> 1 + 16
 
 let encode_body ?trace msg =
@@ -203,20 +167,6 @@ let encode_body ?trace msg =
      put_int b node;
      put_int b p_id
    | Ping { nonce } | Pong { nonce } -> put_int b nonce
-   | Join_request { host; p_id; role } ->
-     put_int b host;
-     put_int b p_id;
-     put_role b role
-   | Join_welcome { succ; pred } ->
-     put_int b succ;
-     put_int b pred
-   | Attach_child { parent; child } ->
-     put_int b parent;
-     put_int b child
-   | Stabilize_notify { host; p_id } ->
-     put_int b host;
-     put_int b p_id
-   | Leave { host } -> put_int b host
    | Insert { op; origin; route_id; key; value; hops } ->
      put_int b op;
      put_int b origin;
@@ -245,22 +195,6 @@ let encode_body ?trace msg =
      put_int b op;
      put_string b key;
      put_int b hops
-   | Flood { op; route_id; key; ttl } | Walk { op; route_id; key; ttl } ->
-     put_int b op;
-     put_int b route_id;
-     put_string b key;
-     put_int b ttl
-   | Replicate { route_id; key; value } ->
-     put_int b route_id;
-     put_string b key;
-     put_string b value
-   | Digest { left; right; digest } ->
-     put_int b left;
-     put_int b right;
-     put_int b digest
-   | Digest_pull { left; right } ->
-     put_int b left;
-     put_int b right
    | Tracker_announce { host; p_id; port } ->
      put_int b host;
      put_int b p_id;
@@ -354,12 +288,6 @@ let get_bool c =
   | '\001' -> true
   | ch -> raise (Bad (Printf.sprintf "bad bool byte %#x" (Char.code ch)))
 
-let get_role c =
-  match get_char c with
-  | 'T' -> T
-  | 'S' -> S
-  | ch -> raise (Bad (Printf.sprintf "bad role byte %#x" (Char.code ch)))
-
 let decode_payload c tag =
   match tag with
   | 1 ->
@@ -368,24 +296,6 @@ let decode_payload c tag =
     Hello { node; p_id }
   | 2 -> Ping { nonce = get_int c }
   | 3 -> Pong { nonce = get_int c }
-  | 4 ->
-    let host = get_int c in
-    let p_id = get_int c in
-    let role = get_role c in
-    Join_request { host; p_id; role }
-  | 5 ->
-    let succ = get_int c in
-    let pred = get_int c in
-    Join_welcome { succ; pred }
-  | 6 ->
-    let parent = get_int c in
-    let child = get_int c in
-    Attach_child { parent; child }
-  | 7 ->
-    let host = get_int c in
-    let p_id = get_int c in
-    Stabilize_notify { host; p_id }
-  | 8 -> Leave { host = get_int c }
   | 9 ->
     let op = get_int c in
     let origin = get_int c in
@@ -419,32 +329,6 @@ let decode_payload c tag =
     let key = get_string c in
     let hops = get_int c in
     Not_found { op; key; hops }
-  | 14 ->
-    let op = get_int c in
-    let route_id = get_int c in
-    let key = get_string c in
-    let ttl = get_int c in
-    Flood { op; route_id; key; ttl }
-  | 15 ->
-    let op = get_int c in
-    let route_id = get_int c in
-    let key = get_string c in
-    let ttl = get_int c in
-    Walk { op; route_id; key; ttl }
-  | 16 ->
-    let route_id = get_int c in
-    let key = get_string c in
-    let value = get_string c in
-    Replicate { route_id; key; value }
-  | 17 ->
-    let left = get_int c in
-    let right = get_int c in
-    let digest = get_int c in
-    Digest { left; right; digest }
-  | 18 ->
-    let left = get_int c in
-    let right = get_int c in
-    Digest_pull { left; right }
   | 19 ->
     let host = get_int c in
     let p_id = get_int c in
@@ -503,21 +387,17 @@ let decode_body body =
   match
     if get_char c <> magic0 || get_char c <> magic1 then raise (Bad "bad magic");
     let v = Char.code (get_char c) in
-    if v <> version && v <> version_v1 then
-      raise (Bad (Printf.sprintf "unknown version %d" v));
+    if v <> version then raise (Bad (Printf.sprintf "unknown version %d" v));
     let tag = Char.code (get_char c) in
+    let flags = Char.code (get_char c) in
+    if flags land lnot (flag_trace lor flag_sampled) <> 0 then
+      raise (Bad (Printf.sprintf "unknown flag bits %#x" flags));
     let trace =
-      if v = version_v1 then None
+      if flags land flag_trace = 0 then None
       else begin
-        let flags = Char.code (get_char c) in
-        if flags land lnot (flag_trace lor flag_sampled) <> 0 then
-          raise (Bad (Printf.sprintf "unknown flag bits %#x" flags));
-        if flags land flag_trace = 0 then None
-        else begin
-          let tc_op = get_int c in
-          let tc_parent = get_int c in
-          Some { tc_op; tc_parent; tc_sampled = flags land flag_sampled <> 0 }
-        end
+        let tc_op = get_int c in
+        let tc_parent = get_int c in
+        Some { tc_op; tc_parent; tc_sampled = flags land flag_sampled <> 0 }
       end
     in
     let msg = decode_payload c tag in
@@ -565,18 +445,12 @@ let decode ?off buf =
    [test/golden/wire_v2.bin] is the concatenated encoding of this list
    (trace context stamped on the data-path messages, absent elsewhere);
    changing the codec or this list without regenerating the golden file
-   fails the round-trip test.  [test/golden/wire_v1.bin] is the frozen
-   v1 encoding of the first 26 kinds and must keep decoding forever. *)
+   fails the round-trip test. *)
 let golden_exemplars =
   [
     Hello { node = 3; p_id = 0x1234_5678 };
     Ping { nonce = 42 };
     Pong { nonce = 42 };
-    Join_request { host = 17; p_id = 0x0fed_cba9; role = T };
-    Join_welcome { succ = 4; pred = 2 };
-    Attach_child { parent = 5; child = 11 };
-    Stabilize_notify { host = 7; p_id = 99 };
-    Leave { host = 13 };
     Insert
       {
         op = 1001;
@@ -598,11 +472,6 @@ let golden_exemplars =
       };
     Found { op = 2002; key = "needle"; value = "hay"; holder = 6; hops = 5 };
     Not_found { op = 2003; key = "missing"; hops = 7 };
-    Flood { op = 3001; route_id = 77; key = "flood-key"; ttl = 2 };
-    Walk { op = 3002; route_id = 78; key = "walk-key"; ttl = 6 };
-    Replicate { route_id = 4242; key = "copy"; value = "of this" };
-    Digest { left = 100; right = 200; digest = 0x5ca1_ab1e };
-    Digest_pull { left = 100; right = 200 };
     Tracker_announce { host = 0; p_id = 12345; port = 4700 };
     Tracker_peers { peers = [ (0, 10, 4700); (1, 20, 4701); (2, 30, 4702) ] };
     Client_insert { req = 1; key = "k"; value = "v" };

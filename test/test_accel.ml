@@ -104,8 +104,7 @@ let test_cache_many_churns_stay_bounded () =
 
 (* --- summaries: pruned floods keep full recall --- *)
 
-let accel_config =
-  { default_config with Config.bloom_bits_per_key = 8; bloom_depth = 3 }
+let accel_config = { default_config with Config.bloom_bits_per_key = 8 }
 
 let counter_value h ~subsystem ~name =
   Registry.counter_value

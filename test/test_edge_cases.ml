@@ -80,25 +80,21 @@ let test_bypass_shortcut_skips_ring () =
   checkb (Printf.sprintf "repeat lookup cheap (%d contacts)" contacts) true (contacts <= 8)
 
 let test_link_usage_aware_tree () =
-  let config =
-    { default_config with
-      Config.link_usage_aware = true;
-      link_usage_threshold = 0.5;
-    }
-  in
+  let config = { default_config with Config.link_usage_aware = true } in
   let h = H.create_star ~seed:5 ~peers:64 ~config () in
-  (* root with capacity 10 accepts children freely; slow peers do not *)
-  ignore (H.join h ~host:0 ~role:Peer.T_peer ~link_capacity:10.0 () : Peer.t);
+  (* root with capacity 5 accepts children freely; slow peers do not *)
+  ignore (H.join h ~host:0 ~role:Peer.T_peer ~link_capacity:5.0 () : Peer.t);
   H.run h;
   for host = 1 to 20 do
-    ignore (H.join h ~host ~role:Peer.S_peer ~link_capacity:1.0 () : Peer.t);
+    ignore (H.join h ~host ~role:Peer.S_peer ~link_capacity:0.5 () : Peer.t);
     H.run h
   done;
   ok_invariants h;
-  (* slow peers (capacity 1, threshold 0.5) accept no children at all:
-     degree/capacity would exceed 0.5; so everyone hangs off the root up
-     to delta, and the rest… must still attach somewhere (fallback), but
-     slow inner nodes never exceed delta *)
+  (* slow peers (capacity 0.5) accept no children at all: one child
+     would put degree/capacity at 2 or more, over the bound of 1; so
+     everyone hangs off the root up to delta, and the rest… must still
+     attach somewhere (fallback), but slow inner nodes never exceed
+     delta *)
   List.iter
     (fun p ->
       if Peer.is_s_peer p then
@@ -218,6 +214,8 @@ let test_cli_rejects_non_positive_peers () =
       ("run --anti-entropy 100", "--anti-entropy");
       ("run --delta 1", "--delta");
       ("run --timeline-interval 0", "--timeline-interval");
+      ("audit --peers 300 --inject bogus", "--inject");
+      ("audit --inject replication", "--inject");
     ]
 
 (* The host check is exact: a script that joins every host of the
@@ -286,6 +284,50 @@ let test_cli_audit_inject_exit_codes () =
       checki ("--inject " ^ inject) expected code)
     [ ("none", 0); ("degree", 1); ("ring", 1); ("placement", 1) ]
 
+(* [report] reads one [serve] scrape file as the metrics document it
+   wraps: the same text as the bare document, exit 0. *)
+let test_cli_report_single_scrape () =
+  let h, _ = star_system ~seed:9 ~n:40 ~ps:0.7 () in
+  let keys = insert_items h ~count:20 in
+  List.iter
+    (fun key -> ignore (lookup_sync h ~from:(H.random_peer h) ~key () : Data_ops.lookup_outcome))
+    keys;
+  let reg = Metrics.registry (H.metrics h) in
+  let bare = Filename.temp_file "p2psim" ".json"
+  and scrape = Filename.temp_file "p2psim" ".json" in
+  P2p_obs.Export.write_metrics ~path:bare reg;
+  P2p_obs.Export.write_file ~path:scrape
+    (P2p_obs.Scrape.to_string
+       {
+         P2p_obs.Scrape.node = 0;
+         at = 0.0;
+         uptime_ms = 0.0;
+         ready = true;
+         p_id = 0;
+         succ = 0;
+         pred = 0;
+         store = H.total_items h;
+         violations = 0;
+         metrics = P2p_obs.Registry.to_json reg;
+         trace = [];
+       });
+  let report path =
+    let out = Filename.temp_file "p2psim" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/p2psim.exe report %s > %s 2>&1" (Filename.quote path)
+           (Filename.quote out))
+    in
+    let text = In_channel.with_open_text out In_channel.input_all in
+    List.iter Sys.remove [ out; path ];
+    (code, text)
+  in
+  let bare_code, bare_text = report bare in
+  let scrape_code, scrape_text = report scrape in
+  checki "bare document renders" 0 bare_code;
+  checki "scrape file renders" 0 scrape_code;
+  Alcotest.(check string) "same report" bare_text scrape_text
+
 (* The bench harness runs only what it was asked for: a misspelt flag,
    a flag without its value or a second command is a usage error (exit
    2) before anything runs, and --slo fails closed both on a violation
@@ -329,5 +371,7 @@ let suite =
       test_cli_audit_inject_exit_codes;
     Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;
     Alcotest.test_case "CLI compare runs the pure ring" `Quick test_cli_compare_pure_ring;
+    Alcotest.test_case "CLI report reads one serve scrape" `Quick
+      test_cli_report_single_scrape;
     Alcotest.test_case "CLI bench rejects bad arguments" `Quick test_cli_bench_arguments;
   ]

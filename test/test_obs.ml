@@ -389,18 +389,13 @@ let test_export_files () =
   Sys.remove dir;
   Sys.mkdir dir 0o700;
   let tpath = Filename.concat dir "t.json"
-  and mpath = Filename.concat dir "m.json"
-  and cpath = Filename.concat dir "m.csv" in
+  and mpath = Filename.concat dir "m.json" in
   Export.write_trace ~path:tpath trace;
   Export.write_metrics ~path:mpath (Metrics.registry (H.metrics h));
-  Export.write_metrics_csv ~path:cpath (Metrics.registry (H.metrics h));
   checkb "trace re-reads" true (Result.is_ok (Json.parse (Export.read_file tpath)));
   checkb "metrics re-read" true
     (Result.is_ok (Report.of_string (Export.read_file mpath)));
-  let csv = Export.read_file cpath in
-  checkb "csv header" true
-    (String.length csv > 0 && String.sub csv 0 9 = "subsystem");
-  List.iter Sys.remove [ tpath; mpath; cpath ];
+  List.iter Sys.remove [ tpath; mpath ];
   Sys.rmdir dir
 
 (* --- log-histogram JSON round-trip and cluster merge --- *)

@@ -61,10 +61,10 @@ let test_free_slot_delta () =
      is the guard *)
 
 let test_free_slot_link_usage () =
-  let cfg = { config with Config.link_usage_aware = true; link_usage_threshold = 0.5 } in
-  let fast = mk ~capacity:10.0 1 and slow = mk ~capacity:2.0 2 in
-  (* degree+1 / capacity <= 0.5 ? fast: 1/10 yes; slow: 1/2 <= 0.5 yes, but
-     after one child 2/2 > 0.5 *)
+  let cfg = { config with Config.link_usage_aware = true } in
+  let fast = mk ~capacity:5.0 1 and slow = mk ~capacity:1.0 2 in
+  (* degree+1 / capacity <= 1 ? fast: 1/5 yes; slow: 1/1 <= 1 yes, but
+     after one child 2/1 > 1 *)
   checkb "fast accepts" true (Peer.has_free_slot cfg fast);
   checkb "slow accepts first" true (Peer.has_free_slot cfg slow);
   Peer.attach_child ~parent:slow ~child:(mk 3);

@@ -15,15 +15,26 @@ module Scenario = P2p_scenario.Scenario
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let r_config ?(placement = Config.Ring_successors) r =
-  { default_config with Config.replication_factor = r; replica_placement = placement }
+let r_config r = { default_config with Config.replication_factor = r }
 
 (* A settled replicated system: star underlay, manager installed before
    any data exists so every insert fans out. *)
-let replicated_system ?placement ?(seed = 60) ~n ~ps ~r () =
-  let h, members = star_system ~config:(r_config ?placement r) ~seed ~n ~ps () in
+let replicated_system ?(seed = 60) ~n ~ps ~r () =
+  let h, members = star_system ~config:(r_config r) ~seed ~n ~ps () in
   let m = Manager.install (H.world h) in
   (h, members, m)
+
+(* A ring of exactly [t_peers] t-peers with [s_peers] s-peers below
+   them, replicated at [r]. *)
+let small_ring ~seed ~t_peers ~s_peers ~r =
+  let h = H.create_star ~seed ~peers:64 ~config:(r_config r) () in
+  for host = 0 to t_peers + s_peers - 1 do
+    let role = if host < t_peers then Peer.T_peer else Peer.S_peer in
+    ignore (H.join h ~host ~role () : Peer.t);
+    H.run h
+  done;
+  ignore (Manager.install (H.world h) : Manager.t);
+  h
 
 let replication_counter h name =
   let reg = Metrics.registry (H.metrics h) in
@@ -54,47 +65,40 @@ let test_config_validation () =
   checkb "r = 2 valid" true (Result.is_ok (Config.validate (r_config 2)));
   checkb "negative factor rejected" true
     (Result.is_error
-       (Config.validate { default_config with Config.replication_factor = -1 }));
-  checkb "zero anti-entropy interval rejected" true
-    (Result.is_error
-       (Config.validate { default_config with Config.anti_entropy_interval = 0.0 }))
+       (Config.validate { default_config with Config.replication_factor = -1 }))
 
 (* --- placement policy -------------------------------------------------- *)
 
+(* At r = 2 every peer gets the next two t-peers clockwise from its
+   home, or every other t-peer when the ring is smaller than three; the
+   replication_factor check holds the stores to exactly that. *)
 let test_ring_policy_targets () =
-  let h, _, _ = replicated_system ~seed:61 ~n:60 ~ps:0.7 ~r:2 () in
-  let w = H.world h in
-  let t_count = Array.length (World.t_peers w) in
   List.iter
-    (fun p ->
-      let targets = Policy.targets w ~primary:p in
-      checki "ring targets" (min 2 (t_count - 1)) (List.length targets);
-      checkb "never the primary" false (List.memq p targets);
+    (fun (label, h, expected) ->
+      let w = H.world h in
+      checki (label ^ ": ring size") expected (min 2 (Array.length (World.t_peers w) - 1));
+      ignore (insert_items h ~count:30 : string list);
       List.iter
-        (fun tg ->
-          checkb "target is a live t-peer" true (Peer.is_t_peer tg && tg.Peer.alive))
-        targets;
-      checki "targets distinct" (List.length targets)
-        (List.length (List.sort_uniq compare (List.map (fun t -> t.Peer.host) targets))))
-    (H.peers h)
-
-let test_tree_policy_targets () =
-  let h, _, _ =
-    replicated_system ~placement:Config.Tree_neighbors ~seed:62 ~n:60 ~ps:0.8 ~r:2 ()
-  in
-  let w = H.world h in
-  List.iter
-    (fun p ->
-      let targets = Policy.targets w ~primary:p in
-      checkb "at most r targets" true (List.length targets <= 2);
-      checkb "never the primary" false (List.memq p targets);
-      let neighbors = Peer.tree_neighbors p in
-      List.iter
-        (fun tg ->
-          checkb "target is a live tree neighbor" true
-            (tg.Peer.alive && List.memq tg neighbors))
-        targets)
-    (H.peers h)
+        (fun p ->
+          let targets = Policy.targets w ~primary:p in
+          checki (label ^ ": ring targets") expected (List.length targets);
+          checkb (label ^ ": never the primary") false (List.memq p targets);
+          List.iter
+            (fun tg ->
+              checkb (label ^ ": target is a live t-peer") true
+                (Peer.is_t_peer tg && tg.Peer.alive))
+            targets;
+          checki (label ^ ": targets distinct") (List.length targets)
+            (List.length (List.sort_uniq compare (List.map (fun t -> t.Peer.host) targets))))
+        (H.peers h);
+      check_clean h)
+    [
+      (let h, _, _ = replicated_system ~seed:61 ~n:60 ~ps:0.7 ~r:2 () in
+       ("60 peers", h, 2));
+      ("1 t-peer", small_ring ~seed:62 ~t_peers:1 ~s_peers:5 ~r:2, 0);
+      ("2 t-peers", small_ring ~seed:62 ~t_peers:2 ~s_peers:6 ~r:2, 1);
+      ("3 t-peers", small_ring ~seed:62 ~t_peers:3 ~s_peers:3 ~r:2, 2);
+    ]
 
 (* --- write-path fan-out ------------------------------------------------ *)
 
@@ -108,14 +112,6 @@ let test_fanout_on_insert () =
       let expected = min 2 (Policy.expected_copies w ~primary) in
       checki (Printf.sprintf "copies of %s" key) expected (replica_copy_count h key))
     keys;
-  checkb "copies_written counted" true (replication_counter h "copies_written" > 0);
-  check_clean h
-
-let test_fanout_tree_placement () =
-  let h, _, _ =
-    replicated_system ~placement:Config.Tree_neighbors ~seed:64 ~n:60 ~ps:0.8 ~r:2 ()
-  in
-  ignore (insert_items h ~count:100 : string list);
   checkb "copies_written counted" true (replication_counter h "copies_written" > 0);
   check_clean h
 
@@ -193,11 +189,11 @@ let test_dropped_replica_flagged_then_healed () =
   let expected = min 2 (Policy.expected_copies w ~primary:(primary_holder h key)) in
   checki "factor restored" expected (replica_copy_count h key)
 
-(* The exact report for one dropped copy, under both placements: the
-   check tallies copies by interned key id, and must still name the key
-   by its text, at its primary holder. *)
-let test_dropped_replica_report placement () =
-  let h, _, _ = replicated_system ~placement ~seed:69 ~n:60 ~ps:0.7 ~r:2 () in
+(* The exact report for one dropped copy: the check tallies copies by
+   interned key id, and must still name the key by its text, at its
+   primary holder. *)
+let test_dropped_replica_report () =
+  let h, _, _ = replicated_system ~seed:69 ~n:60 ~ps:0.7 ~r:2 () in
   let keys = insert_items h ~count:100 in
   check_clean h;
   let w = H.world h in
@@ -338,9 +334,7 @@ let suite =
     Alcotest.test_case "config: durability fields validated" `Quick
       test_config_validation;
     Alcotest.test_case "policy: ring successors" `Quick test_ring_policy_targets;
-    Alcotest.test_case "policy: tree neighbors" `Quick test_tree_policy_targets;
     Alcotest.test_case "fan-out: every insert replicated" `Quick test_fanout_on_insert;
-    Alcotest.test_case "fan-out: tree placement" `Quick test_fanout_tree_placement;
     Alcotest.test_case "read: replica fallback serves lost primary" `Quick
       test_read_falls_back_to_replica;
     Alcotest.test_case "crash: waves + heal lose nothing (r=2)" `Quick
@@ -350,9 +344,7 @@ let suite =
     Alcotest.test_case "audit: dropped copy flagged then healed" `Quick
       test_dropped_replica_flagged_then_healed;
     Alcotest.test_case "audit: dropped copy report (ring successors)" `Quick
-      (test_dropped_replica_report Config.Ring_successors);
-    Alcotest.test_case "audit: dropped copy report (tree neighbors)" `Quick
-      (test_dropped_replica_report Config.Tree_neighbors);
+      test_dropped_replica_report;
     Alcotest.test_case "audit: stores on a private interner tallied" `Quick
       test_foreign_interner_tallied;
     Alcotest.test_case "policy: ring successors by binary search" `Quick

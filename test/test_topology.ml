@@ -186,22 +186,6 @@ let test_routing_triangle_inequality () =
       (Routing.distance r a c <= Routing.distance r a b +. Routing.distance r b c +. 1e-9)
   done
 
-let test_routing_eccentricity () =
-  let r = Routing.create (line_graph 5) in
-  checkf "end node" 4.0 (Routing.eccentricity r 0);
-  checkf "middle node" 2.0 (Routing.eccentricity r 2)
-
-let test_graph_set_latency () =
-  let g = Graph.create 3 in
-  Graph.add_edge g 0 1 ~latency:1.0;
-  Graph.set_latency g 1 0 ~latency:2.5;
-  checkf "updated both directions" 2.5 (Graph.latency g 0 1);
-  Alcotest.check_raises "absent edge" Not_found (fun () ->
-      Graph.set_latency g 0 2 ~latency:1.0);
-  Alcotest.check_raises "bad latency"
-    (Invalid_argument "Graph.set_latency: non-positive latency") (fun () ->
-      Graph.set_latency g 0 1 ~latency:0.0)
-
 (* --- link-state routing --- *)
 
 (* When [u ~ v], the backend's reported path must be real (edges exist),
@@ -278,10 +262,10 @@ let manual_hierarchy () =
   Graph.add_edge g 0 2 ~latency:2.0;
   Graph.add_edge g 5 6 ~latency:1.0;
   Graph.add_edge g 1 5 ~latency:3.0;
-  (g, Routing.link_state g ~is_transit:(fun u -> u < 2))
+  Routing.link_state g ~is_transit:(fun u -> u < 2)
 
 let test_link_state_manual () =
-  let _g, r = manual_hierarchy () in
+  let r = manual_hierarchy () in
   checkf "intra-domain" 2.0 (Routing.distance r 2 4);
   checkf "stub to transit" 13.0 (Routing.distance r 3 1);
   checkf "transit to stub" 4.0 (Routing.distance r 1 6);
@@ -289,7 +273,6 @@ let test_link_state_manual () =
   checki "cross-domain hops" 6 (Routing.hop_count r 4 6);
   Alcotest.check (Alcotest.list Alcotest.int) "cross-domain path"
     [ 4; 3; 2; 0; 1; 5; 6 ] (Routing.path r 4 6);
-  checkf "eccentricity" 18.0 (Routing.eccentricity r 4);
   (* the isolated domain: reachable from itself, nothing else *)
   checkf "isolated self" 0.0 (Routing.distance r 7 7);
   checkb "isolated unreachable" true (Routing.distance r 7 4 = infinity);
@@ -310,39 +293,6 @@ let test_link_state_rejects_multi_access () =
     (match Routing.link_state g ~is_transit:(fun u -> u < 2) with
      | exception Invalid_argument _ -> true
      | (_ : Routing.t) -> false)
-
-(* Incremental recomputation: after [update_link] on each link class
-   (intra-stub, transit-transit, access) the link-state router must
-   answer exactly like a fresh Dijkstra router over the mutated graph. *)
-let test_link_state_update_link () =
-  let rng = Rng.create 21 in
-  let t = Transit_stub.generate ~rng small_params in
-  let g = t.Transit_stub.graph in
-  let transit = Transit_stub.transit_nodes t in
-  let is_t u = List.mem u transit in
-  let ls = Transit_stub.routing t in
-  let edges = Graph.edges g in
-  let pick pred = List.find pred edges in
-  let intra = pick (fun e -> (not (is_t e.Graph.u)) && not (is_t e.Graph.v)) in
-  let transit = pick (fun e -> is_t e.Graph.u && is_t e.Graph.v) in
-  let access = pick (fun e -> is_t e.Graph.u <> is_t e.Graph.v) in
-  let check_against_fresh name =
-    let fresh = Routing.create g in
-    let n = Graph.node_count g in
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        Alcotest.check (Alcotest.float 1e-6) name
-          (Routing.distance fresh u v)
-          (Routing.distance ls u v)
-      done
-    done
-  in
-  Routing.update_link ls intra.Graph.u intra.Graph.v ~latency:0.25;
-  check_against_fresh "after intra-stub update";
-  Routing.update_link ls transit.Graph.u transit.Graph.v ~latency:123.0;
-  check_against_fresh "after transit update";
-  Routing.update_link ls access.Graph.u access.Graph.v ~latency:9.5;
-  check_against_fresh "after access-link update"
 
 (* The scan-min all-pairs build [Routing.restricted_all_pairs] replaced:
    per source, settle the unsettled node with the smallest tentative
@@ -434,9 +384,9 @@ let routing_sets t =
 
 (* Graphs for the table comparison: [shape] 0 is small, 1 the paper's
    1,000-node default, 2 four stub domains of 101-140 nodes with extra
-   chords.  With [ties], every latency is redrawn from {1.0, 2.0}, so
-   equal-length paths are everywhere and only the settle order decides
-   the first-hop and hop tables. *)
+   chords.  With [ties], the graph is rebuilt edge for edge with every
+   latency redrawn from {1.0, 2.0}, so equal-length paths are everywhere
+   and only the settle order decides the first-hop and hop tables. *)
 let table_graph ~seed ~shape ~ties =
   let rng = Rng.create seed in
   let params =
@@ -454,13 +404,17 @@ let table_graph ~seed ~shape ~ties =
       }
   in
   let t = Transit_stub.generate ~rng params in
-  if ties then
+  if not ties then t
+  else begin
+    let g = t.Transit_stub.graph in
+    let tied = Graph.create (Graph.node_count g) in
     List.iter
       (fun e ->
-        Graph.set_latency t.Transit_stub.graph e.Graph.u e.Graph.v
+        Graph.add_edge tied e.Graph.u e.Graph.v
           ~latency:(if Rng.bool rng then 1.0 else 2.0))
-      (Graph.edges t.Transit_stub.graph);
-  t
+      (Graph.edges g);
+    { t with Transit_stub.graph = tied }
+  end
 
 (* Property: the heap-ordered build gives the scan-min build's tables
    bit for bit — distances compared as IEEE bit patterns, first hops
@@ -493,36 +447,6 @@ let test_table_graph_shapes () =
     (List.for_all
        (fun e -> e.Graph.latency = 1.0 || e.Graph.latency = 2.0)
        (Graph.edges t.Transit_stub.graph))
-
-let test_graph_routed_update_link () =
-  let g = line_graph 5 in
-  let r = Routing.create g in
-  checkf "before" 4.0 (Routing.distance r 0 4);
-  (* the cached source-0 tree must be dropped, not reused *)
-  Routing.update_link r 2 3 ~latency:10.0;
-  checkf "after" 13.0 (Routing.distance r 0 4);
-  checki "hops unchanged" 4 (Routing.hop_count r 0 4);
-  Alcotest.check_raises "synthetic rejects"
-    (Invalid_argument "Routing.update_link: synthetic router") (fun () ->
-      Routing.update_link
-        (Routing.synthetic ~nodes:3 ~latency:1.0)
-        0 1 ~latency:2.0)
-
-let test_routing_refresh () =
-  let g, r = manual_hierarchy () in
-  checkf "before" 2.0 (Routing.distance r 2 4);
-  (* a structural change (new edge) needs the full refresh *)
-  Graph.add_edge g 2 4 ~latency:0.5;
-  Routing.refresh r;
-  checkf "refreshed intra" 0.5 (Routing.distance r 2 4);
-  checkf "refreshed cross" 16.5 (Routing.distance r 4 6);
-  (* Dijkstra backend: refresh drops the cache *)
-  let g2 = line_graph 3 in
-  let r2 = Routing.create g2 in
-  checkf "line before" 2.0 (Routing.distance r2 0 2);
-  Graph.add_edge g2 0 2 ~latency:0.5;
-  Routing.refresh r2;
-  checkf "line after" 0.5 (Routing.distance r2 0 2)
 
 (* --- Link_stress --- *)
 
@@ -619,18 +543,11 @@ let suite =
     Alcotest.test_case "routing: unreachable" `Quick test_routing_unreachable;
     Alcotest.test_case "routing: symmetric" `Quick test_routing_symmetric;
     Alcotest.test_case "routing: triangle inequality" `Quick test_routing_triangle_inequality;
-    Alcotest.test_case "routing: eccentricity" `Quick test_routing_eccentricity;
-    Alcotest.test_case "graph: set_latency" `Quick test_graph_set_latency;
     Alcotest.test_case "routing: link-state matches Dijkstra" `Quick
       test_link_state_matches_dijkstra;
     Alcotest.test_case "routing: link-state manual hierarchy" `Quick test_link_state_manual;
     Alcotest.test_case "routing: link-state rejects multi-access domains" `Quick
       test_link_state_rejects_multi_access;
-    Alcotest.test_case "routing: link-state incremental update" `Quick
-      test_link_state_update_link;
-    Alcotest.test_case "routing: Dijkstra update_link drops cache" `Quick
-      test_graph_routed_update_link;
-    Alcotest.test_case "routing: refresh after structural change" `Quick test_routing_refresh;
     Alcotest.test_case "routing: table-test graphs have ties and big domains" `Quick
       test_table_graph_shapes;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])

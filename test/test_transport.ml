@@ -13,7 +13,6 @@ module Sim_transport = P2p_transport.Sim_transport
 module Timer = P2p_sim.Timer
 module Engine = P2p_sim.Engine
 
-let golden_v1_path = "golden/wire_v1.bin"
 let golden_v2_path = "golden/wire_v2.bin"
 
 (* --- codec ----------------------------------------------------------- *)
@@ -39,7 +38,7 @@ let all_tags_covered () =
   let tags =
     List.sort_uniq compare (List.map Wire.tag_of Wire.golden_exemplars)
   in
-  Alcotest.(check int) "one exemplar per message kind" 28 (List.length tags)
+  Alcotest.(check int) "one exemplar per message kind" 18 (List.length tags)
 
 let read_golden path =
   let ic = open_in_bin path in
@@ -89,17 +88,6 @@ let golden_bytes () =
       "golden stream decodes to the exemplars, trace contexts intact" true
       (decode_all_traced golden = expected)
 
-let golden_v1_still_decodes () =
-  (* The frozen v1 stream (no flags byte, version 1) predates the two
-     scrape messages; the v2 decoder must keep accepting it forever. *)
-  let golden = read_golden golden_v1_path in
-  let expected =
-    List.filteri (fun i _ -> i < 26) Wire.golden_exemplars
-    |> List.map (fun msg -> (msg, None))
-  in
-  Alcotest.(check bool) "v1 stream decodes, no trace contexts" true
-    (decode_all_traced golden = expected)
-
 let truncation_never_raises () =
   List.iter
     (fun msg ->
@@ -113,6 +101,13 @@ let truncation_never_raises () =
                (Wire.tag_name msg) cut)
       done)
     Wire.golden_exemplars
+
+(* [body] behind its u32 length word. *)
+let frame_of_body body =
+  let b = Buffer.create (4 + String.length body) in
+  Buffer.add_int32_be b (Int32.of_int (String.length body));
+  Buffer.add_string b body;
+  Buffer.contents b
 
 let corruption_never_raises () =
   (* Flip every byte of every frame through a few xor patterns: decode
@@ -141,11 +136,29 @@ let corruption_never_raises () =
   (match Wire.decode (Bytes.to_string frame) with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown version accepted");
-  let frame = Bytes.of_string (Wire.encode Wire.Shutdown) in
-  Bytes.set frame 7 '\xee';
-  match Wire.decode (Bytes.to_string frame) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown tag accepted"
+  (* unknown tags, never assigned or retired with their message kind,
+     behind zero payloads as long as the retired kinds' (their strings
+     empty) *)
+  List.iter
+    (fun tag ->
+      List.iter
+        (fun payload ->
+          let body =
+            Printf.sprintf "P2\002%c\000%s" (Char.chr tag) (String.make payload '\000')
+          in
+          match Wire.decode (frame_of_body body) with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "tag %d with a %d-byte payload accepted" tag payload)
+        [ 0; 8; 16; 24; 28 ])
+    [ 0; 4; 5; 6; 7; 8; 14; 15; 16; 17; 18; 29; 0xee ];
+  (* v1 headers (no flags byte) are an unknown version *)
+  List.iter
+    (fun (what, body) ->
+      match Wire.decode (frame_of_body body) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "v1 %s accepted" what)
+    [ ("shutdown", "P2\001\026"); ("ping", "P2\001\002" ^ String.make 8 '\007');
+      ("ping with a flags byte", "P2\001\002\000" ^ String.make 8 '\007') ]
 
 let oversized_frame_rejected () =
   let b = Buffer.create 8 in
@@ -521,8 +534,6 @@ let suite =
     Alcotest.test_case "exemplar list covers every tag" `Quick all_tags_covered;
     Alcotest.test_case "golden wire_v2.bin is byte-identical" `Quick
       golden_bytes;
-    Alcotest.test_case "frozen wire_v1.bin still decodes" `Quick
-      golden_v1_still_decodes;
     Alcotest.test_case "decoder survives truncation" `Quick
       truncation_never_raises;
     Alcotest.test_case "decoder survives corruption" `Quick
