@@ -211,14 +211,7 @@ let churn_live () =
           lookup_timeout = 8_000.0;
         }
       in
-      let h = H.create ~seed:19
-          ~routing:(let g = P2p_topology.Graph.create 257 in
-                    for host = 0 to 255 do
-                      P2p_topology.Graph.add_edge g host 256 ~latency:2.0
-                    done;
-                    P2p_topology.Routing.link_state g ~is_transit:(fun u -> u = 256))
-          ~config ()
-      in
+      let h = H.create_star ~seed:19 ~peers:256 ~latency:2.0 ~config () in
       ignore (H.grow h ~count:150 ~s_fraction:0.7 : Peer.t array);
       let rng = Rng.create 20 in
       for i = 0 to 499 do

@@ -682,38 +682,26 @@ let analyze_cmd =
 
 (* --- report subcommand --- *)
 
-(* A [serve] scrape snapshot wraps its registry doc in [metrics]. *)
-let scrape_metrics doc =
-  match P2p_obs.Scrape.of_json doc with
-  | Ok snap -> Some snap.P2p_obs.Scrape.metrics
-  | Error _ -> None
-
-(* Merge several metrics documents (e.g. one per live node, or serve's
-   per-node scrape files) into one registry export: counters sum,
+(* The metrics document to render: one file's own (a [serve] scrape
+   snapshot's is unwrapped), or several files merged — counters sum,
    gauges keep the maximum, log histograms merge bucketwise.  A single
-   file passes through unmerged so Summary-backed histograms (which the
-   merge cannot rebuild) stay visible; a single scrape file is only
-   unwrapped. *)
-let merged_metrics_doc paths =
-  match paths with
-  | [ path ] -> (
-    let text = Export.read_file path in
-    match Option.bind (Result.to_option (P2p_obs.Json.parse text)) scrape_metrics with
-    | Some metrics -> Ok (P2p_obs.Json.to_string metrics)
-    | None -> Ok text)
-  | paths ->
-    let reg = Registry.create () in
-    let rec fold = function
-      | [] -> Ok (P2p_obs.Json.to_string (Registry.to_json reg))
-      | path :: rest -> (
-        match P2p_obs.Json.parse (Export.read_file path) with
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-        | Ok doc ->
-          P2p_obs.Scrape.merge_metrics_into reg
-            (Option.value (scrape_metrics doc) ~default:doc);
-          fold rest)
-    in
-    fold paths
+   file is not merged, so its Summary-backed histograms (which the merge
+   cannot rebuild) stay visible. *)
+let report_doc paths =
+  let rec decode acc = function
+    | [] -> Ok (List.rev acc)
+    | path :: rest -> (
+      match
+        Result.bind (P2p_obs.Json.parse (Export.read_file path))
+          P2p_obs.Scrape.metrics_of_json
+      with
+      | Ok doc -> decode (doc :: acc) rest
+      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+  in
+  match decode [] paths with
+  | Ok [ doc ] -> Ok doc
+  | Ok docs -> Ok (Registry.doc (P2p_obs.Scrape.merge docs))
+  | Error _ as e -> e
 
 let report_cmd =
   let run paths timeline =
@@ -725,20 +713,15 @@ let report_cmd =
     (match paths with
      | [] -> ()
      | paths -> (
-       match merged_metrics_doc paths with
+       match report_doc paths with
        | Error msg ->
-         Printf.eprintf "p2psim report: %s\n" msg;
+         Printf.eprintf "p2psim report: cannot parse metrics: %s\n" msg;
          exit 1
-       | Ok doc -> (
-         match Report.of_string doc with
-         | Ok report ->
-           if List.length paths > 1 then
-             Printf.printf "merged report over %d metrics files\n\n"
-               (List.length paths);
-           print_string (Report.render report)
-         | Error msg ->
-           Printf.eprintf "p2psim report: cannot parse metrics: %s\n" msg;
-           exit 1)));
+       | Ok doc ->
+         if List.length paths > 1 then
+           Printf.printf "merged report over %d metrics files\n\n"
+             (List.length paths);
+         print_string (Report.render doc)));
     match timeline with
     | Some tpath -> (
       match Report.render_timeline (Export.read_file tpath) with
@@ -964,10 +947,7 @@ let cluster_report_cmd =
     let merged = P2p_obs.Scrape.merged_registry snapshots in
     print_string (P2p_obs.Scrape.render_table snapshots);
     print_newline ();
-    (match Report.of_string (P2p_obs.Json.to_string (Registry.to_json merged)) with
-     | Ok report -> print_string (Report.render report)
-     | Error msg ->
-       Printf.eprintf "p2psim cluster-report: cannot render report: %s\n" msg);
+    print_string (Report.render (Registry.doc merged));
     (match metrics_out with
      | Some path ->
        Export.write_file ~path

@@ -21,27 +21,11 @@ let create ~seed ~routing ?(config = Config.default) ?snet_policy ?(s_fraction =
   if s_fraction < 0.0 || s_fraction > 1.0 then invalid_arg "Hybrid.create: s_fraction";
   let engine = Engine.create ~seed () in
   let metrics = Metrics.create () in
-  (* Exact latency path: every op completion — sampled or not — feeds
-     latency/<kind>_total_ms directly, so percentiles and SLO gates stay
-     exact at any --trace-sample rate.  Spans.record sees the listener
-     and skips its own (sampled, ring-bounded) totals fold. *)
+  (* exact latency path: Spans.record sees the listener and skips its
+     own (sampled, ring-bounded) totals fold *)
   (match trace with
    | Some tr when Trace.enabled tr ->
-     let reg = Metrics.registry metrics in
-     let hists = Hashtbl.create 8 in
-     Trace.on_op_complete tr (fun (c : Trace.op_completion) ->
-         let h =
-           match Hashtbl.find_opt hists c.Trace.comp_kind with
-           | Some h -> h
-           | None ->
-             let h =
-               P2p_obs.Registry.log_histogram reg ~subsystem:"latency"
-                 ~name:(c.Trace.comp_kind ^ "_total_ms")
-             in
-             Hashtbl.add hists c.Trace.comp_kind h;
-             h
-         in
-         P2p_obs.Log_hist.observe h (c.Trace.comp_stop -. c.Trace.comp_start))
+     P2p_obs.Spans.record_totals (Metrics.registry metrics) tr
    | Some _ | None -> ());
   let underlay =
     Underlay.create ~engine ~routing ~metrics ?stress ~processing_delay ()

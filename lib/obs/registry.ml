@@ -140,71 +140,175 @@ let histogram_bins ?(bins = 12) s =
     end
   end
 
-let summary_to_json s =
-  let base = [ ("kind", Json.String "histogram"); ("count", Json.Int (Summary.count s)) ] in
-  if Summary.count s = 0 then Json.Obj base
-  else
+(* --- the metrics document --- *)
+
+module Doc = struct
+  type summary = {
+    count : int;
+    mean : float;
+    stddev : float;
+    min : float;
+    p50 : float;
+    p90 : float;
+    p99 : float;
+    max : float;
+    bins : (float * int) list;
+  }
+
+  type value =
+    | Counter of int
+    | Gauge of float
+    | Histogram of summary
+    | Log_histogram of Log_hist.t
+
+  type t = (string * (string * value) list) list
+
+  let find doc ~subsystem ~name =
+    Option.bind (List.assoc_opt subsystem doc) (List.assoc_opt name)
+
+  let empty_summary =
+    { count = 0; mean = 0.0; stddev = 0.0; min = 0.0; p50 = 0.0; p90 = 0.0;
+      p99 = 0.0; max = 0.0; bins = [] }
+
+  (* An empty summary exports its count alone. *)
+  let summary_to_json h =
+    let base = [ ("kind", Json.String "histogram"); ("count", Json.Int h.count) ] in
+    if h.count = 0 then Json.Obj base
+    else
+      Json.Obj
+        (base
+        @ [
+            ("mean", Json.Float h.mean);
+            ("stddev", Json.Float h.stddev);
+            ("min", Json.Float h.min);
+            ("p50", Json.Float h.p50);
+            ("p90", Json.Float h.p90);
+            ("p99", Json.Float h.p99);
+            ("max", Json.Float h.max);
+            ( "bins",
+              Json.List
+                (List.map
+                   (fun (lo, count) ->
+                     Json.Obj [ ("lo", Json.Float lo); ("count", Json.Int count) ])
+                   h.bins) );
+          ])
+
+  let value_to_json = function
+    | Counter n -> Json.Obj [ ("kind", Json.String "counter"); ("value", Json.Int n) ]
+    | Gauge v -> Json.Obj [ ("kind", Json.String "gauge"); ("value", Json.Float v) ]
+    | Histogram h -> summary_to_json h
+    | Log_histogram l -> Log_hist.to_json l
+
+  let to_json doc =
     Json.Obj
-      (base
-      @ [
-          ("mean", Json.Float (Summary.mean s));
-          ("stddev", Json.Float (Summary.stddev s));
-          ("min", Json.Float (Summary.min s));
-          ("p50", Json.Float (Summary.median s));
-          ("p90", Json.Float (Summary.percentile s 90.0));
-          ("p99", Json.Float (Summary.percentile s 99.0));
-          ("max", Json.Float (Summary.max s));
-          ( "bins",
-            Json.List
-              (List.map
-                 (fun (lo, count) ->
-                   Json.Obj [ ("lo", Json.Float lo); ("count", Json.Int count) ])
-                 (histogram_bins s)) );
-        ])
+      (List.map
+         (fun (subsystem, metrics) ->
+           (subsystem, Json.Obj (List.map (fun (name, v) -> (name, value_to_json v)) metrics)))
+         doc)
 
-let metric_to_json = function
-  | Counter c -> Json.Obj [ ("kind", Json.String "counter"); ("value", Json.Int c.count) ]
-  | Gauge g -> Json.Obj [ ("kind", Json.String "gauge"); ("value", Json.Float g.value) ]
-  | Histogram h -> summary_to_json h.summary
-  | Log l -> Log_hist.to_json l
+  let ( let* ) = Result.bind
 
-let to_json t =
-  let by_subsystem =
-    List.map
-      (fun subsystem ->
-        let fields =
-          List.filter_map
-            (fun b ->
-              if b.subsystem = subsystem then Some (b.name, metric_to_json b.metric)
-              else None)
-            (bindings t)
-        in
-        (subsystem, Json.Obj fields))
-      (subsystems t)
-  in
-  Json.Obj by_subsystem
+  let field json name conv what =
+    match Option.bind (Json.member name json) conv with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%s: missing or bad %S" what name)
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
+  let rec all f = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* y = f x in
+      let* ys = all f rest in
+      Ok (y :: ys)
+
+  let summary_of_json json =
+    let num name = field json name Json.to_float "histogram" in
+    let* count = field json "count" Json.to_int "histogram" in
+    if count = 0 then Ok empty_summary
+    else
+      let* mean = num "mean" in
+      let* stddev = num "stddev" in
+      let* min = num "min" in
+      let* p50 = num "p50" in
+      let* p90 = num "p90" in
+      let* p99 = num "p99" in
+      let* max = num "max" in
+      let* bins =
+        match Option.bind (Json.member "bins" json) Json.to_list with
+        | None -> Error "histogram: missing or bad \"bins\""
+        | Some items ->
+          all
+            (fun item ->
+              let* lo = field item "lo" Json.to_float "histogram bin" in
+              let* n = field item "count" Json.to_int "histogram bin" in
+              Ok (lo, n))
+            items
+      in
+      Ok { count; mean; stddev; min; p50; p90; p99; max; bins }
+
+  let value_of_json json =
+    match Option.bind (Json.member "kind" json) Json.to_str with
+    | Some "counter" ->
+      Result.map (fun n -> Counter n) (field json "value" Json.to_int "counter")
+    | Some "gauge" ->
+      Result.map (fun v -> Gauge v) (field json "value" Json.to_float "gauge")
+    | Some "histogram" -> Result.map (fun h -> Histogram h) (summary_of_json json)
+    | Some "log_histogram" ->
+      Result.map (fun l -> Log_histogram l) (Log_hist.of_json json)
+    | Some kind -> Error (Printf.sprintf "unknown metric kind %S" kind)
+    | None -> Error "metric without \"kind\""
+
+  let of_json = function
+    | Json.Obj subsystems ->
+      all
+        (function
+          | subsystem, Json.Obj metrics ->
+            let* metrics =
+              all
+                (fun (name, json) ->
+                  Result.map (fun v -> (name, v)) (value_of_json json)
+                  |> Result.map_error (Printf.sprintf "%s/%s: %s" subsystem name))
+                metrics
+            in
+            Ok (subsystem, metrics)
+          | subsystem, _ -> Error (Printf.sprintf "subsystem %S is not an object" subsystem))
+        subsystems
+    | _ -> Error "metrics document must be a JSON object"
+end
+
+let summary_value s =
+  if Summary.count s = 0 then Doc.empty_summary
+  else
+    {
+      Doc.count = Summary.count s;
+      mean = Summary.mean s;
+      stddev = Summary.stddev s;
+      min = Summary.min s;
+      p50 = Summary.median s;
+      p90 = Summary.percentile s 90.0;
+      p99 = Summary.percentile s 99.0;
+      max = Summary.max s;
+      bins = histogram_bins s;
+    }
+
+let doc t =
+  let all = bindings t in
+  List.map
     (fun subsystem ->
-      Format.fprintf ppf "%s:@," subsystem;
-      List.iter
-        (fun b ->
-          if b.subsystem = subsystem then
-            match b.metric with
-            | Counter c -> Format.fprintf ppf "  %-28s %d@," b.name c.count
-            | Gauge g -> Format.fprintf ppf "  %-28s %g@," b.name g.value
-            | Histogram h -> Format.fprintf ppf "  %-28s %a@," b.name Summary.pp h.summary
-            | Log l ->
-              if Log_hist.count l = 0 then
-                Format.fprintf ppf "  %-28s (empty)@," b.name
-              else
-                Format.fprintf ppf
-                  "  %-28s n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f@,"
-                  b.name (Log_hist.count l) (Log_hist.mean l)
-                  (Log_hist.percentile l 50.0) (Log_hist.percentile l 95.0)
-                  (Log_hist.percentile l 99.0) (Log_hist.max_value l))
-        (bindings t))
-    (subsystems t);
-  Format.fprintf ppf "@]"
+      ( subsystem,
+        List.filter_map
+          (fun b ->
+            if b.subsystem <> subsystem then None
+            else
+              Some
+                ( b.name,
+                  match b.metric with
+                  | Counter c -> Doc.Counter c.count
+                  | Gauge g -> Doc.Gauge g.value
+                  | Histogram h -> Doc.Histogram (summary_value h.summary)
+                  (* a copy: the document is a snapshot, the handle keeps
+                     recording *)
+                  | Log l -> Doc.Log_histogram (Log_hist.merge l (Log_hist.create ())) ))
+          all ))
+    (subsystems t)
+
+let to_json t = Doc.to_json (doc t)

@@ -90,11 +90,56 @@ val subsystems : t -> string list
     [[]]; a constant summary gives one bucket. *)
 val histogram_bins : ?bins:int -> P2p_stats.Summary.t -> (float * int) list
 
-(** {1 Export} *)
+(** {1 The metrics document}
 
-(** [to_json t] — one object per subsystem, one field per metric:
-    [{"kind":"counter","value":n}], [{"kind":"gauge","value":x}], or
-    [{"kind":"histogram","count":n,"mean":...,"bins":[...]}]. *)
+    The [subsystem/name] document every run ([--metrics-out]), scrape
+    snapshot, flight dump and cluster merge writes.  This module is the
+    only code that knows its JSON form: {!to_json} encodes it and
+    {!Doc.of_json} decodes it, so readers ({!Report}, {!Scrape}, the
+    CLI) work on the typed value. *)
+
+module Doc : sig
+  (** A summary histogram's exported statistics and {!histogram_bins}
+      buckets: what survives the export, since raw samples do not.  All
+      zero for an empty histogram. *)
+  type summary = {
+    count : int;
+    mean : float;
+    stddev : float;
+    min : float;
+    p50 : float;
+    p90 : float;
+    p99 : float;
+    max : float;
+    bins : (float * int) list;
+  }
+
+  type value =
+    | Counter of int
+    | Gauge of float
+    | Histogram of summary
+    | Log_histogram of Log_hist.t
+
+  (** Subsystems in registration (or file) order, each with its metrics
+      in order. *)
+  type t = (string * (string * value) list) list
+
+  val find : t -> subsystem:string -> name:string -> value option
+
+  (** One object per subsystem, one field per metric:
+      [{"kind":"counter","value":n}], [{"kind":"gauge","value":x}],
+      [{"kind":"histogram","count":n,"mean":...,"bins":[...]}] (the
+      count alone when empty), or the {!Log_hist.to_json} form. *)
+  val to_json : t -> Json.t
+
+  (** The inverse of {!to_json}: [Error] names the first field that is
+      not a metric of a known kind. *)
+  val of_json : Json.t -> (t, string) result
+end
+
+(** [doc t] snapshots every metric: summaries as their exported
+    statistics, log histograms copied. *)
+val doc : t -> Doc.t
+
+(** [to_json t] is [Doc.to_json (doc t)]. *)
 val to_json : t -> Json.t
-
-val pp : Format.formatter -> t -> unit

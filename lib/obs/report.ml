@@ -1,129 +1,10 @@
 module Ascii_plot = P2p_stats.Ascii_plot
+module Doc = Registry.Doc
 
-type hist = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min_v : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  max_v : float;
-  bins : (float * int) list;
-}
-
-type loghist = {
-  l_count : int;
-  l_sum : float;
-  l_min : float;
-  l_max : float;
-  l_p50 : float;
-  l_p90 : float;
-  l_p95 : float;
-  l_p99 : float;
-  l_p999 : float;
-}
-
-type metric = Counter of int | Gauge of float | Histogram of hist | LogHist of loghist
-
-type t = (string * (string * metric) list) list
-
-let float_field json name =
-  Option.value ~default:0.0 (Option.bind (Json.member name json) Json.to_float)
-
-let hist_of_json json =
-  let bins =
-    match Option.bind (Json.member "bins" json) Json.to_list with
-    | None -> []
-    | Some items ->
-      List.filter_map
-        (fun item ->
-          match
-            ( Option.bind (Json.member "lo" item) Json.to_float,
-              Option.bind (Json.member "count" item) Json.to_int )
-          with
-          | Some lo, Some count -> Some (lo, count)
-          | _ -> None)
-        items
-  in
-  {
-    count = Option.value ~default:0 (Option.bind (Json.member "count" json) Json.to_int);
-    mean = float_field json "mean";
-    stddev = float_field json "stddev";
-    min_v = float_field json "min";
-    p50 = float_field json "p50";
-    p90 = float_field json "p90";
-    p99 = float_field json "p99";
-    max_v = float_field json "max";
-    bins;
-  }
-
-let loghist_of_json json =
-  {
-    l_count = Option.value ~default:0 (Option.bind (Json.member "count" json) Json.to_int);
-    l_sum = float_field json "sum";
-    l_min = float_field json "min";
-    l_max = float_field json "max";
-    l_p50 = float_field json "p50";
-    l_p90 = float_field json "p90";
-    l_p95 = float_field json "p95";
-    l_p99 = float_field json "p99";
-    l_p999 = float_field json "p999";
-  }
-
-let metric_of_json json =
-  match Option.bind (Json.member "kind" json) Json.to_str with
-  | Some "counter" -> (
-    match Option.bind (Json.member "value" json) Json.to_int with
-    | Some v -> Ok (Counter v)
-    | None -> Error "counter without integer \"value\"")
-  | Some "gauge" -> (
-    match Option.bind (Json.member "value" json) Json.to_float with
-    | Some v -> Ok (Gauge v)
-    | None -> Error "gauge without numeric \"value\"")
-  | Some "histogram" -> Ok (Histogram (hist_of_json json))
-  | Some "log_histogram" -> Ok (LogHist (loghist_of_json json))
-  | Some kind -> Error (Printf.sprintf "unknown metric kind %S" kind)
-  | None -> Error "metric without \"kind\""
-
-let of_json json =
-  match json with
-  | Json.Obj subsystems ->
-    let rec subsystem_list acc = function
-      | [] -> Ok (List.rev acc)
-      | (subsystem, Json.Obj fields) :: rest ->
-        let rec metric_list macc = function
-          | [] -> Ok (List.rev macc)
-          | (name, mjson) :: mrest -> (
-            match metric_of_json mjson with
-            | Ok m -> metric_list ((name, m) :: macc) mrest
-            | Error e -> Error (Printf.sprintf "%s/%s: %s" subsystem name e))
-        in
-        (match metric_list [] fields with
-         | Ok metrics -> subsystem_list ((subsystem, metrics) :: acc) rest
-         | Error _ as e -> e)
-      | (subsystem, _) :: _ ->
-        Error (Printf.sprintf "subsystem %S is not an object" subsystem)
-    in
-    subsystem_list [] subsystems
-  | _ -> Error "metrics document must be a JSON object"
-
-let of_string text =
-  match Json.parse text with
-  | Error msg -> Error ("JSON parse error: " ^ msg)
-  | Ok json -> of_json json
-
-let of_registry registry =
-  match of_json (Registry.to_json registry) with
-  | Ok report -> report
-  | Error msg ->
-    (* to_json always produces the schema of_json reads *)
-    invalid_arg ("Report.of_registry: " ^ msg)
-
-let render_histogram buf name h =
+let render_histogram buf name (h : Doc.summary) =
   Buffer.add_string buf
     (Printf.sprintf "  %-28s n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f\n"
-       name h.count h.mean h.stddev h.min_v h.p50 h.p90 h.p99 h.max_v);
+       name h.count h.mean h.stddev h.min h.p50 h.p90 h.p99 h.max);
   if h.bins <> [] && h.count > 1 then begin
     let bars =
       List.map (fun (lo, count) -> (Printf.sprintf "%10.2f" lo, float_of_int count)) h.bins
@@ -148,16 +29,17 @@ let strip_suffix ~suffix s =
 let render_health buf metrics =
   Buffer.add_string buf "== health (audit) ==\n";
   (match List.assoc_opt "ticks" metrics with
-   | Some (Counter n) -> Buffer.add_string buf (Printf.sprintf "  %-28s %d\n" "audit ticks" n)
+   | Some (Doc.Counter n) ->
+     Buffer.add_string buf (Printf.sprintf "  %-28s %d\n" "audit ticks" n)
    | _ -> ());
   List.iter
     (fun (name, metric) ->
       match (metric, strip_suffix ~suffix:"_violations" name) with
-      | Counter v, Some check ->
+      | Doc.Counter v, Some check ->
         let verdict = if v = 0 then "OK" else Printf.sprintf "VIOLATED (%d)" v in
         let freshness =
           match List.assoc_opt (check ^ "_last_run_ms") metrics with
-          | Some (Gauge t) -> Printf.sprintf "  last run %g ms" t
+          | Some (Doc.Gauge t) -> Printf.sprintf "  last run %g ms" t
           | _ -> ""
         in
         Buffer.add_string buf (Printf.sprintf "  %-20s %-14s%s\n" check verdict freshness)
@@ -166,7 +48,7 @@ let render_health buf metrics =
   List.iter
     (fun (name, metric) ->
       match metric with
-      | Gauge v
+      | Doc.Gauge v
         when name <> "ticks"
              && strip_suffix ~suffix:"_last_run_ms" name = None
              && strip_suffix ~suffix:"_violations" name = None ->
@@ -176,12 +58,11 @@ let render_health buf metrics =
   Buffer.add_char buf '\n'
 
 let render_loghist_line buf name l =
-  if l.l_count = 0 then
-    Buffer.add_string buf (Printf.sprintf "  %-28s (empty)\n" name)
-  else
-    Buffer.add_string buf
-      (Printf.sprintf "  %-28s %8d %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f\n" name
-         l.l_count l.l_p50 l.l_p90 l.l_p95 l.l_p99 l.l_p999 l.l_max)
+  let p = Log_hist.percentile l in
+  Buffer.add_string buf
+    (Printf.sprintf "  %-28s %8d %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f\n" name
+       (Log_hist.count l) (p 50.0) (p 90.0) (p 95.0) (p 99.0) (p 99.9)
+       (Log_hist.max_value l))
 
 (* "<kind>_tier_<tier>_ms" -> (kind, tier) *)
 let split_tier_gauge name =
@@ -206,14 +87,14 @@ let split_tier_gauge name =
 let render_latency buf metrics =
   Buffer.add_string buf "== latency ==\n";
   (match List.assoc_opt "ops_analyzed" metrics with
-   | Some (Counter n) ->
+   | Some (Doc.Counter n) ->
      Buffer.add_string buf (Printf.sprintf "  %-28s %d\n" "ops analyzed" n)
    | _ -> ());
   let rows =
     List.filter_map
       (fun (name, metric) ->
         match metric with
-        | LogHist l when l.l_count > 0 -> Some (name, l)
+        | Doc.Log_histogram l when Log_hist.count l > 0 -> Some (name, l)
         | _ -> None)
       metrics
   in
@@ -227,7 +108,7 @@ let render_latency buf metrics =
     List.filter_map
       (fun (name, metric) ->
         match metric with
-        | Gauge v -> (
+        | Doc.Gauge v -> (
           match split_tier_gauge name with
           | Some (kind, tier) -> Some (kind, (tier, v))
           | None -> None)
@@ -247,7 +128,7 @@ let render_latency buf metrics =
       in
       let total_ms =
         match List.assoc_opt (kind ^ "_total_ms") metrics with
-        | Some (LogHist l) when l.l_sum > 0.0 -> Some l.l_sum
+        | Some (Doc.Log_histogram l) when Log_hist.sum l > 0.0 -> Some (Log_hist.sum l)
         | _ -> None
       in
       let part_str (tier, ms) =
@@ -271,7 +152,7 @@ let render_latency buf metrics =
    does not repeat itself. *)
 let render_runtime_header buf metrics =
   let value name =
-    match List.assoc_opt name metrics with Some (Gauge v) -> Some v | _ -> None
+    match List.assoc_opt name metrics with Some (Doc.Gauge v) -> Some v | _ -> None
   in
   let part fmt name = Option.map (Printf.sprintf fmt) (value name) in
   let parts =
@@ -287,9 +168,9 @@ let render_runtime_header buf metrics =
   if parts <> [] then
     Buffer.add_string buf ("runtime: " ^ String.concat " | " parts ^ "\n\n")
 
-let render report =
+let render (doc : Doc.t) =
   let buf = Buffer.create 1024 in
-  (match List.assoc_opt "gc" report with
+  (match List.assoc_opt "gc" doc with
    | Some metrics -> render_runtime_header buf metrics
    | None -> ());
   List.iter
@@ -303,25 +184,27 @@ let render report =
         List.iter
           (fun (name, metric) ->
             match metric with
-            | Counter v -> Buffer.add_string buf (Printf.sprintf "  %-28s %d\n" name v)
-            | Gauge v -> Buffer.add_string buf (Printf.sprintf "  %-28s %g\n" name v)
-            | Histogram _ | LogHist _ -> ())
+            | Doc.Counter v -> Buffer.add_string buf (Printf.sprintf "  %-28s %d\n" name v)
+            | Doc.Gauge v -> Buffer.add_string buf (Printf.sprintf "  %-28s %g\n" name v)
+            | Doc.Histogram _ | Doc.Log_histogram _ -> ())
           metrics;
         List.iter
           (fun (name, metric) ->
             match metric with
-            | Histogram h -> render_histogram buf name h
-            | LogHist l ->
-              if l.l_count > 0 then
+            | Doc.Histogram h -> render_histogram buf name h
+            | Doc.Log_histogram l ->
+              if Log_hist.count l > 0 then
                 Buffer.add_string buf
                   (Printf.sprintf
                      "  %-28s n=%d p50=%.3f p95=%.3f p99=%.3f max=%.3f\n" name
-                     l.l_count l.l_p50 l.l_p95 l.l_p99 l.l_max)
-            | Counter _ | Gauge _ -> ())
+                     (Log_hist.count l) (Log_hist.percentile l 50.0)
+                     (Log_hist.percentile l 95.0) (Log_hist.percentile l 99.0)
+                     (Log_hist.max_value l))
+            | Doc.Counter _ | Doc.Gauge _ -> ())
           metrics;
         Buffer.add_char buf '\n'
       end)
-    report;
+    doc;
   Buffer.contents buf
 
 (* --- timeline sparklines --- *)

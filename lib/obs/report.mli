@@ -1,52 +1,13 @@
-(** Run reports: parse an exported metrics snapshot and pretty-print it.
+(** Run reports: render a metrics document for a terminal.
 
-    [p2psim report m.json] reads a file written by {!Export.write_metrics}
-    and renders per-subsystem counter tables and ASCII latency histograms
-    (via {!P2p_stats.Ascii_plot}), so a run's cost profile is readable in
-    a terminal without any external tooling. *)
+    [p2psim report m.json] decodes a file written by
+    {!Export.write_metrics} (or a [serve] scrape) with
+    {!Registry.Doc.of_json}, which owns the format; this module only
+    renders the decoded {!Registry.Doc.t}: per-subsystem counter tables
+    and ASCII histograms (via {!P2p_stats.Ascii_plot}), so a run's cost
+    profile is readable without any external tooling. *)
 
-(** A parsed histogram snapshot: summary statistics plus fixed-width
-    [(lo, count)] buckets for chart rendering. *)
-type hist = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min_v : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  max_v : float;
-  bins : (float * int) list;
-}
-
-(** A parsed log-bucketed histogram snapshot ({!Log_hist} JSON schema):
-    the precomputed tail percentiles, no buckets. *)
-type loghist = {
-  l_count : int;
-  l_sum : float;
-  l_min : float;
-  l_max : float;
-  l_p50 : float;
-  l_p90 : float;
-  l_p95 : float;
-  l_p99 : float;
-  l_p999 : float;
-}
-
-type metric = Counter of int | Gauge of float | Histogram of hist | LogHist of loghist
-
-(** Subsystems in file order, each with its metrics in file order. *)
-type t = (string * (string * metric) list) list
-
-(** [of_string text] parses a metrics JSON document ({!Registry.to_json}
-    schema). *)
-val of_string : string -> (t, string) result
-
-(** [of_registry registry] snapshots a live registry without a
-    serialization detour. *)
-val of_registry : Registry.t -> t
-
-(** [render report] — the full human-readable report: one [== subsystem ==]
+(** [render doc] — the full human-readable report: one [== subsystem ==]
     section each, counters/gauges aligned, histograms with summary lines
     and bar charts.  An ["audit"] subsystem (written by the online
     invariant auditor) renders as a "health" section instead: one
@@ -54,9 +15,9 @@ val of_registry : Registry.t -> t
     health gauges.  A ["latency"] subsystem (written by the span
     analyzer, {!Spans.record}) renders as a percentile table
     (p50/p90/p95/p99/p99.9/max per op kind and phase) plus per-tier
-    critical-path attribution lines.  Reports without audit or latency
-    metrics render exactly as before. *)
-val render : t -> string
+    critical-path attribution lines.  A ["gc"] subsystem becomes the
+    one-line [runtime:] header at the top. *)
+val render : Registry.Doc.t -> string
 
 (** [render_timeline text] renders a sampler timeline (JSONL written by
     {!Sampler.to_string}) as ASCII sparklines: one row per active series,

@@ -4,8 +4,10 @@
    A live node answers a scrape with one JSON document: ring-position
    health (ready, p_id, successor/predecessor, store size, violations),
    its full {!Registry} export, and — on request — the chrome span
-   events its trace still retains.  The aggregator side parses those
-   documents back, folds every registry into one merged registry
+   events its trace still retains.  The aggregator side decodes those
+   documents back (the registry part through {!Registry.Doc.of_json}, so
+   a snapshot whose metrics do not decode is rejected whole), folds
+   every registry into one merged registry
    (counters sum, gauges take the max, log histograms merge bucketwise —
    so cluster p99 comes from the true merged distribution, not an
    average of per-node percentiles), and pools the span events into a
@@ -28,7 +30,7 @@ type snapshot = {
   pred : int;
   store : int;
   violations : int;
-  metrics : Json.t;  (* {!Registry.to_json} shape *)
+  metrics : Registry.Doc.t;
   trace : Json.t list;  (* chrome span events; [] unless requested *)
 }
 
@@ -46,7 +48,7 @@ let to_json s =
       ("pred", Json.Int s.pred);
       ("store", Json.Int s.store);
       ("violations", Json.Int s.violations);
-      ("metrics", s.metrics);
+      ("metrics", Registry.Doc.to_json s.metrics);
       ("trace", Json.List s.trace);
     ]
 
@@ -90,7 +92,7 @@ let of_json j =
   let* violations = int "violations" in
   let* metrics =
     match Json.member "metrics" j with
-    | Some m -> Ok m
+    | Some m -> Result.map_error (( ^ ) "scrape: metrics: ") (Registry.Doc.of_json m)
     | None -> Error "scrape: missing \"metrics\""
   in
   let trace =
@@ -104,52 +106,39 @@ let of_json j =
 let of_string text =
   match Json.parse text with Error e -> Error e | Ok j -> of_json j
 
+let metrics_of_json j =
+  match Option.bind (Json.member "type" j) Json.to_str with
+  | Some "scrape" -> Result.map (fun s -> s.metrics) (of_json j)
+  | _ -> Registry.Doc.of_json j
+
 (* --- registry merge --------------------------------------------------- *)
 
-(* Fold one {!Registry.to_json} document into [reg].  Counters add,
-   gauges keep the max (a cluster high-water), log histograms merge
-   bucketwise.  Summary histograms and malformed fields are skipped:
-   a half-broken peer must not poison the cluster report. *)
-let merge_metrics_into reg metrics =
-  match metrics with
-  | Json.Obj subsystems ->
-    List.iter
-      (fun (subsystem, fields) ->
-        match fields with
-        | Json.Obj fields ->
-          List.iter
-            (fun (name, m) ->
-              match Option.bind (Json.member "kind" m) Json.to_str with
-              | Some "counter" -> (
-                match Option.bind (Json.member "value" m) Json.to_int with
-                | Some v ->
-                  (try Registry.incr ~by:v (Registry.counter reg ~subsystem ~name)
-                   with Invalid_argument _ -> ())
-                | None -> ())
-              | Some "gauge" -> (
-                match Option.bind (Json.member "value" m) Json.to_float with
-                | Some v ->
-                  (try Registry.set_max (Registry.gauge reg ~subsystem ~name) v
-                   with Invalid_argument _ -> ())
-                | None -> ())
-              | Some "log_histogram" -> (
-                match Log_hist.of_json m with
-                | Ok h -> (
-                  try
-                    Log_hist.merge_into
-                      ~into:(Registry.log_histogram reg ~subsystem ~name) h
-                  with Invalid_argument _ -> ())
-                | Error _ -> ())
-              | _ -> ())
-            fields
-        | _ -> ())
-      subsystems
-  | _ -> ()
-
-let merged_registry snapshots =
+(* Counters add, gauges keep the max (a cluster high-water), log
+   histograms merge bucketwise.  Summary histograms are skipped, and so
+   is a metric whose name holds another shape in an earlier document:
+   one mislabelled peer must not poison the cluster report. *)
+let merge docs =
   let reg = Registry.create () in
-  List.iter (fun s -> merge_metrics_into reg s.metrics) snapshots;
+  List.iter
+    (List.iter (fun (subsystem, metrics) ->
+         List.iter
+           (fun (name, value) ->
+             try
+               match value with
+               | Registry.Doc.Counter n ->
+                 Registry.incr ~by:n (Registry.counter reg ~subsystem ~name)
+               | Registry.Doc.Gauge v ->
+                 Registry.set_max (Registry.gauge reg ~subsystem ~name) v
+               | Registry.Doc.Log_histogram h ->
+                 Log_hist.merge_into
+                   ~into:(Registry.log_histogram reg ~subsystem ~name) h
+               | Registry.Doc.Histogram _ -> ()
+             with Invalid_argument _ -> ())
+           metrics))
+    docs;
   reg
+
+let merged_registry snapshots = merge (List.map (fun s -> s.metrics) snapshots)
 
 (* --- merged chrome trace ---------------------------------------------- *)
 
@@ -198,20 +187,16 @@ let merged_chrome snapshots =
 
 (* --- rendering -------------------------------------------------------- *)
 
-let log_hist_of_metrics metrics ~subsystem ~name =
-  match
-    Option.bind (Json.member subsystem metrics) (Json.member name)
-  with
-  | None -> None
-  | Some m -> (
-    match Log_hist.of_json m with
-    | Ok h when Log_hist.count h > 0 -> Some h
-    | _ -> None)
+(* A node's latency histogram, when it holds samples. *)
+let samples doc name =
+  match Registry.Doc.find doc ~subsystem:"latency" ~name with
+  | Some (Registry.Doc.Log_histogram h) when Log_hist.count h > 0 -> Some h
+  | _ -> None
 
-let counter_of_metrics metrics ~subsystem ~name =
-  Option.bind
-    (Option.bind (Json.member subsystem metrics) (Json.member name))
-    (fun m -> Option.bind (Json.member "value" m) Json.to_int)
+let wire_counter doc name =
+  match Registry.Doc.find doc ~subsystem:"wire" ~name with
+  | Some (Registry.Doc.Counter n) -> n
+  | _ -> 0
 
 let pctl h p = Log_hist.percentile h p
 
@@ -223,11 +208,8 @@ let render_table snapshots =
   let sorted = List.sort (fun a b -> compare a.node b.node) snapshots in
   List.iter
     (fun s ->
-      let lookups = log_hist_of_metrics s.metrics ~subsystem:"latency"
-          ~name:"lookup_total_ms"
-      and inserts = log_hist_of_metrics s.metrics ~subsystem:"latency"
-          ~name:"insert_total_ms"
-      in
+      let lookups = samples s.metrics "lookup_total_ms"
+      and inserts = samples s.metrics "insert_total_ms" in
       let merged =
         match (lookups, inserts) with
         | Some a, Some b -> Some (Log_hist.merge a b)
@@ -240,13 +222,8 @@ let render_table snapshots =
         | Some h -> Printf.sprintf "%10.2f" (pctl h p)
         | None -> Printf.sprintf "%10s" "-"
       in
-      let sent =
-        Option.value ~default:0
-          (counter_of_metrics s.metrics ~subsystem:"wire" ~name:"msgs_sent")
-      and drops =
-        Option.value ~default:0
-          (counter_of_metrics s.metrics ~subsystem:"wire" ~name:"drops")
-      in
+      let sent = wire_counter s.metrics "msgs_sent"
+      and drops = wire_counter s.metrics "drops" in
       Buffer.add_string b
         (Printf.sprintf "%5d %6s %6d %5d %7d %s %s %10d %7d\n" s.node
            (if s.ready then "yes" else "NO")

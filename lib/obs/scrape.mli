@@ -3,11 +3,13 @@
 
     One {!snapshot} is what a live node returns to a scrape: liveness
     and ring-position health plus its full {!Registry} export, and
-    optionally the chrome span events its trace retains.  The
-    aggregator parses snapshots back and merges them: counters sum,
-    gauges keep the cluster maximum, {!Log_hist} latency histograms
-    merge bucketwise — so a cluster p99 is computed on the merged
-    distribution, never averaged across nodes.  Summary-backed plain
+    optionally the chrome span events its trace retains.  The metrics
+    are a {!Registry.Doc.t}, encoded and decoded by {!Registry}; a
+    snapshot whose metrics do not decode is rejected by {!of_json}.  The
+    aggregator merges decoded snapshots: counters sum, gauges keep the
+    cluster maximum, {!Log_hist} latency histograms merge bucketwise —
+    so a cluster p99 is computed on the merged distribution, never
+    averaged across nodes.  Summary-backed plain
     histograms cannot be rebuilt from their export bins and are skipped
     by the merge (they remain visible per node). *)
 
@@ -25,7 +27,7 @@ type snapshot = {
   pred : int;
   store : int;
   violations : int;
-  metrics : Json.t;  (** {!Registry.to_json} document *)
+  metrics : Registry.Doc.t;
   trace : Json.t list;  (** chrome span events; [[]] unless requested *)
 }
 
@@ -35,13 +37,17 @@ val to_string : snapshot -> string
 val of_json : Json.t -> (snapshot, string) result
 val of_string : string -> (snapshot, string) result
 
-(** [merge_metrics_into reg metrics] folds one {!Registry.to_json}
-    document into [reg] (counters add, gauges [set_max], log histograms
-    bucket-merge).  Malformed or shape-conflicting fields are skipped —
-    one half-broken peer must not poison the cluster view. *)
-val merge_metrics_into : Registry.t -> Json.t -> unit
+(** [metrics_of_json j] — the metrics of a snapshot, or of a bare
+    {!Registry.to_json} document. *)
+val metrics_of_json : Json.t -> (Registry.Doc.t, string) result
 
-(** One registry holding every snapshot's metrics merged. *)
+(** [merge docs] — one registry holding every document's metrics:
+    counters add, gauges keep the maximum, log histograms merge
+    bucketwise.  Summary histograms, and a name that holds another
+    shape in an earlier document, are skipped. *)
+val merge : Registry.Doc.t list -> Registry.t
+
+(** [merge] over the snapshots' metrics. *)
 val merged_registry : snapshot list -> Registry.t
 
 (** All snapshots' span events pooled into one chrome trace-event array

@@ -101,6 +101,25 @@ let by_kind ops =
     (fun kind -> (kind, List.filter (fun o -> o.kind = kind) ops))
     !order
 
+(* Every op completion, sampled or not, feeds latency/<kind>_total_ms,
+   so percentiles and SLO gates stay exact at any sample rate.  The
+   handles are cached per kind: the listener runs once per op. *)
+let record_totals reg trace =
+  let hists = Hashtbl.create 8 in
+  Trace.on_op_complete trace (fun (c : Trace.op_completion) ->
+      let h =
+        match Hashtbl.find_opt hists c.Trace.comp_kind with
+        | Some h -> h
+        | None ->
+          let h =
+            Registry.log_histogram reg ~subsystem:"latency"
+              ~name:(c.Trace.comp_kind ^ "_total_ms")
+          in
+          Hashtbl.add hists c.Trace.comp_kind h;
+          h
+      in
+      Log_hist.observe h (c.Trace.comp_stop -. c.Trace.comp_start))
+
 (* Fold the analysis into the registry under subsystem "latency":
    - log-histograms  <kind>_total_ms / <kind>_critical_ms  (percentiles)
    - log-histograms  phase_<phase>_ms  (per-phase span durations)
@@ -111,8 +130,8 @@ let record reg trace =
   Registry.incr
     ~by:(List.length ops)
     (Registry.counter reg ~subsystem:"latency" ~name:"ops_analyzed");
-  (* when an op-completion listener is wired (Hybrid installs one that
-     feeds <kind>_total_ms from 100% of ops), the retained root spans are
+  (* when an op-completion listener is wired ({!record_totals} feeds
+     <kind>_total_ms from 100% of ops), the retained root spans are
      a sampled, bounded subset — folding them into the same histograms
      would double count, so the exact path wins *)
   let exact_totals = Trace.has_op_listener trace in

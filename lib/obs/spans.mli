@@ -38,6 +38,11 @@ val completed : P2p_sim.Trace.t -> op list
 (** Group an analysis by op kind, first-seen order preserved. *)
 val by_kind : op list -> (string * op list) list
 
+(** [record_totals reg trace] installs the op-completion listener that
+    feeds [latency/<kind>_total_ms] from every completed operation,
+    sampled or not.  {!record} then leaves those histograms to it. *)
+val record_totals : Registry.t -> P2p_sim.Trace.t -> unit
+
 (** [record reg trace] folds the analysis into [reg]: log-bucketed
     latency histograms [latency/<kind>_total_ms], [<kind>_critical_ms]
     and [phase_<phase>_ms], per-tier critical-path attribution gauges

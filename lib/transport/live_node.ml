@@ -41,7 +41,6 @@
 
 module Json = P2p_obs.Json
 module Registry = P2p_obs.Registry
-module Log_hist = P2p_obs.Log_hist
 module Scrape = P2p_obs.Scrape
 module Export = P2p_obs.Export
 module Flight_recorder = P2p_obs.Flight_recorder
@@ -292,7 +291,7 @@ let snapshot t ~spans =
     pred = t.pred;
     store = Hashtbl.length t.store;
     violations = t.violations;
-    metrics = Registry.to_json t.reg;
+    metrics = Registry.doc t.reg;
     trace = (if spans then Export.chrome_events t.trace else []);
   }
 
@@ -426,13 +425,8 @@ let create ?dump_dir ?epoch ?(trace_capacity = 8192) ?(sample_rate = 1.0)
   let recorder = Flight_recorder.create ~capacity:1024 () in
   (* exact latency accounting: 100% of completions feed the per-kind log
      histograms (mergeable cluster-wide) and the flight recorder *)
-  Trace.on_op_complete trace (fun c ->
-      let h =
-        Registry.log_histogram reg ~subsystem:"latency"
-          ~name:(c.Trace.comp_kind ^ "_total_ms")
-      in
-      Log_hist.observe h (c.Trace.comp_stop -. c.Trace.comp_start);
-      Flight_recorder.observe recorder c);
+  P2p_obs.Spans.record_totals reg trace;
+  Trace.on_op_complete trace (Flight_recorder.observe recorder);
   let t =
     {
       node;

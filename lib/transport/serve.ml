@@ -82,7 +82,7 @@ type client = {
   mutable scrape_req : int;  (* next scrape request id *)
 }
 
-let make_client ~self ~listen_peers ~n ~port_base =
+let make_client ~self ~listen_peers ~port_base =
   let tr = Live_transport.create ~self () in
   for peer = 0 to listen_peers do
     Live_transport.set_peer_addr tr peer
@@ -101,7 +101,6 @@ let make_client ~self ~listen_peers ~n ~port_base =
       scrape_req = 1;
     }
   in
-  ignore n;
   Live_transport.set_handler tr (fun ~src:_ ~dst:_ msg ->
       match msg with
       | Wire.Client_reply { req; _ } -> Hashtbl.replace c.replies req msg
@@ -183,7 +182,7 @@ type aggregator = { agg_client : client; agg_n : int }
 (* Node index [n + 1]: the orchestrator already holds [n], and ring
    members learn the aggregator's port from the request frame itself. *)
 let aggregator ~peers:n ~port_base () =
-  let c = make_client ~self:(n + 1) ~listen_peers:(n - 1) ~n ~port_base in
+  let c = make_client ~self:(n + 1) ~listen_peers:(n - 1) ~port_base in
   { agg_client = c; agg_n = n }
 
 let aggregator_scrape a ?(spans = false) ?(timeout = 5.) () =
@@ -196,15 +195,17 @@ let aggregator_stop a = Live_transport.stop a.agg_client.tr
 (* Trace overhead vs untraced framing, from the merged wire counters:
    [trace_bytes] counts the flags byte and stamped headers, so
    [bytes_sent - trace_bytes] is what the same traffic costs without
-   trace plumbing. *)
-let overhead_pct merged =
+   trace plumbing.  Returns those untraced bytes and the overhead in
+   percent of them. *)
+let trace_overhead merged =
   let value name =
     Registry.counter_value (Registry.counter merged ~subsystem:"wire" ~name)
   in
   let trace_bytes = value "trace_bytes" and bytes_sent = value "bytes_sent" in
   let untraced_bytes = bytes_sent - trace_bytes in
-  if untraced_bytes <= 0 then 0.0
-  else 100.0 *. float_of_int trace_bytes /. float_of_int untraced_bytes
+  ( untraced_bytes,
+    if untraced_bytes <= 0 then 0.0
+    else 100.0 *. float_of_int trace_bytes /. float_of_int untraced_bytes )
 
 type obs_outcome = {
   obs_scraped : int;
@@ -240,19 +241,13 @@ let observe_cluster c ~n ~dump_dir ~slo ~sample_rate =
       Slo.enforce merged ~specs ~print:(fun line ->
           Printf.printf "serve: %s\n%!" line)
   in
-  let pct = overhead_pct merged in
+  let untraced_bytes, pct = trace_overhead merged in
   (* the 2% budget is the bench gate for the intended production rate;
      runs traced at higher rates pay for what they asked for, and runs
      too small for the ratio to be signal (bootstrap frames dominate
      under ~100 KiB) are measured but not gated *)
-  let v1_bytes =
-    let value name =
-      Registry.counter_value (Registry.counter merged ~subsystem:"wire" ~name)
-    in
-    value "bytes_sent" - value "trace_bytes"
-  in
   let overhead_ok =
-    sample_rate > 0.0101 || v1_bytes < 100 * 1024 || pct <= 2.0
+    sample_rate > 0.0101 || untraced_bytes < 100 * 1024 || pct <= 2.0
   in
   Printf.printf "serve: scraped=%d/%d in %.1fms trace_overhead=%.3f%%%s\n%!"
     (List.length snapshots) n scrape_ms pct
@@ -403,7 +398,7 @@ let run ?(inserts = 200) ?(lookups = 500) ?(ready_timeout = 30.)
              exit 2)
         | pid -> pid)
   in
-  let c = make_client ~self:n ~listen_peers:n ~n ~port_base in
+  let c = make_client ~self:n ~listen_peers:n ~port_base in
   let finish ~ready_nodes ~inserts_ok ~lookups_found ~lookups_total ~obs =
     shutdown_ring c ~n;
     Live_transport.stop c.tr;

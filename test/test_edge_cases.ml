@@ -308,7 +308,7 @@ let test_cli_report_single_scrape () =
          pred = 0;
          store = H.total_items h;
          violations = 0;
-         metrics = P2p_obs.Registry.to_json reg;
+         metrics = P2p_obs.Registry.doc reg;
          trace = [];
        });
   let report path =

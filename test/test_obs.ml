@@ -317,10 +317,12 @@ let test_metrics_json_roundtrip () =
   let keys = insert_items h ~count:10 in
   ignore (lookup_sync h ~from:(H.random_peer h) ~key:(List.hd keys) () : _);
   let reg = Metrics.registry (H.metrics h) in
-  match Report.of_string (Export.metrics_to_string reg) with
+  match
+    Result.bind (Json.parse (Export.metrics_to_string reg)) Registry.Doc.of_json
+  with
   | Error e -> Alcotest.fail ("metrics JSON does not re-parse: " ^ e)
   | Ok parsed ->
-    let live = Report.of_registry reg in
+    let live = Registry.doc reg in
     checki "same subsystems" (List.length live) (List.length parsed);
     List.iter2
       (fun (sub_l, ms_l) (sub_p, ms_p) ->
@@ -335,7 +337,7 @@ let test_report_render () =
   let keys = insert_items h ~count:10 in
   ignore (lookup_sync h ~from:(H.random_peer h) ~key:(List.hd keys) () : _);
   let reg = Metrics.registry (H.metrics h) in
-  let rendered = Report.render (Report.of_registry reg) in
+  let rendered = Report.render (Registry.doc reg) in
   let contains needle =
     let n = String.length needle and hs = String.length rendered in
     let rec scan i =
@@ -367,7 +369,7 @@ let test_report_health_section () =
     (Registry.counter reg ~subsystem:"audit" ~name:"tree_structure_violations");
   Registry.set (Registry.gauge reg ~subsystem:"audit" ~name:"items_gini") 0.31;
   Registry.incr (Registry.counter reg ~subsystem:"other" ~name:"n");
-  let rendered = Report.render (Report.of_registry reg) in
+  let rendered = Report.render (Registry.doc reg) in
   checkb "health heading" true (contains ~haystack:rendered "== health (audit) ==");
   checkb "tick row" true (contains ~haystack:rendered "audit ticks");
   checkb "clean check is OK" true (contains ~haystack:rendered "ring_symmetry        OK");
@@ -378,7 +380,7 @@ let test_report_health_section () =
   (* no audit subsystem -> no health section, graceful degradation *)
   let plain = Registry.create () in
   Registry.incr (Registry.counter plain ~subsystem:"underlay" ~name:"messages");
-  let rendered = Report.render (Report.of_registry plain) in
+  let rendered = Report.render (Registry.doc plain) in
   checkb "no spurious health section" false (contains ~haystack:rendered "health")
 
 let test_export_files () =
@@ -394,7 +396,8 @@ let test_export_files () =
   Export.write_metrics ~path:mpath (Metrics.registry (H.metrics h));
   checkb "trace re-reads" true (Result.is_ok (Json.parse (Export.read_file tpath)));
   checkb "metrics re-read" true
-    (Result.is_ok (Report.of_string (Export.read_file mpath)));
+    (Result.is_ok
+       (Result.bind (Json.parse (Export.read_file mpath)) Registry.Doc.of_json));
   List.iter Sys.remove [ tpath; mpath ];
   Sys.rmdir dir
 
@@ -470,7 +473,7 @@ let scrape_snapshot ~node samples =
     pred = (node + 3) mod 4;
     store = 5 * (node + 1);
     violations = 0;
-    metrics = Registry.to_json reg;
+    metrics = Registry.doc reg;
     trace = [];
   }
 
@@ -482,10 +485,8 @@ let test_scrape_roundtrip () =
     checki "node survives" s.Scrape.node s'.Scrape.node;
     checkb "ready survives" s.Scrape.ready s'.Scrape.ready;
     checki "store survives" s.Scrape.store s'.Scrape.store;
-    (* JSON printing may flip float/int shapes (15.0 -> "15"), so
-       compare the metrics by what the aggregator extracts *)
-    let reg = Registry.create () in
-    Scrape.merge_metrics_into reg s'.Scrape.metrics;
+    (* compare the metrics by what the aggregator extracts *)
+    let reg = Scrape.merge [ s'.Scrape.metrics ] in
     checki "counters survive" 30
       (Registry.counter_value
          (Registry.counter reg ~subsystem:"wire" ~name:"msgs_sent"));
@@ -567,6 +568,116 @@ let test_scrape_render_table () =
   checkb "has per-node rows" true (contains ~haystack:table "store");
   checkb "has the cluster summary" true (contains ~haystack:table "cluster:")
 
+(* --- the metrics codec, pinned --- *)
+
+(* One fixed registry carrying every metric shape, an empty summary and
+   an empty log histogram included, plus the three subsystems the
+   renderer lays out specially: gc, audit and latency. *)
+let golden_registry () =
+  let reg = Registry.create () in
+  let counter subsystem name by =
+    Registry.incr ~by (Registry.counter reg ~subsystem ~name)
+  in
+  let gauge subsystem name v = Registry.set (Registry.gauge reg ~subsystem ~name) v in
+  let log subsystem name samples =
+    List.iter (Log_hist.observe (Registry.log_histogram reg ~subsystem ~name)) samples
+  in
+  counter "underlay" "messages" 1234;
+  gauge "underlay" "hops_per_message" 3.25;
+  List.iter
+    (Registry.observe
+       (Registry.histogram reg ~subsystem:"data_ops" ~name:"lookup_latency_ms"))
+    [ 1.0; 2.0; 2.0; 3.0; 5.0; 8.0; 13.0; 21.0 ];
+  ignore
+    (Registry.histogram reg ~subsystem:"data_ops" ~name:"insert_latency_ms"
+      : Registry.histogram);
+  log "data_ops" "lookup_hops" [ 1.0; 2.0; 2.0; 4.0; 9.0 ];
+  log "data_ops" "repair_ms" [];
+  gauge "gc" "alloc_rate_mb_s" 512.5;
+  gauge "gc" "heap_mb" 12.0;
+  gauge "gc" "minor_collections" 42.0;
+  gauge "gc" "major_collections" 3.0;
+  gauge "gc" "compactions" 0.0;
+  counter "audit" "ticks" 7;
+  counter "audit" "ring_symmetry_violations" 0;
+  gauge "audit" "ring_symmetry_last_run_ms" 125.0;
+  counter "audit" "tree_structure_violations" 2;
+  gauge "audit" "items_gini" 0.31;
+  counter "latency" "ops_analyzed" 5;
+  log "latency" "lookup_total_ms" [ 4.0; 8.0; 8.5; 16.0; 40.0 ];
+  log "latency" "lookup_critical_ms" [ 3.0; 7.0; 8.0; 15.0; 33.0 ];
+  log "latency" "insert_total_ms" [];
+  gauge "latency" "lookup_tier_t_ring_ms" 48.5;
+  gauge "latency" "lookup_tier_s_tree_ms" 12.0;
+  reg
+
+let test_report_golden () =
+  checks "render matches golden/report.txt"
+    (Export.read_file "golden/report.txt")
+    (Report.render (Registry.doc (golden_registry ())))
+
+(* What [cluster-report] prints over three scraped nodes: the per-node
+   table, then the merged registry's report. *)
+let test_cluster_report_golden () =
+  let snaps =
+    [
+      scrape_snapshot ~node:0 [ 1.0; 2.0; 4.0 ];
+      scrape_snapshot ~node:1 [ 8.0; 16.0 ];
+      scrape_snapshot ~node:2 [];
+    ]
+  in
+  let merged = Scrape.merged_registry snaps in
+  checks "table and report match golden/cluster_report.txt"
+    (Export.read_file "golden/cluster_report.txt")
+    (Scrape.render_table snaps ^ "\n" ^ Report.render (Registry.doc merged))
+
+let test_metrics_codec_roundtrip () =
+  let encoded = Json.to_string (Registry.to_json (golden_registry ())) in
+  (match Result.bind (Json.parse encoded) Registry.Doc.of_json with
+   | Error e -> Alcotest.fail ("registry document does not decode: " ^ e)
+   | Ok doc ->
+     checks "registry document re-encodes byte for byte" encoded
+       (Json.to_string (Registry.Doc.to_json doc)));
+  let encoded = Scrape.to_string (scrape_snapshot ~node:1 [ 1.0; 2.5; 900.0 ]) in
+  match Scrape.of_string encoded with
+  | Error e -> Alcotest.fail ("scrape does not decode: " ^ e)
+  | Ok s -> checks "scrape re-encodes byte for byte" encoded (Scrape.to_string s)
+
+(* A snapshot is decoded whole: metrics that are not a metrics document
+   reject it at [of_string], like a malformed envelope. *)
+let test_scrape_rejects_bad_metrics () =
+  let with_metrics metrics =
+    match Scrape.to_json (scrape_snapshot ~node:0 [ 1.0 ]) with
+    | Json.Obj fields ->
+      Json.to_string
+        (Json.Obj
+           (List.map
+              (fun (k, v) -> if k = "metrics" then (k, metrics) else (k, v))
+              fields))
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  let metric m = Json.Obj [ ("wire", Json.Obj [ ("msgs_sent", m) ]) ] in
+  checkb "intact snapshot accepted" true
+    (Result.is_ok (Scrape.of_string (with_metrics (Json.Obj []))));
+  List.iter
+    (fun (label, metrics) ->
+      checkb label true (Result.is_error (Scrape.of_string (with_metrics metrics))))
+    [
+      ("metrics not an object", Json.List []);
+      ("subsystem not an object", Json.Obj [ ("wire", Json.Int 3) ]);
+      ("unknown kind", metric (Json.Obj [ ("kind", Json.String "bogus") ]));
+      ("no kind", metric (Json.Obj [ ("value", Json.Int 3) ]));
+      ( "counter without value",
+        metric (Json.Obj [ ("kind", Json.String "counter") ]) );
+      ( "histogram without stats",
+        metric (Json.Obj [ ("kind", Json.String "histogram"); ("count", Json.Int 2) ]) );
+      ( "log histogram without buckets",
+        metric
+          (Json.Obj
+             [ ("kind", Json.String "log_histogram"); ("count", Json.Int 1);
+               ("sum", Json.Float 1.0) ]) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "trace: ring buffer" `Quick test_ring_buffer;
@@ -598,4 +709,11 @@ let suite =
     Alcotest.test_case "scrape: merged chrome trace" `Quick
       test_scrape_merged_chrome;
     Alcotest.test_case "scrape: rendered table" `Quick test_scrape_render_table;
+    Alcotest.test_case "report: golden render" `Quick test_report_golden;
+    Alcotest.test_case "scrape: golden cluster report" `Quick
+      test_cluster_report_golden;
+    Alcotest.test_case "registry: codec round-trip" `Quick
+      test_metrics_codec_roundtrip;
+    Alcotest.test_case "scrape: undecodable metrics rejected" `Quick
+      test_scrape_rejects_bad_metrics;
   ]

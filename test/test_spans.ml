@@ -603,7 +603,7 @@ let test_runtime_gauges () =
     (Registry.gauge_value (Registry.gauge reg ~subsystem:"engine" ~name:"events_executed"));
   (* the report renders the runtime header without any flag *)
   checkb "runtime header rendered" true
-    (contains (Report.render (Report.of_registry reg)) "runtime: alloc")
+    (contains (Report.render (Registry.doc reg)) "runtime: alloc")
 
 (* --- cross-process identity: extern ops and span-id ranges --- *)
 
