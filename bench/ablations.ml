@@ -14,7 +14,7 @@ let ablate_delta ~scale () =
   row "%8s  %12s  %14s  %14s  %12s\n" "delta" "join hops" "lookup fail" "lookup ms" "max degree";
   List.iter
     (fun delta ->
-      let config = { Config.default with Config.delta } in
+      let config = { Config.paper with Config.delta } in
       let b = build ~config ~seed:11 ~ps:0.9 ~scale () in
       insert_corpus b;
       run_lookups b ~count:scale.n_lookups;
@@ -33,8 +33,7 @@ let ablate_fingers ~scale () =
   header "Ablation — finger tables for data forwarding (p_s = 0.3)";
   row "%16s  %14s  %14s  %14s\n" "routing" "lookup hops" "lookup ms" "connum/lookup";
   List.iter
-    (fun (label, use_fingers) ->
-      let config = { Config.default with Config.use_fingers_for_data = use_fingers } in
+    (fun (label, config) ->
       let b = build ~config ~seed:12 ~ps:0.3 ~scale () in
       insert_corpus b;
       let before = Metrics.connum (H.metrics b.h) in
@@ -44,7 +43,7 @@ let ablate_fingers ~scale () =
         (Summary.mean (Metrics.lookup_hops m))
         (Summary.mean (Metrics.lookup_latency m))
         (float_of_int (Metrics.connum m - before) /. float_of_int scale.n_lookups))
-    [ ("ring walk", false); ("finger tables", true) ]
+    [ ("ring walk", Config.paper); ("finger tables", Config.default) ]
 
 let ablate_bypass ~scale () =
   header "Ablation — bypass links (Section 5.4), repeated cross-network lookups";
@@ -52,7 +51,7 @@ let ablate_bypass ~scale () =
   List.iter
     (fun (label, bypass_enabled) ->
       let config =
-        { Config.default with Config.bypass_enabled; bypass_lifetime = 1e12 }
+        { Config.paper with Config.bypass_enabled; bypass_lifetime = 1e12 }
       in
       let b = build ~config ~seed:14 ~ps:0.8 ~scale () in
       insert_corpus b;
@@ -85,7 +84,7 @@ let ablate_bittorrent ~scale () =
   row "%18s  %10s  %14s  %14s\n" "s-network style" "failures" "lookup ms" "connum/lookup";
   List.iter
     (fun (label, s_style) ->
-      let config = { Config.default with Config.s_style; default_ttl = 2 } in
+      let config = { Config.paper with Config.s_style; default_ttl = 2 } in
       let b = build ~config ~seed:15 ~ps:0.85 ~scale () in
       insert_corpus b;
       let before = Metrics.connum (H.metrics b.h) in
@@ -102,7 +101,7 @@ let ablate_cache ~scale () =
   List.iter
     (fun (label, cache_capacity) ->
       let config =
-        { Config.default with Config.cache_capacity; cache_lifetime = 1e12 }
+        { Config.paper with Config.cache_capacity; cache_lifetime = 1e12 }
       in
       let b = build ~config ~seed:16 ~ps:0.7 ~scale () in
       insert_corpus b;
@@ -157,7 +156,7 @@ let link_stress ~scale () =
         end
         else None
       in
-      let h = H.create ~seed:17 ~routing ~config:Config.default ?snet_policy ~stress () in
+      let h = H.create ~seed:17 ~routing ~config:Config.paper ?snet_policy ~stress () in
       let n = P2p_topology.Graph.node_count topo.P2p_topology.Transit_stub.graph in
       let rng = Rng.create 97 in
       for host = 0 to n - 1 do
@@ -204,7 +203,7 @@ let churn_live () =
   List.iter
     (fun events_per_minute ->
       let config =
-        { Config.default with
+        { Config.paper with
           Config.heartbeats = true;
           hello_period = 200.0;
           hello_timeout = 700.0;

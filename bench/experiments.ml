@@ -90,7 +90,7 @@ let assign_roles ~rng ~ps ~heterogeneity hosts =
     roles
   end
 
-let build ?(config = Config.default) ?(seed = 1) ?(ps = 0.5) ?(heterogeneity = false)
+let build ?(config = Config.paper) ?(seed = 1) ?(ps = 0.5) ?(heterogeneity = false)
     ?(landmarks = 0) ~scale () =
   let rng = Rng.create (seed * 7919) in
   let topo = Transit_stub.generate ~rng:(Rng.create (seed * 31 + 7)) scale.topology in

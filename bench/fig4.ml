@@ -9,7 +9,7 @@ module Pdf = P2p_stats.Pdf
 module Histogram = P2p_stats.Histogram
 
 let run_one ~scale ~placement ~ps ~label =
-  let config = { Config.default with Config.placement } in
+  let config = { Config.paper with Config.placement } in
   let b = build ~config ~seed:4 ~ps ~scale () in
   insert_corpus b;
   let dist = H.data_distribution b.h in

@@ -79,7 +79,7 @@ let durability ~scale () =
       let results =
         List.map
           (fun r ->
-            let config = { Config.default with Config.replication_factor = r } in
+            let config = { Config.paper with Config.replication_factor = r } in
             let b = build ~config ~seed:6 ~ps:0.6 ~scale () in
             let manager =
               if r > 0 then Some (Replication.install (H.world b.h)) else None

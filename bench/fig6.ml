@@ -18,7 +18,7 @@ let fig6a ~scale () =
   header "Fig 6a — average lookup latency (ms) vs p_s, +/- link heterogeneity";
   row "%6s  %12s  %16s\n" "p_s" "basic" "heterogeneity";
   (* access-link transmission cost makes capacity matter, as in NS2 *)
-  let config = { Config.default with Config.transmission_ms = 40.0 } in
+  let config = { Config.paper with Config.transmission_ms = 40.0 } in
   let collected = ref [] in
   List.iter
     (fun ps ->

@@ -57,7 +57,7 @@ let variants =
   ]
 
 let base_config =
-  { Config.default with Config.delta = 4; default_ttl = 8; reflood_attempts = 2 }
+  { Config.paper with Config.delta = 4; default_ttl = 8; reflood_attempts = 2 }
 
 let counter_value b ~subsystem ~name =
   Registry.counter_value

@@ -275,12 +275,6 @@ let start_leg ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () =
       (Routing.synthetic ~nodes:n ~latency:underlay_latency_ms, "synthetic")
     | `Link_state -> (link_state_routing ~seed n, "link_state")
   in
-  let config =
-    (* successor-walk data routing is O(t) per operation — fine at the
-       paper's 384 peers, hopeless at 10k+; the sweep measures the
-       finger-routed configuration *)
-    { Config.default with Config.use_fingers_for_data = true }
-  in
   (* Ring buffer sized so the lookup phase stays fully traced. *)
   let capacity = max 100_000 (60 * lookups) in
   let trace, telemetry_label =
@@ -291,7 +285,7 @@ let start_leg ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () =
         Printf.sprintf "sampled-%g" rate )
     | `Full -> (Some (Trace.create ~capacity ()), "full")
   in
-  let h = H.create ~seed ~routing ~config ?trace () in
+  let h = H.create ~seed ~routing ?trace () in
   let rng = Rng.create (seed + 17) in
   let t0 = Sys.time () in
   let peers, t_count = populate h ~rng ~n in

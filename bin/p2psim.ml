@@ -231,8 +231,8 @@ let dump_dir_arg =
           "Directory for flight-recorder dumps (created on demand).  A dump — \
            the recent-completion ring as JSONL, a chrome trace of the retained \
            spans, and a metrics snapshot — is written automatically when an \
-           $(b,--slo) gate fails, an audit check finds a violation, or \
-           $(b,--dump-on-exit) is set.")
+           $(b,--slo) gate fails, an audit check finds a violation, a traced or \
+           audited $(b,run) fails a lookup, or $(b,--dump-on-exit) is set.")
 
 let timeline_out_arg =
   Arg.(
@@ -317,7 +317,7 @@ let run_cmd =
         Printf.printf "anti-entropy window: %.0f ms\n%!" ms;
         Option.iter (fun m -> Pipeline.anti_entropy p m ~ms) manager)
       anti_entropy;
-    exit (Pipeline.finish p ~end_state:Check_final)
+    exit (Pipeline.finish ~gate_lookups:true p ~end_state:Check_final)
   in
   let setup =
     let check config anti_entropy =
@@ -397,13 +397,9 @@ let compare_cmd =
         (float_of_int (Metrics.connum hm) /. float_of_int lookups);
       (corpus, targets)
     in
-    (* the paper's sweet spot, then its p_s = 0 end: every peer a t-peer,
-       the ring routed by fingers *)
+    (* the paper's sweet spot, then its p_s = 0 end: every peer a t-peer *)
     let corpus, targets = hybrid "hybrid (ps=0.7)" ~ps:0.7 ~config in
-    ignore
-      (hybrid "pure Chord (ps=0)" ~ps:0.0
-         ~config:{ config with Config.use_fingers_for_data = true }
-        : Keys.item array * Keys.item array);
+    ignore (hybrid "pure Chord (ps=0)" ~ps:0.0 ~config : Keys.item array * Keys.item array);
     (* pure Gnutella *)
     let mesh = Mesh.create ~rng:(Rng.create (seed + 20)) ~links_per_join:3 () in
     let mpeers = Array.init n (fun host -> Mesh.join mesh ~host) in

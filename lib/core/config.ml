@@ -29,7 +29,7 @@ let default =
     default_ttl = 4;
     placement = Spread_to_neighbors;
     s_style = Flooding_tree;
-    use_fingers_for_data = false;
+    use_fingers_for_data = true;
     hello_period = 500.0;
     hello_timeout = 1600.0;
     lookup_timeout = 60_000.0;
@@ -44,6 +44,8 @@ let default =
     bloom_bits_per_key = 0;
     replication_factor = 0;
   }
+
+let paper = { default with use_fingers_for_data = false }
 
 let validate t =
   if t.delta < 2 then Error "delta must be >= 2"

@@ -34,12 +34,13 @@ type t = {
   placement : placement;
   s_style : s_style;
   use_fingers_for_data : bool;
-      (** route data operations through finger tables (t-peer joins
-          always do: the paper's Fig. 3a analysis assumes it).  The paper's
-          simulation forwards data "along the ring" (Table 2's connum at
-          [p_s = 0] is ~N/2 per lookup), so this defaults to [false].
-          [compare]'s pure-Chord line, the [scale] bench and the
-          [ablate-fingers] experiment enable it *)
+      (** route inserts and lookups across the ring by finger tables,
+          O(log T) hops over T t-peers, as t-peer joins always are (the
+          paper's Fig. 3a analysis assumes it).  [true] by default.
+          [false] forwards data one successor at a time, ~T/2 hops per
+          operation: the paper's simulation routes "along the ring"
+          (Table 2's connum at [p_s = 0] is ~N/2 per lookup), and
+          {!paper} restores it *)
   hello_period : float;  (** ms between HELLO heartbeats *)
   hello_timeout : float;  (** ms of silence before a neighbour is presumed dead *)
   lookup_timeout : float;  (** ms before a pending lookup is declared failed *)
@@ -85,10 +86,15 @@ type t = {
           ({!P2p_replication.Policy}). *)
 }
 
-(** Paper-faithful defaults: [δ = 3] (the simulations' setting),
-    [default_ttl = 4], spread placement, flooding s-networks, fingers for
-    joins but ring-walk for data, heartbeats off, bypass off. *)
+(** The defaults: [δ = 3] (the simulations' setting), [default_ttl = 4],
+    spread placement, flooding s-networks, finger-routed joins and data,
+    heartbeats off, bypass off. *)
 val default : t
+
+(** The paper's simulation: {!default} with data forwarded one ring
+    successor at a time ([use_fingers_for_data = false]).  Table 2 and
+    the figure benches build on it. *)
+val paper : t
 
 (** [validate t] returns [Error reason] if a field is out of range
     (e.g. [delta < 2], negative timers). *)

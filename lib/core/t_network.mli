@@ -15,8 +15,10 @@
       need substitution only;
     - load transfer from the successor's whole s-network on join, and the
       [loaddump] to the successor on triangle leave;
-    - ring forwarding of data operations ("forwarded along the ring"),
-      visiting each intermediate t-peer. *)
+    - ring forwarding of data operations, by finger tables by default or,
+      as the paper's simulation did, one successor at a time ("forwarded
+      along the ring", {!Config.paper}), visiting each intermediate
+      t-peer. *)
 
 open P2p_hashspace
 
@@ -68,8 +70,10 @@ val promote_replacement :
   unit
 
 (** [route_to_owner w ~from ~d_id ~visit ~on_arrive] forwards a data
-    operation along the ring from the t-peer [from] to the t-peer owning
-    [d_id].  [visit] runs at every t-peer the request reaches (including
+    operation across the ring from the t-peer [from] to the t-peer owning
+    [d_id]: by closest preceding finger while
+    [Config.use_fingers_for_data] holds (the default), else to the
+    successor.  [visit] runs at every t-peer the request reaches (including
     [from] and the owner) at message-arrival time, with the ring hops taken
     to reach it: [0] at [from], counting up by one per forwarding hop;
     [on_arrive] fires at the owner with the accumulated hop count.  [op]

@@ -265,7 +265,7 @@ let write_outputs t reg =
         (fun path -> Export.write_file ~path (Sampler.to_string s)))
     t.sampler
 
-let finish ?inserted t ~end_state =
+let finish ?inserted ?(gate_lookups = false) t ~end_state =
   let h = t.h in
   let reg = Metrics.registry (H.metrics h) in
   let state =
@@ -291,10 +291,12 @@ let finish ?inserted t ~end_state =
     let audit_ok =
       match t.auditor with Some a -> Auditor.violations_total a = 0 | None -> true
     in
+    let failed = if gate_lookups then Metrics.lookups_failed (H.metrics h) else 0 in
     let reason =
       if not slo_ok then Some "slo"
       else if not audit_ok then Some "audit"
       else if Result.is_error state then Some "invariants"
+      else if failed > 0 then Some "lookups"
       else if t.out.dump_on_exit then Some "exit"
       else None
     in
@@ -316,7 +318,9 @@ let finish ?inserted t ~end_state =
         false
       | Some _ | None -> true
     in
-    if Result.is_ok state && slo_ok && audit_ok && kept then 0 else 1
+    if failed > 0 then
+      Printf.printf "LOOKUPS FAILED: %d of %d\n" failed (Metrics.lookups_issued (H.metrics h));
+    if Result.is_ok state && slo_ok && audit_ok && kept && failed = 0 then 0 else 1
   with Sys_error e ->
     Printf.eprintf "p2psim: cannot write output: %s\n" e;
     1

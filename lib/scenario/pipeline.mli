@@ -98,10 +98,11 @@ type end_state =
           gate on this result *)
   | Audit_only  (** the auditor alone decides *)
 
-(** [finish ?inserted t ~end_state] prints the end state, writes the
-    trace, metrics, profile and timeline, checks the SLOs, writes
-    the flight dump if a gate tripped (or [dump_on_exit]), prints the
-    audit summary (unless [Reported]) and checks that [inserted] items
-    are still stored.  Returns the exit code: 1 if any of these failed
-    or the auditor saw a violation of either severity, else 0. *)
-val finish : ?inserted:int -> t -> end_state:end_state -> int
+(** [finish ?inserted ?gate_lookups t ~end_state] prints the end state,
+    writes the trace, metrics, profile and timeline, checks the SLOs,
+    writes the flight dump if a gate tripped (or [dump_on_exit]), prints
+    the audit summary (unless [Reported]), checks that [inserted] items
+    are still stored and, with [gate_lookups] (default off), that no
+    lookup failed.  Returns the exit code: 1 if any of these failed or
+    the auditor saw a violation of either severity, else 0. *)
+val finish : ?inserted:int -> ?gate_lookups:bool -> t -> end_state:end_state -> int

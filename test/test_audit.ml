@@ -53,7 +53,7 @@ let test_catalogue_names () =
 (* Clean system under graceful churn: online ticks during joins, leaves
    and lookups must not misreport in-flight protocol as damage. *)
 let test_online_clean_churn () =
-  let h, _ = star_system ~n:30 ~ps:0.6 () in
+  let h, _ = star_system ~config:Config.paper ~n:30 ~ps:0.6 () in
   let a = Auditor.create ~interval:20.0 (H.world h) in
   let p = Pipeline.attach ~auditor:a h in
   let _ = H.grow h ~count:15 ~s_fraction:0.5 in
@@ -471,8 +471,8 @@ let churn_script ~peers ~initial ~crashes ~inserts ~lookups ~final_lookups =
   @ [ Insert_items inserts; Lookup_items lookups; Settle; Anti_entropy 10000.0;
       Lookup_items final_lookups; Settle ]
 
-let replicated_star ?latency ~seed ~trace () =
-  let config = { Config.default with Config.replication_factor = 2 } in
+let replicated_star ?(base = Config.default) ?latency ~seed ~trace () =
+  let config = { base with Config.replication_factor = 2 } in
   H.create_star ~seed ~peers:400 ?latency ~config ~trace ()
 
 (* Full tracing into a 256-span ring, so wraparound evicts spans between
@@ -512,7 +512,7 @@ let churn_100_digest = "3851bb6fdb9db8fccfc40aa2c5da1961"
 let test_churn_100_snapshots_pinned () =
   let seed = 42000 in
   let trace = Trace.create ~capacity:200_000 ~sample_rate:0.01 ~sample_seed:seed () in
-  let h = replicated_star ~seed ~trace () in
+  let h = replicated_star ~base:Config.paper ~seed ~trace () in
   let buf = Buffer.create 4096 in
   let report =
     Scenario.run ~audit_interval:2000.0 h ~seed
@@ -570,6 +570,27 @@ let test_warning_fails_verdict () =
   checki "verdict fails" 1
     (Pipeline.finish (Pipeline.attach ~auditor:a h) ~end_state:Pipeline.Audit_only)
 
+(* [p2psim run --peers 200 --ps 0.5 --items 200 --lookups 200] through
+   the pipeline, with and without [--ttl 0]: at TTL 0 a flood reaches no
+   s-peer past the one it starts at, 89 lookups fail and run's verdict
+   is 1; at the default TTL every lookup is found and it is 0. *)
+let test_failed_lookups_fail_verdict () =
+  let run updates =
+    let config = Result.get_ok (Pipeline.config updates) in
+    let h, rng = Pipeline.build ~ps:0.5 ~seed:42 ~n:200 ~config () in
+    let p = Pipeline.attach h in
+    let corpus = Pipeline.insert p ~rng ~count:200 in
+    Pipeline.lookup p (P2p_workload.Keys.lookup_sequence ~rng ~items:corpus ~count:200);
+    let code = Pipeline.finish ~gate_lookups:true p ~end_state:Pipeline.Check_final in
+    (Metrics.lookups_failed (H.metrics h), code)
+  in
+  let failed, code = run [ ("--ttl", fun c -> { c with Config.default_ttl = 0 }) ] in
+  checki "ttl 0: lookups failed" 89 failed;
+  checki "ttl 0: verdict" 1 code;
+  let failed, code = run [] in
+  checki "default ttl: lookups failed" 0 failed;
+  checki "default ttl: verdict" 0 code
+
 let suite =
   [
     Alcotest.test_case "catalogue: clean system" `Quick test_clean_system;
@@ -602,4 +623,6 @@ let suite =
       test_sampler_keeps_audit_ticks;
     Alcotest.test_case "pipeline: a warning fails the verdict" `Quick
       test_warning_fails_verdict;
+    Alcotest.test_case "pipeline: failed lookups fail run's verdict" `Quick
+      test_failed_lookups_fail_verdict;
   ]

@@ -196,7 +196,7 @@ let test_lookup_ttl_zero_vs_large () =
    the owner's s-network, and the flood that later reaches that s-network
    must find it there. *)
 let test_lookup_raced_by_first_insert () =
-  let h, _ = star_system ~seed:45 ~n:60 ~ps:0.7 () in
+  let h, _ = star_system ~config:Config.paper ~seed:45 ~n:60 ~ps:0.7 () in
   ignore (insert_items h ~count:20 : string list);
   let w = H.world h in
   let key = "raced-item" in
@@ -230,7 +230,7 @@ let test_connum_counts_ring_contacts () =
    ring from the requester is found by the ring walk's own check at that
    t-peer, k ring hops out, plus the reply hop. *)
 let test_lookup_hops_count_ring_path () =
-  let h, _ = star_system ~seed:46 ~n:40 ~ps:0.0 () in
+  let h, _ = star_system ~config:Config.paper ~seed:46 ~n:40 ~ps:0.0 () in
   let requester = H.random_peer h in
   let rec along peer k = if k = 0 then peer else along (Option.get peer.Peer.succ) (k - 1) in
   for k = 1 to 4 do

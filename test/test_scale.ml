@@ -1,12 +1,14 @@
 (* Scale-refactor tests: key interning, the flat data store, the flat
    world membership (successor-index wraparound), the event schedules of
    a seeded churn run and a concurrent-join run, pinned to constants,
-   and the finger work of a protocol-built system. *)
+   the finger work of a protocol-built system and the lookup cost of
+   finger-routed data. *)
 
 open Helpers
 module Intern = Hybrid_p2p.Intern
 module Data_store = Hybrid_p2p.Data_store
 module Engine = P2p_sim.Engine
+module Pipeline = P2p_scenario.Pipeline
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -151,7 +153,7 @@ let stored_items h =
   List.sort compare !acc
 
 let churn_run () =
-  let h, _ = star_system ~seed:7 ~capacity:2200 ~n:2000 ~ps:0.8 () in
+  let h, _ = star_system ~config:Config.paper ~seed:7 ~capacity:2200 ~n:2000 ~ps:0.8 () in
   ignore (insert_items h ~count:200 : string list);
   (* churn: crash a deterministic slice, then heal *)
   let victims =
@@ -257,6 +259,31 @@ let test_join_refresh_work_bounded () =
     (Printf.sprintf "%d tables recomputed for %d t-peers (ceiling %d)" refreshes t ceiling)
     true (refreshes <= ceiling)
 
+(* --- lookup cost of the default ------------------------------------------ *)
+
+(* The default routes data by fingers: over T t-peers a lookup takes
+   O(log T) ring hops.  [Config.paper] differs from it only in forwarding
+   one successor at a time, ~T/2 hops on the same seeded workload. *)
+let test_default_lookup_hops () =
+  let mean_hops config =
+    let h, rng = Pipeline.build ~ps:0.8 ~seed:3 ~n:1000 ~config () in
+    let p = Pipeline.attach h in
+    let corpus = Pipeline.insert p ~rng ~count:200 in
+    Pipeline.lookup p (P2p_workload.Keys.lookup_sequence ~rng ~items:corpus ~count:200);
+    (H.t_peer_count h, P2p_stats.Summary.mean (P2p_net.Metrics.lookup_hops (H.metrics h)))
+  in
+  checkb "paper = default but for data routing" true
+    ({ Config.paper with Config.use_fingers_for_data = true } = Config.default
+    && not Config.paper.Config.use_fingers_for_data);
+  let t, fingers = mean_hops Config.default in
+  let bound = (2.0 *. Float.log2 (float_of_int t)) +. 4.0 in
+  checkb (Printf.sprintf "default: %.2f hops over %d t-peers (< %.2f)" fingers t bound) true
+    (fingers < bound);
+  let t', linear = mean_hops Config.paper in
+  checki "same ring" t t';
+  checkb (Printf.sprintf "paper: %.2f hops over %d t-peers (> %d / 4)" linear t t) true
+    (linear > float_of_int t /. 4.0)
+
 let suite =
   [
     Alcotest.test_case "intern: round trips" `Quick test_intern_round_trip;
@@ -270,6 +297,7 @@ let suite =
     Alcotest.test_case "world: successor index wraparound" `Quick
       test_successor_index_wraparound;
     Alcotest.test_case "schedule: churn run pinned" `Slow test_schedule_pinned;
+    Alcotest.test_case "lookups: finger-routed by default" `Slow test_default_lookup_hops;
     Alcotest.test_case "schedule: concurrent joins pinned" `Slow
       test_concurrent_joins_pinned;
     Alcotest.test_case "joins: finger work near-linear" `Slow
