@@ -2,7 +2,7 @@ module World = Hybrid_p2p.World
 module Peer = Hybrid_p2p.Peer
 module Config = Hybrid_p2p.Config
 module Data_store = Hybrid_p2p.Data_store
-module Intern = Hybrid_p2p.Intern
+module Key_ids = Hybrid_p2p.Key_ids
 module Trace = P2p_sim.Trace
 module Spans = P2p_obs.Spans
 module Int_map = Map.Make (Int)
@@ -367,36 +367,6 @@ let data_placement ~final who w =
 
 (* --- replication factor (durability invariant) -------------------------- *)
 
-(* Key ids for one tick: the world interner's, so per-key tallies are
-   flat arrays of [size] entries.  A store on another interner (a peer
-   built by hand) is translated by name, and a key the world never
-   interned gets an id past [base] from a tick-local interner. *)
-type key_ids = { wi : Intern.t; base : int; extra : Intern.t; size : int }
-
-let key_ids w =
-  let wi = World.interner w in
-  let foreign = ref 0 in
-  let count store =
-    if Data_store.interner store != wi then foreign := !foreign + Data_store.size store
-  in
-  World.iter_peers w (fun p ->
-      count p.Peer.store;
-      count p.Peer.replicas);
-  let base = Intern.count wi in
-  { wi; base; extra = Intern.create ~initial_capacity:1 (); size = base + !foreign }
-
-let iter_key_ids k store f =
-  if Data_store.interner store == k.wi then Data_store.iter_ids store f
-  else
-    Data_store.iter store (fun ~key ~value:_ ~route_id:_ ->
-        f
-          (match Intern.find k.wi key with
-           | Some id -> id
-           | None -> k.base + Intern.intern k.extra key))
-
-let key_name k id =
-  if id < k.base then Intern.name k.wi id else Intern.name k.extra (id - k.base)
-
 let replication_factor ~final who w =
   let col = collector who in
   let r = w.World.config.Config.replication_factor in
@@ -409,16 +379,16 @@ let replication_factor ~final who w =
     let settled =
       final || (pending = 0 && Array.for_all Peer.quiet (World.t_peers w))
     in
-    let k = key_ids w in
-    let copies_of = Array.make k.size 0 in
+    let k = Key_ids.create w in
+    let copies_of = Array.make (Key_ids.size k) 0 in
     World.iter_peers w (fun p ->
-        iter_key_ids k p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
+        Key_ids.iter k p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
     (* a primary is checked at its first holder in host order *)
-    let checked = Bytes.make k.size '\000' in
+    let checked = Bytes.make (Key_ids.size k) '\000' in
     let items = ref 0 and copies = ref 0 and under = ref 0 in
     World.iter_peers w (fun p ->
         let expected = ref (-1) in
-        iter_key_ids k p.Peer.store (fun id ->
+        Key_ids.iter k p.Peer.store (fun id ->
             if Bytes.get checked id = '\000' then begin
               Bytes.set checked id '\001';
               incr items;
@@ -430,7 +400,7 @@ let replication_factor ~final who w =
                 incr under;
                 if settled && !under <= 8 then
                   err col ~subject:p.Peer.host
-                    "item %S at #%d has %d replica copies, expected %d" (key_name k id)
+                    "item %S at #%d has %d replica copies, expected %d" (Key_ids.name k id)
                     p.Peer.host have !expected
               end
             end));

@@ -121,6 +121,8 @@ let find_id t kid = value_at t (slot_of_id t kid)
 
 let mem t ~key = slot_of t ~key >= 0
 
+let mem_id t kid = slot_of_id t kid >= 0
+
 let remove t ~key =
   match slot_of t ~key with
   | -1 -> ()
@@ -139,6 +141,9 @@ let iter t f =
     t.keys
 
 let iter_ids t f = Array.iter (fun kid -> if kid >= 0 then f kid) t.keys
+
+let iter_id_items t f =
+  Array.iteri (fun i kid -> if kid >= 0 then f kid t.vals.(i) t.routes.(i)) t.keys
 
 let segment_items t ~left ~right =
   let acc = ref [] in

@@ -49,6 +49,10 @@ val remove : t -> key:string -> unit
 (** [mem t ~key] tests presence. *)
 val mem : t -> key:string -> bool
 
+(** [mem_id t kid] is {!mem} for the key whose id in [interner t] is
+    [kid], probed without hashing the key string. *)
+val mem_id : t -> int -> bool
+
 (** [take_segment t ~left ~right] removes and returns every item whose
     routing ID lies in the ring segment [(left, right]] — the
     load-transfer primitive: when a new t-peer with ID [right] joins after
@@ -85,6 +89,10 @@ val iter : t -> (key:string -> value:string -> route_id:Id_space.id -> unit) -> 
     key, in {!iter}'s order: a walk that tallies keys in flat arrays
     without materializing a string per item. *)
 val iter_ids : t -> (int -> unit) -> unit
+
+(** [iter_id_items t f] applies [f kid vid route_id] to each item, with
+    its key and value ids in [interner t], in {!iter}'s order. *)
+val iter_id_items : t -> (int -> int -> Id_space.id -> unit) -> unit
 
 (** [keys t] lists stored keys in unspecified order. *)
 val keys : t -> string list

@@ -67,10 +67,13 @@ let peer_count t = World.peer_count t.w
 let t_peer_count t = Array.length (World.t_peers t.w)
 let s_peer_count t = peer_count t - t_peer_count t
 
+(* The draw [Rng.pick_list] makes over [peers t] — one [Rng.int] over
+   the population, then that rank in host order — without building the
+   list. *)
 let random_peer t =
-  match peers t with
-  | [] -> invalid_arg "Hybrid.random_peer: empty system"
-  | all -> Rng.pick_list t.w.World.rng all
+  match peer_count t with
+  | 0 -> invalid_arg "Hybrid.random_peer: empty system"
+  | n -> World.nth_live_peer t.w (Rng.int t.w.World.rng n)
 
 let run t = Engine.run (engine t)
 

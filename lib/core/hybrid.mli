@@ -67,14 +67,18 @@ val config : t -> Config.t
 val world : t -> World.t
 val now : t -> float
 
-(** Live peers, unordered. *)
+(** Live peers in ascending host order. *)
 val peers : t -> Peer.t list
 
 val peer_count : t -> int
 val t_peer_count : t -> int
 val s_peer_count : t -> int
 
-(** A uniformly random live peer.  @raise Invalid_argument when empty. *)
+(** A uniformly random live peer.  The draw is one [Rng.int n] on the
+    world's generator, [n = peer_count t], then the peer of that rank in
+    {!peers} — what [Rng.pick_list] over {!peers} draws, so seeded runs
+    pick the same peers.  O(log N), allocation-free.
+    @raise Invalid_argument when empty. *)
 val random_peer : t -> Peer.t
 
 (** {1 Running the clock} *)

@@ -42,6 +42,7 @@ type t = {
   interner : Intern.t;
   mutable slots : Peer.t option array;
   mutable live_count : int;
+  mutable live_index : int array;
   mutable snet : int array;
   mutable t_sorted : Peer.t array;
   mutable t_ids : int array;
@@ -89,6 +90,7 @@ let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
     interner = Intern.create ();
     slots = [||];
     live_count = 0;
+    live_index = [||];
     snet = [||];
     t_sorted = [||];
     t_ids = [||];
@@ -171,9 +173,35 @@ let touch_ring t =
      so every edge summary built before this instant is suspect *)
   t.summary_epoch <- t.summary_epoch + 1
 
-(* Grow both host-indexed arrays to cover [host] (doubling, so n peers
-   cost O(n) amortized).  Hosts are graph node ids — dense from 0 — so
-   the arrays carry essentially no slack. *)
+(* [live_index] is a Fenwick tree of occupied slots: cell [i] counts the
+   occupied hosts in [(i + 1 - lowbit (i + 1)), i], so a count update or
+   a rank search touches log2 (capacity) cells.  The capacity is a power
+   of two (see [ensure_slot]), which [nth_live_peer]'s descent relies
+   on. *)
+let index_add t host delta =
+  let n = Array.length t.live_index in
+  let i = ref (host + 1) in
+  while !i <= n do
+    t.live_index.(!i - 1) <- t.live_index.(!i - 1) + delta;
+    i := !i + (!i land - !i)
+  done
+
+(* Rebuild the tree over the current slots in one O(capacity) pass: each
+   cell hands its total to the parent cell covering it. *)
+let rebuild_index t =
+  let n = Array.length t.slots in
+  let index = Array.make n 0 in
+  for i = 1 to n do
+    if Option.is_some t.slots.(i - 1) then index.(i - 1) <- index.(i - 1) + 1;
+    let parent = i + (i land -i) in
+    if parent <= n then index.(parent - 1) <- index.(parent - 1) + index.(i - 1)
+  done;
+  t.live_index <- index
+
+(* Grow the host-indexed arrays to cover [host] (doubling from 16, so
+   capacities are powers of two and n peers cost O(n) amortized).  Hosts
+   are graph node ids — dense from 0 — so the arrays carry essentially no
+   slack. *)
 let ensure_slot t host =
   let n = Array.length t.slots in
   if host >= n then begin
@@ -189,7 +217,8 @@ let ensure_slot t host =
     t.snet <- snet;
     let size_key = Array.make !cap (-1) in
     Array.blit t.size_key 0 size_key 0 n;
-    t.size_key <- size_key
+    t.size_key <- size_key;
+    rebuild_index t
   end
 
 (* [size_key.(host)] is the p_id under which the ring member on [host]
@@ -210,7 +239,9 @@ let register t peer =
   if host < 0 then invalid_arg "World.register: negative host";
   ensure_slot t host;
   (match t.slots.(host) with
-   | None -> t.live_count <- t.live_count + 1
+   | None ->
+     t.live_count <- t.live_count + 1;
+     index_add t host 1
    | Some previous ->
      (* a t-peer displaced from its host leaves the ring *)
      if previous != peer && Peer.is_t_peer previous then begin
@@ -228,7 +259,9 @@ let unregister t peer =
   let host = peer.Peer.host in
   if host >= 0 && host < Array.length t.slots then begin
     (match t.slots.(host) with
-     | Some _ -> t.live_count <- t.live_count - 1
+     | Some _ ->
+       t.live_count <- t.live_count - 1;
+       index_add t host (-1)
      | None -> ());
     t.slots.(host) <- None;
     if Peer.is_t_peer peer then begin
@@ -247,6 +280,25 @@ let host_bound t = Array.length t.slots
 
 let iter_peers t f =
   Array.iter (function Some p -> f p | None -> ()) t.slots
+
+(* Descend the Fenwick tree from its root cell: at each halving step,
+   skip the block of hosts below [pos + step] when it holds no more than
+   the [k] peers still to pass. *)
+let nth_live_peer t k =
+  if k < 0 || k >= t.live_count then invalid_arg "World.nth_live_peer: rank out of range";
+  let pos = ref 0 and rest = ref k in
+  let step = ref (Array.length t.live_index) in
+  while !step > 0 do
+    let cell = !pos + !step in
+    if cell <= Array.length t.live_index && t.live_index.(cell - 1) <= !rest then begin
+      pos := cell;
+      rest := !rest - t.live_index.(cell - 1)
+    end;
+    step := !step / 2
+  done;
+  match t.slots.(!pos) with
+  | Some p -> p
+  | None -> assert false
 
 let live_peers t =
   let acc = ref [] in

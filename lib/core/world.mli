@@ -45,6 +45,9 @@ type t = {
       (** host-indexed membership directory (hosts are dense graph node
           ids); [None] = no peer registered on that host *)
   mutable live_count : int;  (** registered peers, i.e. occupied [slots] *)
+  mutable live_index : int array;
+      (** Fenwick tree of occupied [slots], same capacity: what lets
+          {!nth_live_peer} find the k-th registered peer in O(log N) *)
   mutable snet : int array;
       (** host-indexed s-peer counts for t-peers; [-1] = no entry *)
   mutable t_sorted : Peer.t array;
@@ -200,8 +203,15 @@ val peer_count : t -> int
     (hosts are dense graph-node ids). *)
 val host_bound : t -> int
 
-(** All registered peers in ascending host order. *)
+(** All registered peers in ascending host order.  Builds an N-element
+    list: per-operation code draws with {!nth_live_peer} instead. *)
 val live_peers : t -> Peer.t list
+
+(** [nth_live_peer t k] is the [k]-th registered peer in ascending host
+    order ([List.nth (live_peers t) k]), found in O(log N) without
+    allocating.
+    @raise Invalid_argument unless [0 <= k < peer_count t]. *)
+val nth_live_peer : t -> int -> Peer.t
 
 (** [iter_peers t f] applies [f] to every registered peer in ascending
     host order, allocating nothing — walks of million-peer worlds

@@ -2,6 +2,7 @@ module World = Hybrid_p2p.World
 module Peer = Hybrid_p2p.Peer
 module Config = Hybrid_p2p.Config
 module Data_store = Hybrid_p2p.Data_store
+module Key_ids = Hybrid_p2p.Key_ids
 module Summaries = Hybrid_p2p.Summaries
 module Transport = P2p_transport.Transport
 module Trace = P2p_sim.Trace
@@ -54,47 +55,73 @@ let fan_out t ~op ~holder ~route_id ~key ~value =
 
 (* --- heal: promote lost primaries, restore the factor ------------------ *)
 
-(* Global key census: where every key's primary and replica copies live.
-   Collected before any mutation so the heal sees one consistent cut. *)
-type census_entry = {
-  value : string;
-  route_id : P2p_hashspace.Id_space.id;
-  mutable primaries : Peer.t list;
-  mutable replica_holders : Peer.t list;
+(* Global key census over the world interner's key ids ([Key_ids]), in
+   flat per-id arrays.  A key's value and route come from its first copy
+   in host order, each peer's store before its replicas; its primary
+   holder is the last peer in host order whose store holds it.  The walk
+   also drops replica copies shadowed by a primary at the same peer:
+   such a copy is never the first one seen, and no other key's entries
+   depend on it. *)
+type census = {
+  ids : Key_ids.t;
+  route : int array;  (* route id of the first copy; -1 = key unseen *)
+  value : string array;  (* value of the first copy *)
+  primary : int array;  (* host of the last primary holder; -1 = none *)
+  copies : int array;  (* replica copies not shadowed by a primary *)
 }
 
 let census w =
-  let tbl : (string, census_entry) Hashtbl.t = Hashtbl.create 1024 in
-  let learn ~primary p ~key ~value ~route_id =
-    let e =
-      match Hashtbl.find_opt tbl key with
-      | Some e -> e
-      | None ->
-        let e = { value; route_id; primaries = []; replica_holders = [] } in
-        Hashtbl.add tbl key e;
-        e
-    in
-    if primary then e.primaries <- p :: e.primaries
-    else e.replica_holders <- p :: e.replica_holders
+  let ids = Key_ids.create w in
+  let n = Key_ids.size ids in
+  let c =
+    {
+      ids;
+      route = Array.make n (-1);
+      value = Array.make n "";
+      primary = Array.make n (-1);
+      copies = Array.make n 0;
+    }
+  in
+  let first id ~value ~route_id =
+    if c.route.(id) < 0 then begin
+      c.route.(id) <- route_id;
+      c.value.(id) <- value
+    end
   in
   World.iter_peers w (fun p ->
-      Data_store.iter p.Peer.store (fun ~key ~value ~route_id ->
-          learn ~primary:true p ~key ~value ~route_id);
-      Data_store.iter p.Peer.replicas (fun ~key ~value ~route_id ->
-          learn ~primary:false p ~key ~value ~route_id));
-  tbl
+      Key_ids.iter_items ids p.Peer.store (fun id ~value ~route_id ->
+          first id ~value ~route_id;
+          c.primary.(id) <- p.Peer.host);
+      (* [p]'s store was just walked, so [p] leads a key's primaries
+         exactly when its store holds the key; removing the copy under
+         the walk only tombstones its slot *)
+      Key_ids.iter_items ids p.Peer.replicas (fun id ~value ~route_id ->
+          first id ~value ~route_id;
+          if c.primary.(id) = p.Peer.host then
+            Data_store.remove p.Peer.replicas ~key:(Key_ids.name ids id)
+          else c.copies.(id) <- c.copies.(id) + 1));
+  c
 
-let update_live_factor t tbl =
-  let items = ref 0 and copies = ref 0 in
-  Hashtbl.iter
-    (fun _ e ->
-      if e.primaries <> [] then begin
-        incr items;
-        copies := !copies + List.length e.replica_holders
-      end)
-    tbl;
-  Registry.set t.live_factor
-    (if !items = 0 then 0.0 else float_of_int !copies /. float_of_int !items)
+(* [Policy.targets], computed once per home: every primary under one
+   live home shares its list. *)
+let targets_memo w =
+  let homes = Array.make (World.host_bound w) None in
+  let lists = Array.make (World.host_bound w) [] in
+  fun primary ->
+    match Policy.live_home w ~primary with
+    | None -> []
+    | Some home ->
+      let h = home.Peer.host in
+      if h >= Array.length homes then Policy.home_targets w ~home
+      else begin
+        match homes.(h) with
+        | Some cached when cached == home -> lists.(h)
+        | Some _ | None ->
+          let targets = Policy.home_targets w ~home in
+          homes.(h) <- Some home;
+          lists.(h) <- targets;
+          targets
+      end
 
 (* Synchronous durability pass over the whole system:
 
@@ -109,7 +136,10 @@ let update_live_factor t tbl =
    Runs inside [Failure.repair] (offline path) and from the debounced
    post-crash timer (online path); mutates stores directly — by the time
    it runs, repair has already made structure consistent, and modelling
-   the transfer traffic would only re-order identical end states. *)
+   the transfer traffic would only re-order identical end states.  Keys
+   are handled in id order; a key's steps touch only that key's copies,
+   so the order changes no store's contents.  Key strings are fetched
+   only for the copies written. *)
 let heal ?op t =
   let w = t.w in
   Registry.incr t.heal_passes;
@@ -119,51 +149,60 @@ let heal ?op t =
     | Some op -> op
     | None -> Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Replicate "heal"
   in
-  let tbl = census w in
+  let c = census w in
+  let ids = c.ids in
+  let targets_of = targets_memo w in
   let promoted = ref 0 and restored = ref 0 in
-  Hashtbl.iter
-    (fun key e ->
-      (* 1. promotion *)
-      (if e.primaries = [] then
-         match World.oracle_owner w e.route_id with
-         | None -> ()
-         | Some owner ->
-           Data_store.insert_routed owner.Peer.store ~route_id:e.route_id ~key
-             ~value:e.value;
-           if w.World.config.Config.s_style = Config.Bittorrent_tracker then
-             Hashtbl.replace owner.Peer.tracker_index key owner;
-           e.primaries <- [ owner ];
-           incr promoted;
-           Registry.incr t.promoted);
-      match e.primaries with
-      | [] -> ()
-      | primary :: _ ->
-        (* 3. drop replica copies shadowed by a primary at the same peer *)
-        let shadowed, holders =
-          List.partition (fun p -> List.memq p e.primaries) e.replica_holders
-        in
-        List.iter (fun p -> Data_store.remove p.Peer.replicas ~key) shadowed;
-        e.replica_holders <- holders;
+  let items = ref 0 and copies = ref 0 in
+  for id = 0 to Key_ids.size ids - 1 do
+    let route_id = c.route.(id) in
+    if route_id >= 0 then begin
+      (* 1. promotion, dropping a replica copy the new primary shadows *)
+      let primary =
+        if c.primary.(id) >= 0 then World.find_peer w ~host:c.primary.(id)
+        else
+          match World.oracle_owner w route_id with
+          | None -> None
+          | Some owner ->
+            let key = Key_ids.name ids id in
+            Data_store.insert_routed owner.Peer.store ~route_id ~key ~value:c.value.(id);
+            if w.World.config.Config.s_style = Config.Bittorrent_tracker then
+              Hashtbl.replace owner.Peer.tracker_index key owner;
+            if Key_ids.mem ids owner.Peer.replicas id then begin
+              Data_store.remove owner.Peer.replicas ~key;
+              c.copies.(id) <- c.copies.(id) - 1
+            end;
+            incr promoted;
+            Registry.incr t.promoted;
+            Some owner
+      in
+      match primary with
+      | None -> ()
+      | Some primary ->
         (* 2. restore the factor on the current targets *)
         List.iter
           (fun target ->
             if
-              (not (List.memq target e.replica_holders))
-              && not (Data_store.mem target.Peer.store ~key)
+              (not (Key_ids.mem ids target.Peer.replicas id))
+              && not (Key_ids.mem ids target.Peer.store id)
             then begin
-              Data_store.insert_routed target.Peer.replicas ~route_id:e.route_id ~key
-                ~value:e.value;
-              e.replica_holders <- target :: e.replica_holders;
+              let key = Key_ids.name ids id and value = c.value.(id) in
+              Data_store.insert_routed target.Peer.replicas ~route_id ~key ~value;
+              c.copies.(id) <- c.copies.(id) + 1;
               incr restored;
               Registry.incr t.re_replicated;
               Registry.incr t.bytes_re_replicated
-                ~by:(String.length key + String.length e.value)
+                ~by:(String.length key + String.length value)
             end)
-          (Policy.targets w ~primary))
-    tbl;
+          (targets_of primary);
+        incr items;
+        copies := !copies + c.copies.(id)
+    end
+  done;
   World.mark_span w ~op ~tier:"replication" ~phase:"heal_step"
     (Printf.sprintf "promoted %d, re-replicated %d" !promoted !restored);
-  update_live_factor t tbl;
+  Registry.set t.live_factor
+    (if !items = 0 then 0.0 else float_of_int !copies /. float_of_int !items);
   (* the heal rewrote stores and replica shadows across arbitrary trees;
      cheaper to declare every edge summary stale than to track each move *)
   Summaries.invalidate_all w;

@@ -21,12 +21,17 @@ let ring_successors w ~home ~factor =
   if idx < 0 || n <= 1 then []
   else List.init (min factor (n - 1)) (fun k -> arr.((idx + k + 1) mod n))
 
-let targets w ~primary =
-  let factor = w.World.config.Config.replication_factor in
-  if factor <= 0 || not primary.Peer.alive then []
+let live_home w ~primary =
+  if w.World.config.Config.replication_factor <= 0 || not primary.Peer.alive then None
   else
     match primary.Peer.t_home with
-    | Some home when home.Peer.alive -> ring_successors w ~home ~factor
-    | Some _ | None -> []
+    | Some home as live when home.Peer.alive -> live
+    | Some _ | None -> None
+
+let home_targets w ~home =
+  ring_successors w ~home ~factor:w.World.config.Config.replication_factor
+
+let targets w ~primary =
+  match live_home w ~primary with Some home -> home_targets w ~home | None -> []
 
 let expected_copies w ~primary = List.length (targets w ~primary)

@@ -23,6 +23,17 @@ module Peer := Hybrid_p2p.Peer
     replication is off, [primary] is dead, or its t-home is dead (pre-repair limbo — the post-repair heal recomputes). *)
 val targets : World.t -> primary:Peer.t -> Peer.t list
 
+(** [live_home w ~primary] is the t-peer whose successors {!targets}
+    draws on: [primary]'s t-home, or [None] when {!targets} is empty for
+    want of one (replication off, [primary] or its home dead).
+    [targets w ~primary] is [home_targets w ~home] for that home, so a
+    caller placing many items can compute the list once per home. *)
+val live_home : World.t -> primary:Peer.t -> Peer.t option
+
+(** [home_targets w ~home] — the replica targets of every item whose
+    primary holder's live home is [home]. *)
+val home_targets : World.t -> home:Peer.t -> Peer.t list
+
 (** [expected_copies w ~primary] is [List.length (targets w ~primary)] —
     the factor the audit check holds the system to for this item. *)
 val expected_copies : World.t -> primary:Peer.t -> int

@@ -1,5 +1,6 @@
 module H = Hybrid_p2p.Hybrid
 module Peer = Hybrid_p2p.Peer
+module World = Hybrid_p2p.World
 module Data_ops = Hybrid_p2p.Data_ops
 module Manager = P2p_replication.Manager
 module Rng = P2p_sim.Rng
@@ -63,10 +64,11 @@ let join_one st ~role =
   Pipeline.settle st.p;
   st.joined <- st.joined + 1
 
+(* [Rng.pick_list] over [H.peers]'s host order, drawn without the list *)
 let random_live st =
-  match H.peers st.h with
-  | [] -> None
-  | all -> Some (Rng.pick_list st.rng all)
+  match H.peer_count st.h with
+  | 0 -> None
+  | n -> Some (World.nth_live_peer (H.world st.h) (Rng.int st.rng n))
 
 let insert_items st count =
   for _ = 1 to count do

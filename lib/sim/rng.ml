@@ -37,14 +37,15 @@ let nonneg_int t =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
+  (* Rejection sampling to avoid modulo bias; a loop, not a local
+     recursive function, so a draw allocates no closure. *)
   let max_int62 = (1 lsl 62) - 1 in
   let limit = max_int62 - (max_int62 mod bound) in
-  let rec draw () =
-    let v = nonneg_int t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (nonneg_int t) in
+  while !v >= limit do
+    v := nonneg_int t
+  done;
+  !v mod bound
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";

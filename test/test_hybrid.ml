@@ -392,8 +392,7 @@ let test_link_state_run_matches_dijkstra () =
    takes O(log N) ring hops plus the reply. *)
 let test_pure_ring_logarithmic () =
   let n = 300 and seed = 42 in
-  let config = { default_config with Config.use_fingers_for_data = true } in
-  let h, _ = Pipeline.build ~ps:0.0 ~seed ~n ~config () in
+  let h, _ = Pipeline.build ~ps:0.0 ~seed ~n ~config:default_config () in
   let p = Pipeline.attach h in
   let rng = Rng.create seed in
   let corpus = Pipeline.insert p ~rng ~count:2000 in

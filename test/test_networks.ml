@@ -219,7 +219,7 @@ let test_route_to_owner_visits_ring () =
 
 let test_route_with_fingers_is_shorter () =
   let hops_with fingers =
-    let config = { default_config with Config.use_fingers_for_data = fingers } in
+    let config = if fingers then default_config else Config.paper in
     let h, _ = star_system ~config ~seed:34 ~n:120 ~ps:0.0 () in
     let w = H.world h in
     let total = ref 0 in

@@ -171,6 +171,101 @@ let test_baseline_r0_loses_data () =
   H.run h;
   checkb "r = 0 loses items" true (H.total_items h < before)
 
+(* --- the heal against its reference ------------------------------------- *)
+
+let sorted_items store =
+  let acc = ref [] in
+  Data_store.iter store (fun ~key ~value ~route_id -> acc := (key, value, route_id) :: !acc);
+  List.sort compare !acc
+
+(* Every host's store and replica store, and the replication metrics. *)
+let heal_state h =
+  let w = H.world h in
+  let stores =
+    List.init (World.host_bound w) (fun host ->
+        match World.find_peer w ~host with
+        | None -> None
+        | Some p -> Some (sorted_items p.Peer.store, sorted_items p.Peer.replicas))
+  in
+  let metrics =
+    match List.assoc_opt "replication" (Registry.doc (Metrics.registry (H.metrics h))) with
+    | Some rows -> rows
+    | None -> []
+  in
+  (stores, metrics)
+
+let check_same_heal label a b =
+  let stores_a, metrics_a = heal_state a and stores_b, metrics_b = heal_state b in
+  List.iteri
+    (fun host (x, y) ->
+      if x <> y then Alcotest.failf "%s: stores of host %d differ from the reference's" label host)
+    (List.combine stores_a stores_b);
+  checkb (label ^ ": replication metrics equal the reference's") true (metrics_a = metrics_b)
+
+(* Two copies of one seeded system: [a] heals with the manager, [b] with
+   the string-keyed reference, each repair's heal included.  Crash waves
+   come first.  Then both get a key held as primary by two peers (with
+   different values and homes), a replica copy beside its own primary,
+   and a hand-built peer whose stores use a private interner (holding a
+   replica, a primary the world never interned and a shadowed copy),
+   and heal once more. *)
+let test_heal_matches_reference r () =
+  let system () =
+    let h, _, m = replicated_system ~seed:73 ~n:120 ~ps:0.7 ~r () in
+    ignore (insert_items h ~count:500 : string list);
+    (h, m)
+  in
+  let a, m = system () and b, _ = system () in
+  let wb = H.world b in
+  wb.World.on_repaired <- Some (fun ~op:_ -> Heal_reference.heal wb);
+  for wave = 1 to 3 do
+    List.iter
+      (fun h ->
+        let victims = List.filteri (fun i _ -> i mod 10 = wave) (H.peers h) in
+        List.iter (H.crash h) victims;
+        H.repair h;
+        H.run h)
+      [ a; b ];
+    check_same_heal (Printf.sprintf "r=%d wave %d" r wave) a b
+  done;
+  checkb "waves promoted and re-replicated" true
+    (replication_counter a "promoted" > 0 && replication_counter a "re_replicated" > 0);
+  let plant h =
+    let w = H.world h in
+    let key = "item-00007" in
+    let first = primary_holder h key in
+    let other =
+      List.fold_left
+        (fun acc p ->
+          if p.Peer.alive && p.Peer.t_home != first.Peer.t_home then Some p else acc)
+        None (H.peers h)
+    in
+    (match other with
+     | Some p -> Data_store.insert p.Peer.store ~key ~value:"second primary"
+     | None -> Alcotest.fail "no peer under another home");
+    let shadowed = "item-00013" in
+    Data_store.insert (primary_holder h shadowed).Peer.replicas ~key:shadowed
+      ~value:("v:" ^ shadowed);
+    let home = (World.t_peers w).(0) in
+    let stranger =
+      Peer.make ~host:(H.fresh_host h) ~p_id:home.Peer.p_id ~role:Peer.S_peer
+        ~link_capacity:1.0 ()
+    in
+    stranger.Peer.t_home <- Some home;
+    World.register w stranger;
+    Data_store.insert stranger.Peer.replicas ~key:"item-00011" ~value:"v:item-00011";
+    Data_store.insert stranger.Peer.store ~key:"ghost" ~value:"g";
+    (* a primary beside its own replica copy, both on the private interner *)
+    Data_store.insert stranger.Peer.store ~key:"item-00017" ~value:"v:item-00017";
+    Data_store.insert stranger.Peer.replicas ~key:"item-00017" ~value:"v:item-00017"
+  in
+  plant a;
+  plant b;
+  Manager.heal m;
+  Heal_reference.heal wb;
+  check_same_heal (Printf.sprintf "r=%d planted" r) a b;
+  checkb "the ghost was replicated" true (replica_copy_count a "ghost" > 0)
+
 (* --- audit check & heal ------------------------------------------------ *)
 
 let test_dropped_replica_flagged_then_healed () =
@@ -341,6 +436,10 @@ let suite =
       test_crash_waves_lose_nothing;
     Alcotest.test_case "crash: r=0 baseline loses data" `Quick
       test_baseline_r0_loses_data;
+    Alcotest.test_case "heal: equals the reference (r=1)" `Quick
+      (test_heal_matches_reference 1);
+    Alcotest.test_case "heal: equals the reference (r=2)" `Quick
+      (test_heal_matches_reference 2);
     Alcotest.test_case "audit: dropped copy flagged then healed" `Quick
       test_dropped_replica_flagged_then_healed;
     Alcotest.test_case "audit: dropped copy report (ring successors)" `Quick

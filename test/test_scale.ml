@@ -139,6 +139,28 @@ let test_successor_index_wraparound () =
   checki "top of the id space wraps" 100
     (succ_id (P2p_hashspace.Id_space.size - 1))
 
+(* --- requester draws ------------------------------------------------------ *)
+
+(* A requester draw ranks into the live-count index: at 5,000 peers it
+   must not build the N-element peer list (~15,000 words per draw). *)
+let test_random_peer_allocation () =
+  let peers = 5000 in
+  let h = H.create_star ~seed:12 ~peers () in
+  let w = H.world h in
+  for host = 0 to peers - 1 do
+    World.register w
+      (Peer.make ~host ~p_id:(host * 7919) ~role:Peer.S_peer ~link_capacity:1.0 ())
+  done;
+  let draws = 1000 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    sink := !sink + (H.random_peer h).Peer.host
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int draws in
+  checkb "drew live hosts" true (!sink >= 0);
+  checkb (Printf.sprintf "%.1f minor words per draw < 10" per_draw) true (per_draw < 10.0)
+
 (* --- schedule pin under churn ------------------------------------------- *)
 
 (* A seeded 2000-peer churn run pinned to constants: any change to the
@@ -185,8 +207,7 @@ let test_schedule_pinned () =
    began, so this run pins the finger-refresh schedule, not just the
    final state. *)
 let concurrent_join_run () =
-  let config = { default_config with Config.use_fingers_for_data = true } in
-  let h = H.create_star ~seed:19 ~peers:800 ~config () in
+  let h = H.create_star ~seed:19 ~peers:800 () in
   let w = H.world h in
   let rng = P2p_sim.Rng.create 23 in
   let keys = ref [||] in
@@ -296,6 +317,8 @@ let suite =
       test_store_shared_interner;
     Alcotest.test_case "world: successor index wraparound" `Quick
       test_successor_index_wraparound;
+    Alcotest.test_case "random_peer: O(1) words per draw" `Quick
+      test_random_peer_allocation;
     Alcotest.test_case "schedule: churn run pinned" `Slow test_schedule_pinned;
     Alcotest.test_case "lookups: finger-routed by default" `Slow test_default_lookup_hops;
     Alcotest.test_case "schedule: concurrent joins pinned" `Slow

@@ -291,6 +291,68 @@ let prop_ring_matches_scan =
         ops
       && agrees ())
 
+(* Property: under any mix of registrations on hosts spread over several
+   doublings of the slot array, re-registrations of an occupied host
+   (displacing a t-peer among them) and unregistrations, the rank
+   search over the live-count index finds exactly the list's k-th peer,
+   for every rank, and refuses ranks outside [0, peer_count). *)
+let prop_nth_live_peer_matches_list =
+  QCheck.Test.make ~name:"nth_live_peer k = List.nth live_peers k" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 80) (triple (int_bound 2) (int_bound 299) bool))
+    (fun ops ->
+      let h = H.create_star ~seed:5 ~peers:16 () in
+      let w = H.world h in
+      let agrees () =
+        let live = World.live_peers w in
+        let n = World.peer_count w in
+        let out_of_range k =
+          match World.nth_live_peer w k with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        List.length live = n
+        && List.for_all2 ( == ) live (List.init n (World.nth_live_peer w))
+        && out_of_range (-1) && out_of_range n
+      in
+      List.for_all
+        (fun (kind, host, t_role) ->
+          let role = if t_role then Peer.T_peer else Peer.S_peer in
+          let make () = Peer.make ~host ~p_id:(host * 7919) ~role ~link_capacity:1.0 () in
+          (match (kind, World.find_peer w ~host) with
+           | 2, Some p ->
+             p.Peer.alive <- false;
+             World.unregister w p
+           | _ -> World.register w (make ()));
+          agrees ())
+        ops)
+
+(* Property: [H.random_peer] makes the draw [Rng.pick_list] makes over
+   [H.peers], so a copy of the world's generator taken before the draw
+   picks the same peer and ends in the same state, through joins,
+   crashes and repairs. *)
+let prop_random_peer_is_pick_list =
+  QCheck.Test.make ~name:"random_peer = Rng.pick_list over H.peers" ~count:25
+    QCheck.(pair (int_bound 1000) (list_of_size Gen.(int_range 1 12) (int_bound 3)))
+    (fun (seed, steps) ->
+      let h, _ = star_system ~seed ~n:40 ~ps:0.7 () in
+      let w = H.world h in
+      let same_draw () =
+        let copy = Rng.copy w.World.rng in
+        let expected = Rng.pick_list copy (H.peers h) in
+        H.random_peer h == expected && Rng.int copy 1_000_000 = Rng.int w.World.rng 1_000_000
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+           | 0 -> ignore (H.grow h ~count:3 ~s_fraction:0.7 : Peer.t array)
+           | 1 ->
+             H.crash h (H.random_peer h);
+             H.repair h;
+             H.run h
+           | _ -> ());
+          List.for_all (fun _ -> same_draw ()) [ 1; 2; 3 ])
+        steps)
+
 let test_stabilize_ring_rewires () =
   let h, peers = world_with_ring [ 100; 200; 300; 400 ] in
   let w = H.world h in
@@ -338,6 +400,10 @@ let suite =
       test_smallest_s_network_matches_scan;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
       prop_ring_matches_scan;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
+      prop_nth_live_peer_matches_list;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
+      prop_random_peer_is_pick_list;
     Alcotest.test_case "stabilize_ring rewires" `Quick test_stabilize_ring_rewires;
     Alcotest.test_case "s-network size accounting" `Quick test_snet_size_accounting_via_joins;
   ]
