@@ -517,8 +517,8 @@ let inject_corruption h ~config = function
     let needed = config.Config.delta + 1 - List.length root.Peer.children in
     for i = 1 to max 1 needed do
       let child =
-        Peer.make ~host:(-i) ~p_id:root.Peer.p_id ~role:Peer.S_peer
-          ~link_capacity:10.0 ()
+        Peer.make ~interner:(World.interner w) ~host:(-i) ~p_id:root.Peer.p_id
+          ~role:Peer.S_peer ~link_capacity:10.0 ()
       in
       Peer.attach_child ~parent:root ~child
     done
@@ -822,8 +822,8 @@ let serve_cmd =
       value & opt string "_serve_health"
       & info [ "dump-dir" ] ~docv:"DIR"
           ~doc:
-            "Directory receiving one health-$(i,node).jsonl per worker \
-             (periodic self-audit and transport counters).")
+            "Directory receiving one health-$(i,node).jsonl per worker: a \
+             scrape snapshot (self-audit, ring and wire counters) every 500 ms.")
   in
   let sample_rate_arg =
     Arg.(
@@ -940,29 +940,9 @@ let cluster_report_cmd =
     if scraped < peers then
       Printf.eprintf "p2psim cluster-report: warning: only %d/%d peers answered\n"
         scraped peers;
-    let merged = P2p_obs.Scrape.merged_registry snapshots in
-    print_string (P2p_obs.Scrape.render_table snapshots);
-    print_newline ();
-    print_string (Report.render (Registry.doc merged));
-    (match metrics_out with
-     | Some path ->
-       Export.write_file ~path
-         (P2p_obs.Json.to_string (Registry.to_json merged));
-       Printf.printf "merged metrics -> %s\n" path
-     | None -> ());
-    (match trace_out with
-     | Some path ->
-       Export.write_file ~path
-         (P2p_obs.Json.to_string (P2p_obs.Scrape.merged_chrome snapshots));
-       Printf.printf "merged chrome trace -> %s (load in ui.perfetto.dev)\n"
-         path
-     | None -> ());
-    let slo_ok =
-      match slo with
-      | [] -> true
-      | specs ->
-        Slo.enforce merged ~specs ~print:(fun line ->
-            Printf.printf "%s\n" line)
+    let _, slo_ok =
+      P2p_transport.Serve.rollup ~report:true ?metrics_out ?trace_out ~prefix:""
+        ~slo snapshots
     in
     exit (if slo_ok then 0 else 1)
   in

@@ -2,7 +2,7 @@ module World = Hybrid_p2p.World
 module Peer = Hybrid_p2p.Peer
 module Config = Hybrid_p2p.Config
 module Data_store = Hybrid_p2p.Data_store
-module Key_ids = Hybrid_p2p.Key_ids
+module Intern = Hybrid_p2p.Intern
 module Trace = P2p_sim.Trace
 module Spans = P2p_obs.Spans
 module Int_map = Map.Make (Int)
@@ -379,16 +379,17 @@ let replication_factor ~final who w =
     let settled =
       final || (pending = 0 && Array.for_all Peer.quiet (World.t_peers w))
     in
-    let k = Key_ids.create w in
-    let copies_of = Array.make (Key_ids.size k) 0 in
+    (* every registered store is on the world interner: one id per key *)
+    let interner = World.interner w in
+    let copies_of = Array.make (Intern.count interner) 0 in
     World.iter_peers w (fun p ->
-        Key_ids.iter k p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
+        Data_store.iter_ids p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
     (* a primary is checked at its first holder in host order *)
-    let checked = Bytes.make (Key_ids.size k) '\000' in
+    let checked = Bytes.make (Intern.count interner) '\000' in
     let items = ref 0 and copies = ref 0 and under = ref 0 in
     World.iter_peers w (fun p ->
         let expected = ref (-1) in
-        Key_ids.iter k p.Peer.store (fun id ->
+        Data_store.iter_ids p.Peer.store (fun id ->
             if Bytes.get checked id = '\000' then begin
               Bytes.set checked id '\001';
               incr items;
@@ -400,7 +401,7 @@ let replication_factor ~final who w =
                 incr under;
                 if settled && !under <= 8 then
                   err col ~subject:p.Peer.host
-                    "item %S at #%d has %d replica copies, expected %d" (Key_ids.name k id)
+                    "item %S at #%d has %d replica copies, expected %d" (Intern.name interner id)
                     p.Peer.host have !expected
               end
             end));

@@ -158,19 +158,16 @@ let finish_success ctx ~holder ~value ~hops =
     ctx.on_result (Found { holder; latency; hops })
   end
 
-(* Probe [store] for the lookup's key.  Stores on the world interner are
-   probed by id, which is looked up once per lookup rather than hashed
-   again at every contacted peer.  While the key has never been interned
-   no store holds it, and each probe asks the interner again, so an
-   insert that interns the key mid-lookup is seen exactly as by string. *)
+(* Probe [store] for the lookup's key by its id in the world interner,
+   which every peer's stores share: the id is looked up once per lookup
+   rather than the key hashed again at every contacted peer.  While the
+   key has never been interned no store holds it, and each probe asks
+   the interner again, so an insert that interns the key mid-lookup is
+   seen exactly as by string. *)
 let find_key ctx store =
-  let interner = World.interner ctx.w in
-  if Data_store.interner store != interner then Data_store.find store ~key:ctx.key
-  else begin
-    if ctx.key_id < 0 then
-      ctx.key_id <- Option.value (Intern.find interner ctx.key) ~default:(-1);
-    if ctx.key_id < 0 then None else Data_store.find_id store ctx.key_id
-  end
+  if ctx.key_id < 0 then
+    ctx.key_id <- Option.value (Intern.find (World.interner ctx.w) ctx.key) ~default:(-1);
+  if ctx.key_id < 0 then None else Data_store.find_id store ctx.key_id
 
 (* Check one peer's database (and soft cache); reply to the requester on
    a hit.  Returns whether this peer keeps forwarding the flood. *)

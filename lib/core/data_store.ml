@@ -22,8 +22,7 @@ type t = {
   mutable used : int;  (* live + tombstones: occupied probe slots *)
 }
 
-let create ?interner () =
-  let interner = match interner with Some i -> i | None -> Intern.create () in
+let create ~interner () =
   { interner; keys = [||]; vals = [||]; routes = [||]; live = 0; used = 0 }
 
 let interner t = t.interner

@@ -15,10 +15,11 @@ open P2p_hashspace
 
 type t
 
-(** [create ?interner ()] — an empty store.  [interner] (default: a fresh
-    private one) maps keys and values to dense ids; pass the world's
-    interner so all peers share string storage. *)
-val create : ?interner:Intern.t -> unit -> t
+(** [create ~interner ()] — an empty store.  [interner] maps keys and
+    values to dense ids; a peer's stores take the world's interner
+    ({!World.register} rejects any other), so all peers share string
+    storage and one id names one key in every store. *)
+val create : interner:Intern.t -> unit -> t
 
 (** The interner this store resolves ids against. *)
 val interner : t -> Intern.t

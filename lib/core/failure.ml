@@ -27,41 +27,35 @@ let live_descendants dead =
   in
   List.fold_left walk [] dead.Peer.children
 
+(* The server election rule of Section 3.2.2: the surviving member of a
+   crashed t-peer's s-network with the smallest address replaces it. *)
+let smallest_survivor dead =
+  match live_descendants dead with
+  | [] -> None
+  | m :: rest ->
+    Some
+      (List.fold_left (fun best m -> if m.Peer.host < best.Peer.host then m else best) m rest)
+
 (* Rewire the whole live ring from the sorted oracle — the end state the
-   stabilization protocol reaches after an excision. *)
+   stabilization protocol reaches after an excision.  The membership
+   change also stales every edge summary ({!World.touch_ring}). *)
 let rebuild_ring w =
   World.touch_ring w;
-  let arr = World.t_peers w in
-  let n = Array.length arr in
-  for i = 0 to n - 1 do
-    arr.(i).Peer.succ <- Some arr.((i + 1) mod n);
-    arr.(i).Peer.pred <- Some arr.((i + n - 1) mod n)
-  done;
-  World.ensure_fingers w
+  World.stabilize_ring w
 
-(* The server election of Section 3.2.2: the surviving member with the
-   smallest address replaces the crashed t-peer.  Memoized per victim so
-   concurrent detections agree. *)
+(* The election, memoized per victim so concurrent detections agree. *)
 let elect w ~dead =
   match Hashtbl.find_opt w.World.pending_election dead.Peer.host with
   | Some result -> result
   | None ->
-    let result =
-      match live_descendants dead with
-      | [] ->
-        (* Nobody to promote: the segment dissolves into the successor's. *)
-        rebuild_ring w;
-        None
-      | members ->
-        let smallest =
-          List.fold_left
-            (fun best m -> if m.Peer.host < best.Peer.host then m else best)
-            (List.hd members) (List.tl members)
-        in
-        T_network.promote_replacement w ~old_peer:dead ~replacement:smallest
-          ~transfer_data:false ();
-        Some smallest
-    in
+    let result = smallest_survivor dead in
+    (match result with
+     | None ->
+       (* Nobody to promote: the segment dissolves into the successor's. *)
+       rebuild_ring w
+     | Some smallest ->
+       T_network.promote_replacement w ~old_peer:dead ~replacement:smallest
+         ~transfer_data:false ());
     World.bump w ~subsystem:"failure" ~name:"elections";
     Hashtbl.replace w.World.pending_election dead.Peer.host result;
     result
@@ -203,14 +197,9 @@ let repair w =
       match p.Peer.t_home with
       | Some home when (not home.Peer.alive) && not (Hashtbl.mem replacements home.Peer.host)
         -> begin
-          match live_descendants home with
-          | [] -> ()
-          | members ->
-            let smallest =
-              List.fold_left
-                (fun best m -> if m.Peer.host < best.Peer.host then m else best)
-                (List.hd members) (List.tl members)
-            in
+          match smallest_survivor home with
+          | None -> ()
+          | Some smallest ->
             (* Orphans are reattached synchronously below; keep promote from
                racing them through async rejoins. *)
             home.Peer.children <- [];
@@ -246,19 +235,16 @@ let repair w =
       end)
     live;
   World.mark_span w ~op ~tier:"failure" ~phase:"heal_step" "reattach stranded";
-  (* Pass 4: rebuild the ring, clear stuck mutexes, refresh fingers. *)
-  World.touch_ring w;
+  (* Pass 4: rebuild the ring and refresh fingers, clear stuck mutexes. *)
+  rebuild_ring w;
   let arr = World.t_peers w in
   let n = Array.length arr in
-  for i = 0 to n - 1 do
-    let p = arr.(i) in
-    p.Peer.succ <- Some arr.((i + 1) mod n);
-    p.Peer.pred <- Some arr.((i + n - 1) mod n);
-    p.Peer.joining <- false;
-    p.Peer.leaving <- false;
-    p.Peer.join_queue <- []
-  done;
-  World.ensure_fingers w;
+  Array.iter
+    (fun p ->
+      p.Peer.joining <- false;
+      p.Peer.leaving <- false;
+      p.Peer.join_queue <- [])
+    arr;
   World.mark_span w ~op ~tier:"failure" ~phase:"heal_step" "rebuild ring";
   (* Pass 5: recount s-network sizes. *)
   Array.iter

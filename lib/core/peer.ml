@@ -37,7 +37,7 @@ type t = {
   mutable last_ack_sent : float;
 }
 
-let make ?(cache_capacity = 0) ?interner ~host ~p_id ~role ~link_capacity
+let make ?(cache_capacity = 0) ~interner ~host ~p_id ~role ~link_capacity
     ?interest () =
   {
     host;
@@ -55,8 +55,8 @@ let make ?(cache_capacity = 0) ?interner ~host ~p_id ~role ~link_capacity
     t_home = None;
     cp = None;
     children = [];
-    store = Data_store.create ?interner ();
-    replicas = Data_store.create ?interner ();
+    store = Data_store.create ~interner ();
+    replicas = Data_store.create ~interner ();
     cache = Cache.create ~capacity:cache_capacity;
     (* initial capacity 1: at million-peer scale these tables are almost
        always empty, and Hashtbl grows them on demand anyway *)

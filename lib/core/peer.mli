@@ -74,12 +74,11 @@ type t = {
 
 (** [make ~host ~p_id ~role ~link_capacity ()] allocates a fresh,
     unconnected peer.  [cache_capacity] sizes the soft cache (default 0 =
-    disabled).  [interner] is shared by the peer's store and replica store
-    (pass the world's interner so every peer shares string storage;
-    default: each store gets a private one). *)
+    disabled).  [interner] is shared by the peer's store and replica store;
+    it must be the world's ({!World.interner}) for the peer to register. *)
 val make :
   ?cache_capacity:int ->
-  ?interner:Intern.t ->
+  interner:Intern.t ->
   host:int -> p_id:Id_space.id -> role:role -> link_capacity:float ->
   ?interest:int -> unit -> t
 

@@ -237,6 +237,10 @@ let write_snet t host n =
 let register t peer =
   let host = peer.Peer.host in
   if host < 0 then invalid_arg "World.register: negative host";
+  if
+    Data_store.interner peer.Peer.store != t.interner
+    || Data_store.interner peer.Peer.replicas != t.interner
+  then invalid_arg "World.register: the peer's stores use another interner";
   ensure_slot t host;
   (match t.slots.(host) with
    | None ->

@@ -39,8 +39,9 @@ type t = {
   config : Config.t;
   rng : P2p_sim.Rng.t;
   interner : Intern.t;
-      (** world-wide string interner shared by every peer's stores, so all
-          copies of a key or value share one heap block *)
+      (** world-wide string interner shared by every registered peer's
+          stores, so all copies of a key or value share one heap block
+          and one key id *)
   mutable slots : Peer.t option array;
       (** host-indexed membership directory (hosts are dense graph node
           ids); [None] = no peer registered on that host *)
@@ -190,7 +191,10 @@ val bump : t -> subsystem:string -> name:string -> unit
 val interner : t -> Intern.t
 
 (** [register t peer] enters [peer] into the membership directory.
-    @raise Invalid_argument on a negative host. *)
+    @raise Invalid_argument on a negative host, or when the peer's
+    stores use an interner other than {!interner}: every registered
+    store shares the world's key ids, so whole-world passes (the
+    replication heal, the audit) tally keys by id alone. *)
 val register : t -> Peer.t -> unit
 
 val unregister : t -> Peer.t -> unit
@@ -311,7 +315,8 @@ val finger_refreshes : t -> int
 (** [stabilize_ring t] rewires every live t-peer's successor/predecessor
     from the sorted membership oracle and refreshes fingers — the end
     state the background stabilization protocol reaches.  Used when
-    routing detects that crashes left the pointers inconsistent. *)
+    routing detects that crashes left the pointers inconsistent, and
+    (after {!touch_ring}) by the failure path's ring rebuild. *)
 val stabilize_ring : t -> unit
 
 (** [substitute_in_fingers t ~old_peer ~replacement] performs the paper's

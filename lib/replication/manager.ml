@@ -2,7 +2,7 @@ module World = Hybrid_p2p.World
 module Peer = Hybrid_p2p.Peer
 module Config = Hybrid_p2p.Config
 module Data_store = Hybrid_p2p.Data_store
-module Key_ids = Hybrid_p2p.Key_ids
+module Intern = Hybrid_p2p.Intern
 module Summaries = Hybrid_p2p.Summaries
 module Transport = P2p_transport.Transport
 module Trace = P2p_sim.Trace
@@ -55,15 +55,16 @@ let fan_out t ~op ~holder ~route_id ~key ~value =
 
 (* --- heal: promote lost primaries, restore the factor ------------------ *)
 
-(* Global key census over the world interner's key ids ([Key_ids]), in
-   flat per-id arrays.  A key's value and route come from its first copy
-   in host order, each peer's store before its replicas; its primary
-   holder is the last peer in host order whose store holds it.  The walk
-   also drops replica copies shadowed by a primary at the same peer:
-   such a copy is never the first one seen, and no other key's entries
-   depend on it. *)
+(* Global key census over the world interner's key ids, in flat per-id
+   arrays: every registered store is on that interner
+   ({!World.register}), so a key has one id in every store.  A key's
+   value and route come from its first copy in host order, each peer's
+   store before its replicas; its primary holder is the last peer in
+   host order whose store holds it.  The walk also drops replica copies
+   shadowed by a primary at the same peer: such a copy is never the
+   first one seen, and no other key's entries depend on it. *)
 type census = {
-  ids : Key_ids.t;
+  interner : Intern.t;
   route : int array;  (* route id of the first copy; -1 = key unseen *)
   value : string array;  (* value of the first copy *)
   primary : int array;  (* host of the last primary holder; -1 = none *)
@@ -71,34 +72,34 @@ type census = {
 }
 
 let census w =
-  let ids = Key_ids.create w in
-  let n = Key_ids.size ids in
+  let interner = World.interner w in
+  let n = Intern.count interner in
   let c =
     {
-      ids;
+      interner;
       route = Array.make n (-1);
       value = Array.make n "";
       primary = Array.make n (-1);
       copies = Array.make n 0;
     }
   in
-  let first id ~value ~route_id =
+  let first id vid route_id =
     if c.route.(id) < 0 then begin
       c.route.(id) <- route_id;
-      c.value.(id) <- value
+      c.value.(id) <- Intern.name interner vid
     end
   in
   World.iter_peers w (fun p ->
-      Key_ids.iter_items ids p.Peer.store (fun id ~value ~route_id ->
-          first id ~value ~route_id;
+      Data_store.iter_id_items p.Peer.store (fun id vid route_id ->
+          first id vid route_id;
           c.primary.(id) <- p.Peer.host);
       (* [p]'s store was just walked, so [p] leads a key's primaries
          exactly when its store holds the key; removing the copy under
          the walk only tombstones its slot *)
-      Key_ids.iter_items ids p.Peer.replicas (fun id ~value ~route_id ->
-          first id ~value ~route_id;
+      Data_store.iter_id_items p.Peer.replicas (fun id vid route_id ->
+          first id vid route_id;
           if c.primary.(id) = p.Peer.host then
-            Data_store.remove p.Peer.replicas ~key:(Key_ids.name ids id)
+            Data_store.remove p.Peer.replicas ~key:(Intern.name interner id)
           else c.copies.(id) <- c.copies.(id) + 1));
   c
 
@@ -150,11 +151,11 @@ let heal ?op t =
     | None -> Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Replicate "heal"
   in
   let c = census w in
-  let ids = c.ids in
+  let name = Intern.name c.interner in
   let targets_of = targets_memo w in
   let promoted = ref 0 and restored = ref 0 in
   let items = ref 0 and copies = ref 0 in
-  for id = 0 to Key_ids.size ids - 1 do
+  for id = 0 to Array.length c.route - 1 do
     let route_id = c.route.(id) in
     if route_id >= 0 then begin
       (* 1. promotion, dropping a replica copy the new primary shadows *)
@@ -164,11 +165,11 @@ let heal ?op t =
           match World.oracle_owner w route_id with
           | None -> None
           | Some owner ->
-            let key = Key_ids.name ids id in
+            let key = name id in
             Data_store.insert_routed owner.Peer.store ~route_id ~key ~value:c.value.(id);
             if w.World.config.Config.s_style = Config.Bittorrent_tracker then
               Hashtbl.replace owner.Peer.tracker_index key owner;
-            if Key_ids.mem ids owner.Peer.replicas id then begin
+            if Data_store.mem_id owner.Peer.replicas id then begin
               Data_store.remove owner.Peer.replicas ~key;
               c.copies.(id) <- c.copies.(id) - 1
             end;
@@ -183,10 +184,10 @@ let heal ?op t =
         List.iter
           (fun target ->
             if
-              (not (Key_ids.mem ids target.Peer.replicas id))
-              && not (Key_ids.mem ids target.Peer.store id)
+              (not (Data_store.mem_id target.Peer.replicas id))
+              && not (Data_store.mem_id target.Peer.store id)
             then begin
-              let key = Key_ids.name ids id and value = c.value.(id) in
+              let key = name id and value = c.value.(id) in
               Data_store.insert_routed target.Peer.replicas ~route_id ~key ~value;
               c.copies.(id) <- c.copies.(id) + 1;
               incr restored;

@@ -34,12 +34,12 @@
 
    Every node audits itself: each stored key must hash into the node's
    own arc, the peer list must have exactly [n] members, and a routed
-   message must never exceed [2n] hops.  Violations are counted and
-   published in the periodic JSONL health dump ([health-<node>.jsonl]),
-   one self-describing object per line, which the orchestrator collects
-   after shutdown. *)
+   message must never exceed [2n] hops.  Violations count under
+   [ring/violations], in the one registry the node shares with its
+   transport's [wire/*] counters.  Every 500 ms (and at start and stop)
+   the node appends a span-free scrape snapshot to [health-<node>.jsonl],
+   one per line, which the orchestrator decodes after shutdown. *)
 
-module Json = P2p_obs.Json
 module Registry = P2p_obs.Registry
 module Scrape = P2p_obs.Scrape
 module Export = P2p_obs.Export
@@ -60,9 +60,10 @@ type t = {
   mutable pred_id : int;
   mutable ready : bool;
   pending : (int, int) Hashtbl.t;  (* request id -> client node *)
-  mutable violations : int;
-  mutable hops_served : int;
-  mutable served : int;
+  (* [ring/*] counters in [reg], beside the transport's [wire/*] *)
+  served : Registry.counter;
+  hops_served : Registry.counter;
+  violations : Registry.counter;
   dump : out_channel option;
   dump_dir : string option;
   mutable stopping : bool;
@@ -70,7 +71,7 @@ type t = {
   announced : (int, int * int) Hashtbl.t;  (* node -> (p_id, port) *)
   (* observability *)
   trace : Trace.t;
-  reg : Registry.t;
+  reg : Registry.t;  (* the transport's registry *)
   recorder : Flight_recorder.t;
   epoch : float;  (* wall-clock seconds shared by the whole cluster *)
   started : float;
@@ -92,47 +93,12 @@ let max_hops t = 2 * t.n
 
 let now_ms t = (Unix.gettimeofday () -. t.epoch) *. 1000.0
 
-(* --- health dump ----------------------------------------------------- *)
-
-let dump_health t ~event =
-  match t.dump with
-  | None -> ()
-  | Some oc ->
-    let s = Live_transport.stats t.tr in
-    let line =
-      Json.Obj
-        [
-          ("ts", Json.Float (Unix.gettimeofday ()));
-          ("event", Json.String event);
-          ("node", Json.Int t.node);
-          ("p_id", Json.Int t.p_id);
-          ("ready", Json.Bool t.ready);
-          ("store", Json.Int (Hashtbl.length t.store));
-          ("served", Json.Int t.served);
-          ("hops_served", Json.Int t.hops_served);
-          ("violations", Json.Int t.violations);
-          ("msgs_sent", Json.Int s.msgs_sent);
-          ("msgs_received", Json.Int s.msgs_received);
-          ("bytes_sent", Json.Int s.bytes_sent);
-          ("bytes_received", Json.Int s.bytes_received);
-          ("retries", Json.Int s.retries);
-          ("window_stalls", Json.Int s.window_stalls);
-          ("drops", Json.Int s.drops);
-          ("decode_errors", Json.Int s.decode_errors);
-          ("trace_bytes", Json.Int s.trace_bytes);
-          ("timer_cancel_late", Json.Int (P2p_sim.Timer.cancel_late ()));
-        ]
-    in
-    output_string oc (Json.to_string line);
-    output_char oc '\n';
-    flush oc
-
 (* --- self-audit ------------------------------------------------------ *)
 
 let audit t =
   if t.ready then begin
     if List.length t.peers <> t.n then begin
-      t.violations <- t.violations + 1;
+      Registry.incr t.violations;
       Flight_recorder.record_audit t.recorder ~at:(now_ms t) ~check:"peer_count"
         ~severity:"error"
         ~detail:(Printf.sprintf "%d peers, want %d" (List.length t.peers) t.n)
@@ -140,7 +106,7 @@ let audit t =
     Hashtbl.iter
       (fun key _ ->
         if not (owns t (Key_hash.of_string key)) then begin
-          t.violations <- t.violations + 1;
+          Registry.incr t.violations;
           Flight_recorder.record_audit t.recorder ~at:(now_ms t)
             ~check:"key_placement" ~severity:"error"
             ~detail:(Printf.sprintf "key %S outside own arc" key)
@@ -210,26 +176,26 @@ let reply_client t ~req ~found ~value ~holder ~hops =
     send t ~dst:client (Wire.Client_reply { req; found; value; holder; hops })
 
 let route_insert t ~op ~origin ~route_id ~key ~value ~hops ~pspan =
-  if hops > max_hops t then t.violations <- t.violations + 1
+  if hops > max_hops t then Registry.incr t.violations
   else if owns t (Key_hash.of_string key) then begin
     Hashtbl.replace t.store key value;
-    t.served <- t.served + 1;
-    t.hops_served <- t.hops_served + hops;
+    Registry.incr t.served;
+    Registry.incr ~by:hops t.hops_served;
     if origin = t.node then
       reply_client t ~req:op ~found:true ~value:"" ~holder:t.node ~hops
     else
       send_ctx t ~op ~pspan ~dst:origin (Wire.Insert_ack { op; holder = t.node; hops })
   end
-  else if t.succ = t.node then t.violations <- t.violations + 1
+  else if t.succ = t.node then Registry.incr t.violations
   else
     send_ctx t ~op ~pspan ~dst:t.succ
       (Wire.Insert { op; origin; route_id; key; value; hops = hops + 1 })
 
 let route_lookup t ~op ~origin ~route_id ~key ~ttl ~hops ~pspan =
-  if hops > max_hops t then t.violations <- t.violations + 1
+  if hops > max_hops t then Registry.incr t.violations
   else if owns t (Key_hash.of_string key) then begin
-    t.served <- t.served + 1;
-    t.hops_served <- t.hops_served + hops;
+    Registry.incr t.served;
+    Registry.incr ~by:hops t.hops_served;
     let answer =
       match Hashtbl.find_opt t.store key with
       | Some value -> Wire.Found { op; key; value; holder = t.node; hops }
@@ -242,45 +208,24 @@ let route_lookup t ~op ~origin ~route_id ~key ~ttl ~hops ~pspan =
       | _ -> reply_client t ~req:op ~found:false ~value:"" ~holder:(-1) ~hops
     else send_ctx t ~op ~pspan ~dst:origin answer
   end
-  else if t.succ = t.node then t.violations <- t.violations + 1
+  else if t.succ = t.node then Registry.incr t.violations
   else
     send_ctx t ~op ~pspan ~dst:t.succ
       (Wire.Lookup { op; origin; route_id; key; ttl; hops = hops + 1 })
 
 (* --- scrape endpoint ------------------------------------------------- *)
 
-(* Mirror the transport's monotonic stats into registry counters (by
-   delta, so repeated scrapes stay correct) right before exporting. *)
-let sync_stats t =
-  let s = Live_transport.stats t.tr in
-  let c name v =
-    let c = Registry.counter t.reg ~subsystem:"wire" ~name in
-    Registry.incr ~by:(v - Registry.counter_value c) c
+(* The gauges a snapshot reads off live state rather than counting. *)
+let set_gauges t =
+  let set subsystem name v =
+    Registry.set (Registry.gauge t.reg ~subsystem ~name) (float_of_int v)
   in
-  c "msgs_sent" s.msgs_sent;
-  c "msgs_received" s.msgs_received;
-  c "bytes_sent" s.bytes_sent;
-  c "bytes_received" s.bytes_received;
-  c "connects" s.connects;
-  c "retries" s.retries;
-  c "window_stalls" s.window_stalls;
-  c "drops" s.drops;
-  c "decode_errors" s.decode_errors;
-  c "trace_bytes" s.trace_bytes;
-  let r name v =
-    let c = Registry.counter t.reg ~subsystem:"ring" ~name in
-    Registry.incr ~by:(v - Registry.counter_value c) c
-  in
-  r "served" t.served;
-  r "hops_served" t.hops_served;
-  r "violations" t.violations;
-  Registry.set (Registry.gauge t.reg ~subsystem:"ring" ~name:"store")
-    (float_of_int (Hashtbl.length t.store));
-  Registry.set (Registry.gauge t.reg ~subsystem:"ring" ~name:"pending")
-    (float_of_int (Hashtbl.length t.pending))
+  set "ring" "store" (Hashtbl.length t.store);
+  set "ring" "pending" (Hashtbl.length t.pending);
+  set "timer" "cancel_late" (P2p_sim.Timer.cancel_late ())
 
 let snapshot t ~spans =
-  sync_stats t;
+  set_gauges t;
   {
     Scrape.node = t.node;
     at = now_ms t;
@@ -290,10 +235,22 @@ let snapshot t ~spans =
     succ = t.succ;
     pred = t.pred;
     store = Hashtbl.length t.store;
-    violations = t.violations;
+    violations = Registry.counter_value t.violations;
     metrics = Registry.doc t.reg;
     trace = (if spans then Export.chrome_events t.trace else []);
   }
+
+(* --- health dump ----------------------------------------------------- *)
+
+(* A health line is a span-free scrape snapshot: the dump and the scrape
+   endpoint publish one record. *)
+let dump_health t =
+  match t.dump with
+  | None -> ()
+  | Some oc ->
+    output_string oc (Scrape.to_string (snapshot t ~spans:false));
+    output_char oc '\n';
+    flush oc
 
 (* --- dispatch -------------------------------------------------------- *)
 
@@ -379,7 +336,7 @@ let handle t ~src ~trace msg =
            node = t.node;
            ready = t.ready;
            store = Hashtbl.length t.store;
-           violations = t.violations;
+           violations = Registry.counter_value t.violations;
          })
   | Wire.Scrape_request { req; port; spans } ->
     (* an aggregator outside the ring's address book tells us where it
@@ -421,7 +378,11 @@ let create ?dump_dir ?epoch ?(trace_capacity = 8192) ?(sample_rate = 1.0)
     Trace.create ~capacity:trace_capacity ~sample_rate ~sample_seed
       ~first_span_id:(node * span_id_stride) ()
   in
-  let reg = Registry.create () in
+  let reg = Live_transport.registry tr in
+  let ring name = Registry.counter reg ~subsystem:"ring" ~name in
+  let served = ring "served" in
+  let hops_served = ring "hops_served" in
+  let violations = ring "violations" in
   let recorder = Flight_recorder.create ~capacity:1024 () in
   (* exact latency accounting: 100% of completions feed the per-kind log
      histograms (mergeable cluster-wide) and the flight recorder *)
@@ -440,9 +401,9 @@ let create ?dump_dir ?epoch ?(trace_capacity = 8192) ?(sample_rate = 1.0)
       pred_id = p_id;
       ready = false;
       pending = Hashtbl.create 64;
-      violations = 0;
-      hops_served = 0;
-      served = 0;
+      served;
+      hops_served;
+      violations;
       dump;
       dump_dir;
       stopping = false;
@@ -463,11 +424,11 @@ let create ?dump_dir ?epoch ?(trace_capacity = 8192) ?(sample_rate = 1.0)
     tracker_maybe_broadcast t
   end
   else send t ~dst:0 (Wire.Tracker_announce { host = node; p_id; port });
-  dump_health t ~event:"start";
+  dump_health t;
   ignore
     (Live_transport.periodic tr ~period:500. (fun () ->
          audit t;
-         dump_health t ~event:"tick"));
+         dump_health t));
   t
 
 let ready t = t.ready
@@ -476,7 +437,7 @@ let step ?timeout t = Live_transport.step ?timeout t.tr
 
 let transport t = t.tr
 
-let violations t = t.violations
+let violations t = Registry.counter_value t.violations
 
 let trace t = t.trace
 
@@ -491,13 +452,13 @@ let flight_dump t ~reason =
   match t.dump_dir with
   | None -> []
   | Some dir ->
-    sync_stats t;
+    set_gauges t;
     Flight_recorder.dump t.recorder ~trace:t.trace ~registry:t.reg ~dir
       ~reason:(Printf.sprintf "%s-node-%d" reason t.node) ()
 
 let stop t =
   audit t;
-  dump_health t ~event:"final";
+  dump_health t;
   (match t.dump with Some oc -> close_out oc | None -> ());
   Live_transport.stop t.tr
 

@@ -28,6 +28,8 @@
    cancel-after-fire semantics; [step] drives sockets and wheel
    together.  Times are milliseconds since the transport's creation. *)
 
+module Registry = P2p_obs.Registry
+
 type payload = Wire.msg
 type addr = int
 
@@ -47,20 +49,21 @@ type conn = {
   mutable retry_at : float;  (* ms; meaningful in Backoff *)
 }
 
-type stats = {
-  mutable msgs_sent : int;
-  mutable msgs_received : int;
-  mutable bytes_sent : int;
-  mutable bytes_received : int;
-  mutable connects : int;
-  mutable retries : int;
-  mutable window_stalls : int;
-  mutable drops : int;
-  mutable decode_errors : int;
-  mutable trace_bytes : int;
-      (* bytes spent on trace plumbing: one flags byte per sent frame
-         plus 16 bytes per stamped trace header (see
-         {!Wire.trace_overhead}) *)
+(* The transport's [wire/*] counters, handles into its registry: the
+   only record of its traffic.  [trace_bytes] counts the bytes spent on
+   trace plumbing: one flags byte per sent frame plus 16 bytes per
+   stamped trace header (see {!Wire.trace_overhead}). *)
+type wire = {
+  msgs_sent : Registry.counter;
+  msgs_received : Registry.counter;
+  bytes_sent : Registry.counter;
+  bytes_received : Registry.counter;
+  connects : Registry.counter;
+  retries : Registry.counter;
+  window_stalls : Registry.counter;
+  drops : Registry.counter;
+  decode_errors : Registry.counter;
+  trace_bytes : Registry.counter;
 }
 
 type t = {
@@ -78,7 +81,8 @@ type t = {
   mutable handler :
     src:int -> dst:int -> trace:Wire.trace_ctx option -> Wire.msg -> unit;
   wheel : Timer_wheel.t;
-  stats : stats;
+  reg : Registry.t;
+  wire : wire;
   mutable running : bool;
 }
 
@@ -91,6 +95,20 @@ let create ?(p_id = 0) ?(window = 256 * 1024) ?max_queued
   let max_queued = Option.value max_queued ~default:(16 * window) in
   let epoch = Unix.gettimeofday () in
   let clock () = (Unix.gettimeofday () -. epoch) *. 1000.0 in
+  let reg = Registry.create () in
+  let c name = Registry.counter reg ~subsystem:"wire" ~name in
+  (* bound in turn: a record's fields are evaluated in no fixed order,
+     and registration order is export order *)
+  let msgs_sent = c "msgs_sent" in
+  let msgs_received = c "msgs_received" in
+  let bytes_sent = c "bytes_sent" in
+  let bytes_received = c "bytes_received" in
+  let connects = c "connects" in
+  let retries = c "retries" in
+  let window_stalls = c "window_stalls" in
+  let drops = c "drops" in
+  let decode_errors = c "decode_errors" in
+  let trace_bytes = c "trace_bytes" in
   {
     self;
     p_id;
@@ -105,25 +123,26 @@ let create ?(p_id = 0) ?(window = 256 * 1024) ?max_queued
     listen_fd = None;
     handler = (fun ~src:_ ~dst:_ ~trace:_ _ -> ());
     wheel = Timer_wheel.create ~clock;
-    stats =
+    reg;
+    wire =
       {
-        msgs_sent = 0;
-        msgs_received = 0;
-        bytes_sent = 0;
-        bytes_received = 0;
-        connects = 0;
-        retries = 0;
-        window_stalls = 0;
-        drops = 0;
-        decode_errors = 0;
-        trace_bytes = 0;
+        msgs_sent;
+        msgs_received;
+        bytes_sent;
+        bytes_received;
+        connects;
+        retries;
+        window_stalls;
+        drops;
+        decode_errors;
+        trace_bytes;
       };
     running = true;
   }
 
 let now t = (Unix.gettimeofday () -. t.epoch) *. 1000.0
 
-let stats t = t.stats
+let registry t = t.reg
 
 (* The trace-blind [Transport.S] handler; context-carrying callers use
    {!set_handler_traced}.  Either setter replaces the other. *)
@@ -156,7 +175,7 @@ let conn_failed t c =
     now t
     +. Float.min t.backoff_max
          (t.backoff_base *. (2. ** float_of_int (c.attempts - 1)));
-  t.stats.retries <- t.stats.retries + 1
+  Registry.incr t.wire.retries
 
 let hello_frame t = Wire.encode (Wire.Hello { node = t.self; p_id = t.p_id })
 
@@ -178,7 +197,7 @@ let attempt_connect t c =
     c.fd <- Some fd;
     c.hello <- hello_frame t;
     c.woff <- 0;
-    t.stats.connects <- t.stats.connects + 1;
+    Registry.incr t.wire.connects;
     match Unix.connect fd sockaddr with
     | () -> mark_connected c
     | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) ->
@@ -217,7 +236,7 @@ let rec flush_conn t c =
     if c.hello <> "" then (
       match Unix.write_substring fd c.hello 0 (String.length c.hello) with
       | n ->
-        t.stats.bytes_sent <- t.stats.bytes_sent + n;
+        Registry.incr ~by:n t.wire.bytes_sent;
         c.hello <- String.sub c.hello n (String.length c.hello - n);
         if c.hello = "" then flush_conn t c
       | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> ()
@@ -229,7 +248,7 @@ let rec flush_conn t c =
         let len = String.length frame in
         match Unix.write_substring fd frame c.woff (len - c.woff) with
         | n ->
-          t.stats.bytes_sent <- t.stats.bytes_sent + n;
+          Registry.incr ~by:n t.wire.bytes_sent;
           c.woff <- c.woff + n;
           if c.woff = len then begin
             ignore (Queue.pop c.outq);
@@ -248,14 +267,14 @@ let send_traced t ?trace ~dst msg =
        behind must cost bounded memory.  The newest frame is dropped —
        older queued frames preserve FIFO delivery for whatever does get
        through — and [drops] records the loss for the caller. *)
-    t.stats.drops <- t.stats.drops + 1
+    Registry.incr t.wire.drops
   else begin
     if c.queued_bytes + String.length frame > t.window then
-      t.stats.window_stalls <- t.stats.window_stalls + 1;
+      Registry.incr t.wire.window_stalls;
     Queue.push frame c.outq;
     c.queued_bytes <- c.queued_bytes + String.length frame;
-    t.stats.msgs_sent <- t.stats.msgs_sent + 1;
-    t.stats.trace_bytes <- t.stats.trace_bytes + Wire.trace_overhead trace
+    Registry.incr t.wire.msgs_sent;
+    Registry.incr ~by:(Wire.trace_overhead trace) t.wire.trace_bytes
   end;
   if c.state = Closed then attempt_connect t c;
   if c.state = Connected then flush_conn t c
@@ -277,7 +296,7 @@ let drain_frames t c =
     match Wire.decode_traced ~off buf with
     | Ok None -> Ok off
     | Ok (Some (msg, trace, consumed)) -> (
-      t.stats.msgs_received <- t.stats.msgs_received + 1;
+      Registry.incr t.wire.msgs_received;
       match msg with
       | Wire.Hello { node; _ } ->
         c.remote <- node;
@@ -286,7 +305,7 @@ let drain_frames t c =
         t.handler ~src:c.remote ~dst:t.self ~trace msg;
         loop (off + consumed))
     | Error _ ->
-      t.stats.decode_errors <- t.stats.decode_errors + 1;
+      Registry.incr t.wire.decode_errors;
       Error ()
   in
   match loop 0 with
@@ -315,7 +334,7 @@ let read_conn t c =
          frames survive the remote's restart. *)
       if c.peer = -1 then kill_conn t c else conn_failed t c
     | n ->
-      t.stats.bytes_received <- t.stats.bytes_received + n;
+      Registry.incr ~by:n t.wire.bytes_received;
       Buffer.add_subbytes c.rbuf chunk 0 n;
       if not (drain_frames t c) then kill_conn t c
     | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> ()

@@ -6,10 +6,10 @@
     connect/retry/backoff state machine — frames queued while a
     connection is down are preserved and flushed after reconnect.
     Sends past the per-connection byte window still queue but count
-    [window_stalls]; past the hard [max_queued] cap the frame is
-    dropped and counted in [drops], so an unreachable peer costs
+    [wire/window_stalls]; past the hard [max_queued] cap the frame is
+    dropped and counted in [wire/drops], so an unreachable peer costs
     bounded memory.  Decoding a corrupt stream closes the connection
-    and counts [decode_errors]; it never raises.  SIGPIPE is ignored
+    and counts [wire/decode_errors]; it never raises.  SIGPIPE is ignored
     at {!create} so peer-closed writes surface as [EPIPE] and go
     through backoff instead of killing the process.
 
@@ -27,21 +27,6 @@ type t
 
 include Transport.S with type t := t and type payload = Wire.msg and type addr = int
 
-type stats = {
-  mutable msgs_sent : int;
-  mutable msgs_received : int;
-  mutable bytes_sent : int;
-  mutable bytes_received : int;
-  mutable connects : int;
-  mutable retries : int;
-  mutable window_stalls : int;
-  mutable drops : int;
-  mutable decode_errors : int;
-  mutable trace_bytes : int;
-      (** bytes spent on trace plumbing: one flags byte per sent frame
-          plus 16 per stamped trace header *)
-}
-
 (** [create ~self ()] makes a transport for node [self].  [p_id] is
     advertised in the connection handshake; [window] caps queued bytes
     per connection before sends count as stalled; [max_queued]
@@ -58,7 +43,14 @@ val create :
   unit ->
   t
 
-val stats : t -> stats
+(** The transport's metrics registry.  It holds the [wire/*] counters —
+    [msgs_sent], [msgs_received], [bytes_sent], [bytes_received],
+    [connects], [retries], [window_stalls], [drops], [decode_errors] and
+    [trace_bytes] (one flags byte per sent frame plus 16 per stamped
+    trace header) — bumped as the loop runs; they are the only record of
+    the transport's traffic.  A {!Live_node} adopts this registry as its
+    own. *)
+val registry : t -> P2p_obs.Registry.t
 
 (** [send_traced t ?trace ~dst msg] — {!send} with a wire trace context
     stamped on the frame ({!Wire.trace_ctx}: op id, parent span id,

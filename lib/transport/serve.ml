@@ -207,6 +207,30 @@ let trace_overhead merged =
     if untraced_bytes <= 0 then 0.0
     else 100.0 *. float_of_int trace_bytes /. float_of_int untraced_bytes )
 
+(* The cluster rollup [serve --smoke] and [cluster-report] share: merge
+   the snapshots, print the per-node table (and, with [report], the
+   merged report), write the merged metrics and chrome trace where
+   asked, and enforce the SLO specs on the merged registry. *)
+let rollup ?(report = false) ?metrics_out ?trace_out ~prefix ~slo snapshots =
+  let say line = Printf.printf "%s%s\n%!" prefix line in
+  let merged = Scrape.merged_registry snapshots in
+  print_string (Scrape.render_table snapshots);
+  if report then begin
+    print_newline ();
+    print_string (P2p_obs.Report.render (Registry.doc merged))
+  end;
+  Option.iter
+    (fun path ->
+      Export.write_file ~path (Json.to_string (Registry.to_json merged));
+      say ("merged metrics -> " ^ path))
+    metrics_out;
+  Option.iter
+    (fun path ->
+      Export.write_file ~path (Json.to_string (Scrape.merged_chrome snapshots));
+      say ("merged chrome trace -> " ^ path ^ " (load in ui.perfetto.dev)"))
+    trace_out;
+  (merged, Slo.enforce merged ~specs:slo ~print:say)
+
 type obs_outcome = {
   obs_scraped : int;
   obs_slo_ok : bool;
@@ -226,20 +250,11 @@ let observe_cluster c ~n ~dump_dir ~slo ~sample_rate =
         ~path:(Filename.concat dump_dir (Printf.sprintf "scrape-%d.json" s.Scrape.node))
         (Scrape.to_string s))
     snapshots;
-  let merged = Scrape.merged_registry snapshots in
-  Export.write_file
-    ~path:(Filename.concat dump_dir "cluster-metrics.json")
-    (Json.to_string (Registry.to_json merged));
-  Export.write_file
-    ~path:(Filename.concat dump_dir "cluster-trace.chrome.json")
-    (Json.to_string (Scrape.merged_chrome snapshots));
-  print_string (Scrape.render_table snapshots);
-  let slo_ok =
-    match slo with
-    | [] -> true
-    | specs ->
-      Slo.enforce merged ~specs ~print:(fun line ->
-          Printf.printf "serve: %s\n%!" line)
+  let merged, slo_ok =
+    rollup ~prefix:"serve: "
+      ~metrics_out:(Filename.concat dump_dir "cluster-metrics.json")
+      ~trace_out:(Filename.concat dump_dir "cluster-trace.chrome.json")
+      ~slo snapshots
   in
   let untraced_bytes, pct = trace_overhead merged in
   (* the 2% budget is the bench gate for the intended production rate;
@@ -278,15 +293,17 @@ let scan_dumps ~dump_dir ~n =
       match !last with
       | None -> ()
       | Some line -> (
-        match Json.parse line with
+        match Scrape.of_string line with
         | Error _ -> incr decode_errors
-        | Ok v ->
-          let field name =
-            Option.value ~default:0
-              (Option.bind (Json.member name v) Json.to_int)
-          in
-          violations := !violations + field "violations";
-          decode_errors := !decode_errors + field "decode_errors")
+        | Ok snap ->
+          violations := !violations + snap.Scrape.violations;
+          (match
+             Registry.Doc.find snap.Scrape.metrics ~subsystem:"wire"
+               ~name:"decode_errors"
+           with
+           | Some (Registry.Doc.Counter k) ->
+             decode_errors := !decode_errors + k
+           | Some _ | None -> ()))
     end
   done;
   (!violations, !decode_errors)

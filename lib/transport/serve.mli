@@ -4,7 +4,11 @@
     insert/lookup workload, compute recall, scrape every node's
     observability snapshot mid-run (merged cluster metrics, merged
     chrome trace, SLO and trace-overhead gates) and scan the workers'
-    JSONL health dumps for violations.
+    health dumps for violations.  A health dump holds one span-free
+    {!P2p_obs.Scrape} snapshot per line, written every 500 ms (~1.5 kB
+    once the latency histograms fill, against ~0.3 kB for the
+    hand-written line it replaced); the scan decodes each worker's last
+    line with {!P2p_obs.Scrape.of_string}.
 
     The scrape path is also exposed standalone (see {!aggregator}) for
     [p2psim top] / [p2psim cluster-report], which poll a serving ring
@@ -18,6 +22,8 @@ type outcome = {
   recall : float;  (** found / total lookups, smoke mode *)
   violations : int;  (** summed from final health-dump lines *)
   decode_errors : int;
+      (** [wire/decode_errors] summed from final health-dump lines, plus
+          one per final line that does not decode *)
   scraped : int;  (** nodes that answered the mid-run scrape *)
   slo_ok : bool;  (** [--slo] specs held on the merged registry *)
   trace_overhead_pct : float;
@@ -64,6 +70,24 @@ val run :
   outcome
 
 val print_outcome : outcome -> unit
+
+(** [rollup ?report ?metrics_out ?trace_out ~prefix ~slo snapshots] —
+    the cluster rollup both [serve --smoke] and [p2psim cluster-report]
+    end in.  It merges the snapshots' registries ({!P2p_obs.Scrape.merge}),
+    prints {!P2p_obs.Scrape.render_table} and, with [report] (default
+    [false]), the merged {!P2p_obs.Report}, writes the merged metrics
+    and chrome trace to [metrics_out] / [trace_out] when given, and
+    enforces the [slo] specs on the merged registry.  Each file written
+    and each SLO verdict prints one line after [prefix].  Returns the
+    merged registry and whether every spec held. *)
+val rollup :
+  ?report:bool ->
+  ?metrics_out:string ->
+  ?trace_out:string ->
+  prefix:string ->
+  slo:string list ->
+  P2p_obs.Scrape.snapshot list ->
+  P2p_obs.Registry.t * bool
 
 (** A scrape-only client for an already-serving ring.  It joins the
     fabric as node index [peers + 1] (the forking orchestrator holds

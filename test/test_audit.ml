@@ -86,11 +86,13 @@ let test_degree_corruption_detected () =
   checki "no tick yet" 0 (Auditor.ticks a);
   checki "counter starts at zero" 0 (audit_counter h "tree_structure_violations");
   (* over-cap wiring: stowaway children on the first root *)
-  let root = (World.t_peers (H.world h)).(0) in
+  let w = H.world h in
+  let root = (World.t_peers w).(0) in
   let delta = (H.config h).Config.delta in
   for i = 1 to delta + 1 do
     let child =
-      Peer.make ~host:(-i) ~p_id:root.Peer.p_id ~role:Peer.S_peer ~link_capacity:1.0 ()
+      Peer.make ~interner:(World.interner w) ~host:(-i) ~p_id:root.Peer.p_id
+        ~role:Peer.S_peer ~link_capacity:1.0 ()
     in
     Peer.attach_child ~parent:root ~child
   done;

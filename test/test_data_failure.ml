@@ -13,7 +13,7 @@ let checki = Alcotest.check Alcotest.int
 (* --- Data_store --- *)
 
 let test_store_basic () =
-  let s = Data_store.create () in
+  let s = Data_store.create ~interner:(Intern.create ()) () in
   checki "empty" 0 (Data_store.size s);
   Data_store.insert s ~key:"a" ~value:"1";
   Data_store.insert s ~key:"b" ~value:"2";
@@ -26,7 +26,7 @@ let test_store_basic () =
   checkb "removed" false (Data_store.mem s ~key:"b")
 
 let test_store_take_segment () =
-  let s = Data_store.create () in
+  let s = Data_store.create ~interner:(Intern.create ()) () in
   for i = 0 to 99 do
     Data_store.insert s ~key:(Printf.sprintf "seg-%d" i) ~value:"v"
   done;
@@ -44,7 +44,7 @@ let test_store_take_segment () =
 
 let test_store_take_segment_wraparound () =
   (* a segment with left > right wraps through zero: (size-100, 50] *)
-  let s = Data_store.create () in
+  let s = Data_store.create ~interner:(Intern.create ()) () in
   let left = Id_space.size - 100 and right = 50 in
   Data_store.insert_routed s ~route_id:(Id_space.size - 50) ~key:"hi-side" ~value:"v";
   Data_store.insert_routed s ~route_id:20 ~key:"lo-side" ~value:"v";
@@ -63,7 +63,7 @@ let test_store_take_segment_wraparound () =
 let test_store_segment_items_wraparound () =
   (* the non-destructive view agrees with take_segment across the wrap,
      and the digest tracks segment content *)
-  let s = Data_store.create () in
+  let s = Data_store.create ~interner:(Intern.create ()) () in
   let left = Id_space.size - 10 and right = 10 in
   Data_store.insert_routed s ~route_id:(Id_space.size - 3) ~key:"a" ~value:"1";
   Data_store.insert_routed s ~route_id:7 ~key:"b" ~value:"2";
@@ -78,7 +78,7 @@ let test_store_segment_items_wraparound () =
     (Data_store.segment_digest s ~left ~right <> d_before)
 
 let test_store_take_all () =
-  let s = Data_store.create () in
+  let s = Data_store.create ~interner:(Intern.create ()) () in
   Data_store.insert s ~key:"x" ~value:"1";
   Data_store.insert s ~key:"y" ~value:"2";
   let all = Data_store.take_all s in

@@ -6,8 +6,10 @@ module Config = Hybrid_p2p.Config
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+let interner = Hybrid_p2p.Intern.create ()
+
 let mk ?(role = Peer.S_peer) ?(capacity = 1.0) host =
-  Peer.make ~host ~p_id:host ~role ~link_capacity:capacity ()
+  Peer.make ~interner ~host ~p_id:host ~role ~link_capacity:capacity ()
 
 let config = Config.default (* delta = 3 *)
 

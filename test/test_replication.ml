@@ -206,9 +206,8 @@ let check_same_heal label a b =
    the string-keyed reference, each repair's heal included.  Crash waves
    come first.  Then both get a key held as primary by two peers (with
    different values and homes), a replica copy beside its own primary,
-   and a hand-built peer whose stores use a private interner (holding a
-   replica, a primary the world never interned and a shadowed copy),
-   and heal once more. *)
+   and a hand-built peer (holding a replica, a primary no other peer
+   holds and a shadowed copy), and heal once more. *)
 let test_heal_matches_reference r () =
   let system () =
     let h, _, m = replicated_system ~seed:73 ~n:120 ~ps:0.7 ~r () in
@@ -248,14 +247,14 @@ let test_heal_matches_reference r () =
       ~value:("v:" ^ shadowed);
     let home = (World.t_peers w).(0) in
     let stranger =
-      Peer.make ~host:(H.fresh_host h) ~p_id:home.Peer.p_id ~role:Peer.S_peer
-        ~link_capacity:1.0 ()
+      Peer.make ~interner:(World.interner w) ~host:(H.fresh_host h) ~p_id:home.Peer.p_id
+        ~role:Peer.S_peer ~link_capacity:1.0 ()
     in
     stranger.Peer.t_home <- Some home;
     World.register w stranger;
     Data_store.insert stranger.Peer.replicas ~key:"item-00011" ~value:"v:item-00011";
     Data_store.insert stranger.Peer.store ~key:"ghost" ~value:"g";
-    (* a primary beside its own replica copy, both on the private interner *)
+    (* a primary beside its own replica copy *)
     Data_store.insert stranger.Peer.store ~key:"item-00017" ~value:"v:item-00017";
     Data_store.insert stranger.Peer.replicas ~key:"item-00017" ~value:"v:item-00017"
   in
@@ -309,10 +308,10 @@ let test_dropped_replica_report () =
     ]
     (List.map (fun v -> v.Checks.detail) (run_replication_check h).Checks.violations)
 
-(* A peer built by hand keeps its stores on a private interner: the check
-   tallies its copies by key text, whether or not the world ever
-   interned the key. *)
-let test_foreign_interner_tallied () =
+(* A peer built by hand and registered late: the check tallies its
+   copies with everyone else's, including a key the world interned only
+   when this peer stored it. *)
+let test_hand_built_peer_tallied () =
   let h, _, _ = replicated_system ~seed:71 ~n:60 ~ps:0.7 ~r:2 () in
   let keys = insert_items h ~count:40 in
   let w = H.world h in
@@ -320,15 +319,15 @@ let test_foreign_interner_tallied () =
   let holder = List.find (fun p -> Data_store.mem p.Peer.replicas ~key) (H.peers h) in
   let home = (World.t_peers w).(0) in
   let stranger =
-    Peer.make ~host:(H.fresh_host h) ~p_id:home.Peer.p_id ~role:Peer.S_peer
-      ~link_capacity:1.0 ()
+    Peer.make ~interner:(World.interner w) ~host:(H.fresh_host h) ~p_id:home.Peer.p_id
+      ~role:Peer.S_peer ~link_capacity:1.0 ()
   in
   stranger.Peer.t_home <- Some home;
   World.register w stranger;
   (* the copy moves to the stranger: still two *)
   Data_store.remove holder.Peer.replicas ~key;
   Data_store.insert stranger.Peer.replicas ~key ~value:"v";
-  (* a primary only the stranger's interner knows *)
+  (* a primary only the stranger holds, interned last *)
   Data_store.insert stranger.Peer.store ~key:"ghost" ~value:"g";
   let expected = min 2 (Policy.expected_copies w ~primary:stranger) in
   Alcotest.(check (list string))
@@ -355,7 +354,8 @@ let test_ring_successors_search () =
       done)
     arr;
   let stranger =
-    Peer.make ~host:(-1) ~p_id:arr.(0).Peer.p_id ~role:Peer.T_peer ~link_capacity:1.0 ()
+    Peer.make ~interner:(World.interner w) ~host:(-1) ~p_id:arr.(0).Peer.p_id
+      ~role:Peer.T_peer ~link_capacity:1.0 ()
   in
   checki "a peer off the ring has none" 0
     (List.length (Policy.ring_successors w ~home:stranger ~factor:2))
@@ -444,8 +444,8 @@ let suite =
       test_dropped_replica_flagged_then_healed;
     Alcotest.test_case "audit: dropped copy report (ring successors)" `Quick
       test_dropped_replica_report;
-    Alcotest.test_case "audit: stores on a private interner tallied" `Quick
-      test_foreign_interner_tallied;
+    Alcotest.test_case "audit: a hand-built peer's copies tallied" `Quick
+      test_hand_built_peer_tallied;
     Alcotest.test_case "policy: ring successors by binary search" `Quick
       test_ring_successors_search;
     Alcotest.test_case "anti-entropy: restores and prunes" `Quick

@@ -52,7 +52,7 @@ let test_intern_growth () =
 (* --- flat data store --------------------------------------------------- *)
 
 let test_store_basics () =
-  let s = Data_store.create () in
+  let s = Data_store.create ~interner:(Intern.create ()) () in
   checki "empty" 0 (Data_store.size s);
   checkb "find on empty" true (Data_store.find s ~key:"a" = None);
   for i = 0 to 199 do
@@ -72,7 +72,7 @@ let test_store_basics () =
   checks "overwrite wins" "fresh" (Option.get (Data_store.find s ~key:"k7"))
 
 let test_store_tombstones () =
-  let s = Data_store.create () in
+  let s = Data_store.create ~interner:(Intern.create ()) () in
   for i = 0 to 99 do
     Data_store.insert s ~key:(Printf.sprintf "k%d" i) ~value:"v"
   done;
@@ -149,7 +149,8 @@ let test_random_peer_allocation () =
   let w = H.world h in
   for host = 0 to peers - 1 do
     World.register w
-      (Peer.make ~host ~p_id:(host * 7919) ~role:Peer.S_peer ~link_capacity:1.0 ())
+      (Peer.make ~interner:(World.interner w) ~host ~p_id:(host * 7919) ~role:Peer.S_peer
+         ~link_capacity:1.0 ())
   done;
   let draws = 1000 in
   let sink = ref 0 in

@@ -12,6 +12,9 @@ module Wheel = P2p_transport.Timer_wheel
 module Sim_transport = P2p_transport.Sim_transport
 module Timer = P2p_sim.Timer
 module Engine = P2p_sim.Engine
+module Registry = P2p_obs.Registry
+module Scrape = P2p_obs.Scrape
+module Live_node = P2p_transport.Live_node
 
 let golden_v2_path = "golden/wire_v2.bin"
 
@@ -301,6 +304,10 @@ let wheel_periodic_reset_cancel () =
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
+(* A [wire/*] counter of a transport's registry. *)
+let wire tr name =
+  Registry.counter_value (Registry.counter (Live.registry tr) ~subsystem:"wire" ~name)
+
 (* Step both endpoints until [pred ()] or a wall-clock deadline. *)
 let pump ?(seconds = 5.0) transports pred =
   let deadline = Unix.gettimeofday () +. seconds in
@@ -366,7 +373,7 @@ let live_trace_ctx_propagates () =
      per frame, 16 more for the stamped one. *)
   Alcotest.(check int) "trace_bytes counts flags + stamped header"
     (1 + 16 + 1)
-    (Live.stats b).Live.trace_bytes;
+    (wire b "trace_bytes");
   Live.stop a;
   Live.stop b
 
@@ -379,7 +386,7 @@ let live_retry_after_refused () =
      off, keeping the queued frame. *)
   Live.send b ~src:1 ~dst:0 (Wire.Ping { nonce = 7 });
   let saw_retry =
-    pump ~seconds:3.0 [ b ] (fun () -> (Live.stats b).Live.retries >= 1)
+    pump ~seconds:3.0 [ b ] (fun () -> wire b "retries" >= 1)
   in
   Alcotest.(check bool) "connect refused triggers backoff retry" true saw_retry;
   Alcotest.(check bool) "message not delivered while down" true (!got_a = []);
@@ -423,7 +430,7 @@ let live_windowed_send_under_full_buffer () =
          })
   done;
   Alcotest.(check bool) "burst past the window counts stalls" true
-    ((Live.stats b).Live.window_stalls > 0);
+    (wire b "window_stalls" > 0);
   Alcotest.(check bool) "backpressure kept bytes queued" true
     (Live.pending_bytes b 0 > 2048);
   (* Draining both loops delivers the entire burst in order. *)
@@ -445,13 +452,12 @@ let live_hard_cap_bounds_dead_peer_queue () =
       (Wire.Insert
          { op = i; origin = 1; route_id = i; key = "k"; value; hops = 0 })
   done;
-  let s = Live.stats b in
   Alcotest.(check bool) "past the cap, frames are dropped and counted" true
-    (s.Live.drops > 0);
+    (wire b "drops" > 0);
   Alcotest.(check bool) "queued bytes stay under the hard cap" true
     (Live.pending_bytes b 0 <= 8 * 1024 + 1024);
   Alcotest.(check int) "drops account for the whole burst"
-    200 (s.Live.msgs_sent + s.Live.drops);
+    200 (wire b "msgs_sent" + wire b "drops");
   Live.stop b
 
 let live_peer_close_is_backoff_not_sigpipe () =
@@ -467,14 +473,14 @@ let live_peer_close_is_backoff_not_sigpipe () =
   Alcotest.(check bool) "exchange before the remote dies" true
     (pump [ a; b ] (fun () -> !got_a <> []));
   Live.stop a;
-  let retries_before = (Live.stats b).Live.retries in
+  let retries_before = wire b "retries" in
   (* Keep writing into the dead connection until the failure registers.
      The first write after close may be swallowed by the socket buffer;
      the RST turns later ones into EPIPE/ECONNRESET. *)
   let saw_backoff =
     pump ~seconds:5.0 [ b ] (fun () ->
         Live.send b ~src:1 ~dst:0 (Wire.Ping { nonce = 2 });
-        (Live.stats b).Live.retries > retries_before)
+        wire b "retries" > retries_before)
   in
   Alcotest.(check bool) "peer close became a backoff retry, not a crash"
     true saw_backoff;
@@ -500,6 +506,82 @@ let live_clean_shutdown () =
   let a2 = Live.create ~self:0 () in
   Live.listen a2 (loopback port_a);
   Live.stop a2
+
+(* --- live node ring ---------------------------------------------------- *)
+
+(* Three [Live_node]s and a client transport (node index 3), all stepped
+   in this process: the ring forms and serves inserts and lookups, and
+   each node's health dump is a run of scrape snapshots whose last line
+   agrees with the node's registry. *)
+let live_node_ring () =
+  let n = 3 and port_base = 43280 in
+  let dir = Filename.temp_file "p2p-live" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let nodes =
+    List.init n (fun node -> Live_node.create ~dump_dir:dir ~node ~n ~port_base ())
+  in
+  let client = Live.create ~self:n () in
+  for node = 0 to n - 1 do
+    Live.set_peer_addr client node (loopback (port_base + node))
+  done;
+  Live.listen client (loopback (port_base + n));
+  let replies = Hashtbl.create 16 in
+  Live.set_handler client (fun ~src:_ ~dst:_ msg ->
+      match msg with
+      | Wire.Client_reply { req; found; _ } -> Hashtbl.replace replies req found
+      | _ -> ());
+  let everyone = client :: List.map Live_node.transport nodes in
+  Alcotest.(check bool) "ring forms" true
+    (pump ~seconds:10.0 everyone (fun () -> List.for_all Live_node.ready nodes));
+  let keys = List.init 6 (Printf.sprintf "live-key-%d") in
+  List.iteri
+    (fun i key ->
+      Live.send client ~src:n ~dst:(i mod n)
+        (Wire.Client_insert { req = i + 1; key; value = "v-" ^ key }))
+    keys;
+  Alcotest.(check bool) "inserts acknowledged" true
+    (pump ~seconds:10.0 everyone (fun () -> Hashtbl.length replies = 6));
+  List.iteri
+    (fun i key ->
+      Live.send client ~src:n ~dst:((i + 1) mod n)
+        (Wire.Client_lookup { req = 100 + i; key }))
+    keys;
+  Alcotest.(check bool) "lookups answered" true
+    (pump ~seconds:10.0 everyone (fun () -> Hashtbl.length replies = 12));
+  Alcotest.(check bool) "every operation succeeded" true
+    (Hashtbl.fold (fun _ found acc -> acc && found) replies true);
+  List.iter Live_node.stop nodes;
+  Live.stop client;
+  let counter t ~subsystem ~name =
+    Registry.counter_value (Registry.counter (Live_node.registry t) ~subsystem ~name)
+  in
+  let served = ref 0 in
+  List.iteri
+    (fun node t ->
+      let ic = open_in (Filename.concat dir (Printf.sprintf "health-%d.jsonl" node)) in
+      let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+      close_in ic;
+      let snapshots =
+        List.filter_map
+          (fun line ->
+            if line = "" then None
+            else
+              match Scrape.of_string line with
+              | Ok snap -> Some snap
+              | Error e -> Alcotest.failf "node %d: health line does not decode: %s" node e)
+          lines
+      in
+      Alcotest.(check bool) "a start and a final line at least" true
+        (List.length snapshots >= 2);
+      let last = List.nth snapshots (List.length snapshots - 1) in
+      Alcotest.(check bool) "final line's wire/msgs_sent is the registry's" true
+        (Registry.Doc.find last.Scrape.metrics ~subsystem:"wire"
+           ~name:"msgs_sent"
+        = Some (Registry.Doc.Counter (counter t ~subsystem:"wire" ~name:"msgs_sent")));
+      served := !served + counter t ~subsystem:"ring" ~name:"served")
+    nodes;
+  Alcotest.(check int) "ring/served counts every operation" 12 !served
 
 (* --- sim transport sanity -------------------------------------------- *)
 
@@ -565,6 +647,8 @@ let suite =
     Alcotest.test_case "live: peer close is backoff, not SIGPIPE" `Quick
       live_peer_close_is_backoff_not_sigpipe;
     Alcotest.test_case "live: clean shutdown" `Quick live_clean_shutdown;
+    Alcotest.test_case "live node: 3-node ring, health lines are snapshots"
+      `Quick live_node_ring;
     Alcotest.test_case "sim transport: one clock for messages and timers"
       `Quick sim_transport_timer_is_engine_timer;
   ]

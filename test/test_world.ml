@@ -13,6 +13,10 @@ module Interest = Hybrid_p2p.Interest
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* a hand-built peer whose stores share [w]'s interner, as registering
+   requires *)
+let make_peer w = Peer.make ~interner:(World.interner w)
+
 (* a quiesced world with an explicit ring of t-peers at given p_ids *)
 let world_with_ring ?(config = default_config) ids =
   let h = H.create_star ~seed:90 ~peers:64 ~config () in
@@ -39,6 +43,24 @@ let test_membership_directory () =
   checkb "absent host" true (World.find_peer w ~host:63 = None);
   World.unregister w (List.hd peers);
   checki "unregistered" 2 (World.peer_count w)
+
+(* Registering checks the peer's stores against the world interner: a
+   peer built on another interner is refused and leaves the directory as
+   it was. *)
+let test_register_rejects_foreign_interner () =
+  let h, _ = world_with_ring [ 100; 200 ] in
+  let w = H.world h in
+  let foreign =
+    Peer.make ~interner:(Hybrid_p2p.Intern.create ()) ~host:40 ~p_id:0 ~role:Peer.S_peer
+      ~link_capacity:1.0 ()
+  in
+  Alcotest.check_raises "foreign interner refused"
+    (Invalid_argument "World.register: the peer's stores use another interner")
+    (fun () -> World.register w foreign);
+  checki "directory unchanged" 2 (World.peer_count w);
+  checkb "host still free" true (World.find_peer w ~host:40 = None);
+  World.register w (make_peer w ~host:40 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ());
+  checki "a peer on the world interner registers" 3 (World.peer_count w)
 
 let test_t_peers_sorted () =
   let h, _ = world_with_ring [ 500; 100; 300 ] in
@@ -97,7 +119,7 @@ let test_smallest_s_network_policy () =
   (* grow t0's s-network by hand through the size table *)
   World.set_snet_size w t0 5;
   World.set_snet_size w t1 1;
-  let joiner = Peer.make ~host:60 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+  let joiner = make_peer w ~host:60 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
   (match World.choose_s_network w ~joiner with
    | Some t -> checkb "smallest wins" true (t == t1)
    | None -> Alcotest.fail "no assignment");
@@ -114,7 +136,7 @@ let test_by_interest_policy_uses_route_id () =
   H.run h;
   let w = H.world h in
   let joiner interest =
-    Peer.make ~host:50 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ~interest ()
+    make_peer w ~host:50 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ~interest ()
   in
   (match World.choose_s_network w ~joiner:(joiner 0) with
    | Some t -> checkb "category 0 -> its home" true (t == home0)
@@ -123,7 +145,7 @@ let test_by_interest_policy_uses_route_id () =
    | Some t -> checkb "category 1 -> its home" true (t == home1)
    | None -> Alcotest.fail "no assignment");
   (* a peer without interest falls back to load balancing *)
-  let no_interest = Peer.make ~host:51 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+  let no_interest = make_peer w ~host:51 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
   checkb "no-interest handled" true (World.choose_s_network w ~joiner:no_interest <> None)
 
 let test_by_cluster_prefers_local_t_peer () =
@@ -144,7 +166,7 @@ let test_by_cluster_prefers_local_t_peer () =
   let t_right = H.join h ~host:8 ~role:Peer.T_peer () in
   H.run h;
   let w = H.world h in
-  let joiner host = Peer.make ~host ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+  let joiner host = make_peer w ~host ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
   (match World.choose_s_network w ~joiner:(joiner 2) with
    | Some t -> checkb "left joiner -> left t-peer" true (t == t_left)
    | None -> Alcotest.fail "no assignment");
@@ -169,7 +191,7 @@ let test_refresh_and_substitute_fingers () =
    | Some f -> checki "finger 0" 200 f.Peer.p_id
    | None -> Alcotest.fail "no finger");
   (* substitution: replace 200 by a stand-in everywhere *)
-  let stand_in = Peer.make ~host:60 ~p_id:200 ~role:Peer.T_peer ~link_capacity:1.0 () in
+  let stand_in = make_peer w ~host:60 ~p_id:200 ~role:Peer.T_peer ~link_capacity:1.0 () in
   World.substitute_in_fingers w ~old_peer:p200 ~replacement:stand_in;
   (match (World.fingers w p100).(0) with
    | Some f -> checkb "substituted" true (f == stand_in)
@@ -188,7 +210,7 @@ let test_fingers_follow_refresh_points () =
     | None -> Alcotest.fail "no finger"
   in
   let t_peer ~host ~p_id =
-    let p = Peer.make ~host ~p_id ~role:Peer.T_peer ~link_capacity:1.0 () in
+    let p = make_peer w ~host ~p_id ~role:Peer.T_peer ~link_capacity:1.0 () in
     World.register w p;
     p
   in
@@ -218,7 +240,7 @@ let test_smallest_s_network_matches_scan () =
     let arr = World.t_peers w in
     let best = ref arr.(0) in
     Array.iter (fun p -> if World.snet_size w p < World.snet_size w !best then best := p) arr;
-    let joiner = Peer.make ~host:(-1) ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+    let joiner = make_peer w ~host:(-1) ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
     match World.choose_s_network w ~joiner with
     | Some p -> checkb label true (p == !best)
     | None -> Alcotest.fail "no assignment"
@@ -273,12 +295,12 @@ let prop_ring_matches_scan =
         && Array.for_all2 (fun p id -> p.Peer.p_id = id) ring w.World.t_ids
         && Option.equal ( == ) first_smallest
              (World.choose_s_network w
-                ~joiner:(Peer.make ~host:999 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ()))
+                ~joiner:(make_peer w ~host:999 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ()))
       in
       List.for_all
         (fun (kind, host, x) ->
           let host = 100 + host in
-          let make role = Peer.make ~host ~p_id:x ~role ~link_capacity:1.0 () in
+          let make role = make_peer w ~host ~p_id:x ~role ~link_capacity:1.0 () in
           (match (kind, World.find_peer w ~host) with
            | 0, _ -> World.register w (make Peer.T_peer)
            | 1, Some p ->
@@ -317,7 +339,7 @@ let prop_nth_live_peer_matches_list =
       List.for_all
         (fun (kind, host, t_role) ->
           let role = if t_role then Peer.T_peer else Peer.S_peer in
-          let make () = Peer.make ~host ~p_id:(host * 7919) ~role ~link_capacity:1.0 () in
+          let make () = make_peer w ~host ~p_id:(host * 7919) ~role ~link_capacity:1.0 () in
           (match (kind, World.find_peer w ~host) with
            | 2, Some p ->
              p.Peer.alive <- false;
@@ -383,6 +405,8 @@ let test_snet_size_accounting_via_joins () =
 let suite =
   [
     Alcotest.test_case "membership directory" `Quick test_membership_directory;
+    Alcotest.test_case "register rejects a foreign interner" `Quick
+      test_register_rejects_foreign_interner;
     Alcotest.test_case "t-peers sorted" `Quick test_t_peers_sorted;
     Alcotest.test_case "t-peers cache = oracle under churn" `Quick
       test_t_peers_cache_matches_oracle;
