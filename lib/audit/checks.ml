@@ -90,14 +90,20 @@ let ring_symmetry ~final who w =
   let col = collector who in
   let arr = World.t_peers w in
   let n = Array.length arr in
-  let registered = Hashtbl.create (2 * n) in
-  Array.iter (fun p -> Hashtbl.replace registered p.Peer.host ()) arr;
   (* A pointer at an alive t-peer that is not yet registered belongs to a
      join triangle in flight — the joiner becomes visible atomically with
-     the final leg. *)
+     the final leg.  Only a pointer mismatch asks, so the set of
+     registered hosts is built on a tick's first question, not on every
+     tick. *)
+  let registered =
+    lazy
+      (let tbl = Hashtbl.create (2 * n) in
+       Array.iter (fun p -> Hashtbl.replace tbl p.Peer.host ()) arr;
+       tbl)
+  in
   let mid_join q =
     (not final) && q.Peer.alive && Peer.is_t_peer q
-    && not (Hashtbl.mem registered q.Peer.host)
+    && not (Hashtbl.mem (Lazy.force registered) q.Peer.host)
   in
   let busy = ref 0 in
   Array.iter
@@ -164,6 +170,8 @@ let finger_tables ~final:_ who w =
   else begin
     gauge col "fingers_fresh" 1.0;
     let arr = World.t_peers w in
+    (* The oracle answers with an index into [arr] ([-1] on an empty
+       ring), compared by identity: no option per finger. *)
     Array.iter
       (fun p ->
         let fingers = World.fingers w p in
@@ -171,23 +179,21 @@ let finger_tables ~final:_ who w =
           err col ~subject:p.Peer.host "t-peer #%d: finger table has %d entries, want %d"
             p.Peer.host (Array.length fingers) Id_space.bits
         else
-          Array.iteri
-            (fun k entry ->
-              let start = Id_space.finger_start ~base:p.Peer.p_id k in
-              match (entry, World.oracle_owner w start) with
-              | None, None -> ()
-              | Some f, Some expected when f == expected -> ()
-              | Some f, Some expected ->
-                err col ~subject:p.Peer.host
-                  "t-peer #%d: finger[%d] is #%d, oracle says #%d" p.Peer.host k
-                  f.Peer.host expected.Peer.host
-              | None, Some expected ->
-                err col ~subject:p.Peer.host "t-peer #%d: finger[%d] unset, oracle says #%d"
-                  p.Peer.host k expected.Peer.host
-              | Some f, None ->
-                err col ~subject:p.Peer.host "t-peer #%d: finger[%d] is #%d on an empty ring"
-                  p.Peer.host k f.Peer.host)
-            fingers)
+          for k = 0 to Id_space.bits - 1 do
+            let i = World.successor_index w (Id_space.finger_start ~base:p.Peer.p_id k) in
+            match fingers.(k) with
+            | None when i < 0 -> ()
+            | Some f when i >= 0 && f == arr.(i) -> ()
+            | Some f when i >= 0 ->
+              err col ~subject:p.Peer.host "t-peer #%d: finger[%d] is #%d, oracle says #%d"
+                p.Peer.host k f.Peer.host arr.(i).Peer.host
+            | None ->
+              err col ~subject:p.Peer.host "t-peer #%d: finger[%d] unset, oracle says #%d"
+                p.Peer.host k arr.(i).Peer.host
+            | Some f ->
+              err col ~subject:p.Peer.host "t-peer #%d: finger[%d] is #%d on an empty ring"
+                p.Peer.host k f.Peer.host
+          done)
       arr;
     finish col
   end
@@ -331,6 +337,7 @@ let data_placement ~final who w =
   let col = collector who in
   let arr = World.t_peers w in
   if Array.length arr > 0 then begin
+    let interner = World.interner w in
     let misplaced = ref 0 in
     World.iter_peers w
       (fun p ->
@@ -350,14 +357,15 @@ let data_placement ~final who w =
                      | Some pre -> Peer.quiet pre
                      | None -> false)
             in
+            (* a key's text is read only for a reported item *)
             if boundary_settled then
-              Data_store.iter p.Peer.store (fun ~key ~value:_ ~route_id ->
+              Data_store.iter_id_items p.Peer.store (fun kid _ route_id ->
                   if not (Peer.covers home route_id) then begin
                     incr misplaced;
                     if !misplaced <= 8 then
                       err col ~subject:p.Peer.host
-                        "item %S (route_id %#x) at #%d outside segment of #%d" key route_id
-                        p.Peer.host home.Peer.host
+                        "item %S (route_id %#x) at #%d outside segment of #%d"
+                        (Intern.name interner kid) route_id p.Peer.host home.Peer.host
                   end));
     if !misplaced > 8 then
       err col "...and %d more misplaced items" (!misplaced - 8);
@@ -375,37 +383,43 @@ let replication_factor ~final who w =
     gauge col "replication_pending" (float_of_int pending);
     (* Copies are in flight during fan-out/heal windows, and policy
        targets are moving while a join/leave triangle is mid-rewire —
-       only a settled system owes the full factor. *)
-    let settled =
-      final || (pending = 0 && Array.for_all Peer.quiet (World.t_peers w))
-    in
-    (* every registered store is on the world interner: one id per key *)
+       only a settled system owes the full factor.  Reading the ring
+       brings it up to date, so it is read whenever it may decide
+       [settled], items or not; only the scan for a busy t-peer waits
+       until an under-replicated item needs the answer. *)
+    let ring = if final || pending > 0 then [||] else World.t_peers w in
+    let settled = lazy (final || (pending = 0 && Array.for_all Peer.quiet ring)) in
+    (* Every registered store is on the world interner: one id per key,
+       and an interner that never saw a string means no store holds an
+       item, so both scans are skipped. *)
     let interner = World.interner w in
-    let copies_of = Array.make (Intern.count interner) 0 in
-    World.iter_peers w (fun p ->
-        Data_store.iter_ids p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
-    (* a primary is checked at its first holder in host order *)
-    let checked = Bytes.make (Intern.count interner) '\000' in
     let items = ref 0 and copies = ref 0 and under = ref 0 in
-    World.iter_peers w (fun p ->
-        let expected = ref (-1) in
-        Data_store.iter_ids p.Peer.store (fun id ->
-            if Bytes.get checked id = '\000' then begin
-              Bytes.set checked id '\001';
-              incr items;
-              let have = copies_of.(id) in
-              copies := !copies + have;
-              if !expected < 0 then
-                expected := min r (P2p_replication.Policy.expected_copies w ~primary:p);
-              if have < !expected then begin
-                incr under;
-                if settled && !under <= 8 then
-                  err col ~subject:p.Peer.host
-                    "item %S at #%d has %d replica copies, expected %d" (Intern.name interner id)
-                    p.Peer.host have !expected
-              end
-            end));
-    if settled && !under > 8 then
+    if Intern.count interner > 0 then begin
+      let copies_of = Array.make (Intern.count interner) 0 in
+      World.iter_peers w (fun p ->
+          Data_store.iter_ids p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
+      (* a primary is checked at its first holder in host order *)
+      let checked = Bytes.make (Intern.count interner) '\000' in
+      World.iter_peers w (fun p ->
+          let expected = ref (-1) in
+          Data_store.iter_ids p.Peer.store (fun id ->
+              if Bytes.get checked id = '\000' then begin
+                Bytes.set checked id '\001';
+                incr items;
+                let have = copies_of.(id) in
+                copies := !copies + have;
+                if !expected < 0 then
+                  expected := min r (P2p_replication.Policy.expected_copies w ~primary:p);
+                if have < !expected then begin
+                  incr under;
+                  if !under <= 8 && Lazy.force settled then
+                    err col ~subject:p.Peer.host
+                      "item %S at #%d has %d replica copies, expected %d"
+                      (Intern.name interner id) p.Peer.host have !expected
+                end
+              end))
+    end;
+    if !under > 8 && Lazy.force settled then
       err col "...and %d more under-replicated items" (!under - 8);
     gauge col "replicated_items" (float_of_int !items);
     gauge col "replica_copies" (float_of_int !copies);
@@ -417,36 +431,54 @@ let replication_factor ~final who w =
 
 (* --- load balance gauges (Fig. 4's quantity, continuously) -------------- *)
 
-let gini sizes =
-  let n = Array.length sizes in
-  if n = 0 then 0.0
+(* The Gini coefficient of [n] sizes summing to [total], given as
+   per-size counts ([counts.(s)] sizes equal [s]): the sorted-sample
+   formula 2 Σ (i + 1) x_(i) / (n Σ x) - (n + 1) / n, with the ranks read
+   off the counts instead of a sort.  The weighted sum takes the same
+   float additions in the same order as a walk of the sorted sample
+   (a zero adds nothing), so the result is the same float. *)
+let gini_of_counts counts ~n ~total =
+  if n = 0 || total <= 0 then 0.0
   else begin
-    let sorted = Array.copy sizes in
-    Array.sort Float.compare sorted;
-    let total = Array.fold_left ( +. ) 0.0 sorted in
-    if total <= 0.0 then 0.0
-    else begin
-      let weighted = ref 0.0 in
-      Array.iteri (fun i x -> weighted := !weighted +. (float_of_int (i + 1) *. x)) sorted;
-      let nf = float_of_int n in
-      ((2.0 *. !weighted) /. (nf *. total)) -. ((nf +. 1.0) /. nf)
-    end
+    let weighted = ref 0.0 and rank = ref counts.(0) in
+    for size = 1 to Array.length counts - 1 do
+      let x = float_of_int size in
+      for _ = 1 to counts.(size) do
+        incr rank;
+        weighted := !weighted +. (float_of_int !rank *. x)
+      done
+    done;
+    let nf = float_of_int n in
+    ((2.0 *. !weighted) /. (nf *. float_of_int total)) -. ((nf +. 1.0) /. nf)
   end
 
+(* Two passes over the stores: totals first, then, only when some store
+   holds an item, the per-size counts.  Sizes are integers, so every sum
+   is exact and its float is the float sum of the sizes. *)
 let load_balance ~final:_ who w =
   let col = collector who in
-  let sizes = Array.make (World.peer_count w) 0.0 in
-  let i = ref 0 in
+  let n = World.peer_count w in
+  let total = ref 0 and top = ref 0 in
   World.iter_peers w (fun p ->
-      sizes.(!i) <- float_of_int (Data_store.size p.Peer.store);
-      incr i);
-  let n = Array.length sizes in
-  let total = Array.fold_left ( +. ) 0.0 sizes in
-  let max_v = Array.fold_left Float.max 0.0 sizes in
-  gauge col "items_total" total;
-  gauge col "items_per_peer_max" max_v;
-  gauge col "items_per_peer_mean" (if n = 0 then 0.0 else total /. float_of_int n);
-  gauge col "items_gini" (gini sizes);
+      let size = Data_store.size p.Peer.store in
+      total := !total + size;
+      if size > !top then top := size);
+  let total = !total in
+  let items = float_of_int total in
+  gauge col "items_total" items;
+  gauge col "items_per_peer_max" (float_of_int !top);
+  gauge col "items_per_peer_mean" (if n = 0 then 0.0 else items /. float_of_int n);
+  let gini =
+    if total = 0 then 0.0
+    else begin
+      let counts = Array.make (!top + 1) 0 in
+      World.iter_peers w (fun p ->
+          let size = Data_store.size p.Peer.store in
+          counts.(size) <- counts.(size) + 1);
+      gini_of_counts counts ~n ~total
+    end
+  in
+  gauge col "items_gini" gini;
   finish col
 
 (* --- bloom_coverage ------------------------------------------------------

@@ -23,13 +23,22 @@
 
     With T t-peers, P registered peers and I stored items (primaries and
     replica copies), one tick costs:
-    - [ring_symmetry]: O(T);
-    - [finger_tables]: O(T log T) (one oracle search per finger);
-    - [tree_structure], [membership], [load_balance]: O(P), over flat
-      host-indexed arrays;
-    - [data_placement]: O(P + I);
+    - [ring_symmetry]: O(T); the set of registered hosts that tells an
+      in-flight joiner from damage is built only on a tick that finds a
+      pointer mismatch;
+    - [finger_tables]: O(T log T): one oracle search per finger, a
+      binary search over the ring's flat p_id array;
+    - [tree_structure], [membership]: O(P), over flat host-indexed
+      arrays;
+    - [load_balance]: O(P) while every store is empty, else O(P + M)
+      for a largest store of M items: the Gini coefficient is read off
+      per-size counts, with no sort;
+    - [data_placement]: O(P + I), reading a key's text only for a
+      reported item;
     - [replication_factor]: O(P log T + I), tallying copies per
-      interned key id in flat arrays;
+      interned key id in flat arrays; O(1) while the world interner is
+      empty (no store has held an item), and the scan for a busy t-peer
+      runs only when an under-replicated item is to be reported;
     - [bloom_coverage]: O(I × tree depth) while summaries are enabled;
     - [latency_sanity]: O(spans changed since the last tick) — minted,
       closed or evicted, plus closed children whose parent is still open
@@ -38,7 +47,12 @@
       tick to tick; a fresh state has seen nothing, so its first tick is
       the full scan over every retained span, and produces exactly what
       any later tick of a long-lived state produces at the same
-      instant. *)
+      instant.
+
+    No check sorts, compares polymorphically or builds a hash table on
+    a clean tick.  A tick of the whole catalogue over a joined
+    1,000-peer world allocates ~2.3 words per peer, nearly all of it
+    the host-indexed marks of [tree_structure] and [membership]. *)
 
 (** [Error] marks structural damage; [Warning] marks drift that routing
     survives (e.g. stale server-side accounting). *)

@@ -1,4 +1,5 @@
 module Rng = P2p_sim.Rng
+module Metrics = P2p_net.Metrics
 
 (* Walk from [at] down random branches until a peer with a free slot is
    found, then call [attach at_cp ~hops].  Every forward is a message.
@@ -105,13 +106,13 @@ let leave w ?op peer =
     orphans
 
 let flood w ?op ?prune_key ~from ~ttl ~visit () =
-  World.bump w ~subsystem:"s_network" ~name:"floods";
+  Metrics.record_flood w.World.metrics;
   (* A keyed flood rebuilds the tree's edge summaries if they went stale —
      synchronous, like the other oracle-style maintenance: we model the
      outcome of background summary propagation, not its timing. *)
   (match prune_key with Some _ -> Summaries.ensure_fresh w from | None -> ());
   let rec deliver peer ~depth ~sender =
-    World.bump w ~subsystem:"s_network" ~name:"flood_visits";
+    Metrics.record_flood_visit w.World.metrics;
     (match (sender, w.World.on_query) with
      | Some s, Some hook -> hook ~receiver:peer ~sender:s
      | (None, _ | _, None) -> ());
@@ -146,7 +147,7 @@ let flood w ?op ?prune_key ~from ~ttl ~visit () =
               let key = Option.get prune_key in
               let may = Summaries.child_may_hold peer q ~budget:(ttl - depth) ~key in
               if not may then
-                World.bump w ~subsystem:"s_network" ~name:"flood_pruned";
+                Metrics.record_flood_pruned w.World.metrics;
               may)
             next_hops
       in

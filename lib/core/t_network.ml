@@ -4,19 +4,22 @@ module Engine = P2p_sim.Engine
 
 let successor_or_self peer = Option.value peer.Peer.succ ~default:peer
 
+(* The farthest of [fingers.(0..k)] that is a live t-peer strictly
+   between [current] and [target]: the scan runs down from [k] and stops
+   at its first hit. *)
+let rec preceding_finger fingers current target k =
+  if k < 0 then None
+  else
+    match fingers.(k) with
+    | Some f as hit
+      when f.Peer.alive && Peer.is_t_peer f && f != current
+           && Id_space.between f.Peer.p_id ~left:current.Peer.p_id ~right:target ->
+      hit
+    | Some _ | None -> preceding_finger fingers current target (k - 1)
+
 let closest_preceding_finger w current target =
-  let best = ref None in
   let fingers = World.fingers w current in
-  for k = Array.length fingers - 1 downto 0 do
-    if !best = None then
-      match fingers.(k) with
-      | Some f
-        when f.Peer.alive && Peer.is_t_peer f && f != current
-             && Id_space.between f.Peer.p_id ~left:current.Peer.p_id ~right:target ->
-        best := Some f
-      | Some _ | None -> ()
-  done;
-  !best
+  preceding_finger fingers current target (Array.length fingers - 1)
 
 (* Walk the ring from [current] until [p_id] falls in (current, succ];
    each forward is a message.  Joins always take the O(log N) finger walk

@@ -324,8 +324,10 @@ let on_ring t p =
   Peer.is_t_peer p && p.Peer.alive
   && match t.slots.(p.Peer.host) with Some q -> q == p | None -> false
 
-(* The first index of [ids] (sorted) holding a value >= [d_id]. *)
-let lower_bound ids d_id =
+(* The first index of [ids] (sorted) holding a value >= [d_id].  Typed
+   over ints so each probe is one machine compare, not a call into the
+   runtime's polymorphic comparison. *)
+let lower_bound (ids : int array) (d_id : int) =
   let lo = ref 0 and hi = ref (Array.length ids) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

@@ -17,7 +17,16 @@ type t = {
   lookup_hops : Registry.histogram;
   join_latency : Registry.histogram;
   join_hops : Registry.histogram;
+  floods : Registry.counter Lazy.t;
+  flood_visits : Registry.counter Lazy.t;
+  flood_pruned : Registry.counter Lazy.t;
 }
+
+(* A counter registered on its first increment, as a by-name bump would
+   register it: a run that never floods exports no flood counters, and
+   the registry's order does not move. *)
+let on_first_use registry ~subsystem ~name =
+  lazy (Registry.counter registry ~subsystem ~name)
 
 let create ?registry () =
   let registry = match registry with Some r -> r | None -> Registry.create () in
@@ -36,6 +45,9 @@ let create ?registry () =
     join_latency =
       Registry.histogram registry ~subsystem:"membership" ~name:"join_latency_ms";
     join_hops = Registry.histogram registry ~subsystem:"membership" ~name:"join_hops";
+    floods = on_first_use registry ~subsystem:"s_network" ~name:"floods";
+    flood_visits = on_first_use registry ~subsystem:"s_network" ~name:"flood_visits";
+    flood_pruned = on_first_use registry ~subsystem:"s_network" ~name:"flood_pruned";
   }
 
 let registry t = t.registry
@@ -60,6 +72,12 @@ let record_lookup_failure t = Registry.incr t.lookups_failed
 let record_contact t = Registry.incr t.connum
 
 let record_contacts t n = Registry.incr ~by:n t.connum
+
+let record_flood t = Registry.incr (Lazy.force t.floods)
+
+let record_flood_visit t = Registry.incr (Lazy.force t.flood_visits)
+
+let record_flood_pruned t = Registry.incr (Lazy.force t.flood_pruned)
 
 let record_join t ~latency ~hops =
   Registry.observe t.join_latency latency;

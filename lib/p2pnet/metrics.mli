@@ -46,6 +46,14 @@ val record_contact : t -> unit
 val record_contacts : t -> int -> unit
 val record_join : t -> latency:float -> hops:int -> unit
 
+(** The s-network flood counters [s_network/floods], [flood_visits] and
+    [flood_pruned]: one flood started, one peer reached, one child edge
+    pruned by its summary.  Each registers on its first increment, as
+    {!bump} would, but later increments skip the by-name lookup. *)
+val record_flood : t -> unit
+val record_flood_visit : t -> unit
+val record_flood_pruned : t -> unit
+
 (** {1 Reading} *)
 
 val messages : t -> int

@@ -335,8 +335,12 @@ let shutdown_ring c ~n =
   for node = 0 to n - 1 do
     Live_transport.send c.tr ~src:c.self ~dst:node Wire.Shutdown
   done;
-  (* Let the shutdown frames flush. *)
-  ignore (pump c ~seconds:1.0 (fun () -> false))
+  (* Let the shutdown frames flush: pump until nothing is queued toward
+     any node, for at most a second. *)
+  let rec flushed node =
+    node >= n || (Live_transport.pending_bytes c.tr node = 0 && flushed (node + 1))
+  in
+  ignore (pump c ~seconds:1.0 (fun () -> flushed 0))
 
 let smoke_workload c ~n ~inserts ~lookups =
   let key i = Printf.sprintf "live-key-%04d" i in

@@ -527,6 +527,178 @@ let test_churn_100_snapshots_pinned () =
   Alcotest.(check string) "snapshot digest" churn_100_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* --- the one-pass checks against the plain reference --- *)
+
+(* The statuses of [snap] that [Audit_reference] re-implements must be
+   exactly the reference's at the same instant: same violations in the
+   same order with the same text, same gauge floats (compared as hex). *)
+let agree_with_reference ~final w (snap : Checks.snapshot) =
+  let ours =
+    List.filter
+      (fun (st : Checks.status) -> List.mem st.Checks.name Audit_reference.names)
+      snap.Checks.statuses
+  in
+  let text statuses = snapshot_text { snap with Checks.statuses } in
+  let expected = text (Audit_reference.run ~final w) in
+  if text ours <> expected then
+    Alcotest.failf "%s snapshot at %g differs from the reference:\n%s%s"
+      (if final then "final" else "online") snap.Checks.time (text ours) expected
+
+(* Every tick of a seeded scenario, then a run of hand-made damage:
+   ring pointers at a dead peer, at a wrong peer and at an unregistered
+   joiner, an s-peer over the degree cap, ten misplaced items and (with
+   replication) ten dropped replica copies; then, past a finger refresh
+   point, two corrupted fingers; last, a t-peer whose join mutex is
+   engaged.  Each damaged state is compared online and at rest.
+   Returns how many ticks saw fresh fingers and the checks that report
+   the damage at rest. *)
+let compare_with_reference h ~seed ~script =
+  let w = H.world h in
+  let ticks = ref 0 and fresh = ref 0 in
+  let report =
+    Scenario.run ~audit_interval:60.0 h ~seed
+      ~on_audit:(fun snap ->
+        incr ticks;
+        if gauge_of snap "finger_tables" "fingers_fresh" = Some 1.0 then incr fresh;
+        agree_with_reference ~final:false w snap)
+      ~script
+  in
+  checkb "invariants ok" true (Result.is_ok report.Scenario.invariants);
+  checkb "ticked repeatedly" true (!ticks > 10);
+  let both () =
+    agree_with_reference ~final:false w (Checks.run_all w);
+    agree_with_reference ~final:true w (Checks.final w)
+  in
+  both ();
+  let arr = World.t_peers w in
+  let n = Array.length arr in
+  checkb "a ring to damage" true (n >= 4);
+  let stray ?(role = Peer.T_peer) host p_id =
+    Peer.make ~interner:(World.interner w) ~host ~p_id ~role ~link_capacity:1.0 ()
+  in
+  let dead = stray (-1) arr.(0).Peer.p_id in
+  dead.Peer.alive <- false;
+  arr.(0).Peer.succ <- Some dead;
+  arr.(1).Peer.pred <- Some arr.(3);
+  arr.(2).Peer.succ <- Some (stray (-2) (arr.(2).Peer.p_id + 1));
+  for i = 1 to (H.config h).Config.delta + 1 do
+    Peer.attach_child ~parent:arr.(n - 1)
+      ~child:(stray ~role:Peer.S_peer (-10 - i) arr.(n - 1).Peer.p_id)
+  done;
+  let victim = arr.(n / 2) in
+  for i = 1 to 10 do
+    Data_store.insert_routed victim.Peer.store ~route_id:(Peer.segment_left victim)
+      ~key:(Printf.sprintf "planted-%d" i) ~value:"x"
+  done;
+  let stripped = ref 0 in
+  World.iter_peers w (fun p ->
+      if !stripped < 10 then
+        List.iter
+          (fun key ->
+            if !stripped < 10 then begin
+              Data_store.remove p.Peer.replicas ~key;
+              incr stripped
+            end)
+          (Data_store.keys p.Peer.replicas));
+  both ();
+  World.ensure_fingers w;
+  let p = arr.(1) in
+  let fingers = World.fingers w p in
+  fingers.(3) <- None;
+  fingers.(P2p_hashspace.Id_space.bits - 1) <- Some arr.(0);
+  both ();
+  (* a join triangle in flight: online, under-replication is not owed *)
+  arr.(n / 3).Peer.joining <- true;
+  both ();
+  let reported =
+    List.sort_uniq compare
+      (List.map (fun (v : Checks.violation) -> v.Checks.check)
+         (Checks.violations (Checks.final w)))
+  in
+  (!fresh, reported)
+
+let replicated ?(base = Config.default) r = { base with Config.replication_factor = r }
+
+let churn_mix =
+  let open Scenario in
+  [ Join_many (60, 0.7); Insert_items 150; Settle; Lookup_items 100; Settle;
+    Crash_random; Repair; Leave_random; Settle; Join_many (10, 0.5);
+    Crash_fraction 0.1; Repair; Insert_items 50; Lookup_items 100; Settle;
+    Anti_entropy 5000.0; Lookup_items 50; Settle ]
+
+let test_reference_star r () =
+  let h = H.create_star ~seed:(31 + r) ~peers:400 ~config:(replicated r) () in
+  let fresh, reported = compare_with_reference h ~seed:(31 + r) ~script:churn_mix in
+  checkb "some ticks saw fresh fingers" true (fresh > 0);
+  List.iter
+    (fun check -> checkb ("damage reported by " ^ check) true (List.mem check reported))
+    ([ "ring_symmetry"; "finger_tables"; "tree_structure"; "data_placement" ]
+    @ if r > 0 then [ "replication_factor" ] else [])
+
+let test_reference_transit_stub () =
+  let h, _ = Pipeline.build ~seed:41 ~n:120 ~config:(replicated 2) () in
+  let _, reported = compare_with_reference h ~seed:41 ~script:churn_mix in
+  checkb "under-replication reported" true (List.mem "replication_factor" reported)
+
+let test_reference_bloom () =
+  let config = replicated ~base:{ Config.default with Config.bloom_bits_per_key = 8 } 2 in
+  let h = H.create_star ~seed:43 ~peers:400 ~config () in
+  ignore (compare_with_reference h ~seed:43 ~script:churn_mix : int * string list)
+
+(* The Gini coefficient by hand, over the stores of a four-peer world:
+   sizes [0; 0; 0; 4] give 2 (4 * 4) / (4 * 4) - 5 / 4 = 0.75, sizes
+   [3; 3; 3; 3] give 2 * 3 (1 + 2 + 3 + 4) / (4 * 12) - 5 / 4 = 0, and
+   all-zero sizes 0. *)
+let test_gini_by_hand () =
+  let h, _ = star_system ~n:4 ~ps:0.5 () in
+  let w = H.world h in
+  checki "four peers" 4 (World.peer_count w);
+  let load_balance = Option.get (Checks.find "load_balance") in
+  let gauge name =
+    match List.assoc_opt name (Checks.run load_balance w).Checks.gauges with
+    | Some v -> v
+    | None -> Alcotest.fail ("missing gauge " ^ name)
+  in
+  let exactly = Alcotest.(check (float 0.0)) in
+  exactly "all zero" 0.0 (gauge "items_gini");
+  let fill p count =
+    for i = 1 to count do
+      Data_store.insert p.Peer.store ~key:(Printf.sprintf "k%d-%d" p.Peer.host i) ~value:"v"
+    done
+  in
+  let peers = H.peers h in
+  fill (List.nth peers 2) 4;
+  exactly "one holder of four" 0.75 (gauge "items_gini");
+  exactly "total" 4.0 (gauge "items_total");
+  exactly "max" 4.0 (gauge "items_per_peer_max");
+  exactly "mean" 1.0 (gauge "items_per_peer_mean");
+  List.iter (fun p -> Data_store.clear p.Peer.store; fill p 3) peers;
+  exactly "equal load" 0.0 (gauge "items_gini")
+
+(* A steady-state tick of the whole catalogue over a 1,000-peer joined
+   world allocates under 3 words per registered peer, with stale fingers
+   and with fresh ones (finger_tables then checks all 30 x T entries). *)
+let test_tick_allocation () =
+  let h, _ = Pipeline.build ~ps:0.8 ~seed:42000 ~n:1000 ~config:(replicated 2) () in
+  ignore (Pipeline.replication h);
+  let w = H.world h in
+  let state = Checks.state () in
+  let words () =
+    ignore (Checks.run_all ~state w : Checks.snapshot);
+    let before = Gc.allocated_bytes () in
+    ignore (Checks.run_all ~state w : Checks.snapshot);
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let budget = 3.0 *. float_of_int (World.peer_count w) in
+  let stale = words () in
+  World.ensure_fingers w;
+  let fresh = words () in
+  checkb "the fresh tick checked fingers" true
+    (gauge_of (Checks.run_all ~state w) "finger_tables" "fingers_fresh" = Some 1.0);
+  if stale >= budget || fresh >= budget then
+    Alcotest.failf "tick allocates %.0f / %.0f words (stale / fresh fingers), budget %.0f"
+      stale fresh budget
+
 (* --- the run pipeline's drive loop and verdict --- *)
 
 (* Attaching a timeline sampler must not move an audit tick: the same
@@ -607,6 +779,12 @@ let suite =
     Alcotest.test_case "final: detached s-peer" `Quick test_detached_speer_final_only;
     Alcotest.test_case "gauges: load balance" `Quick test_load_balance_gauges;
     Alcotest.test_case "gauges: empty gini" `Quick test_gini;
+    Alcotest.test_case "gauges: gini by hand" `Quick test_gini_by_hand;
+    Alcotest.test_case "reference: star, r=0" `Quick (test_reference_star 0);
+    Alcotest.test_case "reference: star, r=2" `Quick (test_reference_star 2);
+    Alcotest.test_case "reference: transit-stub, r=2" `Quick test_reference_transit_stub;
+    Alcotest.test_case "reference: bloom summaries" `Quick test_reference_bloom;
+    Alcotest.test_case "cost: tick allocation per peer" `Quick test_tick_allocation;
     Alcotest.test_case "scenario: clean audited run" `Quick test_scenario_clean_audit;
     Alcotest.test_case "scenario: violations over time" `Quick
       test_scenario_violations_over_time;
