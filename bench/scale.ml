@@ -84,16 +84,17 @@ let overhead_chunk = 100
    words per executed event at [telemetry_sample_rate].  The residue is
    protocol payload closures and sampled-trace spans: the event queue
    recycles entries and routing queries allocate no tuples.  The ceiling
-   leaves headroom for workload drift while still catching a
-   reintroduced per-hop handle/closure/boxing regression, which costs
-   hundreds of words per event at this fan-out. *)
-let max_minor_words_per_event = 300.0
+   is 1.5x the 76 words measured with the queue holding bare thunks:
+   headroom for workload drift, while a reintroduced per-event record,
+   per-timer closure or per-hop boxing crosses it. *)
+let max_minor_words_per_event = 114.0
 
 (* Allocation ceiling for the deep-queue leg, in minor words per event.
-   The residue is the engine's event record, the chain's boxed delay and
-   RNG state, about 15 words; a queue that allocated per insertion or per
-   sift step would cross it. *)
-let max_deep_minor_words_per_event = 32.0
+   The residue is the chain's boxed delay, RNG state and boxed event
+   time, 11.8 words; the ceiling is 1.5x that.  A queue that allocated
+   per insertion or per sift step, or an event record around each
+   thunk, would cross it. *)
+let max_deep_minor_words_per_event = 17.7
 
 let deep_depths = [ 100; 2_000; 20_000 ]
 

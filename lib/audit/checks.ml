@@ -56,6 +56,44 @@ let gauge col name value = col.extra <- (name, value) :: col.extra
 let finish col =
   { name = col.who; violations = List.rev col.acc; gauges = List.rev col.extra }
 
+(* --- per-tick scratch ------------------------------------------------------
+
+   The host- and key-indexed arrays the structural checks tally into,
+   kept from tick to tick so a tick allocates none of them.  An entry
+   counts only while its stamp equals the current tick's epoch: a tick
+   writes only the entries it touches and never clears anything, and a
+   grown array starts with stamps of 0, which no epoch equals. *)
+type scratch = {
+  mutable epoch : int;
+  mutable host_stamp : int array;
+  mutable host_count : int array;  (* membership: s-peers counted per root host *)
+  mutable key_stamp : int array;
+  mutable key_count : int array;  (* replication_factor: replica copies per key id *)
+}
+
+let scratch () =
+  { epoch = 0; host_stamp = [||]; host_count = [||]; key_stamp = [||]; key_count = [||] }
+
+(* A fresh epoch: every stamp written before it is stale. *)
+let next_epoch sc =
+  sc.epoch <- sc.epoch + 1;
+  sc.epoch
+
+let grown a n = Array.make (max n (2 * Array.length a)) 0
+
+(* Make the host arrays cover [0, n). *)
+let fit_hosts sc n =
+  if Array.length sc.host_stamp < n then begin
+    sc.host_stamp <- grown sc.host_stamp n;
+    sc.host_count <- grown sc.host_count n
+  end
+
+let fit_keys sc n =
+  if Array.length sc.key_stamp < n then begin
+    sc.key_stamp <- grown sc.key_stamp n;
+    sc.key_count <- grown sc.key_count n
+  end
+
 (* --- in-flight state recognition ----------------------------------------
 
    A tick can land mid-protocol: between two legs of a join/leave
@@ -65,24 +103,27 @@ let finish col =
    Online ticks tolerate both; the [final] pass, run at rest, reports
    them as errors. *)
 
-(* Where does [peer]'s cp chain end? *)
+(* Where does [peer]'s cp chain end?  At the first peer that is dead, a
+   t-peer or without a connect point; a chain still going after 100,000
+   hops is a cycle, and ends where it was cut.  No allocation: the end
+   peer is returned as is and classified by {!attachment}. *)
+let rec chain_end p hops =
+  if (not p.Peer.alive) || Peer.is_t_peer p then p
+  else
+    match p.Peer.cp with
+    | None -> p
+    | Some parent -> if hops >= 100_000 then p else chain_end parent (hops + 1)
+
 type attachment =
-  | Rooted of Peer.t  (* reached a live t-peer *)
+  | Rooted  (* reached a live t-peer *)
   | In_transit  (* chain ends at a live s-peer awaiting (re)attachment *)
-  | Stranded of Peer.t  (* chain passes through a dead peer *)
+  | Stranded  (* chain passes through a dead peer *)
   | Cp_cycle
 
-let resolve_attachment peer =
-  let rec follow p hops =
-    if hops > 100_000 then Cp_cycle
-    else if not p.Peer.alive then Stranded p
-    else if Peer.is_t_peer p then Rooted p
-    else
-      match p.Peer.cp with
-      | None -> In_transit
-      | Some parent -> follow parent (hops + 1)
-  in
-  follow peer 0
+let attachment e =
+  if not e.Peer.alive then Stranded
+  else if Peer.is_t_peer e then Rooted
+  else match e.Peer.cp with None -> In_transit | Some _ -> Cp_cycle
 
 (* --- ring symmetry ------------------------------------------------------ *)
 
@@ -200,21 +241,20 @@ let finger_tables ~final:_ who w =
 
 (* --- s-tree shape and the degree cap ------------------------------------ *)
 
-(* [first_sight host] is [true] the first time it sees [host]: one byte
-   per host below [World.host_bound], and a table for any other host —
-   hand-wired peers (tests, fault injection) carry negative hosts. *)
-let host_marks w =
-  let bound = World.host_bound w in
-  let dense = Bytes.make bound '\000' and stray = Hashtbl.create 1 in
-  fun host ->
-    if host >= 0 && host < bound then
-      Bytes.get dense host = '\000' && (Bytes.set dense host '\001'; true)
-    else (not (Hashtbl.mem stray host)) && (Hashtbl.add stray host (); true)
-
-let tree_structure ~final:_ who w =
+let tree_structure sc ~final:_ who w =
   let col = collector who in
   let delta = w.World.config.Config.delta in
-  let first_sight = host_marks w in
+  (* [first_sight host] is [true] the first time the tick sees [host]:
+     a stamp per host below [World.host_bound], and a table for any
+     other host — hand-wired peers (tests, fault injection) carry
+     negative hosts. *)
+  let bound = World.host_bound w in
+  fit_hosts sc bound;
+  let epoch = next_epoch sc and stamp = sc.host_stamp and stray = Hashtbl.create 1 in
+  let first_sight host =
+    if host >= 0 && host < bound then stamp.(host) <> epoch && (stamp.(host) <- epoch; true)
+    else (not (Hashtbl.mem stray host)) && (Hashtbl.add stray host (); true)
+  in
   let rec walk root peer =
     if not (first_sight peer.Peer.host) then
       err col ~subject:peer.Peer.host "cycle at peer #%d in s-network of #%d"
@@ -232,24 +272,26 @@ let tree_structure ~final:_ who w =
       if peer.Peer.p_id <> root.Peer.p_id then
         err col ~subject:peer.Peer.host "peer #%d: p_id %#x differs from root #%d"
           peer.Peer.host peer.Peer.p_id root.Peer.host;
-      List.iter
-        (fun child ->
-          if not child.Peer.alive then
-            err col ~subject:peer.Peer.host "peer #%d: child #%d is dead (undetected crash)"
-              peer.Peer.host child.Peer.host
-          else begin
-            (match child.Peer.cp with
-             | Some cp when cp == peer -> ()
-             | Some cp ->
-               err col ~subject:child.Peer.host "child #%d: cp is #%d, not parent #%d"
-                 child.Peer.host cp.Peer.host peer.Peer.host
-             | None ->
-               err col ~subject:child.Peer.host "child #%d of #%d: cp unset" child.Peer.host
-                 peer.Peer.host);
-            walk root child
-          end)
-        peer.Peer.children
+      walk_children root peer peer.Peer.children
     end
+  and walk_children root peer = function
+    | [] -> ()
+    | child :: rest ->
+      if not child.Peer.alive then
+        err col ~subject:peer.Peer.host "peer #%d: child #%d is dead (undetected crash)"
+          peer.Peer.host child.Peer.host
+      else begin
+        (match child.Peer.cp with
+         | Some cp when cp == peer -> ()
+         | Some cp ->
+           err col ~subject:child.Peer.host "child #%d: cp is #%d, not parent #%d"
+             child.Peer.host cp.Peer.host peer.Peer.host
+         | None ->
+           err col ~subject:child.Peer.host "child #%d of #%d: cp unset" child.Peer.host
+             peer.Peer.host);
+        walk root child
+      end;
+      walk_children root peer rest
   in
   Array.iter
     (fun root ->
@@ -264,13 +306,14 @@ let tree_structure ~final:_ who w =
 
 (* --- membership: every live peer hangs under exactly one live root ------ *)
 
-let membership ~final who w =
+let membership sc ~final who w =
   let col = collector who in
   let in_transit = ref 0 in
   (* s-peers counted per root host; a root outside [0, host_bound) has
      no size-table entry to compare with *)
   let bound = World.host_bound w in
-  let by_root = Array.make bound 0 in
+  fit_hosts sc bound;
+  let epoch = next_epoch sc and stamp = sc.host_stamp and by_root = sc.host_count in
   World.iter_peers w
     (fun p ->
       if Peer.is_t_peer p then begin
@@ -287,10 +330,17 @@ let membership ~final who w =
             cp.Peer.host
       end
       else
-        match resolve_attachment p with
-        | Rooted root ->
+        let last = chain_end p 0 in
+        match attachment last with
+        | Rooted ->
+          let root = last in
           let r = root.Peer.host in
-          if r >= 0 && r < bound then by_root.(r) <- by_root.(r) + 1;
+          if r >= 0 && r < bound then
+            if stamp.(r) = epoch then by_root.(r) <- by_root.(r) + 1
+            else begin
+              stamp.(r) <- epoch;
+              by_root.(r) <- 1
+            end;
           (match p.Peer.t_home with
            | Some home when home == root -> ()
            | Some home ->
@@ -311,7 +361,8 @@ let membership ~final who w =
           if final then
             err col ~subject:p.Peer.host "s-peer #%d: detached from every s-network"
               p.Peer.host
-        | Stranded dead ->
+        | Stranded ->
+          let dead = last in
           err col ~subject:p.Peer.host "s-peer #%d: stranded under dead peer #%d"
             p.Peer.host dead.Peer.host
         | Cp_cycle ->
@@ -321,14 +372,12 @@ let membership ~final who w =
   (* The server's size table is only comparable when nothing is in
      flight; stale entries while peers rejoin are expected. *)
   if !in_transit = 0 then
-    List.iter
-      (fun (host, recorded) ->
-        let actual = if host < bound then by_root.(host) else 0 in
+    World.iter_snet_sizes w (fun host recorded ->
+        let actual = if host < bound && stamp.(host) = epoch then by_root.(host) else 0 in
         if recorded <> actual then
           warn col ~subject:host
             "server size table: s-network of #%d recorded as %d, counted %d" host recorded
-            actual)
-      (World.snet_size_entries w);
+            actual);
   finish col
 
 (* --- data placement (Schemes A and B) ----------------------------------- *)
@@ -375,7 +424,7 @@ let data_placement ~final who w =
 
 (* --- replication factor (durability invariant) -------------------------- *)
 
-let replication_factor ~final who w =
+let replication_factor sc ~final who w =
   let col = collector who in
   let r = w.World.config.Config.replication_factor in
   if r > 0 then begin
@@ -395,29 +444,46 @@ let replication_factor ~final who w =
     let interner = World.interner w in
     let items = ref 0 and copies = ref 0 and under = ref 0 in
     if Intern.count interner > 0 then begin
-      let copies_of = Array.make (Intern.count interner) 0 in
-      World.iter_peers w (fun p ->
-          Data_store.iter_ids p.Peer.replicas (fun id -> copies_of.(id) <- copies_of.(id) + 1));
+      fit_keys sc (Intern.count interner);
+      (* a key's stamp is [counted] while its copy tally is live, and
+         [checked] once its primary has been checked *)
+      let counted = next_epoch sc in
+      let checked = next_epoch sc in
+      let stamp = sc.key_stamp and copies_of = sc.key_count in
+      let count_copy id =
+        if stamp.(id) = counted then copies_of.(id) <- copies_of.(id) + 1
+        else begin
+          stamp.(id) <- counted;
+          copies_of.(id) <- 1
+        end
+      in
+      World.iter_peers w (fun p -> Data_store.iter_ids p.Peer.replicas count_copy);
       (* a primary is checked at its first holder in host order *)
-      let checked = Bytes.make (Intern.count interner) '\000' in
+      let holder = ref None and expected = ref (-1) in
+      let check_primary id =
+        let s = stamp.(id) in
+        if s <> checked then begin
+          stamp.(id) <- checked;
+          incr items;
+          let have = if s = counted then copies_of.(id) else 0 in
+          copies := !copies + have;
+          let p = Option.get !holder in
+          if !expected < 0 then
+            expected := min r (P2p_replication.Policy.expected_copies w ~primary:p);
+          if have < !expected then begin
+            incr under;
+            if !under <= 8 && Lazy.force settled then
+              err col ~subject:p.Peer.host "item %S at #%d has %d replica copies, expected %d"
+                (Intern.name interner id) p.Peer.host have !expected
+          end
+        end
+      in
       World.iter_peers w (fun p ->
-          let expected = ref (-1) in
-          Data_store.iter_ids p.Peer.store (fun id ->
-              if Bytes.get checked id = '\000' then begin
-                Bytes.set checked id '\001';
-                incr items;
-                let have = copies_of.(id) in
-                copies := !copies + have;
-                if !expected < 0 then
-                  expected := min r (P2p_replication.Policy.expected_copies w ~primary:p);
-                if have < !expected then begin
-                  incr under;
-                  if !under <= 8 && Lazy.force settled then
-                    err col ~subject:p.Peer.host
-                      "item %S at #%d has %d replica copies, expected %d"
-                      (Intern.name interner id) p.Peer.host have !expected
-                end
-              end))
+          if Data_store.size p.Peer.store > 0 then begin
+            holder := Some p;
+            expected := -1;
+            Data_store.iter_ids p.Peer.store check_primary
+          end)
     end;
     if !under > 8 && Lazy.force settled then
       err col "...and %d more under-replicated items" (!under - 8);
@@ -581,8 +647,9 @@ type op_entry = {
   mutable queued : bool;  (* in [dirty] for this tick's analysis *)
 }
 
-(* What [latency_sanity] carries from tick to tick — the only check that
-   keeps a state. *)
+(* What the checks carry from tick to tick: [latency_sanity]'s view of
+   the trace, and the other checks' scratch arrays, which hold no
+   finding from one tick to the next. *)
 type state = {
   mutable trace : Trace.t option;  (* the trace the fields below describe *)
   mutable resets : int;
@@ -602,6 +669,7 @@ type state = {
   roots : (int, op_entry) Hashtbl.t;  (* closed retained root span id -> its op *)
   mutable dirty : op_entry list;
   mutable bad_ops : Spans.op Int_map.t;  (* root span id -> over-long critical path *)
+  scratch : scratch;  (* the other checks' reusable tallies *)
 }
 
 let no_op = min_int
@@ -622,6 +690,7 @@ let state () =
     roots = Hashtbl.create 64;
     dirty = [];
     bad_ops = Int_map.empty;
+    scratch = scratch ();
   }
 
 (* Forget everything and start over on [tr] (a first tick, another trace,
@@ -835,7 +904,8 @@ type check = {
   c_run : state -> final:bool -> string -> World.t -> status;
       (* the check's own name is threaded in so violations self-attribute;
          [final] switches every in-flight tolerance off; only
-         [latency_sanity] keeps anything in the state *)
+         [latency_sanity] carries findings in the state, the others
+         reuse its scratch arrays *)
 }
 
 let check_name c = c.c_name
@@ -843,6 +913,8 @@ let check_name c = c.c_name
 let describe c = c.c_describe
 
 let stateless f (_ : state) = f
+
+let with_scratch f st = f st.scratch
 
 let all =
   [
@@ -859,12 +931,12 @@ let all =
     {
       c_name = "tree_structure";
       c_describe = "s-tree acyclicity, cp symmetry, t_home/p_id, degree cap delta";
-      c_run = stateless tree_structure;
+      c_run = with_scratch tree_structure;
     };
     {
       c_name = "membership";
       c_describe = "every live peer attached under one live root; server size table";
-      c_run = stateless membership;
+      c_run = with_scratch membership;
     };
     {
       c_name = "data_placement";
@@ -874,7 +946,7 @@ let all =
     {
       c_name = "replication_factor";
       c_describe = "every primary item keeps its configured replica count (when r > 0)";
-      c_run = stateless replication_factor;
+      c_run = with_scratch replication_factor;
     };
     {
       c_name = "bloom_coverage";

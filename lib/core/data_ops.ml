@@ -125,12 +125,18 @@ let insert w ~from ~key ~value ?route_id () ~on_done =
 
 (* --- Lookup --- *)
 
+(* Everything a pending lookup holds: the expiry timer's action and each
+   attempt read their state from here, so no closure outlives a message
+   in flight. *)
 type ctx = {
   requester : Peer.t;
   key : string;
+  d_id : int;
   mutable key_id : int;  (* [key]'s id in the world interner, [-1] until interned *)
   op : int;  (* trace operation id minted at lookup initiation *)
   started : float;
+  mutable ttl : int;  (* the current attempt's flood TTL *)
+  mutable attempts_left : int;  (* refloods left before the lookup times out *)
   mutable finished : bool;
   mutable replied : bool;
   mutable timer : Transport.timer;
@@ -297,87 +303,101 @@ let resolve_in_snetwork ctx ~entry ~base_hops ~ttl ~skip_entry_check =
         ~src:entry ~dst:tracker (fun () ->
           if tracker.Peer.alive then tracker_resolve ctx ~tracker ~base_hops:(base_hops + 1))
 
+(* Route from the requester's home t-peer to the owner; every t-peer on
+   the ring path checks its database. *)
+let route_from_home ctx ~home ~ttl ~base_hops =
+  T_network.route_to_owner ctx.w ~op:ctx.op ~from:home ~d_id:ctx.d_id
+    ~visit:(fun tpeer ~hops ->
+      if tpeer.Peer.alive then ignore (check_peer ctx tpeer ~hops:(base_hops + hops) : bool))
+    ~on_arrive:(fun ~owner ~hops ->
+      resolve_in_snetwork ctx ~entry:owner ~base_hops:(base_hops + hops) ~ttl
+        ~skip_entry_check:true)
+    ()
+
+(* One attempt: resolve from the requester with the current TTL.  The
+   TTL is read once here, so an earlier attempt's messages still in
+   flight keep the TTL they were sent with. *)
+let start ctx =
+  let w = ctx.w and from = ctx.requester and d_id = ctx.d_id and op = ctx.op
+  and ttl = ctx.ttl in
+  if snet_covers from d_id then
+    resolve_in_snetwork ctx ~entry:from ~base_hops:0 ~ttl ~skip_entry_check:false
+  else if not (check_peer ctx from ~hops:(-1)) then
+    (* the requester itself held the item (typically a cached copy of
+       popular data — the Section-7 scheme); the reply is already on its
+       way *)
+    ()
+  else
+    match bypass_towards w from d_id with
+    | Some target ->
+      refresh_bypass w from target;
+      World.send_span w ~op ~tier:"t_network" ~phase:"bypass_hop" ~src:from
+        ~dst:target (fun () ->
+          if target.Peer.alive then
+            resolve_in_snetwork ctx ~entry:target ~base_hops:1 ~ttl
+              ~skip_entry_check:false)
+    | None ->
+      (match from.Peer.t_home with
+       | None -> invalid_arg "Data_ops.lookup: peer outside any s-network"
+       | Some home ->
+         if home == from then route_from_home ctx ~home ~ttl ~base_hops:0
+         else
+           World.send_span w ~op ~tier:"t_network" ~phase:"home_hop" ~src:from
+             ~dst:home (fun () ->
+               if home.Peer.alive then route_from_home ctx ~home ~ttl ~base_hops:1))
+
+(* The requester's lookup timer (Section 3.4). *)
+let rec arm ctx =
+  ctx.timer <-
+    World.one_shot ctx.w ~delay:ctx.w.World.config.Config.lookup_timeout (fun () ->
+        expire ctx)
+
+and expire ctx =
+  if not ctx.finished then begin
+    if ctx.attempts_left > 0 then begin
+      (* Section 3.4: increase the TTL, rearm the timer, reflood. *)
+      ctx.replied <- false;
+      arm ctx;
+      ctx.ttl <- 2 * Stdlib.max 1 ctx.ttl;
+      ctx.attempts_left <- ctx.attempts_left - 1;
+      start ctx
+    end
+    else begin
+      ctx.finished <- true;
+      Metrics.record_lookup_failure ctx.w.World.metrics;
+      Trace.end_op (World.trace ctx.w) ~time:(World.now ctx.w) ~op:ctx.op "timed out";
+      ctx.on_result Timed_out
+    end
+  end
+
+(* [ctx.timer]'s value until [arm] replaces it. *)
+let unarmed =
+  Transport.Timer ({ Transport.cancel = ignore; reset = ignore; active = (fun () -> false) }, ())
+
 let lookup w ~from ~key ?ttl ?route_id () ~on_result =
-  let initial_ttl = Option.value ttl ~default:w.World.config.Config.default_ttl in
+  let ttl = Option.value ttl ~default:w.World.config.Config.default_ttl in
   let d_id = match route_id with Some id -> id | None -> Key_hash.of_string key in
   Metrics.record_lookup_issued w.World.metrics;
   let op = Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Lookup key in
-  let expire_hook = ref (fun () -> ()) in
-  let make_timer () =
-    World.one_shot w ~delay:w.World.config.Config.lookup_timeout (fun () ->
-        !expire_hook ())
-  in
   let ctx =
     {
       requester = from;
       key;
+      d_id;
       key_id = -1;
       op;
       started = World.now w;
+      ttl;
+      attempts_left = w.World.config.Config.reflood_attempts;
       finished = false;
       replied = false;
-      timer = make_timer ();
+      timer = unarmed;
       on_result;
       w;
     }
   in
-  let rec start ~ttl =
-    if snet_covers from d_id then
-      resolve_in_snetwork ctx ~entry:from ~base_hops:0 ~ttl ~skip_entry_check:false
-    else if not (check_peer ctx from ~hops:(-1)) then
-      (* the requester itself held the item (typically a cached copy of
-         popular data — the Section-7 scheme); the reply is already on its
-         way *)
-      ()
-    else
-      match bypass_towards w from d_id with
-      | Some target ->
-        refresh_bypass w from target;
-        World.send_span w ~op ~tier:"t_network" ~phase:"bypass_hop" ~src:from
-          ~dst:target (fun () ->
-            if target.Peer.alive then
-              resolve_in_snetwork ctx ~entry:target ~base_hops:1 ~ttl
-                ~skip_entry_check:false)
-      | None ->
-        (match from.Peer.t_home with
-         | None -> invalid_arg "Data_ops.lookup: peer outside any s-network"
-         | Some home ->
-           let route_from_home ~base_hops =
-             T_network.route_to_owner w ~op ~from:home ~d_id
-               ~visit:(fun tpeer ~hops ->
-                 (* every t-peer on the ring path checks its database *)
-                 if tpeer.Peer.alive then
-                   ignore (check_peer ctx tpeer ~hops:(base_hops + hops) : bool))
-               ~on_arrive:(fun ~owner ~hops ->
-                 resolve_in_snetwork ctx ~entry:owner ~base_hops:(base_hops + hops) ~ttl
-                   ~skip_entry_check:true)
-               ()
-           in
-           if home == from then route_from_home ~base_hops:0
-           else
-             World.send_span w ~op ~tier:"t_network" ~phase:"home_hop" ~src:from
-               ~dst:home (fun () ->
-                 if home.Peer.alive then route_from_home ~base_hops:1))
-  and attempt ~ttl ~attempts_left =
-    expire_hook :=
-      (fun () ->
-        if not ctx.finished then begin
-          if attempts_left > 0 then begin
-            (* Section 3.4: increase the TTL, rearm the timer, reflood. *)
-            ctx.replied <- false;
-            ctx.timer <- make_timer ();
-            attempt ~ttl:(2 * Stdlib.max 1 ttl) ~attempts_left:(attempts_left - 1)
-          end
-          else begin
-            ctx.finished <- true;
-            Metrics.record_lookup_failure w.World.metrics;
-            Trace.end_op (World.trace w) ~time:(World.now w) ~op "timed out";
-            on_result Timed_out
-          end
-        end);
-    start ~ttl
-  in
-  attempt ~ttl:initial_ttl ~attempts_left:w.World.config.Config.reflood_attempts
+  arm ctx;
+  start ctx
 
 (* --- Partial / keyword search (Section 5.3) --- *)
 

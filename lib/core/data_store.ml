@@ -139,7 +139,12 @@ let iter t f =
           ~route_id:t.routes.(i))
     t.keys
 
-let iter_ids t f = Array.iter (fun kid -> if kid >= 0 then f kid) t.keys
+let iter_ids t f =
+  let keys = t.keys in
+  for i = 0 to Array.length keys - 1 do
+    let kid = keys.(i) in
+    if kid >= 0 then f kid
+  done
 
 let iter_id_items t f =
   Array.iteri (fun i kid -> if kid >= 0 then f kid t.vals.(i) t.routes.(i)) t.keys

@@ -467,12 +467,10 @@ let set_snet_size t tpeer n =
 let snet_size_changed t tpeer ~delta =
   set_snet_size t tpeer (snet_size t tpeer + delta)
 
-let snet_size_entries t =
-  let acc = ref [] in
-  for host = Array.length t.snet - 1 downto 0 do
-    if t.snet.(host) >= 0 then acc := (host, t.snet.(host)) :: !acc
-  done;
-  !acc
+let iter_snet_sizes t f =
+  for host = 0 to Array.length t.snet - 1 do
+    if t.snet.(host) >= 0 then f host t.snet.(host)
+  done
 
 let fingers_fresh t = not t.fingers_dirty
 

@@ -202,7 +202,7 @@ val find_peer : t -> host:int -> Peer.t option
 
 val peer_count : t -> int
 
-(** Every registered peer's host, and every host {!snet_size_entries}
+(** Every registered peer's host, and every host {!iter_snet_sizes}
     names, lies in [\[0, host_bound t)]: a size for host-indexed arrays
     (hosts are dense graph-node ids). *)
 val host_bound : t -> int
@@ -264,10 +264,11 @@ val snet_size : t -> Peer.t -> int
     transfer. *)
 val set_snet_size : t -> Peer.t -> int -> unit
 
-(** Every (t-peer host, recorded s-peer count) row of the server's size
-    table, in no particular order — the audit layer compares these against
-    live tree walks. *)
-val snet_size_entries : t -> (int * int) list
+(** [iter_snet_sizes t f] calls [f host count] on every (t-peer host,
+    recorded s-peer count) row of the server's size table, in ascending
+    host order — the audit layer compares these against live tree
+    walks. *)
+val iter_snet_sizes : t -> (int -> int -> unit) -> unit
 
 (** Whether the lazily refreshed finger tables currently reflect the ring
     membership.  [false] after a membership change until the next

@@ -1,11 +1,9 @@
 type handle = Event_queue.handle
 
-type labeled = { label : string option; thunk : unit -> unit }
-
 type label_stats = { mutable fires : int; mutable cpu_s : float }
 
 type t = {
-  queue : labeled Event_queue.t;
+  queue : (unit -> unit) Event_queue.t;
   mutable clock : float;
   mutable executed : int;
   root_rng : Rng.t;
@@ -14,30 +12,13 @@ type t = {
   label_table : (string, label_stats) Hashtbl.t;
   (* the executor closure, built once — [pop_apply] then runs events
      without a fresh closure per pop *)
-  mutable exec : float -> labeled -> unit;
+  mutable exec : float -> (unit -> unit) -> unit;
 }
 
-let account t label cpu_s =
-  let stats =
-    match Hashtbl.find_opt t.label_table label with
-    | Some s -> s
-    | None ->
-      let s = { fires = 0; cpu_s = 0.0 } in
-      Hashtbl.add t.label_table label s;
-      s
-  in
-  stats.fires <- stats.fires + 1;
-  stats.cpu_s <- stats.cpu_s +. cpu_s
-
-let execute t time { label; thunk } =
+let execute t time thunk =
   t.clock <- time;
   t.executed <- t.executed + 1;
-  match label with
-  | Some label when t.profiling ->
-    let started = Sys.time () in
-    thunk ();
-    account t label (Sys.time () -. started)
-  | Some _ | None -> thunk ()
+  thunk ()
 
 let create ~seed () =
   let t =
@@ -63,12 +44,34 @@ let enable_profiling t = t.profiling <- true
 
 let profiling t = t.profiling
 
+let stats t label =
+  match Hashtbl.find_opt t.label_table label with
+  | Some s -> s
+  | None ->
+    let s = { fires = 0; cpu_s = 0.0 } in
+    Hashtbl.add t.label_table label s;
+    s
+
+(* The queue holds bare thunks.  A labelled event scheduled while
+   profiling is on is wrapped here, once, in a closure that times it
+   into its label's row; every other event is queued as given. *)
+let timed t label f =
+  match label with
+  | Some label when t.profiling ->
+    let s = stats t label in
+    fun () ->
+      let started = Sys.time () in
+      f ();
+      s.fires <- s.fires + 1;
+      s.cpu_s <- s.cpu_s +. (Sys.time () -. started)
+  | Some _ | None -> f
+
 let track_depth t =
   let depth = Event_queue.length t.queue in
   if depth > t.queue_hwm then t.queue_hwm <- depth
 
 let add t ~time ~label f =
-  let h = Event_queue.add t.queue ~time { label; thunk = f } in
+  let h = Event_queue.add t.queue ~time (timed t label f) in
   track_depth t;
   h
 
@@ -81,11 +84,11 @@ let schedule_at ?label t ~time f =
   add t ~time ~label f
 
 (* The fire-and-forget fast path: no handle, and [label] is a plain
-   argument so a call site with a hoisted value allocates nothing beyond
-   the event record itself. *)
+   argument so a call site with a hoisted value allocates nothing: the
+   thunk itself is the queued event. *)
 let schedule_detached t ~label ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_detached: negative delay";
-  Event_queue.add_fast t.queue ~time:(t.clock +. delay) { label; thunk = f };
+  Event_queue.add_fast t.queue ~time:(t.clock +. delay) (timed t label f);
   track_depth t
 
 let cancel = Event_queue.cancel
@@ -109,8 +112,10 @@ let pending t = Event_queue.live_length t.queue
 
 let queue_high_water t = t.queue_hwm
 
+(* A row exists from a label's first timed schedule; only labels that
+   fired are reported. *)
 let profile t =
   Hashtbl.fold
-    (fun label s acc -> (label, s.fires, s.cpu_s) :: acc)
+    (fun label s acc -> if s.fires > 0 then (label, s.fires, s.cpu_s) :: acc else acc)
     t.label_table []
   |> List.sort compare

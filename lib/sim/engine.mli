@@ -17,8 +17,12 @@
     on ({!enable_profiling}), events scheduled with a [?label] additionally
     accumulate per-label fire counts and host-CPU handler time, so a run
     report can show where simulation wall-clock goes (message delivery vs
-    timers vs experiment glue).  Profiling is off by default and labelled
-    scheduling costs nothing while it stays off. *)
+    timers vs experiment glue).  A label applies at schedule time: the
+    queue holds bare thunks, and a labelled event scheduled while
+    profiling is on is queued wrapped in its timing closure, so only
+    events scheduled after {!enable_profiling} are timed.  Profiling is
+    off by default and labelled scheduling costs nothing while it stays
+    off. *)
 
 type t
 
@@ -49,7 +53,7 @@ val schedule_at : ?label:string -> t -> time:float -> (unit -> unit) -> handle
     is allocated (the queue uses a shared never-dead handle and stores
     the event in a free slot of its arrays).  [label] is a plain
     argument — pass a hoisted value at hot call sites and the call
-    allocates only the event record.  This is the
+    allocates nothing: the thunk itself is the queued event.  This is the
     per-message path of the underlay, which never cancels deliveries.
     @raise Invalid_argument if [delay < 0.]. *)
 val schedule_detached :
@@ -71,8 +75,9 @@ val run_until : t -> time:float -> unit
 
 (** {1 Profiling} *)
 
-(** [enable_profiling t] turns on per-label handler timing (irreversible
-    for the engine's lifetime; meant to be set right after {!create}). *)
+(** [enable_profiling t] turns on per-label handler timing for events
+    scheduled from now on (irreversible for the engine's lifetime; meant
+    to be set right after {!create}). *)
 val enable_profiling : t -> unit
 
 (** Is per-label profiling on? *)

@@ -180,6 +180,8 @@ let add t ~time value =
 
 let add_fast t ~time value = push t ~time value t.immortal
 
+let null_handle = { dead = true; queued = false; dead_count = ref 0 }
+
 let cancel h =
   if not h.dead then begin
     h.dead <- true;

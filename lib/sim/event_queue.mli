@@ -39,6 +39,11 @@ val add : 'a t -> time:float -> 'a -> handle
     allocates nothing for it (beyond growing its arrays). *)
 val add_fast : 'a t -> time:float -> 'a -> unit
 
+(** A handle of no event, already cancelled: the placeholder of a
+    mutable handle field before its first {!add}.  Cancelling it does
+    nothing. *)
+val null_handle : handle
+
 (** [cancel h] marks the event dead; it will never be returned by
     [pop].  Cancelling twice is harmless. *)
 val cancel : handle -> unit

@@ -1,12 +1,13 @@
 type kind = One_shot | Periodic
 
-(* Armed: a live entry sits in the event queue.  Fired: a one-shot ran to
-   completion (periodics re-arm before running the action, so they only
-   reach Fired through the action cancelling them mid-tick).  Cancelled:
-   disarmed by the owner.  A cancel that arrives after the timer already
-   fired is a silent no-op counted under [cancel_late] — it must NOT
-   touch the queue, or the dead handle would linger as a ghost entry
-   until compaction. *)
+(* Armed: a live entry sits in the event queue, and [handle] is it.
+   Fired: a one-shot ran to completion (periodics re-arm before running
+   the action, so they only reach Fired through the action cancelling
+   them mid-tick).  Cancelled: disarmed by the owner.  Outside Armed,
+   [handle] is a spent handle that is never cancelled again.  A cancel
+   that arrives after the timer already fired is a silent no-op counted
+   under [cancel_late] — it must NOT touch the queue, or the dead handle
+   would linger as a ghost entry until compaction. *)
 type state = Armed | Fired | Cancelled
 
 type t = {
@@ -15,7 +16,7 @@ type t = {
   kind : kind;
   label : string;
   action : unit -> unit;
-  mutable handle : Engine.handle option;
+  mutable handle : Engine.handle;
   mutable state : state;
 }
 
@@ -29,55 +30,39 @@ let cancel_late () = !cancel_late_total
 
 let note_cancel_late () = incr cancel_late_total
 
-let arm t =
-  let rec fire () =
-    t.handle <- None;
-    t.state <- Fired;
-    (match t.kind with
-     | Periodic ->
-       t.state <- Armed;
-       t.handle <- Some (Engine.schedule ~label:t.label t.engine ~delay:t.delay fire)
-     | One_shot -> ());
-    t.action ()
-  in
+let rec arm t =
   t.state <- Armed;
-  t.handle <- Some (Engine.schedule ~label:t.label t.engine ~delay:t.delay fire)
+  t.handle <- Engine.schedule ~label:t.label t.engine ~delay:t.delay (fun () -> fire t)
 
-let one_shot ?(label = "timer") engine ~delay action =
+and fire t =
+  t.state <- Fired;
+  (match t.kind with Periodic -> arm t | One_shot -> ());
+  t.action ()
+
+let make engine ~delay kind label action =
   let t =
-    { engine; delay; kind = One_shot; label; action; handle = None; state = Armed }
+    { engine; delay; kind; label; action; handle = Event_queue.null_handle; state = Armed }
   in
   arm t;
   t
+
+let one_shot ?(label = "timer") engine ~delay action = make engine ~delay One_shot label action
 
 let periodic ?(label = "timer") engine ~period action =
-  let t =
-    { engine; delay = period; kind = Periodic; label; action; handle = None;
-      state = Armed }
-  in
-  arm t;
-  t
+  make engine ~delay:period Periodic label action
 
 let cancel t =
-  match t.handle with
-  | None ->
-    (* Already fired (late cancel, counted) or already cancelled
-       (idempotent): either way there is no queue entry to kill. *)
-    if t.state = Fired then begin
-      t.state <- Cancelled;
-      note_cancel_late ()
-    end
-  | Some h ->
-    Engine.cancel h;
-    t.handle <- None;
+  match t.state with
+  | Armed ->
+    Engine.cancel t.handle;
     t.state <- Cancelled
+  | Fired ->
+    t.state <- Cancelled;
+    note_cancel_late ()
+  | Cancelled -> () (* idempotent: there is no queue entry to kill *)
 
 let reset t =
-  (match t.handle with
-   | None -> ()
-   | Some h ->
-     Engine.cancel h;
-     t.handle <- None);
+  if t.state = Armed then Engine.cancel t.handle;
   arm t
 
-let active t = t.handle <> None
+let active t = t.state = Armed

@@ -43,12 +43,9 @@ let set_handler t f =
   t.handler <- f;
   t.default_dispatch <- false
 
-let wrap tm =
-  {
-    Transport.cancel = (fun () -> Timer.cancel tm);
-    reset = (fun () -> Timer.reset tm);
-    active = (fun () -> Timer.active tm);
-  }
+let timer_ops = { Transport.cancel = Timer.cancel; reset = Timer.reset; active = Timer.active }
+
+let wrap tm = Transport.Timer (timer_ops, tm)
 
 let one_shot t ?label ~delay f = wrap (Timer.one_shot ?label t.engine ~delay f)
 

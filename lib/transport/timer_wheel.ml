@@ -9,6 +9,8 @@
 
 open P2p_sim
 
+(* As in [Timer]: [handle] is the queued entry while [Armed], and a
+   spent handle that is never cancelled again otherwise. *)
 type state = Armed | Fired | Cancelled
 
 type tm = {
@@ -16,7 +18,7 @@ type tm = {
   delay : float;
   kind : [ `One_shot | `Periodic ];
   action : unit -> unit;
-  mutable handle : Event_queue.handle option;
+  mutable handle : Event_queue.handle;
   mutable state : state;
 }
 
@@ -25,58 +27,35 @@ and t = { q : tm Event_queue.t; clock : unit -> float }
 let create ~clock = { q = Event_queue.create (); clock }
 
 let arm tm =
-  tm.handle <- Some (Event_queue.add tm.wheel.q ~time:(tm.wheel.clock () +. tm.delay) tm);
+  tm.handle <- Event_queue.add tm.wheel.q ~time:(tm.wheel.clock () +. tm.delay) tm;
   tm.state <- Armed
 
 let cancel tm =
-  match tm.handle with
-  | Some h ->
-    Event_queue.cancel h;
-    tm.handle <- None;
+  match tm.state with
+  | Armed ->
+    Event_queue.cancel tm.handle;
     tm.state <- Cancelled
-  | None ->
-    if tm.state = Fired then begin
-      tm.state <- Cancelled;
-      Timer.note_cancel_late ()
-    end
+  | Fired ->
+    tm.state <- Cancelled;
+    Timer.note_cancel_late ()
+  | Cancelled -> ()
 
 let reset tm =
-  (match tm.handle with
-   | Some h ->
-     Event_queue.cancel h;
-     tm.handle <- None
-   | None -> ());
+  if tm.state = Armed then Event_queue.cancel tm.handle;
   arm tm
 
-let active tm = tm.handle <> None
+let active tm = tm.state = Armed
 
-let wrap tm =
-  {
-    Transport.cancel = (fun () -> cancel tm);
-    reset = (fun () -> reset tm);
-    active = (fun () -> active tm);
-  }
+let timer_ops = { Transport.cancel; reset; active }
 
-let one_shot t ~delay action =
-  let tm =
-    { wheel = t; delay; kind = `One_shot; action; handle = None; state = Armed }
-  in
+let make t ~delay kind action =
+  let tm = { wheel = t; delay; kind; action; handle = Event_queue.null_handle; state = Armed } in
   arm tm;
-  wrap tm
+  Transport.Timer (timer_ops, tm)
 
-let periodic t ~period action =
-  let tm =
-    {
-      wheel = t;
-      delay = period;
-      kind = `Periodic;
-      action;
-      handle = None;
-      state = Armed;
-    }
-  in
-  arm tm;
-  wrap tm
+let one_shot t ~delay action = make t ~delay `One_shot action
+
+let periodic t ~period action = make t ~delay:period `Periodic action
 
 let next_deadline t = Event_queue.peek_time t.q
 
@@ -97,7 +76,6 @@ let run_due t =
       match Event_queue.pop t.q with
       | None -> ()
       | Some (_, tm) ->
-        tm.handle <- None;
         tm.state <- Fired;
         if tm.kind = `Periodic then arm tm;
         tm.action ();

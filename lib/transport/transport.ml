@@ -6,15 +6,19 @@
    sockets).  Protocol code written against this seam cannot tell which
    one is underneath. *)
 
-type timer = {
-  cancel : unit -> unit;
-  reset : unit -> unit;
-  active : unit -> bool;
+(* A timer is one block: the backend's own timer and its backend's
+   static operations, so arming one allocates no closures here. *)
+type 'a timer_ops = {
+  cancel : 'a -> unit;
+  reset : 'a -> unit;
+  active : 'a -> bool;
 }
 
-let cancel t = t.cancel ()
-let reset t = t.reset ()
-let active t = t.active ()
+type timer = Timer : 'a timer_ops * 'a -> timer
+
+let cancel (Timer (ops, tm)) = ops.cancel tm
+let reset (Timer (ops, tm)) = ops.reset tm
+let active (Timer (ops, tm)) = ops.active tm
 
 module type S = sig
   type t

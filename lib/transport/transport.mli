@@ -18,15 +18,25 @@
     cross the seam: the protocol layers trace a message as a span before
     they send it. *)
 
+(** A backend's timer operations, one static table per backend. *)
+type 'a timer_ops = {
+  cancel : 'a -> unit;
+  reset : 'a -> unit;
+  active : 'a -> bool;
+}
+
 (** A cancellable timer.  Cancelling after the timer fired is a silent
     no-op counted under the shared [timer/cancel_late] counter
     ({!P2p_sim.Timer.cancel_late}); it never leaves a ghost entry in the
-    underlying queue. *)
-type timer = {
-  cancel : unit -> unit;
-  reset : unit -> unit;
-  active : unit -> bool;
-}
+    underlying queue.
+
+    A timer is one three-word block: the backend's own timer value (a
+    {!P2p_sim.Timer.t} in the simulation, a wheel entry in the live
+    backend) paired with that backend's static {!timer_ops} table.  A
+    backend wraps each timer it arms in a {!Timer} and allocates nothing
+    else for it; a pending protocol timer thus costs the block plus what
+    the backend's timer holds. *)
+type timer = Timer : 'a timer_ops * 'a -> timer
 
 val cancel : timer -> unit
 val reset : timer -> unit

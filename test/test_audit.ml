@@ -676,10 +676,13 @@ let test_gini_by_hand () =
   exactly "equal load" 0.0 (gauge "items_gini")
 
 (* A steady-state tick of the whole catalogue over a 1,000-peer joined
-   world allocates under 3 words per registered peer, with stale fingers
-   and with fresh ones (finger_tables then checks all 30 x T entries). *)
+   world allocates under 0.2 words per registered peer (~60 words in
+   all), with stale fingers and with fresh ones (finger_tables then
+   checks all 30 x T entries): the host- and key-indexed tallies live in
+   the state.  A tick over 3,000 stored items and their replicas stays
+   under 2 words per peer (~1,570 words). *)
 let test_tick_allocation () =
-  let h, _ = Pipeline.build ~ps:0.8 ~seed:42000 ~n:1000 ~config:(replicated 2) () in
+  let h, rng = Pipeline.build ~ps:0.8 ~seed:42000 ~n:1000 ~config:(replicated 2) () in
   ignore (Pipeline.replication h);
   let w = H.world h in
   let state = Checks.state () in
@@ -689,7 +692,7 @@ let test_tick_allocation () =
     ignore (Checks.run_all ~state w : Checks.snapshot);
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
-  let budget = 3.0 *. float_of_int (World.peer_count w) in
+  let budget = 0.2 *. float_of_int (World.peer_count w) in
   let stale = words () in
   World.ensure_fingers w;
   let fresh = words () in
@@ -697,7 +700,14 @@ let test_tick_allocation () =
     (gauge_of (Checks.run_all ~state w) "finger_tables" "fingers_fresh" = Some 1.0);
   if stale >= budget || fresh >= budget then
     Alcotest.failf "tick allocates %.0f / %.0f words (stale / fresh fingers), budget %.0f"
-      stale fresh budget
+      stale fresh budget;
+  ignore (Pipeline.insert (Pipeline.attach h) ~rng ~count:3000 : P2p_workload.Keys.item array);
+  let data = words () and data_budget = 2.0 *. float_of_int (World.peer_count w) in
+  checkb "replica copies tallied" true
+    (gauge_of (Checks.run_all ~state w) "replication_factor" "replica_copies" = Some 6000.0);
+  if data >= data_budget then
+    Alcotest.failf "a tick over stored items allocates %.0f words, budget %.0f" data
+      data_budget
 
 (* --- the run pipeline's drive loop and verdict --- *)
 

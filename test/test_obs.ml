@@ -304,11 +304,20 @@ let test_engine_profiling () =
   checkb "events executed" true (Engine.events_executed e > 0);
   checkb "queue high-water" true (Engine.queue_high_water e > 0);
   checki "drained" 0 (Engine.pending e);
-  match List.assoc_opt "message" (List.map (fun (l, n, t) -> (l, (n, t))) (Engine.profile e)) with
-  | None -> Alcotest.fail "no 'message' row in profile"
-  | Some (fires, cpu) ->
-    checkb "messages fired" true (fires > 0);
-    checkb "cpu time non-negative" true (cpu >= 0.0)
+  (* a lookup for an absent key fires its timer once per attempt *)
+  checkb "absent key times out" false
+    (found (lookup_sync h ~from:(H.random_peer h) ~key:"absent-key" ()));
+  checki "drained again" 0 (Engine.pending e);
+  let rows = List.map (fun (l, n, t) -> (l, (n, t))) (Engine.profile e) in
+  let row label =
+    match List.assoc_opt label rows with
+    | None -> Alcotest.failf "no '%s' row in profile" label
+    | Some (fires, cpu) ->
+      checkb (label ^ " cpu time non-negative") true (cpu >= 0.0);
+      fires
+  in
+  checkb "messages fired" true (row "message" > 0);
+  checki "one timer fire per attempt" (1 + (H.config h).Config.reflood_attempts) (row "timer")
 
 (* --- export + report --- *)
 

@@ -162,6 +162,46 @@ let test_random_peer_allocation () =
   checkb "drew live hosts" true (!sink >= 0);
   checkb (Printf.sprintf "%.1f minor words per draw < 10" per_draw) true (per_draw < 10.0)
 
+(* --- in-flight state ------------------------------------------------------- *)
+
+(* A pending lookup holds one context record, one timer block and its
+   first message in flight, no chain of closures: run-1k issues 20,000
+   lookups at once, and their in-flight state sets its peak heap.  The
+   live-word delta is taken after a full major collection, on a second
+   batch, so the event queue's arrays have already grown. *)
+let test_pending_lookup_words () =
+  let h, rng = Pipeline.build ~ps:0.8 ~seed:5 ~n:200 ~config:Config.default () in
+  let p = Pipeline.attach h in
+  let corpus = Pipeline.insert p ~rng ~count:400 in
+  let count = 2000 in
+  let batch () =
+    let targets = P2p_workload.Keys.lookup_sequence ~rng ~items:corpus ~count in
+    (targets, Array.map (fun _ -> H.random_peer h) targets)
+  in
+  let issue (targets, froms) =
+    Array.iteri
+      (fun i it ->
+        H.lookup h ~from:froms.(i) ~key:it.P2p_workload.Keys.key ~on_result:ignore ())
+      targets
+  in
+  issue (batch ());
+  Pipeline.settle p;
+  let second = batch () in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  issue second;
+  let per_lookup = float_of_int (live () - before) /. float_of_int count in
+  Pipeline.settle p;
+  checki "every lookup found" 0 (P2p_net.Metrics.lookups_failed (H.metrics h));
+  (* 48.3 measured, plus a small margin *)
+  let ceiling = 52.0 in
+  checkb
+    (Printf.sprintf "%.1f live words per pending lookup (ceiling %.0f)" per_lookup ceiling)
+    true (per_lookup <= ceiling)
+
 (* --- schedule pin under churn ------------------------------------------- *)
 
 (* A seeded 2000-peer churn run pinned to constants: any change to the
@@ -320,6 +360,8 @@ let suite =
       test_successor_index_wraparound;
     Alcotest.test_case "random_peer: O(1) words per draw" `Quick
       test_random_peer_allocation;
+    Alcotest.test_case "lookups: live words per pending lookup" `Quick
+      test_pending_lookup_words;
     Alcotest.test_case "schedule: churn run pinned" `Slow test_schedule_pinned;
     Alcotest.test_case "lookups: finger-routed by default" `Slow test_default_lookup_hops;
     Alcotest.test_case "schedule: concurrent joins pinned" `Slow

@@ -300,6 +300,54 @@ let wheel_periodic_reset_cancel () =
   Alcotest.(check int) "cancelled periodic stays quiet" 0 (Wheel.run_due wheel);
   Alcotest.(check int) "wheel empty after cancel" 0 (Wheel.pending wheel)
 
+(* Both backends hand out the same [Transport.timer] block; through it,
+   the late-cancel count, [active] and [reset] behave alike.  [fire ()]
+   drives the backend until every due timer has run. *)
+let transport_timer_semantics name ~one_shot ~fire =
+  let fired = ref 0 in
+  let tm : Transport.timer = one_shot ~delay:10.0 (fun () -> incr fired) in
+  let label what = Printf.sprintf "%s: %s" name what in
+  Alcotest.(check bool) (label "armed") true (Transport.active tm);
+  let before = Timer.cancel_late () in
+  Transport.cancel tm;
+  Alcotest.(check bool) (label "cancelled") false (Transport.active tm);
+  fire ();
+  Alcotest.(check int) (label "a timely cancel stops the action") 0 !fired;
+  Alcotest.(check int) (label "a timely cancel is not late") before (Timer.cancel_late ());
+  Transport.reset tm;
+  Alcotest.(check bool) (label "reset re-arms") true (Transport.active tm);
+  fire ();
+  Alcotest.(check int) (label "fired once") 1 !fired;
+  Alcotest.(check bool) (label "inactive after firing") false (Transport.active tm);
+  Transport.cancel tm;
+  Alcotest.(check int) (label "cancel after fire is counted") (before + 1)
+    (Timer.cancel_late ());
+  Transport.cancel tm;
+  Alcotest.(check int) (label "second cancel is uncounted") (before + 1)
+    (Timer.cancel_late ());
+  fire ();
+  Alcotest.(check int) (label "a late cancel leaves nothing to fire") 1 !fired
+
+let timer_block_both_backends () =
+  let engine = Engine.create ~seed:7 () in
+  let g = P2p_topology.Graph.create 2 in
+  P2p_topology.Graph.add_edge g 0 1 ~latency:1.0;
+  let underlay =
+    P2p_net.Underlay.create ~engine ~routing:(P2p_topology.Routing.create g)
+      ~metrics:(P2p_net.Metrics.create ()) ~processing_delay:0.5 ()
+  in
+  let sim = Sim_transport.create ~underlay in
+  transport_timer_semantics "sim"
+    ~one_shot:(fun ~delay f -> Transport.one_shot sim ~delay f)
+    ~fire:(fun () -> Engine.run engine);
+  Alcotest.(check int) "sim: the cancelled arming never ran" 1 (Engine.events_executed engine);
+  let clock_now = ref 0.0 in
+  let wheel = Wheel.create ~clock:(fun () -> !clock_now) in
+  transport_timer_semantics "wheel" ~one_shot:(Wheel.one_shot wheel) ~fire:(fun () ->
+      clock_now := !clock_now +. 100.0;
+      ignore (Wheel.run_due wheel : int));
+  Alcotest.(check int) "wheel: drained" 0 (Wheel.pending wheel)
+
 (* --- live loop ------------------------------------------------------- *)
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
@@ -632,6 +680,8 @@ let suite =
       sim_cancel_in_time_not_counted;
     Alcotest.test_case "wheel: fires due timers, shares cancel_late" `Quick
       wheel_fires_and_counts_late_cancel;
+    Alcotest.test_case "timer block: same cancel-late semantics on both backends" `Quick
+      timer_block_both_backends;
     Alcotest.test_case "wheel: periodic catch-up, reset, cancel" `Quick
       wheel_periodic_reset_cancel;
     Alcotest.test_case "live: connect and exchange" `Quick
