@@ -388,6 +388,20 @@ let data_placement ~final who w =
   if Array.length arr > 0 then begin
     let interner = World.interner w in
     let misplaced = ref 0 in
+    (* One item visitor serves the whole tick: the holder being scanned
+       and its [t_home] (the peer's own option block) are set before each
+       store's scan, so no closure is built per holder. *)
+    let holder = ref (-1) and holder_home = ref None in
+    let visit kid _ route_id =
+      match !holder_home with
+      | Some home when not (Peer.covers home route_id) ->
+        incr misplaced;
+        (* a key's text is read only for a reported item *)
+        if !misplaced <= 8 then
+          err col ~subject:!holder "item %S (route_id %#x) at #%d outside segment of #%d"
+            (Intern.name interner kid) route_id !holder home.Peer.host
+      | Some _ | None -> ()
+    in
     World.iter_peers w
       (fun p ->
         if Data_store.size p.Peer.store > 0 then
@@ -406,16 +420,11 @@ let data_placement ~final who w =
                      | Some pre -> Peer.quiet pre
                      | None -> false)
             in
-            (* a key's text is read only for a reported item *)
-            if boundary_settled then
-              Data_store.iter_id_items p.Peer.store (fun kid _ route_id ->
-                  if not (Peer.covers home route_id) then begin
-                    incr misplaced;
-                    if !misplaced <= 8 then
-                      err col ~subject:p.Peer.host
-                        "item %S (route_id %#x) at #%d outside segment of #%d"
-                        (Intern.name interner kid) route_id p.Peer.host home.Peer.host
-                  end));
+            if boundary_settled then begin
+              holder := p.Peer.host;
+              holder_home := p.Peer.t_home;
+              Data_store.iter_id_items p.Peer.store visit
+            end);
     if !misplaced > 8 then
       err col "...and %d more misplaced items" (!misplaced - 8);
     gauge col "misplaced_items" (float_of_int !misplaced)

@@ -147,7 +147,11 @@ let iter_ids t f =
   done
 
 let iter_id_items t f =
-  Array.iteri (fun i kid -> if kid >= 0 then f kid t.vals.(i) t.routes.(i)) t.keys
+  let keys = t.keys in
+  for i = 0 to Array.length keys - 1 do
+    let kid = keys.(i) in
+    if kid >= 0 then f kid t.vals.(i) t.routes.(i)
+  done
 
 let segment_items t ~left ~right =
   let acc = ref [] in

@@ -27,26 +27,37 @@ let set_transmission_delay t f = t.transmission_delay <- Some f
 (* hoisted so the per-message schedule call allocates no [Some] *)
 let message_label = Some "message"
 
+let transmission t ~src ~dst =
+  match t.transmission_delay with Some f -> f ~src ~dst | None -> 0.0
+
 let delay t ~src ~dst =
-  let transmission =
-    match t.transmission_delay with Some f -> f ~src ~dst | None -> 0.0
-  in
+  let transmission = transmission t ~src ~dst in
   if src = dst then t.processing_delay
   else Routing.distance t.routing src dst +. t.processing_delay +. transmission
 
+(* The distance is read once per message: it decides reachability and
+   the delay, and the hop count is read without checking reachability
+   again.  An unreachable pair raises [Not_found] before anything is
+   counted, as [Routing.hop_count] does. *)
 let send t ~src ~dst f =
+  let distance = if src = dst then 0.0 else Routing.distance t.routing src dst in
+  if distance = infinity then raise Not_found;
   let path_hops =
     if src = dst then 0
     else begin
       (match t.stress with
        | Some stress -> Link_stress.charge_path stress (Routing.path t.routing src dst)
        | None -> ());
-      Routing.hop_count t.routing src dst
+      Routing.reachable_hops t.routing src dst
     end
   in
   Metrics.record_message t.metrics ~physical_hops:path_hops;
+  let transmission = transmission t ~src ~dst in
+  let delay =
+    if src = dst then t.processing_delay else distance +. t.processing_delay +. transmission
+  in
   (* deliveries are never cancelled: the detached path skips the handle *)
-  Engine.schedule_detached t.engine ~label:message_label ~delay:(delay t ~src ~dst) f
+  Engine.schedule_detached t.engine ~label:message_label ~delay f
 
 let engine t = t.engine
 let metrics t = t.metrics

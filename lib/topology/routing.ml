@@ -4,6 +4,19 @@ type source_result = { dist : float array; prev : int array }
    bound once computed. *)
 type graph_routed = { graph : Graph.t; cache : source_result option array }
 
+(* One all-pairs block over a member set — a stub domain or the transit
+   backbone — s*s entries row-major in member positions.  [dist] is a
+   float per pair; the first hop (a member position, [no_hop] when there
+   is none) and the hop count are unsigned 16-bit, two bytes each in
+   [next] and [hops]: 12 bytes per pair. *)
+type block = { members : int array; dist : float array; next : Bytes.t; hops : Bytes.t }
+
+let no_hop = 0xFFFF
+
+(* positions 0 .. max_block_members - 1 and hop counts up to
+   max_block_members - 1 fit below [no_hop] *)
+let max_block_members = 65_534
+
 (* Precomputed link-state tables over a transit-stub hierarchy (the
    TinyOS LinkStateC idea: pay for SPF once, amortize over every routed
    message).  The decomposition exploits the topology's structure: a
@@ -16,23 +29,13 @@ type graph_routed = { graph : Graph.t; cache : source_result option array }
    those tables. *)
 type link_state = {
   ls_graph : Graph.t;
-  is_transit : bool array;
   domain_of : int array; (* stub-domain id per node; -1 for transit nodes *)
-  dom_members : int array array; (* domain -> member nodes *)
-  dom_index : int array; (* node -> its index inside its domain *)
+  index : int array; (* node -> its position in its domain's block, or the backbone's *)
   dom_gateway : int array; (* domain -> gateway node, -1 when isolated *)
   dom_attach : int array; (* domain -> transit node of the access link *)
   dom_access : float array; (* domain -> access-link latency *)
-  (* per-domain all-pairs, s*s row-major in domain-local indices *)
-  dom_dist : float array array;
-  dom_next : int array array; (* first hop, as a global node id; -1 = none *)
-  dom_hops : int array array;
-  (* transit backbone all-pairs, g*g row-major in transit indices *)
-  t_index : int array; (* node -> transit index; -1 for stub nodes *)
-  t_nodes : int array;
-  t_dist : float array;
-  t_next : int array; (* first hop, as a global node id; -1 = none *)
-  t_hops : int array;
+  domains : block array;
+  backbone : block;
 }
 
 (* [Synthetic] short-circuits path computation entirely: every distinct
@@ -149,9 +152,16 @@ let source_result t src =
    settle smallest distance first, ties to the lowest index, and
    relaxation uses a strict [<] — the order and tie rule of a scan for
    the minimum, so the tables do not depend on the frontier structure.
-   O(s (s + e) log s) per set instead of the scan's O(s^3). *)
+   O(s (s + e) log s) per set instead of the scan's O(s^3).  Each
+   source's row is the block's own row: tentative distances, first hops
+   and hop counts are written where they will be read, so there is no
+   per-row scratch beyond the settled marks and no copy afterwards. *)
 let restricted_all_pairs graph ~members ~index_of ~in_set =
   let s = Array.length members in
+  if s > max_block_members then
+    invalid_arg
+      (Printf.sprintf "Routing.link_state: a member set of %d nodes (at most %d)" s
+         max_block_members);
   let adj_start = Array.make (s + 1) 0 in
   Array.iteri
     (fun i u ->
@@ -173,12 +183,9 @@ let restricted_all_pairs graph ~members ~index_of ~in_set =
           end))
     members;
   let dist = Array.make (s * s) infinity in
-  let next = Array.make (s * s) (-1) in
-  let hops = Array.make (s * s) 0 in
-  let d = Array.make s infinity in
+  let next = Bytes.make (2 * s * s) '\255' in
+  let hops = Bytes.make (2 * s * s) '\000' in
   let settled = Array.make s false in
-  let first = Array.make s (-1) in
-  let hop = Array.make s 0 in
   (* every push follows a successful relaxation, so e + 1 entries bound
      the heap *)
   let hd = Array.make (e + 1) 0.0 in
@@ -226,11 +233,9 @@ let restricted_all_pairs graph ~members ~index_of ~in_set =
     top
   in
   for si = 0 to s - 1 do
-    Array.fill d 0 s infinity;
+    let row = si * s in
     Array.fill settled 0 s false;
-    Array.fill first 0 s (-1);
-    Array.fill hop 0 s 0;
-    d.(si) <- 0.0;
+    dist.(row + si) <- 0.0;
     size := 0;
     push 0.0 si;
     while !size > 0 do
@@ -238,25 +243,33 @@ let restricted_all_pairs graph ~members ~index_of ~in_set =
       (* a stale entry: [u] settled through a shorter entry already *)
       if not settled.(u) then begin
         settled.(u) <- true;
-        let du = d.(u) in
+        let du = dist.(row + u) in
+        (* a settled node's entries are final: no relaxation below
+           improves on [du] *)
+        let first_u = Bytes.get_uint16_ne next (2 * (row + u)) in
+        let hop_v = Bytes.get_uint16_ne hops (2 * (row + u)) + 1 in
         for k = adj_start.(u) to adj_start.(u + 1) - 1 do
           let vi = adj.(k) in
           let alt = du +. adj_w.(k) in
-          if alt < d.(vi) then begin
-            d.(vi) <- alt;
-            first.(vi) <- (if u = si then members.(vi) else first.(u));
-            hop.(vi) <- hop.(u) + 1;
+          if alt < dist.(row + vi) then begin
+            dist.(row + vi) <- alt;
+            Bytes.set_uint16_ne next (2 * (row + vi)) (if u = si then vi else first_u);
+            Bytes.set_uint16_ne hops (2 * (row + vi)) hop_v;
             push alt vi
           end
         done
       end
-    done;
-    let row = si * s in
-    Array.blit d 0 dist row s;
-    Array.blit first 0 next row s;
-    Array.blit hop 0 hops row s
+    done
   done;
-  (dist, next, hops)
+  { members; dist; next; hops }
+
+let[@inline] block_entry b i j = (i * Array.length b.members) + j
+let block_dist b i j = b.dist.(block_entry b i j)
+let block_hops b i j = Bytes.get_uint16_ne b.hops (2 * block_entry b i j)
+
+let block_next b i j =
+  let x = Bytes.get_uint16_ne b.next (2 * block_entry b i j) in
+  if x = no_hop then -1 else b.members.(x)
 
 let build_link_state graph ~is_transit =
   let n = Graph.node_count graph in
@@ -290,10 +303,19 @@ let build_link_state graph ~is_transit =
   done;
   let dom_members = Array.of_list (List.rev !members_rev) in
   let domains = Array.length dom_members in
-  let dom_index = Array.make n 0 in
+  let t_nodes =
+    let acc = ref [] in
+    for u = n - 1 downto 0 do
+      if transit.(u) then acc := u :: !acc
+    done;
+    Array.of_list !acc
+  in
+  let index = Array.make n 0 in
   Array.iter
-    (fun members -> Array.iteri (fun i u -> dom_index.(u) <- i) members)
+    (fun members -> Array.iteri (fun i u -> index.(u) <- i) members)
     dom_members;
+  Array.iteri (fun i u -> index.(u) <- i) t_nodes;
+  let index_of v = index.(v) in
   (* access links: each domain must touch the backbone through at most
      one stub-to-transit edge, the structural invariant the whole
      decomposition rests on *)
@@ -318,53 +340,21 @@ let build_link_state graph ~is_transit =
               end))
         members)
     dom_members;
-  (* intra-domain tables *)
-  let dom_dist = Array.make domains [||] in
-  let dom_next = Array.make domains [||] in
-  let dom_hops = Array.make domains [||] in
-  Array.iteri
-    (fun d members ->
-      let dist, next, hops =
-        restricted_all_pairs graph ~members
-          ~index_of:(fun v -> dom_index.(v))
-          ~in_set:(fun v -> (not transit.(v)) && domain_of.(v) = d)
-      in
-      dom_dist.(d) <- dist;
-      dom_next.(d) <- next;
-      dom_hops.(d) <- hops)
-    dom_members;
-  (* transit backbone tables *)
-  let t_nodes =
-    let acc = ref [] in
-    for u = n - 1 downto 0 do
-      if transit.(u) then acc := u :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let t_index = Array.make n (-1) in
-  Array.iteri (fun i u -> t_index.(u) <- i) t_nodes;
-  let t_dist, t_next, t_hops =
-    restricted_all_pairs graph ~members:t_nodes
-      ~index_of:(fun v -> t_index.(v))
-      ~in_set:(fun v -> transit.(v))
-  in
   {
     ls_graph = graph;
-    is_transit = transit;
     domain_of;
-    dom_members;
-    dom_index;
+    index;
     dom_gateway;
     dom_attach;
     dom_access;
-    dom_dist;
-    dom_next;
-    dom_hops;
-    t_index;
-    t_nodes;
-    t_dist;
-    t_hops;
-    t_next;
+    domains =
+      Array.mapi
+        (fun d members ->
+          restricted_all_pairs graph ~members ~index_of
+            ~in_set:(fun v -> (not transit.(v)) && domain_of.(v) = d))
+        dom_members;
+    backbone =
+      restricted_all_pairs graph ~members:t_nodes ~index_of ~in_set:(fun v -> transit.(v));
   }
 
 let link_state graph ~is_transit =
@@ -372,29 +362,12 @@ let link_state graph ~is_transit =
 
 (* --- link-state queries --- *)
 
-let ls_intra_dist ls d u v =
-  let s = Array.length ls.dom_members.(d) in
-  ls.dom_dist.(d).((ls.dom_index.(u) * s) + ls.dom_index.(v))
-
-let ls_intra_hops ls d u v =
-  let s = Array.length ls.dom_members.(d) in
-  ls.dom_hops.(d).((ls.dom_index.(u) * s) + ls.dom_index.(v))
-
-let ls_intra_next ls d u v =
-  let s = Array.length ls.dom_members.(d) in
-  ls.dom_next.(d).((ls.dom_index.(u) * s) + ls.dom_index.(v))
-
-let ls_t_dist ls u v =
-  let g = Array.length ls.t_nodes in
-  ls.t_dist.((ls.t_index.(u) * g) + ls.t_index.(v))
-
-let ls_t_hops ls u v =
-  let g = Array.length ls.t_nodes in
-  ls.t_hops.((ls.t_index.(u) * g) + ls.t_index.(v))
-
-let ls_t_next ls u v =
-  let g = Array.length ls.t_nodes in
-  ls.t_next.((ls.t_index.(u) * g) + ls.t_index.(v))
+(* Entries of block [b] between two of its member nodes, read through
+   the node -> position map; the same three reads serve a stub domain
+   and the backbone. *)
+let[@inline] ls_dist ls b u v = block_dist b ls.index.(u) ls.index.(v)
+let[@inline] ls_hops ls b u v = block_hops b ls.index.(u) ls.index.(v)
+let ls_next ls b u v = block_next b ls.index.(u) ls.index.(v)
 
 (* The climb from node [u] (in stub domain [du]; -1 for a transit node)
    up to its backbone attachment point, read as separate scalars so the
@@ -406,34 +379,37 @@ let ls_attach ls u du =
   if du < 0 then u else if ls.dom_gateway.(du) < 0 then -1 else ls.dom_attach.(du)
 
 let[@inline] ls_up_dist ls u du =
-  if du < 0 then 0.0 else ls_intra_dist ls du u ls.dom_gateway.(du) +. ls.dom_access.(du)
+  if du < 0 then 0.0
+  else ls_dist ls ls.domains.(du) u ls.dom_gateway.(du) +. ls.dom_access.(du)
 
 let ls_up_hops ls u du =
-  if du < 0 then 0 else ls_intra_hops ls du u ls.dom_gateway.(du) + 1
+  if du < 0 then 0 else ls_hops ls ls.domains.(du) u ls.dom_gateway.(du) + 1
 
 let ls_distance ls u v =
   if u = v then 0.0
   else begin
     let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-    if du >= 0 && du = dv then ls_intra_dist ls du u v
-    else if du < 0 && dv < 0 then ls_t_dist ls u v
+    if du >= 0 && du = dv then ls_dist ls ls.domains.(du) u v
+    else if du < 0 && dv < 0 then ls_dist ls ls.backbone u v
     else begin
       let au = ls_attach ls u du and av = ls_attach ls v dv in
       if au < 0 || av < 0 then infinity
-      else ls_up_dist ls u du +. ls_t_dist ls au av +. ls_up_dist ls v dv
+      else ls_up_dist ls u du +. ls_dist ls ls.backbone au av +. ls_up_dist ls v dv
     end
   end
 
+(* 0 when [v] is unreachable from [u]: callers check [ls_distance]
+   first *)
 let ls_hop_count ls u v =
   if u = v then 0
   else begin
     let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-    if du >= 0 && du = dv then ls_intra_hops ls du u v
-    else if du < 0 && dv < 0 then ls_t_hops ls u v
+    if du >= 0 && du = dv then ls_hops ls ls.domains.(du) u v
+    else if du < 0 && dv < 0 then ls_hops ls ls.backbone u v
     else begin
       let au = ls_attach ls u du and av = ls_attach ls v dv in
       if au < 0 || av < 0 then 0
-      else ls_up_hops ls u du + ls_t_hops ls au av + ls_up_hops ls v dv
+      else ls_up_hops ls u du + ls_hops ls ls.backbone au av + ls_up_hops ls v dv
     end
   end
 
@@ -444,19 +420,19 @@ let ls_hop_count ls u v =
 let ls_next_hop ls u v =
   let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
   if u = v then u
-  else if du >= 0 && du = dv then ls_intra_next ls du u v
+  else if du >= 0 && du = dv then ls_next ls ls.domains.(du) u v
   else if du >= 0 then begin
     let gw = ls.dom_gateway.(du) in
     if gw < 0 then -1
     else if u = gw then ls.dom_attach.(du)
-    else ls_intra_next ls du u gw
+    else ls_next ls ls.domains.(du) u gw
   end
-  else if dv < 0 then ls_t_next ls u v
+  else if dv < 0 then ls_next ls ls.backbone u v
   else begin
     let a = ls.dom_attach.(dv) in
     if a < 0 then -1
     else if u = a then ls.dom_gateway.(dv)
-    else ls_t_next ls u a
+    else ls_next ls ls.backbone u a
   end
 
 let ls_path ls u v =
@@ -489,13 +465,12 @@ let path t u v =
 
 (* Hop counting never materializes the path: graph mode walks the
    predecessor chain, link-state mode adds three table entries. *)
-let hop_count t u v =
+let reachable_hops t u v =
   match t with
   | Graph_routed t ->
     if u = v then 0
     else begin
       let r = source_result t u in
-      if r.dist.(v) = infinity then raise Not_found;
       let hops = ref 0 in
       let node = ref v in
       while !node <> u do
@@ -505,9 +480,11 @@ let hop_count t u v =
       !hops
     end
   | Synthetic _ -> if u = v then 0 else 1
-  | Link_state ls ->
-    if u <> v && ls_distance ls u v = infinity then raise Not_found;
-    ls_hop_count ls u v
+  | Link_state ls -> ls_hop_count ls u v
+
+let hop_count t u v =
+  if u <> v && distance t u v = infinity then raise Not_found;
+  reachable_hops t u v
 
 let graph = function
   | Graph_routed t -> t.graph

@@ -186,20 +186,36 @@ let mark_connected c =
   c.state <- Connected;
   c.attempts <- 0
 
+let self_connected fd =
+  match (Unix.getsockname fd, Unix.getpeername fd) with
+  | local, remote -> local = remote
+  | exception Unix.Unix_error _ -> false
+
+(* A completed connect counts only when it reached another socket.  A
+   dial to an unbound port inside the ephemeral range can be given that
+   very port as its own source, and TCP's simultaneous open then
+   connects the socket to itself; it is treated as refused. *)
+let connect_done t c fd =
+  if self_connected fd then conn_failed t c else mark_connected c
+
 (* Start (or restart) a non-blocking connect.  On loopback the kernel
-   may refuse synchronously — that is a normal backoff, not an error. *)
+   may refuse synchronously — that is a normal backoff, not an error.
+   Outbound sockets set SO_REUSEADDR too: Linux lets a listener bind
+   over a TIME_WAIT address only when the closed socket had it, and a
+   self-connection closed above leaves its port in TIME_WAIT. *)
 let attempt_connect t c =
   match Hashtbl.find_opt t.addrs c.peer with
   | None -> conn_failed t c
   | Some sockaddr -> (
     let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.set_nonblock fd;
     c.fd <- Some fd;
     c.hello <- hello_frame t;
     c.woff <- 0;
     Registry.incr t.wire.connects;
     match Unix.connect fd sockaddr with
-    | () -> mark_connected c
+    | () -> connect_done t c fd
     | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) ->
       c.state <- Connecting
     | exception Unix.Unix_error _ -> conn_failed t c)
@@ -437,8 +453,8 @@ let step ?(timeout = 0.05) t =
           | Connecting -> (
             match Unix.getsockopt_error fd with
             | None ->
-              mark_connected c;
-              flush_conn t c
+              connect_done t c fd;
+              if c.state = Connected then flush_conn t c
             | Some _ -> conn_failed t c)
           | Connected -> flush_conn t c
           | _ -> ())

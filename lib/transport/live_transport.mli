@@ -71,6 +71,14 @@ val set_peer_addr : t -> int -> Unix.sockaddr -> unit
 (** [listen t sockaddr] binds and listens for inbound connections. *)
 val listen : t -> Unix.sockaddr -> unit
 
+(** [self_connected fd] is [true] iff the connected socket [fd]'s local
+    address is its peer address: a dial to an unbound port in the
+    ephemeral range that TCP's simultaneous open connected to itself.
+    The transport treats such a connect as refused — it closes the
+    socket and backs off — so the port is free for the peer that will
+    listen there.  [false] when [fd] is not connected. *)
+val self_connected : Unix.file_descr -> bool
+
 (** [step ?timeout t] runs one event-loop turn: redial due backoffs,
     select (at most [timeout] seconds, default 0.05), read/write ready
     sockets, fire due timers.  Returns [true] iff anything happened. *)

@@ -680,7 +680,8 @@ let test_gini_by_hand () =
    all), with stale fingers and with fresh ones (finger_tables then
    checks all 30 x T entries): the host- and key-indexed tallies live in
    the state.  A tick over 3,000 stored items and their replicas stays
-   under 2 words per peer (~1,570 words). *)
+   under 0.378 words per peer (1.5x the 252 words measured), with no
+   closure built per store scanned. *)
 let test_tick_allocation () =
   let h, rng = Pipeline.build ~ps:0.8 ~seed:42000 ~n:1000 ~config:(replicated 2) () in
   ignore (Pipeline.replication h);
@@ -702,7 +703,7 @@ let test_tick_allocation () =
     Alcotest.failf "tick allocates %.0f / %.0f words (stale / fresh fingers), budget %.0f"
       stale fresh budget;
   ignore (Pipeline.insert (Pipeline.attach h) ~rng ~count:3000 : P2p_workload.Keys.item array);
-  let data = words () and data_budget = 2.0 *. float_of_int (World.peer_count w) in
+  let data = words () and data_budget = 0.378 *. float_of_int (World.peer_count w) in
   checkb "replica copies tallied" true
     (gauge_of (Checks.run_all ~state w) "replication_factor" "replica_copies" = Some 6000.0);
   if data >= data_budget then

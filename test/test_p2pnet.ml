@@ -99,6 +99,31 @@ let test_underlay_stress_accounting () =
   checki "link 0-1 stress" 2 (Link_stress.stress stress 0 1);
   checki "link 1-2 stress" 2 (Link_stress.stress stress 1 2)
 
+(* Over link-state tables (backbone 0 -- 1, stub domains {2,3,4} on 0
+   and {5,6} on 1, node 7 a stub domain with no access link), a message
+   counts [hop_count] physical hops and arrives after [distance] plus the
+   processing delay; a send to an unreachable host raises [Not_found]
+   and counts nothing. *)
+let test_underlay_link_state () =
+  let g = Graph.create 8 in
+  List.iter
+    (fun (a, b, latency) -> Graph.add_edge g a b ~latency)
+    [ (0, 1, 10.0); (2, 3, 1.0); (3, 4, 1.0); (0, 2, 2.0); (5, 6, 1.0); (1, 5, 3.0) ];
+  let routing = Routing.link_state g ~is_transit:(fun u -> u < 2) in
+  let engine = Engine.create ~seed:1 () in
+  let metrics = Metrics.create () in
+  let u = Underlay.create ~engine ~routing ~metrics ~processing_delay:0.5 () in
+  let arrival = ref nan in
+  Underlay.send u ~src:4 ~dst:6 (fun () -> arrival := Engine.now engine);
+  Engine.run engine;
+  checki "physical hops = hop_count" (Routing.hop_count routing 4 6)
+    (Metrics.physical_hops metrics);
+  checkf "arrival = distance + processing" (Routing.distance routing 4 6 +. 0.5) !arrival;
+  checkf "18 ms path + 0.5 ms" 18.5 !arrival;
+  Alcotest.check_raises "unreachable" Not_found (fun () ->
+      Underlay.send u ~src:4 ~dst:7 (fun () -> ()));
+  checki "nothing counted for it" 1 (Metrics.messages metrics)
+
 let test_underlay_ordering () =
   (* messages over shorter paths arrive first regardless of send order *)
   let engine, _, u, _ = line_underlay 5 in
@@ -130,6 +155,8 @@ let suite =
     Alcotest.test_case "underlay: message metrics" `Quick test_underlay_message_metrics;
     Alcotest.test_case "underlay: stress accounting" `Quick test_underlay_stress_accounting;
     Alcotest.test_case "underlay: latency ordering" `Quick test_underlay_ordering;
+    Alcotest.test_case "underlay: link-state hops and delay" `Quick
+      test_underlay_link_state;
     Alcotest.test_case "underlay: rejects negative delay" `Quick
       test_underlay_rejects_negative_delay;
   ]

@@ -202,6 +202,24 @@ let test_pending_lookup_words () =
     (Printf.sprintf "%.1f live words per pending lookup (ceiling %.0f)" per_lookup ceiling)
     true (per_lookup <= ceiling)
 
+(* --- routing tables ------------------------------------------------------ *)
+
+(* The link-state router of a 5,000-peer run's underlay (36 stub domains
+   of 139 nodes) keeps a float and two two-byte entries per in-domain
+   pair: 1.14 M words with the graph measured, 2.19 M with three
+   one-word entries per pair. *)
+let test_routing_table_words () =
+  let topo =
+    P2p_topology.Transit_stub.generate ~rng:(P2p_sim.Rng.create 42001)
+      (Pipeline.topology_for 5000)
+  in
+  let words = Obj.reachable_words (Obj.repr (P2p_topology.Transit_stub.routing topo)) in
+  let ceiling = 1_200_000 in
+  checkb
+    (Printf.sprintf "%d words of link-state routing at 5,000 peers (ceiling %d)" words
+       ceiling)
+    true (words <= ceiling)
+
 (* --- schedule pin under churn ------------------------------------------- *)
 
 (* A seeded 2000-peer churn run pinned to constants: any change to the
@@ -360,6 +378,8 @@ let suite =
       test_successor_index_wraparound;
     Alcotest.test_case "random_peer: O(1) words per draw" `Quick
       test_random_peer_allocation;
+    Alcotest.test_case "routing: link-state words at 5,000 peers" `Quick
+      test_routing_table_words;
     Alcotest.test_case "lookups: live words per pending lookup" `Quick
       test_pending_lookup_words;
     Alcotest.test_case "schedule: churn run pinned" `Slow test_schedule_pinned;

@@ -416,25 +416,78 @@ let table_graph ~seed ~shape ~ties =
     { t with Transit_stub.graph = tied }
   end
 
+(* A block's entries decoded into the reference's three row-major
+   arrays: distances, first hops as global ids (-1 for none), hop
+   counts. *)
+let decode_block b s =
+  let cell f = Array.init (s * s) (fun k -> f b (k / s) (k mod s)) in
+  (cell Routing.block_dist, cell Routing.block_next, cell Routing.block_hops)
+
+(* [true] when every member set of [t] gets the scan-min build's tables
+   from [Routing.restricted_all_pairs], bit for bit: distances compared
+   as IEEE bit patterns, decoded first hops and hop counts exactly. *)
+let blocks_match_scan_min t =
+  let g = t.Transit_stub.graph in
+  let index = Array.make (Graph.node_count g) (-1) in
+  List.for_all
+    (fun (members, in_set) ->
+      Array.iteri (fun i u -> index.(u) <- i) members;
+      let index_of v = index.(v) in
+      let d1, n1, h1 =
+        decode_block
+          (Routing.restricted_all_pairs g ~members ~index_of ~in_set)
+          (Array.length members)
+      in
+      let d0, n0, h0 = scan_min_all_pairs g ~members ~index_of ~in_set in
+      Array.map Int64.bits_of_float d1 = Array.map Int64.bits_of_float d0
+      && n1 = n0 && h1 = h0)
+    (routing_sets t)
+
 (* Property: the heap-ordered build gives the scan-min build's tables
-   bit for bit — distances compared as IEEE bit patterns, first hops
-   and hop counts exactly. *)
+   bit for bit. *)
 let prop_all_pairs_match_scan_min =
   QCheck.Test.make ~name:"restricted_all_pairs = scan-min reference" ~count:15
     QCheck.(triple (int_bound 10_000) (int_bound 2) bool)
-    (fun (seed, shape, ties) ->
-      let t = table_graph ~seed ~shape ~ties in
+    (fun (seed, shape, ties) -> blocks_match_scan_min (table_graph ~seed ~shape ~ties))
+
+(* Property: on transit-stub graphs whose stub domains have 257-296
+   nodes — member positions past one byte — the two-byte tables answer
+   like per-source Dijkstra on every pair: distances to float tolerance
+   (the hierarchical sum adds in another order), hop counts and paths
+   exactly (random latencies leave no equal-cost ties), and every block
+   decodes to the scan-min reference.  The blocks are compared first: a
+   wrong first-hop entry can send [path]'s walk round a cycle. *)
+let prop_wide_domains_match_dijkstra =
+  QCheck.Test.make ~name:"link_state over 257+-node domains = Dijkstra" ~count:3
+    QCheck.(pair (int_bound 10_000) (int_bound 1))
+    (fun (seed, extra_transit) ->
+      let rng = Rng.create seed in
+      let params =
+        {
+          Transit_stub.default_params with
+          Transit_stub.transit_domains = 1 + extra_transit;
+          transit_nodes = 1;
+          stub_domains_per_node = 1;
+          stub_nodes = 257 + Rng.int rng 40;
+          extra_stub_edges = 60;
+        }
+      in
+      let t = Transit_stub.generate ~rng params in
       let g = t.Transit_stub.graph in
-      let index = Array.make (Graph.node_count g) (-1) in
-      List.for_all
-        (fun (members, in_set) ->
-          Array.iteri (fun i u -> index.(u) <- i) members;
-          let index_of v = index.(v) in
-          let d1, n1, h1 = Routing.restricted_all_pairs g ~members ~index_of ~in_set in
-          let d0, n0, h0 = scan_min_all_pairs g ~members ~index_of ~in_set in
-          Array.map Int64.bits_of_float d1 = Array.map Int64.bits_of_float d0
-          && n1 = n0 && h1 = h0)
-        (routing_sets t))
+      let ls = Transit_stub.routing t and dij = Routing.create g in
+      let n = Graph.node_count g in
+      let agree = ref (blocks_match_scan_min t) in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let d = Routing.distance dij u v in
+          agree :=
+            !agree
+            && Float.abs (Routing.distance ls u v -. d) <= 1e-6
+            && Routing.hop_count ls u v = Routing.hop_count dij u v
+            && Routing.path ls u v = Routing.path dij u v
+        done
+      done;
+      !agree)
 
 (* The shapes the property draws really have ties and big domains. *)
 let test_table_graph_shapes () =
@@ -552,6 +605,8 @@ let suite =
       test_table_graph_shapes;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
       prop_all_pairs_match_scan_min;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261019 |])
+      prop_wide_domains_match_dijkstra;
     Alcotest.test_case "stress: accounting" `Quick test_stress_basic;
     Alcotest.test_case "stress: trivial paths" `Quick test_stress_trivial_paths;
     Alcotest.test_case "stress: clear" `Quick test_stress_clear;

@@ -449,6 +449,29 @@ let live_retry_after_refused () =
   Live.stop a;
   Live.stop b
 
+(* The guard behind "retry after refused": a socket bound to a loopback
+   port and connected to that same address (TCP's simultaneous open with
+   itself, what a redial to an unbound ephemeral port can produce) is
+   self-connected; an ordinary loopback connection is not, nor is a
+   socket that never connected. *)
+let live_self_connect_guard () =
+  let self = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* its closed port is left in TIME_WAIT: keep it bindable *)
+  Unix.setsockopt self Unix.SO_REUSEADDR true;
+  Unix.bind self (loopback 0);
+  Unix.connect self (Unix.getsockname self);
+  Alcotest.(check bool) "connected to its own address" true (Live.self_connected self);
+  Unix.close self;
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (loopback 0);
+  Unix.listen listener 1;
+  let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Alcotest.(check bool) "not connected yet" false (Live.self_connected client);
+  Unix.connect client (Unix.getsockname listener);
+  Alcotest.(check bool) "connected to a listener" false (Live.self_connected client);
+  Unix.close client;
+  Unix.close listener
+
 let live_windowed_send_under_full_buffer () =
   let port_a = 43230 and port_b = 43231 in
   let a = Live.create ~self:0 () in
@@ -690,6 +713,8 @@ let suite =
       live_trace_ctx_propagates;
     Alcotest.test_case "live: retry after refused" `Quick
       live_retry_after_refused;
+    Alcotest.test_case "live: a self-connected socket is detected" `Quick
+      live_self_connect_guard;
     Alcotest.test_case "live: windowed send under full buffer" `Quick
       live_windowed_send_under_full_buffer;
     Alcotest.test_case "live: hard cap bounds a dead peer's queue" `Quick
