@@ -172,10 +172,10 @@ let populate h ~rng ~n =
   in
   let make_t host =
     let p =
-      Peer.make ~interner ~host ~p_id:(fresh_p_id ()) ~role:Peer.T_peer
+      Peer.make ~log:(World.change_log w) ~interner ~host ~p_id:(fresh_p_id ()) ~role:Peer.T_peer
         ~link_capacity:1.0 ()
     in
-    p.Peer.t_home <- Some p;
+    Peer.set_t_home p (Some p);
     World.register w p;
     p
   in
@@ -199,7 +199,7 @@ let populate h ~rng ~n =
     let q = slots.(ri) in
     let parent, free = Queue.pop q in
     let child =
-      Peer.make ~interner ~host ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0
+      Peer.make ~log:(World.change_log w) ~interner ~host ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0
         ()
     in
     Peer.attach_child ~parent ~child;

@@ -279,7 +279,7 @@ let profile_arg =
 let audit_interval_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float) None
     & info [ "audit-interval" ] ~docv:"MS"
         ~doc:
           "Run the online invariant auditor every $(docv) simulated milliseconds; \
@@ -517,7 +517,7 @@ let inject_corruption h ~config = function
     let needed = config.Config.delta + 1 - List.length root.Peer.children in
     for i = 1 to max 1 needed do
       let child =
-        Peer.make ~interner:(World.interner w) ~host:(-i) ~p_id:root.Peer.p_id
+        Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(-i) ~p_id:root.Peer.p_id
           ~role:Peer.S_peer ~link_capacity:10.0 ()
       in
       Peer.attach_child ~parent:root ~child
@@ -526,7 +526,7 @@ let inject_corruption h ~config = function
     let w = H.world h in
     let arr = World.t_peers w in
     if Array.length arr < 2 then failwith "need at least 2 t-peers to break the ring";
-    arr.(0).Peer.succ <- Some arr.(0)
+    Peer.set_succ arr.(0) (Some arr.(0))
   | Placement ->
     (* plant an item whose route_id falls outside its holder's segment *)
     let w = H.world h in

@@ -97,6 +97,7 @@ let tick t =
     Trace.begin_op trace ~time ~kind:(Trace.Custom "audit")
       (Printf.sprintf "tick %d" t.tick_count)
   in
+  Checks.time_checks t.state (Engine.profiling w.World.engine);
   let snap = Checks.run_all ~state:t.state ~checks:t.checks w in
   Option.iter (fun f -> f snap) t.on_snapshot;
   let tick_violations = ref 0 in
@@ -143,3 +144,7 @@ let errors_total t = t.errors_total
 let last_snapshot t = t.last_snapshot
 
 let timeline t = List.rev t.timeline_rev
+
+let checks_state t = t.state
+
+let check_times t = Checks.check_times t.state

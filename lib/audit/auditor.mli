@@ -84,3 +84,13 @@ val last_snapshot : t -> Checks.snapshot option
 (** [(time, violations_found)] per tick, oldest first — the
     violations-over-time series scenario reports summarize. *)
 val timeline : t -> (float * int) list
+
+(** The {!Checks.state} the auditor ticks with: what its checks carry
+    from tick to tick, and the last tick's cost ({!Checks.reverified},
+    {!Checks.full_scans}). *)
+val checks_state : t -> Checks.state
+
+(** [(check, ticks, cpu_seconds)] per check over the ticks run while the
+    engine was profiling ({!P2p_sim.Engine.profiling}); empty otherwise.
+    [run --profile] prints them after the engine's rows. *)
+val check_times : t -> (string * int * float) list

@@ -3,6 +3,7 @@ module Peer = Hybrid_p2p.Peer
 module Config = Hybrid_p2p.Config
 module Data_store = Hybrid_p2p.Data_store
 module Intern = Hybrid_p2p.Intern
+module Change_log = Hybrid_p2p.Change_log
 module Trace = P2p_sim.Trace
 module Spans = P2p_obs.Spans
 module Int_map = Map.Make (Int)
@@ -66,33 +67,112 @@ let finish col =
 type scratch = {
   mutable epoch : int;
   mutable host_stamp : int array;
-  mutable host_count : int array;  (* membership: s-peers counted per root host *)
   mutable key_stamp : int array;
   mutable key_count : int array;  (* replication_factor: replica copies per key id *)
 }
 
 let scratch () =
-  { epoch = 0; host_stamp = [||]; host_count = [||]; key_stamp = [||]; key_count = [||] }
+  { epoch = 0; host_stamp = [||]; key_stamp = [||]; key_count = [||] }
 
 (* A fresh epoch: every stamp written before it is stale. *)
 let next_epoch sc =
   sc.epoch <- sc.epoch + 1;
   sc.epoch
 
-let grown a n = Array.make (max n (2 * Array.length a)) 0
+(* [a] grown to cover [0, n), new cells holding [fill]. *)
+let cover a n fill =
+  let len = Array.length a in
+  if len >= n then a
+  else begin
+    let b = Array.make (max n (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
 (* Make the host arrays cover [0, n). *)
-let fit_hosts sc n =
-  if Array.length sc.host_stamp < n then begin
-    sc.host_stamp <- grown sc.host_stamp n;
-    sc.host_count <- grown sc.host_count n
-  end
+let fit_hosts sc n = sc.host_stamp <- cover sc.host_stamp n 0
 
 let fit_keys sc n =
   if Array.length sc.key_stamp < n then begin
-    sc.key_stamp <- grown sc.key_stamp n;
-    sc.key_count <- grown sc.key_count n
+    sc.key_stamp <- cover sc.key_stamp n 0;
+    sc.key_count <- cover sc.key_count n 0
   end
+
+(* --- what a tick carries to the next ------------------------------------
+
+   An online tick re-verifies only what the world's change log
+   ({!Hybrid_p2p.Change_log}) names since the state's last run, on top of
+   a {e base}: the same check's previous run with this state, when that
+   run was clean and the check's own preconditions for a fast path held.
+   A fast path either proves the world still clean, keeping its gauges as
+   running sums, or gives up ([Give_up]) and runs the full scan.  So a
+   state with a violation is always reported by the full scan itself,
+   and every status equals a fresh scan's, byte for byte. *)
+type inc = {
+  mutable runs : int;  (* catalogue runs made with this state *)
+  mutable log : Peer.t Change_log.t option;  (* the log [gen] belongs to *)
+  mutable gen : int;  (* the generation restarted after the last run *)
+  mutable fast : bool;  (* this run reads the log *)
+  mutable dirty : Peer.t list;  (* peers written since the last run *)
+  (* each [*_base]: the run a check's fast path may build on, or -1 *)
+  mutable ring_base : int;
+  mutable ring_busy : int;  (* ring_busy_peers, as a running sum *)
+  mutable busy_mark : Bytes.t;  (* host -> counted in [ring_busy] *)
+  mutable fingers_base : int;
+  mutable tree_base : int;
+  mutable tree_root : int array;  (* host -> root host its last walk ran under *)
+  mutable root_mark : int array;  (* host -> epoch it was picked as a root to walk *)
+  mutable member_base : int;
+  mutable root_of : int array;  (* host -> root host its peer is counted under *)
+  mutable by_root : int array;  (* root host -> s-peers counted under it *)
+  (* the last run's cost, for tests and profiles *)
+  mutable work : int;  (* peer records the fast-path checks read *)
+  mutable scanned : string list;  (* fast-path checks that scanned in full *)
+}
+
+let inc () =
+  {
+    runs = 0;
+    log = None;
+    gen = 0;
+    fast = false;
+    dirty = [];
+    ring_base = -1;
+    ring_busy = 0;
+    busy_mark = Bytes.empty;
+    fingers_base = -1;
+    tree_base = -1;
+    tree_root = [||];
+    root_mark = [||];
+    member_base = -1;
+    root_of = [||];
+    by_root = [||];
+    work = 0;
+    scanned = [];
+  }
+
+(* A fast path meets something only the full scan may report. *)
+exception Give_up
+
+(* May this run build on the one [base] names? *)
+let continues inc base = inc.fast && base >= 0 && base = inc.runs - 1
+
+let base_if inc ok = if ok then inc.runs else -1
+
+let registered w p =
+  match World.find_peer w ~host:p.Peer.host with Some q -> q == p | None -> false
+
+(* The ring member on [host], which {!World.t_peers} holds. *)
+let ring_member_at w host =
+  match World.find_peer w ~host with
+  | Some q when World.ring_index w q >= 0 -> Some q
+  | Some _ | None -> None
+
+let clean who gauges = { name = who; violations = []; gauges }
+
+(* An interner that never saw a string means no registered store holds
+   an item: every registered store is on the world interner. *)
+let no_items w = Intern.count (World.interner w) = 0
 
 (* --- in-flight state recognition ----------------------------------------
 
@@ -127,9 +207,17 @@ let attachment e =
 
 (* --- ring symmetry ------------------------------------------------------ *)
 
-let ring_symmetry ~final who w =
+(* [busy_mark] grown to cover [0, bound), new cells unmarked. *)
+let fit_busy inc bound =
+  let len = Bytes.length inc.busy_mark in
+  if len < bound then begin
+    let mark = Bytes.make (max bound (2 * len)) '\000' in
+    Bytes.blit inc.busy_mark 0 mark 0 len;
+    inc.busy_mark <- mark
+  end
+
+let ring_full inc ~final who w arr =
   let col = collector who in
-  let arr = World.t_peers w in
   let n = Array.length arr in
   (* A pointer at an alive t-peer that is not yet registered belongs to a
      join triangle in flight — the joiner becomes visible atomically with
@@ -142,14 +230,25 @@ let ring_symmetry ~final who w =
        Array.iter (fun p -> Hashtbl.replace tbl p.Peer.host ()) arr;
        tbl)
   in
+  (* a tolerated pointer leaves no base: the fast path cannot see the
+     joiner it waits for change *)
+  let tolerated = ref 0 in
   let mid_join q =
     (not final) && q.Peer.alive && Peer.is_t_peer q
-    && not (Hashtbl.mem (Lazy.force registered) q.Peer.host)
+    && (not (Hashtbl.mem (Lazy.force registered) q.Peer.host))
+    && (incr tolerated; true)
   in
+  let bound = World.host_bound w in
+  fit_busy inc bound;
+  Bytes.fill inc.busy_mark 0 (Bytes.length inc.busy_mark) '\000';
   let busy = ref 0 in
   Array.iter
     (fun p ->
-      if not (Peer.quiet p) then incr busy;
+      if not (Peer.quiet p) then begin
+        incr busy;
+        let h = p.Peer.host in
+        if h >= 0 && h < bound then Bytes.set inc.busy_mark h '\001'
+      end;
       if final then
         if p.Peer.joining then
           err col ~subject:p.Peer.host "t-peer #%d: joining mutex engaged" p.Peer.host
@@ -159,6 +258,7 @@ let ring_symmetry ~final who w =
           err col ~subject:p.Peer.host "t-peer #%d: non-empty join queue" p.Peer.host)
     arr;
   gauge col "ring_busy_peers" (float_of_int !busy);
+  inc.ring_busy <- !busy;
   for i = 0 to n - 1 do
     let a = arr.(i) and b = arr.((i + 1) mod n) in
     (* Online, only judge a segment whose endpoints are not mid-operation:
@@ -196,70 +296,140 @@ let ring_symmetry ~final who w =
         arr.(i + 1).Peer.host
         arr.(i).Peer.p_id
   done;
+  inc.ring_base <- base_if inc (col.acc = [] && !tolerated = 0);
+  inc.work <- inc.work + n;
+  inc.scanned <- who :: inc.scanned;
   finish col
+
+(* From a clean base every judged segment had [a.succ == b] and
+   [b.pred == a].  A segment's verdict reads its two endpoints, so only
+   the segments beside a logged ring member can change — a ring merge
+   logs the members a removal made neighbours — and the busy count moves
+   only on a logged host. *)
+let ring_fast inc w arr =
+  let n = Array.length arr in
+  let bound = World.host_bound w in
+  fit_busy inc bound;
+  let judge i =
+    let a = arr.(i) and b = arr.((i + 1) mod n) in
+    inc.work <- inc.work + 1;
+    if Peer.quiet a && Peer.quiet b then begin
+      (match a.Peer.succ with Some s when s == b -> () | Some _ | None -> raise Give_up);
+      match b.Peer.pred with Some p when p == a -> () | Some _ | None -> raise Give_up
+    end;
+    if i < n - 1 && a.Peer.p_id = b.Peer.p_id then raise Give_up
+  in
+  List.iter
+    (fun p ->
+      let h = p.Peer.host in
+      if h >= 0 && h < bound then begin
+        let busy =
+          match ring_member_at w h with
+          | Some q when not (Peer.quiet q) -> '\001'
+          | Some _ | None -> '\000'
+        in
+        if Bytes.get inc.busy_mark h <> busy then begin
+          inc.ring_busy <- (inc.ring_busy + if busy = '\001' then 1 else -1);
+          Bytes.set inc.busy_mark h busy
+        end
+      end;
+      match World.ring_index w p with
+      | -1 -> ()
+      | i ->
+        judge ((i + n - 1) mod n);
+        judge i)
+    inc.dirty
+
+let ring_symmetry inc ~final who w =
+  let arr = World.t_peers w in
+  (* rings of one or two members are special-cased: scan them *)
+  if Array.length arr < 3 || not (continues inc inc.ring_base) then
+    ring_full inc ~final who w arr
+  else
+    match ring_fast inc w arr with
+    | () ->
+      inc.ring_base <- inc.runs;
+      clean who [ ("ring_busy_peers", float_of_int inc.ring_busy) ]
+    | exception Give_up -> ring_full inc ~final who w arr
 
 (* --- finger tables vs the oracle ---------------------------------------- *)
 
-let finger_tables ~final:_ who w =
+(* The oracle answers with an index into [arr] ([-1] on an empty ring),
+   compared by identity: no option per finger. *)
+let check_table col w arr p =
+  let fingers = World.fingers w p in
+  if Array.length fingers <> Id_space.bits then
+    err col ~subject:p.Peer.host "t-peer #%d: finger table has %d entries, want %d"
+      p.Peer.host (Array.length fingers) Id_space.bits
+  else
+    for k = 0 to Id_space.bits - 1 do
+      let i = World.successor_index w (Id_space.finger_start ~base:p.Peer.p_id k) in
+      match fingers.(k) with
+      | None when i < 0 -> ()
+      | Some f when i >= 0 && f == arr.(i) -> ()
+      | Some f when i >= 0 ->
+        err col ~subject:p.Peer.host "t-peer #%d: finger[%d] is #%d, oracle says #%d"
+          p.Peer.host k f.Peer.host arr.(i).Peer.host
+      | None ->
+        err col ~subject:p.Peer.host "t-peer #%d: finger[%d] unset, oracle says #%d"
+          p.Peer.host k arr.(i).Peer.host
+      | Some f ->
+        err col ~subject:p.Peer.host "t-peer #%d: finger[%d] is #%d on an empty ring"
+          p.Peer.host k f.Peer.host
+    done
+
+(* While fresh, a table still stale from the last refresh point is
+   recomputed, when read, from the ring the oracle answers on: it agrees
+   by construction.  A table that is not stale was written explicitly
+   since that point — and logged — or was checked at the base and has
+   not changed since, for the ring has not.  So a fast tick checks only
+   the logged ring members' tables. *)
+let finger_tables inc ~final:_ who w =
   let col = collector who in
   if not (World.fingers_fresh w) then begin
     (* Fingers are refreshed lazily; comparing a stale table against the
        oracle would misreport pending recomputation as damage. *)
     gauge col "fingers_fresh" 0.0;
+    inc.fingers_base <- inc.runs;
     finish col
   end
   else begin
     gauge col "fingers_fresh" 1.0;
     let arr = World.t_peers w in
-    (* The oracle answers with an index into [arr] ([-1] on an empty
-       ring), compared by identity: no option per finger. *)
-    Array.iter
-      (fun p ->
-        let fingers = World.fingers w p in
-        if Array.length fingers <> Id_space.bits then
-          err col ~subject:p.Peer.host "t-peer #%d: finger table has %d entries, want %d"
-            p.Peer.host (Array.length fingers) Id_space.bits
-        else
-          for k = 0 to Id_space.bits - 1 do
-            let i = World.successor_index w (Id_space.finger_start ~base:p.Peer.p_id k) in
-            match fingers.(k) with
-            | None when i < 0 -> ()
-            | Some f when i >= 0 && f == arr.(i) -> ()
-            | Some f when i >= 0 ->
-              err col ~subject:p.Peer.host "t-peer #%d: finger[%d] is #%d, oracle says #%d"
-                p.Peer.host k f.Peer.host arr.(i).Peer.host
-            | None ->
-              err col ~subject:p.Peer.host "t-peer #%d: finger[%d] unset, oracle says #%d"
-                p.Peer.host k arr.(i).Peer.host
-            | Some f ->
-              err col ~subject:p.Peer.host "t-peer #%d: finger[%d] is #%d on an empty ring"
-                p.Peer.host k f.Peer.host
-          done)
-      arr;
+    let fast =
+      continues inc inc.fingers_base
+      &&
+      let probe = collector who in
+      List.iter
+        (fun p ->
+          if World.ring_index w p >= 0 then begin
+            inc.work <- inc.work + 1;
+            check_table probe w arr p
+          end)
+        inc.dirty;
+      probe.acc = []
+    in
+    if not fast then begin
+      inc.work <- inc.work + Array.length arr;
+      inc.scanned <- who :: inc.scanned;
+      Array.iter (check_table col w arr) arr
+    end;
+    inc.fingers_base <- base_if inc (col.acc = []);
     finish col
   end
 
 (* --- s-tree shape and the degree cap ------------------------------------ *)
 
-let tree_structure sc ~final:_ who w =
-  let col = collector who in
-  let delta = w.World.config.Config.delta in
-  (* [first_sight host] is [true] the first time the tick sees [host]:
-     a stamp per host below [World.host_bound], and a table for any
-     other host — hand-wired peers (tests, fault injection) carry
-     negative hosts. *)
-  let bound = World.host_bound w in
-  fit_hosts sc bound;
-  let epoch = next_epoch sc and stamp = sc.host_stamp and stray = Hashtbl.create 1 in
-  let first_sight host =
-    if host >= 0 && host < bound then stamp.(host) <> epoch && (stamp.(host) <- epoch; true)
-    else (not (Hashtbl.mem stray host)) && (Hashtbl.add stray host (); true)
-  in
+(* A walker of roots' trees as the full scan walks them, calling
+   [on_visit root peer] on every peer reached for the first time.  Built
+   once per tick: no closure per root. *)
+let tree_walker col ~delta ~first_sight ~on_visit =
   let rec walk root peer =
     if not (first_sight peer.Peer.host) then
       err col ~subject:peer.Peer.host "cycle at peer #%d in s-network of #%d"
         peer.Peer.host root.Peer.host
     else begin
+      on_visit root peer;
       if Peer.tree_degree peer > delta then
         err col ~subject:peer.Peer.host "peer #%d: degree %d exceeds cap %d"
           peer.Peer.host (Peer.tree_degree peer) delta;
@@ -293,140 +463,313 @@ let tree_structure sc ~final:_ who w =
       end;
       walk_children root peer rest
   in
-  Array.iter
-    (fun root ->
-      (match root.Peer.cp with
-       | None -> ()
-       | Some cp ->
-         err col ~subject:root.Peer.host "root #%d has a connect point (#%d)" root.Peer.host
-           cp.Peer.host);
-      walk root root)
-    (World.t_peers w);
+  fun root ->
+    (match root.Peer.cp with
+     | None -> ()
+     | Some cp ->
+       err col ~subject:root.Peer.host "root #%d has a connect point (#%d)" root.Peer.host
+         cp.Peer.host);
+    walk root root
+
+let tree_full sc inc who w =
+  let col = collector who in
+  let delta = w.World.config.Config.delta in
+  (* [first_sight host] is [true] the first time the tick sees [host]:
+     a stamp per host below [World.host_bound], and a table for any
+     other host — hand-wired peers (tests, fault injection) carry
+     negative hosts. *)
+  let bound = World.host_bound w in
+  fit_hosts sc bound;
+  inc.tree_root <- cover inc.tree_root bound (-1);
+  inc.root_mark <- cover inc.root_mark bound 0;
+  Array.fill inc.tree_root 0 (Array.length inc.tree_root) (-1);
+  let epoch = next_epoch sc and stamp = sc.host_stamp and stray = Hashtbl.create 1 in
+  let first_sight host =
+    if host >= 0 && host < bound then stamp.(host) <> epoch && (stamp.(host) <- epoch; true)
+    else (not (Hashtbl.mem stray host)) && (Hashtbl.add stray host (); true)
+  in
+  let on_visit root p =
+    let h = p.Peer.host in
+    inc.work <- inc.work + 1;
+    if h >= 0 && h < bound then inc.tree_root.(h) <- root.Peer.host
+  in
+  Array.iter (tree_walker col ~delta ~first_sight ~on_visit) (World.t_peers w);
+  inc.tree_base <- base_if inc (col.acc = [] && Hashtbl.length stray = 0);
+  inc.scanned <- who :: inc.scanned;
   finish col
+
+(* From a clean base the trees were disjoint and each root's walk clean.
+   A walk reads only the peers it reaches, so only a tree that reaches a
+   logged peer now, or reached it at the base, can change: the first is
+   the root at the end of the peer's cp chain, the second the root its
+   last walk recorded.  Those trees are walked again; reaching a peer
+   another, unwalked tree still claims gives up, since the two may now
+   share it. *)
+let tree_fast sc inc who w =
+  let delta = w.World.config.Config.delta in
+  let bound = World.host_bound w in
+  fit_hosts sc bound;
+  inc.tree_root <- cover inc.tree_root bound (-1);
+  inc.root_mark <- cover inc.root_mark bound 0;
+  let picked = next_epoch sc in
+  let roots = ref [] in
+  let pick q =
+    let h = q.Peer.host in
+    if inc.root_mark.(h) <> picked then begin
+      inc.root_mark.(h) <- picked;
+      roots := q :: !roots
+    end
+  in
+  List.iter
+    (fun x ->
+      let h = x.Peer.host in
+      (if h >= 0 && h < bound then
+         let r = inc.tree_root.(h) in
+         if r >= 0 then Option.iter pick (ring_member_at w r));
+      let e = chain_end x 0 in
+      if Peer.is_t_peer e && World.ring_index w e >= 0 then pick e)
+    inc.dirty;
+  let epoch = next_epoch sc and stamp = sc.host_stamp in
+  let first_sight host =
+    if host < 0 || host >= bound then raise Give_up;
+    stamp.(host) <> epoch && (stamp.(host) <- epoch; true)
+  in
+  let col = collector who in
+  let on_visit root p =
+    let h = p.Peer.host and rh = root.Peer.host in
+    let r = inc.tree_root.(h) in
+    inc.work <- inc.work + 1;
+    if r >= 0 && r <> rh && inc.root_mark.(r) <> picked && ring_member_at w r <> None then
+      raise Give_up;
+    inc.tree_root.(h) <- rh
+  in
+  let walk = tree_walker col ~delta ~first_sight ~on_visit in
+  List.iter
+    (fun root ->
+      walk root;
+      if col.acc <> [] then raise Give_up)
+    !roots
+
+let tree_structure sc inc ~final:_ who w =
+  if continues inc inc.tree_base then
+    match tree_fast sc inc who w with
+    | () ->
+      inc.tree_base <- inc.runs;
+      clean who []
+    | exception Give_up -> tree_full sc inc who w
+  else tree_full sc inc who w
 
 (* --- membership: every live peer hangs under exactly one live root ------ *)
 
-let membership sc ~final who w =
-  let col = collector who in
-  let in_transit = ref 0 in
-  (* s-peers counted per root host; a root outside [0, host_bound) has
-     no size-table entry to compare with *)
-  let bound = World.host_bound w in
-  fit_hosts sc bound;
-  let epoch = next_epoch sc and stamp = sc.host_stamp and by_root = sc.host_count in
-  World.iter_peers w
-    (fun p ->
-      if Peer.is_t_peer p then begin
-        (match p.Peer.t_home with
-         | Some home when home == p -> ()
-         | Some home ->
-           err col ~subject:p.Peer.host "t-peer #%d: t_home is #%d, not itself" p.Peer.host
-             home.Peer.host
-         | None -> err col ~subject:p.Peer.host "t-peer #%d: no t_home" p.Peer.host);
-        match p.Peer.cp with
-        | None -> ()
-        | Some cp ->
-          err col ~subject:p.Peer.host "t-peer #%d has a connect point (#%d)" p.Peer.host
-            cp.Peer.host
+(* A registered peer's verdict, into [col]: the root host it counts under
+   in the size-table comparison, or -1.  [odd] counts what leaves no
+   base: a rooted s-peer whose connect point is not registered (the fast
+   path finds peers through registered parents' child lists), or whose
+   root lies outside [0, bound). *)
+let member_verdict col ~final ~bound ~in_transit ~odd w p =
+  if Peer.is_t_peer p then begin
+    (match p.Peer.t_home with
+     | Some home when home == p -> ()
+     | Some home ->
+       err col ~subject:p.Peer.host "t-peer #%d: t_home is #%d, not itself" p.Peer.host
+         home.Peer.host
+     | None -> err col ~subject:p.Peer.host "t-peer #%d: no t_home" p.Peer.host);
+    (match p.Peer.cp with
+     | None -> ()
+     | Some cp ->
+       err col ~subject:p.Peer.host "t-peer #%d has a connect point (#%d)" p.Peer.host
+         cp.Peer.host);
+    -1
+  end
+  else
+    let last = chain_end p 0 in
+    match attachment last with
+    | Rooted ->
+      let root = last in
+      (match p.Peer.t_home with
+       | Some home when home == root -> ()
+       | Some home ->
+         err col ~subject:p.Peer.host "s-peer #%d: t_home is #%d but attached under #%d"
+           p.Peer.host home.Peer.host root.Peer.host
+       | None -> err col ~subject:p.Peer.host "s-peer #%d: no t_home" p.Peer.host);
+      (* the parent side of the edge: a tree walk from the root never
+         reaches an s-peer its cp does not list *)
+      (match p.Peer.cp with
+       | Some cp when not (List.memq p cp.Peer.children) ->
+         err col ~subject:p.Peer.host "s-peer #%d: cp #%d does not list it as a child"
+           p.Peer.host cp.Peer.host
+       | Some cp -> if not (registered w cp) then incr odd
+       | None -> ());
+      let r = root.Peer.host in
+      if r >= 0 && r < bound then r
+      else begin
+        incr odd;
+        -1
       end
-      else
-        let last = chain_end p 0 in
-        match attachment last with
-        | Rooted ->
-          let root = last in
-          let r = root.Peer.host in
-          if r >= 0 && r < bound then
-            if stamp.(r) = epoch then by_root.(r) <- by_root.(r) + 1
-            else begin
-              stamp.(r) <- epoch;
-              by_root.(r) <- 1
-            end;
-          (match p.Peer.t_home with
-           | Some home when home == root -> ()
-           | Some home ->
-             err col ~subject:p.Peer.host "s-peer #%d: t_home is #%d but attached under #%d"
-               p.Peer.host home.Peer.host root.Peer.host
-           | None -> err col ~subject:p.Peer.host "s-peer #%d: no t_home" p.Peer.host);
-          (* the parent side of the edge: a tree walk from the root never
-             reaches an s-peer its cp does not list *)
-          (match p.Peer.cp with
-           | Some cp when not (List.memq p cp.Peer.children) ->
-             err col ~subject:p.Peer.host "s-peer #%d: cp #%d does not list it as a child"
-               p.Peer.host cp.Peer.host
-           | Some _ | None -> ())
-        | In_transit ->
-          (* a detached subtree walking back to its root — legitimate
-             between a graceful leave / promotion and the re-attach *)
-          incr in_transit;
-          if final then
-            err col ~subject:p.Peer.host "s-peer #%d: detached from every s-network"
-              p.Peer.host
-        | Stranded ->
-          let dead = last in
-          err col ~subject:p.Peer.host "s-peer #%d: stranded under dead peer #%d"
-            p.Peer.host dead.Peer.host
-        | Cp_cycle ->
-          err col ~subject:p.Peer.host "s-peer #%d: cp chain never reaches a root"
-            p.Peer.host);
+    | In_transit ->
+      (* a detached subtree walking back to its root — legitimate
+         between a graceful leave / promotion and the re-attach *)
+      incr in_transit;
+      if final then
+        err col ~subject:p.Peer.host "s-peer #%d: detached from every s-network" p.Peer.host;
+      -1
+    | Stranded ->
+      let dead = last in
+      err col ~subject:p.Peer.host "s-peer #%d: stranded under dead peer #%d" p.Peer.host
+        dead.Peer.host;
+      -1
+    | Cp_cycle ->
+      err col ~subject:p.Peer.host "s-peer #%d: cp chain never reaches a root" p.Peer.host;
+      -1
+
+let fit_members inc bound =
+  inc.root_of <- cover inc.root_of bound (-1);
+  inc.by_root <- cover inc.by_root bound 0
+
+let member_full inc ~final who w =
+  let col = collector who in
+  let in_transit = ref 0 and odd = ref 0 in
+  let bound = World.host_bound w in
+  fit_members inc bound;
+  Array.fill inc.root_of 0 (Array.length inc.root_of) (-1);
+  Array.fill inc.by_root 0 (Array.length inc.by_root) 0;
+  World.iter_peers w (fun p ->
+      let r = member_verdict col ~final ~bound ~in_transit ~odd w p in
+      inc.root_of.(p.Peer.host) <- r;
+      if r >= 0 then inc.by_root.(r) <- inc.by_root.(r) + 1);
   gauge col "peers_in_transit" (float_of_int !in_transit);
   (* The server's size table is only comparable when nothing is in
      flight; stale entries while peers rejoin are expected. *)
   if !in_transit = 0 then
     World.iter_snet_sizes w (fun host recorded ->
-        let actual = if host < bound && stamp.(host) = epoch then by_root.(host) else 0 in
+        let actual = if host < bound then inc.by_root.(host) else 0 in
         if recorded <> actual then
           warn col ~subject:host
             "server size table: s-network of #%d recorded as %d, counted %d" host recorded
             actual);
+  inc.member_base <- base_if inc (col.acc = [] && !in_transit = 0 && !odd = 0);
+  inc.work <- inc.work + World.peer_count w;
+  inc.scanned <- who :: inc.scanned;
   finish col
+
+(* From a clean base every registered s-peer was rooted, listed by its
+   registered connect point.  A registered peer's verdict reads its cp
+   chain, so it can change only when a peer on that chain is logged —
+   and then the peer hangs below the lowest logged one through child
+   lists no setter touched ([Peer.set_children] logs a dropped child).
+   So the fast path walks the logged peers' subtrees, re-judges the
+   registered peers on their hosts, moves the per-root counts by the
+   difference, and compares the size table on the rows that moved and
+   on the logged peers' rows ([World.set_snet_size] logs its t-peer). *)
+let member_fast sc inc who w =
+  let bound = World.host_bound w in
+  fit_members inc bound;
+  fit_hosts sc bound;
+  let seen = next_epoch sc and stamp = sc.host_stamp in
+  let probe = collector who in
+  let in_transit = ref 0 and odd = ref 0 in
+  let moved = ref [] in
+  let count r by =
+    if r >= 0 then begin
+      inc.by_root.(r) <- inc.by_root.(r) + by;
+      moved := r :: !moved
+    end
+  in
+  let judge_host h =
+    if stamp.(h) <> seen then begin
+      stamp.(h) <- seen;
+      inc.work <- inc.work + 1;
+      let r =
+        match World.find_peer w ~host:h with
+        | Some q -> member_verdict probe ~final:false ~bound ~in_transit ~odd w q
+        | None -> -1
+      in
+      if probe.acc <> [] || !in_transit > 0 || !odd > 0 then raise Give_up;
+      let old = inc.root_of.(h) in
+      if old <> r then begin
+        count old (-1);
+        count r 1;
+        inc.root_of.(h) <- r
+      end
+    end
+  in
+  (* a child list that cycles never ends: cap the walk *)
+  let budget = ref ((4 * bound) + 64) in
+  let rec walk p =
+    let h = p.Peer.host in
+    if h < 0 || h >= bound then raise Give_up;
+    decr budget;
+    if !budget < 0 then raise Give_up;
+    judge_host h;
+    List.iter walk p.Peer.children
+  in
+  List.iter walk inc.dirty;
+  let compare_row h =
+    let recorded = World.snet_entry w h in
+    if recorded >= 0 && recorded <> inc.by_root.(h) then raise Give_up
+  in
+  List.iter (fun p -> compare_row p.Peer.host) inc.dirty;
+  List.iter compare_row !moved
+
+let membership sc inc ~final who w =
+  if continues inc inc.member_base then
+    match member_fast sc inc who w with
+    | () ->
+      inc.member_base <- inc.runs;
+      clean who [ ("peers_in_transit", 0.0) ]
+    | exception Give_up -> member_full inc ~final who w
+  else member_full inc ~final who w
 
 (* --- data placement (Schemes A and B) ----------------------------------- *)
 
-let data_placement ~final who w =
+let data_placement inc ~final who w =
   let col = collector who in
   let arr = World.t_peers w in
   if Array.length arr > 0 then begin
-    let interner = World.interner w in
+    (* with every registered store empty there is nothing to place *)
     let misplaced = ref 0 in
-    (* One item visitor serves the whole tick: the holder being scanned
-       and its [t_home] (the peer's own option block) are set before each
-       store's scan, so no closure is built per holder. *)
-    let holder = ref (-1) and holder_home = ref None in
-    let visit kid _ route_id =
-      match !holder_home with
-      | Some home when not (Peer.covers home route_id) ->
-        incr misplaced;
-        (* a key's text is read only for a reported item *)
-        if !misplaced <= 8 then
-          err col ~subject:!holder "item %S (route_id %#x) at #%d outside segment of #%d"
-            (Intern.name interner kid) route_id !holder home.Peer.host
-      | Some _ | None -> ()
-    in
-    World.iter_peers w
-      (fun p ->
-        if Data_store.size p.Peer.store > 0 then
-          match p.Peer.t_home with
-          | None -> () (* membership already flags this *)
-          | Some home when not home.Peer.alive -> ()
-          | Some home ->
-            (* While the root or its predecessor is mid-triangle the
-               segment boundary is moving (the leave's loaddump lands
-               before the ring is rewired); judge the segment only when
-               both ends are settled. *)
-            let boundary_settled =
-              final
-              || Peer.quiet home
-                 && (match home.Peer.pred with
-                     | Some pre -> Peer.quiet pre
-                     | None -> false)
-            in
-            if boundary_settled then begin
-              holder := p.Peer.host;
-              holder_home := p.Peer.t_home;
-              Data_store.iter_id_items p.Peer.store visit
-            end);
-    if !misplaced > 8 then
-      err col "...and %d more misplaced items" (!misplaced - 8);
+    if not (no_items w) then begin
+      inc.work <- inc.work + World.peer_count w;
+      inc.scanned <- who :: inc.scanned;
+      let interner = World.interner w in
+      (* One item visitor serves the whole tick: the holder being scanned
+         and its [t_home] (the peer's own option block) are set before each
+         store's scan, so no closure is built per holder. *)
+      let holder = ref (-1) and holder_home = ref None in
+      let visit kid _ route_id =
+        match !holder_home with
+        | Some home when not (Peer.covers home route_id) ->
+          incr misplaced;
+          (* a key's text is read only for a reported item *)
+          if !misplaced <= 8 then
+            err col ~subject:!holder "item %S (route_id %#x) at #%d outside segment of #%d"
+              (Intern.name interner kid) route_id !holder home.Peer.host
+        | Some _ | None -> ()
+      in
+      World.iter_peers w (fun p ->
+          if Data_store.size p.Peer.store > 0 then
+            match p.Peer.t_home with
+            | None -> () (* membership already flags this *)
+            | Some home when not home.Peer.alive -> ()
+            | Some home ->
+              (* While the root or its predecessor is mid-triangle the
+                 segment boundary is moving (the leave's loaddump lands
+                 before the ring is rewired); judge the segment only when
+                 both ends are settled. *)
+              let boundary_settled =
+                final
+                || Peer.quiet home
+                   && (match home.Peer.pred with
+                       | Some pre -> Peer.quiet pre
+                       | None -> false)
+              in
+              if boundary_settled then begin
+                holder := p.Peer.host;
+                holder_home := p.Peer.t_home;
+                Data_store.iter_id_items p.Peer.store visit
+              end);
+      if !misplaced > 8 then err col "...and %d more misplaced items" (!misplaced - 8)
+    end;
     gauge col "misplaced_items" (float_of_int !misplaced)
   end;
   finish col
@@ -527,17 +870,22 @@ let gini_of_counts counts ~n ~total =
     ((2.0 *. !weighted) /. (nf *. float_of_int total)) -. ((nf +. 1.0) /. nf)
   end
 
-(* Two passes over the stores: totals first, then, only when some store
+(* With every registered store empty the gauges are all zero.  Else two
+   passes over the stores: totals first, then, only when some store
    holds an item, the per-size counts.  Sizes are integers, so every sum
    is exact and its float is the float sum of the sizes. *)
-let load_balance ~final:_ who w =
+let load_balance inc ~final:_ who w =
   let col = collector who in
   let n = World.peer_count w in
   let total = ref 0 and top = ref 0 in
-  World.iter_peers w (fun p ->
-      let size = Data_store.size p.Peer.store in
-      total := !total + size;
-      if size > !top then top := size);
+  if not (no_items w) then begin
+    inc.work <- inc.work + n;
+    inc.scanned <- who :: inc.scanned;
+    World.iter_peers w (fun p ->
+        let size = Data_store.size p.Peer.store in
+        total := !total + size;
+        if size > !top then top := size)
+  end;
   let total = !total in
   let items = float_of_int total in
   gauge col "items_total" items;
@@ -679,6 +1027,9 @@ type state = {
   mutable dirty : op_entry list;
   mutable bad_ops : Spans.op Int_map.t;  (* root span id -> over-long critical path *)
   scratch : scratch;  (* the other checks' reusable tallies *)
+  inc : inc;  (* what the fast paths build on *)
+  mutable timed : bool;  (* time each check's runs *)
+  mutable times : (string * int ref * float ref) list;  (* newest check first *)
 }
 
 let no_op = min_int
@@ -700,6 +1051,9 @@ let state () =
     dirty = [];
     bad_ops = Int_map.empty;
     scratch = scratch ();
+    inc = inc ();
+    timed = false;
+    times = [];
   }
 
 (* Forget everything and start over on [tr] (a first tick, another trace,
@@ -925,32 +1279,34 @@ let stateless f (_ : state) = f
 
 let with_scratch f st = f st.scratch
 
+let with_inc f st = f st.inc
+
 let all =
   [
     {
       c_name = "ring_symmetry";
       c_describe = "t-ring successor/predecessor symmetry and p_id uniqueness";
-      c_run = stateless ring_symmetry;
+      c_run = with_inc ring_symmetry;
     };
     {
       c_name = "finger_tables";
       c_describe = "finger tables agree with the membership oracle (when fresh)";
-      c_run = stateless finger_tables;
+      c_run = with_inc finger_tables;
     };
     {
       c_name = "tree_structure";
       c_describe = "s-tree acyclicity, cp symmetry, t_home/p_id, degree cap delta";
-      c_run = with_scratch tree_structure;
+      c_run = (fun st -> tree_structure st.scratch st.inc);
     };
     {
       c_name = "membership";
       c_describe = "every live peer attached under one live root; server size table";
-      c_run = with_scratch membership;
+      c_run = (fun st -> membership st.scratch st.inc);
     };
     {
       c_name = "data_placement";
       c_describe = "every stored item inside its holder's ring segment";
-      c_run = stateless data_placement;
+      c_run = with_inc data_placement;
     };
     {
       c_name = "replication_factor";
@@ -966,7 +1322,7 @@ let all =
     {
       c_name = "load_balance";
       c_describe = "items-per-peer spread and Gini coefficient (gauges only)";
-      c_run = stateless load_balance;
+      c_run = with_inc load_balance;
     };
     {
       c_name = "latency_sanity";
@@ -990,14 +1346,61 @@ let select wanted =
   in
   resolve [] wanted
 
-let run_with st ~final checks w =
-  { time = World.now w; statuses = List.map (fun c -> c.c_run st ~final c.c_name w) checks }
+let record_time st name cpu_s =
+  match List.find_opt (fun (n, _, _) -> n = name) st.times with
+  | Some (_, runs, total) ->
+    incr runs;
+    total := !total +. cpu_s
+  | None -> st.times <- (name, ref 1, ref cpu_s) :: st.times
+
+let run_check st ~final w c =
+  if not st.timed then c.c_run st ~final c.c_name w
+  else begin
+    let t0 = Sys.time () in
+    let status = c.c_run st ~final c.c_name w in
+    record_time st c.c_name (Sys.time () -. t0);
+    status
+  end
+
+(* [claim]: this run reads the world's change log when it can, and
+   restarts it afterwards, so the state's next run reads what changed
+   in between.  A ring merge still pending logs first. *)
+let run_with st ~final ~claim checks w =
+  let inc = st.inc in
+  let log = World.change_log w in
+  if claim then ignore (World.t_peers w : Peer.t array);
+  inc.runs <- inc.runs + 1;
+  inc.work <- 0;
+  inc.scanned <- [];
+  inc.fast <-
+    claim
+    && (match inc.log with Some l -> l == log | None -> false)
+    && Change_log.readable log ~gen:inc.gen;
+  if inc.fast then inc.dirty <- Change_log.peers log;
+  let statuses = List.map (run_check st ~final w) checks in
+  inc.dirty <- [];
+  if claim then begin
+    inc.log <- Some log;
+    inc.gen <- Change_log.restart log ~limit:(max 64 (World.host_bound w / 4))
+  end;
+  { time = World.now w; statuses }
 
 let run c w = c.c_run (state ()) ~final:false c.c_name w
 
-let run_all ?(state = state ()) ?(checks = all) w = run_with state ~final:false checks w
+let reverified st = st.inc.work
 
-let final w = run_with (state ()) ~final:true all w
+let full_scans st = List.rev st.inc.scanned
+
+let time_checks st on = st.timed <- on
+
+let check_times st = List.rev_map (fun (name, runs, cpu_s) -> (name, !runs, !cpu_s)) st.times
+
+let run_all ?state:st ?(checks = all) w =
+  match st with
+  | Some st -> run_with st ~final:false ~claim:true checks w
+  | None -> run_with (state ()) ~final:false ~claim:false checks w
+
+let final w = run_with (state ()) ~final:true ~claim:false all w
 
 let violations snap = List.concat_map (fun s -> s.violations) snap.statuses
 

@@ -21,42 +21,50 @@
 
     {2 Cost per tick}
 
-    With T t-peers, P registered peers and I stored items (primaries and
-    replica copies), one tick costs:
-    - [ring_symmetry]: O(T); the set of registered hosts that tells an
-      in-flight joiner from damage is built only on a tick that finds a
-      pointer mismatch;
-    - [finger_tables]: O(T log T): one oracle search per finger, a
-      binary search over the ring's flat p_id array;
-    - [tree_structure], [membership]: O(P), over flat host-indexed
-      arrays;
-    - [load_balance]: O(P) while every store is empty, else O(P + M)
-      for a largest store of M items: the Gini coefficient is read off
-      per-size counts, with no sort;
-    - [data_placement]: O(P + I), reading a key's text only for a
-      reported item;
-    - [replication_factor]: O(P log T + I), tallying copies per
-      interned key id in flat arrays; O(1) while the world interner is
-      empty (no store has held an item), and the scan for a busy t-peer
-      runs only when an under-replicated item is to be reported;
+    An online tick made with a long-lived {!state} re-verifies only what
+    changed since that state's previous tick.  {!Hybrid_p2p.Peer}'s
+    setters, and the world's registrations, size-table writes and ring
+    merges, log every peer they change in the world's
+    {!Hybrid_p2p.Change_log}, and each check reads it on top of its
+    previous clean run.  With C peers logged since the last tick, S the
+    size of an s-network and T t-peers:
+    - [ring_symmetry]: O(C log T), the segments beside the logged ring
+      members and a running count of busy members;
+    - [finger_tables]: O(1) while fingers are stale, else O(C' log T)
+      for the C' logged ring members' tables — a table still stale from
+      the last refresh point agrees with the oracle by construction;
+    - [tree_structure]: O(C S), walking again the trees that reach a
+      logged peer now or reached it at the last walk;
+    - [membership]: O(C S), re-judging the registered peers below each
+      logged peer and moving per-root counts and the size-table
+      comparison by the difference;
+    - [load_balance], [data_placement]: O(1) while the world interner
+      is empty (no store holds an item), else a full scan, O(P) and
+      O(P + I) for P peers and I items;
+    - [replication_factor]: O(1) while the world interner is empty,
+      else a full scan, O(P log T + I);
     - [bloom_coverage]: O(I × tree depth) while summaries are enabled;
     - [latency_sanity]: O(spans changed since the last tick) — minted,
       closed or evicted, plus closed children whose parent is still open
       — with an [O(k log k)] critical-path analysis for each op whose
-      [k] closed children changed.  This needs a {!state} carried from
-      tick to tick; a fresh state has seen nothing, so its first tick is
-      the full scan over every retained span, and produces exactly what
-      any later tick of a long-lived state produces at the same
-      instant.
+      [k] closed children changed.
+
+    Each of the first four falls back to its full scan — O(T),
+    O(T log T), O(P) and O(P) — whenever the state is fresh or missed a
+    tick, its previous run found a violation or
+    tolerated an in-flight state it cannot follow (a joiner's pointer, a
+    peer in transit, a hand-wired peer outside [\[0, host_bound)]), the
+    log overflowed or another state read it since, or the change reaches
+    something only the full scan reports.  A fallback is exact, and a
+    fast path keeps its running sums equal to a scan's, so every
+    snapshot equals a fresh state's full scan byte for byte.
+    {!final} always scans in full.
 
     No check sorts, compares polymorphically or builds a hash table on
     a clean tick, and none allocates a host- or key-indexed array: the
-    tallies of [tree_structure], [membership] and [replication_factor]
-    are scratch arrays kept in the {!state}, stamped per tick rather
-    than cleared.  A tick of the whole catalogue over a joined
-    1,000-peer world allocates ~60 words in all; with 3,000 items and
-    their replicas stored, ~1,570, most of it [data_placement]'s
-    per-holder closures. *)
+    tallies are arrays kept in the {!state}, grown with the world.  A
+    tick of the whole catalogue over a joined 1,000-peer world allocates
+    ~65 words in all, on the fast paths and in a full scan alike. *)
 
 (** [Error] marks structural damage; [Warning] marks drift that routing
     survives (e.g. stale server-side accounting). *)
@@ -123,21 +131,44 @@ val find : string -> check option
 val select : string list -> (check list, string) result
 
 (** What the checks carry from one tick to the next: [latency_sanity]'s
-    view of the trace, and the scratch arrays the other checks tally
-    into, which carry no finding across ticks.  A state belongs to one
-    world: pass the same one to every {!run_all} over that world, as
-    {!Auditor} does. *)
+    view of the trace, the other checks' running sums and the bases
+    their fast paths build on, and the change-log generation the state
+    last read.  A state belongs to one world: pass the same one to every
+    {!run_all} over that world, as {!Auditor} does. *)
 type state
 
 (** A fresh state: the next run with it is a full scan. *)
 val state : unit -> state
 
+(** Peer records the last {!run_all} with this state read in the checks
+    that have a fast path ([ring_symmetry], [finger_tables],
+    [tree_structure], [membership]) or skip an empty world
+    ([data_placement], [load_balance]): a full scan counts every peer it
+    reads, a fast path only those it re-verifies.  For cost tests. *)
+val reverified : state -> int
+
+(** The checks among those {!reverified} counts that the last
+    {!run_all} with this state ran as a full scan, in catalogue order. *)
+val full_scans : state -> string list
+
+(** [time_checks st on] — time each check's runs with this state (CPU
+    seconds, [Sys.time]) while [on].  Off by default: timing costs two
+    clock reads per check and tick. *)
+val time_checks : state -> bool -> unit
+
+(** [(name, runs, cpu_seconds)] per check timed so far, in the order the
+    checks first ran. *)
+val check_times : state -> (string * int * float) list
+
 (** [run check w] executes one check from a fresh state. *)
 val run : check -> Hybrid_p2p.World.t -> status
 
 (** [run_all ?state ?checks w] executes the catalogue (or [checks]) and
-    stamps the world's current simulated time.  [state] defaults to a
-    fresh one; the result is the same either way. *)
+    stamps the world's current simulated time.  With [state], the run
+    reads the world's change log when the state's previous run left it
+    readable, and restarts it afterwards; without, it is a full scan from
+    a fresh state that leaves the log alone.  The result is the same
+    either way. *)
 val run_all : ?state:state -> ?checks:check list -> Hybrid_p2p.World.t -> snapshot
 
 (** [final w] executes the whole catalogue at rest: the end-of-run

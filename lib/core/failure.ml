@@ -81,10 +81,10 @@ and on_timeout w peer ~target =
     else begin
       (* A genuine crash.  React according to which link died. *)
       if List.exists (fun c -> c == target) peer.Peer.children then
-        peer.Peer.children <- List.filter (fun c -> c != target) peer.Peer.children;
+        Peer.set_children peer (List.filter (fun c -> c != target) peer.Peer.children);
       (match peer.Peer.cp with
        | Some cp when cp == target ->
-         peer.Peer.cp <- None;
+         Peer.set_cp peer None;
          let root =
            match peer.Peer.t_home with
            | Some home when home.Peer.alive -> Some home
@@ -130,10 +130,10 @@ let enable_heartbeats w peer =
     (match peer.Peer.hello_timer with
      | Some t -> Transport.cancel t
      | None -> ());
-    peer.Peer.hello_timer <-
-      Some
-        (World.periodic w ~period:w.World.config.Config.hello_period
-           (broadcast_hello w peer));
+    Peer.set_hello_timer peer
+      (Some
+         (World.periodic w ~period:w.World.config.Config.hello_period
+            (broadcast_hello w peer)));
     List.iter (fun neighbor -> arm_watchdog w peer ~target:neighbor) (overlay_neighbors peer)
   end
 
@@ -151,7 +151,7 @@ let install_query_hook w =
           if receiver.Peer.alive then begin
             let now = World.now w in
             if now -. receiver.Peer.last_ack_sent >= suppress_period then begin
-              receiver.Peer.last_ack_sent <- now;
+              Peer.set_last_ack_sent receiver now;
               (* The scheduled HELLO is cancelled to save bandwidth: the ack
                  doubles as the heartbeat. *)
               (match receiver.Peer.hello_timer with
@@ -166,16 +166,16 @@ let install_query_hook w =
 let crash w peer =
   if not peer.Peer.alive then invalid_arg "Failure.crash: peer already dead";
   World.bump w ~subsystem:"failure" ~name:"crashes";
-  peer.Peer.alive <- false;
+  Peer.set_alive peer false;
   Data_store.clear peer.Peer.store;
   Data_store.clear peer.Peer.replicas;
   Cache.clear peer.Peer.cache;
   Hashtbl.reset peer.Peer.tracker_index;
-  peer.Peer.bypass <- [];
+  Peer.set_bypass peer [];
   (match peer.Peer.hello_timer with
    | Some t ->
      Transport.cancel t;
-     peer.Peer.hello_timer <- None
+     Peer.set_hello_timer peer None
    | None -> ());
   cancel_watchdogs peer;
   World.unregister w peer
@@ -186,7 +186,7 @@ let repair w =
   let live = World.live_peers w in
   (* Pass 1: drop dead children everywhere. *)
   List.iter
-    (fun p -> p.Peer.children <- List.filter (fun c -> c.Peer.alive) p.Peer.children)
+    (fun p -> Peer.set_children p (List.filter (fun c -> c.Peer.alive) p.Peer.children))
     live;
   World.mark_span w ~op ~tier:"failure" ~phase:"heal_step" "drop dead children";
   (* Pass 2: elect replacements for every crashed t-peer that stranded
@@ -202,7 +202,7 @@ let repair w =
           | Some smallest ->
             (* Orphans are reattached synchronously below; keep promote from
                racing them through async rejoins. *)
-            home.Peer.children <- [];
+            Peer.set_children home [];
             T_network.promote_replacement w ~op ~old_peer:home ~replacement:smallest
               ~transfer_data:false ();
             Hashtbl.replace replacements home.Peer.host smallest
@@ -221,7 +221,7 @@ let repair w =
           | Some cp -> not cp.Peer.alive
         in
         if stranded then begin
-          p.Peer.cp <- None;
+          Peer.set_cp p None;
           let root =
             match p.Peer.t_home with
             | Some home when home.Peer.alive -> Some home
@@ -241,9 +241,9 @@ let repair w =
   let n = Array.length arr in
   Array.iter
     (fun p ->
-      p.Peer.joining <- false;
-      p.Peer.leaving <- false;
-      p.Peer.join_queue <- [])
+      Peer.set_joining p false;
+      Peer.set_leaving p false;
+      Peer.set_join_queue p [])
     arr;
   World.mark_span w ~op ~tier:"failure" ~phase:"heal_step" "rebuild ring";
   (* Pass 5: recount s-network sizes. *)

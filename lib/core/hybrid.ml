@@ -108,7 +108,7 @@ let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
     let p_id = match p_id with Some id -> id | None -> World.fresh_p_id t.w in
     let cache_capacity = (config t).Config.cache_capacity in
     let peer =
-      Peer.make ~cache_capacity ~interner:(World.interner t.w) ~host ~p_id
+      Peer.make ~cache_capacity ~log:(World.change_log t.w) ~interner:(World.interner t.w) ~host ~p_id
         ~role:Peer.T_peer ~link_capacity ?interest ()
     in
     let op =
@@ -140,7 +140,7 @@ let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
   | Peer.S_peer ->
     let cache_capacity = (config t).Config.cache_capacity in
     let peer =
-      Peer.make ~cache_capacity ~interner:(World.interner t.w) ~host ~p_id:0
+      Peer.make ~cache_capacity ~log:(World.change_log t.w) ~interner:(World.interner t.w) ~host ~p_id:0
         ~role:Peer.S_peer ~link_capacity ?interest ()
     in
     let op =

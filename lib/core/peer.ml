@@ -15,7 +15,7 @@ type t = {
   mutable role : role;
   mutable alive : bool;
   link_capacity : float;
-  mutable interest : int option;
+  interest : int option;
   mutable succ : t option;
   mutable pred : t option;
   mutable fingers : t option array;
@@ -32,12 +32,14 @@ type t = {
   mutable summaries_epoch : int;
   tracker_index : (string, t) Hashtbl.t;
   mutable bypass : (t * float) list;
-  mutable watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t;
+  watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t;
   mutable hello_timer : P2p_transport.Transport.timer option;
   mutable last_ack_sent : float;
+  log : t Change_log.t;
+  mutable logged : int;
 }
 
-let make ?(cache_capacity = 0) ~interner ~host ~p_id ~role ~link_capacity
+let make ?(cache_capacity = 0) ~log ~interner ~host ~p_id ~role ~link_capacity
     ?interest () =
   {
     host;
@@ -67,7 +69,83 @@ let make ?(cache_capacity = 0) ~interner ~host ~p_id ~role ~link_capacity
     watchdogs = Hashtbl.create 1;
     hello_timer = None;
     last_ack_sent = neg_infinity;
+    log;
+    logged = 0;
   }
+
+(* One stamp compare per write: [logged] is the log generation [p] was
+   last logged in, and an off log's generation (0) is every fresh
+   peer's stamp. *)
+let log_change p =
+  let gen = Change_log.generation p.log in
+  if p.logged <> gen then begin
+    p.logged <- gen;
+    Change_log.add_peer p.log p
+  end
+
+let set_p_id p v =
+  log_change p;
+  p.p_id <- v
+
+let set_role p v =
+  log_change p;
+  p.role <- v
+
+let set_alive p v =
+  log_change p;
+  p.alive <- v
+
+let set_succ p v =
+  log_change p;
+  p.succ <- v
+
+let set_pred p v =
+  log_change p;
+  p.pred <- v
+
+let set_joining p v =
+  log_change p;
+  p.joining <- v
+
+let set_leaving p v =
+  log_change p;
+  p.leaving <- v
+
+let set_join_queue p v =
+  log_change p;
+  p.join_queue <- v
+
+let set_t_home p v =
+  log_change p;
+  p.t_home <- v
+
+let set_cp p v =
+  log_change p;
+  p.cp <- v
+
+(* A child dropped from the list is logged too: its [cp] may still name
+   [p], and only the log can tell the audit which peer lost its parent's
+   side of the edge. *)
+let set_children p v =
+  log_change p;
+  if Change_log.generation p.log <> 0 then
+    List.iter (fun c -> if not (List.memq c v) then log_change c) p.children;
+  p.children <- v
+
+let set_fingers p v =
+  log_change p;
+  p.fingers <- v
+
+let set_finger p k v =
+  log_change p;
+  p.fingers.(k) <- v
+
+let refill_finger p k v = p.fingers.(k) <- v
+
+let set_summaries_epoch p v = p.summaries_epoch <- v
+let set_bypass p v = p.bypass <- v
+let set_hello_timer p v = p.hello_timer <- v
+let set_last_ack_sent p v = p.last_ack_sent <- v
 
 let is_t_peer p = p.role = T_peer
 let is_s_peer p = p.role = S_peer
@@ -97,14 +175,14 @@ let has_free_slot config p =
       || float_of_int (tree_degree p + 1) /. p.link_capacity <= link_usage_threshold)
 
 let attach_child ~parent ~child =
-  child.cp <- Some parent;
-  child.t_home <- parent.t_home;
-  child.p_id <- parent.p_id;
-  parent.children <- child :: parent.children
+  set_cp child (Some parent);
+  set_t_home child parent.t_home;
+  set_p_id child parent.p_id;
+  set_children parent (child :: parent.children)
 
 let detach_child ~parent ~child =
-  parent.children <- List.filter (fun c -> c != child) parent.children;
-  child.cp <- None
+  set_children parent (List.filter (fun c -> c != child) parent.children);
+  set_cp child None
 
 let tree_members root =
   let rec walk acc p = List.fold_left walk (p :: acc) p.children in
@@ -124,7 +202,7 @@ let depth p =
 
 let live_bypass p ~now =
   let live, dead = List.partition (fun (q, expiry) -> q.alive && expiry > now) p.bypass in
-  if dead <> [] then p.bypass <- live;
+  if dead <> [] then set_bypass p live;
   List.map fst live
 
 let add_bypass config p target ~now =
@@ -134,7 +212,7 @@ let add_bypass config p target ~now =
     && tree_degree p + List.length (live_bypass p ~now) < config.Config.delta
   then begin
     let without = List.filter (fun (q, _) -> q != target) p.bypass in
-    p.bypass <- (target, now +. config.Config.bypass_lifetime) :: without
+    set_bypass p ((target, now +. config.Config.bypass_lifetime) :: without)
   end
 
 let pp ppf p =

@@ -2,9 +2,12 @@
 
     A peer is either a {e t-peer} — a member of the structured ring
     (t-network) and root of its attached s-network tree — or an {e s-peer}
-    hanging inside exactly one s-network tree.  The record is transparent:
+    hanging inside exactly one s-network tree.  The record is private:
     the protocol modules ([T_network], [S_network], [Data_ops], [Failure])
-    cooperate by mutating it, and {!Hybrid} presents the safe facade.
+    read its fields and write them through the setters below, and
+    {!Hybrid} presents the safe facade.  Each setter of an audited field
+    logs the peer in its world's {!Change_log}, so the online audit
+    re-verifies exactly the peers written since its last tick.
 
     Pure structural helpers (tree walks, degree accounting, segment tests)
     live here so the protocol modules stay focused on message flows. *)
@@ -24,20 +27,22 @@ type 'peer pending_join = {
   op : int option;  (** trace operation id of the join, if tracing *)
 }
 
-type t = {
+type t = private {
   host : int;  (** physical node the peer runs on; also its address *)
   mutable p_id : Id_space.id;
       (** ring ID; an s-peer carries its t-peer's p_id (Section 3.2.2) *)
   mutable role : role;
   mutable alive : bool;
   link_capacity : float;  (** access-link capacity (Section 5.1) *)
-  mutable interest : int option;  (** interest category (Section 5.3) *)
+  interest : int option;  (** interest category (Section 5.3) *)
   (* t-network state *)
   mutable succ : t option;
   mutable pred : t option;
   mutable fingers : t option array;
       (** length [Id_space.bits]; t-peers only.  Read it through
-          {!World.fingers}, which brings it up to date first. *)
+          {!World.fingers}, which brings it up to date first, and write
+          its entries only through {!set_finger}: the array itself is
+          mutable, so the type cannot keep an unlogged write out. *)
   mutable joining : bool;  (** mutex: a join after me is in flight *)
   mutable leaving : bool;  (** mutex: I am executing the leave triangle *)
   mutable join_queue : t pending_join list;  (** FIFO, newest last *)
@@ -67,20 +72,70 @@ type t = {
   (* bypass links, with absolute expiry times *)
   mutable bypass : (t * float) list;
   (* failure detection bookkeeping (driven by the [Failure] module) *)
-  mutable watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t;  (** neighbour host -> timer *)
+  watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t;  (** neighbour host -> timer *)
   mutable hello_timer : P2p_transport.Transport.timer option;
   mutable last_ack_sent : float;  (** for the suppress timer *)
+  log : t Change_log.t;  (** the world's change log ({!World.change_log}) *)
+  mutable logged : int;  (** the log generation this peer was last logged in *)
 }
 
-(** [make ~host ~p_id ~role ~link_capacity ()] allocates a fresh,
-    unconnected peer.  [cache_capacity] sizes the soft cache (default 0 =
-    disabled).  [interner] is shared by the peer's store and replica store;
-    it must be the world's ({!World.interner}) for the peer to register. *)
+(** [make ~log ~interner ~host ~p_id ~role ~link_capacity ()] allocates a
+    fresh, unconnected peer.  [cache_capacity] sizes the soft cache
+    (default 0 = disabled).  [interner] is shared by the peer's store and
+    replica store, and [log] records the peer's writes; both must be
+    the world's ({!World.interner}, {!World.change_log}) for the peer to
+    register. *)
 val make :
   ?cache_capacity:int ->
+  log:t Change_log.t ->
   interner:Intern.t ->
   host:int -> p_id:Id_space.id -> role:role -> link_capacity:float ->
   ?interest:int -> unit -> t
+
+(** {1 Setters}
+
+    The only writers of the record.  Each setter of an audited field —
+    [p_id], [role], [alive], [succ], [pred], [fingers], the [joining] /
+    [leaving] / [join_queue] mutexes, [t_home], [cp], [children] — logs
+    the peer first. *)
+
+(** [log_change p] logs [p] as written without writing a field: the
+    world's membership changes ({!World.register}, a ring merge) and
+    size-table writes ({!World.set_snet_size}) use it. *)
+val log_change : t -> unit
+
+val set_p_id : t -> Id_space.id -> unit
+val set_role : t -> role -> unit
+val set_alive : t -> bool -> unit
+val set_succ : t -> t option -> unit
+val set_pred : t -> t option -> unit
+val set_joining : t -> bool -> unit
+val set_leaving : t -> bool -> unit
+val set_join_queue : t -> t pending_join list -> unit
+val set_t_home : t -> t option -> unit
+val set_cp : t -> t option -> unit
+
+(** [set_children p l] also logs every child of [p] that [l] drops. *)
+val set_children : t -> t list -> unit
+
+val set_fingers : t -> t option array -> unit
+
+(** [set_finger p k f] writes entry [k] of [p]'s finger table. *)
+val set_finger : t -> int -> t option -> unit
+
+(** [refill_finger p k f] is {!set_finger} without the log: only for
+    {!World.fingers}' lazy refill, which writes what the eager schedule
+    already holds.  The audit compares finger tables only while the ring
+    is unchanged since the last refresh point, and then a refill equals
+    the oracle by construction. *)
+val refill_finger : t -> int -> t option -> unit
+
+(** Unaudited fields. *)
+
+val set_summaries_epoch : t -> int -> unit
+val set_bypass : t -> (t * float) list -> unit
+val set_hello_timer : t -> P2p_transport.Transport.timer option -> unit
+val set_last_ack_sent : t -> float -> unit
 
 (** {1 Role and segment} *)
 

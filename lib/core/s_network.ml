@@ -41,8 +41,8 @@ let join w ?op ~joiner ~root ~on_done () =
   walk w ?op ~at:root ~hops:0 ~attach ()
 
 let rec set_subtree_home_peer ~home peer =
-  peer.Peer.t_home <- Some home;
-  peer.Peer.p_id <- home.Peer.p_id;
+  Peer.set_t_home peer (Some home);
+  Peer.set_p_id peer home.Peer.p_id;
   List.iter (set_subtree_home_peer ~home) peer.Peer.children
 
 let set_subtree_home _w ~root ~home = set_subtree_home_peer ~home root
@@ -90,16 +90,16 @@ let leave w ?op peer =
   (match peer.Peer.cp with
    | Some cp -> Peer.detach_child ~parent:cp ~child:peer
    | None -> ());
-  peer.Peer.alive <- false;
+  Peer.set_alive peer false;
   World.unregister w peer;
   World.snet_size_changed w home ~delta:(-1);
   (* Children rejoin through the t-peer, carrying their subtrees; live
      subtrees below already-dead children are rescued too. *)
   let orphans = Peer.live_subtree_roots peer.Peer.children in
-  peer.Peer.children <- [];
+  Peer.set_children peer [];
   List.iter
     (fun child ->
-      child.Peer.cp <- None;
+      Peer.set_cp child None;
       World.send_span w ?op ~tier:"s_network" ~phase:"rejoin" ~src:child
         ~dst:home (fun () ->
           rejoin_subtree w ?op ~child ~root:home ~on_done:(fun ~hops:_ -> ()) ()))

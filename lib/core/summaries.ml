@@ -5,7 +5,7 @@ let tree_root peer =
 
 let fresh w root = root.Peer.summaries_epoch = w.World.summary_epoch
 
-let invalidate_tree peer = (tree_root peer).Peer.summaries_epoch <- -1
+let invalidate_tree peer = Peer.set_summaries_epoch (tree_root peer) (-1)
 
 let invalidate_all w = w.World.summary_epoch <- w.World.summary_epoch + 1
 
@@ -56,7 +56,7 @@ let rebuild w root =
     levels
   in
   ignore (collect root : string list array);
-  root.Peer.summaries_epoch <- w.World.summary_epoch;
+  Peer.set_summaries_epoch root w.World.summary_epoch;
   World.bump w ~subsystem:"s_network" ~name:"summary_rebuilds"
 
 let ensure_fresh w peer =

@@ -79,7 +79,7 @@ let rec process_queue w pre =
   match pre.Peer.join_queue with
   | [] -> ()
   | { Peer.candidate; announce; hops_so_far; op } :: rest ->
-    pre.Peer.join_queue <- rest;
+    Peer.set_join_queue pre rest;
     begin_insert w ?op ~pre ~joiner:candidate ~hops:hops_so_far ~announce
       ~on_fail:(fun () -> ()) ()
 
@@ -95,9 +95,9 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
          ()
      | None -> on_fail ())
   else if pre.Peer.joining || pre.Peer.leaving then
-    pre.Peer.join_queue <-
-      pre.Peer.join_queue
-      @ [ { Peer.candidate = joiner; announce; hops_so_far = hops; op } ]
+    Peer.set_join_queue pre
+      (pre.Peer.join_queue
+       @ [ { Peer.candidate = joiner; announce; hops_so_far = hops; op } ])
   else if
     succ != pre
     && not
@@ -122,7 +122,7 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
       else
         match Id_space.midpoint ~left:pre.Peer.p_id ~right:succ.Peer.p_id with
         | Some mid ->
-          joiner.Peer.p_id <- mid;
+          Peer.set_p_id joiner mid;
           true
         | None -> false
     in
@@ -131,24 +131,24 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
       process_queue w pre
     end
     else begin
-      pre.Peer.joining <- true;
+      Peer.set_joining pre true;
       let pre_id = pre.Peer.p_id in
       (* Join triangle (Fig. 2, left): pre -> new -> suc -> pre. *)
       World.send_span w ?op ~tier:"t_network" ~phase:"join_leg" ~src:pre
         ~dst:joiner (fun () ->
-          joiner.Peer.succ <- Some succ;
-          joiner.Peer.pred <- Some pre;
+          Peer.set_succ joiner (Some succ);
+          Peer.set_pred joiner (Some pre);
           World.send_span w ?op ~tier:"t_network" ~phase:"join_leg" ~src:joiner
             ~dst:succ (fun () ->
-              succ.Peer.pred <- Some joiner;
+              Peer.set_pred succ (Some joiner);
               World.send_span w ?op ~tier:"t_network" ~phase:"join_leg"
                 ~src:succ ~dst:pre (fun () ->
-                  pre.Peer.succ <- Some joiner;
-                  joiner.Peer.t_home <- Some joiner;
+                  Peer.set_succ pre (Some joiner);
+                  Peer.set_t_home joiner (Some joiner);
                   World.register w joiner;
                   World.refresh_fingers_of w joiner;
                   load_transfer_on_join w ~joiner ~succ ~pre_id;
-                  pre.Peer.joining <- false;
+                  Peer.set_joining pre false;
                   World.bump w ~subsystem:"t_network" ~name:"joins_completed";
                   announce ~hops:(hops + 3);
                   process_queue w pre)))
@@ -167,9 +167,9 @@ let join w ?op ~joiner ~introducer ?(on_fail = fun () -> ()) ~on_done () =
 
 let bootstrap w peer =
   if not (Peer.is_t_peer peer) then invalid_arg "T_network.bootstrap: t-peer required";
-  peer.Peer.succ <- Some peer;
-  peer.Peer.pred <- Some peer;
-  peer.Peer.t_home <- Some peer;
+  Peer.set_succ peer (Some peer);
+  Peer.set_pred peer (Some peer);
+  Peer.set_t_home peer (Some peer);
   World.register w peer;
   World.refresh_fingers_of w peer
 
@@ -179,13 +179,13 @@ let promote_replacement w ?op ~old_peer ~replacement ~transfer_data () =
   (* Detach the replacement from its tree position; its subtree follows. *)
   (match replacement.Peer.cp with
    | Some cp when cp.Peer.alive -> Peer.detach_child ~parent:cp ~child:replacement
-   | Some _ | None -> replacement.Peer.cp <- None);
-  replacement.Peer.role <- Peer.T_peer;
-  replacement.Peer.p_id <- old_peer.Peer.p_id;
-  replacement.Peer.t_home <- Some replacement;
+   | Some _ | None -> Peer.set_cp replacement None);
+  Peer.set_role replacement Peer.T_peer;
+  Peer.set_p_id replacement old_peer.Peer.p_id;
+  Peer.set_t_home replacement (Some replacement);
   (* Membership first, so the sorted-ring oracle already sees the
      replacement when the old pointers are unusable (crash chains). *)
-  old_peer.Peer.alive <- false;
+  Peer.set_alive old_peer false;
   World.unregister w old_peer;
   World.register w replacement;
   (* Take over the ring pointers (the paper's "take over the neighbors and
@@ -208,10 +208,10 @@ let promote_replacement w ?op ~old_peer ~replacement ~transfer_data () =
     | Some p when p != old_peer && p.Peer.alive && Peer.is_t_peer p -> p
     | Some _ | None -> sorted_neighbor ~offset:(-1)
   in
-  replacement.Peer.succ <- Some ring_succ;
-  replacement.Peer.pred <- Some ring_pred;
-  if ring_succ != replacement then ring_succ.Peer.pred <- Some replacement;
-  if ring_pred != replacement then ring_pred.Peer.succ <- Some replacement;
+  Peer.set_succ replacement (Some ring_succ);
+  Peer.set_pred replacement (Some ring_pred);
+  if ring_succ != replacement then Peer.set_pred ring_succ (Some replacement);
+  if ring_pred != replacement then Peer.set_succ ring_pred (Some replacement);
   (* Data and tracker state. *)
   if transfer_data then begin
     List.iter
@@ -238,10 +238,10 @@ let promote_replacement w ?op ~old_peer ~replacement ~transfer_data () =
     List.filter (fun c -> c != replacement)
       (Peer.live_subtree_roots old_peer.Peer.children)
   in
-  old_peer.Peer.children <- [];
+  Peer.set_children old_peer [];
   List.iter
     (fun child ->
-      child.Peer.cp <- None;
+      Peer.set_cp child None;
       World.send_span w ?op ~tier:"s_network" ~phase:"rejoin" ~src:child
         ~dst:replacement (fun () ->
           S_network.rejoin_subtree w ?op ~child ~root:replacement
@@ -250,11 +250,11 @@ let promote_replacement w ?op ~old_peer ~replacement ~transfer_data () =
 
 (* Leave triangle (Fig. 2, right): leaving -> pre -> suc -> leaving. *)
 let leave_triangle w ?op peer ~on_done =
-  peer.Peer.leaving <- true;
+  Peer.set_leaving peer true;
   let succ = successor_or_self peer in
   if succ == peer then begin
     (* Last t-peer of the system. *)
-    peer.Peer.alive <- false;
+    Peer.set_alive peer false;
     World.unregister w peer;
     on_done ()
   end
@@ -269,17 +269,17 @@ let leave_triangle w ?op peer ~on_done =
       (Data_store.take_all peer.Peer.store);
     World.send_span w ?op ~tier:"t_network" ~phase:"leave_leg" ~src:peer
       ~dst:pred (fun () ->
-        pred.Peer.succ <- Some succ;
+        Peer.set_succ pred (Some succ);
         World.send_span w ?op ~tier:"t_network" ~phase:"leave_leg" ~src:pred
           ~dst:succ (fun () ->
             (* suc checks the leaving peer is who its predecessor pointer
                points to before rewiring (Section 3.3). *)
             (match succ.Peer.pred with
-             | Some p when p == peer -> succ.Peer.pred <- Some pred
+             | Some p when p == peer -> Peer.set_pred succ (Some pred)
              | Some _ | None -> ());
             World.send_span w ?op ~tier:"t_network" ~phase:"leave_leg"
               ~src:succ ~dst:peer (fun () ->
-                peer.Peer.alive <- false;
+                Peer.set_alive peer false;
                 World.unregister w peer;
                 World.substitute_in_fingers w ~old_peer:peer ~replacement:succ;
                 on_done ())))

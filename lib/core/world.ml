@@ -40,6 +40,7 @@ type t = {
   config : Config.t;
   rng : Rng.t;
   interner : Intern.t;
+  changes : Peer.t Change_log.t;
   mutable slots : Peer.t option array;
   mutable live_count : int;
   mutable live_index : int array;
@@ -88,6 +89,7 @@ let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
     config;
     rng = Rng.split (Engine.rng engine);
     interner = Intern.create ();
+    changes = Change_log.create ();
     slots = [||];
     live_count = 0;
     live_index = [||];
@@ -120,6 +122,8 @@ let now t = Transport.now t.transport
 let trace t = t.trace
 
 let interner t = t.interner
+
+let change_log t = t.changes
 
 let send t ~src ~dst f =
   Transport.send t.transport ~src:src.Peer.host ~dst:dst.Peer.host f
@@ -241,12 +245,16 @@ let register t peer =
     Data_store.interner peer.Peer.store != t.interner
     || Data_store.interner peer.Peer.replicas != t.interner
   then invalid_arg "World.register: the peer's stores use another interner";
+  if peer.Peer.log != t.changes then
+    invalid_arg "World.register: the peer logs its changes elsewhere";
   ensure_slot t host;
+  Peer.log_change peer;
   (match t.slots.(host) with
    | None ->
      t.live_count <- t.live_count + 1;
      index_add t host 1
    | Some previous ->
+     Peer.log_change previous;
      (* a t-peer displaced from its host leaves the ring *)
      if previous != peer && Peer.is_t_peer previous then begin
        t.ring_dropped <- previous :: t.ring_dropped;
@@ -262,8 +270,10 @@ let register t peer =
 let unregister t peer =
   let host = peer.Peer.host in
   if host >= 0 && host < Array.length t.slots then begin
+    Peer.log_change peer;
     (match t.slots.(host) with
-     | Some _ ->
+     | Some previous ->
+       Peer.log_change previous;
        t.live_count <- t.live_count - 1;
        index_add t host (-1)
      | None -> ());
@@ -345,7 +355,7 @@ let ring_position sorted ids ~p_id ~host =
   !i
 
 (* [p]'s index in the ring [sorted]/[ids]; -1 when not on it. *)
-let ring_index sorted ids p =
+let index_in_ring sorted ids p =
   let i = ring_position sorted ids ~p_id:p.Peer.p_id ~host:p.Peer.host in
   if i < Array.length sorted && sorted.(i) == p then i else -1
 
@@ -365,7 +375,7 @@ let t_peers t =
       (fun p ->
         let host = p.Peer.host in
         if (not (on_ring t p)) && t.size_key.(host) >= 0 then begin
-          let i = ring_index old old_ids p in
+          let i = index_in_ring old old_ids p in
           if i >= 0 then begin
             t.by_size <- By_size.remove (size_entry t host) t.by_size;
             t.size_key.(host) <- -1;
@@ -422,6 +432,16 @@ let t_peers t =
       end
     done;
     copy_to (Array.length old);
+    (* A removal joins two members that were not neighbours: log both,
+       so the audit re-judges the segment between them.  (An added member
+       is logged by [register].) *)
+    if n > 0 then
+      Array.iter
+        (fun i ->
+          let at = ring_position sorted ids ~p_id:old.(i).Peer.p_id ~host:old.(i).Peer.host in
+          Peer.log_change sorted.((at + n - 1) mod n);
+          Peer.log_change sorted.(at mod n))
+        removed;
     t.t_sorted <- sorted;
     t.t_ids <- ids;
     t.t_dirty <- false
@@ -462,10 +482,15 @@ let set_snet_size t tpeer n =
   let host = tpeer.Peer.host in
   if host < 0 then invalid_arg "World.set_snet_size: negative host";
   ensure_slot t host;
+  (* [register] and [unregister] log the t-peer their own writes are for *)
+  Peer.log_change tpeer;
   write_snet t host n
 
 let snet_size_changed t tpeer ~delta =
   set_snet_size t tpeer (snet_size t tpeer + delta)
+
+let snet_entry t host =
+  if host < 0 || host >= Array.length t.snet then -1 else t.snet.(host)
 
 let iter_snet_sizes t f =
   for host = 0 to Array.length t.snet - 1 do
@@ -530,17 +555,14 @@ let choose_s_network t ~joiner =
    mark.  Every table therefore holds, whenever it is read, what the
    eager schedule would have put there. *)
 
-let fill_fingers t peer sorted ids =
-  let fingers =
-    if Array.length peer.Peer.fingers = Id_space.bits then peer.Peer.fingers
-    else begin
-      let arr = Array.make Id_space.bits None in
-      peer.Peer.fingers <- arr;
-      arr
-    end
-  in
+(* [write] is [Peer.set_finger] for an explicit refresh, which the
+   audit must re-verify, and [Peer.refill_finger] for the lazy refill of
+   a stale table, which writes what the eager schedule holds. *)
+let fill_fingers t ~write peer sorted ids =
+  if Array.length peer.Peer.fingers <> Id_space.bits then
+    Peer.set_fingers peer (Array.make Id_space.bits None);
   for k = 0 to Id_space.bits - 1 do
-    fingers.(k) <-
+    write peer k
       (match successor_in ids (Id_space.finger_start ~base:peer.Peer.p_id k) with
        | -1 -> None
        | i -> Some sorted.(i))
@@ -548,9 +570,9 @@ let fill_fingers t peer sorted ids =
   t.finger_refreshes <- t.finger_refreshes + 1
 
 let fingers t peer =
-  let i = ring_index t.finger_sorted t.finger_ids peer in
+  let i = index_in_ring t.finger_sorted t.finger_ids peer in
   if i >= 0 && Bytes.get t.finger_stale i = '\001' then begin
-    fill_fingers t peer t.finger_sorted t.finger_ids;
+    fill_fingers t ~write:Peer.refill_finger peer t.finger_sorted t.finger_ids;
     Bytes.set t.finger_stale i '\000'
   end;
   peer.Peer.fingers
@@ -559,8 +581,8 @@ let finger_refreshes t = t.finger_refreshes
 
 let refresh_fingers_of t peer =
   let sorted = t_peers t in
-  fill_fingers t peer sorted t.t_ids;
-  let i = ring_index t.finger_sorted t.finger_ids peer in
+  fill_fingers t ~write:Peer.set_finger peer sorted t.t_ids;
+  let i = index_in_ring t.finger_sorted t.finger_ids peer in
   if i >= 0 then Bytes.set t.finger_stale i '\000'
 
 let ensure_fingers t =
@@ -583,8 +605,8 @@ let stabilize_ring t =
   let arr = t_peers t in
   let n = Array.length arr in
   for i = 0 to n - 1 do
-    arr.(i).Peer.succ <- Some arr.((i + 1) mod n);
-    arr.(i).Peer.pred <- Some arr.((i + n - 1) mod n)
+    Peer.set_succ arr.(i) (Some arr.((i + 1) mod n));
+    Peer.set_pred arr.(i) (Some arr.((i + n - 1) mod n))
   done;
   ensure_fingers t
 
@@ -595,7 +617,11 @@ let substitute_in_fingers t ~old_peer ~replacement =
       Array.iteri
         (fun k f ->
           match f with
-          | Some q when q == old_peer -> fingers.(k) <- Some replacement
+          | Some q when q == old_peer -> Peer.set_finger p k (Some replacement)
           | Some _ | None -> ())
         fingers)
     (t_peers t)
+
+let ring_index t p =
+  let sorted = t_peers t in
+  index_in_ring sorted t.t_ids p

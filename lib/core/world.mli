@@ -42,6 +42,11 @@ type t = {
       (** world-wide string interner shared by every registered peer's
           stores, so all copies of a key or value share one heap block
           and one key id *)
+  changes : Peer.t Change_log.t;
+      (** what the online audit re-verifies: every peer written through
+          a {!Peer} setter, every peer registered or unregistered, the
+          t-peer of every size-table row written, and the members a ring
+          merge made neighbours *)
   mutable slots : Peer.t option array;
       (** host-indexed membership directory (hosts are dense graph node
           ids); [None] = no peer registered on that host *)
@@ -190,11 +195,17 @@ val bump : t -> subsystem:string -> name:string -> unit
 (** The world's shared string interner (see the [interner] field). *)
 val interner : t -> Intern.t
 
-(** [register t peer] enters [peer] into the membership directory.
-    @raise Invalid_argument on a negative host, or when the peer's
-    stores use an interner other than {!interner}: every registered
-    store shares the world's key ids, so whole-world passes (the
-    replication heal, the audit) tally keys by id alone. *)
+(** The world's change log (see the [changes] field): what every peer of
+    this world must be made with ([Peer.make ~log]). *)
+val change_log : t -> Peer.t Change_log.t
+
+(** [register t peer] enters [peer] into the membership directory, and
+    logs it (and any peer it displaces) as changed.
+    @raise Invalid_argument on a negative host, when the peer's
+    stores use an interner other than {!interner} (every registered
+    store shares the world's key ids, so whole-world passes — the
+    replication heal, the audit — tally keys by id alone), or when the
+    peer was made with a change log other than {!change_log}. *)
 val register : t -> Peer.t -> unit
 
 val unregister : t -> Peer.t -> unit
@@ -231,6 +242,10 @@ val t_peers : t -> Peer.t array
     the flat [t_ids] array. *)
 val successor_index : t -> Id_space.id -> int
 
+(** [ring_index t p] is [p]'s index in {!t_peers} (compared by
+    identity), or [-1] when [p] is not on the ring.  O(log T). *)
+val ring_index : t -> Peer.t -> int
+
 (** Mark the t-ring membership changed: the oracle catches up on its next
     use, and the next {!ensure_fingers} is a refresh point. *)
 val touch_ring : t -> unit
@@ -263,6 +278,10 @@ val snet_size : t -> Peer.t -> int
 (** [set_snet_size t tpeer n] overwrites the count — used on role
     transfer. *)
 val set_snet_size : t -> Peer.t -> int -> unit
+
+(** [snet_entry t host] is the size table's row for [host] — the count
+    {!iter_snet_sizes} reports for it — or [-1] when it has none. *)
+val snet_entry : t -> int -> int
 
 (** [iter_snet_sizes t f] calls [f host count] on every (t-peer host,
     recorded s-peer count) row of the server's size table, in ascending

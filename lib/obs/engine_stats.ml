@@ -11,7 +11,5 @@ let record reg engine =
     (float_of_int (Engine.events_executed engine));
   set "engine" "queue_high_water"
     (float_of_int (Engine.queue_high_water engine));
-  (* cancels that arrived after their timer had already fired — a
-     process-wide figure shared by the sim timer and the live transport's
-     wall-clock wheel *)
-  set "timer" "cancel_late" (float_of_int (P2p_sim.Timer.cancel_late ()));
+  (* cancels of this engine's timers that arrived after the fire *)
+  set "timer" "cancel_late" (float_of_int (Engine.cancel_late engine));

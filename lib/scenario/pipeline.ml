@@ -255,7 +255,14 @@ let write_outputs t reg =
     List.iter
       (fun (label, fires, cpu_s) ->
         Printf.printf "  %-12s %9d fires  %9.3f ms cpu\n" label fires (cpu_s *. 1e3))
-      (Engine.profile engine)
+      (Engine.profile engine);
+    Option.iter
+      (fun a ->
+        List.iter
+          (fun (check, ticks, cpu_s) ->
+            Printf.printf "  audit %-18s %9d ticks  %9.3f ms cpu\n" check ticks (cpu_s *. 1e3))
+          (Auditor.check_times a))
+      t.auditor
   end;
   Option.iter
     (fun s ->

@@ -8,6 +8,7 @@ type t = {
   mutable executed : int;
   root_rng : Rng.t;
   mutable queue_hwm : int;
+  mutable cancel_late : int;  (* timer cancels that arrived after the fire *)
   mutable profiling : bool;
   label_table : (string, label_stats) Hashtbl.t;
   (* the executor closure, built once — [pop_apply] then runs events
@@ -28,6 +29,7 @@ let create ~seed () =
       executed = 0;
       root_rng = Rng.create seed;
       queue_hwm = 0;
+      cancel_late = 0;
       profiling = false;
       label_table = Hashtbl.create 16;
       exec = (fun _ _ -> ());
@@ -111,6 +113,10 @@ let events_executed t = t.executed
 let pending t = Event_queue.live_length t.queue
 
 let queue_high_water t = t.queue_hwm
+
+let cancel_late t = t.cancel_late
+
+let note_cancel_late t = t.cancel_late <- t.cancel_late + 1
 
 (* A row exists from a label's first timed schedule; only labels that
    fired are reported. *)

@@ -93,6 +93,14 @@ val pending : t -> int
     not-yet-collected cancelled events). *)
 val queue_high_water : t -> int
 
+(** Cancels of this engine's {!Timer}s that arrived after the timer had
+    already fired: the [timer/cancel_late] figure of the world that owns
+    the engine. *)
+val cancel_late : t -> int
+
+(** Count one late cancel ({!Timer.cancel} does). *)
+val note_cancel_late : t -> unit
+
 (** [profile t] — per-label [(label, fires, cpu_seconds)] rows, sorted by
     label.  Empty unless {!enable_profiling} was called and labelled events
     fired.  CPU time is host time ([Sys.time]), not simulated time. *)

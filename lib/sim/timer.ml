@@ -20,16 +20,6 @@ type t = {
   mutable state : state;
 }
 
-(* Cancels that arrived after the timer had already fired.  One shared
-   monotonic counter for the whole process: the sim engine and the live
-   timer wheel agree on the semantics, and observability layers export
-   the figure as the [timer/cancel_late] gauge. *)
-let cancel_late_total = ref 0
-
-let cancel_late () = !cancel_late_total
-
-let note_cancel_late () = incr cancel_late_total
-
 let rec arm t =
   t.state <- Armed;
   t.handle <- Engine.schedule ~label:t.label t.engine ~delay:t.delay (fun () -> fire t)
@@ -58,7 +48,7 @@ let cancel t =
     t.state <- Cancelled
   | Fired ->
     t.state <- Cancelled;
-    note_cancel_late ()
+    Engine.note_cancel_late t.engine
   | Cancelled -> () (* idempotent: there is no queue entry to kill *)
 
 let reset t =

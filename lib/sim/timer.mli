@@ -24,20 +24,11 @@ val periodic : ?label:string -> Engine.t -> period:float -> (unit -> unit) -> t
 val reset : t -> unit
 
 (** [cancel t] disarms the timer permanently until the next [reset].
-    Cancelling a timer that already fired is a silent no-op counted under
-    {!cancel_late} — it leaves no ghost entry in the event queue.
-    Cancelling an already-cancelled timer is an uncounted no-op. *)
+    Cancelling a timer that already fired is a silent no-op counted by
+    its engine ({!Engine.cancel_late}) — it leaves no ghost entry in the
+    event queue.  Cancelling an already-cancelled timer is an uncounted
+    no-op. *)
 val cancel : t -> unit
 
 (** [active t] is [true] iff the timer is armed. *)
 val active : t -> bool
-
-(** Process-wide count of cancels that arrived after their timer had
-    already fired.  The live transport's wall-clock wheel shares this
-    counter so sim and live runs export one [timer/cancel_late] figure. *)
-val cancel_late : unit -> int
-
-(** Bump the shared late-cancel counter — for alternative timer
-    implementations (the live transport's wall-clock wheel) that keep the
-    same cancel semantics. *)
-val note_cancel_late : unit -> unit

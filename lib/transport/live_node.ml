@@ -222,7 +222,7 @@ let set_gauges t =
   in
   set "ring" "store" (Hashtbl.length t.store);
   set "ring" "pending" (Hashtbl.length t.pending);
-  set "timer" "cancel_late" (P2p_sim.Timer.cancel_late ())
+  set "timer" "cancel_late" (Live_transport.cancel_late t.tr)
 
 let snapshot t ~spans =
   set_gauges t;

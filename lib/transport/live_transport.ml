@@ -466,6 +466,8 @@ let step ?(timeout = 0.05) t =
 
 let one_shot t ?label:_ ~delay f = Timer_wheel.one_shot t.wheel ~delay f
 
+let cancel_late t = Timer_wheel.cancel_late t.wheel
+
 let periodic t ?label:_ ~period f = Timer_wheel.periodic t.wheel ~period f
 
 let connected t peer =

@@ -65,6 +65,10 @@ val set_handler_traced :
   (src:int -> dst:int -> trace:Wire.trace_ctx option -> Wire.msg -> unit) ->
   unit
 
+(** Cancels of this transport's timers that arrived after the timer had
+    fired ({!Timer_wheel.cancel_late}). *)
+val cancel_late : t -> int
+
 (** [set_peer_addr t peer sockaddr] registers where [peer] listens. *)
 val set_peer_addr : t -> int -> Unix.sockaddr -> unit
 

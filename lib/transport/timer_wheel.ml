@@ -1,7 +1,7 @@
 (* Wall-clock timers for the live transport, with the same semantics as
    the engine-clock [P2p_sim.Timer]: restartable one-shots and
-   periodics, lazy cancellation, and cancel-after-fire as a counted
-   no-op on the shared [timer/cancel_late] counter.  Backed by the same
+   periodics, lazy cancellation, and cancel-after-fire as a no-op
+   counted by the wheel ([cancel_late]), as the engine counts its own.  Backed by the same
    [Event_queue] binary heap the engine uses — time is whatever the
    clock function supplied at [create] returns (the live loop passes
    milliseconds since its epoch), and the owning event loop drives the
@@ -22,9 +22,11 @@ type tm = {
   mutable state : state;
 }
 
-and t = { q : tm Event_queue.t; clock : unit -> float }
+and t = { q : tm Event_queue.t; clock : unit -> float; mutable cancel_late : int }
 
-let create ~clock = { q = Event_queue.create (); clock }
+let create ~clock = { q = Event_queue.create (); clock; cancel_late = 0 }
+
+let cancel_late t = t.cancel_late
 
 let arm tm =
   tm.handle <- Event_queue.add tm.wheel.q ~time:(tm.wheel.clock () +. tm.delay) tm;
@@ -37,7 +39,7 @@ let cancel tm =
     tm.state <- Cancelled
   | Fired ->
     tm.state <- Cancelled;
-    Timer.note_cancel_late ()
+    tm.wheel.cancel_late <- tm.wheel.cancel_late + 1
   | Cancelled -> ()
 
 let reset tm =

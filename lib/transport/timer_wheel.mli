@@ -1,8 +1,8 @@
 (** Wall-clock timer wheel for the live transport.
 
     Same semantics as the engine-clock {!P2p_sim.Timer} — restartable
-    one-shots and periodics, cancel-after-fire is a no-op counted on the
-    shared [timer/cancel_late] counter ({!P2p_sim.Timer.cancel_late}) —
+    one-shots and periodics, cancel-after-fire is a no-op counted by the
+    wheel ({!cancel_late}), as the engine counts its own —
     but driven by an external event loop instead of the simulation
     engine: the loop sleeps until {!next_deadline} and then calls
     {!run_due}. *)
@@ -18,6 +18,10 @@ val periodic : t -> period:float -> (unit -> unit) -> Transport.timer
 
 (** Earliest pending deadline, in clock units, if any timer is armed. *)
 val next_deadline : t -> float option
+
+(** Cancels that arrived after their timer had fired: the live node's
+    [timer/cancel_late] figure. *)
+val cancel_late : t -> int
 
 (** Number of armed timers. *)
 val pending : t -> int

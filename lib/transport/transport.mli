@@ -26,8 +26,9 @@ type 'a timer_ops = {
 }
 
 (** A cancellable timer.  Cancelling after the timer fired is a silent
-    no-op counted under the shared [timer/cancel_late] counter
-    ({!P2p_sim.Timer.cancel_late}); it never leaves a ghost entry in the
+    no-op counted by the backend that armed it (the engine's
+    {!P2p_sim.Engine.cancel_late}, the wheel's
+    {!Timer_wheel.cancel_late}); it never leaves a ghost entry in the
     underlying queue.
 
     A timer is one three-word block: the backend's own timer value (a

@@ -91,7 +91,7 @@ let test_degree_corruption_detected () =
   let delta = (H.config h).Config.delta in
   for i = 1 to delta + 1 do
     let child =
-      Peer.make ~interner:(World.interner w) ~host:(-i) ~p_id:root.Peer.p_id
+      Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(-i) ~p_id:root.Peer.p_id
         ~role:Peer.S_peer ~link_capacity:1.0 ()
     in
     Peer.attach_child ~parent:root ~child
@@ -132,7 +132,7 @@ let test_broken_successor_detected () =
   let w = H.world h in
   let arr = World.t_peers w in
   checkb "enough t-peers" true (Array.length arr >= 2);
-  arr.(0).Peer.succ <- Some arr.(0);
+  Peer.set_succ arr.(0) (Some arr.(0));
   let a = Auditor.create ~interval:10.0 w in
   let snap = Auditor.tick a in
   let ring_errors =
@@ -192,7 +192,7 @@ let test_one_way_cp_detected () =
   let w = H.world h in
   let child = List.find (fun p -> Peer.is_s_peer p && p.Peer.cp <> None) (H.peers h) in
   let cp = Option.get child.Peer.cp in
-  cp.Peer.children <- List.filter (fun c -> c != child) cp.Peer.children;
+  Peer.set_children cp (List.filter (fun c -> c != child) cp.Peer.children);
   checkb "online pass flags it" true
     (flagged (Checks.run_all w) ~check:"membership" ~subject:child);
   checkb "final pass flags it" true
@@ -204,7 +204,7 @@ let test_engaged_mutex_final_only () =
   let h, _ = star_system ~n:30 ~ps:0.5 () in
   let w = H.world h in
   let p = (World.t_peers w).(0) in
-  p.Peer.joining <- true;
+  Peer.set_joining p true;
   no_violations (Checks.run_all w);
   checkb "final pass flags it" true (flagged (Checks.final w) ~check:"ring_symmetry" ~subject:p)
 
@@ -574,13 +574,13 @@ let compare_with_reference h ~seed ~script =
   let n = Array.length arr in
   checkb "a ring to damage" true (n >= 4);
   let stray ?(role = Peer.T_peer) host p_id =
-    Peer.make ~interner:(World.interner w) ~host ~p_id ~role ~link_capacity:1.0 ()
+    Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host ~p_id ~role ~link_capacity:1.0 ()
   in
   let dead = stray (-1) arr.(0).Peer.p_id in
-  dead.Peer.alive <- false;
-  arr.(0).Peer.succ <- Some dead;
-  arr.(1).Peer.pred <- Some arr.(3);
-  arr.(2).Peer.succ <- Some (stray (-2) (arr.(2).Peer.p_id + 1));
+  Peer.set_alive dead false;
+  Peer.set_succ arr.(0) (Some dead);
+  Peer.set_pred arr.(1) (Some arr.(3));
+  Peer.set_succ arr.(2) (Some (stray (-2) (arr.(2).Peer.p_id + 1)));
   for i = 1 to (H.config h).Config.delta + 1 do
     Peer.attach_child ~parent:arr.(n - 1)
       ~child:(stray ~role:Peer.S_peer (-10 - i) arr.(n - 1).Peer.p_id)
@@ -603,12 +603,12 @@ let compare_with_reference h ~seed ~script =
   both ();
   World.ensure_fingers w;
   let p = arr.(1) in
-  let fingers = World.fingers w p in
-  fingers.(3) <- None;
-  fingers.(P2p_hashspace.Id_space.bits - 1) <- Some arr.(0);
+  ignore (World.fingers w p : Peer.t option array);
+  Peer.set_finger p 3 None;
+  Peer.set_finger p (P2p_hashspace.Id_space.bits - 1) (Some arr.(0));
   both ();
   (* a join triangle in flight: online, under-replication is not owed *)
-  arr.(n / 3).Peer.joining <- true;
+  Peer.set_joining arr.(n / 3) true;
   both ();
   let reported =
     List.sort_uniq compare
@@ -675,40 +675,63 @@ let test_gini_by_hand () =
   List.iter (fun p -> Data_store.clear p.Peer.store; fill p 3) peers;
   exactly "equal load" 0.0 (gauge "items_gini")
 
-(* A steady-state tick of the whole catalogue over a 1,000-peer joined
-   world allocates under 0.2 words per registered peer (~60 words in
-   all), with stale fingers and with fresh ones (finger_tables then
-   checks all 30 x T entries): the host- and key-indexed tallies live in
-   the state.  A tick over 3,000 stored items and their replicas stays
-   under 0.378 words per peer (1.5x the 252 words measured), with no
-   closure built per store scanned. *)
+(* A tick of the whole catalogue over a 1,000-peer joined world
+   allocates under 0.2 words per registered peer (~60 words in all),
+   with stale fingers and with fresh ones, both when nothing was logged
+   since the state's last tick (the fast path re-verifies nothing) and
+   when every check scans in full: the host- and key-indexed tallies
+   live in the state.  A full tick is made by alternating two states, so
+   each run finds the log restarted by the other; its arrays were grown
+   by an earlier run.  A tick over 3,000 stored items and their replicas
+   stays under 0.378 words per peer (1.5x the 252 words measured) either
+   way, with no closure built per store scanned. *)
 let test_tick_allocation () =
   let h, rng = Pipeline.build ~ps:0.8 ~seed:42000 ~n:1000 ~config:(replicated 2) () in
   ignore (Pipeline.replication h);
   let w = H.world h in
-  let state = Checks.state () in
-  let words () =
-    ignore (Checks.run_all ~state w : Checks.snapshot);
+  let state = Checks.state () and rival = Checks.state () in
+  let tick st =
     let before = Gc.allocated_bytes () in
-    ignore (Checks.run_all ~state w : Checks.snapshot);
+    ignore (Checks.run_all ~state:st w : Checks.snapshot);
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
+  let scanned c = List.mem c (Checks.full_scans state) in
+  let structural = [ "ring_symmetry"; "tree_structure"; "membership" ] in
+  let words () =
+    ignore (tick state : float);
+    let fast = tick state in
+    checkb "nothing logged: no structural scan" false (List.exists scanned structural);
+    ignore (tick rival : float);
+    let full = tick state in
+    checkb "log restarted by another state: full scans" true (List.for_all scanned structural);
+    (fast, full)
+  in
   let budget = 0.2 *. float_of_int (World.peer_count w) in
-  let stale = words () in
+  let stale_fast, stale_full = words () in
   World.ensure_fingers w;
-  let fresh = words () in
-  checkb "the fresh tick checked fingers" true
-    (gauge_of (Checks.run_all ~state w) "finger_tables" "fingers_fresh" = Some 1.0);
-  if stale >= budget || fresh >= budget then
-    Alcotest.failf "tick allocates %.0f / %.0f words (stale / fresh fingers), budget %.0f"
-      stale fresh budget;
+  let fresh_fast, fresh_full = words () in
+  checkb "the fresh full tick checked fingers" true (scanned "finger_tables");
+  List.iter
+    (fun (what, words) ->
+      if words >= budget then
+        Alcotest.failf "a %s tick allocates %.0f words, budget %.0f" what words budget)
+    [
+      ("fast stale-finger", stale_fast);
+      ("full stale-finger", stale_full);
+      ("fast fresh-finger", fresh_fast);
+      ("full fresh-finger", fresh_full);
+    ];
   ignore (Pipeline.insert (Pipeline.attach h) ~rng ~count:3000 : P2p_workload.Keys.item array);
-  let data = words () and data_budget = 0.378 *. float_of_int (World.peer_count w) in
+  let data_fast, data_full = words () in
+  let data_budget = 0.378 *. float_of_int (World.peer_count w) in
   checkb "replica copies tallied" true
     (gauge_of (Checks.run_all ~state w) "replication_factor" "replica_copies" = Some 6000.0);
-  if data >= data_budget then
-    Alcotest.failf "a tick over stored items allocates %.0f words, budget %.0f" data
-      data_budget
+  List.iter
+    (fun (what, words) ->
+      if words >= data_budget then
+        Alcotest.failf "a %s tick over stored items allocates %.0f words, budget %.0f" what
+          words data_budget)
+    [ ("fast", data_fast); ("full", data_full) ]
 
 (* --- the run pipeline's drive loop and verdict --- *)
 
@@ -776,6 +799,233 @@ let test_failed_lookups_fail_verdict () =
   checki "default ttl: lookups failed" 0 failed;
   checki "default ttl: verdict" 0 code
 
+(* --- incremental ticks: the change log --- *)
+
+(* The checks with a fast path: a tick that runs none of them in full
+   re-verified only what the change log named. *)
+let fast_tick a = Checks.full_scans (Auditor.checks_state a) = []
+
+(* An auditor on [h] whose every snapshot must equal a fresh state's
+   full scan; returns (ticks, fast ticks) counters. *)
+let audited_pipeline ?(interval = 60.0) h =
+  let w = H.world h in
+  let a = Auditor.create ~interval w in
+  let ticks = ref 0 and fast = ref 0 in
+  Auditor.set_on_snapshot a (fun snap ->
+      if fast_tick a then incr fast;
+      agree_with_fresh_scan w ticks snap);
+  (a, Pipeline.attach ~auditor:a h, ticks, fast)
+
+(* The four [audit --inject] corruptions, made through the setters and
+   the stores as the CLI makes them.  [Degree] wires unregistered
+   stowaways with negative hosts. *)
+let inject w kind =
+  let arr = World.t_peers w in
+  match kind with
+  | `Degree ->
+    let root = arr.(0) in
+    for i = 1 to w.World.config.Config.delta + 1 - List.length root.Peer.children do
+      Peer.attach_child ~parent:root
+        ~child:
+          (Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(-i)
+             ~p_id:root.Peer.p_id ~role:Peer.S_peer ~link_capacity:10.0 ())
+    done
+  | `Ring -> Peer.set_succ arr.(0) (Some arr.(0))
+  | `Placement ->
+    Data_store.insert_routed arr.(0).Peer.store ~route_id:(Peer.segment_left arr.(0))
+      ~key:"audit-misplaced" ~value:"x"
+  | `Replica_drop ->
+    let dropped = ref false in
+    World.iter_peers w (fun p ->
+        match Data_store.keys p.Peer.replicas with
+        | key :: _ when not !dropped ->
+          Data_store.remove p.Peer.replicas ~key;
+          dropped := true
+        | _ -> ())
+
+(* Seeded churn with replication 2 on the transit-stub underlay: joins,
+   crash waves and repair, graceful leaves, anti-entropy.  Then, on a
+   fresh run of the same seed, each --inject kind mid-run, audited over
+   a further stretch of simulated time.  Every tick of every run equals
+   a fresh full scan — statuses, violation text and gauge floats — and
+   most clean ticks took the fast path. *)
+let test_every_tick_equals_fresh_scan_churn seed () =
+  let prefix =
+    let open Scenario in
+    [ Join_many (80, 0.7); Insert_items 150; Settle; Lookup_items 60; Settle ]
+  in
+  let rest =
+    let open Scenario in
+    [ Crash_random; Repair; Leave_random; Settle; Join_many (10, 0.5); Settle;
+      Crash_fraction 0.1; Repair; Insert_items 40; Lookup_items 60; Settle;
+      Anti_entropy 5000.0; Leave_random; Join_t; Join_s; Settle ]
+  in
+  let start () =
+    let h, _ = Pipeline.build ~seed ~n:160 ~config:(replicated 2) () in
+    let a, p, ticks, fast = audited_pipeline h in
+    ignore (Scenario.exec p ~seed ~script:prefix : Scenario.report);
+    (h, a, p, ticks, fast)
+  in
+  let _, _, p, ticks, fast = start () in
+  ignore (Scenario.exec p ~seed:(seed + 1) ~script:rest : Scenario.report);
+  checkb "ticked repeatedly" true (!ticks > 20);
+  checkb "most clean ticks took the fast path" true (2 * !fast > !ticks);
+  (* the damaged worlds only age: protocol work would route to the
+     stowaways, which have no host *)
+  List.iter
+    (fun kind ->
+      let h, a, p, ticks, _ = start () in
+      let before = Auditor.violations_total a and seen = !ticks in
+      inject (H.world h) kind;
+      ignore (Auditor.tick a : Checks.snapshot);
+      checkb "injected damage reported at the next tick" true
+        (Auditor.violations_total a > before);
+      Pipeline.advance p ~ms:400.0;
+      checkb "ticked on" true (!ticks > seen + 3))
+    [ `Degree; `Ring; `Placement; `Replica_drop ]
+
+(* One corruption through each audited setter, through a store, through
+   the server's size table and by an undetected crash, made between two
+   ticks of a clean world whose ticks take the fast path: the very next
+   tick reports it — a violation, or a moved gauge
+   for the mutexes, which are in-flight state online — exactly as a
+   fresh full scan does. *)
+let test_setter_corruption_next_tick () =
+  let corruptions =
+    let s_peer w =
+      let found = ref None in
+      World.iter_peers w (fun p ->
+          if !found = None && Peer.is_s_peer p && p.Peer.children = [] then found := Some p);
+      Option.get !found
+    in
+    let root w i = (World.t_peers w).(i) in
+    let parent w = Option.get (s_peer w).Peer.cp in
+    [ ("p_id", `Violation, fun w -> let p = s_peer w in Peer.set_p_id p (p.Peer.p_id + 1));
+      ("role", `Violation, fun w -> Peer.set_role (s_peer w) Peer.T_peer);
+      ("alive", `Violation, fun w -> Peer.set_alive (s_peer w) false);
+      ("succ", `Violation, fun w -> Peer.set_succ (root w 1) (Some (root w 3)));
+      ("pred", `Violation, fun w -> Peer.set_pred (root w 2) (Some (root w 0)));
+      ("t_home", `Violation, fun w -> Peer.set_t_home (s_peer w) (Some (root w 0)));
+      ("cp", `Violation, fun w -> Peer.set_cp (s_peer w) (Some (root w 0)));
+      ("children (dropped)", `Violation, fun w -> Peer.set_children (parent w) []);
+      ( "children (added)",
+        `Violation,
+        fun w -> Peer.set_children (root w 0) (s_peer w :: (root w 0).Peer.children) );
+      (* unregistered with its ring pointers left behind: the ring merge
+         logs the neighbours it leaves facing each other *)
+      ("crash", `Violation, fun w -> Hybrid_p2p.Failure.crash w (root w 1));
+      ("joining", `Gauge, fun w -> Peer.set_joining (root w 1) true);
+      ("leaving", `Gauge, fun w -> Peer.set_leaving (root w 1) true);
+      ( "join_queue",
+        `Gauge,
+        fun w ->
+          Peer.set_join_queue (root w 1)
+            [ { Peer.candidate = root w 2; announce = (fun ~hops:_ -> ()); hops_so_far = 0;
+                op = None } ] );
+      ( "fingers",
+        `Violation,
+        fun w ->
+          Peer.set_fingers (root w 1) (Array.make P2p_hashspace.Id_space.bits None) );
+      ("finger", `Violation, fun w -> Peer.set_finger (root w 1) 3 (Some (root w 1)));
+      ( "size table",
+        `Violation,
+        fun w -> World.set_snet_size w (root w 0) (World.snet_size w (root w 0) + 1) );
+      ( "store",
+        `Gauge,
+        fun w -> Data_store.insert (s_peer w).Peer.store ~key:"planted" ~value:"x" ) ]
+  in
+  List.iter
+    (fun (name, kind, corrupt) ->
+      let h, _ = Pipeline.build ~seed:77 ~n:120 ~config:Config.default () in
+      ignore (H.grow h ~count:100 ~s_fraction:0.7 : Peer.t array);
+      let w = H.world h in
+      World.ensure_fingers w;
+      let a, _, _, _ = audited_pipeline h in
+      ignore (Auditor.tick a : Checks.snapshot);
+      let clean = Auditor.tick a in
+      checkb (name ^ ": clean tick on the fast path") true (fast_tick a);
+      no_violations clean;
+      corrupt w;
+      let snap = Auditor.tick a in
+      match kind with
+      | `Violation ->
+        checkb (name ^ ": reported at the next tick") true (Checks.violations snap <> [])
+      | `Gauge ->
+        checkb (name ^ ": gauges moved at the next tick") true
+          (List.map (fun (s : Checks.status) -> s.Checks.gauges) snap.Checks.statuses
+          <> List.map (fun (s : Checks.status) -> s.Checks.gauges) clean.Checks.statuses))
+    corruptions
+
+(* The membership directory changes without any setter: a registered
+   s-peer dropped from it, and an attached, unregistered one entered
+   into it.  Either leaves the server's size table off by one, reported
+   at the next tick exactly as a fresh scan reports it. *)
+let test_directory_change_next_tick () =
+  let world () =
+    let h, _ = Pipeline.build ~seed:78 ~n:120 ~config:Config.default () in
+    ignore (H.grow h ~count:100 ~s_fraction:0.7 : Peer.t array);
+    let a, _, _, _ = audited_pipeline h in
+    (h, a)
+  in
+  let leaf w =
+    let found = ref None in
+    World.iter_peers w (fun p ->
+        if !found = None && Peer.is_s_peer p && p.Peer.children = [] then found := Some p);
+    Option.get !found
+  in
+  let h, a = world () in
+  let w = H.world h in
+  ignore (Auditor.tick a : Checks.snapshot);
+  no_violations (Auditor.tick a);
+  World.unregister w (leaf w);
+  checkb "unregistered: reported at the next tick" true
+    (Checks.violations (Auditor.tick a) <> []);
+  let h, a = world () in
+  let w = H.world h in
+  let stowaway =
+    Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(H.fresh_host h)
+      ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ()
+  in
+  Peer.attach_child ~parent:(leaf w) ~child:stowaway;
+  ignore (Auditor.tick a : Checks.snapshot);
+  no_violations (Auditor.tick a);
+  checkb "a clean fast tick" true (fast_tick a);
+  World.register w stowaway;
+  checkb "registered: reported at the next tick" true
+    (Checks.violations (Auditor.tick a) <> [])
+
+(* A tick after one s-join, and one after one t-join, re-verifies a
+   number of peers that does not grow with the world: the same bound
+   holds at 1,000 and at 4,000 peers, and no check scans in full. *)
+let test_tick_cost_after_one_join () =
+  let cost n =
+    let h, _ = Pipeline.build ~seed:42 ~n ~config:(replicated 2) () in
+    ignore (H.grow h ~count:n ~s_fraction:0.8 : Peer.t array);
+    let w = H.world h in
+    let a = Auditor.create ~interval:1000.0 w in
+    ignore (Auditor.tick a : Checks.snapshot);
+    ignore (Auditor.tick a : Checks.snapshot);
+    let after role =
+      ignore (H.join h ~host:(H.fresh_host h) ~role () : Peer.t);
+      H.run h;
+      no_violations (Auditor.tick a);
+      checkb "no check scanned in full" true (fast_tick a);
+      Checks.reverified (Auditor.checks_state a)
+    in
+    let s_join = after Peer.S_peer in
+    let t_join = after Peer.T_peer in
+    (s_join, t_join)
+  in
+  let bound = 60 in
+  List.iter
+    (fun n ->
+      let s_join, t_join = cost n in
+      if s_join > bound || t_join > bound then
+        Alcotest.failf "%d peers: a tick re-verified %d peers after an s-join, %d after a \
+                        t-join; bound %d"
+          n s_join t_join bound)
+    [ 1000; 4000 ]
+
 let suite =
   [
     Alcotest.test_case "catalogue: clean system" `Quick test_clean_system;
@@ -796,6 +1046,18 @@ let suite =
     Alcotest.test_case "reference: transit-stub, r=2" `Quick test_reference_transit_stub;
     Alcotest.test_case "reference: bloom summaries" `Quick test_reference_bloom;
     Alcotest.test_case "cost: tick allocation per peer" `Quick test_tick_allocation;
+    Alcotest.test_case "cost: one join re-verifies a bounded set" `Quick
+      test_tick_cost_after_one_join;
+    Alcotest.test_case "change log: churn ticks equal fresh scans, seed 42000" `Quick
+      (test_every_tick_equals_fresh_scan_churn 42000);
+    Alcotest.test_case "change log: churn ticks equal fresh scans, seed 42010" `Quick
+      (test_every_tick_equals_fresh_scan_churn 42010);
+    Alcotest.test_case "change log: churn ticks equal fresh scans, seed 42020" `Quick
+      (test_every_tick_equals_fresh_scan_churn 42020);
+    Alcotest.test_case "change log: a setter's corruption shows at the next tick" `Quick
+      test_setter_corruption_next_tick;
+    Alcotest.test_case "change log: a directory change shows at the next tick" `Quick
+      test_directory_change_next_tick;
     Alcotest.test_case "scenario: clean audited run" `Quick test_scenario_clean_audit;
     Alcotest.test_case "scenario: violations over time" `Quick
       test_scenario_violations_over_time;

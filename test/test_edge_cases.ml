@@ -214,6 +214,8 @@ let test_cli_rejects_non_positive_peers () =
       ("run --anti-entropy 100", "--anti-entropy");
       ("run --delta 1", "--delta");
       ("run --timeline-interval 0", "--timeline-interval");
+      ("run --peers 50 --audit-interval 0", "--audit-interval");
+      ("scenario --audit-interval=-1", "--audit-interval");
       ("audit --peers 300 --inject bogus", "--inject");
       ("audit --inject replication", "--inject");
     ]
@@ -252,6 +254,31 @@ let test_cli_timeline_keeps_audit () =
   in
   Sys.remove timeline;
   Alcotest.(check string) "same audit line" (audit_line "") sampled
+
+(* [run --profile] with an auditor prints one row per check after the
+   engine's rows; without --profile, or without an auditor, no row. *)
+let test_cli_profile_audit_rows () =
+  let rows flags =
+    let out = Filename.temp_file "p2psim" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/p2psim.exe run --peers 100 --items 100 --lookups 100 %s > %s 2>&1"
+           flags (Filename.quote out))
+    in
+    let lines = In_channel.with_open_text out In_channel.input_all |> String.split_on_char '\n' in
+    Sys.remove out;
+    checki (flags ^ ": exit") 0 code;
+    List.filter (fun l -> String.starts_with ~prefix:"  audit " l) lines
+  in
+  let profiled = rows "--profile --audit-interval 300" in
+  checki "one row per check" (List.length P2p_audit.Checks.all) (List.length profiled);
+  checkb "rows name the checks" true
+    (List.for_all2
+       (fun row c ->
+         String.starts_with ~prefix:("  audit " ^ P2p_audit.Checks.check_name c) row)
+       profiled P2p_audit.Checks.all);
+  checki "no rows without --profile" 0 (List.length (rows "--audit-interval 300"));
+  checki "no rows without an auditor" 0 (List.length (rows "--profile"))
 
 (* compare's pure-Chord line is the hybrid at p_s 0: it runs and finds
    every item. *)
@@ -370,6 +397,7 @@ let suite =
     Alcotest.test_case "CLI audit --inject exit codes" `Quick
       test_cli_audit_inject_exit_codes;
     Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;
+    Alcotest.test_case "CLI profile rows per audit check" `Quick test_cli_profile_audit_rows;
     Alcotest.test_case "CLI compare runs the pure ring" `Quick test_cli_compare_pure_ring;
     Alcotest.test_case "CLI report reads one serve scrape" `Quick
       test_cli_report_single_scrape;

@@ -9,7 +9,7 @@ let checki = Alcotest.check Alcotest.int
 let interner = Hybrid_p2p.Intern.create ()
 
 let mk ?(role = Peer.S_peer) ?(capacity = 1.0) host =
-  Peer.make ~interner ~host ~p_id:host ~role ~link_capacity:capacity ()
+  Peer.make ~log:(Hybrid_p2p.Change_log.create ()) ~interner ~host ~p_id:host ~role ~link_capacity:capacity ()
 
 let config = Config.default (* delta = 3 *)
 
@@ -21,7 +21,7 @@ let test_roles () =
 
 let test_segment () =
   let a = mk ~role:Peer.T_peer 100 and b = mk ~role:Peer.T_peer 200 in
-  a.Peer.pred <- Some b;
+  Peer.set_pred a (Some b);
   checki "segment left is pred id" 200 (Peer.segment_left a);
   checkb "covers own id" true (Peer.covers a 100);
   checkb "covers wrapped interval" true (Peer.covers a 50);
@@ -29,13 +29,13 @@ let test_segment () =
   checkb "does not cover outside" false (Peer.covers a 150);
   (* single node on ring covers everything *)
   let solo = mk ~role:Peer.T_peer 300 in
-  solo.Peer.pred <- Some solo;
+  Peer.set_pred solo (Some solo);
   checkb "solo covers all" true (Peer.covers solo 12345)
 
 let test_tree_attach_detach () =
   let root = mk ~role:Peer.T_peer 0 in
-  root.Peer.t_home <- Some root;
-  root.Peer.p_id <- 777;
+  Peer.set_t_home root (Some root);
+  Peer.set_p_id root 777;
   let child = mk 1 in
   Peer.attach_child ~parent:root ~child;
   checkb "cp set" true (match child.Peer.cp with Some p -> p == root | None -> false);
@@ -50,7 +50,7 @@ let test_tree_attach_detach () =
 
 let test_free_slot_delta () =
   let root = mk ~role:Peer.T_peer 0 in
-  root.Peer.t_home <- Some root;
+  Peer.set_t_home root (Some root);
   checkb "empty root has slot" true (Peer.has_free_slot config root);
   for i = 1 to 3 do
     Peer.attach_child ~parent:root ~child:(mk i)
@@ -74,7 +74,7 @@ let test_free_slot_link_usage () =
 
 let test_tree_members_preorder () =
   let root = mk ~role:Peer.T_peer 0 in
-  root.Peer.t_home <- Some root;
+  Peer.set_t_home root (Some root);
   let a = mk 1 and b = mk 2 and c = mk 3 in
   Peer.attach_child ~parent:root ~child:a;
   Peer.attach_child ~parent:root ~child:b;
@@ -87,7 +87,7 @@ let test_tree_members_preorder () =
 
 let test_tree_neighbors () =
   let root = mk ~role:Peer.T_peer 0 in
-  root.Peer.t_home <- Some root;
+  Peer.set_t_home root (Some root);
   let a = mk 1 and b = mk 2 in
   Peer.attach_child ~parent:root ~child:a;
   Peer.attach_child ~parent:a ~child:b;
@@ -97,7 +97,7 @@ let test_tree_neighbors () =
 
 let test_depth () =
   let root = mk ~role:Peer.T_peer 0 in
-  root.Peer.t_home <- Some root;
+  Peer.set_t_home root (Some root);
   let a = mk 1 and b = mk 2 in
   Peer.attach_child ~parent:root ~child:a;
   Peer.attach_child ~parent:a ~child:b;
@@ -129,7 +129,7 @@ let test_bypass_rules () =
   Peer.add_bypass bypass_config a a ~now:0.0;
   checki "no self link" 0 (List.length a.Peer.bypass);
   (* dead target refused *)
-  b.Peer.alive <- false;
+  Peer.set_alive b false;
   Peer.add_bypass bypass_config a b ~now:0.0;
   checki "no dead target" 0 (List.length a.Peer.bypass)
 
@@ -154,7 +154,7 @@ let test_bypass_degree_budget () =
 let test_bypass_prunes_dead () =
   let a = mk 1 and b = mk 2 in
   Peer.add_bypass bypass_config a b ~now:0.0;
-  b.Peer.alive <- false;
+  Peer.set_alive b false;
   checki "dead target pruned" 0 (List.length (Peer.live_bypass a ~now:10.0))
 
 let suite =

@@ -247,10 +247,10 @@ let test_heal_matches_reference r () =
       ~value:("v:" ^ shadowed);
     let home = (World.t_peers w).(0) in
     let stranger =
-      Peer.make ~interner:(World.interner w) ~host:(H.fresh_host h) ~p_id:home.Peer.p_id
+      Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(H.fresh_host h) ~p_id:home.Peer.p_id
         ~role:Peer.S_peer ~link_capacity:1.0 ()
     in
-    stranger.Peer.t_home <- Some home;
+    Peer.set_t_home stranger (Some home);
     World.register w stranger;
     Data_store.insert stranger.Peer.replicas ~key:"item-00011" ~value:"v:item-00011";
     Data_store.insert stranger.Peer.store ~key:"ghost" ~value:"g";
@@ -319,10 +319,10 @@ let test_hand_built_peer_tallied () =
   let holder = List.find (fun p -> Data_store.mem p.Peer.replicas ~key) (H.peers h) in
   let home = (World.t_peers w).(0) in
   let stranger =
-    Peer.make ~interner:(World.interner w) ~host:(H.fresh_host h) ~p_id:home.Peer.p_id
+    Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(H.fresh_host h) ~p_id:home.Peer.p_id
       ~role:Peer.S_peer ~link_capacity:1.0 ()
   in
-  stranger.Peer.t_home <- Some home;
+  Peer.set_t_home stranger (Some home);
   World.register w stranger;
   (* the copy moves to the stranger: still two *)
   Data_store.remove holder.Peer.replicas ~key;
@@ -354,7 +354,7 @@ let test_ring_successors_search () =
       done)
     arr;
   let stranger =
-    Peer.make ~interner:(World.interner w) ~host:(-1) ~p_id:arr.(0).Peer.p_id
+    Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(-1) ~p_id:arr.(0).Peer.p_id
       ~role:Peer.T_peer ~link_capacity:1.0 ()
   in
   checki "a peer off the ring has none" 0

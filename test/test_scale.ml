@@ -149,7 +149,7 @@ let test_random_peer_allocation () =
   let w = H.world h in
   for host = 0 to peers - 1 do
     World.register w
-      (Peer.make ~interner:(World.interner w) ~host ~p_id:(host * 7919) ~role:Peer.S_peer
+      (Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host ~p_id:(host * 7919) ~role:Peer.S_peer
          ~link_capacity:1.0 ())
   done;
   let draws = 1000 in

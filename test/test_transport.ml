@@ -240,13 +240,10 @@ let sim_cancel_late_counted () =
   let t = Timer.one_shot engine ~delay:5.0 (fun () -> incr fired) in
   Engine.run engine;
   Alcotest.(check int) "fired once" 1 !fired;
-  let before = Timer.cancel_late () in
   Timer.cancel t;
-  Alcotest.(check int) "cancel after fire is counted" (before + 1)
-    (Timer.cancel_late ());
+  Alcotest.(check int) "cancel after fire is counted" 1 (Engine.cancel_late engine);
   Timer.cancel t;
-  Alcotest.(check int) "second cancel is an uncounted no-op" (before + 1)
-    (Timer.cancel_late ());
+  Alcotest.(check int) "second cancel is an uncounted no-op" 1 (Engine.cancel_late engine);
   (* A cancel-late must not leave a ghost entry for the engine to chew. *)
   Alcotest.(check int) "no ghost event scheduled" 1 (Engine.events_executed engine)
 
@@ -254,11 +251,34 @@ let sim_cancel_in_time_not_counted () =
   let engine = Engine.create ~seed:7 () in
   let fired = ref 0 in
   let t = Timer.one_shot engine ~delay:5.0 (fun () -> incr fired) in
-  let before = Timer.cancel_late () in
   Timer.cancel t;
   Engine.run engine;
   Alcotest.(check int) "never fired" 0 !fired;
-  Alcotest.(check int) "timely cancel is not late" before (Timer.cancel_late ())
+  Alcotest.(check int) "timely cancel is not late" 0 (Engine.cancel_late engine)
+
+(* Two worlds in one process: each world's [timer/cancel_late] gauge
+   counts only the late cancels of its own engine's timers. *)
+let cancel_late_per_world () =
+  let module H = Hybrid_p2p.Hybrid in
+  let module World = Hybrid_p2p.World in
+  let late_cancels h n =
+    let w = H.world h in
+    for _ = 1 to n do
+      let tm = World.one_shot w ~delay:1.0 (fun () -> ()) in
+      H.run h;
+      Transport.cancel tm
+    done;
+    let reg = P2p_net.Metrics.registry (H.metrics h) in
+    P2p_obs.Engine_stats.record reg (H.engine h);
+    Registry.gauge_value (Registry.gauge reg ~subsystem:"timer" ~name:"cancel_late")
+  in
+  let first = H.create_star ~seed:1 ~peers:4 () and second = H.create_star ~seed:2 ~peers:4 () in
+  let a = late_cancels first 2 in
+  let b = late_cancels second 1 in
+  Alcotest.(check (float 0.0)) "first world: its own two" 2.0 a;
+  Alcotest.(check (float 0.0)) "second world: its own one" 1.0 b;
+  Alcotest.(check (float 0.0)) "first world unchanged by the second" 2.0
+    (late_cancels first 0)
 
 let wheel_fires_and_counts_late_cancel () =
   let clock_now = ref 0.0 in
@@ -272,13 +292,10 @@ let wheel_fires_and_counts_late_cancel () =
   Alcotest.(check int) "fires when due" 1 (Wheel.run_due wheel);
   Alcotest.(check int) "fired once" 1 !fired;
   Alcotest.(check int) "wheel drained" 0 (Wheel.pending wheel);
-  let before = Timer.cancel_late () in
   Transport.cancel tm;
-  Alcotest.(check int) "wheel shares the cancel_late counter" (before + 1)
-    (Timer.cancel_late ());
+  Alcotest.(check int) "the wheel counts its late cancel" 1 (Wheel.cancel_late wheel);
   Transport.cancel tm;
-  Alcotest.(check int) "wheel double cancel uncounted" (before + 1)
-    (Timer.cancel_late ())
+  Alcotest.(check int) "wheel double cancel uncounted" 1 (Wheel.cancel_late wheel)
 
 let wheel_periodic_reset_cancel () =
   let clock_now = ref 0.0 in
@@ -303,17 +320,17 @@ let wheel_periodic_reset_cancel () =
 (* Both backends hand out the same [Transport.timer] block; through it,
    the late-cancel count, [active] and [reset] behave alike.  [fire ()]
    drives the backend until every due timer has run. *)
-let transport_timer_semantics name ~one_shot ~fire =
+let transport_timer_semantics name ~one_shot ~fire ~late =
   let fired = ref 0 in
   let tm : Transport.timer = one_shot ~delay:10.0 (fun () -> incr fired) in
   let label what = Printf.sprintf "%s: %s" name what in
   Alcotest.(check bool) (label "armed") true (Transport.active tm);
-  let before = Timer.cancel_late () in
+  let before = late () in
   Transport.cancel tm;
   Alcotest.(check bool) (label "cancelled") false (Transport.active tm);
   fire ();
   Alcotest.(check int) (label "a timely cancel stops the action") 0 !fired;
-  Alcotest.(check int) (label "a timely cancel is not late") before (Timer.cancel_late ());
+  Alcotest.(check int) (label "a timely cancel is not late") before (late ());
   Transport.reset tm;
   Alcotest.(check bool) (label "reset re-arms") true (Transport.active tm);
   fire ();
@@ -321,10 +338,10 @@ let transport_timer_semantics name ~one_shot ~fire =
   Alcotest.(check bool) (label "inactive after firing") false (Transport.active tm);
   Transport.cancel tm;
   Alcotest.(check int) (label "cancel after fire is counted") (before + 1)
-    (Timer.cancel_late ());
+    (late ());
   Transport.cancel tm;
   Alcotest.(check int) (label "second cancel is uncounted") (before + 1)
-    (Timer.cancel_late ());
+    (late ());
   fire ();
   Alcotest.(check int) (label "a late cancel leaves nothing to fire") 1 !fired
 
@@ -339,13 +356,16 @@ let timer_block_both_backends () =
   let sim = Sim_transport.create ~underlay in
   transport_timer_semantics "sim"
     ~one_shot:(fun ~delay f -> Transport.one_shot sim ~delay f)
-    ~fire:(fun () -> Engine.run engine);
+    ~fire:(fun () -> Engine.run engine)
+    ~late:(fun () -> Engine.cancel_late engine);
   Alcotest.(check int) "sim: the cancelled arming never ran" 1 (Engine.events_executed engine);
   let clock_now = ref 0.0 in
   let wheel = Wheel.create ~clock:(fun () -> !clock_now) in
-  transport_timer_semantics "wheel" ~one_shot:(Wheel.one_shot wheel) ~fire:(fun () ->
+  transport_timer_semantics "wheel" ~one_shot:(Wheel.one_shot wheel)
+    ~fire:(fun () ->
       clock_now := !clock_now +. 100.0;
-      ignore (Wheel.run_due wheel : int));
+      ignore (Wheel.run_due wheel : int))
+    ~late:(fun () -> Wheel.cancel_late wheel);
   Alcotest.(check int) "wheel: drained" 0 (Wheel.pending wheel)
 
 (* --- live loop ------------------------------------------------------- *)
@@ -699,9 +719,11 @@ let suite =
       `Quick traced_frames_survive_fuzz;
     Alcotest.test_case "sim timer: cancel after fire is a counted no-op"
       `Quick sim_cancel_late_counted;
+    Alcotest.test_case "timer: each world counts its own late cancels" `Quick
+      cancel_late_per_world;
     Alcotest.test_case "sim timer: timely cancel is not late" `Quick
       sim_cancel_in_time_not_counted;
-    Alcotest.test_case "wheel: fires due timers, shares cancel_late" `Quick
+    Alcotest.test_case "wheel: fires due timers, separate late-cancel count" `Quick
       wheel_fires_and_counts_late_cancel;
     Alcotest.test_case "timer block: same cancel-late semantics on both backends" `Quick
       timer_block_both_backends;

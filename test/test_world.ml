@@ -15,7 +15,7 @@ let checki = Alcotest.check Alcotest.int
 
 (* a hand-built peer whose stores share [w]'s interner, as registering
    requires *)
-let make_peer w = Peer.make ~interner:(World.interner w)
+let make_peer w = Peer.make ~log:(World.change_log w) ~interner:(World.interner w)
 
 (* a quiesced world with an explicit ring of t-peers at given p_ids *)
 let world_with_ring ?(config = default_config) ids =
@@ -51,7 +51,7 @@ let test_register_rejects_foreign_interner () =
   let h, _ = world_with_ring [ 100; 200 ] in
   let w = H.world h in
   let foreign =
-    Peer.make ~interner:(Hybrid_p2p.Intern.create ()) ~host:40 ~p_id:0 ~role:Peer.S_peer
+    Peer.make ~log:(World.change_log w) ~interner:(Hybrid_p2p.Intern.create ()) ~host:40 ~p_id:0 ~role:Peer.S_peer
       ~link_capacity:1.0 ()
   in
   Alcotest.check_raises "foreign interner refused"
@@ -224,7 +224,7 @@ let test_fingers_follow_refresh_points () =
   checki "the first read after it does" 350 (finger0 p300);
   checki "one table recomputed" (before + 1) (World.finger_refreshes w);
   (* 350 leaves unread; 370 joins; then the next refresh point *)
-  p350.Peer.alive <- false;
+  Peer.set_alive p350 false;
   World.unregister w p350;
   ignore (t_peer ~host:51 ~p_id:370 : Peer.t);
   World.ensure_fingers w;
@@ -304,7 +304,7 @@ let prop_ring_matches_scan =
           (match (kind, World.find_peer w ~host) with
            | 0, _ -> World.register w (make Peer.T_peer)
            | 1, Some p ->
-             p.Peer.alive <- false;
+             Peer.set_alive p false;
              World.unregister w p
            | 2, _ -> World.register w (make Peer.S_peer)
            | 3, Some p when Peer.is_t_peer p -> World.set_snet_size w p x
@@ -342,7 +342,7 @@ let prop_nth_live_peer_matches_list =
           let make () = make_peer w ~host ~p_id:(host * 7919) ~role ~link_capacity:1.0 () in
           (match (kind, World.find_peer w ~host) with
            | 2, Some p ->
-             p.Peer.alive <- false;
+             Peer.set_alive p false;
              World.unregister w p
            | _ -> World.register w (make ()));
           agrees ())
@@ -381,8 +381,8 @@ let test_stabilize_ring_rewires () =
   (* scramble the pointers *)
   List.iter
     (fun p ->
-      p.Peer.succ <- Some p;
-      p.Peer.pred <- None)
+      Peer.set_succ p (Some p);
+      Peer.set_pred p None)
     peers;
   World.stabilize_ring w;
   ok_invariants h
