@@ -187,15 +187,17 @@ let trace_cap_arg =
 
 let trace_sample_arg =
   Arg.(
-    value & opt unit_interval 1.0
+    value
+    & opt (some unit_interval) None
     & info [ "trace-sample" ] ~docv:"RATE"
         ~doc:
           "Head-based op sampling rate in [0,1]: each operation either carries \
            its full span tree ($(docv) of them, chosen by a deterministic hash \
            of the op id, so replays trace identical ops) or costs one integer \
-           compare per span.  Latency percentiles and $(b,--slo) gates always \
-           count 100% of operations regardless of the rate.  1 (default) \
-           traces everything.")
+           compare per span.  Latency percentiles and $(b,--slo) gates on op \
+           kinds always count 100% of operations regardless of the rate.  \
+           Defaults to 1 (trace everything) with $(b,--trace-out), and to 0.01 \
+           when only $(b,--slo) or $(b,--dump-on-exit) asks for a trace.")
 
 (* The trace options run, scenario and audit share.  A trace exists when
    there is a file to write or [force] asks for one; its ops are sampled
@@ -205,11 +207,20 @@ type tracing = {
   make_trace : seed:int -> force:bool -> Trace.t option;
 }
 
+(* The sample rate a trace gets without --trace-sample: every op when its
+   spans go to a file, 1% when it exists only to feed SLO gates and the
+   flight recorder, which count completions, not spans. *)
+let default_sample_rate ~trace_out = if trace_out = None then 0.01 else 1.0
+
 let tracing_term =
   let tracing trace_out capacity sample_rate =
     let make_trace ~seed ~force =
       if trace_out = None && not force then None
-      else Some (Trace.create ~capacity ~sample_rate ~sample_seed:seed ())
+      else
+        let sample_rate =
+          Option.value sample_rate ~default:(default_sample_rate ~trace_out)
+        in
+        Some (Trace.create ~capacity ~sample_rate ~sample_seed:seed ())
     in
     { trace_out; make_trace }
   in
@@ -259,7 +270,10 @@ let slo_arg =
           "Latency objective gate, repeatable: $(i,target):p$(i,N)<=$(i,MS), e.g. \
            $(b,lookup:p99<=40) or $(b,latency/phase_flood_ms:p95<=10).  Checked \
            after the run; any violated or unresolvable spec makes the command \
-           exit non-zero.")
+           exit non-zero.  A gate turns tracing on; without $(b,--trace-out) \
+           or $(b,--trace-sample) it samples 1% of ops, which leaves op-kind \
+           gates exact (they count every completion) while phase_* gates read \
+           the sampled spans only.")
 
 let metrics_out_arg =
   Arg.(
@@ -433,14 +447,16 @@ let compare_cmd =
 
 let scenario_cmd =
   let run seed (n, script) config assert_no_loss audit_interval { trace_out; make_trace }
-      metrics_out =
+      metrics_out profile =
     let trace = make_trace ~seed ~force:false in
-    let h, _ = Pipeline.build ?trace ~seed ~n ~config () in
+    let h, _ = Pipeline.build ?trace ~profile ~seed ~n ~config () in
     let auditor =
       Option.map (fun interval -> Auditor.create ~interval (H.world h)) audit_interval
     in
     let p =
-      Pipeline.attach ?auditor ~out:{ Pipeline.no_outputs with trace_out; metrics_out } h
+      Pipeline.attach ?auditor
+        ~out:{ Pipeline.no_outputs with trace_out; metrics_out; profile }
+        h
     in
     let report = Scenario.exec p ~seed ~script in
     Format.printf "%a@." Scenario.pp_report report;
@@ -488,7 +504,8 @@ let scenario_cmd =
   let term =
     Term.(
       const run $ seed_arg $ sized_script $ config_term [ replication ]
-      $ assert_no_loss_arg $ audit_interval_arg $ tracing_term $ metrics_out_arg)
+      $ assert_no_loss_arg $ audit_interval_arg $ tracing_term $ metrics_out_arg
+      $ profile_arg)
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a declarative churn/workload script and report.")

@@ -996,11 +996,12 @@ let bloom_coverage ~final:_ who w =
    until they are evicted. *)
 
 (* An op's closed children and closed roots (several only when an op id
-   is re-registered from the wire). *)
+   is re-registered from the wire), by span id: the check reads a span's
+   fields from the trace when it judges it, so it holds no copy. *)
 type op_entry = {
   e_op : int;
-  mutable kids : Trace.span list;  (* closed non-root spans; pruned on analysis *)
-  mutable roots : Trace.span list;  (* closed retained root spans *)
+  mutable kids : int list;  (* closed non-root spans; pruned on analysis *)
+  mutable roots : int list;  (* closed retained root spans *)
   mutable queued : bool;  (* in [dirty] for this tick's analysis *)
 }
 
@@ -1012,16 +1013,15 @@ type state = {
   mutable resets : int;
   mutable lo : int;  (* oldest retained span id at the last tick *)
   mutable cursor : int;  (* every span id below it has been ingested *)
-  mutable opened : Trace.span list;  (* ingested while still open *)
-  mutable pending : Trace.span list;
+  mutable opened : int list;  (* ingested while still open *)
+  mutable pending : int list;
       (* closed children whose parent is open or not minted yet *)
   mutable checked : int;  (* retained closed children of closed retained parents *)
   (* Two rings indexed by span id mod their length, which grows with the
      retained window (never past the trace's capacity): *)
   mutable expiry : int array;  (* [checked] entries that end when the id is evicted *)
   mutable kid_op : int array;  (* the op of a closed child span, or [no_op] *)
-  mutable escaped : (Trace.span * Trace.span) Int_map.t;
-      (* child id -> (child, closed parent): final escapes *)
+  mutable escaped : int Int_map.t;  (* child id -> closed parent id: final escapes *)
   ops : (int, op_entry) Hashtbl.t;
   roots : (int, op_entry) Hashtbl.t;  (* closed retained root span id -> its op *)
   mutable dirty : op_entry list;
@@ -1088,6 +1088,9 @@ let queue st e =
     st.dirty <- e :: st.dirty
   end
 
+(* A retained span of [tr]. *)
+let span tr id = Option.get (Trace.find tr id)
+
 let escapes (s : Trace.span) ~stop (parent : Trace.span) =
   let pstop = Option.value parent.Trace.span_stop ~default:Float.infinity in
   s.Trace.span_start < parent.Trace.span_start -. 1e-9 || stop > pstop +. 1e-9
@@ -1109,16 +1112,12 @@ let evict st ~lo =
     | None -> ()
     | Some e ->
       Hashtbl.remove st.roots id;
-      e.roots <- List.filter (fun (r : Trace.span) -> r.Trace.span_id <> id) e.roots;
+      e.roots <- List.filter (fun r -> r <> id) e.roots;
       st.bad_ops <- Int_map.remove id st.bad_ops;
       queue st e
   done;
   st.lo <- max st.lo lo;
-  st.escaped <-
-    Int_map.filter
-      (fun _ ((c : Trace.span), (p : Trace.span)) ->
-        c.Trace.span_id >= lo && p.Trace.span_id >= lo)
-      st.escaped
+  st.escaped <- Int_map.filter (fun c p -> c >= lo && p >= lo) st.escaped
 
 (* Make the rings hold ids [lo, next) without collisions.  Only ids in
    [lo, st.cursor) have entries (older ones were just evicted), so those
@@ -1138,17 +1137,18 @@ let ensure_rings st tr ~lo ~next =
 
 (* A span seen closed for the first time. *)
 let on_close st (s : Trace.span) =
+  let id = s.Trace.span_id in
   if s.Trace.parent >= 0 then begin
     let e = op_entry st s.Trace.span_op in
-    e.kids <- s :: e.kids;
-    st.kid_op.(s.Trace.span_id mod Array.length st.kid_op) <- s.Trace.span_op;
+    e.kids <- id :: e.kids;
+    st.kid_op.(id mod Array.length st.kid_op) <- s.Trace.span_op;
     queue st e;
-    st.pending <- s :: st.pending
+    st.pending <- id :: st.pending
   end
   else if s.Trace.parent = -1 then begin
     let e = op_entry st s.Trace.span_op in
-    e.roots <- s :: e.roots;
-    Hashtbl.replace st.roots s.Trace.span_id e;
+    e.roots <- id :: e.roots;
+    Hashtbl.replace st.roots id e;
     queue st e
   end
 
@@ -1159,46 +1159,48 @@ let judge_pending st tr ~lo ~next =
   let counted = ref 0 and open_escapes = ref [] in
   st.pending <-
     List.filter
-      (fun (c : Trace.span) ->
+      (fun id ->
+        id >= lo
+        &&
+        let c = span tr id in
         let p = c.Trace.parent in
         let stop = Option.get c.Trace.span_stop in
-        if c.Trace.span_id < lo then false
-        else
-          match Trace.find tr p with
-          | Some parent when parent.Trace.span_stop <> None ->
-            let key = min p c.Trace.span_id in
-            let slot = key mod Array.length st.expiry in
-            st.checked <- st.checked + 1;
-            st.expiry.(slot) <- st.expiry.(slot) + 1;
-            if escapes c ~stop parent then
-              st.escaped <- Int_map.add c.Trace.span_id (c, parent) st.escaped;
-            false
-          | Some parent ->
-            incr counted;
-            if escapes c ~stop parent then open_escapes := (c, parent) :: !open_escapes;
-            true
-          | None -> p >= next (* not minted yet; below the window it never returns *))
+        match Trace.find tr p with
+        | Some parent when parent.Trace.span_stop <> None ->
+          let key = min p id in
+          let slot = key mod Array.length st.expiry in
+          st.checked <- st.checked + 1;
+          st.expiry.(slot) <- st.expiry.(slot) + 1;
+          if escapes c ~stop parent then st.escaped <- Int_map.add id p st.escaped;
+          false
+        | Some parent ->
+          incr counted;
+          if escapes c ~stop parent then open_escapes := (c, parent) :: !open_escapes;
+          true
+        | None -> p >= next (* not minted yet; below the window it never returns *))
       st.pending;
   (!counted, !open_escapes)
 
 (* Re-analyse the ops whose children or roots changed this tick. *)
-let analyse_ops st ~lo =
+let analyse_ops st tr ~lo =
   List.iter
     (fun e ->
       e.queued <- false;
       let kids =
-        List.filter (fun (k : Trace.span) -> k.Trace.span_id >= lo) e.kids
-        |> List.sort (fun (a : Trace.span) b -> Int.compare b.Trace.span_id a.Trace.span_id)
+        List.filter (fun k -> k >= lo) e.kids |> List.sort (fun a b -> Int.compare b a)
       in
       e.kids <- kids;
-      List.iter
-        (fun (root : Trace.span) ->
-          let o = Spans.analyze ~root kids in
-          st.bad_ops <-
-            (if o.Spans.critical_ms > o.Spans.total_ms +. 1e-6 then
-               Int_map.add root.Trace.span_id o st.bad_ops
-             else Int_map.remove root.Trace.span_id st.bad_ops))
-        e.roots;
+      if e.roots <> [] then begin
+        let children = List.map (span tr) kids in
+        List.iter
+          (fun root ->
+            let o = Spans.analyze ~root:(span tr root) children in
+            st.bad_ops <-
+              (if o.Spans.critical_ms > o.Spans.total_ms +. 1e-6 then
+                 Int_map.add root o st.bad_ops
+               else Int_map.remove root st.bad_ops))
+          e.roots
+      end;
       if kids = [] && e.roots = [] then Hashtbl.remove st.ops e.e_op)
     st.dirty;
   st.dirty <- []
@@ -1215,22 +1217,24 @@ let latency_sanity st ~final:_ who w =
     evict st ~lo;
     ensure_rings st tr ~lo ~next;
     Trace.iter_spans tr ~from:st.cursor (fun s ->
-        if s.Trace.span_stop <> None then on_close st s else st.opened <- s :: st.opened);
+        if s.Trace.span_stop <> None then on_close st s
+        else st.opened <- s.Trace.span_id :: st.opened);
     st.cursor <- next;
     st.opened <-
       List.filter
-        (fun (s : Trace.span) ->
-          if s.Trace.span_id < lo then false
-          else if s.Trace.span_stop <> None then (on_close st s; false)
-          else true)
+        (fun id ->
+          id >= lo
+          &&
+          let s = span tr id in
+          if s.Trace.span_stop <> None then (on_close st s; false) else true)
         st.opened;
     let counted, open_escapes = judge_pending st tr ~lo ~next in
-    analyse_ops st ~lo;
+    analyse_ops st tr ~lo;
     let escaped =
       List.merge
         (fun ((a : Trace.span), _) ((b : Trace.span), _) ->
           Int.compare a.Trace.span_id b.Trace.span_id)
-        (List.map snd (Int_map.bindings st.escaped))
+        (List.map (fun (c, p) -> (span tr c, span tr p)) (Int_map.bindings st.escaped))
         (List.sort
            (fun ((a : Trace.span), _) ((b : Trace.span), _) ->
              Int.compare a.Trace.span_id b.Trace.span_id)

@@ -137,11 +137,12 @@ let periodic t ?label ~period f =
   Transport.periodic t.transport ?label ~period f
 
 (* Like [send], but the delivery is also a causal span of [op]: opened
-   when the message is posted, closed (under the op's root span — no
-   parent threading at call sites) when the handler finishes, so the
-   span covers propagation delay plus handler work.  Unsampled ops take
-   the plain path: no span, no handler wrapper, no closure — the
-   per-message cost head-based sampling exists to avoid. *)
+   when the message is posted, closed by id (under the op's root span — no
+   parent threading at call sites) when the handler finishes or raises,
+   so the span covers propagation delay plus handler work.  Unsampled
+   ops, and spans the trace suppressed, take the plain path: no span, no
+   handler wrapper — the per-message cost head-based sampling exists to
+   avoid. *)
 let send_span t ?op ~tier ~phase ~src ~dst f =
   let tr = trace t in
   match op with
@@ -150,11 +151,14 @@ let send_span t ?op ~tier ~phase ~src ~dst f =
       Trace.begin_span tr ~time:(now t) ~op:op_id ~tier ~phase
         ~src:src.Peer.host ~dst:dst.Peer.host phase
     in
-    Transport.send t.transport ~src:src.Peer.host ~dst:dst.Peer.host
-      (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Trace.end_span tr ~time:(now t) span)
-          f)
+    if span < 0 then send t ~src ~dst f
+    else
+      Transport.send t.transport ~src:src.Peer.host ~dst:dst.Peer.host (fun () ->
+          match f () with
+          | () -> Trace.end_span tr ~time:(now t) span
+          | exception e ->
+            Trace.end_span tr ~time:(now t) span;
+            raise e)
   | _ -> send t ~src ~dst f
 
 (* A zero-duration span: an instant of attributable work (a cache probe,

@@ -18,7 +18,7 @@ let span_pid (s : Trace.span) =
   | None, Some src -> src
   | None, None -> 0
 
-let span_event ((s : Trace.span), stop) =
+let span_event (s : Trace.span) stop =
   let outcome =
     if s.Trace.parent < 0 then [ ("outcome", Json.String s.Trace.span_outcome) ]
     else []
@@ -58,22 +58,23 @@ let process_name pid =
           ] );
     ]
 
-(* The completed spans with their stops, and the sorted pids they run on:
-   the metadata events are derived from the pids, the span events are
-   built one at a time by whoever consumes them. *)
-let completed trace =
-  let spans =
-    List.filter_map
-      (fun (s : Trace.span) -> Option.map (fun stop -> (s, stop)) s.Trace.span_stop)
-      (Trace.spans trace)
-  in
+(* The sorted pids the completed spans run on: the metadata events are
+   derived from them, and the span events are built one at a time, in
+   id order, by whoever consumes them. *)
+let pids trace =
   let pids = Hashtbl.create 16 in
-  List.iter (fun (s, _) -> Hashtbl.replace pids (span_pid s) ()) spans;
-  (spans, List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) pids []))
+  Trace.iter_spans trace (fun s ->
+      if s.Trace.span_stop <> None then Hashtbl.replace pids (span_pid s) ());
+  List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) pids [])
+
+let iter_completed trace f =
+  Trace.iter_spans trace (fun s ->
+      match s.Trace.span_stop with Some stop -> f s stop | None -> ())
 
 let chrome_events trace =
-  let spans, pids = completed trace in
-  List.map process_name pids @ List.map span_event spans
+  let events = ref [] in
+  iter_completed trace (fun s stop -> events := span_event s stop :: !events);
+  List.map process_name (pids trace) @ List.rev !events
 
 let write_file ~path contents =
   let oc = open_out path in
@@ -88,7 +89,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_trace ~path trace =
-  let spans, pids = completed trace in
+  let pids = pids trace in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -100,7 +101,7 @@ let write_trace ~path trace =
         output_string oc (Json.to_string json)
       in
       List.iter (fun pid -> emit (process_name pid)) pids;
-      List.iter (fun s -> emit (span_event s)) spans;
+      iter_completed trace (fun s stop -> emit (span_event s stop));
       output_string oc (if !first then "[]\n" else "]\n"))
 
 let write_metrics ~path registry = write_file ~path (metrics_to_string registry)

@@ -72,17 +72,21 @@ let analyze ~(root : Trace.span) children =
     span_count = List.length children;
   }
 
+(* Children are grouped by span id and read back from the trace one op at
+   a time, so the analysis holds no copy of the log. *)
 let completed trace =
   let by_op = Hashtbl.create 64 in
   Trace.iter_spans trace (fun (s : Trace.span) ->
       if s.Trace.parent >= 0 && s.Trace.span_stop <> None then
         Hashtbl.replace by_op s.Trace.span_op
-          (s :: (try Hashtbl.find by_op s.Trace.span_op with Not_found -> [])));
+          (s.Trace.span_id
+          :: (try Hashtbl.find by_op s.Trace.span_op with Not_found -> [])));
   let ops = ref [] in
   Trace.iter_spans trace (fun (s : Trace.span) ->
       if s.Trace.parent = -1 && s.Trace.span_stop <> None then
         let children =
-          try Hashtbl.find by_op s.Trace.span_op with Not_found -> []
+          try Hashtbl.find by_op s.Trace.span_op |> List.filter_map (Trace.find trace)
+          with Not_found -> []
         in
         ops := analyze ~root:s children :: !ops);
   List.rev !ops

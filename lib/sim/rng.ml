@@ -8,8 +8,9 @@ let copy t = { state = t.state }
 
 (* SplitMix64 finalizer: xor-shift/multiply avalanche of the incremented
    state.  Reference: Steele, Lea, Flood, "Fast splittable pseudorandom
-   number generators" (OOPSLA 2014). *)
-let mix z =
+   number generators" (OOPSLA 2014).  Inlined, so [hash62] keeps its
+   arithmetic unboxed: a per-op sampling decision allocates nothing. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -5,9 +5,23 @@
     span.  The work the operation causes — a ring hop, a flood branch, a
     replica probe — is recorded as a child span carrying that id, so one
     lookup can be read back afterwards as its causal span tree
-    ({!spans_of_op}).  Spans live in a ring buffer: keeping it bounded
+    ({!spans_of_op}).  Spans live in a bounded log: keeping it bounded
     makes tracing safe to leave enabled in long experiments — old spans
     fall off the back.
+
+    {b What it costs.}  Memory follows what is recorded, not the
+    capacity.  A retained span is one slot in nine flat columns (parent,
+    op, source and destination hosts, an interned tier/phase code, start
+    and stop floats, label and outcome pointers): 9 words, and recording
+    it allocates nothing.  The columns grow by half again when they
+    fill, up to [capacity] slots, so the log holds 9 to 13.5 words per
+    retained span, plus the label strings callers pass in (usually
+    shared literals).  An open op is one slot in four columns (id, kind,
+    start, root span) of a power-of-two table of at most
+    [max 64 (4 * peak open ops)] slots: 4 to 16 words per op open at the
+    peak, nothing per closed one.  An op whose slot a long-open op holds,
+    or whose id is negative, waits in a small hash table instead.  A
+    {!span} record is a view, built when a reader asks for one.
 
     Recording through a disabled trace is a no-op costing one branch, so
     library code can trace unconditionally. *)
@@ -36,9 +50,11 @@ val op_kind_of_string : string -> op_kind
 
 (** One node of an operation's causal span tree: a timed unit of work —
     a ring hop, a flood branch, a replica probe — attributed to a tier
-    and phase.  Span id [k] occupies ring slot [k mod capacity], so a
-    still-open span can be evicted by wraparound (counted by
-    {!span_orphans}). *)
+    and phase.  A record is a snapshot of the log built on demand by
+    {!find}, {!spans}, {!iter_spans} and {!spans_of_op}: it does not
+    follow later {!end_span}/{!end_op} calls.  Once [capacity] spans are
+    retained, each new span evicts the oldest, so a still-open span can
+    be evicted by wraparound (counted by {!span_orphans}). *)
 type span = {
   span_id : int;
   parent : int;  (** parent span id; [-1] marks an operation root *)
@@ -48,9 +64,9 @@ type span = {
   span_src : int option;  (** sending host, for message-backed spans *)
   span_dst : int option;  (** receiving host, for message-backed spans *)
   span_start : float;  (** simulated ms *)
-  mutable span_stop : float option;  (** [None] while still open *)
+  span_stop : float option;  (** [None] while still open *)
   span_label : string;
-  mutable span_outcome : string;
+  span_outcome : string;
       (** what {!end_op} reported for a root span (["found at #6, ..."],
           ["timed out"]); [""] for other spans and open roots *)
 }
@@ -221,20 +237,26 @@ val span_window : t -> int * int
 val iter_spans : t -> ?from:int -> (span -> unit) -> unit
 
 (** The [capacity] the trace was created with: at most this many spans
-    are retained, and span [k] occupies ring slot [k mod capacity]. *)
+    are retained. *)
 val capacity : t -> int
+
+(** [inject_stop t id stop] overwrites retained span [id]'s stop with
+    [stop], bypassing the clamping {!end_span} applies: a fault injected
+    on purpose, so tests can check that an auditor reports a child span
+    escaping its parent.  No-op when [id] is not retained. *)
+val inject_stop : t -> int -> float -> unit
 
 (** [spans_of_op t op] — the retained spans of one operation, oldest
     first (the root span included). *)
 val spans_of_op : t -> int -> span list
 
-(** Still-open spans evicted by ring-buffer wraparound. *)
+(** Still-open spans evicted by wraparound. *)
 val span_orphans : t -> int
 
 (** {!end_span} calls naming an id that was never minted. *)
 val orphan_ends : t -> int
 
-(** {!end_span} calls whose span had already been evicted by ring-buffer
+(** {!end_span} calls whose span had already been evicted by
     wraparound — distinct from {!orphan_ends} because eviction is a
     capacity artifact, not a protocol bug. *)
 val evicted_ends : t -> int

@@ -385,9 +385,8 @@ let test_escape_reported_until_evicted () =
   let child = Trace.begin_span trace ~time:t0 ~op ~tier:"t_network" ~phase:"ring_hop" "hop" in
   Trace.end_span trace ~time:(t0 +. 1.0) child;
   Trace.end_op trace ~time:(t0 +. 2.0) ~op "done";
-  let span = Option.get (Trace.find trace child) in
-  span.Trace.span_stop <- Some (t0 +. 5.0);
-  let root = span.Trace.parent in
+  Trace.inject_stop trace child (t0 +. 5.0);
+  let root = (Option.get (Trace.find trace child)).Trace.parent in
   let expected =
     Printf.sprintf "span %d (t_network/ring_hop) [%g, %g] escapes parent %d [%g, %g]" child
       t0 (t0 +. 5.0) root t0 (t0 +. 2.0)

@@ -280,6 +280,55 @@ let test_cli_profile_audit_rows () =
   checki "no rows without --profile" 0 (List.length (rows "--audit-interval 300"));
   checki "no rows without an auditor" 0 (List.length (rows "--profile"))
 
+(* [scenario --profile] prints what [run --profile] prints: the engine
+   line, its label rows and, with an auditor, one row per check. *)
+let test_cli_scenario_profile () =
+  let out = Filename.temp_file "p2psim" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/p2psim.exe scenario --peers 100 --replication 2 --audit-interval 2000 \
+          --profile --script 'join:100:0.8 insert:100 settle lookup:50 settle' > %s 2>&1"
+         (Filename.quote out))
+  in
+  let lines = In_channel.with_open_text out In_channel.input_all |> String.split_on_char '\n' in
+  Sys.remove out;
+  checki "exit" 0 code;
+  checkb "engine line" true (List.exists (String.starts_with ~prefix:"engine: ") lines);
+  let rows = List.filter (String.starts_with ~prefix:"  audit ") lines in
+  checki "one row per check" (List.length P2p_audit.Checks.all) (List.length rows);
+  checkb "rows name the checks" true
+    (List.for_all2
+       (fun row c ->
+         String.starts_with ~prefix:("  audit " ^ P2p_audit.Checks.check_name c) row)
+       rows P2p_audit.Checks.all)
+
+(* A trace that exists only for an SLO gate samples 1% of ops; an
+   explicit --trace-sample wins. *)
+let test_cli_forced_trace_rate () =
+  let rate flags =
+    let metrics = Filename.temp_file "p2psim" ".json" in
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "../bin/p2psim.exe run --peers 60 --items 60 --lookups 60 --slo 'lookup:p99<=1e9' \
+            %s --metrics-out %s > /dev/null 2>&1"
+           flags (Filename.quote metrics))
+    in
+    let json = In_channel.with_open_text metrics In_channel.input_all in
+    Sys.remove metrics;
+    checki (flags ^ ": exit") 0 code;
+    match Result.bind (P2p_obs.Json.parse json) P2p_obs.Registry.Doc.of_json with
+    | Ok doc -> (
+      match P2p_obs.Registry.Doc.find doc ~subsystem:"trace" ~name:"sample_rate" with
+      | Some (P2p_obs.Registry.Doc.Gauge r) -> r
+      | _ -> Alcotest.fail "no trace/sample_rate gauge")
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (float 0.0)) "forced trace samples 1%" 0.01 (rate "");
+  Alcotest.(check (float 0.0)) "explicit rate kept" 0.5 (rate "--trace-sample 0.5");
+  Alcotest.(check (float 0.0)) "explicit full rate kept" 1.0 (rate "--trace-sample 1")
+
 (* compare's pure-Chord line is the hybrid at p_s 0: it runs and finds
    every item. *)
 let test_cli_compare_pure_ring () =
@@ -398,6 +447,8 @@ let suite =
       test_cli_audit_inject_exit_codes;
     Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;
     Alcotest.test_case "CLI profile rows per audit check" `Quick test_cli_profile_audit_rows;
+    Alcotest.test_case "CLI scenario profile rows" `Quick test_cli_scenario_profile;
+    Alcotest.test_case "CLI forced trace samples 1%" `Quick test_cli_forced_trace_rate;
     Alcotest.test_case "CLI compare runs the pure ring" `Quick test_cli_compare_pure_ring;
     Alcotest.test_case "CLI report reads one serve scrape" `Quick
       test_cli_report_single_scrape;

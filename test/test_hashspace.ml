@@ -113,6 +113,40 @@ let test_hash_of_address () =
     (Key_hash.of_address ~ip:"10.0.0.1" ~port:80
      <> Key_hash.of_address ~ip:"10.0.0.1" ~port:81)
 
+(* [of_string] pinned on a dozen keys (empty, short, long, non-ASCII
+   bytes), and a call allocates nothing: it runs once per insert and per
+   lookup on every workload. *)
+let test_hash_pinned_no_alloc () =
+  let pinned =
+    [
+      ("", 1025359677);
+      ("a", 51828229);
+      ("key-0", 2597559);
+      ("key-1", 793504459);
+      ("key-42", 687837333);
+      ("key-000000000012345xx", 921822986);
+      ("file_0001.mp3", 584171494);
+      ("hello world", 93548565);
+      ("10.0.0.1:4000", 707406621);
+      ("\255\000\128", 238413874);
+      ("the quick brown fox jumps over the lazy dog", 239386473);
+      ("zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz", 952184349);
+    ]
+  in
+  List.iter
+    (fun (key, id) -> checki (Printf.sprintf "of_string %S" key) id (Key_hash.of_string key))
+    pinned;
+  let keys = Array.of_list (List.map fst pinned) in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    sink := !sink lxor Key_hash.of_string keys.(i mod Array.length keys)
+  done;
+  (* the only words counted are [before]'s own box *)
+  let per_call = (Gc.minor_words () -. before) /. 10_000.0 in
+  checkb "of_string allocates no minor words" true (per_call < 0.001);
+  ignore (Sys.opaque_identity !sink)
+
 let suite =
   [
     Alcotest.test_case "size and validity" `Quick test_size;
@@ -129,4 +163,5 @@ let suite =
     Alcotest.test_case "hash dispersion" `Quick test_hash_dispersion;
     Alcotest.test_case "hash FNV reference values" `Quick test_hash_known_fnv;
     Alcotest.test_case "hash of address" `Quick test_hash_of_address;
+    Alcotest.test_case "hash pinned, no allocation" `Quick test_hash_pinned_no_alloc;
   ]

@@ -21,6 +21,7 @@ let () =
       ("hybrid.accel", Test_accel.suite);
       ("observability", Test_obs.suite);
       ("observability.spans", Test_spans.suite);
+      ("sim.trace-log", Test_trace_log.suite);
       ("audit", Test_audit.suite);
       ("tools", Test_tools.suite);
       ("edge-cases", Test_edge_cases.suite);
