@@ -321,7 +321,7 @@ let run_cmd =
       { Pipeline.trace_out; metrics_out; profile; timeline_out;
         timeline_interval; slos; dump_dir = Some dump_dir; dump_on_exit; gc_gauges = true }
     in
-    let p = Pipeline.attach ?auditor ~out h in
+    let p = Pipeline.attach ?auditor ?replication:manager ~out h in
     Printf.printf "system: %d t-peers, %d s-peers\n%!" (H.t_peer_count h) (H.s_peer_count h);
     let corpus = Pipeline.insert p ~rng ~count:items in
     Printf.printf "inserted %d items\n%!" (H.total_items h);

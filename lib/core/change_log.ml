@@ -5,9 +5,14 @@ type 'p t = {
   mutable limit : int;
   mutable lost : bool;
   mutable next_gen : int;  (* the last generation handed out *)
+  keys : Key_log.t;
 }
 
-let create () = { gen = 0; peers = []; entries = 0; limit = 0; lost = false; next_gen = 0 }
+let create () =
+  { gen = 0; peers = []; entries = 0; limit = 0; lost = false; next_gen = 0;
+    keys = Key_log.create () }
+
+let keys t = t.keys
 
 let generation t = t.gen
 

@@ -41,3 +41,8 @@ val readable : 'p t -> gen:int -> bool
 
 (** Peers written this generation, newest first. *)
 val peers : 'p t -> 'p list
+
+(** The key-level half: the log every store of this world's peers
+    notes its writes in ({!Peer.make} wires it), read by the replication
+    heal.  It has its own reader and on/off state. *)
+val keys : 'p t -> Key_log.t

@@ -15,6 +15,8 @@ let tombstone = -2
 
 type t = {
   interner : Intern.t;
+  log : Key_log.t;  (* where writes are noted, with [tag] *)
+  tag : int;
   mutable keys : int array;  (* key id, or [empty_slot] / [tombstone] *)
   mutable vals : int array;
   mutable routes : int array;
@@ -22,8 +24,8 @@ type t = {
   mutable used : int;  (* live + tombstones: occupied probe slots *)
 }
 
-let create ~interner () =
-  { interner; keys = [||]; vals = [||]; routes = [||]; live = 0; used = 0 }
+let create ~interner ?(log = Key_log.inert) ?(tag = 0) () =
+  { interner; log; tag; keys = [||]; vals = [||]; routes = [||]; live = 0; used = 0 }
 
 let interner t = t.interner
 
@@ -88,23 +90,26 @@ let insert_routed t ~route_id ~key ~value =
     end
   done;
   t.vals.(!result) <- Intern.intern t.interner value;
-  t.routes.(!result) <- route_id
+  t.routes.(!result) <- route_id;
+  Key_log.note t.log ~kid ~tag:t.tag
 
 let insert t ~key ~value =
   insert_routed t ~route_id:(Key_hash.of_string key) ~key ~value
 
-(* Probe for key id [kid]'s slot, or [-1] when absent. *)
+(* Probe for key id [kid]'s slot, or [-1] when absent.  A loop, not a
+   local recursive function: that would be a closure allocated per
+   probe. *)
 let slot_of_id t kid =
   if t.live = 0 then -1
-  else
-    let cap = Array.length t.keys in
-    let rec probe i =
-      let k = t.keys.(i) in
-      if k = kid then i
-      else if k = empty_slot then -1
-      else probe ((i + 1) land (cap - 1))
-    in
-    probe (mix kid cap)
+  else begin
+    let keys = t.keys in
+    let cap = Array.length keys in
+    let i = ref (mix kid cap) in
+    while keys.(!i) <> kid && keys.(!i) <> empty_slot do
+      i := (!i + 1) land (cap - 1)
+    done;
+    if keys.(!i) = kid then !i else -1
+  end
 
 (* [-1] also when [key] was never interned, or interned only by other
    stores sharing the interner. *)
@@ -118,6 +123,10 @@ let find t ~key = value_at t (slot_of t ~key)
 
 let find_id t kid = value_at t (slot_of_id t kid)
 
+let value_id t kid = match slot_of_id t kid with -1 -> -1 | i -> t.vals.(i)
+
+let route_of_id t kid = match slot_of_id t kid with -1 -> -1 | i -> t.routes.(i)
+
 let mem t ~key = slot_of t ~key >= 0
 
 let mem_id t kid = slot_of_id t kid >= 0
@@ -126,6 +135,7 @@ let remove t ~key =
   match slot_of t ~key with
   | -1 -> ()
   | i ->
+    Key_log.note t.log ~kid:t.keys.(i) ~tag:t.tag;
     t.keys.(i) <- tombstone;
     t.live <- t.live - 1
 
@@ -176,6 +186,7 @@ let take_segment t ~left ~right =
             Intern.name t.interner t.vals.(i),
             t.routes.(i) )
           :: !acc;
+        Key_log.note t.log ~kid ~tag:t.tag;
         t.keys.(i) <- tombstone;
         t.live <- t.live - 1
       end)
@@ -195,6 +206,7 @@ let digest_items items =
 let segment_digest t ~left ~right = digest_items (segment_items t ~left ~right)
 
 let clear t =
+  if Key_log.on t.log then iter_ids t (fun kid -> Key_log.note t.log ~kid ~tag:t.tag);
   t.keys <- [||];
   t.vals <- [||];
   t.routes <- [||];

@@ -15,11 +15,13 @@ open P2p_hashspace
 
 type t
 
-(** [create ~interner ()] — an empty store.  [interner] maps keys and
-    values to dense ids; a peer's stores take the world's interner
-    ({!World.register} rejects any other), so all peers share string
-    storage and one id names one key in every store. *)
-val create : interner:Intern.t -> unit -> t
+(** [create ~interner ?log ?tag ()] — an empty store.  [interner] maps
+    keys and values to dense ids; a peer's stores take the world's
+    interner ({!World.register} rejects any other), so all peers share
+    string storage and one id names one key in every store.  Every
+    insert, removal, segment take and clear notes the key ids it writes
+    in [log] (default {!Key_log.inert}: nowhere) under [tag]. *)
+val create : interner:Intern.t -> ?log:Key_log.t -> ?tag:int -> unit -> t
 
 (** The interner this store resolves ids against. *)
 val interner : t -> Intern.t
@@ -43,6 +45,14 @@ val find : t -> key:string -> string option
     [kid]: the probe without hashing the key string, for a caller that
     probes many stores sharing one interner with the same key. *)
 val find_id : t -> int -> string option
+
+(** [value_id t kid] is the id in [interner t] of the value stored under
+    key id [kid], or [-1] when absent. *)
+val value_id : t -> int -> int
+
+(** [route_of_id t kid] is the routing ID stored under key id [kid], or
+    [-1] when absent. *)
+val route_of_id : t -> int -> Id_space.id
 
 (** [remove t ~key] deletes the item if present. *)
 val remove : t -> key:string -> unit

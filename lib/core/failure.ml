@@ -28,9 +28,15 @@ let live_descendants dead =
   List.fold_left walk [] dead.Peer.children
 
 (* The server election rule of Section 3.2.2: the surviving member of a
-   crashed t-peer's s-network with the smallest address replaces it. *)
-let smallest_survivor dead =
-  match live_descendants dead with
+   crashed t-peer's s-network with the smallest address replaces it.
+   Only a member the membership directory knows can be elected: a peer
+   wired into the tree without registering (a negative-host stowaway)
+   has no address the server could hand the ring. *)
+let smallest_survivor w dead =
+  let registered m =
+    match World.find_peer w ~host:m.Peer.host with Some p -> p == m | None -> false
+  in
+  match List.filter registered (live_descendants dead) with
   | [] -> None
   | m :: rest ->
     Some
@@ -48,7 +54,7 @@ let elect w ~dead =
   match Hashtbl.find_opt w.World.pending_election dead.Peer.host with
   | Some result -> result
   | None ->
-    let result = smallest_survivor dead in
+    let result = smallest_survivor w dead in
     (match result with
      | None ->
        (* Nobody to promote: the segment dissolves into the successor's. *)
@@ -197,7 +203,7 @@ let repair w =
       match p.Peer.t_home with
       | Some home when (not home.Peer.alive) && not (Hashtbl.mem replacements home.Peer.host)
         -> begin
-          match smallest_survivor home with
+          match smallest_survivor w home with
           | None -> ()
           | Some smallest ->
             (* Orphans are reattached synchronously below; keep promote from

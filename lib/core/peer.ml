@@ -41,6 +41,8 @@ type t = {
 
 let make ?(cache_capacity = 0) ~log ~interner ~host ~p_id ~role ~link_capacity
     ?interest () =
+  (* a negative host never registers: its writes need no log *)
+  let keys = if host >= 0 then Change_log.keys log else Key_log.inert in
   {
     host;
     p_id;
@@ -57,8 +59,8 @@ let make ?(cache_capacity = 0) ~log ~interner ~host ~p_id ~role ~link_capacity
     t_home = None;
     cp = None;
     children = [];
-    store = Data_store.create ~interner ();
-    replicas = Data_store.create ~interner ();
+    store = Data_store.create ~interner ~log:keys ~tag:(2 * host) ();
+    replicas = Data_store.create ~interner ~log:keys ~tag:((2 * host) + 1) ();
     cache = Cache.create ~capacity:cache_capacity;
     (* initial capacity 1: at million-peer scale these tables are almost
        always empty, and Hashtbl grows them on demand anyway *)

@@ -82,9 +82,10 @@ type t = private {
 (** [make ~log ~interner ~host ~p_id ~role ~link_capacity ()] allocates a
     fresh, unconnected peer.  [cache_capacity] sizes the soft cache
     (default 0 = disabled).  [interner] is shared by the peer's store and
-    replica store, and [log] records the peer's writes; both must be
-    the world's ({!World.interner}, {!World.change_log}) for the peer to
-    register. *)
+    replica store, and [log] records the peer's writes — its stores
+    note theirs in [Change_log.keys log], tagged [2 · host] and
+    [2 · host + 1]; both must be the world's ({!World.interner},
+    {!World.change_log}) for the peer to register. *)
 val make :
   ?cache_capacity:int ->
   log:t Change_log.t ->

@@ -242,6 +242,14 @@ let write_snet t host n =
     t.by_size <- By_size.add (size_entry t host) t.by_size
   end
 
+(* The replication heal books each key's holders between passes; a peer
+   entering or leaving the membership with copies moves holders no store
+   write announces, so the key log is given up and the next heal takes a
+   full census. *)
+let holders_moved t p =
+  if Data_store.size p.Peer.store > 0 || Data_store.size p.Peer.replicas > 0 then
+    Key_log.lose (Change_log.keys t.changes)
+
 let register t peer =
   let host = peer.Peer.host in
   if host < 0 then invalid_arg "World.register: negative host";
@@ -255,9 +263,14 @@ let register t peer =
   Peer.log_change peer;
   (match t.slots.(host) with
    | None ->
+     holders_moved t peer;
      t.live_count <- t.live_count + 1;
      index_add t host 1
    | Some previous ->
+     if previous != peer then begin
+       holders_moved t previous;
+       holders_moved t peer
+     end;
      Peer.log_change previous;
      (* a t-peer displaced from its host leaves the ring *)
      if previous != peer && Peer.is_t_peer previous then begin
@@ -277,6 +290,7 @@ let unregister t peer =
     Peer.log_change peer;
     (match t.slots.(host) with
      | Some previous ->
+       holders_moved t previous;
        Peer.log_change previous;
        t.live_count <- t.live_count - 1;
        index_add t host (-1)

@@ -46,7 +46,9 @@ type t = {
       (** what the online audit re-verifies: every peer written through
           a {!Peer} setter, every peer registered or unregistered, the
           t-peer of every size-table row written, and the members a ring
-          merge made neighbours *)
+          merge made neighbours; and, in its key log
+          ({!Change_log.keys}), what the replication heal re-examines:
+          every key id a registered peer's store wrote *)
   mutable slots : Peer.t option array;
       (** host-indexed membership directory (hosts are dense graph node
           ids); [None] = no peer registered on that host *)
@@ -200,7 +202,10 @@ val interner : t -> Intern.t
 val change_log : t -> Peer.t Change_log.t
 
 (** [register t peer] enters [peer] into the membership directory, and
-    logs it (and any peer it displaces) as changed.
+    logs it (and any peer it displaces) as changed.  A peer entering or
+    leaving the directory with items in its stores ends the key log's
+    recording ({!Key_log.lose}): holders moved that no store write
+    names.  {!unregister} does the same.
     @raise Invalid_argument on a negative host, when the peer's
     stores use an interner other than {!interner} (every registered
     store shares the world's key ids, so whole-world passes — the

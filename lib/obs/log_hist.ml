@@ -18,7 +18,8 @@ let v0 = 1e-3
 
 let gamma = Float.pow 2.0 0.25
 
-let boundary i = v0 *. Float.pow gamma (float_of_int i)
+(* inlined, so [index]'s compares read the edge unboxed *)
+let[@inline] boundary i = v0 *. Float.pow gamma (float_of_int i)
 
 let index x =
   if not (Float.is_finite x) then invalid_arg "Log_hist.index: not finite"
@@ -54,9 +55,9 @@ let create () =
 
 let observe t x =
   let i = index x in
-  (match Hashtbl.find_opt t.buckets i with
-   | Some c -> incr c
-   | None -> Hashtbl.add t.buckets i (ref 1));
+  (match Hashtbl.find t.buckets i with
+   | c -> incr c
+   | exception Not_found -> Hashtbl.add t.buckets i (ref 1));
   t.count <- t.count + 1;
   t.sum <- t.sum +. x;
   if x < t.min_v then t.min_v <- x;

@@ -112,9 +112,9 @@ let record_totals reg trace =
   let hists = Hashtbl.create 8 in
   Trace.on_op_complete trace (fun (c : Trace.op_completion) ->
       let h =
-        match Hashtbl.find_opt hists c.Trace.comp_kind with
-        | Some h -> h
-        | None ->
+        match Hashtbl.find hists c.Trace.comp_kind with
+        | h -> h
+        | exception Not_found ->
           let h =
             Registry.log_histogram reg ~subsystem:"latency"
               ~name:(c.Trace.comp_kind ^ "_total_ms")

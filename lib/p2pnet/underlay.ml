@@ -5,6 +5,7 @@ module Link_stress = P2p_topology.Link_stress
 type t = {
   engine : Engine.t;
   routing : Routing.t;
+  hosts : int;  (* the routing graph's node count: hosts are [0, hosts) *)
   metrics : Metrics.t;
   stress : Link_stress.t option;
   processing_delay : float;
@@ -16,6 +17,7 @@ let create ~engine ~routing ~metrics ?stress ~processing_delay () =
   {
     engine;
     routing;
+    hosts = P2p_topology.Graph.node_count (Routing.graph routing);
     metrics;
     stress;
     processing_delay;
@@ -39,7 +41,13 @@ let delay t ~src ~dst =
    the delay, and the hop count is read without checking reachability
    again.  An unreachable pair raises [Not_found] before anything is
    counted, as [Routing.hop_count] does. *)
+let outside t host = host < 0 || host >= t.hosts
+
 let send t ~src ~dst f =
+  if outside t src || outside t dst then
+    invalid_arg
+      (Printf.sprintf "Underlay.send: host %d is outside the underlay (hosts 0..%d)"
+         (if outside t src then src else dst) (t.hosts - 1));
   let distance = if src = dst then 0.0 else Routing.distance t.routing src dst in
   if distance = infinity then raise Not_found;
   let path_hops =

@@ -28,7 +28,9 @@ val create :
     Sending to self delivers after just the processing delay.  The
     underlay counts the message and its physical hops; it traces
     nothing — the protocol layers attribute a message to an operation
-    with a span ({!P2p_sim.Trace.begin_span}). *)
+    with a span ({!P2p_sim.Trace.begin_span}).
+    @raise Invalid_argument naming the host when [src] or [dst] is not a
+    node of the routing graph (a hand-wired peer's negative host). *)
 val send : t -> src:int -> dst:int -> (unit -> unit) -> unit
 
 (** [set_transmission_delay t f] installs an additional per-message delay

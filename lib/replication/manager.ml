@@ -8,8 +8,111 @@ module Transport = P2p_transport.Transport
 module Trace = P2p_sim.Trace
 module Registry = P2p_obs.Registry
 module Metrics = P2p_net.Metrics
+module Change_log = Hybrid_p2p.Change_log
+module Key_log = Hybrid_p2p.Key_log
 
 let subsystem = "replication"
+
+(* --- heal book ---------------------------------------------------------- *)
+
+(* A copy's tag names the store holding it: [2 · host] for a peer's
+   primary store, [2 · host + 1] for its replica store ({!Peer.make});
+   ascending tags are host order, each peer's store before its
+   replicas. *)
+let host_of tag = tag lsr 1
+
+let is_replica tag = tag land 1 = 1
+
+let has_tag holders tag =
+  let i = ref 0 in
+  while !i < Array.length holders && holders.(!i) <> tag do incr i done;
+  !i < Array.length holders
+
+let replica_count holders =
+  Array.fold_left (fun n tag -> if is_replica tag then n + 1 else n) 0 holders
+
+(* [holders] with [tag] added (absent) or dropped (present), ascending. *)
+let with_tag holders tag =
+  let n = Array.length holders in
+  let i = ref 0 in
+  while !i < n && holders.(!i) < tag do incr i done;
+  Array.init (n + 1) (fun j -> if j < !i then holders.(j) else if j = !i then tag else holders.(j - 1))
+
+let without_tag holders tag =
+  if not (has_tag holders tag) then holders
+  else begin
+    let out = Array.make (Array.length holders - 1) 0 and k = ref 0 in
+    Array.iter (fun x -> if x <> tag then begin out.(!k) <- x; incr k end) holders;
+    out
+  end
+
+(* What a heal pass leaves for the next, and why the next can skip most
+   keys.  Per interner id: [holders], the tags of the key's copies as
+   the pass left them, ascending ([[||]] for an id no store holds), and
+   [primary], the host leading the key, or -1 when the pass gave it none
+   (no copy left, or no owner to promote to: [unowned] lists those).
+   Per host: [leads], the keys it leads, and [used], the targets those
+   keys were last examined against.  A pass leaves every key with a
+   primary holding a copy on each target and no replica beside a
+   primary, so a key needs the next pass only if a store wrote it (the
+   world's key log says which, and where) or its primary's targets
+   moved. *)
+type book = {
+  mutable holders : int array array;
+  mutable primary : int array;
+  mutable leads : int array;
+  mutable used : Peer.t list array;
+  mutable moved : int array;  (* per host: the pass that found [used] moved *)
+  mutable unowned : int list;
+  mutable items : int;  (* keys with a primary *)
+  mutable copies : int;  (* their replica copies *)
+  (* [Policy.targets], computed once per home and pass *)
+  mutable memo_home : Peer.t option array;
+  mutable memo_list : Peer.t list array;
+  mutable memo_pass : int array;
+  mutable pass : int;
+  mutable recording : int;  (* the key-log recording the book follows; 0 = none *)
+  (* one pass's scratch *)
+  mutable dirty : int array;  (* (key, tag) entries, then the keys examined *)
+  mutable found : int array;  (* one key's holders *)
+  mutable census_tags : int array;  (* a census pass's copies, by key *)
+  mutable census_ends : int array;
+  (* cost, for [--profile] *)
+  mutable examined : int;
+  mutable full_censuses : int;
+  mutable cpu_s : float;
+}
+
+let new_book () =
+  {
+    holders = [||]; primary = [||]; leads = [||]; used = [||]; moved = [||];
+    unowned = []; items = 0; copies = 0;
+    memo_home = [||]; memo_list = [||]; memo_pass = [||];
+    pass = 0; recording = 0;
+    dirty = [||]; found = [||]; census_tags = [||]; census_ends = [||];
+    examined = 0; full_censuses = 0; cpu_s = 0.0;
+  }
+
+(* [a] extended with [fill] to length [n], if shorter *)
+let grow a n fill =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Size the book to the interner's ids and the world's hosts. *)
+let fit b w =
+  let ids = Intern.count (World.interner w) and hosts = World.host_bound w in
+  b.holders <- grow b.holders ids [||];
+  b.primary <- grow b.primary ids (-1);
+  b.leads <- grow b.leads hosts 0;
+  b.used <- grow b.used hosts [];
+  b.moved <- grow b.moved hosts 0;
+  b.memo_home <- grow b.memo_home hosts None;
+  b.memo_list <- grow b.memo_list hosts [];
+  b.memo_pass <- grow b.memo_pass hosts 0
 
 type t = {
   w : World.t;
@@ -25,6 +128,7 @@ type t = {
   live_factor : Registry.gauge;
   mutable heal_timer : Transport.timer option;  (* debounced post-crash heal *)
   mutable ae_timer : Transport.timer option;  (* periodic anti-entropy *)
+  book : book;  (* what the last heal pass left *)
 }
 
 let factor t = t.factor
@@ -55,76 +159,267 @@ let fan_out t ~op ~holder ~route_id ~key ~value =
 
 (* --- heal: promote lost primaries, restore the factor ------------------ *)
 
-(* Global key census over the world interner's key ids, in flat per-id
-   arrays: every registered store is on that interner
-   ({!World.register}), so a key has one id in every store.  A key's
-   value and route come from its first copy in host order, each peer's
-   store before its replicas; its primary holder is the last peer in
-   host order whose store holds it.  The walk also drops replica copies
-   shadowed by a primary at the same peer: such a copy is never the
-   first one seen, and no other key's entries depend on it. *)
-type census = {
-  interner : Intern.t;
-  route : int array;  (* route id of the first copy; -1 = key unseen *)
-  value : string array;  (* value of the first copy *)
-  primary : int array;  (* host of the last primary holder; -1 = none *)
-  copies : int array;  (* replica copies not shadowed by a primary *)
-}
-
-let census w =
-  let interner = World.interner w in
-  let n = Intern.count interner in
-  let c =
-    {
-      interner;
-      route = Array.make n (-1);
-      value = Array.make n "";
-      primary = Array.make n (-1);
-      copies = Array.make n 0;
-    }
-  in
-  let first id vid route_id =
-    if c.route.(id) < 0 then begin
-      c.route.(id) <- route_id;
-      c.value.(id) <- Intern.name interner vid
+let targets_of b w primary =
+  match Policy.live_home w ~primary with
+  | None -> []
+  | Some home as live ->
+    let h = home.Peer.host in
+    if h < 0 || h >= Array.length b.memo_pass then Policy.home_targets w ~home
+    else begin
+      match b.memo_home.(h) with
+      | Some cached when cached == home && b.memo_pass.(h) = b.pass -> b.memo_list.(h)
+      | Some _ | None ->
+        let targets = Policy.home_targets w ~home in
+        b.memo_home.(h) <- live;
+        b.memo_list.(h) <- targets;
+        b.memo_pass.(h) <- b.pass;
+        targets
     end
-  in
+
+(* A dirty entry packs a key id and one logged tag ([tag + 1]; 0 = none)
+   so that sorting the entries orders them by key, then tag. *)
+let tag_bits = 31
+
+let entry kid tag = (kid lsl tag_bits) lor (tag + 1)
+
+let push_dirty b m e =
+  if m >= Array.length b.dirty then b.dirty <- grow b.dirty (max 64 (2 * m)) 0;
+  b.dirty.(m) <- e
+
+(* The census: every registered store's copies in host order, flat —
+   key [kid]'s tags are [tags.(ends.(kid - 1)) .. tags.(ends.(kid) - 1)]
+   (from 0 for key 0) — and every key holding one made dirty, the book
+   cleared for it.  Returns the entry count, already in key order. *)
+let take_census b w =
+  let ids = Array.length b.holders in
+  let ends = Array.make ids 0 in
+  let tally kid = ends.(kid) <- ends.(kid) + 1 in
   World.iter_peers w (fun p ->
-      Data_store.iter_id_items p.Peer.store (fun id vid route_id ->
-          first id vid route_id;
-          c.primary.(id) <- p.Peer.host);
-      (* [p]'s store was just walked, so [p] leads a key's primaries
-         exactly when its store holds the key; removing the copy under
-         the walk only tombstones its slot *)
-      Data_store.iter_id_items p.Peer.replicas (fun id vid route_id ->
-          first id vid route_id;
-          if c.primary.(id) = p.Peer.host then
-            Data_store.remove p.Peer.replicas ~key:(Intern.name interner id)
-          else c.copies.(id) <- c.copies.(id) + 1));
-  c
+      Data_store.iter_ids p.Peer.store tally;
+      Data_store.iter_ids p.Peer.replicas tally);
+  (* [ends.(kid)] becomes the start of [kid]'s run, and advances to its
+     end as the run fills *)
+  let total = ref 0 in
+  for kid = 0 to ids - 1 do
+    let c = ends.(kid) in
+    ends.(kid) <- !total;
+    total := !total + c
+  done;
+  let tags = Array.make !total 0 in
+  World.iter_peers w (fun p ->
+      let book tag kid =
+        tags.(ends.(kid)) <- tag;
+        ends.(kid) <- ends.(kid) + 1
+      in
+      Data_store.iter_ids p.Peer.store (book (2 * p.Peer.host));
+      Data_store.iter_ids p.Peer.replicas (book ((2 * p.Peer.host) + 1)));
+  b.census_tags <- tags;
+  b.census_ends <- ends;
+  Array.fill b.holders 0 ids [||];
+  Array.fill b.primary 0 (Array.length b.primary) (-1);
+  Array.fill b.leads 0 (Array.length b.leads) 0;
+  Array.fill b.used 0 (Array.length b.used) [];
+  b.unowned <- [];
+  b.items <- 0;
+  b.copies <- 0;
+  let m = ref 0 in
+  for kid = 0 to ids - 1 do
+    if ends.(kid) > (if kid = 0 then 0 else ends.(kid - 1)) then begin
+      push_dirty b !m (kid lsl tag_bits);
+      incr m
+    end
+  done;
+  !m
 
-(* [Policy.targets], computed once per home: every primary under one
-   live home shares its list. *)
-let targets_memo w =
-  let homes = Array.make (World.host_bound w) None in
-  let lists = Array.make (World.host_bound w) [] in
-  fun primary ->
-    match Policy.live_home w ~primary with
-    | None -> []
-    | Some home ->
-      let h = home.Peer.host in
-      if h >= Array.length homes then Policy.home_targets w ~home
-      else begin
-        match homes.(h) with
-        | Some cached when cached == home -> lists.(h)
-        | Some _ | None ->
-          let targets = Policy.home_targets w ~home in
-          homes.(h) <- Some home;
-          lists.(h) <- targets;
-          targets
+(* The keys the log names, the keys whose primary's targets moved, and
+   the keys still unowned, sorted.  Returns the entry count. *)
+let gather b w log =
+  let m = ref 0 in
+  let push e =
+    push_dirty b !m e;
+    incr m
+  in
+  for i = 0 to Key_log.length log - 1 do
+    push (entry (Key_log.kid log i) (Key_log.tag log i))
+  done;
+  List.iter (fun kid -> push (kid lsl tag_bits)) b.unowned;
+  b.unowned <- [];
+  let moved = ref false in
+  for h = 0 to Array.length b.leads - 1 do
+    if b.leads.(h) > 0 then
+      match World.find_peer w ~host:h with
+      | None -> ()  (* its keys left its stores through logged writes *)
+      | Some p ->
+        let targets = targets_of b w p in
+        if not (List.equal ( == ) targets b.used.(h)) then begin
+          b.used.(h) <- targets;
+          b.moved.(h) <- b.pass;
+          moved := true
+        end
+  done;
+  if !moved then
+    Array.iteri
+      (fun kid h -> if h >= 0 && b.moved.(h) = b.pass then push (kid lsl tag_bits))
+      b.primary;
+  let entries = Array.sub b.dirty 0 !m in
+  Array.stable_sort Int.compare entries;
+  b.dirty <- entries;
+  !m
+
+(* The store a tag names, at the peer registered on its host. *)
+let store_at p tag = if is_replica tag then p.Peer.replicas else p.Peer.store
+
+let holds w tag kid =
+  match World.find_peer w ~host:(host_of tag) with
+  | Some p -> Data_store.mem_id (store_at p tag) kid
+  | None -> false
+
+(* Phase one for the key whose entries are [dirty.(i) .. dirty.(j - 1)]:
+   drop what the book counted for it, find its holders among the booked
+   and logged tags (after a census, the booked ones are the holders),
+   drop a replica copy beside a primary at the same peer, and book the
+   holders left. *)
+let examine b w ~census kid i j =
+  let booked = if census then b.census_tags else b.holders.(kid) in
+  let first = if not census || kid = 0 then 0 else b.census_ends.(kid - 1) in
+  let stop = if census then b.census_ends.(kid) else Array.length booked in
+  (match b.primary.(kid) with
+   | -1 -> ()
+   | h ->
+     b.items <- b.items - 1;
+     b.copies <- b.copies - replica_count booked;
+     b.leads.(h) <- b.leads.(h) - 1;
+     b.primary.(kid) <- -1);
+  if Array.length b.found < stop - first + (j - i) then
+    b.found <- Array.make (2 * (stop - first + (j - i))) 0;
+  let found = b.found in
+  (* merge the booked holders with the logged tags, both ascending,
+     keeping each distinct tag whose store holds the key, and dropping a
+     replica copy that directly follows its own peer's primary.  A
+     booked tag the log does not name still holds the key: its store
+     wrote nothing since *)
+  let n = ref 0 and last = ref (-1) in
+  let a = ref first and e = ref i in
+  while !a < stop || !e < j do
+    let logged = if !e < j then (b.dirty.(!e) land ((1 lsl tag_bits) - 1)) - 1 else max_int in
+    if logged < 0 then incr e
+    else begin
+      let tag, held =
+        if !a < stop && booked.(!a) < logged then begin
+          incr a;
+          (booked.(!a - 1), true)
+        end
+        else begin
+          if !a < stop && booked.(!a) = logged then incr a;
+          incr e;
+          (logged, false)
+        end
+      in
+      if tag <> !last then begin
+        last := tag;
+        if held || holds w tag kid then
+          if is_replica tag && !n > 0 && found.(!n - 1) = tag - 1 then
+            match World.find_peer w ~host:(host_of tag) with
+            | Some p -> Data_store.remove p.Peer.replicas ~key:(Intern.name (World.interner w) kid)
+            | None -> assert false
+          else begin
+            found.(!n) <- tag;
+            incr n
+          end
       end
+    end
+  done;
+  let same = ref ((not census) && !n = stop) and x = ref 0 in
+  while !same && !x < !n do
+    same := found.(!x) = booked.(!x);
+    incr x
+  done;
+  if not !same then b.holders.(kid) <- Array.sub found 0 !n
 
-(* Synchronous durability pass over the whole system:
+(* Writes a replica of [kid] on each of [targets] holding no copy, and
+   books it; returns [written] plus the count written.  The booked
+   holders are the key's copies by now, so no store is probed. *)
+let rec place t b kid ~route_id ~value_id targets written =
+  match targets with
+  | [] -> written
+  | target :: rest ->
+    let tag = 2 * target.Peer.host in
+    if has_tag b.holders.(kid) tag || has_tag b.holders.(kid) (tag + 1) then
+      place t b kid ~route_id ~value_id rest written
+    else begin
+      let key = Intern.name (World.interner t.w) kid in
+      let value = Intern.name (World.interner t.w) value_id in
+      Data_store.insert_routed target.Peer.replicas ~route_id ~key ~value;
+      b.holders.(kid) <- with_tag b.holders.(kid) ((2 * target.Peer.host) + 1);
+      Registry.incr t.re_replicated;
+      Registry.incr t.bytes_re_replicated ~by:(String.length key + String.length value);
+      place t b kid ~route_id ~value_id rest (written + 1)
+    end
+
+(* Promotes [kid] into the store of [route_id]'s owner, if the ring has
+   one; returns it. *)
+let promote t b kid ~route_id ~value_id =
+  let w = t.w in
+  match World.oracle_owner w route_id with
+  | None -> None
+  | Some owner as promoted ->
+    let interner = World.interner w in
+    let key = Intern.name interner kid in
+    let tag = 2 * owner.Peer.host in
+    Data_store.insert_routed owner.Peer.store ~route_id ~key
+      ~value:(Intern.name interner value_id);
+    if w.World.config.Config.s_style = Config.Bittorrent_tracker then
+      Hashtbl.replace owner.Peer.tracker_index key owner;
+    if Data_store.mem_id owner.Peer.replicas kid then begin
+      Data_store.remove owner.Peer.replicas ~key;
+      b.holders.(kid) <- without_tag b.holders.(kid) (tag + 1)
+    end;
+    b.holders.(kid) <- with_tag b.holders.(kid) tag;
+    Registry.incr t.promoted;
+    promoted
+
+(* Phase two for an examined key: its value and route are its first
+   copy's, its primary the last peer in host order whose store holds
+   it.  With no primary left, promote a surviving replica; then write a
+   replica on each target without a copy, booking the holders, the
+   primary and the totals, and counting the pass's promotions and
+   replicas written. *)
+let restore t b kid ~promoted ~restored =
+  let w = t.w in
+  let holders = b.holders.(kid) in
+  if Array.length holders > 0 then begin
+    let first =
+      match World.find_peer w ~host:(host_of holders.(0)) with
+      | Some p -> store_at p holders.(0)
+      | None -> assert false
+    in
+    let route_id = Data_store.route_of_id first kid and value_id = Data_store.value_id first kid in
+    let leader = ref (-1) in
+    for x = 0 to Array.length holders - 1 do
+      if not (is_replica holders.(x)) then leader := host_of holders.(x)
+    done;
+    let primary =
+      if !leader >= 0 then World.find_peer w ~host:!leader
+      else begin
+        let owner = promote t b kid ~route_id ~value_id in
+        if Option.is_some owner then incr promoted;
+        owner
+      end
+    in
+    match primary with
+    | None -> b.unowned <- kid :: b.unowned
+    | Some primary ->
+      let targets = targets_of b w primary in
+      restored := place t b kid ~route_id ~value_id targets !restored;
+      let h = primary.Peer.host in
+      b.primary.(kid) <- h;
+      b.leads.(h) <- b.leads.(h) + 1;
+      b.used.(h) <- targets;
+      b.items <- b.items + 1;
+      b.copies <- b.copies + replica_count b.holders.(kid)
+  end
+
+(* Synchronous durability pass:
 
    1. every key whose primary copies all died is promoted from a
       surviving replica back into the current segment owner's store;
@@ -137,12 +432,20 @@ let targets_memo w =
    Runs inside [Failure.repair] (offline path) and from the debounced
    post-crash timer (online path); mutates stores directly — by the time
    it runs, repair has already made structure consistent, and modelling
-   the transfer traffic would only re-order identical end states.  Keys
-   are handled in id order; a key's steps touch only that key's copies,
-   so the order changes no store's contents.  Key strings are fetched
-   only for the copies written. *)
+   the transfer traffic would only re-order identical end states.
+
+   A pass re-examines only the keys that can have changed since the
+   last: those the world's key log names, and those whose primary's
+   targets moved (see [book]).  It takes a census of every copy instead
+   when it cannot trust its book: on the first pass, or when the log
+   overflowed or was lost to a peer joining or leaving the membership
+   with copies.  Either way the keys are examined in id order, all
+   shadowed copies dropped before any copy is written, so every store
+   receives the writes a census of the whole system would make, in the
+   same order.  Key strings are fetched only for the copies written. *)
 let heal ?op t =
-  let w = t.w in
+  let w = t.w and b = t.book in
+  let started = Sys.time () in
   Registry.incr t.heal_passes;
   let own_op = op = None in
   let op =
@@ -150,66 +453,61 @@ let heal ?op t =
     | Some op -> op
     | None -> Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Replicate "heal"
   in
-  let c = census w in
-  let name = Intern.name c.interner in
-  let targets_of = targets_memo w in
-  let promoted = ref 0 and restored = ref 0 in
-  let items = ref 0 and copies = ref 0 in
-  for id = 0 to Array.length c.route - 1 do
-    let route_id = c.route.(id) in
-    if route_id >= 0 then begin
-      (* 1. promotion, dropping a replica copy the new primary shadows *)
-      let primary =
-        if c.primary.(id) >= 0 then World.find_peer w ~host:c.primary.(id)
-        else
-          match World.oracle_owner w route_id with
-          | None -> None
-          | Some owner ->
-            let key = name id in
-            Data_store.insert_routed owner.Peer.store ~route_id ~key ~value:c.value.(id);
-            if w.World.config.Config.s_style = Config.Bittorrent_tracker then
-              Hashtbl.replace owner.Peer.tracker_index key owner;
-            if Data_store.mem_id owner.Peer.replicas id then begin
-              Data_store.remove owner.Peer.replicas ~key;
-              c.copies.(id) <- c.copies.(id) - 1
-            end;
-            incr promoted;
-            Registry.incr t.promoted;
-            Some owner
-      in
-      match primary with
-      | None -> ()
-      | Some primary ->
-        (* 2. restore the factor on the current targets *)
-        List.iter
-          (fun target ->
-            if
-              (not (Data_store.mem_id target.Peer.replicas id))
-              && not (Data_store.mem_id target.Peer.store id)
-            then begin
-              let key = name id and value = c.value.(id) in
-              Data_store.insert_routed target.Peer.replicas ~route_id ~key ~value;
-              c.copies.(id) <- c.copies.(id) + 1;
-              incr restored;
-              Registry.incr t.re_replicated;
-              Registry.incr t.bytes_re_replicated
-                ~by:(String.length key + String.length value)
-            end)
-          (targets_of primary);
-        incr items;
-        copies := !copies + c.copies.(id)
+  let log = Change_log.keys (World.change_log w) in
+  let full = not (Key_log.readable log ~gen:b.recording) in
+  (* the pass books its own writes *)
+  Key_log.stop log;
+  b.pass <- b.pass + 1;
+  fit b w;
+  let m =
+    if full then begin
+      b.full_censuses <- b.full_censuses + 1;
+      take_census b w
     end
+    else gather b w log
+  in
+  (* phase one for every key before phase two writes a copy, as a
+     census drops every shadowed copy first; the examined keys are
+     compacted to the front of [dirty] *)
+  let keys = ref 0 and i = ref 0 in
+  while !i < m do
+    let kid = b.dirty.(!i) lsr tag_bits in
+    let j = ref (!i + 1) in
+    while !j < m && b.dirty.(!j) lsr tag_bits = kid do incr j done;
+    examine b w ~census:full kid !i !j;
+    b.dirty.(!keys) <- kid;
+    incr keys;
+    i := !j
   done;
+  b.census_tags <- [||];
+  b.census_ends <- [||];
+  let promoted = ref 0 and restored = ref 0 in
+  for k = 0 to !keys - 1 do
+    restore t b b.dirty.(k) ~promoted ~restored
+  done;
+  b.examined <- b.examined + !keys;
+  (* keep only the book between passes; an insert wave's entries or a
+     census's would outweigh it *)
+  b.dirty <- [||];
   World.mark_span w ~op ~tier:"replication" ~phase:"heal_step"
     (Printf.sprintf "promoted %d, re-replicated %d" !promoted !restored);
   Registry.set t.live_factor
-    (if !items = 0 then 0.0 else float_of_int !copies /. float_of_int !items);
+    (if b.items = 0 then 0.0 else float_of_int b.copies /. float_of_int b.items);
   (* the heal rewrote stores and replica shadows across arbitrary trees;
      cheaper to declare every edge summary stale than to track each move *)
   Summaries.invalidate_all w;
+  (* a log longer than the book it feeds costs about what a census does *)
+  if t.factor > 0 then b.recording <- Key_log.restart log ~limit:(max 1024 (b.items + b.copies));
+  b.cpu_s <- b.cpu_s +. (Sys.time () -. started);
   if own_op then
     Trace.end_op (World.trace w) ~time:(World.now w) ~op
       "promoted %d, re-replicated %d" !promoted !restored
+
+type heal_stats = { passes : int; examined : int; full_censuses : int; cpu_s : float }
+
+let heal_stats t =
+  let b = t.book in
+  { passes = b.pass; examined = b.examined; full_censuses = b.full_censuses; cpu_s = b.cpu_s }
 
 (* Online failure path: detections arrive once per watching neighbour and
    possibly for several victims of one storm; a single debounced timer
@@ -346,6 +644,7 @@ let install w =
       live_factor = Registry.gauge reg ~subsystem ~name:"live_replica_factor";
       heal_timer = None;
       ae_timer = None;
+      book = new_book ();
     }
   in
   Registry.set

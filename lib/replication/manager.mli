@@ -44,6 +44,13 @@ val factor : t -> int
     otherwise it is spanned by its own [Replicate] op. *)
 val heal : ?op:int -> t -> unit
 
+(** What the heal passes cost so far: [passes] run, keys [examined]
+    across them, [full_censuses] among the passes (the first, and each
+    after the key log was lost), and their CPU seconds ([Sys.time]). *)
+type heal_stats = { passes : int; examined : int; full_censuses : int; cpu_s : float }
+
+val heal_stats : t -> heal_stats
+
 (** [anti_entropy_round t] runs one digest-exchange round immediately
     (also what the periodic timer fires). *)
 val anti_entropy_round : t -> unit

@@ -91,10 +91,11 @@ type t = {
   sampler : Sampler.t option;
   recorder : (Flight_recorder.t * string) option;  (* and its dump directory *)
   gc : Gc_stats.t option;
+  mutable replication : Manager.t option;
   out : outputs;
 }
 
-let attach ?auditor ?(out = no_outputs) h =
+let attach ?auditor ?replication ?(out = no_outputs) h =
   let reg = Metrics.registry (H.metrics h) in
   let gc = if out.gc_gauges then Some (Gc_stats.create reg) else None in
   (* The always-on flight recorder: fed 100% of op completions by the
@@ -124,7 +125,11 @@ let attach ?auditor ?(out = no_outputs) h =
           reg)
       out.timeline_out
   in
-  { h; auditor; sampler; recorder; gc; out }
+  { h; auditor; sampler; recorder; gc; replication; out }
+
+let install_replication t =
+  t.replication <- replication t.h;
+  t.replication
 
 let hybrid t = t.h
 
@@ -262,7 +267,13 @@ let write_outputs t reg =
           (fun (check, ticks, cpu_s) ->
             Printf.printf "  audit %-18s %9d ticks  %9.3f ms cpu\n" check ticks (cpu_s *. 1e3))
           (Auditor.check_times a))
-      t.auditor
+      t.auditor;
+    Option.iter
+      (fun m ->
+        let s = Manager.heal_stats m in
+        Printf.printf "  heal %24d passes %9.3f ms cpu  (%d keys re-examined, %d full censuses)\n"
+          s.Manager.passes (s.Manager.cpu_s *. 1e3) s.Manager.examined s.Manager.full_censuses)
+      t.replication
   end;
   Option.iter
     (fun s ->

@@ -49,9 +49,16 @@ val no_outputs : outputs
 (** A system with its observers attached. *)
 type t
 
-(** [attach ?auditor ?out h] attaches [auditor] and the observers [out]
-    (default {!no_outputs}) asks for. *)
-val attach : ?auditor:P2p_audit.Auditor.t -> ?out:outputs -> Hybrid_p2p.Hybrid.t -> t
+(** [attach ?auditor ?replication ?out h] attaches [auditor] and the
+    observers [out] (default {!no_outputs}) asks for.  With [out.profile],
+    the run's end prints a row of [replication]'s heal cost. *)
+val attach :
+  ?auditor:P2p_audit.Auditor.t -> ?replication:P2p_replication.Manager.t -> ?out:outputs ->
+  Hybrid_p2p.Hybrid.t -> t
+
+(** [install_replication t] is {!replication} on [t]'s system, attached
+    as [attach]'s [replication] is. *)
+val install_replication : t -> P2p_replication.Manager.t option
 
 val hybrid : t -> Hybrid_p2p.Hybrid.t
 val auditor : t -> P2p_audit.Auditor.t option

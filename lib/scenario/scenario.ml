@@ -164,7 +164,7 @@ let exec p ~seed ~script =
       p;
       h;
       rng = Rng.create seed;
-      replication = Pipeline.replication h;
+      replication = Pipeline.install_replication p;
       keys = [];
       key_count = 0;
       joined = 0;

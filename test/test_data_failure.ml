@@ -307,6 +307,33 @@ let test_repair_smallest_host_promoted () =
     (Peer.is_t_peer smallest && smallest.Peer.p_id = old_pid);
   ok_invariants h
 
+(* A stowaway wired into a tree without registering (a negative host,
+   as [audit --inject degree] plants) has the smallest address but no
+   entry in the directory: the election passes it over for the smallest
+   registered survivor, where promoting it raised in [World.register]. *)
+let test_election_skips_unregistered () =
+  let h, _ = star_system ~seed:47 ~n:40 ~ps:0.8 () in
+  let w = H.world h in
+  let victim = List.find (fun p -> Peer.is_t_peer p && p.Peer.children <> []) (H.peers h) in
+  let members = List.filter (fun m -> m != victim) (Peer.tree_members victim) in
+  let smallest =
+    List.fold_left (fun b m -> if m.Peer.host < b.Peer.host then m else b)
+      (List.hd members) members
+  in
+  let stowaway =
+    Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(-1)
+      ~p_id:victim.Peer.p_id ~role:Peer.S_peer ~link_capacity:10.0 ()
+  in
+  Peer.attach_child ~parent:victim ~child:stowaway;
+  let old_pid = victim.Peer.p_id in
+  H.crash h victim;
+  H.repair h;
+  H.run h;
+  checkb "the smallest registered survivor promoted" true
+    (Peer.is_t_peer smallest && smallest.Peer.p_id = old_pid);
+  checkb "the stowaway stays an s-peer" true (Peer.is_s_peer stowaway);
+  ok_invariants h
+
 let test_repair_idempotent () =
   let h, _ = star_system ~seed:48 ~n:50 ~ps:0.7 () in
   List.iter (H.crash h) (List.filteri (fun i _ -> i mod 7 = 0) (H.peers h));
@@ -387,6 +414,8 @@ let test_join_survives_empty_ring_race () =
 let suite =
   [
     Alcotest.test_case "data_store: basics" `Quick test_store_basic;
+    Alcotest.test_case "repair: election skips an unregistered stowaway" `Quick
+      test_election_skips_unregistered;
     Alcotest.test_case "data_store: take_segment partitions" `Quick test_store_take_segment;
     Alcotest.test_case "data_store: take_segment wraps through zero" `Quick
       test_store_take_segment_wraparound;

@@ -303,6 +303,33 @@ let test_cli_scenario_profile () =
          String.starts_with ~prefix:("  audit " ^ P2p_audit.Checks.check_name c) row)
        rows P2p_audit.Checks.all)
 
+(* With replication on, [scenario --profile] adds one heal row: passes,
+   CPU, keys re-examined and full censuses.  Without --profile there is
+   no row, so the default output stays as it was. *)
+let test_cli_heal_profile_row () =
+  let heal_rows flags =
+    let out = Filename.temp_file "p2psim" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "../bin/p2psim.exe scenario --peers 60 --replication 2 %s \
+            --script 'join:60:0.8 insert:200 settle crash repair crash repair settle' > %s 2>&1"
+           flags (Filename.quote out))
+    in
+    let lines = In_channel.with_open_text out In_channel.input_all |> String.split_on_char '\n' in
+    Sys.remove out;
+    checki (flags ^ ": exit") 0 code;
+    List.filter (String.starts_with ~prefix:"  heal ") lines
+  in
+  (match heal_rows "--profile" with
+   | [ row ] ->
+     let words = String.split_on_char ' ' row |> List.filter (( <> ) "") in
+     checkb (row ^ ": two passes") true (List.nth words 1 = "2" && List.nth words 2 = "passes");
+     checkb (row ^ ": one census, the first pass") true
+       (String.ends_with ~suffix:", 1 full censuses)" row)
+   | rows -> Alcotest.failf "%d heal rows under --profile" (List.length rows));
+  checki "no heal row without --profile" 0 (List.length (heal_rows ""))
+
 (* A trace that exists only for an SLO gate samples 1% of ops; an
    explicit --trace-sample wins. *)
 let test_cli_forced_trace_rate () =
@@ -448,6 +475,7 @@ let suite =
     Alcotest.test_case "CLI timeline keeps the audit" `Quick test_cli_timeline_keeps_audit;
     Alcotest.test_case "CLI profile rows per audit check" `Quick test_cli_profile_audit_rows;
     Alcotest.test_case "CLI scenario profile rows" `Quick test_cli_scenario_profile;
+    Alcotest.test_case "CLI scenario profile heal row" `Quick test_cli_heal_profile_row;
     Alcotest.test_case "CLI forced trace samples 1%" `Quick test_cli_forced_trace_rate;
     Alcotest.test_case "CLI compare runs the pure ring" `Quick test_cli_compare_pure_ring;
     Alcotest.test_case "CLI report reads one serve scrape" `Quick

@@ -144,6 +144,17 @@ let test_underlay_rejects_negative_delay () =
            ~processing_delay:(-1.0) ()
           : Underlay.t))
 
+(* A host the routing graph lacks (a hand-wired peer's negative host)
+   is named in the error, not an index fault deep in the tables. *)
+let test_underlay_rejects_foreign_host () =
+  let _, _, u, _ = line_underlay 4 in
+  Alcotest.check_raises "negative destination"
+    (Invalid_argument "Underlay.send: host -1 is outside the underlay (hosts 0..3)")
+    (fun () -> Underlay.send u ~src:0 ~dst:(-1) ignore);
+  Alcotest.check_raises "source past the graph"
+    (Invalid_argument "Underlay.send: host 4 is outside the underlay (hosts 0..3)")
+    (fun () -> Underlay.send u ~src:4 ~dst:0 ignore)
+
 let suite =
   [
     Alcotest.test_case "metrics: counters" `Quick test_metrics_counters;
@@ -157,6 +168,8 @@ let suite =
     Alcotest.test_case "underlay: latency ordering" `Quick test_underlay_ordering;
     Alcotest.test_case "underlay: link-state hops and delay" `Quick
       test_underlay_link_state;
+    Alcotest.test_case "underlay: rejects a host outside the graph" `Quick
+      test_underlay_rejects_foreign_host;
     Alcotest.test_case "underlay: rejects negative delay" `Quick
       test_underlay_rejects_negative_delay;
   ]

@@ -265,6 +265,187 @@ let test_heal_matches_reference r () =
   check_same_heal (Printf.sprintf "r=%d planted" r) a b;
   checkb "the ghost was replicated" true (replica_copy_count a "ghost" > 0)
 
+(* Two copies of one seeded system: [a] heals with the manager, [b] with
+   the reference, each repair's heal included. *)
+let paired_systems ~seed ~n ~items =
+  let system () =
+    let h, _, m = replicated_system ~seed ~n ~ps:0.7 ~r:2 () in
+    ignore (insert_items h ~count:items : string list);
+    (h, m)
+  in
+  let a, m = system () and b, _ = system () in
+  let wb = H.world b in
+  wb.World.on_repaired <- Some (fun ~op:_ -> Heal_reference.heal wb);
+  (a, m, b)
+
+let on_both a b f =
+  f a;
+  f b
+
+(* The peer on the [k]-th live host, counted round the population. *)
+let nth_peer h k =
+  let peers = H.peers h in
+  List.nth peers (k mod List.length peers)
+
+let crash_and_repair h victim =
+  H.crash h (World.find_peer (H.world h) ~host:victim |> Option.get);
+  H.repair h;
+  H.run h
+
+(* After every repair of a crash-wave script the incremental heal leaves
+   what the reference leaves, over five seeds.  Between waves, a t-peer
+   and an s-peer join (the ring successors, so the targets, of the
+   joiner's predecessors move with no write to their keys), and an
+   insert wave and a re-insert with a new value land between two
+   heals. *)
+let test_incremental_heal_matches_reference () =
+  List.iter
+    (fun seed ->
+      let a, m, b = paired_systems ~seed ~n:90 ~items:300 in
+      for wave = 1 to 3 do
+        for c = 1 to 4 do
+          let victim = (nth_peer a ((seed * 7) + (wave * 13) + (c * 5))).Peer.host in
+          on_both a b (fun h -> crash_and_repair h victim);
+          check_same_heal (Printf.sprintf "seed %d wave %d crash %d" seed wave c) a b
+        done;
+        on_both a b (fun h ->
+            ignore (H.join h ~host:(H.fresh_host h) ~role:Peer.T_peer () : Peer.t);
+            H.run h;
+            ignore (H.join h ~host:(H.fresh_host h) ~role:Peer.S_peer () : Peer.t);
+            H.run h;
+            for i = 1 to 40 do
+              let key = Printf.sprintf "wave-%d-%02d" wave i in
+              H.insert h ~from:(H.random_peer h) ~key ~value:("v:" ^ key) ()
+            done;
+            H.insert h ~from:(H.random_peer h) ~key:"item-00005"
+              ~value:(Printf.sprintf "v%d" wave) ();
+            H.run h)
+      done;
+      let stats = Manager.heal_stats m in
+      checki (Printf.sprintf "seed %d: one census, the first pass" seed) 1
+        stats.Manager.full_censuses;
+      checki (Printf.sprintf "seed %d: a heal per repair" seed) 12 stats.Manager.passes;
+      checkb
+        (Printf.sprintf "seed %d: %d keys examined over 12 passes" seed stats.Manager.examined)
+        true
+        (stats.Manager.examined < 2 * 300))
+    [ 101; 102; 103; 104; 105 ]
+
+(* Each fallback to a full census leaves what the reference leaves: a
+   log that overflowed between two heals, a hand-wired peer registered
+   already holding copies, and a graceful t-peer leave (its replica
+   store goes with it). *)
+let test_heal_fallbacks_match_reference () =
+  let a, m, b = paired_systems ~seed:111 ~n:90 ~items:300 in
+  let censuses () = (Manager.heal_stats m).Manager.full_censuses in
+  let heal_both () =
+    Manager.heal m;
+    Heal_reference.heal (H.world b);
+    on_both a b H.run
+  in
+  on_both a b (fun h -> crash_and_repair h (nth_peer h 17).Peer.host);
+  check_same_heal "first heal" a b;
+  checki "the first heal takes the census" 1 (censuses ());
+  (* an incremental pass, then an overflow: 400 inserts write ~1,200
+     entries, past the 1,024-entry limit a 300-item book sets *)
+  on_both a b (fun h -> crash_and_repair h (nth_peer h 23).Peer.host);
+  checki "a crash alone needs no census" 1 (censuses ());
+  on_both a b (fun h ->
+      for i = 1 to 400 do
+        let key = Printf.sprintf "flood-%03d" i in
+        H.insert h ~from:(H.random_peer h) ~key ~value:key ()
+      done;
+      H.run h);
+  on_both a b (fun h -> crash_and_repair h (nth_peer h 31).Peer.host);
+  check_same_heal "after an overflow" a b;
+  checki "an overflowed log takes a census" 2 (censuses ());
+  (* a peer registered with a primary and a replica copy *)
+  on_both a b (fun h ->
+      let w = H.world h in
+      let home = (World.t_peers w).(1) in
+      let stranger =
+        Peer.make ~log:(World.change_log w) ~interner:(World.interner w)
+          ~host:(H.fresh_host h) ~p_id:home.Peer.p_id ~role:Peer.S_peer ~link_capacity:1.0 ()
+      in
+      Peer.set_t_home stranger (Some home);
+      Data_store.insert stranger.Peer.store ~key:"stowaway" ~value:"s";
+      Data_store.insert stranger.Peer.replicas ~key:"item-00021" ~value:"v:item-00021";
+      World.register w stranger);
+  heal_both ();
+  check_same_heal "after a registration with copies" a b;
+  checki "a registration with copies takes a census" 3 (censuses ());
+  heal_both ();
+  check_same_heal "a quiet heal" a b;
+  checki "a quiet heal needs no census" 3 (censuses ());
+  (* a graceful leave of a t-peer holding replicas *)
+  on_both a b (fun h ->
+      let leaver =
+        List.find
+          (fun p -> Peer.is_t_peer p && Data_store.size p.Peer.replicas > 0 && p.Peer.host <> 0)
+          (H.peers h)
+      in
+      H.leave h leaver ();
+      H.run h);
+  heal_both ();
+  check_same_heal "after a graceful t-peer leave" a b;
+  checki "a leave with replicas takes a census" 4 (censuses ())
+
+(* A key whose only copy is a replica while the ring is empty has no
+   owner to be promoted to; the heal keeps it in view, and the first
+   pass after a t-peer joins promotes it, with no census and no store
+   write naming the key in between. *)
+let test_unowned_key_promoted_when_ring_returns () =
+  let h = H.create_star ~seed:131 ~peers:16 ~config:(r_config 2) () in
+  let root = H.join h ~host:0 ~role:Peer.T_peer () in
+  H.run h;
+  let m = Manager.install (H.world h) in
+  let w = H.world h in
+  let holder =
+    Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host:(H.fresh_host h)
+      ~p_id:root.Peer.p_id ~role:Peer.S_peer ~link_capacity:1.0 ()
+  in
+  World.register w holder;
+  Data_store.insert holder.Peer.replicas ~key:"orphan" ~value:"o";
+  H.crash h root;
+  H.repair h;
+  H.run h;
+  checki "an empty ring" 0 (Array.length (World.t_peers w));
+  let censuses = (Manager.heal_stats m).Manager.full_censuses in
+  let joiner = H.join h ~host:(H.fresh_host h) ~role:Peer.T_peer () in
+  H.run h;
+  Manager.heal m;
+  checkb "promoted into the new owner's store" true
+    (Data_store.mem joiner.Peer.store ~key:"orphan");
+  checki "without a census" censuses (Manager.heal_stats m).Manager.full_censuses
+
+(* The point of the key log: a heal after one s-peer crash re-examines
+   the keys that peer held, not the world's. *)
+let test_heal_after_one_crash_is_small () =
+  let h, _, m = replicated_system ~seed:121 ~n:150 ~ps:0.7 ~r:2 () in
+  let keys = insert_items h ~count:3000 in
+  let s_peer k =
+    List.nth
+      (List.filter
+         (fun p -> Peer.is_s_peer p && Data_store.size p.Peer.store > 0)
+         (H.peers h))
+      k
+  in
+  crash_and_repair h (s_peer 3).Peer.host;
+  let before = Manager.heal_stats m in
+  let victim = s_peer 5 in
+  let held = Data_store.size victim.Peer.store in
+  crash_and_repair h victim.Peer.host;
+  let after = Manager.heal_stats m in
+  let examined = after.Manager.examined - before.Manager.examined in
+  checki "no census" before.Manager.full_censuses after.Manager.full_censuses;
+  checkb
+    (Printf.sprintf "%d keys re-examined for a crash that held %d of %d" examined held
+       (List.length keys))
+    true
+    (examined >= held && examined * 100 < List.length keys);
+  check_clean h;
+  checki "nothing lost" 3000 (H.total_items h)
+
 (* --- audit check & heal ------------------------------------------------ *)
 
 let test_dropped_replica_flagged_then_healed () =
@@ -440,6 +621,14 @@ let suite =
       (test_heal_matches_reference 1);
     Alcotest.test_case "heal: equals the reference (r=2)" `Quick
       (test_heal_matches_reference 2);
+    Alcotest.test_case "heal: incremental equals the reference, 5 seeds" `Quick
+      test_incremental_heal_matches_reference;
+    Alcotest.test_case "heal: each census fallback equals the reference" `Quick
+      test_heal_fallbacks_match_reference;
+    Alcotest.test_case "heal: an unowned key is promoted when the ring returns" `Quick
+      test_unowned_key_promoted_when_ring_returns;
+    Alcotest.test_case "heal: one s-peer crash re-examines < 1% of keys" `Quick
+      test_heal_after_one_crash_is_small;
     Alcotest.test_case "audit: dropped copy flagged then healed" `Quick
       test_dropped_replica_flagged_then_healed;
     Alcotest.test_case "audit: dropped copy report (ring successors)" `Quick

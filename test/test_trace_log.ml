@@ -284,6 +284,36 @@ let test_send_span_closes () =
       | _ -> Alcotest.failf "no single %s span" phase)
     [ "ok_hop"; "raising_hop" ]
 
+(* What a traced op's close costs on top of an untraced one: the
+   op-completion listener [Spans.record_totals] installs (every run with
+   a trace has it) looks up the op kind's histogram and files the
+   duration in a bucket.  It cost 20–22 words more per op while the
+   lookup and the bucket probe each built an option and the bucket
+   edges were boxed; 12 remain (the completion record with its two
+   boxed floats, and the histogram's boxed running sum). *)
+let test_op_close_words () =
+  let pairs = 10_000 in
+  let per_pair ~listener =
+    let t = Trace.create ~capacity:16 () in
+    if listener then P2p_obs.Spans.record_totals (P2p_obs.Registry.create ()) t;
+    let cycle i =
+      let time = float_of_int i in
+      let op = Trace.begin_op t ~time ~kind:Trace.Lookup "" in
+      Trace.end_op t ~time:(time +. 1.5) ~op "done"
+    in
+    (* the first close of a kind registers its histogram and bucket *)
+    for i = 1 to 100 do cycle i done;
+    let before = Gc.minor_words () in
+    for i = 1 to pairs do cycle i done;
+    (Gc.minor_words () -. before) /. float_of_int pairs
+  in
+  let traced = per_pair ~listener:true and untraced = per_pair ~listener:false in
+  checkb
+    (Printf.sprintf "%.1f words per traced op close, %.1f untraced (<= 12 more)" traced
+       untraced)
+    true
+    (traced -. untraced <= 12.0)
+
 let suite =
   [
     Alcotest.test_case "at most 16 words per retained span" `Quick test_words_per_span;
@@ -293,5 +323,6 @@ let suite =
       test_sampling_allocates_nothing;
     Alcotest.test_case "live-style trace matches the reference" `Quick test_live_style;
     Alcotest.test_case "send_span closes on return and on raise" `Quick test_send_span_closes;
+    Alcotest.test_case "a traced op close: <= 12 words more" `Quick test_op_close_words;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261019 |]) prop_matches_reference;
   ]
