@@ -4,7 +4,6 @@
      dune exec bench/main.exe                     # every table and figure, small scale
      dune exec bench/main.exe -- fig5a            # one experiment
      dune exec bench/main.exe -- all --paper      # full 1000-peer paper scale
-     dune exec bench/main.exe -- bechamel         # Bechamel micro-benchmarks
      dune exec bench/main.exe -- fig4 --metrics-dir out/   # dump registries as JSON
 
    Experiments: fig3a fig3b fig3-sim fig4 fig5a fig5b durability fig6a fig6b
@@ -21,94 +20,9 @@ let usage oc =
   output_string oc
     "usage: main.exe [all|fig3a|fig3b|fig3-sim|fig4|fig5a|fig5b|durability|fig6a|\n\
     \                 fig6b|table2|ablate-delta|ablate-fingers|ablate-bypass|\n\
-    \                 ablate-bt|ablate-cache|stress|churn-live|lookup-perf|scale|\n\
-    \                 bechamel]\n\
+    \                 ablate-bt|ablate-cache|stress|churn-live|lookup-perf|scale]\n\
     \                [--paper] [--metrics-dir DIR] [--audit] [--smoke]\n\
     \                [--slo 'lookup:p99<=40']...\n"
-
-(* --- Bechamel micro-benchmarks: one per experiment kernel plus the hot
-   core operations. --- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  (* prebuilt small systems reused across iterations; lookups and inserts
-     mutate only metrics/state that does not change their own cost class *)
-  let b_mid = build ~seed:21 ~ps:0.5 ~scale:small_scale () in
-  insert_corpus b_mid;
-  let live = Array.of_list (H.peers b_mid.h) in
-  let counter = ref 0 in
-  let lookup_once () =
-    incr counter;
-    let item = b_mid.items.(!counter mod Array.length b_mid.items) in
-    let from = live.(!counter mod Array.length live) in
-    H.lookup b_mid.h ~from ~key:item.Keys.key ~on_result:(fun _ -> ()) ();
-    H.run b_mid.h
-  in
-  let insert_once () =
-    incr counter;
-    let from = live.(!counter mod Array.length live) in
-    H.insert b_mid.h ~from ~key:(Printf.sprintf "bench-%d" !counter) ~value:"v" ();
-    H.run b_mid.h
-  in
-  let rng = Rng.create 5 in
-  let graph_routing =
-    let topo = P2p_topology.Transit_stub.generate ~rng:(Rng.create 9) small_scale.topology in
-    topo.P2p_topology.Transit_stub.graph
-  in
-  let fig3_series () =
-    List.iter
-      (fun ps ->
-        ignore (P2p_analysis.Formulas.join_latency ~ps ~n:1000 ~delta:2 : float);
-        ignore (P2p_analysis.Formulas.lookup_latency ~ps ~n:1000 ~delta:2 ~ttl:4 : float))
-      ps_sweep
-  in
-  let event_queue_churn () =
-    let q = P2p_sim.Event_queue.create () in
-    for i = 1 to 1000 do
-      ignore
-        (P2p_sim.Event_queue.add q ~time:(float_of_int (i * 7919 mod 1000)) ()
-          : P2p_sim.Event_queue.handle)
-    done;
-    while not (P2p_sim.Event_queue.is_empty q) do
-      ignore (P2p_sim.Event_queue.pop q : (float * unit) option)
-    done
-  in
-  let dijkstra_sssp () =
-    (* fresh router so the cache does not absorb the work *)
-    let r = P2p_topology.Routing.create graph_routing in
-    ignore (P2p_topology.Routing.distance r 0 1 : float)
-  in
-  [
-    Test.make ~name:"fig3-analytic-series" (Staged.stage fig3_series);
-    Test.make ~name:"hybrid-lookup (ps=0.5)" (Staged.stage lookup_once);
-    Test.make ~name:"hybrid-insert (ps=0.5)" (Staged.stage insert_once);
-    Test.make ~name:"event-queue-1k-churn" (Staged.stage event_queue_churn);
-    Test.make ~name:"dijkstra-sssp-384" (Staged.stage dijkstra_sssp);
-    Test.make ~name:"rng-int" (Staged.stage (fun () -> ignore (Rng.int rng 1000 : int)));
-    Test.make ~name:"key-hash"
-      (Staged.stage (fun () ->
-           ignore (P2p_hashspace.Key_hash.of_string "some-file-name.mp3" : int)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  header "Bechamel micro-benchmarks";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun basic ->
-          let raw = Benchmark.run cfg [ instance ] basic in
-          let result = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates result with
-          | Some [ estimate ] ->
-            row "%-28s %12.1f ns/run\n%!" (Test.Elt.name basic) estimate
-          | Some _ | None -> row "%-28s (no estimate)\n%!" (Test.Elt.name basic))
-        (Test.elements test))
-    (bechamel_tests ())
 
 let bad_usage fmt =
   Printf.ksprintf
@@ -141,7 +55,6 @@ let commands ~scale ~smoke =
       ("stress", fun () -> Ablations.link_stress ~scale ());
       ("churn-live", fun () -> Ablations.churn_live ());
       ("lookup-perf", fun () -> Lookup_perf.run ~smoke ~scale ());
-      ("bechamel", run_bechamel);
     ]
   in
   (("all", fun () -> List.iter (fun (_, run) -> run ()) experiments) :: experiments)

@@ -205,8 +205,11 @@ let digest_items items =
 
 let segment_digest t ~left ~right = digest_items (segment_items t ~left ~right)
 
+let note_held t =
+  if Key_log.on t.log then iter_ids t (fun kid -> Key_log.note t.log ~kid ~tag:t.tag)
+
 let clear t =
-  if Key_log.on t.log then iter_ids t (fun kid -> Key_log.note t.log ~kid ~tag:t.tag);
+  note_held t;
   t.keys <- [||];
   t.vals <- [||];
   t.routes <- [||];

@@ -108,4 +108,10 @@ val iter_id_items : t -> (int -> int -> Id_space.id -> unit) -> unit
 (** [keys t] lists stored keys in unspecified order. *)
 val keys : t -> string list
 
+(** [note_held t] notes every key [t] holds in its log, as if each were
+    written now: how a copy's holder changes with no store write (the
+    store's peer entering or leaving a world's membership) still reaches
+    the log's reader.  One branch while the log is off. *)
+val note_held : t -> unit
+
 val clear : t -> unit

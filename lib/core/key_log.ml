@@ -12,15 +12,14 @@ let create () = { gen = 0; on = false; entries = [||]; len = 0; limit = 0 }
 
 let inert = create ()
 
-(* Past the limit the recording is lost: off, and the buffer goes, so a
-   reader that never comes back holds nothing. *)
-let lose t =
-  t.on <- false;
-  t.entries <- [||];
-  t.len <- 0
-
 let push t kid tag =
-  if t.len >= t.limit then lose t
+  if t.len >= t.limit then begin
+    (* past the limit the recording overflows: off, and the buffer goes,
+       so a reader that never comes back holds nothing *)
+    t.on <- false;
+    t.entries <- [||];
+    t.len <- 0
+  end
   else begin
     let i = 2 * t.len in
     if i >= Array.length t.entries then begin

@@ -6,13 +6,14 @@
     appends the interned key id it wrote, with the writing store's
     {e tag} — [2 · host] for a peer's primary store, [2 · host + 1] for
     its replica store ({!Peer.make} assigns them) — so the reader learns
-    both which keys and which holders changed.
+    both which keys and which holders changed.  A peer entering or
+    leaving the membership appends each key its stores hold
+    ({!Data_store.note_held}), since no store write announces that move.
 
     A log is off until {!restart} turns it on; an off log costs each
-    store write one branch.  A log that overflows its entry limit, or
-    that {!lose} marks (a peer entered or left the membership holding
-    copies, which no store write announces), turns itself off: its
-    reader must fall back to a full census. *)
+    store write one branch.  A log that overflows its entry limit turns
+    itself off and drops its entries: its reader must fall back to a
+    full census, as on its first pass. *)
 
 type t
 
@@ -29,20 +30,17 @@ val note : t -> kid:int -> tag:int -> unit
 
 (** [restart t ~limit] empties the log and turns it on for a new
     recording, whose number it returns; past [limit] entries the
-    recording is lost.
+    recording overflows.
     @raise Invalid_argument on {!inert}. *)
 val restart : t -> limit:int -> int
 
 (** [stop t] turns the log off (a reader's own writes go unrecorded). *)
 val stop : t -> unit
 
-(** [lose t] gives up the current recording: off, and not {!readable}
-    until the next {!restart}. *)
-val lose : t -> unit
-
 (** [readable t ~gen] — recording [gen] is the current one, neither
-    lost nor stopped: the entries name every store write since it
-    started.  A second reader's {!restart} ends the first's recording. *)
+    overflowed nor stopped: the entries name every store write, and
+    every copy a membership move carried, since it started.  A second
+    reader's {!restart} ends the first's recording. *)
 val readable : t -> gen:int -> bool
 
 (** [on t] — recording now. *)

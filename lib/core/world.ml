@@ -244,11 +244,12 @@ let write_snet t host n =
 
 (* The replication heal books each key's holders between passes; a peer
    entering or leaving the membership with copies moves holders no store
-   write announces, so the key log is given up and the next heal takes a
-   full census. *)
-let holders_moved t p =
-  if Data_store.size p.Peer.store > 0 || Data_store.size p.Peer.replicas > 0 then
-    Key_log.lose (Change_log.keys t.changes)
+   write announces, so each of its copies goes in the key log as if
+   written.  The next heal re-examines just those keys; it takes a full
+   census only on its first pass or after the log overflowed. *)
+let holders_moved p =
+  Data_store.note_held p.Peer.store;
+  Data_store.note_held p.Peer.replicas
 
 let register t peer =
   let host = peer.Peer.host in
@@ -263,13 +264,13 @@ let register t peer =
   Peer.log_change peer;
   (match t.slots.(host) with
    | None ->
-     holders_moved t peer;
+     holders_moved peer;
      t.live_count <- t.live_count + 1;
      index_add t host 1
    | Some previous ->
      if previous != peer then begin
-       holders_moved t previous;
-       holders_moved t peer
+       holders_moved previous;
+       holders_moved peer
      end;
      Peer.log_change previous;
      (* a t-peer displaced from its host leaves the ring *)
@@ -290,7 +291,7 @@ let unregister t peer =
     Peer.log_change peer;
     (match t.slots.(host) with
      | Some previous ->
-       holders_moved t previous;
+       holders_moved previous;
        Peer.log_change previous;
        t.live_count <- t.live_count - 1;
        index_add t host (-1)

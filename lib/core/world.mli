@@ -48,7 +48,8 @@ type t = {
           t-peer of every size-table row written, and the members a ring
           merge made neighbours; and, in its key log
           ({!Change_log.keys}), what the replication heal re-examines:
-          every key id a registered peer's store wrote *)
+          every key id a registered peer's store wrote, and every key
+          id a peer entering or leaving the membership holds *)
   mutable slots : Peer.t option array;
       (** host-indexed membership directory (hosts are dense graph node
           ids); [None] = no peer registered on that host *)
@@ -203,8 +204,8 @@ val change_log : t -> Peer.t Change_log.t
 
 (** [register t peer] enters [peer] into the membership directory, and
     logs it (and any peer it displaces) as changed.  A peer entering or
-    leaving the directory with items in its stores ends the key log's
-    recording ({!Key_log.lose}): holders moved that no store write
+    leaving the directory notes each item in its stores in the key log
+    ({!Data_store.note_held}): holders moved that no store write
     names.  {!unregister} does the same.
     @raise Invalid_argument on a negative host, when the peer's
     stores use an interner other than {!interner} (every registered

@@ -36,22 +36,37 @@ let index x =
     !i
   end
 
-type t = {
-  buckets : (int, int ref) Hashtbl.t;
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
+(* The running sum, minimum and maximum sit unboxed in one flat float
+   array, so a write stores a double instead of allocating a box. *)
+type t = { buckets : (int, int ref) Hashtbl.t; mutable count : int; stats : Float.Array.t }
+
+let sum_at = 0
+
+let min_at = 1
+
+let max_at = 2
+
+let reset_stats t =
+  Float.Array.set t.stats sum_at 0.0;
+  Float.Array.set t.stats min_at infinity;
+  Float.Array.set t.stats max_at neg_infinity
 
 let create () =
-  {
-    buckets = Hashtbl.create 16;
-    count = 0;
-    sum = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
-  }
+  let t = { buckets = Hashtbl.create 16; count = 0; stats = Float.Array.create 3 } in
+  reset_stats t;
+  t
+
+let sum t = Float.Array.get t.stats sum_at
+
+let min_v t = Float.Array.get t.stats min_at
+
+let max_v t = Float.Array.get t.stats max_at
+
+let[@inline] add_sum t x = Float.Array.set t.stats sum_at (sum t +. x)
+
+let[@inline] widen t ~min ~max =
+  if min < min_v t then Float.Array.set t.stats min_at min;
+  if max > max_v t then Float.Array.set t.stats max_at max
 
 let observe t x =
   let i = index x in
@@ -59,23 +74,20 @@ let observe t x =
    | c -> incr c
    | exception Not_found -> Hashtbl.add t.buckets i (ref 1));
   t.count <- t.count + 1;
-  t.sum <- t.sum +. x;
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x
+  add_sum t x;
+  widen t ~min:x ~max:x
 
 let count t = t.count
 
-let sum t = t.sum
-
-let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
+let mean t = if t.count = 0 then 0.0 else sum t /. float_of_int t.count
 
 let min_value t =
   if t.count = 0 then invalid_arg "Log_hist.min_value: empty";
-  t.min_v
+  min_v t
 
 let max_value t =
   if t.count = 0 then invalid_arg "Log_hist.max_value: empty";
-  t.max_v
+  max_v t
 
 let buckets t =
   Hashtbl.fold (fun i c acc -> (i, !c) :: acc) t.buckets []
@@ -91,32 +103,12 @@ let percentile t p =
     Stdlib.max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.count)))
   in
   let rec walk seen = function
-    | [] -> t.max_v
+    | [] -> max_v t
     | (i, c) :: rest ->
       let seen = seen + c in
-      if seen >= rank then Float.min (boundary i) t.max_v else walk seen rest
+      if seen >= rank then Float.min (boundary i) (max_v t) else walk seen rest
   in
   walk 0 (buckets t)
-
-let merge a b =
-  let t = create () in
-  let blend src =
-    Hashtbl.iter
-      (fun i c ->
-        match Hashtbl.find_opt t.buckets i with
-        | Some acc -> acc := !acc + !c
-        | None -> Hashtbl.add t.buckets i (ref !c))
-      src.buckets;
-    t.count <- t.count + src.count;
-    t.sum <- t.sum +. src.sum;
-    if src.count > 0 then begin
-      if src.min_v < t.min_v then t.min_v <- src.min_v;
-      if src.max_v > t.max_v then t.max_v <- src.max_v
-    end
-  in
-  blend a;
-  blend b;
-  t
 
 (* In-place variant of {!merge}: folds [src]'s buckets into [dst].
    Registry handles are fixed objects, so an aggregator building a
@@ -130,18 +122,19 @@ let merge_into ~into:dst src =
       | None -> Hashtbl.add dst.buckets i (ref !c))
     src.buckets;
   dst.count <- dst.count + src.count;
-  dst.sum <- dst.sum +. src.sum;
-  if src.count > 0 then begin
-    if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-    if src.max_v > dst.max_v then dst.max_v <- src.max_v
-  end
+  add_sum dst (sum src);
+  if src.count > 0 then widen dst ~min:(min_v src) ~max:(max_v src)
+
+let merge a b =
+  let t = create () in
+  merge_into ~into:t a;
+  merge_into ~into:t b;
+  t
 
 let clear t =
   Hashtbl.reset t.buckets;
   t.count <- 0;
-  t.sum <- 0.0;
-  t.min_v <- infinity;
-  t.max_v <- neg_infinity
+  reset_stats t
 
 let quantile_points = [ ("p50", 50.0); ("p90", 90.0); ("p95", 95.0); ("p99", 99.0); ("p999", 99.9) ]
 
@@ -156,9 +149,9 @@ let to_json t =
        ("v0", Json.Float v0);
        ("gamma", Json.Float gamma);
        ("count", Json.Int t.count);
-       ("sum", Json.Float t.sum);
-       ("min", if t.count = 0 then Json.Null else Json.Float t.min_v);
-       ("max", if t.count = 0 then Json.Null else Json.Float t.max_v);
+       ("sum", Json.Float (sum t));
+       ("min", if t.count = 0 then Json.Null else Json.Float (min_v t));
+       ("max", if t.count = 0 then Json.Null else Json.Float (max_v t));
      ]
     @ quantiles
     @ [
@@ -194,11 +187,11 @@ let of_json j =
   let t = create () in
   List.iter (fun (i, c) -> Hashtbl.replace t.buckets i (ref c)) pairs;
   t.count <- count;
-  t.sum <- s;
+  Float.Array.set t.stats sum_at s;
   (match Option.bind (Json.member "min" j) Json.to_float with
-   | Some m -> t.min_v <- m
+   | Some m -> Float.Array.set t.stats min_at m
    | None -> ());
   (match Option.bind (Json.member "max" j) Json.to_float with
-   | Some m -> t.max_v <- m
+   | Some m -> Float.Array.set t.stats max_at m
    | None -> ());
   Ok t

@@ -54,9 +54,9 @@ let without_tag holders tag =
    Per host: [leads], the keys it leads, and [used], the targets those
    keys were last examined against.  A pass leaves every key with a
    primary holding a copy on each target and no replica beside a
-   primary, so a key needs the next pass only if a store wrote it (the
-   world's key log says which, and where) or its primary's targets
-   moved. *)
+   primary, so a key needs the next pass only if a store wrote it or
+   a peer holding it entered or left the membership (the world's key
+   log says which, and where), or its primary's targets moved. *)
 type book = {
   mutable holders : int array array;
   mutable primary : int array;
@@ -75,8 +75,6 @@ type book = {
   (* one pass's scratch *)
   mutable dirty : int array;  (* (key, tag) entries, then the keys examined *)
   mutable found : int array;  (* one key's holders *)
-  mutable census_tags : int array;  (* a census pass's copies, by key *)
-  mutable census_ends : int array;
   (* cost, for [--profile] *)
   mutable examined : int;
   mutable full_censuses : int;
@@ -89,7 +87,7 @@ let new_book () =
     unowned = []; items = 0; copies = 0;
     memo_home = [||]; memo_list = [||]; memo_pass = [||];
     pass = 0; recording = 0;
-    dirty = [||]; found = [||]; census_tags = [||]; census_ends = [||];
+    dirty = [||]; found = [||];
     examined = 0; full_censuses = 0; cpu_s = 0.0;
   }
 
@@ -186,49 +184,41 @@ let push_dirty b m e =
   if m >= Array.length b.dirty then b.dirty <- grow b.dirty (max 64 (2 * m)) 0;
   b.dirty.(m) <- e
 
-(* The census: every registered store's copies in host order, flat —
-   key [kid]'s tags are [tags.(ends.(kid - 1)) .. tags.(ends.(kid) - 1)]
-   (from 0 for key 0) — and every key holding one made dirty, the book
-   cleared for it.  Returns the entry count, already in key order. *)
-let take_census b w =
-  let ids = Array.length b.holders in
-  let ends = Array.make ids 0 in
-  let tally kid = ends.(kid) <- ends.(kid) + 1 in
-  World.iter_peers w (fun p ->
-      Data_store.iter_ids p.Peer.store tally;
-      Data_store.iter_ids p.Peer.replicas tally);
-  (* [ends.(kid)] becomes the start of [kid]'s run, and advances to its
-     end as the run fills *)
-  let total = ref 0 in
-  for kid = 0 to ids - 1 do
-    let c = ends.(kid) in
-    ends.(kid) <- !total;
-    total := !total + c
-  done;
-  let tags = Array.make !total 0 in
-  World.iter_peers w (fun p ->
-      let book tag kid =
-        tags.(ends.(kid)) <- tag;
-        ends.(kid) <- ends.(kid) + 1
-      in
-      Data_store.iter_ids p.Peer.store (book (2 * p.Peer.host));
-      Data_store.iter_ids p.Peer.replicas (book ((2 * p.Peer.host) + 1)));
-  b.census_tags <- tags;
-  b.census_ends <- ends;
-  Array.fill b.holders 0 ids [||];
+(* The census, for a pass with no log to trust: the book cleared, every
+   registered store's copies booked as their keys' holders — counted
+   first, so each key's array is made once at its size, then filled in
+   host order, which is tag order — and an entry with no tag for every
+   key holding one.  Returns the entry count, already in key order. *)
+let census b w =
+  Array.fill b.holders 0 (Array.length b.holders) [||];
   Array.fill b.primary 0 (Array.length b.primary) (-1);
   Array.fill b.leads 0 (Array.length b.leads) 0;
   Array.fill b.used 0 (Array.length b.used) [];
   b.unowned <- [];
   b.items <- 0;
   b.copies <- 0;
+  let count = Array.make (Array.length b.holders) 0 in
+  let tally kid = count.(kid) <- count.(kid) + 1 in
+  World.iter_peers w (fun p ->
+      Data_store.iter_ids p.Peer.store tally;
+      Data_store.iter_ids p.Peer.replicas tally);
   let m = ref 0 in
-  for kid = 0 to ids - 1 do
-    if ends.(kid) > (if kid = 0 then 0 else ends.(kid - 1)) then begin
-      push_dirty b !m (kid lsl tag_bits);
-      incr m
-    end
-  done;
+  Array.iteri
+    (fun kid c ->
+      if c > 0 then begin
+        b.holders.(kid) <- Array.make c 0;
+        count.(kid) <- 0;
+        push_dirty b !m (kid lsl tag_bits);
+        incr m
+      end)
+    count;
+  World.iter_peers w (fun p ->
+      let book tag kid =
+        b.holders.(kid).(count.(kid)) <- tag;
+        count.(kid) <- count.(kid) + 1
+      in
+      Data_store.iter_ids p.Peer.store (book (2 * p.Peer.host));
+      Data_store.iter_ids p.Peer.replicas (book ((2 * p.Peer.host) + 1)));
   !m
 
 (* The keys the log names, the keys whose primary's targets moved, and
@@ -276,13 +266,11 @@ let holds w tag kid =
 
 (* Phase one for the key whose entries are [dirty.(i) .. dirty.(j - 1)]:
    drop what the book counted for it, find its holders among the booked
-   and logged tags (after a census, the booked ones are the holders),
-   drop a replica copy beside a primary at the same peer, and book the
-   holders left. *)
-let examine b w ~census kid i j =
-  let booked = if census then b.census_tags else b.holders.(kid) in
-  let first = if not census || kid = 0 then 0 else b.census_ends.(kid - 1) in
-  let stop = if census then b.census_ends.(kid) else Array.length booked in
+   and logged tags, drop a replica copy beside a primary at the same
+   peer, and book the holders left. *)
+let examine b w kid i j =
+  let booked = b.holders.(kid) in
+  let stop = Array.length booked in
   (match b.primary.(kid) with
    | -1 -> ()
    | h ->
@@ -290,16 +278,15 @@ let examine b w ~census kid i j =
      b.copies <- b.copies - replica_count booked;
      b.leads.(h) <- b.leads.(h) - 1;
      b.primary.(kid) <- -1);
-  if Array.length b.found < stop - first + (j - i) then
-    b.found <- Array.make (2 * (stop - first + (j - i))) 0;
+  if Array.length b.found < stop + (j - i) then b.found <- Array.make (2 * (stop + (j - i))) 0;
   let found = b.found in
   (* merge the booked holders with the logged tags, both ascending,
      keeping each distinct tag whose store holds the key, and dropping a
      replica copy that directly follows its own peer's primary.  A
      booked tag the log does not name still holds the key: its store
-     wrote nothing since *)
+     wrote nothing since, and its peer stayed registered *)
   let n = ref 0 and last = ref (-1) in
-  let a = ref first and e = ref i in
+  let a = ref 0 and e = ref i in
   while !a < stop || !e < j do
     let logged = if !e < j then (b.dirty.(!e) land ((1 lsl tag_bits) - 1)) - 1 else max_int in
     if logged < 0 then incr e
@@ -329,7 +316,7 @@ let examine b w ~census kid i j =
       end
     end
   done;
-  let same = ref ((not census) && !n = stop) and x = ref 0 in
+  let same = ref (!n = stop) and x = ref 0 in
   while !same && !x < !n do
     same := found.(!x) = booked.(!x);
     incr x
@@ -435,14 +422,15 @@ let restore t b kid ~promoted ~restored =
    the transfer traffic would only re-order identical end states.
 
    A pass re-examines only the keys that can have changed since the
-   last: those the world's key log names, and those whose primary's
-   targets moved (see [book]).  It takes a census of every copy instead
-   when it cannot trust its book: on the first pass, or when the log
-   overflowed or was lost to a peer joining or leaving the membership
-   with copies.  Either way the keys are examined in id order, all
-   shadowed copies dropped before any copy is written, so every store
-   receives the writes a census of the whole system would make, in the
-   same order.  Key strings are fetched only for the copies written. *)
+   last: those the world's key log names (store writes, and the copies
+   of a peer entering or leaving the membership), and those whose
+   primary's targets moved (see [book]).  When it has no log to trust —
+   on the first pass, or after the log overflowed — a census rebuilds
+   the book from every copy and names every key instead.  Either way
+   the keys are examined in id order, all shadowed copies dropped
+   before any copy is written, so every store receives the writes a
+   census of the whole system would make, in the same order.  Key
+   strings are fetched only for the copies written. *)
 let heal ?op t =
   let w = t.w and b = t.book in
   let started = Sys.time () in
@@ -462,7 +450,7 @@ let heal ?op t =
   let m =
     if full then begin
       b.full_censuses <- b.full_censuses + 1;
-      take_census b w
+      census b w
     end
     else gather b w log
   in
@@ -474,13 +462,11 @@ let heal ?op t =
     let kid = b.dirty.(!i) lsr tag_bits in
     let j = ref (!i + 1) in
     while !j < m && b.dirty.(!j) lsr tag_bits = kid do incr j done;
-    examine b w ~census:full kid !i !j;
+    examine b w kid !i !j;
     b.dirty.(!keys) <- kid;
     incr keys;
     i := !j
   done;
-  b.census_tags <- [||];
-  b.census_ends <- [||];
   let promoted = ref 0 and restored = ref 0 in
   for k = 0 to !keys - 1 do
     restore t b b.dirty.(k) ~promoted ~restored

@@ -45,8 +45,9 @@ val factor : t -> int
 val heal : ?op:int -> t -> unit
 
 (** What the heal passes cost so far: [passes] run, keys [examined]
-    across them, [full_censuses] among the passes (the first, and each
-    after the key log was lost), and their CPU seconds ([Sys.time]). *)
+    across them, [full_censuses] among the passes (the first pass, and
+    each after the key log overflowed), and their CPU seconds
+    ([Sys.time]). *)
 type heal_stats = { passes : int; examined : int; full_censuses : int; cpu_s : float }
 
 val heal_stats : t -> heal_stats
