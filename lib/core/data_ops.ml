@@ -125,9 +125,9 @@ let insert w ~from ~key ~value ?route_id () ~on_done =
 
 (* --- Lookup --- *)
 
-(* Everything a pending lookup holds: the expiry timer's action and each
-   attempt read their state from here, so no closure outlives a message
-   in flight. *)
+(* Everything a pending lookup holds: its expiry batch and each attempt
+   read their state from here, so no closure outlives a message in
+   flight. *)
 type ctx = {
   requester : Peer.t;
   key : string;
@@ -139,15 +139,59 @@ type ctx = {
   mutable attempts_left : int;  (* refloods left before the lookup times out *)
   mutable finished : bool;
   mutable replied : bool;
-  mutable timer : Transport.timer;
+  mutable batch : batch;  (* the expiry batch the current attempt armed into *)
   on_result : lookup_outcome -> unit;
   w : World.t;
 }
 
+(* Section 3.4's requester timer, shared: every lookup attempt armed at
+   one simulated instant joins one batch, whose single timer fires
+   [lookup_timeout] later and expires its open members in arming order.
+   The timer is scheduled at the first member's arm point, so it holds
+   the (time, sequence) key that member's own timer would have held,
+   and the other members' timers would have popped right after it with
+   nothing in between: the event order is a per-lookup timer's. *)
+and batch = {
+  expiry : expiry;
+  armed_at : float;
+  mutable timer : Transport.timer option;  (* [None] once fired or cancelled *)
+  mutable members : ctx array;  (* [members.(0 .. size - 1)], in arming order *)
+  mutable size : int;
+  mutable live : int;  (* members still open in this batch *)
+}
+
+and expiry = { mutable current : batch option }
+
+let expiry () = { current = None }
+
+let join b ctx =
+  if b.size = Array.length b.members then
+    (* doubling by [Array.append]: [Array.make] of a major-heap array
+       from a young [ctx] would force a minor collection *)
+    b.members <-
+      (if b.size = 0 then Array.make 8 ctx else Array.append b.members b.members);
+  b.members.(b.size) <- ctx;
+  b.size <- b.size + 1;
+  b.live <- b.live + 1;
+  ctx.batch <- b
+
+(* A member leaves its batch's live count when it finishes or expires.
+   The last one out cancels a timer that has not fired, so a batch whose
+   lookups all succeed costs no event and never advances the clock. *)
+let leave_batch ctx =
+  let b = ctx.batch in
+  b.live <- b.live - 1;
+  if b.live = 0 then begin
+    Option.iter Transport.cancel b.timer;
+    b.timer <- None;
+    b.members <- [||];
+    b.size <- 0
+  end
+
 let finish_success ctx ~holder ~value ~hops =
   if not ctx.finished then begin
     ctx.finished <- true;
-    Transport.cancel ctx.timer;
+    leave_batch ctx;
     let latency = World.now ctx.w -. ctx.started in
     Metrics.record_lookup_success ctx.w.World.metrics ~latency ~hops;
     Trace.end_op (World.trace ctx.w) ~time:(World.now ctx.w) ~op:ctx.op
@@ -346,39 +390,50 @@ let start ctx =
              ~dst:home (fun () ->
                if home.Peer.alive then route_from_home ctx ~home ~ttl ~base_hops:1))
 
-(* The requester's lookup timer (Section 3.4). *)
-let rec arm ctx =
-  ctx.timer <-
-    World.one_shot ctx.w ~delay:ctx.w.World.config.Config.lookup_timeout (fun () ->
-        expire ctx)
+(* The batch armed at this instant, opened (its timer scheduled) if
+   there is none yet. *)
+let rec batch_at expiry w =
+  let now = World.now w in
+  match expiry.current with
+  | Some b when b.armed_at = now && Option.is_some b.timer -> b
+  | Some _ | None ->
+    let b = { expiry; armed_at = now; timer = None; members = [||]; size = 0; live = 0 } in
+    b.timer <-
+      Some (World.one_shot w ~delay:w.World.config.Config.lookup_timeout (fun () -> fire b));
+    expiry.current <- Some b;
+    b
+
+and fire b =
+  b.timer <- None;
+  let members = b.members and size = b.size in
+  for i = 0 to size - 1 do
+    let ctx = members.(i) in
+    if (not ctx.finished) && ctx.batch == b then expire ctx
+  done
 
 and expire ctx =
-  if not ctx.finished then begin
-    if ctx.attempts_left > 0 then begin
-      (* Section 3.4: increase the TTL, rearm the timer, reflood. *)
-      ctx.replied <- false;
-      arm ctx;
-      ctx.ttl <- 2 * Stdlib.max 1 ctx.ttl;
-      ctx.attempts_left <- ctx.attempts_left - 1;
-      start ctx
-    end
-    else begin
-      ctx.finished <- true;
-      Metrics.record_lookup_failure ctx.w.World.metrics;
-      Trace.end_op (World.trace ctx.w) ~time:(World.now ctx.w) ~op:ctx.op "timed out";
-      ctx.on_result Timed_out
-    end
+  leave_batch ctx;
+  if ctx.attempts_left > 0 then begin
+    (* Section 3.4: increase the TTL, rearm the timer, reflood. *)
+    ctx.replied <- false;
+    join (batch_at ctx.batch.expiry ctx.w) ctx;
+    ctx.ttl <- 2 * Stdlib.max 1 ctx.ttl;
+    ctx.attempts_left <- ctx.attempts_left - 1;
+    start ctx
+  end
+  else begin
+    ctx.finished <- true;
+    Metrics.record_lookup_failure ctx.w.World.metrics;
+    Trace.end_op (World.trace ctx.w) ~time:(World.now ctx.w) ~op:ctx.op "timed out";
+    ctx.on_result Timed_out
   end
 
-(* [ctx.timer]'s value until [arm] replaces it. *)
-let unarmed =
-  Transport.Timer ({ Transport.cancel = ignore; reset = ignore; active = (fun () -> false) }, ())
-
-let lookup w ~from ~key ?ttl ?route_id () ~on_result =
+let lookup w expiry ~from ~key ?ttl ?route_id () ~on_result =
   let ttl = Option.value ttl ~default:w.World.config.Config.default_ttl in
   let d_id = match route_id with Some id -> id | None -> Key_hash.of_string key in
   Metrics.record_lookup_issued w.World.metrics;
   let op = Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Lookup key in
+  let batch = batch_at expiry w in
   let ctx =
     {
       requester = from;
@@ -391,12 +446,12 @@ let lookup w ~from ~key ?ttl ?route_id () ~on_result =
       attempts_left = w.World.config.Config.reflood_attempts;
       finished = false;
       replied = false;
-      timer = unarmed;
+      batch;
       on_result;
       w;
     }
   in
-  arm ctx;
+  join batch ctx;
   start ctx
 
 (* --- Partial / keyword search (Section 5.3) --- *)

@@ -14,7 +14,7 @@
     either directly (local data), over a bypass link (Section 5.4), or by
     ring forwarding through the t-network.  A peer holding the item replies
     straight to the requester and stops forwarding; a timer at the
-    requester declares failure.  In BitTorrent-style s-networks
+    requester declares failure or refloods.  In BitTorrent-style s-networks
     (Section 5.5) the t-peer answers from its tracker index instead of
     flooding. *)
 
@@ -41,16 +41,37 @@ val insert :
   on_done:(holder:Peer.t -> hops:int -> unit) ->
   unit
 
-(** [lookup w ~from ~key ?ttl ~on_result] resolves [key] and reports the
-    outcome exactly once — when the value arrives or when the lookup timer
-    expires.  [ttl] defaults to the configured flood TTL.  Metrics
-    (issued/success/failure counters, latency, connum) are recorded on the
-    world's metrics sink.  A trace operation id (kind [Lookup]) is minted
-    at initiation and every message of the resolution — ring forwarding,
-    s-network flood/walks, and the reply — is a span of it, so the whole
-    lookup reads back as its span tree ({!P2p_sim.Trace.spans_of_op}). *)
+(** The lookup timers of one world: one per world, held by its
+    [Hybrid.t].  Lookups armed at the same simulated instant share one
+    expiry timer here instead of arming one each. *)
+type expiry
+
+val expiry : unit -> expiry
+
+(** [lookup w expiry ~from ~key ?ttl ~on_result] resolves [key] and
+    reports the outcome exactly once — when the value arrives or when
+    the lookup times out.  [ttl] defaults to the configured flood TTL.
+
+    {b Timeout (Section 3.4).}  Each attempt expires [lookup_timeout]
+    simulated ms after it starts unless the value has arrived by then.
+    An expired attempt refloods with a doubled TTL while
+    [reflood_attempts] remain (the next attempt starts at the expiry
+    instant and gets its own [lookup_timeout]); otherwise the lookup
+    reports [Timed_out].  Attempts started at the same instant share one
+    timer of [expiry], which expires them in the order they started: k
+    timeouts at one instant cost one engine event, and a timer none of
+    whose attempts is still open is cancelled, so it neither fires nor
+    advances the clock.
+
+    Metrics (issued/success/failure counters, latency, connum) are
+    recorded on the world's metrics sink.  A trace operation id (kind
+    [Lookup]) is minted at initiation and every message of the
+    resolution — ring forwarding, s-network flood/walks, and the reply —
+    is a span of it, so the whole lookup reads back as its span tree
+    ({!P2p_sim.Trace.spans_of_op}). *)
 val lookup :
   World.t ->
+  expiry ->
   from:Peer.t ->
   key:string ->
   ?ttl:int ->

@@ -12,6 +12,7 @@ type t = {
   routing : Routing.t;
   s_fraction : float;
   mutable next_host : int;
+  lookups : Data_ops.expiry;
 }
 
 type join_outcome = { peer : Peer.t; hops : int; latency : float }
@@ -40,7 +41,7 @@ let create ~seed ~routing ?(config = Config.default) ?snet_policy ?(s_fraction =
           | None -> 1.0
         in
         config.Config.transmission_ms /. Float.min (capacity src) (capacity dst));
-  { w; routing; s_fraction; next_host = 0 }
+  { w; routing; s_fraction; next_host = 0; lookups = Data_ops.expiry () }
 
 let create_star ~seed ~peers ?(latency = 1.0) ?config ?snet_policy ?s_fraction ?trace
     () =
@@ -204,8 +205,19 @@ let leave t peer ?(on_done = fun () -> ()) () =
   match peer.Peer.role with
   | Peer.T_peer -> T_network.leave t.w ~op peer ~on_done
   | Peer.S_peer ->
-    S_network.leave t.w ~op peer;
-    on_done ()
+    (* a joining s-peer has no tree to leave until its join wires it;
+       retry shortly, as a t-peer leave waits out pending joins *)
+    let rec leave_wired () =
+      if Option.is_none peer.Peer.t_home then
+        ignore
+          (World.one_shot t.w ~delay:1.0 (fun () -> if peer.Peer.alive then leave_wired ())
+            : P2p_transport.Transport.timer)
+      else begin
+        S_network.leave t.w ~op peer;
+        on_done ()
+      end
+    in
+    leave_wired ()
 
 let crash t peer = Failure.crash t.w peer
 
@@ -215,7 +227,7 @@ let insert t ~from ~key ~value ?route_id ?(on_done = fun ~holder:_ ~hops:_ -> ()
   Data_ops.insert t.w ~from ~key ~value ?route_id () ~on_done
 
 let lookup t ~from ~key ?ttl ?route_id ~on_result () =
-  Data_ops.lookup t.w ~from ~key ?ttl ?route_id () ~on_result
+  Data_ops.lookup t.w t.lookups ~from ~key ?ttl ?route_id () ~on_result
 
 let keyword_search t ~from ~substring ~route_id ?ttl ?(window = 2_000.0)
     ~on_result () =

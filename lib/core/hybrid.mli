@@ -120,7 +120,10 @@ val fresh_host : t -> int
 
 (** [leave t peer ?on_done ()] departs gracefully (role transfer /
     leave triangle for t-peers; load handoff and subtree rejoin for
-    s-peers). *)
+    s-peers).  A t-peer with joins pending and an s-peer whose join has
+    not yet wired it into a tree retry every simulated millisecond
+    until they can leave; [on_done] fires once, when the peer has
+    left. *)
 val leave : t -> Peer.t -> ?on_done:(unit -> unit) -> unit -> unit
 
 (** [crash t peer] rips the peer out without notice; its data is lost. *)

@@ -16,13 +16,14 @@ type t = {
   kind : kind;
   label : string;
   action : unit -> unit;
+  fire : unit -> unit;  (* [fun () -> fire t], built once so a re-arm allocates no closure *)
   mutable handle : Engine.handle;
   mutable state : state;
 }
 
 let rec arm t =
   t.state <- Armed;
-  t.handle <- Engine.schedule ~label:t.label t.engine ~delay:t.delay (fun () -> fire t)
+  t.handle <- Engine.schedule ~label:t.label t.engine ~delay:t.delay t.fire
 
 and fire t =
   t.state <- Fired;
@@ -30,8 +31,17 @@ and fire t =
   t.action ()
 
 let make engine ~delay kind label action =
-  let t =
-    { engine; delay; kind; label; action; handle = Event_queue.null_handle; state = Armed }
+  let rec t =
+    {
+      engine;
+      delay;
+      kind;
+      label;
+      action;
+      fire = (fun () -> fire t);
+      handle = Event_queue.null_handle;
+      state = Armed;
+    }
   in
   arm t;
   t

@@ -113,6 +113,18 @@ let test_s_leave_transfers_to_cp () =
   H.run h;
   checki "item moved to cp" (before + 1) (Hybrid_p2p.Data_store.size cp.Peer.store)
 
+(* A leave issued before the s-peer's join has wired it into a tree
+   waits for the wiring, then leaves once. *)
+let test_s_leave_before_join_completes () =
+  let h, _ = star_system ~seed:27 ~n:20 ~ps:0.5 () in
+  let peer = H.join h ~host:(H.fresh_host h) ~role:Peer.S_peer () in
+  let left = ref 0 in
+  H.leave h peer ~on_done:(fun () -> incr left) ();
+  H.run h;
+  checki "on_done fired once" 1 !left;
+  checkb "gone" true (World.find_peer (H.world h) ~host:peer.Peer.host = None);
+  ok_invariants h
+
 (* --- T-network --- *)
 
 let test_ring_sorted_after_many_joins () =
@@ -248,6 +260,8 @@ let suite =
     Alcotest.test_case "s-net: finder stops forwarding" `Quick test_flood_stops_at_finder;
     Alcotest.test_case "s-net: leave rejoins children" `Quick test_s_leave_rejoins_children;
     Alcotest.test_case "s-net: leave transfers load to cp" `Quick test_s_leave_transfers_to_cp;
+    Alcotest.test_case "s-net: leave before join completes" `Quick
+      test_s_leave_before_join_completes;
     Alcotest.test_case "t-net: ring after many joins" `Quick test_ring_sorted_after_many_joins;
     Alcotest.test_case "t-net: id conflict resolved" `Quick test_id_conflict_resolved;
     Alcotest.test_case "t-net: concurrent joins serialize" `Quick

@@ -164,11 +164,13 @@ let test_random_peer_allocation () =
 
 (* --- in-flight state ------------------------------------------------------- *)
 
-(* A pending lookup holds one context record, one timer block and its
-   first message in flight, no chain of closures: run-1k issues 20,000
-   lookups at once, and their in-flight state sets its peak heap.  The
-   live-word delta is taken after a full major collection, on a second
-   batch, so the event queue's arrays have already grown. *)
+(* A pending lookup holds one context record, its slot in the expiry
+   batch it shares with every lookup issued at the same instant, and its
+   first message in flight: no timer, engine event or closure of its
+   own.  run-1k issues 20,000 lookups at once, and their in-flight state
+   sets its peak heap.  The live-word delta is taken after a full major
+   collection, on a second batch, so the event queue's arrays have
+   already grown. *)
 let test_pending_lookup_words () =
   let h, rng = Pipeline.build ~ps:0.8 ~seed:5 ~n:200 ~config:Config.default () in
   let p = Pipeline.attach h in
@@ -196,11 +198,103 @@ let test_pending_lookup_words () =
   let per_lookup = float_of_int (live () - before) /. float_of_int count in
   Pipeline.settle p;
   checki "every lookup found" 0 (P2p_net.Metrics.lookups_failed (H.metrics h));
-  (* 48.3 measured, plus a small margin *)
-  let ceiling = 52.0 in
+  (* 24.3 measured, plus a small margin *)
+  let ceiling = 26.0 in
   checkb
     (Printf.sprintf "%.1f live words per pending lookup (ceiling %.0f)" per_lookup ceiling)
     true (per_lookup <= ceiling)
+
+(* --- lookup expiry batches ------------------------------------------------ *)
+
+(* Lookup attempts started at one instant share one expiry timer.  Every
+   engine event other than an underlay delivery is a timer fire, so
+   events executed minus messages counts the batches that fired. *)
+let timer_fires h =
+  Engine.events_executed (H.engine h) - P2p_net.Metrics.messages (H.metrics h)
+
+(* [count] lookups of keys no peer holds, issued now; returns the
+   outcomes as (issue index, report time), in report order. *)
+let issue_missing h ~count =
+  let reports = ref [] in
+  for i = 0 to count - 1 do
+    H.lookup h ~from:(H.random_peer h) ~key:(Printf.sprintf "absent-%d" i)
+      ~on_result:(function
+        | Data_ops.Timed_out -> reports := (i, H.now h) :: !reports
+        | Data_ops.Found _ -> Alcotest.fail "found a key no peer holds")
+      ()
+  done;
+  reports
+
+let test_batch_times_out_together () =
+  let h, _ = star_system ~seed:41 ~n:40 ~ps:0.7 () in
+  let timeout = (H.config h).Config.lookup_timeout in
+  let fires = timer_fires h and t0 = H.now h in
+  let reports = issue_missing h ~count:5 in
+  H.run h;
+  Alcotest.(check (list int)) "timed out in issue order" [ 0; 1; 2; 3; 4 ]
+    (List.rev_map fst !reports);
+  List.iter
+    (fun (_, at) -> checkb "reported exactly lookup_timeout after issue" true (at = t0 +. timeout))
+    !reports;
+  checki "one timer event for five timeouts" 1 (timer_fires h - fires)
+
+let test_batch_all_found_never_fires () =
+  let h, _ = star_system ~seed:42 ~n:40 ~ps:0.7 () in
+  let keys = insert_items h ~count:20 in
+  let timeout = (H.config h).Config.lookup_timeout in
+  let t0 = H.now h in
+  let found = ref 0 in
+  List.iter
+    (fun key ->
+      H.lookup h ~from:(H.random_peer h) ~key
+        ~on_result:(function Data_ops.Found _ -> incr found | Data_ops.Timed_out -> ())
+        ())
+    keys;
+  H.run h;
+  checki "every lookup found" 20 !found;
+  checki "no event left pending" 0 (Engine.pending (H.engine h));
+  checkb (Printf.sprintf "clock stopped at the last reply (%.1f ms)" (H.now h -. t0)) true
+    (H.now h < timeout)
+
+let test_batch_reflood_rearms () =
+  let config = { Config.default with Config.reflood_attempts = 1 } in
+  (* one t-peer: every key is its tree's, and the tree has depth 2 *)
+  let h, members = star_system ~config ~seed:43 ~n:30 ~ps:1.0 () in
+  let root = members.(0) in
+  let deep = List.find (fun p -> Peer.depth p = 2) (Peer.tree_members root) in
+  H.insert h ~from:deep ~key:"deep" ~value:"v" ();
+  H.run h;
+  let timeout = config.Config.lookup_timeout in
+  let t0 = H.now h in
+  let outcome = ref None in
+  H.lookup h ~from:root ~key:"deep" ~ttl:1 ~on_result:(fun r -> outcome := Some (r, H.now h)) ();
+  let reports = issue_missing h ~count:1 in
+  H.run h;
+  (match !outcome with
+   | Some (Data_ops.Found { hops; _ }, at) ->
+     (* the TTL-1 flood cannot reach depth 2; the TTL-2 reflood started
+        at the expiry instant does *)
+     checki "found by the reflood at depth 2 (two tree hops and the reply)" 3 hops;
+     checkb "after the first expiry" true (at > t0 +. timeout && at < t0 +. (2.0 *. timeout))
+   | Some (Data_ops.Timed_out, _) | None -> Alcotest.fail "the reflood missed depth 2");
+  match !reports with
+  | [ (0, at) ] -> checkb "re-armed at the expiry instant" true (at = t0 +. (2.0 *. timeout))
+  | _ -> Alcotest.fail "the missing key reported other than once"
+
+let test_batches_per_instant () =
+  let h, _ = star_system ~seed:44 ~n:40 ~ps:0.7 () in
+  let timeout = (H.config h).Config.lookup_timeout in
+  let fires = timer_fires h in
+  let t0 = H.now h in
+  let first = issue_missing h ~count:3 in
+  H.run_for h 10.0;
+  let t1 = H.now h in
+  let second = issue_missing h ~count:3 in
+  H.run h;
+  checkb "two instants" true (t1 > t0);
+  List.iter (fun (_, at) -> checkb "first batch" true (at = t0 +. timeout)) !first;
+  List.iter (fun (_, at) -> checkb "second batch" true (at = t1 +. timeout)) !second;
+  checki "one timer event per batch" 2 (timer_fires h - fires)
 
 (* --- routing tables ------------------------------------------------------ *)
 
@@ -317,7 +411,7 @@ let test_concurrent_joins_pinned () =
   let digest =
     Digest.to_hex (Digest.string (String.concat "\n" (stored_items h)))
   in
-  checki "events executed" 5628 (Engine.events_executed (H.engine h));
+  checki "events executed" 5624 (Engine.events_executed (H.engine h));
   checki "underlay messages" 5621 (P2p_net.Metrics.messages m);
   checki "lookups found" 193 ok;
   checki "lookups timed out" 7 failed;
@@ -382,6 +476,12 @@ let suite =
       test_routing_table_words;
     Alcotest.test_case "lookups: live words per pending lookup" `Quick
       test_pending_lookup_words;
+    Alcotest.test_case "expiry batch: one event for its timeouts" `Quick
+      test_batch_times_out_together;
+    Alcotest.test_case "expiry batch: all found, never fires" `Quick
+      test_batch_all_found_never_fires;
+    Alcotest.test_case "expiry batch: reflood re-arms" `Quick test_batch_reflood_rearms;
+    Alcotest.test_case "expiry batch: one per instant" `Quick test_batches_per_instant;
     Alcotest.test_case "schedule: churn run pinned" `Slow test_schedule_pinned;
     Alcotest.test_case "lookups: finger-routed by default" `Slow test_default_lookup_hops;
     Alcotest.test_case "schedule: concurrent joins pinned" `Slow
