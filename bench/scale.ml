@@ -14,8 +14,8 @@
 
    The 10k point runs on two underlays: the synthetic uniform-latency
    clique (the routing-cost ceiling) and a real transit-stub graph
-   routed by precomputed link-state tables (the runtime router of every
-   CLI and figure run), the latter with head-sampled tracing.
+   routed by the link-state router (the runtime router of every CLI and
+   figure run), the latter with head-sampled tracing.
 
    Protocol joins no longer cost O(n^2): a t-join recomputes only the
    finger tables its walks read, and the ring and the size table change
@@ -657,10 +657,10 @@ let run ~smoke () =
         fail "telemetry changed lookup outcomes (off %d, %s %d, full %d)"
           off.found traced.telemetry traced.found p10k.found)
     (pairs @ full_pairs);
-  (* The real transit-stub underlay, routed with the precomputed
-     link-state tables, at the sampled telemetry rate the scale runs use:
-     it holds the same events/sec floor as the synthetic clique, and its
-     allocation and its latency are what the ceilings and --slo gate. *)
+  (* The real transit-stub underlay, routed by the link-state router, at
+     the sampled telemetry rate the scale runs use: it holds the same
+     events/sec floor as the synthetic clique, and its allocation and
+     its latency are what the ceilings and --slo gate. *)
   let ls =
     start_leg ~telemetry:(`Sampled telemetry_sample_rate) ~routing_mode:`Link_state ~seed
       ~n:10_000 ()

@@ -282,6 +282,21 @@ let leave_triangle w ?op peer ~on_done =
                 Peer.set_alive peer false;
                 World.unregister w peer;
                 World.substitute_in_fingers w ~old_peer:peer ~replacement:succ;
+                (* Joins queued at [peer] while it was leaving would never
+                   be served: re-route each from [succ], which now covers
+                   the segment they were headed for. *)
+                let stranded = peer.Peer.join_queue in
+                Peer.set_join_queue peer [];
+                List.iter
+                  (fun { Peer.candidate; announce; hops_so_far; op } ->
+                    find_position w ?op ~current:succ ~p_id:candidate.Peer.p_id
+                      ~hops:hops_so_far
+                      ~on_found:(fun ~pre ~hops ->
+                        begin_insert w ?op ~pre ~joiner:candidate ~hops ~announce
+                          ~on_fail:(fun () -> ())
+                          ())
+                      ())
+                  stranded;
                 on_done ())))
   end
 

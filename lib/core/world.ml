@@ -419,8 +419,12 @@ let t_peers t =
     Array.sort Int.compare removed;
     Array.sort ring_compare added;
     let n = Array.length old - Array.length removed + Array.length added in
+    (* the filler is overwritten below; an old member, not a just-joined
+       peer, because an array past the minor heap's size limit filled
+       with a young value makes the runtime run a minor collection
+       first *)
     let sorted =
-      if n = 0 then [||] else Array.make n (if Array.length added > 0 then added.(0) else old.(0))
+      if n = 0 then [||] else Array.make n (if Array.length old > 0 then old.(0) else added.(0))
     in
     let ids = Array.make n 0 in
     let src = ref 0 and dst = ref 0 in

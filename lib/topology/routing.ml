@@ -4,12 +4,22 @@ type source_result = { dist : float array; prev : int array }
    bound once computed. *)
 type graph_routed = { graph : Graph.t; cache : source_result option array }
 
-(* One all-pairs block over a member set — a stub domain or the transit
-   backbone — s*s entries row-major in member positions.  [dist] is a
-   float per pair; the first hop (a member position, [no_hop] when there
-   is none) and the hop count are unsigned 16-bit, two bytes each in
-   [next] and [hops]: 12 bytes per pair. *)
-type block = { members : int array; dist : float array; next : Bytes.t; hops : Bytes.t }
+(* The subgraph induced by a member set — a stub domain or the transit
+   backbone — flattened into a set-local adjacency (CSR arrays over
+   member positions, neighbours in [Graph.iter_neighbors] order), so a
+   relax loop reads only int and float arrays. *)
+type subgraph = {
+  members : int array;
+  adj_start : int array; (* position -> first slot of its row; s + 1 entries *)
+  adj : int array; (* neighbour positions *)
+  adj_w : float array; (* latency of each [adj] edge *)
+}
+
+(* One all-pairs block over a member set, s*s entries row-major in
+   member positions.  [dist] is a float per pair; the first hop (a member
+   position, [no_hop] when there is none) and the hop count are unsigned
+   16-bit, two bytes each in [next] and [hops]: 12 bytes per pair. *)
+type block = { set : subgraph; dist : float array; next : Bytes.t; hops : Bytes.t }
 
 let no_hop = 0xFFFF
 
@@ -17,25 +27,80 @@ let no_hop = 0xFFFF
    max_block_members - 1 fit below [no_hop] *)
 let max_block_members = 65_534
 
-(* Precomputed link-state tables over a transit-stub hierarchy (the
-   TinyOS LinkStateC idea: pay for SPF once, amortize over every routed
-   message).  The decomposition exploits the topology's structure: a
-   stub domain touches the rest of the graph through exactly one access
-   link, so every inter-domain shortest path factors as
-   stub -> gateway -> transit backbone -> gateway -> stub.  We therefore
-   store all-pairs tables only *inside* each (small) stub domain and
-   over the transit backbone — O(sum s_i^2 + g^2) memory, not O(n^2) —
-   and answer any [distance]/[hop_count] query with O(1) arithmetic over
-   those tables. *)
+(* The working arrays of one per-source solve, indexed by member
+   position and sized to the largest set they serve.  Only [tent] and
+   [settled] are reset per solve: [first], [depth] and [prev] are
+   written whenever [tent] drops below [infinity], and read only then.
+   The frontier is a binary heap of (tentative distance, position) pairs
+   in two unboxed columns; every push follows a successful relaxation,
+   so edges + 1 entries bound it. *)
+type scratch = {
+  tent : float array;
+  first : int array; (* first hop from the source, -1 at the source *)
+  depth : int array; (* hop count from the source *)
+  prev : int array; (* predecessor on the source's tree *)
+  settled : bool array;
+  heap_d : float array;
+  heap_i : int array;
+  mutable heap_size : int;
+}
+
+let scratch ~nodes ~edges =
+  {
+    tent = Array.make nodes infinity;
+    first = Array.make nodes (-1);
+    depth = Array.make nodes 0;
+    prev = Array.make nodes (-1);
+    settled = Array.make nodes false;
+    heap_d = Array.make (edges + 1) 0.0;
+    heap_i = Array.make (edges + 1) 0;
+    heap_size = 0;
+  }
+
+(* In-domain answers already solved, open-addressed over unboxed
+   columns keyed by [u * n + v] (global node ids, [n] the node count),
+   as [Data_store] keys its items.  A probe allocates nothing.  Only the
+   pairs a run asks for are ever solved and kept, so the memo never
+   holds more than the Σ sᵢ² entries the all-pairs tables did. *)
+type memo = {
+  mutable keys : int array; (* [u * n + v], or [empty_key] *)
+  mutable m_dist : float array;
+  mutable m_route : int array; (* first hop lsl [route_bits] lor hop count *)
+  mutable m_count : int;
+}
+
+let empty_key = -1
+
+let route_bits = 31
+
+let hops_mask = (1 lsl route_bits) - 1
+
+(* Link-state routing over a transit-stub hierarchy.  A stub domain
+   touches the rest of the graph through exactly one access link, so
+   every inter-domain shortest path factors as
+   stub -> gateway -> transit backbone -> gateway -> stub.  The backbone
+   (a handful of nodes) keeps an all-pairs block.  Stub domains keep only
+   their adjacency: a query inside a domain runs its source's Dijkstra
+   until the target settles and memoizes the answer, and each host's leg
+   to its domain's gateway — read twice by every cross-domain message —
+   lives in three per-host arrays filled on first use.  Memory follows
+   what a run asks for, not O(Σ sᵢ²). *)
 type link_state = {
   ls_graph : Graph.t;
   domain_of : int array; (* stub-domain id per node; -1 for transit nodes *)
-  index : int array; (* node -> its position in its domain's block, or the backbone's *)
+  index : int array; (* node -> its position in its domain, or the backbone's *)
   dom_gateway : int array; (* domain -> gateway node, -1 when isolated *)
   dom_attach : int array; (* domain -> transit node of the access link *)
   dom_access : float array; (* domain -> access-link latency *)
-  domains : block array;
+  domains : subgraph array;
   backbone : block;
+  leg_dist : float array; (* node -> in-domain distance to its gateway *)
+  leg_hops : int array; (* ... hop count; -1 while not yet solved *)
+  leg_next : int array; (* ... first hop, -1 at the gateway itself *)
+  legs_rooted : bool array; (* domain -> its gateway tree has run *)
+  work : scratch;
+  memo : memo;
+  mutable solves : int;
 }
 
 (* [Synthetic] short-circuits path computation entirely: every distinct
@@ -141,27 +206,10 @@ let source_result t src =
     t.cache.(src) <- Some r;
     r
 
-(* --- link-state construction --- *)
+(* --- the per-source settle loop --- *)
 
-(* All-pairs Dijkstra over the subgraph induced by [members] (neighbours
-   outside the set are ignored), one source at a time.  The induced
-   subgraph is flattened once into a domain-local adjacency (CSR arrays,
-   neighbours in [Graph.iter_neighbors] order), so the relax loop reads
-   only int and float arrays.  The frontier is a binary heap over the
-   pair (tentative distance, local index) with lazy deletion: nodes
-   settle smallest distance first, ties to the lowest index, and
-   relaxation uses a strict [<] — the order and tie rule of a scan for
-   the minimum, so the tables do not depend on the frontier structure.
-   O(s (s + e) log s) per set instead of the scan's O(s^3).  Each
-   source's row is the block's own row: tentative distances, first hops
-   and hop counts are written where they will be read, so there is no
-   per-row scratch beyond the settled marks and no copy afterwards. *)
-let restricted_all_pairs graph ~members ~index_of ~in_set =
+let subgraph graph ~members ~index_of ~in_set =
   let s = Array.length members in
-  if s > max_block_members then
-    invalid_arg
-      (Printf.sprintf "Routing.link_state: a member set of %d nodes (at most %d)" s
-         max_block_members);
   let adj_start = Array.make (s + 1) 0 in
   Array.iteri
     (fun i u ->
@@ -182,99 +230,144 @@ let restricted_all_pairs graph ~members ~index_of ~in_set =
             incr k
           end))
     members;
+  { members; adj_start; adj; adj_w }
+
+let edge_count set = Array.length set.adj
+
+(* Heap order: smaller tentative distance first, ties to the lower
+   position.  The helpers take heap slots, never floats, so no float is
+   boxed across a call. *)
+let[@inline] heap_less sc a b =
+  let da = sc.heap_d.(a) and db = sc.heap_d.(b) in
+  da < db || (da = db && sc.heap_i.(a) < sc.heap_i.(b))
+
+let heap_swap sc a b =
+  let td = sc.heap_d.(a) and ti = sc.heap_i.(a) in
+  sc.heap_d.(a) <- sc.heap_d.(b);
+  sc.heap_i.(a) <- sc.heap_i.(b);
+  sc.heap_d.(b) <- td;
+  sc.heap_i.(b) <- ti
+
+let sift_up sc slot =
+  let i = ref slot in
+  while !i > 0 && heap_less sc !i ((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    heap_swap sc !i p;
+    i := p
+  done
+
+let heap_pop sc =
+  let top = sc.heap_i.(0) in
+  let size = sc.heap_size - 1 in
+  sc.heap_size <- size;
+  if size > 0 then begin
+    sc.heap_d.(0) <- sc.heap_d.(size);
+    sc.heap_i.(0) <- sc.heap_i.(size);
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let m = if l < size && heap_less sc l !i then l else !i in
+      let m = if l + 1 < size && heap_less sc (l + 1) m then l + 1 else m in
+      if m = !i then continue := false
+      else begin
+        heap_swap sc !i m;
+        i := m
+      end
+    done
+  end;
+  top
+
+(* Dijkstra from position [src] over [set], into [sc], until position
+   [stop] has settled ([-1]: the whole set).  Nodes settle smallest
+   distance first, ties to the lowest position, and relaxation uses a
+   strict [<] — the order and tie rule of a scan for the minimum, so the
+   answers do not depend on the frontier structure.  A settled node's
+   entries are final: no later relaxation improves on them, so stopping
+   at [stop] gives its entries bit for bit as a full solve would.  The
+   one loop behind the backbone's block and every on-demand stub-domain
+   answer. *)
+let settle sc set ~src ~stop =
+  let s = Array.length set.members in
+  Array.fill sc.tent 0 s infinity;
+  Array.fill sc.settled 0 s false;
+  sc.tent.(src) <- 0.0;
+  sc.first.(src) <- -1;
+  sc.depth.(src) <- 0;
+  sc.prev.(src) <- -1;
+  sc.heap_d.(0) <- 0.0;
+  sc.heap_i.(0) <- src;
+  sc.heap_size <- 1;
+  while sc.heap_size > 0 && (stop < 0 || not sc.settled.(stop)) do
+    let u = heap_pop sc in
+    (* a stale entry: [u] settled through a shorter entry already *)
+    if not sc.settled.(u) then begin
+      sc.settled.(u) <- true;
+      let du = sc.tent.(u) in
+      let first_u = sc.first.(u) and depth_v = sc.depth.(u) + 1 in
+      for k = set.adj_start.(u) to set.adj_start.(u + 1) - 1 do
+        let v = set.adj.(k) in
+        let alt = du +. set.adj_w.(k) in
+        if alt < sc.tent.(v) then begin
+          sc.tent.(v) <- alt;
+          (* only the source has no first hop *)
+          sc.first.(v) <- (if first_u < 0 then v else first_u);
+          sc.depth.(v) <- depth_v;
+          sc.prev.(v) <- u;
+          let slot = sc.heap_size in
+          sc.heap_d.(slot) <- alt;
+          sc.heap_i.(slot) <- v;
+          sc.heap_size <- slot + 1;
+          sift_up sc slot
+        end
+      done
+    end
+  done
+
+(* --- all-pairs blocks --- *)
+
+(* All-pairs shortest paths over the subgraph induced by [members]
+   (neighbours outside the set are ignored): a solve run to the end
+   from each source, copied into its row of the block.
+   O(s (s + e) log s) per set. *)
+let restricted_all_pairs graph ~members ~index_of ~in_set =
+  let s = Array.length members in
+  if s > max_block_members then
+    invalid_arg
+      (Printf.sprintf "Routing.link_state: a member set of %d nodes (at most %d)" s
+         max_block_members);
+  let set = subgraph graph ~members ~index_of ~in_set in
+  let sc = scratch ~nodes:s ~edges:(edge_count set) in
   let dist = Array.make (s * s) infinity in
   let next = Bytes.make (2 * s * s) '\255' in
   let hops = Bytes.make (2 * s * s) '\000' in
-  let settled = Array.make s false in
-  (* every push follows a successful relaxation, so e + 1 entries bound
-     the heap *)
-  let hd = Array.make (e + 1) 0.0 in
-  let hi = Array.make (e + 1) 0 in
-  let size = ref 0 in
-  let[@inline] less a b =
-    hd.(a) < hd.(b) || (hd.(a) = hd.(b) && hi.(a) < hi.(b))
-  in
-  let swap a b =
-    let td = hd.(a) and ti = hi.(a) in
-    hd.(a) <- hd.(b);
-    hi.(a) <- hi.(b);
-    hd.(b) <- td;
-    hi.(b) <- ti
-  in
-  let push dv v =
-    let i = ref !size in
-    hd.(!i) <- dv;
-    hi.(!i) <- v;
-    incr size;
-    while !i > 0 && less !i ((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      swap !i p;
-      i := p
-    done
-  in
-  let pop () =
-    let top = hi.(0) in
-    decr size;
-    if !size > 0 then begin
-      hd.(0) <- hd.(!size);
-      hi.(0) <- hi.(!size);
-      let i = ref 0 and continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        let m = if l < !size && less l !i then l else !i in
-        let m = if l + 1 < !size && less (l + 1) m then l + 1 else m in
-        if m = !i then continue := false
-        else begin
-          swap !i m;
-          i := m
-        end
-      done
-    end;
-    top
-  in
   for si = 0 to s - 1 do
+    settle sc set ~src:si ~stop:(-1);
     let row = si * s in
-    Array.fill settled 0 s false;
-    dist.(row + si) <- 0.0;
-    size := 0;
-    push 0.0 si;
-    while !size > 0 do
-      let u = pop () in
-      (* a stale entry: [u] settled through a shorter entry already *)
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        let du = dist.(row + u) in
-        (* a settled node's entries are final: no relaxation below
-           improves on [du] *)
-        let first_u = Bytes.get_uint16_ne next (2 * (row + u)) in
-        let hop_v = Bytes.get_uint16_ne hops (2 * (row + u)) + 1 in
-        for k = adj_start.(u) to adj_start.(u + 1) - 1 do
-          let vi = adj.(k) in
-          let alt = du +. adj_w.(k) in
-          if alt < dist.(row + vi) then begin
-            dist.(row + vi) <- alt;
-            Bytes.set_uint16_ne next (2 * (row + vi)) (if u = si then vi else first_u);
-            Bytes.set_uint16_ne hops (2 * (row + vi)) hop_v;
-            push alt vi
-          end
-        done
+    for j = 0 to s - 1 do
+      if sc.tent.(j) < infinity then begin
+        dist.(row + j) <- sc.tent.(j);
+        if sc.first.(j) >= 0 then Bytes.set_uint16_ne next (2 * (row + j)) sc.first.(j);
+        Bytes.set_uint16_ne hops (2 * (row + j)) sc.depth.(j)
       end
     done
   done;
-  { members; dist; next; hops }
+  { set; dist; next; hops }
 
-let[@inline] block_entry b i j = (i * Array.length b.members) + j
+let[@inline] block_entry b i j = (i * Array.length b.set.members) + j
 let block_dist b i j = b.dist.(block_entry b i j)
 let block_hops b i j = Bytes.get_uint16_ne b.hops (2 * block_entry b i j)
 
 let block_next b i j =
   let x = Bytes.get_uint16_ne b.next (2 * block_entry b i j) in
-  if x = no_hop then -1 else b.members.(x)
+  if x = no_hop then -1 else b.set.members.(x)
+
+(* --- link-state construction --- *)
 
 let build_link_state graph ~is_transit =
   let n = Graph.node_count graph in
   let transit = Array.init n is_transit in
-  (* stub domains = connected components of the stub-only subgraph *)
+  (* stub domains = connected components of the stub-only subgraph,
+     members in ascending node order *)
   let domain_of = Array.make n (-1) in
   let members_rev = ref [] in
   let domain_count = ref 0 in
@@ -298,7 +391,7 @@ let build_link_state graph ~is_transit =
                 stack := w :: !stack
               end)
       done;
-      members_rev := Array.of_list (List.rev !acc) :: !members_rev
+      members_rev := Array.of_list (List.sort Int.compare !acc) :: !members_rev
     end
   done;
   let dom_members = Array.of_list (List.rev !members_rev) in
@@ -340,6 +433,14 @@ let build_link_state graph ~is_transit =
               end))
         members)
     dom_members;
+  let subgraphs =
+    Array.mapi
+      (fun d members ->
+        subgraph graph ~members ~index_of
+          ~in_set:(fun v -> (not transit.(v)) && domain_of.(v) = d))
+      dom_members
+  in
+  let widest f = Array.fold_left (fun acc set -> max acc (f set)) 0 subgraphs in
   {
     ls_graph = graph;
     domain_of;
@@ -347,27 +448,181 @@ let build_link_state graph ~is_transit =
     dom_gateway;
     dom_attach;
     dom_access;
-    domains =
-      Array.mapi
-        (fun d members ->
-          restricted_all_pairs graph ~members ~index_of
-            ~in_set:(fun v -> (not transit.(v)) && domain_of.(v) = d))
-        dom_members;
+    domains = subgraphs;
     backbone =
       restricted_all_pairs graph ~members:t_nodes ~index_of ~in_set:(fun v -> transit.(v));
+    leg_dist = Array.make n infinity;
+    leg_hops = Array.make n (-1);
+    leg_next = Array.make n (-1);
+    legs_rooted = Array.make domains false;
+    work =
+      scratch
+        ~nodes:(widest (fun set -> Array.length set.members))
+        ~edges:(widest edge_count);
+    memo = { keys = [||]; m_dist = [||]; m_route = [||]; m_count = 0 };
+    solves = 0;
   }
 
 let link_state graph ~is_transit =
   Link_state (build_link_state graph ~is_transit)
 
+(* --- on-demand stub-domain answers --- *)
+
+(* Multiplicative mixing spreads the pair keys over the table; capacity
+   is a power of two so the mask is the modulus. *)
+let[@inline] mix key cap =
+  let h = key * 0x9e3779b97f4a7c1 in
+  (h lxor (h lsr 29)) land (cap - 1)
+
+(* The slot holding [key], or the empty slot where it would go. *)
+let memo_slot m key =
+  let keys = m.keys in
+  let cap = Array.length keys in
+  let i = ref (mix key cap) in
+  while keys.(!i) <> key && keys.(!i) <> empty_key do
+    i := (!i + 1) land (cap - 1)
+  done;
+  !i
+
+let memo_grow m =
+  let old_keys = m.keys and old_dist = m.m_dist and old_route = m.m_route in
+  let cap = max 256 (2 * Array.length old_keys) in
+  m.keys <- Array.make cap empty_key;
+  m.m_dist <- Array.make cap 0.0;
+  m.m_route <- Array.make cap 0;
+  Array.iteri
+    (fun i key ->
+      if key <> empty_key then begin
+        let j = memo_slot m key in
+        m.keys.(j) <- key;
+        m.m_dist.(j) <- old_dist.(i);
+        m.m_route.(j) <- old_route.(i)
+      end)
+    old_keys
+
+(* [src]'s solve (in domain [d]) until [stop] has settled. *)
+let solve ls d ~src ~stop =
+  ls.solves <- ls.solves + 1;
+  settle ls.work ls.domains.(d) ~src:ls.index.(src) ~stop:ls.index.(stop)
+
+(* All of domain [d]'s legs from one gateway-rooted solve.  A host's leg
+   is its own solve's distance to the gateway: the left fold, from the
+   host up, of the latencies along its path.  When that path is the
+   host's path up the gateway's tree, the fold along the tree gives the
+   same float bit for bit, the same first hop and the same hop count.
+   It is, unless some node on the way up (the host and the gateway
+   included) has an edge off its tree edge whose reduced cost
+   [w + D(y) - D(x)] is within a rounding margin of zero: any other
+   path's excess over the tree path is a sum of reduced costs, the first
+   of them at such a node, so a margin far above the float error of the
+   sums rules out every tie and near-tie.  Hosts below a node that fails
+   the test (equal-cost paths, as in unit-weight graphs) are left for
+   their own solve on first use. *)
+let root_legs ls d =
+  ls.legs_rooted.(d) <- true;
+  let set = ls.domains.(d) and sc = ls.work in
+  let gw = ls.index.(ls.dom_gateway.(d)) in
+  ls.solves <- ls.solves + 1;
+  settle sc set ~src:gw ~stop:(-1);
+  let s = Array.length set.members in
+  (* [settled] is all true after a full solve of the connected domain;
+     it now marks the nodes that pass the reduced-cost test *)
+  for x = 0 to s - 1 do
+    let dx = sc.tent.(x) in
+    for k = set.adj_start.(x) to set.adj_start.(x + 1) - 1 do
+      let y = set.adj.(k) in
+      if y <> sc.prev.(x) then begin
+        let w = set.adj_w.(k) in
+        if w +. sc.tent.(y) -. dx <= 1e-9 *. (dx +. w) then sc.settled.(x) <- false
+      end
+    done
+  done;
+  for u = 0 to s - 1 do
+    let node = set.members.(u) in
+    if ls.leg_hops.(node) < 0 then begin
+      let acc = ref 0.0 and hops = ref 0 and x = ref u and clear = ref sc.settled.(gw) in
+      while !clear && !x <> gw do
+        let p = sc.prev.(!x) in
+        clear := sc.settled.(!x);
+        (* the latency of tree edge [x -> p], as [x]'s row stores it *)
+        let k = ref set.adj_start.(!x) in
+        while set.adj.(!k) <> p do
+          incr k
+        done;
+        acc := !acc +. set.adj_w.(!k);
+        incr hops;
+        x := p
+      done;
+      if !clear then begin
+        ls.leg_dist.(node) <- !acc;
+        ls.leg_hops.(node) <- !hops;
+        ls.leg_next.(node) <- (if u = gw then -1 else set.members.(sc.prev.(u)))
+      end
+    end
+  done
+
+(* Host [u]'s leg to the gateway of its domain [du], solved if new:
+   from the domain's gateway tree, or else by [u]'s own solve. *)
+let ensure_leg ls u du =
+  if ls.leg_hops.(u) < 0 then begin
+    if not ls.legs_rooted.(du) then root_legs ls du;
+    if ls.leg_hops.(u) < 0 then begin
+      let gw = ls.dom_gateway.(du) and sc = ls.work in
+      solve ls du ~src:u ~stop:gw;
+      let j = ls.index.(gw) in
+      ls.leg_dist.(u) <- sc.tent.(j);
+      ls.leg_hops.(u) <- sc.depth.(j);
+      ls.leg_next.(u) <- (if sc.first.(j) < 0 then -1 else ls.domains.(du).members.(sc.first.(j)))
+    end
+  end
+
+(* The memo slot of in-domain pair [u -> v] ([u <> v], both in [d]),
+   solved and stored if new. *)
+let pair_slot ls d u v =
+  let m = ls.memo in
+  let key = (u * Array.length ls.index) + v in
+  let slot = if m.m_count = 0 then -1 else memo_slot m key in
+  if slot >= 0 && m.keys.(slot) = key then slot
+  else begin
+    solve ls d ~src:u ~stop:v;
+    if 4 * (m.m_count + 1) > 3 * Array.length m.keys then memo_grow m;
+    let slot = memo_slot m key and sc = ls.work and j = ls.index.(v) in
+    m.keys.(slot) <- key;
+    m.m_dist.(slot) <- sc.tent.(j);
+    m.m_route.(slot) <- (ls.domains.(d).members.(sc.first.(j)) lsl route_bits) lor sc.depth.(j);
+    m.m_count <- m.m_count + 1;
+    slot
+  end
+
 (* --- link-state queries --- *)
 
-(* Entries of block [b] between two of its member nodes, read through
-   the node -> position map; the same three reads serve a stub domain
-   and the backbone. *)
-let[@inline] ls_dist ls b u v = block_dist b ls.index.(u) ls.index.(v)
-let[@inline] ls_hops ls b u v = block_hops b ls.index.(u) ls.index.(v)
-let ls_next ls b u v = block_next b ls.index.(u) ls.index.(v)
+(* In-domain answers between two distinct members of domain [d]: a pair
+   ending at the gateway is that host's leg. *)
+let dom_dist ls d u v =
+  if v = ls.dom_gateway.(d) then begin
+    ensure_leg ls u d;
+    ls.leg_dist.(u)
+  end
+  else ls.memo.m_dist.(pair_slot ls d u v)
+
+let dom_hops ls d u v =
+  if v = ls.dom_gateway.(d) then begin
+    ensure_leg ls u d;
+    ls.leg_hops.(u)
+  end
+  else ls.memo.m_route.(pair_slot ls d u v) land hops_mask
+
+let dom_next ls d u v =
+  if v = ls.dom_gateway.(d) then begin
+    ensure_leg ls u d;
+    ls.leg_next.(u)
+  end
+  else ls.memo.m_route.(pair_slot ls d u v) lsr route_bits
+
+(* Backbone entries between two transit nodes. *)
+let[@inline] bb_dist ls u v = block_dist ls.backbone ls.index.(u) ls.index.(v)
+let[@inline] bb_hops ls u v = block_hops ls.backbone ls.index.(u) ls.index.(v)
+let bb_next ls u v = block_next ls.backbone ls.index.(u) ls.index.(v)
 
 (* The climb from node [u] (in stub domain [du]; -1 for a transit node)
    up to its backbone attachment point, read as separate scalars so the
@@ -378,23 +633,30 @@ let ls_next ls b u v = block_next b ls.index.(u) ls.index.(v)
 let ls_attach ls u du =
   if du < 0 then u else if ls.dom_gateway.(du) < 0 then -1 else ls.dom_attach.(du)
 
-let[@inline] ls_up_dist ls u du =
+let ls_up_dist ls u du =
   if du < 0 then 0.0
-  else ls_dist ls ls.domains.(du) u ls.dom_gateway.(du) +. ls.dom_access.(du)
+  else begin
+    ensure_leg ls u du;
+    ls.leg_dist.(u) +. ls.dom_access.(du)
+  end
 
 let ls_up_hops ls u du =
-  if du < 0 then 0 else ls_hops ls ls.domains.(du) u ls.dom_gateway.(du) + 1
+  if du < 0 then 0
+  else begin
+    ensure_leg ls u du;
+    ls.leg_hops.(u) + 1
+  end
 
 let ls_distance ls u v =
   if u = v then 0.0
   else begin
     let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-    if du >= 0 && du = dv then ls_dist ls ls.domains.(du) u v
-    else if du < 0 && dv < 0 then ls_dist ls ls.backbone u v
+    if du >= 0 && du = dv then dom_dist ls du u v
+    else if du < 0 && dv < 0 then bb_dist ls u v
     else begin
       let au = ls_attach ls u du and av = ls_attach ls v dv in
       if au < 0 || av < 0 then infinity
-      else ls_up_dist ls u du +. ls_dist ls ls.backbone au av +. ls_up_dist ls v dv
+      else ls_up_dist ls u du +. bb_dist ls au av +. ls_up_dist ls v dv
     end
   end
 
@@ -404,12 +666,12 @@ let ls_hop_count ls u v =
   if u = v then 0
   else begin
     let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-    if du >= 0 && du = dv then ls_hops ls ls.domains.(du) u v
-    else if du < 0 && dv < 0 then ls_hops ls ls.backbone u v
+    if du >= 0 && du = dv then dom_hops ls du u v
+    else if du < 0 && dv < 0 then bb_hops ls u v
     else begin
       let au = ls_attach ls u du and av = ls_attach ls v dv in
       if au < 0 || av < 0 then 0
-      else ls_up_hops ls u du + ls_hops ls ls.backbone au av + ls_up_hops ls v dv
+      else ls_up_hops ls u du + bb_hops ls au av + ls_up_hops ls v dv
     end
   end
 
@@ -420,19 +682,19 @@ let ls_hop_count ls u v =
 let ls_next_hop ls u v =
   let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
   if u = v then u
-  else if du >= 0 && du = dv then ls_next ls ls.domains.(du) u v
+  else if du >= 0 && du = dv then dom_next ls du u v
   else if du >= 0 then begin
     let gw = ls.dom_gateway.(du) in
     if gw < 0 then -1
     else if u = gw then ls.dom_attach.(du)
-    else ls_next ls ls.domains.(du) u gw
+    else dom_next ls du u gw
   end
-  else if dv < 0 then ls_next ls ls.backbone u v
+  else if dv < 0 then bb_next ls u v
   else begin
     let a = ls.dom_attach.(dv) in
     if a < 0 then -1
     else if u = a then ls.dom_gateway.(dv)
-    else ls_next ls ls.backbone u a
+    else bb_next ls u a
   end
 
 let ls_path ls u v =
@@ -490,3 +752,5 @@ let graph = function
   | Graph_routed t -> t.graph
   | Synthetic { graph; _ } -> graph
   | Link_state ls -> ls.ls_graph
+
+let solves = function Link_state ls -> ls.solves | Graph_routed _ | Synthetic _ -> 0

@@ -4,15 +4,18 @@
     [u -> v] traverses the latency-shortest physical path from [u] to [v].
     Three backends compute those paths:
 
-    - {!link_state} — the runtime router: precomputed tables exploiting the transit-stub
-      hierarchy (each stub domain reaches the backbone through exactly one
-      access link, so every inter-domain path factors through the
-      gateways).  All-pairs state is kept only inside each small domain
-      and across the transit backbone — O(Σ sᵢ² + g²) memory, O(1)
-      [distance]/[hop_count] — so the real graph stays affordable on the
-      hot message path at 10k+ nodes.  Each of those member sets is one
-      {!block}: a float distance plus a two-byte first hop and a
-      two-byte hop count per pair, 12 bytes in all.
+    - {!link_state} — the runtime router, exploiting the transit-stub
+      hierarchy: each stub domain reaches the backbone through exactly
+      one access link, so every inter-domain path factors through the
+      gateways.  The transit backbone keeps an all-pairs {!block}.  A
+      stub domain keeps only its adjacency: a pair inside it is solved
+      on first use (its source's Dijkstra, stopped when the target
+      settles) and memoized, and each host's leg to its gateway is
+      solved once and kept in per-host arrays.  Memory follows the pairs
+      a run asks for, not the O(Σ sᵢ²) of all-pairs tables, so the real
+      graph stays affordable at 100k nodes.  A link-state router is
+      therefore mutable: it belongs to one world, and no two OCaml
+      [Domain]s may query it at once.
       {!Transit_stub.routing} builds it for a generated topology.
     - {!create} — the reference: exact per-source Dijkstra on any graph,
       each source's tree cached once computed.  Tests check the other
@@ -27,18 +30,22 @@ type t
     computed, so memory grows to O(n²) once every node has sent. *)
 val create : Graph.t -> t
 
-(** [link_state graph ~is_transit] precomputes hierarchical routing
-    tables over a transit-stub graph; [is_transit u] classifies node [u].
-    Stub domains are the connected components of the stub-only subgraph;
-    each must touch the backbone through at most one stub-to-transit edge
-    (its access link) — a domain with none is simply unreachable from the
-    outside.  Construction runs all-pairs shortest paths inside every
-    domain and over the backbone ({!restricted_all_pairs}); queries are
-    table lookups.
+(** [link_state graph ~is_transit] builds the hierarchical router over a
+    transit-stub graph; [is_transit u] classifies node [u].  Stub domains
+    are the connected components of the stub-only subgraph; each must
+    touch the backbone through at most one stub-to-transit edge (its
+    access link) — a domain with none is simply unreachable from the
+    outside.  Construction runs all-pairs shortest paths over the
+    backbone only ({!restricted_all_pairs}) and flattens each stub
+    domain's adjacency.  Queries inside a domain solve on first use and
+    then read a memo the router owns: the answers are those of the
+    domain's all-pairs block, bit for bit, whatever order they are asked
+    in, but each first answer mutates the router, so no two OCaml
+    [Domain]s may query it at once.
     @raise Invalid_argument when some stub domain has several access
-    links (the graph is not transit-stub shaped), or when a stub domain
-    or the backbone has more than 65,534 nodes (two-byte entries; the
-    CLI's topologies keep domains to a few hundred nodes). *)
+    links (the graph is not transit-stub shaped), or when the backbone
+    has more than 65,534 nodes (its block's two-byte entries; the CLI's
+    topologies have 9). *)
 val link_state : Graph.t -> is_transit:(int -> bool) -> t
 
 (** [synthetic ~nodes ~latency] is a router over [nodes] hosts in which
@@ -61,15 +68,16 @@ val path : t -> int -> int -> int list
 
 (** [hop_count t u v] is the number of physical links on a shortest path;
     0 when [u = v].  Never materializes the path: the Dijkstra backend
-    walks the predecessor chain, the link-state backend reads hop tables.
+    walks the predecessor chain, the link-state backend composes hop
+    counts.
     @raise Not_found when unreachable. *)
 val hop_count : t -> int -> int -> int
 
 (** [reachable_hops t u v] is [hop_count t u v] for a pair the caller
     already knows to be reachable ([distance t u v < infinity]), read
     without checking reachability again: on the link-state backend one
-    walk of the tables instead of two.  Unspecified when [v] cannot be
-    reached from [u]. *)
+    composition of stored answers instead of two.  Unspecified when [v]
+    cannot be reached from [u]. *)
 val reachable_hops : t -> int -> int -> int
 
 (** One member set's all-pairs tables, s*s entries row-major in member
@@ -80,15 +88,17 @@ val reachable_hops : t -> int -> int -> int
 type block
 
 (** [restricted_all_pairs graph ~members ~index_of ~in_set] is the
-    all-pairs block the link-state backend keeps per stub domain and
-    for the backbone: shortest paths over the subgraph induced by
-    [members] ([in_set v] tells membership, [index_of v] the position of
-    member [v] in [members]).  The Dijkstra pass of each source writes
-    its row of the block directly.  Among equal-length paths the one
-    whose nodes settle first — smallest distance, then lowest position
-    — wins, so the tables are a pure function of the graph and the
-    member order.  Exposed, with the decoders below, for the tests that
-    hold it to a reference implementation.
+    all-pairs block of the subgraph induced by [members] ([in_set v]
+    tells membership, [index_of v] the position of member [v] in
+    [members]): the link-state backend's table for the transit
+    backbone, and the reference its on-demand stub-domain answers are
+    tested against.  Each source runs the same settle loop those answers
+    stop early.  Among equal-length paths the one whose nodes settle
+    first — smallest distance, then lowest position — wins, so the
+    tables are a pure function of the graph and the member order (stub
+    domains number their members in ascending node order).  Exposed,
+    with the decoders below, for the tests that hold it to a reference
+    implementation.
     @raise Invalid_argument when [members] has more than 65,534 nodes. *)
 val restricted_all_pairs :
   Graph.t -> members:int array -> index_of:(int -> int) -> in_set:(int -> bool) -> block
@@ -107,3 +117,10 @@ val block_hops : block -> int -> int -> int
 
 (** [graph t] is the underlying graph. *)
 val graph : t -> Graph.t
+
+(** [solves t] counts the shortest-path solves a link-state router has
+    run since {!link_state} built it: one per in-domain pair answered
+    for the first time, one per domain whose gateway tree was grown and
+    one per host whose leg to its gateway that tree could not give.  0
+    on the other backends. *)
+val solves : t -> int

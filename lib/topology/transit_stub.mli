@@ -49,8 +49,8 @@ val transit_nodes : t -> int list
 (** [stub_nodes t] lists node indices that are stub nodes. *)
 val stub_nodes : t -> int list
 
-(** [routing t] is the runtime router over [t.graph]:
-    {!Routing.link_state} tables whose backbone is the transit nodes of
+(** [routing t] is the runtime router over [t.graph]: the
+    {!Routing.link_state} router whose backbone is the transit nodes of
     [t.classes].  Every stub domain {!generate} builds has exactly one
-    access link, the shape those tables require. *)
+    access link, the shape that router requires. *)
 val routing : t -> Routing.t

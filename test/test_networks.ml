@@ -194,6 +194,64 @@ let test_leave_triangle_empty_snetwork () =
        0 (H.peers h));
   ok_invariants h
 
+(* Concurrent joins and leaves in one ring segment: a star of 64 hosts,
+   t-peers at p_id 0, 1e6, 2e6 and 3e6, six s-peers, then [k] t-joins
+   into [1e6, 2e6) issued at once.  The first [j] joiners leave from
+   their own join's [on_done], while the other joins are still in
+   flight, so later joins queue at a peer that is leaving.  Returns the
+   system, the joiners, how often each join's [on_done] fired and how
+   often each leave's did. *)
+let join_leave_run ~seed ~k ~j =
+  let h = H.create_star ~seed ~peers:64 () in
+  List.iteri
+    (fun host p_id ->
+      ignore (H.join h ~host ~p_id ~role:Peer.T_peer () : Peer.t);
+      H.run h)
+    [ 0; 1_000_000; 2_000_000; 3_000_000 ];
+  for host = 4 to 9 do
+    ignore (H.join h ~host ~role:Peer.S_peer () : Peer.t);
+    H.run h
+  done;
+  let rng = P2p_sim.Rng.create seed in
+  let joined = Array.make k 0 and left = Array.make k 0 in
+  let joiners =
+    Array.init k (fun i ->
+        H.join h ~host:(10 + i)
+          ~p_id:(1_000_000 + P2p_sim.Rng.int rng 1_000_000)
+          ~role:Peer.T_peer
+          ~on_done:(fun o ->
+            joined.(i) <- joined.(i) + 1;
+            if i < j then H.leave h o.H.peer ~on_done:(fun () -> left.(i) <- left.(i) + 1) ())
+          ())
+  in
+  H.run h;
+  (h, joiners, joined, left)
+
+(* A join queued at a peer that is leaving is re-routed from the
+   leaver's successor when the leave ends, instead of vanishing: over
+   500 seeds with 2 joins (1 leaving) and with 12 joins (4 leaving),
+   every join's [on_done] fires exactly once, every leave completes once
+   and every joiner that stayed is registered.  (The ring itself is not
+   checked: a leave still rewires a predecessor that is mid-join.) *)
+let test_joins_queued_at_a_leaver () =
+  List.iter
+    (fun (k, j) ->
+      let bad = ref 0 in
+      for seed = 1 to 500 do
+        let h, joiners, joined, left = join_leave_run ~seed ~k ~j in
+        let registered = H.peers h in
+        let ok = ref true in
+        Array.iteri
+          (fun i p ->
+            ok :=
+              !ok && joined.(i) = 1
+              && if i < j then left.(i) = 1 else List.memq p registered)
+          joiners;
+        if not !ok then incr bad
+      done;
+      checki (Printf.sprintf "seeds with a lost join (k=%d, j=%d)" k j) 0 !bad)
+    [ (2, 1); (12, 4) ]
+
 let test_join_load_transfer () =
   (* items whose d_id falls into a new t-peer's segment move to it *)
   let h = H.create_star ~seed:32 ~peers:20 () in
@@ -268,6 +326,7 @@ let suite =
       test_concurrent_joins_same_segment;
     Alcotest.test_case "t-net: concurrent identical ids" `Quick test_concurrent_identical_ids;
     Alcotest.test_case "t-net: leave triangle" `Quick test_leave_triangle_empty_snetwork;
+    Alcotest.test_case "t-net: joins queued at a leaver" `Quick test_joins_queued_at_a_leaver;
     Alcotest.test_case "t-net: join load transfer" `Quick test_join_load_transfer;
     Alcotest.test_case "t-net: route_to_owner" `Quick test_route_to_owner_visits_ring;
     Alcotest.test_case "t-net: fingers shorten routes" `Quick test_route_with_fingers_is_shorter;

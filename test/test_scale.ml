@@ -298,21 +298,52 @@ let test_batches_per_instant () =
 
 (* --- routing tables ------------------------------------------------------ *)
 
-(* The link-state router of a 5,000-peer run's underlay (36 stub domains
-   of 139 nodes) keeps a float and two two-byte entries per in-domain
-   pair: 1.14 M words with the graph measured, 2.19 M with three
-   one-word entries per pair. *)
+(* The link-state router of a run's underlay at creation: the graph, the
+   per-host arrays and each stub domain's adjacency, with no in-domain
+   answer solved yet.  At 5,000 peers (36 stub domains of 139 nodes) it
+   is 133,536 words, 76,249 of them the graph; at 20,000 (36 of 556),
+   527,601.  The all-pairs tables it replaced held 1,135,293 and
+   17,055,537 words, growing with the square of a domain's size. *)
 let test_routing_table_words () =
-  let topo =
-    P2p_topology.Transit_stub.generate ~rng:(P2p_sim.Rng.create 42001)
-      (Pipeline.topology_for 5000)
+  List.iter
+    (fun (peers, ceiling) ->
+      let topo =
+        P2p_topology.Transit_stub.generate ~rng:(P2p_sim.Rng.create 42001)
+          (Pipeline.topology_for peers)
+      in
+      let words = Obj.reachable_words (Obj.repr (P2p_topology.Transit_stub.routing topo)) in
+      checkb
+        (Printf.sprintf "%d words of link-state routing at %d peers (ceiling %d)" words peers
+           ceiling)
+        true (words <= ceiling))
+    [ (5000, 200_000); (20000, 800_000) ]
+
+(* --- ring rebuilds ------------------------------------------------------- *)
+
+(* Each t-join rebuilds the sorted ring array.  Past 256 t-peers that
+   array is larger than the runtime's limit for minor-heap blocks, and
+   filling it with a just-joined, still-young peer made the runtime run
+   a minor collection first: one per t-join (14,622 of them for 14,761
+   t-peers at 50,000 peers).  Over the 100 t-joins from 300 t-peers on,
+   the rebuilds must not force collections of their own. *)
+let test_ring_rebuild_minor_collections () =
+  let h = H.create_star ~seed:5 ~peers:420 () in
+  let join () =
+    ignore (H.join h ~host:(H.fresh_host h) ~role:Peer.T_peer () : Peer.t);
+    H.run h
   in
-  let words = Obj.reachable_words (Obj.repr (P2p_topology.Transit_stub.routing topo)) in
-  let ceiling = 1_200_000 in
+  for _ = 1 to 300 do
+    join ()
+  done;
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 100 do
+    join ()
+  done;
+  let minors = (Gc.quick_stat ()).Gc.minor_collections - before in
+  checki "t-peers" 400 (H.t_peer_count h);
   checkb
-    (Printf.sprintf "%d words of link-state routing at 5,000 peers (ceiling %d)" words
-       ceiling)
-    true (words <= ceiling)
+    (Printf.sprintf "%d minor collections over 100 t-joins past 300 t-peers (ceiling 20)" minors)
+    true (minors <= 20)
 
 (* --- schedule pin under churn ------------------------------------------- *)
 
@@ -474,6 +505,8 @@ let suite =
       test_random_peer_allocation;
     Alcotest.test_case "routing: link-state words at 5,000 peers" `Quick
       test_routing_table_words;
+    Alcotest.test_case "ring: rebuilds force no minor collections" `Quick
+      test_ring_rebuild_minor_collections;
     Alcotest.test_case "lookups: live words per pending lookup" `Quick
       test_pending_lookup_words;
     Alcotest.test_case "expiry batch: one event for its timeouts" `Quick

@@ -223,8 +223,8 @@ let star_routing n =
   done;
   (g, Routing.link_state g ~is_transit:(fun u -> u = n - 1))
 
-(* Property: over random transit-stub graphs and a star, the precomputed
-   link-state tables answer like per-source Dijkstra on every pair —
+(* Property: over random transit-stub graphs and a star, the link-state
+   router answers like per-source Dijkstra on every pair —
    distances to float tolerance (hierarchical composition sums in a
    different order), hop counts exactly (random latencies leave no
    equal-cost ties) — and both backends report self-consistent paths. *)
@@ -489,6 +489,110 @@ let prop_wide_domains_match_dijkstra =
       done;
       !agree)
 
+(* [t] with every latency set to 1.0: equal-length paths everywhere. *)
+let unit_weights t =
+  let g = t.Transit_stub.graph in
+  let unit = Graph.create (Graph.node_count g) in
+  List.iter (fun e -> Graph.add_edge unit e.Graph.u e.Graph.v ~latency:1.0) (Graph.edges g);
+  { t with Transit_stub.graph = unit }
+
+(* [true] when a link-state router over [t] answers every pair inside
+   each stub domain as [Routing.restricted_all_pairs]' block of that
+   domain does, bit for bit: the distance as an IEEE bit pattern, the
+   hop count, and the path, which chains first hops.  The pairs are
+   asked in a shuffled order, then all again in another; the second
+   round must run no solve, so every answer there is a memo hit (or a
+   stored gateway leg) and must equal the miss that stored it. *)
+let on_demand_matches_blocks ~rng t =
+  let g = t.Transit_stub.graph in
+  let ls = Transit_stub.routing t in
+  let index = Array.make (Graph.node_count g) (-1) in
+  let agree = ref true in
+  List.iter
+    (fun (members, in_set) ->
+      Array.iteri (fun i u -> index.(u) <- i) members;
+      let index_of v = index.(v) in
+      let b = Routing.restricted_all_pairs g ~members ~index_of ~in_set in
+      let s = Array.length members in
+      let rec block_path i j =
+        if i = j then [ members.(j) ]
+        else members.(i) :: block_path (index_of (Routing.block_next b i j)) j
+      in
+      let ask k =
+        let i = k / s and j = k mod s in
+        let u = members.(i) and v = members.(j) in
+        agree :=
+          !agree
+          && Int64.bits_of_float (Routing.distance ls u v)
+             = Int64.bits_of_float (Routing.block_dist b i j)
+          && Routing.hop_count ls u v = Routing.block_hops b i j
+          && Routing.path ls u v = block_path i j
+      in
+      let round () =
+        let order = Array.init (s * s) Fun.id in
+        Rng.shuffle rng order;
+        Array.iter ask order
+      in
+      round ();
+      let solved = Routing.solves ls in
+      round ();
+      agree := !agree && Routing.solves ls = solved)
+    (List.tl (routing_sets t));
+  !agree
+
+(* Property: on random transit-stub graphs, on their {1, 2}-latency
+   rebuilds and on unit-latency ones, stub-domain answers solved on
+   first use equal the all-pairs blocks the router no longer keeps. *)
+let prop_on_demand_matches_blocks =
+  QCheck.Test.make ~name:"link_state on-demand answers = all-pairs blocks" ~count:12
+    QCheck.(triple (int_bound 10_000) (int_bound 2) (int_bound 2))
+    (fun (seed, shape, weights) ->
+      let t = table_graph ~seed ~shape ~ties:(weights = 1) in
+      let t = if weights = 2 then unit_weights t else t in
+      on_demand_matches_blocks ~rng:(Rng.create (seed + 1)) t)
+
+(* The stub domain of [t] with the most members, and its gateway (the
+   member with a transit neighbour). *)
+let widest_domain t =
+  let members =
+    List.fold_left
+      (fun best (m, _) -> if Array.length m > Array.length best then m else best)
+      [||]
+      (List.tl (routing_sets t))
+  in
+  let transit u =
+    match t.Transit_stub.classes.(u) with
+    | Transit_stub.Transit _ -> true
+    | Transit_stub.Stub _ -> false
+  in
+  let gw =
+    List.find
+      (fun u -> List.exists (fun (v, _) -> transit v) (Graph.neighbors t.Transit_stub.graph u))
+      (Array.to_list members)
+  in
+  (members, gw)
+
+(* With random latencies every host's leg to its gateway comes from the
+   one gateway-rooted solve; with unit latencies, ties send hosts to
+   solves of their own, and the answers still match Dijkstra's hop
+   counts. *)
+let test_gateway_legs () =
+  let legs_solves t =
+    let members, gw = widest_domain t in
+    let ls = Transit_stub.routing t and dij = Routing.create t.Transit_stub.graph in
+    Array.iter
+      (fun u ->
+        checki "leg hops = Dijkstra's" (Routing.hop_count dij u gw) (Routing.hop_count ls u gw))
+      members;
+    (Array.length members, Routing.solves ls)
+  in
+  let t = table_graph ~seed:3 ~shape:2 ~ties:false in
+  let s, solves = legs_solves t in
+  checkb "a wide domain" true (s > 100);
+  checki "one gateway-rooted solve" 1 solves;
+  let _, solves = legs_solves (unit_weights t) in
+  checkb "ties fall back to per-host solves" true (solves > 1)
+
 (* The shapes the property draws really have ties and big domains. *)
 let test_table_graph_shapes () =
   let t = table_graph ~seed:3 ~shape:2 ~ties:true in
@@ -607,6 +711,9 @@ let suite =
       prop_all_pairs_match_scan_min;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261019 |])
       prop_wide_domains_match_dijkstra;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261039 |])
+      prop_on_demand_matches_blocks;
+    Alcotest.test_case "routing: gateway legs from one rooted solve" `Quick test_gateway_legs;
     Alcotest.test_case "stress: accounting" `Quick test_stress_basic;
     Alcotest.test_case "stress: trivial paths" `Quick test_stress_trivial_paths;
     Alcotest.test_case "stress: clear" `Quick test_stress_clear;
