@@ -96,7 +96,7 @@ let () =
   let cached =
     List.length
       (List.filter
-         (fun p -> Cache.find p.Peer.cache ~now:(H.now h) ~key:hot <> None)
+         (fun p -> Peer.cached p ~now:(H.now h) ~key:hot <> None)
          listeners)
   in
   Printf.printf

@@ -931,7 +931,7 @@ let bloom_coverage ~final:_ who w =
            hops below an edge must sit in a filter level a flood with
            exactly [dist] remaining forwards would consult *)
         let rec check_path child parent ~dist ~key ~holder =
-          (match Hashtbl.find_opt parent.Peer.summaries child.Peer.host with
+          (match Peer.summary parent child.Peer.host with
            | None -> () (* unsummarized edge: floods never prune it *)
            | Some filters ->
              let levels = min dist (Array.length filters) in

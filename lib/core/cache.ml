@@ -124,7 +124,3 @@ let find t ~now ~key =
 let hits t = t.hits
 
 let misses t = t.misses
-
-let clear t =
-  Hashtbl.reset t.entries;
-  t.heap_size <- 0

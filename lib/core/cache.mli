@@ -34,5 +34,3 @@ val find : t -> now:float -> key:string -> string option
 val hits : t -> int
 
 val misses : t -> int
-
-val clear : t -> unit

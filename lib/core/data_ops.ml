@@ -44,8 +44,8 @@ let tracker_report w ?op ~holder ~key () =
     | Some home when home != holder ->
       World.send_span w ?op ~tier:"s_network" ~phase:"tracker" ~src:holder
         ~dst:home (fun () ->
-          if home.Peer.alive then Hashtbl.replace home.Peer.tracker_index key holder)
-    | Some home -> Hashtbl.replace home.Peer.tracker_index key holder
+          if home.Peer.alive then Peer.set_tracked home key holder)
+    | Some home -> Peer.set_tracked home key holder
     | None -> ()
 
 let store_here w ?op peer ~route_id ~key ~value =
@@ -201,8 +201,8 @@ let finish_success ctx ~holder ~value ~hops =
        the next popular request is served locally *)
     let config = ctx.w.World.config in
     if config.Config.cache_capacity > 0 then begin
-      Cache.put ctx.requester.Peer.cache ~now:(World.now ctx.w)
-        ~lifetime:config.Config.cache_lifetime ~key:ctx.key ~value;
+      Peer.cache_put ctx.requester ~capacity:config.Config.cache_capacity
+        ~now:(World.now ctx.w) ~lifetime:config.Config.cache_lifetime ~key:ctx.key ~value;
       World.bump ctx.w ~subsystem:"cache" ~name:"fills"
     end;
     ctx.on_result (Found { holder; latency; hops })
@@ -237,7 +237,7 @@ let check_peer ctx peer ~hops =
         hit
       | None ->
         if ctx.w.World.config.Config.cache_capacity > 0 then begin
-          let cached = Cache.find peer.Peer.cache ~now:(World.now ctx.w) ~key:ctx.key in
+          let cached = Peer.cached peer ~now:(World.now ctx.w) ~key:ctx.key in
           World.bump ctx.w ~subsystem:"cache"
             ~name:(match cached with Some _ -> "hits" | None -> "misses");
           World.mark_span ctx.w ~op:ctx.op ~tier:"cache"
@@ -267,13 +267,13 @@ let flood_snetwork ctx ~entry ~base_hops ~ttl ~skip_entry_check =
 (* BitTorrent-style resolution at the tracker t-peer. *)
 let tracker_resolve ctx ~tracker ~base_hops =
   Metrics.record_contact ctx.w.World.metrics;
-  match Hashtbl.find_opt tracker.Peer.tracker_index ctx.key with
+  match Peer.tracked tracker ctx.key with
   | Some holder when holder.Peer.alive ->
     World.send_span ctx.w ~op:ctx.op ~tier:"s_network" ~phase:"tracker"
       ~src:tracker ~dst:holder (fun () ->
         if holder.Peer.alive then
           ignore (check_peer ctx holder ~hops:(base_hops + 1) : bool)
-        else Hashtbl.remove tracker.Peer.tracker_index ctx.key)
+        else Peer.remove_tracked tracker ctx.key)
   | Some _ | None ->
     (* Unknown key or dead holder: check the tracker's own store as a last
        resort (it may hold scheme-A data). *)

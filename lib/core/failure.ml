@@ -15,8 +15,8 @@ let overlay_neighbors peer =
 let is_neighbor peer q = List.exists (fun n -> n == q) (overlay_neighbors peer)
 
 let cancel_watchdogs peer =
-  Hashtbl.iter (fun _ t -> Transport.cancel t) peer.Peer.watchdogs;
-  Hashtbl.reset peer.Peer.watchdogs
+  Option.iter (Hashtbl.iter (fun _ t -> Transport.cancel t)) peer.Peer.watchdogs;
+  Peer.drop_watchdogs peer
 
 (* Collect the live members of a crashed t-peer's former s-network by
    walking through dead intermediate nodes. *)
@@ -67,17 +67,17 @@ let elect w ~dead =
     result
 
 let rec arm_watchdog w peer ~target =
-  match Hashtbl.find_opt peer.Peer.watchdogs target.Peer.host with
+  match Peer.watchdog peer target.Peer.host with
   | Some t -> Transport.reset t
   | None ->
     let t =
       World.one_shot w ~delay:w.World.config.Config.hello_timeout (fun () ->
           on_timeout w peer ~target)
     in
-    Hashtbl.replace peer.Peer.watchdogs target.Peer.host t
+    Peer.set_watchdog peer target.Peer.host t
 
 and on_timeout w peer ~target =
-  Hashtbl.remove peer.Peer.watchdogs target.Peer.host;
+  Peer.remove_watchdog peer target.Peer.host;
   World.bump w ~subsystem:"failure" ~name:"watchdog_timeouts";
   if peer.Peer.alive then
     if target.Peer.alive then begin
@@ -175,8 +175,8 @@ let crash w peer =
   Peer.set_alive peer false;
   Data_store.clear peer.Peer.store;
   Data_store.clear peer.Peer.replicas;
-  Cache.clear peer.Peer.cache;
-  Hashtbl.reset peer.Peer.tracker_index;
+  Peer.drop_cache peer;
+  Peer.drop_tracker_index peer;
   Peer.set_bypass peer [];
   (match peer.Peer.hello_timer with
    | Some t ->
@@ -280,7 +280,7 @@ let repair w =
                 | Some owner ->
                   Data_store.insert_routed owner.Peer.store ~route_id ~key ~value;
                   if w.World.config.Config.s_style = Config.Bittorrent_tracker then
-                    Hashtbl.replace owner.Peer.tracker_index key owner
+                    Peer.set_tracked owner key owner
                 | None -> ())
               misplaced
           end

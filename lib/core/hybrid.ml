@@ -107,9 +107,8 @@ let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
   match role with
   | Peer.T_peer ->
     let p_id = match p_id with Some id -> id | None -> World.fresh_p_id t.w in
-    let cache_capacity = (config t).Config.cache_capacity in
     let peer =
-      Peer.make ~cache_capacity ~log:(World.change_log t.w) ~interner:(World.interner t.w) ~host ~p_id
+      Peer.make ~log:(World.change_log t.w) ~interner:(World.interner t.w) ~host ~p_id
         ~role:Peer.T_peer ~link_capacity ?interest ()
     in
     let op =
@@ -139,9 +138,8 @@ let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
     start_join ();
     peer
   | Peer.S_peer ->
-    let cache_capacity = (config t).Config.cache_capacity in
     let peer =
-      Peer.make ~cache_capacity ~log:(World.change_log t.w) ~interner:(World.interner t.w) ~host ~p_id:0
+      Peer.make ~log:(World.change_log t.w) ~interner:(World.interner t.w) ~host ~p_id:0
         ~role:Peer.S_peer ~link_capacity ?interest ()
     in
     let op =

@@ -27,19 +27,19 @@ type t = {
   mutable children : t list;
   store : Data_store.t;
   replicas : Data_store.t;
-  cache : Cache.t;
-  summaries : (int, Bloom.t array) Hashtbl.t;
+  mutable cache : Cache.t option;
+  mutable summaries : (int, Bloom.t array) Hashtbl.t option;
   mutable summaries_epoch : int;
-  tracker_index : (string, t) Hashtbl.t;
+  mutable tracker_index : (string, t) Hashtbl.t option;
   mutable bypass : (t * float) list;
-  watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t;
+  mutable watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t option;
   mutable hello_timer : P2p_transport.Transport.timer option;
   mutable last_ack_sent : float;
   log : t Change_log.t;
   mutable logged : int;
 }
 
-let make ?(cache_capacity = 0) ~log ~interner ~host ~p_id ~role ~link_capacity
+let make ~log ~interner ~host ~p_id ~role ~link_capacity
     ?interest () =
   (* a negative host never registers: its writes need no log *)
   let keys = if host >= 0 then Change_log.keys log else Key_log.inert in
@@ -61,14 +61,18 @@ let make ?(cache_capacity = 0) ~log ~interner ~host ~p_id ~role ~link_capacity
     children = [];
     store = Data_store.create ~interner ~log:keys ~tag:(2 * host) ();
     replicas = Data_store.create ~interner ~log:keys ~tag:((2 * host) + 1) ();
-    cache = Cache.create ~capacity:cache_capacity;
-    (* initial capacity 1: at million-peer scale these tables are almost
-       always empty, and Hashtbl grows them on demand anyway *)
-    summaries = Hashtbl.create 1;
+    (* The feature tables start absent, since even an empty Hashtbl
+       holds 16 buckets.  Each exists only where a run uses it: the
+       cache at a requester once a lookup succeeds with caching on, the
+       summaries at a tree parent once edge summaries are built, the
+       tracker index at a t-peer once BitTorrent mode reports to it, the
+       watchdogs once a HELLO heartbeat arms one. *)
+    cache = None;
+    summaries = None;
     summaries_epoch = -1;
-    tracker_index = Hashtbl.create 1;
+    tracker_index = None;
     bypass = [];
-    watchdogs = Hashtbl.create 1;
+    watchdogs = None;
     hello_timer = None;
     last_ack_sent = neg_infinity;
     log;
@@ -148,6 +152,65 @@ let set_summaries_epoch p v = p.summaries_epoch <- v
 let set_bypass p v = p.bypass <- v
 let set_hello_timer p v = p.hello_timer <- v
 let set_last_ack_sent p v = p.last_ack_sent <- v
+
+(* Feature tables: each is allocated by its first write, and a crash or
+   hand-over drops it rather than emptying it.  An absent table reads as
+   empty. *)
+
+let find_in tbl k = match tbl with Some tbl -> Hashtbl.find_opt tbl k | None -> None
+let remove_in tbl k = match tbl with Some tbl -> Hashtbl.remove tbl k | None -> ()
+
+let singleton k v =
+  let tbl = Hashtbl.create 1 in
+  Hashtbl.replace tbl k v;
+  tbl
+
+let summary p host = find_in p.summaries host
+
+let set_summary p host filters =
+  match p.summaries with
+  | Some tbl -> Hashtbl.replace tbl host filters
+  | None -> p.summaries <- Some (singleton host filters)
+
+let drop_summaries p = p.summaries <- None
+
+let tracked p key = find_in p.tracker_index key
+
+let set_tracked p key holder =
+  match p.tracker_index with
+  | Some tbl -> Hashtbl.replace tbl key holder
+  | None -> p.tracker_index <- Some (singleton key holder)
+
+let remove_tracked p key = remove_in p.tracker_index key
+let drop_tracker_index p = p.tracker_index <- None
+
+let watchdog p host = find_in p.watchdogs host
+
+let set_watchdog p host timer =
+  match p.watchdogs with
+  | Some tbl -> Hashtbl.replace tbl host timer
+  | None -> p.watchdogs <- Some (singleton host timer)
+
+let remove_watchdog p host = remove_in p.watchdogs host
+let drop_watchdogs p = p.watchdogs <- None
+
+let cached p ~now ~key =
+  match p.cache with Some c -> Cache.find c ~now ~key | None -> None
+
+let cache_put p ~capacity ~now ~lifetime ~key ~value =
+  if capacity > 0 then begin
+    let c =
+      match p.cache with
+      | Some c -> c
+      | None ->
+        let c = Cache.create ~capacity in
+        p.cache <- Some c;
+        c
+    in
+    Cache.put c ~now ~lifetime ~key ~value
+  end
+
+let drop_cache p = p.cache <- None
 
 let is_t_peer p = p.role = T_peer
 let is_s_peer p = p.role = S_peer

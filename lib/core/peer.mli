@@ -58,21 +58,32 @@ type t = private {
           so primary-placement invariants and item accounting are
           untouched.  Replica reads are a lookup fallback, never the
           primary path. *)
-  cache : Cache.t;  (** soft cache of popular items (Section-7 future work) *)
-  summaries : (int, Bloom.t array) Hashtbl.t;
+  (* feature tables: each is [None] until its first write through the
+     functions under "Feature tables" below, and a crash or hand-over
+     sets it back to [None]; most peers never write one *)
+  mutable cache : Cache.t option;
+      (** soft cache of popular items (Section-7 future work); created by
+          the first {!cache_put}, so only when [cache_capacity > 0] and
+          only at a peer that completed a lookup *)
+  mutable summaries : (int, Bloom.t array) Hashtbl.t option;
       (** child host -> attenuated Bloom summary of the keys in that
           child's subtree, one filter per depth level.  Maintained by
-          {!Summaries}; empty while edge summaries are disabled. *)
+          {!Summaries}: created at a peer with a live child when edge
+          summaries are enabled, dropped at each rebuild. *)
   mutable summaries_epoch : int;
       (** at tree roots: the {!World.t} summary epoch this tree's
           summaries were last rebuilt against; [-1] = never / stale *)
-  tracker_index : (string, t) Hashtbl.t;
+  mutable tracker_index : (string, t) Hashtbl.t option;
       (** BitTorrent-style mode only: at a t-peer, maps keys stored anywhere
-          in its s-network to the holding peer *)
+          in its s-network to the holding peer; created by the first
+          report, dropped when the t-peer crashes or hands its segment
+          to a replacement *)
   (* bypass links, with absolute expiry times *)
   mutable bypass : (t * float) list;
   (* failure detection bookkeeping (driven by the [Failure] module) *)
-  watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t;  (** neighbour host -> timer *)
+  mutable watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t option;
+      (** neighbour host -> HELLO watchdog; created by the first armed
+          watchdog (heartbeats on), dropped when the peer crashes *)
   mutable hello_timer : P2p_transport.Transport.timer option;
   mutable last_ack_sent : float;  (** for the suppress timer *)
   log : t Change_log.t;  (** the world's change log ({!World.change_log}) *)
@@ -80,14 +91,12 @@ type t = private {
 }
 
 (** [make ~log ~interner ~host ~p_id ~role ~link_capacity ()] allocates a
-    fresh, unconnected peer.  [cache_capacity] sizes the soft cache
-    (default 0 = disabled).  [interner] is shared by the peer's store and
-    replica store, and [log] records the peer's writes — its stores
+    fresh, unconnected peer with no feature table.  [interner] is shared
+    by the peer's store and replica store, and [log] records the peer's writes — its stores
     note theirs in [Change_log.keys log], tagged [2 · host] and
     [2 · host + 1]; both must be the world's ({!World.interner},
     {!World.change_log}) for the peer to register. *)
 val make :
-  ?cache_capacity:int ->
   log:t Change_log.t ->
   interner:Intern.t ->
   host:int -> p_id:Id_space.id -> role:role -> link_capacity:float ->
@@ -137,6 +146,44 @@ val set_summaries_epoch : t -> int -> unit
 val set_bypass : t -> (t * float) list -> unit
 val set_hello_timer : t -> P2p_transport.Transport.timer option -> unit
 val set_last_ack_sent : t -> float -> unit
+
+(** {1:features Feature tables}
+
+    Each table is allocated by its first write and private to its peer;
+    one never written reads as empty. *)
+
+(** [summary p host] is [p]'s edge summary toward its child [host]. *)
+val summary : t -> int -> Bloom.t array option
+
+val set_summary : t -> int -> Bloom.t array -> unit
+val drop_summaries : t -> unit
+
+(** [tracked p key] is the holder [p]'s tracker index names for [key]. *)
+val tracked : t -> string -> t option
+
+val set_tracked : t -> string -> t -> unit
+val remove_tracked : t -> string -> unit
+val drop_tracker_index : t -> unit
+
+(** [watchdog p host] is [p]'s armed watchdog on neighbour [host]. *)
+val watchdog : t -> int -> P2p_transport.Transport.timer option
+
+val set_watchdog : t -> int -> P2p_transport.Transport.timer -> unit
+val remove_watchdog : t -> int -> unit
+
+(** [drop_watchdogs p] forgets the table; it cancels no timer. *)
+val drop_watchdogs : t -> unit
+
+(** [cached p ~now ~key] is {!Cache.find} on [p]'s soft cache. *)
+val cached : t -> now:float -> key:string -> string option
+
+(** [cache_put p ~capacity ~now ~lifetime ~key ~value] is {!Cache.put}
+    on [p]'s soft cache, created with [capacity] entries on the first
+    call; a no-op when [capacity = 0]. *)
+val cache_put :
+  t -> capacity:int -> now:float -> lifetime:float -> key:string -> value:string -> unit
+
+val drop_cache : t -> unit
 
 (** {1 Role and segment} *)
 

@@ -30,7 +30,7 @@ let rebuild w root =
      child and returns the keys of [peer]'s subtree bucketed by distance
      from [peer] (the last bucket absorbs everything deeper). *)
   let rec collect peer =
-    Hashtbl.reset peer.Peer.summaries;
+    Peer.drop_summaries peer;
     let levels = Array.make depth [] in
     levels.(0) <- local_keys peer;
     List.iter
@@ -45,7 +45,7 @@ let rebuild w root =
                 f)
               child_levels
           in
-          Hashtbl.replace peer.Peer.summaries child.Peer.host filters;
+          Peer.set_summary peer child.Peer.host filters;
           Array.iteri
             (fun i keys ->
               let j = min (i + 1) (depth - 1) in
@@ -74,7 +74,7 @@ let note_stored w ~holder ~key =
          never prune such edges, so skipping it is safe, but the walk must
          continue: higher edges do have (now incomplete) summaries. *)
       let rec up child parent dist =
-        (match Hashtbl.find_opt parent.Peer.summaries child.Peer.host with
+        (match Peer.summary parent child.Peer.host with
          | Some filters -> Bloom.add filters.(min (dist - 1) (Array.length filters - 1)) key
          | None -> ());
         match parent.Peer.cp with
@@ -88,7 +88,7 @@ let note_stored w ~holder ~key =
   end
 
 let child_may_hold peer child ~budget ~key =
-  match Hashtbl.find_opt peer.Peer.summaries child.Peer.host with
+  match Peer.summary peer child.Peer.host with
   | None -> true
   | Some filters ->
     (* Filter level [i] holds keys [i+1] hops below [peer]; with [budget]

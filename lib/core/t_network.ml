@@ -69,8 +69,8 @@ let load_transfer_on_join w ~joiner ~succ ~pre_id =
           (fun (key, value, route_id) ->
             Data_store.insert_routed joiner.Peer.store ~route_id ~key ~value;
             if w.World.config.Config.s_style = Config.Bittorrent_tracker then begin
-              Hashtbl.remove succ.Peer.tracker_index key;
-              Hashtbl.replace joiner.Peer.tracker_index key joiner
+              Peer.remove_tracked succ key;
+              Peer.set_tracked joiner key joiner
             end)
           moved)
       (Peer.tree_members succ)
@@ -218,12 +218,12 @@ let promote_replacement w ?op ~old_peer ~replacement ~transfer_data () =
       (fun (key, value, route_id) ->
         Data_store.insert_routed replacement.Peer.store ~route_id ~key ~value)
       (Data_store.take_all old_peer.Peer.store);
-    Hashtbl.iter
-      (fun key holder ->
-        let holder = if holder == old_peer then replacement else holder in
-        Hashtbl.replace replacement.Peer.tracker_index key holder)
+    Option.iter
+      (Hashtbl.iter (fun key holder ->
+           let holder = if holder == old_peer then replacement else holder in
+           Peer.set_tracked replacement key holder))
       old_peer.Peer.tracker_index;
-    Hashtbl.reset old_peer.Peer.tracker_index
+    Peer.drop_tracker_index old_peer
   end;
   World.set_snet_size w replacement (Stdlib.max 0 (previous_size - 1));
   (* The replacement keeps its own children; re-home its subtree under the
@@ -265,7 +265,7 @@ let leave_triangle w ?op peer ~on_done =
       (fun (key, value, route_id) ->
         Data_store.insert_routed succ.Peer.store ~route_id ~key ~value;
         if w.World.config.Config.s_style = Config.Bittorrent_tracker then
-          Hashtbl.replace succ.Peer.tracker_index key succ)
+          Peer.set_tracked succ key succ)
       (Data_store.take_all peer.Peer.store);
     World.send_span w ?op ~tier:"t_network" ~phase:"leave_leg" ~src:peer
       ~dst:pred (fun () ->

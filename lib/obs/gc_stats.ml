@@ -1,9 +1,14 @@
-(* OCaml runtime gauges under subsystem "gc", fed from Gc.quick_stat
-   deltas.  quick_stat reads a handful of fields without walking the
-   heap, so updating on every sampler tick (and once at the end of a
-   run) is safe even at million-peer scale.  The allocation rate is the
-   ROADMAP's hot-path signal: minor+major words allocated per host CPU
-   second, the number the next speed pass needs to drive down. *)
+(* OCaml runtime gauges under subsystem "gc".  Allocation is read from
+   Gc.counters, which is current at every call: its minor figure is the
+   one Gc.minor_words reads, and its major and promoted figures move with
+   each direct major allocation.  The heap size and collection counts
+   come from Gc.quick_stat, whose figures OCaml 5 samples only at a
+   collection; [finish] runs one minor collection first so a run's last
+   reading is its own, not the last collection's (a small run may end
+   before any collection, and then read 0).  Neither read walks the
+   heap, so updating on every sampler tick is safe even at million-peer
+   scale.  The allocation rate is the ROADMAP's hot-path signal: minor+
+   major words allocated per host CPU second. *)
 
 let word_bytes = float_of_int (Sys.word_size / 8)
 
@@ -19,13 +24,14 @@ type t = {
   base_words : float; (* allocation before [create]: not ours to report *)
 }
 
-let allocated_words (s : Gc.stat) =
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+(* minor + major, promotions not double-counted *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 let create reg =
   let g name = Registry.gauge reg ~subsystem:"gc" ~name in
-  let s = Gc.quick_stat () in
-  let words = allocated_words s in
+  let words = allocated_words () in
   {
     alloc_rate = g "alloc_rate_mb_s";
     allocated_total = g "allocated_mb_total";
@@ -39,8 +45,8 @@ let create reg =
   }
 
 let update t =
+  let words = allocated_words () in
   let s = Gc.quick_stat () in
-  let words = allocated_words s in
   let cpu = Sys.time () in
   let dt = cpu -. t.last_cpu in
   if dt > 0.0 then begin
@@ -54,3 +60,7 @@ let update t =
   Registry.set t.minor (float_of_int s.Gc.minor_collections);
   Registry.set t.major (float_of_int s.Gc.major_collections);
   Registry.set t.compactions (float_of_int s.Gc.compactions)
+
+let finish t =
+  Gc.minor ();
+  update t

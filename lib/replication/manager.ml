@@ -356,7 +356,7 @@ let promote t b kid ~route_id ~value_id =
     Data_store.insert_routed owner.Peer.store ~route_id ~key
       ~value:(Intern.name interner value_id);
     if w.World.config.Config.s_style = Config.Bittorrent_tracker then
-      Hashtbl.replace owner.Peer.tracker_index key owner;
+      Peer.set_tracked owner key owner;
     if Data_store.mem_id owner.Peer.replicas kid then begin
       Data_store.remove owner.Peer.replicas ~key;
       b.holders.(kid) <- without_tag b.holders.(kid) (tag + 1)

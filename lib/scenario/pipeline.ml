@@ -300,7 +300,7 @@ let finish ?inserted ?(gate_lookups = false) t ~end_state =
   in
   (* final pull of the runtime gauges so the exported snapshot (and the
      report header rendered from it) carries them *)
-  Option.iter Gc_stats.update t.gc;
+  Option.iter Gc_stats.finish t.gc;
   try
     write_outputs t reg;
     let slo_ok =

@@ -17,6 +17,14 @@ type item = {
     @raise Invalid_argument if [count < 0] or [categories <= 0]. *)
 val generate : rng:P2p_sim.Rng.t -> count:int -> categories:int -> item array
 
+(** [key_name ~index ~tag] is item [index]'s key, as
+    [Printf.sprintf "file-%06d-%09d" index tag], and [value_name index]
+    its value, as [Printf.sprintf "contents-of-%06d" index]; both take
+    [index, tag >= 0]. *)
+val key_name : index:int -> tag:int -> string
+
+val value_name : int -> string
+
 (** [d_id item] is the item's hashed ID in the shared space. *)
 val d_id : item -> P2p_hashspace.Id_space.id
 

@@ -63,7 +63,7 @@ let heal w =
            Data_store.insert_routed owner.Peer.store ~route_id:e.route_id ~key
              ~value:e.value;
            if w.World.config.Config.s_style = Config.Bittorrent_tracker then
-             Hashtbl.replace owner.Peer.tracker_index key owner;
+             Peer.set_tracked owner key owner;
            e.primaries <- [ owner ];
            Registry.incr (counter "promoted"));
       match e.primaries with

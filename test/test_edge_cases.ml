@@ -359,6 +359,31 @@ let test_cli_forced_trace_rate () =
   Alcotest.(check (float 0.0)) "explicit rate kept" 0.5 (rate "--trace-sample 0.5");
   Alcotest.(check (float 0.0)) "explicit full rate kept" 1.0 (rate "--trace-sample 1")
 
+(* The gc gauges a run ends with are current: this run allocates less
+   than one minor heap, so the runtime has not collected by its end,
+   and a figure sampled only at collections would read 0. *)
+let test_cli_gc_gauges_current () =
+  let metrics = Filename.temp_file "p2psim" ".json" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/p2psim.exe run --peers 100 --items 50 --lookups 50 --metrics-out %s \
+          > /dev/null 2>&1"
+         (Filename.quote metrics))
+  in
+  let json = In_channel.with_open_text metrics In_channel.input_all in
+  Sys.remove metrics;
+  checki "exit" 0 code;
+  match Result.bind (P2p_obs.Json.parse json) P2p_obs.Registry.Doc.of_json with
+  | Ok doc ->
+    List.iter
+      (fun name ->
+        match P2p_obs.Registry.Doc.find doc ~subsystem:"gc" ~name with
+        | Some (P2p_obs.Registry.Doc.Gauge v) -> checkb (name ^ " > 0") true (v > 0.0)
+        | _ -> Alcotest.failf "no gc/%s gauge" name)
+      [ "allocated_mb_total"; "heap_mb" ]
+  | Error e -> Alcotest.fail e
+
 (* compare's pure-Chord line is the hybrid at p_s 0: it runs and finds
    every item. *)
 let test_cli_compare_pure_ring () =
@@ -480,6 +505,7 @@ let suite =
     Alcotest.test_case "CLI scenario profile rows" `Quick test_cli_scenario_profile;
     Alcotest.test_case "CLI scenario profile heal row" `Quick test_cli_heal_profile_row;
     Alcotest.test_case "CLI forced trace samples 1%" `Quick test_cli_forced_trace_rate;
+    Alcotest.test_case "CLI gc gauges current at the end" `Quick test_cli_gc_gauges_current;
     Alcotest.test_case "CLI compare runs the pure ring" `Quick test_cli_compare_pure_ring;
     Alcotest.test_case "CLI report reads one serve scrape" `Quick
       test_cli_report_single_scrape;

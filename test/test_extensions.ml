@@ -67,7 +67,7 @@ let test_lookup_fills_requester_cache () =
   let r = lookup_sync h ~from:p ~key:"item-00007" () in
   checkb "found" true (found r);
   checkb "requester cached a copy" true
-    (Cache.find p.Peer.cache ~now:(H.now h) ~key:"item-00007" <> None)
+    (Peer.cached p ~now:(H.now h) ~key:"item-00007" <> None)
 
 let test_cache_serves_repeat_lookups () =
   let config =
@@ -94,7 +94,7 @@ let test_cache_copies_expire () =
   ignore (lookup_sync h ~from:p ~key:"item-00001" () : Data_ops.lookup_outcome);
   H.run_for h 50.0;
   checkb "stale copy gone" true
-    (Cache.find p.Peer.cache ~now:(H.now h) ~key:"item-00001" = None)
+    (Peer.cached p ~now:(H.now h) ~key:"item-00001" = None)
 
 (* --- Reflooding --- *)
 

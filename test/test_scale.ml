@@ -318,6 +318,53 @@ let test_routing_table_words () =
         true (words <= ceiling))
     [ (5000, 200_000); (20000, 800_000) ]
 
+(* --- peer records ---------------------------------------------------------- *)
+
+(* Reachable words of run-5k's population (5,000 peers at p_s 0.97),
+   less the interner and change log every peer shares, per peer.  Each
+   feature table (soft cache, edge summaries, tracker index, watchdogs)
+   exists only from its first write, and this run writes none; when
+   each peer held three empty Hashtbls and an empty cache the figure
+   read ~152. *)
+let test_peer_words () =
+  let config = { Config.default with Config.default_ttl = 12 } in
+  let h, _ = Pipeline.build ~ps:0.97 ~seed:42000 ~n:5000 ~config () in
+  let w = H.world h in
+  let peers = World.live_peers w in
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let shared = words (World.interner w) + words (World.change_log w) in
+  let per_peer = float_of_int (words peers - shared) /. float_of_int (List.length peers) in
+  checki "peers" 5000 (List.length peers);
+  let ceiling = 70.0 in
+  checkb
+    (Printf.sprintf "%.1f words per peer (ceiling %.0f)" per_peer ceiling)
+    true (per_peer <= ceiling)
+
+(* A write to one peer's feature table allocates that peer's own table:
+   a second peer still reads all four as empty. *)
+let test_feature_tables_private () =
+  let h = H.create_star ~seed:5 ~peers:4 () in
+  let w = H.world h in
+  let make host =
+    Peer.make ~log:(World.change_log w) ~interner:(World.interner w) ~host ~p_id:0
+      ~role:Peer.S_peer ~link_capacity:1.0 ()
+  in
+  let a = make (-1) and b = make (-2) in
+  Peer.set_tracked a "k" a;
+  Peer.set_watchdog a 7 (World.one_shot w ~delay:1.0 ignore);
+  Peer.set_summary a 7 [| Hybrid_p2p.Bloom.create ~expected:1 ~bits_per_key:8 |];
+  Peer.cache_put a ~capacity:4 ~now:0.0 ~lifetime:10.0 ~key:"k" ~value:"v";
+  checkb "tracker written" true
+    (match Peer.tracked a "k" with Some p -> p == a | None -> false);
+  checkb "watchdog written" true (Peer.watchdog a 7 <> None);
+  checkb "summary written" true (Peer.summary a 7 <> None);
+  checkb "cache written" true (Peer.cached a ~now:1.0 ~key:"k" = Some "v");
+  checkb "other tracker empty" true (Peer.tracked b "k" = None);
+  checkb "other watchdogs empty" true (Peer.watchdog b 7 = None);
+  checkb "other summaries empty" true (Peer.summary b 7 = None);
+  checkb "other cache empty" true (Peer.cached b ~now:1.0 ~key:"k" = None);
+  H.run h
+
 (* --- ring rebuilds ------------------------------------------------------- *)
 
 (* Each t-join rebuilds the sorted ring array.  Past 256 t-peers that
@@ -505,6 +552,9 @@ let suite =
       test_random_peer_allocation;
     Alcotest.test_case "routing: link-state words at 5,000 peers" `Quick
       test_routing_table_words;
+    Alcotest.test_case "peer: words per peer at default config" `Quick test_peer_words;
+    Alcotest.test_case "peer: feature tables are private" `Quick
+      test_feature_tables_private;
     Alcotest.test_case "ring: rebuilds force no minor collections" `Quick
       test_ring_rebuild_minor_collections;
     Alcotest.test_case "lookups: live words per pending lookup" `Quick

@@ -39,6 +39,28 @@ let test_keys_rejects () =
   Alcotest.check_raises "no categories" (Invalid_argument "Keys.generate: categories")
     (fun () -> ignore (Keys.generate ~rng:(Rng.create 1) ~count:1 ~categories:0 : Keys.item array))
 
+(* The hand-written names agree byte for byte with the Printf formats
+   they replace, at the pad boundaries and past them. *)
+let test_keys_match_printf () =
+  let checks = Alcotest.check Alcotest.string in
+  List.iter
+    (fun index ->
+      List.iter
+        (fun tag ->
+          checks "key" (Printf.sprintf "file-%06d-%09d" index tag) (Keys.key_name ~index ~tag))
+        [ 0; 7; 99_999_999; 999_999_999 ];
+      checks "value" (Printf.sprintf "contents-of-%06d" index) (Keys.value_name index))
+    [ 0; 9; 10; 99_999; 999_999; 1_000_000; 12_345_678 ];
+  let rng = Rng.create 4 in
+  let items = Keys.generate ~rng:(Rng.create 4) ~count:200 ~categories:3 in
+  Array.iteri
+    (fun i it ->
+      let tag = Rng.int rng 1_000_000_000 in
+      ignore (Rng.int rng 3 : int);
+      checks "generated key" (Printf.sprintf "file-%06d-%09d" i tag) it.Keys.key;
+      checks "generated value" (Printf.sprintf "contents-of-%06d" i) it.Keys.value)
+    items
+
 let test_lookup_sequence () =
   let rng = Rng.create 3 in
   let items = Keys.generate ~rng ~count:50 ~categories:1 in
@@ -154,4 +176,5 @@ let suite =
     Alcotest.test_case "churn: poisson rates" `Quick test_churn_poisson_rates;
     Alcotest.test_case "churn: rejects bad args" `Quick test_churn_rejects;
     Alcotest.test_case "churn: crash storm" `Quick test_crash_storm;
+    Alcotest.test_case "keys: names match the Printf formats" `Quick test_keys_match_printf;
   ]
