@@ -100,20 +100,21 @@ let fit_keys sc n =
 
 (* --- what a tick carries to the next ------------------------------------
 
-   An online tick re-verifies only what the world's change log
-   ({!Hybrid_p2p.Change_log}) names since the state's last run, on top of
-   a {e base}: the same check's previous run with this state, when that
-   run was clean and the check's own preconditions for a fast path held.
-   A fast path either proves the world still clean, keeping its gauges as
-   running sums, or gives up ([Give_up]) and runs the full scan.  So a
-   state with a violation is always reported by the full scan itself,
-   and every status equals a fresh scan's, byte for byte. *)
+   An online tick re-verifies only what the world's peer journal
+   ([log.peers], a {!Hybrid_p2p.Change_log}) names since the state's
+   last run, on top of a {e base}: the same check's previous run with
+   this state, when that run was clean and the check's own
+   preconditions for a fast path held.  A fast path either proves the
+   world still clean, keeping its gauges as running sums, or gives up
+   ([Give_up]) and runs the full scan.  So a state with a violation is
+   always reported by the full scan itself, and every status equals a
+   fresh scan's, byte for byte. *)
 type inc = {
   mutable runs : int;  (* catalogue runs made with this state *)
-  mutable log : Peer.t Change_log.t option;  (* the log [gen] belongs to *)
-  mutable gen : int;  (* the generation restarted after the last run *)
-  mutable fast : bool;  (* this run reads the log *)
-  mutable dirty : Peer.t list;  (* peers written since the last run *)
+  mutable log : Peer.t Change_log.t option;  (* the journal [gen] belongs to *)
+  mutable gen : int;  (* the recording restarted after the last run *)
+  mutable fast : bool;  (* this run reads the journal *)
+  mutable dirty : Peer.t list;  (* peers written since the last run, newest first *)
   (* each [*_base]: the run a check's fast path may build on, or -1 *)
   mutable ring_base : int;
   mutable ring_busy : int;  (* ring_busy_peers, as a running sum *)
@@ -1366,12 +1367,12 @@ let run_check st ~final w c =
     status
   end
 
-(* [claim]: this run reads the world's change log when it can, and
+(* [claim]: this run reads the world's peer journal when it can, and
    restarts it afterwards, so the state's next run reads what changed
-   in between.  A ring merge still pending logs first. *)
+   in between.  A ring merge still pending journals first. *)
 let run_with st ~final ~claim checks w =
   let inc = st.inc in
-  let log = World.change_log w in
+  let log = (World.change_log w).Peer.peers in
   if claim then ignore (World.t_peers w : Peer.t array);
   inc.runs <- inc.runs + 1;
   inc.work <- 0;
@@ -1380,7 +1381,10 @@ let run_with st ~final ~claim checks w =
     claim
     && (match inc.log with Some l -> l == log | None -> false)
     && Change_log.readable log ~gen:inc.gen;
-  if inc.fast then inc.dirty <- Change_log.peers log;
+  if inc.fast then
+    for i = 0 to Change_log.length log - 1 do
+      inc.dirty <- Change_log.get log i :: inc.dirty
+    done;
   let statuses = List.map (run_check st ~final w) checks in
   inc.dirty <- [];
   if claim then begin

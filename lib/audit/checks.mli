@@ -24,8 +24,9 @@
     An online tick made with a long-lived {!state} re-verifies only what
     changed since that state's previous tick.  {!Hybrid_p2p.Peer}'s
     setters, and the world's registrations, size-table writes and ring
-    merges, log every peer they change in the world's
-    {!Hybrid_p2p.Change_log}, and each check reads it on top of its
+    merges, journal every peer they change in the world's
+    {!Hybrid_p2p.Change_log} of peers ([Peer.log.peers]), and each check
+    reads it on top of its
     previous clean run.  With C peers logged since the last tick, S the
     size of an s-network and T t-peers:
     - [ring_symmetry]: O(C log T), the segments beside the logged ring

@@ -1,44 +1,57 @@
-type 'p t = {
-  mutable gen : int;  (* 0 = off *)
-  mutable peers : 'p list;
-  mutable entries : int;  (* peers logged this generation *)
+(* Entries sit in one array, grown by doubling up to the limit; a slot
+   past [len] holds the entry whose push grew the array, or nothing. *)
+type 'a t = {
+  mutable gen : int;  (* the recording on now; 0 = off *)
+  mutable last : int;  (* the last recording number handed out *)
+  mutable entries : 'a array;
+  mutable len : int;
   mutable limit : int;
-  mutable lost : bool;
-  mutable next_gen : int;  (* the last generation handed out *)
-  keys : Key_log.t;
+  inert : bool;
 }
 
-let create () =
-  { gen = 0; peers = []; entries = 0; limit = 0; lost = false; next_gen = 0;
-    keys = Key_log.create () }
+let make inert = { gen = 0; last = 0; entries = [||]; len = 0; limit = 0; inert }
 
-let keys t = t.keys
+let create () = make false
+
+let inert () = make true
 
 let generation t = t.gen
 
-(* Past the limit a generation is lost: it stops recording (the stamps
-   compare against 0 from now on), so a reader that never comes back
-   costs nothing more. *)
-let add_peer t p =
-  if t.gen > 0 then begin
-    t.peers <- p :: t.peers;
-    t.entries <- t.entries + 1;
-    if t.entries > t.limit then begin
-      t.lost <- true;
-      t.gen <- 0;
-      t.peers <- []
-    end
+let push t x =
+  if t.len >= t.limit then begin
+    (* past the limit the recording overflows: off, and the entries go,
+       so a reader that never comes back holds nothing *)
+    t.gen <- 0;
+    t.entries <- [||];
+    t.len <- 0
+  end
+  else begin
+    if t.len = Array.length t.entries then begin
+      let grown = Array.make (max 16 (2 * t.len)) x in
+      Array.blit t.entries 0 grown 0 t.len;
+      t.entries <- grown
+    end;
+    t.entries.(t.len) <- x;
+    t.len <- t.len + 1
   end
 
+let[@inline] add t x = if t.gen <> 0 then push t x
+
 let restart t ~limit =
-  t.next_gen <- t.next_gen + 1;
-  t.gen <- t.next_gen;
-  t.peers <- [];
-  t.entries <- 0;
+  if t.inert then invalid_arg "Change_log.restart: the journal of no world";
+  t.last <- t.last + 1;
+  t.gen <- t.last;
+  t.entries <- [||];
+  t.len <- 0;
   t.limit <- limit;
-  t.lost <- false;
   t.gen
 
-let readable t ~gen = gen > 0 && t.gen = gen && not t.lost
+let stop t = t.gen <- 0
 
-let peers t = t.peers
+let readable t ~gen = gen > 0 && t.gen = gen
+
+let length t = t.len
+
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Change_log.get: no such entry";
+  t.entries.(i)

@@ -1,48 +1,54 @@
-(** What changed in a world since the audit last looked.
+(** What changed in a world since a reader last looked.
 
-    The log is how an online audit tick re-verifies only what changed
-    instead of the whole world: the list of every peer record written
-    since the log was last restarted, once each.  {!Peer}'s setters are
-    the only writers of the audited peer fields and each stamps the log,
-    so the list is complete by construction ([Peer.t] is a private
-    record).  The world logs the peers its own changes concern — a
-    registration, a ring merge, a size-table write — through
-    [Peer.log_change].  Peers are kept as records, not hosts: a crashed,
-    unregistered or hand-wired (negative-host) peer is still found.
+    A journal lets a reader re-check only what changed instead of the
+    whole world.  Each world keeps two ({!Peer.log}), each with one
+    reader: the peer records written, for the online audit — {!Peer}'s
+    setters are the only writers of the audited fields ([Peer.t] is a
+    private record), and the world journals the peers its registrations,
+    ring merges and size-table writes concern through [Peer.log_change];
+    and one {!Data_store.entry} per store write, for the replication
+    heal.
 
-    A log is off until {!restart} first turns it on; an off log costs one
-    stamp compare per write.  A generation ends when its reader restarts
-    the log.  A generation that overflows its entry limit is {e lost}: it
-    stops recording, and its reader must fall back to a full scan. *)
+    A journal is off until its reader {!restart}s it, and an off journal
+    costs a write one branch.  Each restart begins a {e recording} with
+    a fresh number.  A recording ends at the next restart or {!stop}, or
+    when it overflows its limit: then the journal turns off and drops
+    its entries, and its reader must fall back to a full scan. *)
 
-(** A log; ['p] is the peer record type. *)
-type 'p t
+type 'a t
 
-val create : unit -> 'p t
+val create : unit -> 'a t
 
-(** The current generation: [0] while off, else positive and never
-    reused.  {!Peer} stamps a written peer with it, and logs the peer only
-    when its stamp differs. *)
-val generation : 'p t -> int
+(** A journal for writers of no world (a hand-wired negative host's
+    stores, a bare test store): never on, so writes are recorded
+    nowhere.  {!restart} rejects it. *)
+val inert : unit -> 'a t
 
-(** [add_peer t p] appends [p] to the current generation's peers — the
-    caller has checked and updated [p]'s stamp.  No-op while off. *)
-val add_peer : 'p t -> 'p -> unit
+(** The current recording's number: [0] while off, else positive and
+    never reused, also after an overflow.  {!Peer} stamps a written peer
+    with it, and journals the peer only when its stamp differs. *)
+val generation : 'a t -> int
 
-(** [restart t ~limit] ends the current generation and starts a fresh
-    one, turned on, that holds at most [limit] entries before it is lost.
-    Returns the new generation. *)
-val restart : 'p t -> limit:int -> int
+(** [add t x] appends [x] to the current recording; no-op while off.
+    The [limit + 1]-th entry turns the journal off and drops them all. *)
+val add : 'a t -> 'a -> unit
 
-(** [readable t ~gen] — the log is on generation [gen] and that
-    generation is not lost: {!peers} lists every change since [gen]
-    started. *)
-val readable : 'p t -> gen:int -> bool
+(** [restart t ~limit] drops the entries and starts a recording of at
+    most [limit] entries; returns its number.
+    @raise Invalid_argument on an {!inert} journal. *)
+val restart : 'a t -> limit:int -> int
 
-(** Peers written this generation, newest first. *)
-val peers : 'p t -> 'p list
+(** [stop t] turns the journal off, so a reader's own writes go
+    unrecorded; the entries stay readable until the next {!restart}. *)
+val stop : 'a t -> unit
 
-(** The key-level half: the log every store of this world's peers
-    notes its writes in ({!Peer.make} wires it), read by the replication
-    heal.  It has its own reader and on/off state. *)
-val keys : 'p t -> Key_log.t
+(** [readable t ~gen] — recording [gen] is on and has not overflowed:
+    its entries name every write since it started. *)
+val readable : 'a t -> gen:int -> bool
+
+(** Entries since the last {!restart}; [0] after an overflow. *)
+val length : 'a t -> int
+
+(** [get t i] is the [i]-th entry, oldest first ([0 <= i < length t]).
+    Nothing past {!length} is kept alive. *)
+val get : 'a t -> int -> 'a

@@ -15,7 +15,7 @@ let tombstone = -2
 
 type t = {
   interner : Intern.t;
-  log : Key_log.t;  (* where writes are noted, with [tag] *)
+  log : int Change_log.t;  (* where writes are journaled, with [tag] *)
   tag : int;
   mutable keys : int array;  (* key id, or [empty_slot] / [tombstone] *)
   mutable vals : int array;
@@ -24,10 +24,26 @@ type t = {
   mutable used : int;  (* live + tombstones: occupied probe slots *)
 }
 
-let create ~interner ?(log = Key_log.inert) ?(tag = 0) () =
+let no_world : int Change_log.t = Change_log.inert ()
+
+let create ~interner ?(log = no_world) ?(tag = 0) () =
   { interner; log; tag; keys = [||]; vals = [||]; routes = [||]; live = 0; used = 0 }
 
 let interner t = t.interner
+
+let tag t = t.tag
+
+(* The tag sits in the low bits, plus one so that 0 means none: sorting
+   entries orders them by key, then tag. *)
+let tag_bits = 31
+
+let entry ~kid ~tag = (kid lsl tag_bits) lor (tag + 1)
+
+let entry_kid e = e lsr tag_bits
+
+let entry_tag e = (e land ((1 lsl tag_bits) - 1)) - 1
+
+let note t kid = Change_log.add t.log (entry ~kid ~tag:t.tag)
 
 let size t = t.live
 
@@ -91,7 +107,7 @@ let insert_routed t ~route_id ~key ~value =
   done;
   t.vals.(!result) <- Intern.intern t.interner value;
   t.routes.(!result) <- route_id;
-  Key_log.note t.log ~kid ~tag:t.tag
+  note t kid
 
 let insert t ~key ~value =
   insert_routed t ~route_id:(Key_hash.of_string key) ~key ~value
@@ -135,7 +151,7 @@ let remove t ~key =
   match slot_of t ~key with
   | -1 -> ()
   | i ->
-    Key_log.note t.log ~kid:t.keys.(i) ~tag:t.tag;
+    note t t.keys.(i);
     t.keys.(i) <- tombstone;
     t.live <- t.live - 1
 
@@ -186,7 +202,7 @@ let take_segment t ~left ~right =
             Intern.name t.interner t.vals.(i),
             t.routes.(i) )
           :: !acc;
-        Key_log.note t.log ~kid ~tag:t.tag;
+        note t kid;
         t.keys.(i) <- tombstone;
         t.live <- t.live - 1
       end)
@@ -205,8 +221,7 @@ let digest_items items =
 
 let segment_digest t ~left ~right = digest_items (segment_items t ~left ~right)
 
-let note_held t =
-  if Key_log.on t.log then iter_ids t (fun kid -> Key_log.note t.log ~kid ~tag:t.tag)
+let note_held t = if Change_log.generation t.log <> 0 then iter_ids t (note t)
 
 let clear t =
   note_held t;

@@ -19,12 +19,30 @@ type t
     keys and values to dense ids; a peer's stores take the world's
     interner ({!World.register} rejects any other), so all peers share
     string storage and one id names one key in every store.  Every
-    insert, removal, segment take and clear notes the key ids it writes
-    in [log] (default {!Key_log.inert}: nowhere) under [tag]. *)
-val create : interner:Intern.t -> ?log:Key_log.t -> ?tag:int -> unit -> t
+    insert, removal, segment take and clear journals each key id it
+    writes in [log] (default {!no_world}: nowhere), as one {!entry}
+    under the store's [tag]. *)
+val create : interner:Intern.t -> ?log:int Change_log.t -> ?tag:int -> unit -> t
+
+(** The journal of stores that belong to no world (a hand-wired
+    negative host, a bare test store): {!Change_log.inert}. *)
+val no_world : int Change_log.t
 
 (** The interner this store resolves ids against. *)
 val interner : t -> Intern.t
+
+(** The store's holder tag ({!Peer.make} assigns them; [0] by default). *)
+val tag : t -> int
+
+(** {1 Journal entries}
+
+    A write of key id [kid] by the store tagged [tag] is journaled as one
+    int, [entry ~kid ~tag], which {!entry_kid} and {!entry_tag} unpack;
+    sorted, entries order by key, then tag.  [~tag:(-1)] names no store. *)
+
+val entry : kid:int -> tag:int -> int
+val entry_kid : int -> int
+val entry_tag : int -> int
 
 (** Number of items held. *)
 val size : t -> int
@@ -108,10 +126,10 @@ val iter_id_items : t -> (int -> int -> Id_space.id -> unit) -> unit
 (** [keys t] lists stored keys in unspecified order. *)
 val keys : t -> string list
 
-(** [note_held t] notes every key [t] holds in its log, as if each were
-    written now: how a copy's holder changes with no store write (the
-    store's peer entering or leaving a world's membership) still reaches
-    the log's reader.  One branch while the log is off. *)
+(** [note_held t] journals every key [t] holds, as if each were written
+    now: how a copy's holder changes with no store write (the store's
+    peer entering or leaving a world's membership) still reaches the
+    journal's reader.  One branch while the journal is off. *)
 val note_held : t -> unit
 
 val clear : t -> unit

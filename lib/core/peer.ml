@@ -35,14 +35,16 @@ type t = {
   mutable watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t option;
   mutable hello_timer : P2p_transport.Transport.timer option;
   mutable last_ack_sent : float;
-  log : t Change_log.t;
+  log : log;
   mutable logged : int;
 }
 
+and log = { peers : t Change_log.t; keys : int Change_log.t }
+
 let make ~log ~interner ~host ~p_id ~role ~link_capacity
     ?interest () =
-  (* a negative host never registers: its writes need no log *)
-  let keys = if host >= 0 then Change_log.keys log else Key_log.inert in
+  (* a negative host never registers: its stores journal nowhere *)
+  let keys = if host >= 0 then log.keys else Data_store.no_world in
   {
     host;
     p_id;
@@ -79,14 +81,22 @@ let make ~log ~interner ~host ~p_id ~role ~link_capacity
     logged = 0;
   }
 
-(* One stamp compare per write: [logged] is the log generation [p] was
-   last logged in, and an off log's generation (0) is every fresh
+(* A store's holder tag, as [make] assigns it: [2 · host], plus 1 for
+   the replica store. *)
+let tag_host tag = tag lsr 1
+
+let is_replica_tag tag = tag land 1 = 1
+
+let tagged_store p tag = if is_replica_tag tag then p.replicas else p.store
+
+(* One stamp compare per write: [logged] is the recording [p] was last
+   journaled in, and an off journal's generation (0) is every fresh
    peer's stamp. *)
 let log_change p =
-  let gen = Change_log.generation p.log in
+  let gen = Change_log.generation p.log.peers in
   if p.logged <> gen then begin
     p.logged <- gen;
-    Change_log.add_peer p.log p
+    Change_log.add p.log.peers p
   end
 
 let set_p_id p v =
@@ -134,7 +144,7 @@ let set_cp p v =
    side of the edge. *)
 let set_children p v =
   log_change p;
-  if Change_log.generation p.log <> 0 then
+  if Change_log.generation p.log.peers <> 0 then
     List.iter (fun c -> if not (List.memq c v) then log_change c) p.children;
   p.children <- v
 

@@ -6,8 +6,9 @@
     the protocol modules ([T_network], [S_network], [Data_ops], [Failure])
     read its fields and write them through the setters below, and
     {!Hybrid} presents the safe facade.  Each setter of an audited field
-    logs the peer in its world's {!Change_log}, so the online audit
-    re-verifies exactly the peers written since its last tick.
+    journals the peer in its world's [log.peers] {!Change_log}, so the
+    online audit re-verifies exactly the peers written since its last
+    tick.
 
     Pure structural helpers (tree walks, degree accounting, segment tests)
     live here so the protocol modules stay focused on message flows. *)
@@ -86,21 +87,39 @@ type t = private {
           watchdog (heartbeats on), dropped when the peer crashes *)
   mutable hello_timer : P2p_transport.Transport.timer option;
   mutable last_ack_sent : float;  (** for the suppress timer *)
-  log : t Change_log.t;  (** the world's change log ({!World.change_log}) *)
-  mutable logged : int;  (** the log generation this peer was last logged in *)
+  log : log;  (** the world's change journal ({!World.change_log}) *)
+  mutable logged : int;  (** the recording this peer was last journaled in *)
 }
+
+(** A world's change journal, one {!Change_log} per reader: [peers]
+    written, for the online audit, and [keys] written, one
+    {!Data_store.entry} each, for the replication heal. *)
+and log = { peers : t Change_log.t; keys : int Change_log.t }
 
 (** [make ~log ~interner ~host ~p_id ~role ~link_capacity ()] allocates a
     fresh, unconnected peer with no feature table.  [interner] is shared
-    by the peer's store and replica store, and [log] records the peer's writes — its stores
-    note theirs in [Change_log.keys log], tagged [2 · host] and
-    [2 · host + 1]; both must be the world's ({!World.interner},
-    {!World.change_log}) for the peer to register. *)
+    by the peer's store and replica store.  [log.peers] journals the
+    peer's writes, and [log.keys] its stores' writes, under the {e holder
+    tags} [2 · host] for [store] and [2 · host + 1] for [replicas]
+    (a negative host's stores journal nowhere).  Both must be the
+    world's ({!World.interner}, {!World.change_log}) for the peer to
+    register. *)
 val make :
-  log:t Change_log.t ->
+  log:log ->
   interner:Intern.t ->
   host:int -> p_id:Id_space.id -> role:role -> link_capacity:float ->
   ?interest:int -> unit -> t
+
+(** {1 Holder tags}
+
+    A tag names one store world-wide ({!make}); ascending tags are host
+    order, each peer's [store] before its [replicas].  [tag_host tag] is
+    the store's host, and [tagged_store p tag] the store itself when [p]
+    is the peer on that host. *)
+
+val tag_host : int -> int
+val is_replica_tag : int -> bool
+val tagged_store : t -> int -> Data_store.t
 
 (** {1 Setters}
 

@@ -40,7 +40,7 @@ type t = {
   config : Config.t;
   rng : Rng.t;
   interner : Intern.t;
-  changes : Peer.t Change_log.t;
+  changes : Peer.log;
   mutable slots : Peer.t option array;
   mutable live_count : int;
   mutable live_index : int array;
@@ -89,7 +89,7 @@ let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
     config;
     rng = Rng.split (Engine.rng engine);
     interner = Intern.create ();
-    changes = Change_log.create ();
+    changes = { Peer.peers = Change_log.create (); keys = Change_log.create () };
     slots = [||];
     live_count = 0;
     live_index = [||];
@@ -244,9 +244,9 @@ let write_snet t host n =
 
 (* The replication heal books each key's holders between passes; a peer
    entering or leaving the membership with copies moves holders no store
-   write announces, so each of its copies goes in the key log as if
-   written.  The next heal re-examines just those keys; it takes a full
-   census only on its first pass or after the log overflowed. *)
+   write announces, so each of its copies is journaled as if written.
+   The next heal re-examines just those keys; it takes a full census
+   only on its first pass or after the journal overflowed. *)
 let holders_moved p =
   Data_store.note_held p.Peer.store;
   Data_store.note_held p.Peer.replicas

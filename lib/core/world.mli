@@ -42,14 +42,15 @@ type t = {
       (** world-wide string interner shared by every registered peer's
           stores, so all copies of a key or value share one heap block
           and one key id *)
-  changes : Peer.t Change_log.t;
-      (** what the online audit re-verifies: every peer written through
+  changes : Peer.log;
+      (** the change journal, one {!Change_log} per reader.  [peers]:
+          what the online audit re-verifies — every peer written through
           a {!Peer} setter, every peer registered or unregistered, the
           t-peer of every size-table row written, and the members a ring
-          merge made neighbours; and, in its key log
-          ({!Change_log.keys}), what the replication heal re-examines:
-          every key id a registered peer's store wrote, and every key
-          id a peer entering or leaving the membership holds *)
+          merge made neighbours.  [keys]: what the replication heal
+          re-examines — every key id a registered peer's store wrote,
+          and every key id a peer entering or leaving the membership
+          holds, with its store's holder tag *)
   mutable slots : Peer.t option array;
       (** host-indexed membership directory (hosts are dense graph node
           ids); [None] = no peer registered on that host *)
@@ -198,20 +199,20 @@ val bump : t -> subsystem:string -> name:string -> unit
 (** The world's shared string interner (see the [interner] field). *)
 val interner : t -> Intern.t
 
-(** The world's change log (see the [changes] field): what every peer of
-    this world must be made with ([Peer.make ~log]). *)
-val change_log : t -> Peer.t Change_log.t
+(** The world's change journal (see the [changes] field): what every
+    peer of this world must be made with ([Peer.make ~log]). *)
+val change_log : t -> Peer.log
 
 (** [register t peer] enters [peer] into the membership directory, and
-    logs it (and any peer it displaces) as changed.  A peer entering or
-    leaving the directory notes each item in its stores in the key log
-    ({!Data_store.note_held}): holders moved that no store write
+    journals it (and any peer it displaces) as changed.  A peer entering
+    or leaving the directory journals each item in its stores as a key
+    write ({!Data_store.note_held}): holders moved that no store write
     names.  {!unregister} does the same.
     @raise Invalid_argument on a negative host, when the peer's
     stores use an interner other than {!interner} (every registered
     store shares the world's key ids, so whole-world passes — the
     replication heal, the audit — tally keys by id alone), or when the
-    peer was made with a change log other than {!change_log}. *)
+    peer was made with a change journal other than {!change_log}. *)
 val register : t -> Peer.t -> unit
 
 val unregister : t -> Peer.t -> unit

@@ -28,10 +28,6 @@ type entry =
     entries.  @raise Invalid_argument if [capacity <= 0]. *)
 val create : capacity:int -> unit -> t
 
-(** Record one completed operation. *)
-val record_op :
-  t -> at:float -> op:int -> kind:string -> total_ms:float -> sampled:bool -> unit
-
 (** Record one audit finding. *)
 val record_audit :
   t -> at:float -> check:string -> severity:string -> detail:string -> unit

@@ -91,20 +91,6 @@ let completed trace =
         ops := analyze ~root:s children :: !ops);
   List.rev !ops
 
-let by_kind ops =
-  let order = ref [] in
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun o ->
-      if not (Hashtbl.mem table o.kind) then begin
-        Hashtbl.add table o.kind ();
-        order := o.kind :: !order
-      end)
-    ops;
-  List.rev_map
-    (fun kind -> (kind, List.filter (fun o -> o.kind = kind) ops))
-    !order
-
 (* Every op completion, sampled or not, feeds latency/<kind>_total_ms,
    so percentiles and SLO gates stay exact at any sample rate.  The
    handles are cached per kind: the listener runs once per op. *)

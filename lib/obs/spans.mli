@@ -35,9 +35,6 @@ val analyze : root:P2p_sim.Trace.span -> P2p_sim.Trace.span list -> op
 (** All completed operations retained in the trace, oldest first. *)
 val completed : P2p_sim.Trace.t -> op list
 
-(** Group an analysis by op kind, first-seen order preserved. *)
-val by_kind : op list -> (string * op list) list
-
 (** [record_totals reg trace] installs the op-completion listener that
     feeds [latency/<kind>_total_ms] from every completed operation,
     sampled or not.  {!record} then leaves those histograms to it. *)

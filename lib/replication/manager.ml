@@ -9,27 +9,21 @@ module Trace = P2p_sim.Trace
 module Registry = P2p_obs.Registry
 module Metrics = P2p_net.Metrics
 module Change_log = Hybrid_p2p.Change_log
-module Key_log = Hybrid_p2p.Key_log
 
 let subsystem = "replication"
 
 (* --- heal book ---------------------------------------------------------- *)
 
-(* A copy's tag names the store holding it: [2 · host] for a peer's
-   primary store, [2 · host + 1] for its replica store ({!Peer.make});
+(* A copy's holder tag names the store holding it ({!Peer.make}):
    ascending tags are host order, each peer's store before its
    replicas. *)
-let host_of tag = tag lsr 1
-
-let is_replica tag = tag land 1 = 1
-
 let has_tag holders tag =
   let i = ref 0 in
   while !i < Array.length holders && holders.(!i) <> tag do incr i done;
   !i < Array.length holders
 
 let replica_count holders =
-  Array.fold_left (fun n tag -> if is_replica tag then n + 1 else n) 0 holders
+  Array.fold_left (fun n tag -> if Peer.is_replica_tag tag then n + 1 else n) 0 holders
 
 (* [holders] with [tag] added (absent) or dropped (present), ascending. *)
 let with_tag holders tag =
@@ -56,7 +50,7 @@ let without_tag holders tag =
    primary holding a copy on each target and no replica beside a
    primary, so a key needs the next pass only if a store wrote it or
    a peer holding it entered or left the membership (the world's key
-   log says which, and where), or its primary's targets moved. *)
+   journal says which, and where), or its primary's targets moved. *)
 type book = {
   mutable holders : int array array;
   mutable primary : int array;
@@ -71,9 +65,9 @@ type book = {
   mutable memo_list : Peer.t list array;
   mutable memo_pass : int array;
   mutable pass : int;
-  mutable recording : int;  (* the key-log recording the book follows; 0 = none *)
+  mutable recording : int;  (* the key-journal recording the book follows; 0 = none *)
   (* one pass's scratch *)
-  mutable dirty : int array;  (* (key, tag) entries, then the keys examined *)
+  mutable dirty : int array;  (* {!Data_store.entry}s, then the keys examined *)
   mutable found : int array;  (* one key's holders *)
   (* cost, for [--profile] *)
   mutable examined : int;
@@ -174,17 +168,15 @@ let targets_of b w primary =
         targets
     end
 
-(* A dirty entry packs a key id and one logged tag ([tag + 1]; 0 = none)
-   so that sorting the entries orders them by key, then tag. *)
-let tag_bits = 31
-
-let entry kid tag = (kid lsl tag_bits) lor (tag + 1)
+(* A dirty entry is a {!Data_store.entry}: the journal's, or one naming
+   a key and no holder. *)
+let key_entry kid = Data_store.entry ~kid ~tag:(-1)
 
 let push_dirty b m e =
   if m >= Array.length b.dirty then b.dirty <- grow b.dirty (max 64 (2 * m)) 0;
   b.dirty.(m) <- e
 
-(* The census, for a pass with no log to trust: the book cleared, every
+(* The census, for a pass with no journal to trust: the book cleared, every
    registered store's copies booked as their keys' holders — counted
    first, so each key's array is made once at its size, then filled in
    host order, which is tag order — and an entry with no tag for every
@@ -208,7 +200,7 @@ let census b w =
       if c > 0 then begin
         b.holders.(kid) <- Array.make c 0;
         count.(kid) <- 0;
-        push_dirty b !m (kid lsl tag_bits);
+        push_dirty b !m (key_entry kid);
         incr m
       end)
     count;
@@ -217,28 +209,28 @@ let census b w =
         b.holders.(kid).(count.(kid)) <- tag;
         count.(kid) <- count.(kid) + 1
       in
-      Data_store.iter_ids p.Peer.store (book (2 * p.Peer.host));
-      Data_store.iter_ids p.Peer.replicas (book ((2 * p.Peer.host) + 1)));
+      Data_store.iter_ids p.Peer.store (book (Data_store.tag p.Peer.store));
+      Data_store.iter_ids p.Peer.replicas (book (Data_store.tag p.Peer.replicas)));
   !m
 
-(* The keys the log names, the keys whose primary's targets moved, and
-   the keys still unowned, sorted.  Returns the entry count. *)
+(* The keys the journal names, the keys whose primary's targets moved,
+   and the keys still unowned, sorted.  Returns the entry count. *)
 let gather b w log =
   let m = ref 0 in
   let push e =
     push_dirty b !m e;
     incr m
   in
-  for i = 0 to Key_log.length log - 1 do
-    push (entry (Key_log.kid log i) (Key_log.tag log i))
+  for i = 0 to Change_log.length log - 1 do
+    push (Change_log.get log i)
   done;
-  List.iter (fun kid -> push (kid lsl tag_bits)) b.unowned;
+  List.iter (fun kid -> push (key_entry kid)) b.unowned;
   b.unowned <- [];
   let moved = ref false in
   for h = 0 to Array.length b.leads - 1 do
     if b.leads.(h) > 0 then
       match World.find_peer w ~host:h with
-      | None -> ()  (* its keys left its stores through logged writes *)
+      | None -> ()  (* its keys left its stores through journaled writes *)
       | Some p ->
         let targets = targets_of b w p in
         if not (List.equal ( == ) targets b.used.(h)) then begin
@@ -249,24 +241,23 @@ let gather b w log =
   done;
   if !moved then
     Array.iteri
-      (fun kid h -> if h >= 0 && b.moved.(h) = b.pass then push (kid lsl tag_bits))
+      (fun kid h -> if h >= 0 && b.moved.(h) = b.pass then push (key_entry kid))
       b.primary;
   let entries = Array.sub b.dirty 0 !m in
   Array.stable_sort Int.compare entries;
   b.dirty <- entries;
   !m
 
-(* The store a tag names, at the peer registered on its host. *)
-let store_at p tag = if is_replica tag then p.Peer.replicas else p.Peer.store
-
+(* Does the store a tag names, at the peer registered on its host, hold
+   [kid]? *)
 let holds w tag kid =
-  match World.find_peer w ~host:(host_of tag) with
-  | Some p -> Data_store.mem_id (store_at p tag) kid
+  match World.find_peer w ~host:(Peer.tag_host tag) with
+  | Some p -> Data_store.mem_id (Peer.tagged_store p tag) kid
   | None -> false
 
 (* Phase one for the key whose entries are [dirty.(i) .. dirty.(j - 1)]:
    drop what the book counted for it, find its holders among the booked
-   and logged tags, drop a replica copy beside a primary at the same
+   and journaled tags, drop a replica copy beside a primary at the same
    peer, and book the holders left. *)
 let examine b w kid i j =
   let booked = b.holders.(kid) in
@@ -280,15 +271,15 @@ let examine b w kid i j =
      b.primary.(kid) <- -1);
   if Array.length b.found < stop + (j - i) then b.found <- Array.make (2 * (stop + (j - i))) 0;
   let found = b.found in
-  (* merge the booked holders with the logged tags, both ascending,
+  (* merge the booked holders with the journaled tags, both ascending,
      keeping each distinct tag whose store holds the key, and dropping a
      replica copy that directly follows its own peer's primary.  A
-     booked tag the log does not name still holds the key: its store
-     wrote nothing since, and its peer stayed registered *)
+     booked tag the journal does not name still holds the key: its
+     store wrote nothing since, and its peer stayed registered *)
   let n = ref 0 and last = ref (-1) in
   let a = ref 0 and e = ref i in
   while !a < stop || !e < j do
-    let logged = if !e < j then (b.dirty.(!e) land ((1 lsl tag_bits) - 1)) - 1 else max_int in
+    let logged = if !e < j then Data_store.entry_tag b.dirty.(!e) else max_int in
     if logged < 0 then incr e
     else begin
       let tag, held =
@@ -305,8 +296,8 @@ let examine b w kid i j =
       if tag <> !last then begin
         last := tag;
         if held || holds w tag kid then
-          if is_replica tag && !n > 0 && found.(!n - 1) = tag - 1 then
-            match World.find_peer w ~host:(host_of tag) with
+          if Peer.is_replica_tag tag && !n > 0 && Peer.tag_host found.(!n - 1) = Peer.tag_host tag then
+            match World.find_peer w ~host:(Peer.tag_host tag) with
             | Some p -> Data_store.remove p.Peer.replicas ~key:(Intern.name (World.interner w) kid)
             | None -> assert false
           else begin
@@ -330,14 +321,14 @@ let rec place t b kid ~route_id ~value_id targets written =
   match targets with
   | [] -> written
   | target :: rest ->
-    let tag = 2 * target.Peer.host in
-    if has_tag b.holders.(kid) tag || has_tag b.holders.(kid) (tag + 1) then
+    let holders = b.holders.(kid) and replica = Data_store.tag target.Peer.replicas in
+    if has_tag holders (Data_store.tag target.Peer.store) || has_tag holders replica then
       place t b kid ~route_id ~value_id rest written
     else begin
       let key = Intern.name (World.interner t.w) kid in
       let value = Intern.name (World.interner t.w) value_id in
       Data_store.insert_routed target.Peer.replicas ~route_id ~key ~value;
-      b.holders.(kid) <- with_tag b.holders.(kid) ((2 * target.Peer.host) + 1);
+      b.holders.(kid) <- with_tag b.holders.(kid) replica;
       Registry.incr t.re_replicated;
       Registry.incr t.bytes_re_replicated ~by:(String.length key + String.length value);
       place t b kid ~route_id ~value_id rest (written + 1)
@@ -352,16 +343,15 @@ let promote t b kid ~route_id ~value_id =
   | Some owner as promoted ->
     let interner = World.interner w in
     let key = Intern.name interner kid in
-    let tag = 2 * owner.Peer.host in
     Data_store.insert_routed owner.Peer.store ~route_id ~key
       ~value:(Intern.name interner value_id);
     if w.World.config.Config.s_style = Config.Bittorrent_tracker then
       Peer.set_tracked owner key owner;
     if Data_store.mem_id owner.Peer.replicas kid then begin
       Data_store.remove owner.Peer.replicas ~key;
-      b.holders.(kid) <- without_tag b.holders.(kid) (tag + 1)
+      b.holders.(kid) <- without_tag b.holders.(kid) (Data_store.tag owner.Peer.replicas)
     end;
-    b.holders.(kid) <- with_tag b.holders.(kid) tag;
+    b.holders.(kid) <- with_tag b.holders.(kid) (Data_store.tag owner.Peer.store);
     Registry.incr t.promoted;
     promoted
 
@@ -376,14 +366,14 @@ let restore t b kid ~promoted ~restored =
   let holders = b.holders.(kid) in
   if Array.length holders > 0 then begin
     let first =
-      match World.find_peer w ~host:(host_of holders.(0)) with
-      | Some p -> store_at p holders.(0)
+      match World.find_peer w ~host:(Peer.tag_host holders.(0)) with
+      | Some p -> Peer.tagged_store p holders.(0)
       | None -> assert false
     in
     let route_id = Data_store.route_of_id first kid and value_id = Data_store.value_id first kid in
     let leader = ref (-1) in
     for x = 0 to Array.length holders - 1 do
-      if not (is_replica holders.(x)) then leader := host_of holders.(x)
+      if not (Peer.is_replica_tag holders.(x)) then leader := Peer.tag_host holders.(x)
     done;
     let primary =
       if !leader >= 0 then World.find_peer w ~host:!leader
@@ -422,10 +412,10 @@ let restore t b kid ~promoted ~restored =
    the transfer traffic would only re-order identical end states.
 
    A pass re-examines only the keys that can have changed since the
-   last: those the world's key log names (store writes, and the copies
-   of a peer entering or leaving the membership), and those whose
-   primary's targets moved (see [book]).  When it has no log to trust —
-   on the first pass, or after the log overflowed — a census rebuilds
+   last: those the world's key journal names (store writes, and the
+   copies of a peer entering or leaving the membership), and those whose
+   primary's targets moved (see [book]).  When it has no journal to
+   trust — on the first pass, or after it overflowed — a census rebuilds
    the book from every copy and names every key instead.  Either way
    the keys are examined in id order, all shadowed copies dropped
    before any copy is written, so every store receives the writes a
@@ -441,10 +431,10 @@ let heal ?op t =
     | Some op -> op
     | None -> Trace.begin_op (World.trace w) ~time:(World.now w) ~kind:Trace.Replicate "heal"
   in
-  let log = Change_log.keys (World.change_log w) in
-  let full = not (Key_log.readable log ~gen:b.recording) in
+  let log = (World.change_log w).Peer.keys in
+  let full = not (Change_log.readable log ~gen:b.recording) in
   (* the pass books its own writes *)
-  Key_log.stop log;
+  Change_log.stop log;
   b.pass <- b.pass + 1;
   fit b w;
   let m =
@@ -459,9 +449,9 @@ let heal ?op t =
      compacted to the front of [dirty] *)
   let keys = ref 0 and i = ref 0 in
   while !i < m do
-    let kid = b.dirty.(!i) lsr tag_bits in
+    let kid = Data_store.entry_kid b.dirty.(!i) in
     let j = ref (!i + 1) in
-    while !j < m && b.dirty.(!j) lsr tag_bits = kid do incr j done;
+    while !j < m && Data_store.entry_kid b.dirty.(!j) = kid do incr j done;
     examine b w kid !i !j;
     b.dirty.(!keys) <- kid;
     incr keys;
@@ -482,8 +472,8 @@ let heal ?op t =
   (* the heal rewrote stores and replica shadows across arbitrary trees;
      cheaper to declare every edge summary stale than to track each move *)
   Summaries.invalidate_all w;
-  (* a log longer than the book it feeds costs about what a census does *)
-  if t.factor > 0 then b.recording <- Key_log.restart log ~limit:(max 1024 (b.items + b.copies));
+  (* a journal longer than its book costs about what a census does *)
+  if t.factor > 0 then b.recording <- Change_log.restart log ~limit:(max 1024 (b.items + b.copies));
   b.cpu_s <- b.cpu_s +. (Sys.time () -. started);
   if own_op then
     Trace.end_op (World.trace w) ~time:(World.now w) ~op

@@ -46,7 +46,7 @@ val heal : ?op:int -> t -> unit
 
 (** What the heal passes cost so far: [passes] run, keys [examined]
     across them, [full_censuses] among the passes (the first pass, and
-    each after the key log overflowed), and their CPU seconds
+    each after the key journal overflowed), and their CPU seconds
     ([Sys.time]). *)
 type heal_stats = { passes : int; examined : int; full_censuses : int; cpu_s : float }
 

@@ -245,6 +245,12 @@ let write_outputs t reg =
     Option.iter (fun path -> write path; Printf.printf "%s -> %s\n" label path) path
   in
   P2p_obs.Engine_stats.record reg engine;
+  (* the shortest-path solves the run's router made, each on a first use
+     of its source *)
+  let routing = P2p_net.Underlay.routing (H.world t.h).Hybrid_p2p.World.underlay in
+  P2p_obs.Registry.incr
+    (P2p_obs.Registry.counter reg ~subsystem:"underlay" ~name:"route_solves")
+    ~by:(P2p_topology.Routing.solves routing);
   (* fold the span analysis into the registry first, so the exported
      metrics carry the latency/* percentiles and tier attribution *)
   if Trace.enabled trace then P2p_obs.Spans.record reg trace;

@@ -13,10 +13,3 @@ let fraction_zero h = Histogram.fraction h 0
 let fraction_below h v = if v <= 0 then 0.0 else Histogram.fraction_at_most h (v - 1)
 
 let max_load h = Stdlib.max 0 (Histogram.max_value h)
-
-let pp_series ppf points =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun { value; density } -> Format.fprintf ppf "%6d  %.5f@," value density)
-    points;
-  Format.fprintf ppf "@]"

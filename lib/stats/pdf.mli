@@ -21,7 +21,3 @@ val fraction_below : Histogram.t -> int -> float
 
 (** Largest observation, [0] when empty. *)
 val max_load : Histogram.t -> int
-
-(** Renders the PDF as aligned text rows ["value density"] for figure
-    regeneration. *)
-val pp_series : Format.formatter -> point list -> unit

@@ -448,6 +448,8 @@ let scrape_snapshot t ~spans = snapshot t ~spans
 let request_flight_dump t ~reason =
   if t.flight_reason = None then t.flight_reason <- Some reason
 
+(* Write the flight-recorder ring (plus chrome trace and metrics) into
+   [dump_dir] now, from loop context; the paths written. *)
 let flight_dump t ~reason =
   match t.dump_dir with
   | None -> []

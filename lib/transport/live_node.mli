@@ -78,11 +78,6 @@ val scrape_snapshot : t -> spans:bool -> P2p_obs.Scrape.snapshot
     is what SIGTERM/SIGINT handlers call.  First reason wins. *)
 val request_flight_dump : t -> reason:string -> unit
 
-(** [flight_dump t ~reason] — write the flight-recorder ring (plus
-    chrome trace and metrics) into [dump_dir] now, from loop context.
-    Returns the paths written ([[]] without a [dump_dir]). *)
-val flight_dump : t -> reason:string -> string list
-
 (** Blocking loop: step until a [Shutdown] frame arrives — or a
     requested flight dump is honoured — then drain and {!stop}. *)
 val run : t -> unit

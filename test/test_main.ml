@@ -14,6 +14,7 @@ let () =
       ("hybrid.peer", Test_peer.suite);
       ("hybrid.world", Test_world.suite);
       ("hybrid.networks", Test_networks.suite);
+      ("hybrid.schedules", Schedules.suite);
       ("hybrid.data+failure", Test_data_failure.suite);
       ("replication", Test_replication.suite);
       ("hybrid.system", Test_hybrid.suite);

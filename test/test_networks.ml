@@ -202,28 +202,8 @@ let test_leave_triangle_empty_snetwork () =
    system, the joiners, how often each join's [on_done] fired and how
    often each leave's did. *)
 let join_leave_run ~seed ~k ~j =
-  let h = H.create_star ~seed ~peers:64 () in
-  List.iteri
-    (fun host p_id ->
-      ignore (H.join h ~host ~p_id ~role:Peer.T_peer () : Peer.t);
-      H.run h)
-    [ 0; 1_000_000; 2_000_000; 3_000_000 ];
-  for host = 4 to 9 do
-    ignore (H.join h ~host ~role:Peer.S_peer () : Peer.t);
-    H.run h
-  done;
-  let rng = P2p_sim.Rng.create seed in
-  let joined = Array.make k 0 and left = Array.make k 0 in
-  let joiners =
-    Array.init k (fun i ->
-        H.join h ~host:(10 + i)
-          ~p_id:(1_000_000 + P2p_sim.Rng.int rng 1_000_000)
-          ~role:Peer.T_peer
-          ~on_done:(fun o ->
-            joined.(i) <- joined.(i) + 1;
-            if i < j then H.leave h o.H.peer ~on_done:(fun () -> left.(i) <- left.(i) + 1) ())
-          ())
-  in
+  let h = Schedules.join_leave_setup ~seed in
+  let joiners, joined, left = Schedules.start_joins h ~seed ~k ~j in
   H.run h;
   (h, joiners, joined, left)
 

@@ -410,6 +410,33 @@ let test_export_files () =
   List.iter Sys.remove [ tpath; mpath ];
   Sys.rmdir dir
 
+(* A transit-stub [run] exports the shortest-path solves its router
+   made as [underlay/route_solves]: some, and as many on a second run of
+   the same seed. *)
+let test_route_solves_exported () =
+  let solves () =
+    let path = Filename.temp_file "p2psim" ".json" in
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "../bin/p2psim.exe run --seed 7 --peers 200 --items 100 --lookups 100 \
+            --metrics-out %s > /dev/null 2>&1"
+           (Filename.quote path))
+    in
+    checki "exit" 0 code;
+    let doc = Result.bind (Json.parse (Export.read_file path)) Registry.Doc.of_json in
+    Sys.remove path;
+    match doc with
+    | Ok doc -> (
+      match Registry.Doc.find doc ~subsystem:"underlay" ~name:"route_solves" with
+      | Some (Registry.Doc.Counter n) -> n
+      | Some _ | None -> Alcotest.fail "no underlay/route_solves counter")
+    | Error e -> Alcotest.failf "metrics do not decode: %s" e
+  in
+  let first = solves () in
+  checkb "some solves" true (first > 0);
+  checki "same seed, same solves" first (solves ())
+
 (* --- log-histogram JSON round-trip and cluster merge --- *)
 
 module Log_hist = P2p_obs.Log_hist
@@ -706,6 +733,7 @@ let suite =
     Alcotest.test_case "report: render" `Quick test_report_render;
     Alcotest.test_case "report: health section" `Quick test_report_health_section;
     Alcotest.test_case "export: files" `Quick test_export_files;
+    Alcotest.test_case "export: route solves" `Quick test_route_solves_exported;
     Alcotest.test_case "log hist: json round-trip" `Quick
       test_log_hist_json_roundtrip;
     Alcotest.test_case "log hist: parse-then-merge equals direct merge" `Quick

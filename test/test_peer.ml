@@ -9,7 +9,7 @@ let checki = Alcotest.check Alcotest.int
 let interner = Hybrid_p2p.Intern.create ()
 
 let mk ?(role = Peer.S_peer) ?(capacity = 1.0) host =
-  Peer.make ~log:(Hybrid_p2p.Change_log.create ()) ~interner ~host ~p_id:host ~role ~link_capacity:capacity ()
+  Peer.make ~log:{ Peer.peers = Hybrid_p2p.Change_log.create (); keys = Hybrid_p2p.Change_log.create () } ~interner ~host ~p_id:host ~role ~link_capacity:capacity ()
 
 let config = Config.default (* delta = 3 *)
 

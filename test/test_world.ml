@@ -402,6 +402,135 @@ let test_snet_size_accounting_via_joins () =
   H.run h;
   checki "one left" 4 (World.snet_size w root)
 
+(* --- the change journal (Change_log) --- *)
+
+module Change_log = Hybrid_p2p.Change_log
+module Data_store = Hybrid_p2p.Data_store
+
+let entries j = List.init (Change_log.length j) (Change_log.get j)
+
+let check_entries what expected j =
+  Alcotest.check Alcotest.(list int) what expected (entries j)
+
+(* Before its first restart a journal records nothing and no recording
+   is readable. *)
+let test_journal_off_until_restarted () =
+  let j = Change_log.create () in
+  Change_log.add j 7;
+  checki "generation 0" 0 (Change_log.generation j);
+  checki "nothing recorded" 0 (Change_log.length j);
+  checkb "gen 0 unreadable" false (Change_log.readable j ~gen:0);
+  checkb "gen 1 unreadable" false (Change_log.readable j ~gen:1)
+
+(* Recording numbers rise and are never reused, also after an overflow
+   turned the journal off. *)
+let test_journal_numbers_never_reused () =
+  let j = Change_log.create () in
+  let g1 = Change_log.restart j ~limit:1 in
+  let g2 = Change_log.restart j ~limit:1 in
+  checkb "positive" true (g1 > 0);
+  checkb "rising" true (g2 > g1);
+  checkb "the older recording ended" false (Change_log.readable j ~gen:g1);
+  Change_log.add j 1;
+  Change_log.add j 2;
+  checki "overflowed: off" 0 (Change_log.generation j);
+  let g3 = Change_log.restart j ~limit:1 in
+  checkb "fresh after an overflow" true (g3 > g2);
+  checkb "the overflowed recording stays unreadable" false (Change_log.readable j ~gen:g2)
+
+(* [limit] entries fit, read back oldest first; the next one turns the
+   journal off and drops them all, until the next restart. *)
+let test_journal_limit () =
+  let j = Change_log.create () in
+  let gen = Change_log.restart j ~limit:40 in
+  for i = 1 to 40 do Change_log.add j i done;
+  check_entries "oldest first" (List.init 40 (fun i -> i + 1)) j;
+  checkb "full, still readable" true (Change_log.readable j ~gen);
+  Change_log.add j 41;
+  checkb "overflowed: unreadable" false (Change_log.readable j ~gen);
+  checki "overflowed: off" 0 (Change_log.generation j);
+  checki "overflowed: entries dropped" 0 (Change_log.length j);
+  Change_log.add j 42;
+  checki "off: still nothing" 0 (Change_log.length j);
+  let gen = Change_log.restart j ~limit:40 in
+  Change_log.add j 43;
+  checkb "restarted: readable" true (Change_log.readable j ~gen);
+  check_entries "restarted: recording again" [ 43 ] j
+
+(* [stop] ends a recording's readability and recording; what it held
+   stays readable until the next restart. *)
+let test_journal_stop () =
+  let j = Change_log.create () in
+  let gen = Change_log.restart j ~limit:10 in
+  Change_log.add j 1;
+  Change_log.stop j;
+  checkb "stopped: unreadable" false (Change_log.readable j ~gen);
+  checki "stopped: off" 0 (Change_log.generation j);
+  Change_log.add j 2;
+  check_entries "stopped: the entries before stay, nothing after" [ 1 ] j;
+  ignore (Change_log.restart j ~limit:10 : int);
+  checki "restarted: emptied" 0 (Change_log.length j)
+
+(* A store that belongs to no world journals nowhere, and its journal
+   cannot be turned on. *)
+let test_journal_of_no_world () =
+  let w = H.world (fst (world_with_ring [ 100 ])) in
+  Alcotest.check_raises "restart refused"
+    (Invalid_argument "Change_log.restart: the journal of no world")
+    (fun () -> ignore (Change_log.restart Data_store.no_world ~limit:10 : int));
+  let keys = (World.change_log w).Peer.keys in
+  ignore (Change_log.restart keys ~limit:10 : int);
+  let stray = make_peer w ~host:(-1) ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+  Data_store.insert stray.Peer.store ~key:"k" ~value:"v";
+  let bare = Data_store.create ~interner:(World.interner w) () in
+  Data_store.insert bare ~key:"k" ~value:"v";
+  checki "nothing reached the world's journal" 0 (Change_log.length keys);
+  let p = make_peer w ~host:40 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+  Data_store.insert p.Peer.replicas ~key:"k" ~value:"v";
+  match entries keys with
+  | [ e ] ->
+    checki "the key" (Hybrid_p2p.Intern.intern (World.interner w) "k") (Data_store.entry_kid e);
+    checki "the replica store's tag" (Data_store.tag p.Peer.replicas) (Data_store.entry_tag e);
+    checki "whose host" 40 (Peer.tag_host (Data_store.entry_tag e));
+    checkb "a replica tag" true (Peer.is_replica_tag (Data_store.entry_tag e))
+  | l -> Alcotest.failf "%d entries, expected 1" (List.length l)
+
+(* A peer written twice in one recording is journaled once, and again
+   in the next recording; a restart or an overflow keeps no entry of an
+   ended recording alive. *)
+let test_journal_peer_once_per_recording () =
+  let w = H.world (fst (world_with_ring [ 100 ])) in
+  let peers = (World.change_log w).Peer.peers in
+  let p = make_peer w ~host:40 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+  Peer.set_joining p true;
+  checki "off: nothing journaled" 0 (Change_log.length peers);
+  ignore (Change_log.restart peers ~limit:10 : int);
+  Peer.set_joining p false;
+  Peer.set_leaving p true;
+  checki "written twice, journaled once" 1 (Change_log.length peers);
+  checkb "the peer" true (Change_log.get peers 0 == p);
+  ignore (Change_log.restart peers ~limit:10 : int);
+  Peer.set_leaving p false;
+  checki "journaled again after a restart" 1 (Change_log.length peers);
+  let dropped ended =
+    let weak = Weak.create 1 in
+    (fun () ->
+      let q = make_peer w ~host:41 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+      Peer.log_change q;
+      Weak.set weak 0 (Some (Sys.opaque_identity q)))
+      ();
+    ended ();
+    Gc.full_major ();
+    Option.is_none (Weak.get weak 0)
+  in
+  checkb "a restart drops the last recording's peers" true
+    (dropped (fun () -> ignore (Change_log.restart peers ~limit:10 : int)));
+  checkb "an overflow drops its peers" true
+    (dropped (fun () ->
+         for host = 0 to 10 do
+           Peer.log_change (make_peer w ~host ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 ())
+         done))
+
 let suite =
   [
     Alcotest.test_case "membership directory" `Quick test_membership_directory;
@@ -430,4 +559,12 @@ let suite =
       prop_random_peer_is_pick_list;
     Alcotest.test_case "stabilize_ring rewires" `Quick test_stabilize_ring_rewires;
     Alcotest.test_case "s-network size accounting" `Quick test_snet_size_accounting_via_joins;
+    Alcotest.test_case "journal: off until restarted" `Quick test_journal_off_until_restarted;
+    Alcotest.test_case "journal: recording numbers never reused" `Quick
+      test_journal_numbers_never_reused;
+    Alcotest.test_case "journal: limit, then overflow" `Quick test_journal_limit;
+    Alcotest.test_case "journal: stop" `Quick test_journal_stop;
+    Alcotest.test_case "journal: a store of no world" `Quick test_journal_of_no_world;
+    Alcotest.test_case "journal: a peer once per recording" `Quick
+      test_journal_peer_once_per_recording;
   ]
