@@ -6,9 +6,9 @@ let size = 1 lsl bits
 
 let valid i = i >= 0 && i < size
 
-let normalize i =
-  let r = i mod size in
-  if r < 0 then r + size else r
+(* [size] is a power of two, so the mask is the non-negative remainder,
+   with no division: every [distance] and [between] goes through here. *)
+let normalize i = i land (size - 1)
 
 let distance ~src ~dst = normalize (dst - src)
 

@@ -2,6 +2,9 @@ type handle = Event_queue.handle
 
 type label_stats = { mutable fires : int; mutable cpu_s : float }
 
+(* all-float, so the field is stored unboxed and a write allocates nothing *)
+type carved = { mutable inner_s : float }
+
 type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable clock : float;
@@ -11,6 +14,7 @@ type t = {
   mutable cancel_late : int;  (* timer cancels that arrived after the fire *)
   mutable profiling : bool;
   label_table : (string, label_stats) Hashtbl.t;
+  carved : carved;  (* CPU the running handler booked to other rows *)
   (* the executor closure, built once — [pop_apply] then runs events
      without a fresh closure per pop *)
   mutable exec : float -> (unit -> unit) -> unit;
@@ -32,6 +36,7 @@ let create ~seed () =
       cancel_late = 0;
       profiling = false;
       label_table = Hashtbl.create 16;
+      carved = { inner_s = 0.0 };
       exec = (fun _ _ -> ());
     }
   in
@@ -56,17 +61,25 @@ let stats t label =
 
 (* The queue holds bare thunks.  A labelled event scheduled while
    profiling is on is wrapped here, once, in a closure that times it
-   into its label's row; every other event is queued as given. *)
+   into its label's row, less what it {!charge}d to other rows; every
+   other event is queued as given. *)
 let timed t label f =
   match label with
   | Some label when t.profiling ->
     let s = stats t label in
     fun () ->
+      t.carved.inner_s <- 0.0;
       let started = Sys.time () in
       f ();
       s.fires <- s.fires + 1;
-      s.cpu_s <- s.cpu_s +. (Sys.time () -. started)
+      s.cpu_s <- s.cpu_s +. (Sys.time () -. started -. t.carved.inner_s)
   | Some _ | None -> f
+
+let charge t label ~cpu_s =
+  let s = stats t label in
+  s.fires <- s.fires + 1;
+  s.cpu_s <- s.cpu_s +. cpu_s;
+  t.carved.inner_s <- t.carved.inner_s +. cpu_s
 
 let track_depth t =
   let depth = Event_queue.length t.queue in

@@ -83,6 +83,15 @@ val enable_profiling : t -> unit
 (** Is per-label profiling on? *)
 val profiling : t -> bool
 
+(** [charge t label ~cpu_s] books [cpu_s] seconds of host CPU, spent
+    inside the running event, to [label]'s row as one fire, and takes it
+    out of the running event's own row: a layer the handlers call into
+    (the underlay's route reads) gets a row of its own, and the rows
+    still add up to the handlers' CPU.  Charged outside any timed event,
+    the time lands in [label]'s row alone.  Meant to be called only
+    while {!profiling} is on. *)
+val charge : t -> string -> cpu_s:float -> unit
+
 (** Number of events executed so far. *)
 val events_executed : t -> int
 

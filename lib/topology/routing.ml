@@ -75,16 +75,47 @@ let route_bits = 31
 
 let hops_mask = (1 lsl route_bits) - 1
 
+(* A stub domain's few shortest-path trees, planted on its first
+   in-domain pair not ending at the gateway.  Tree 0 is rooted at the
+   gateway (at position 0 in a domain with no access link); every other
+   tree is rooted at an endpoint of an edge off tree 0, so every simple
+   path in the domain is either tree 0's path or passes through a root.
+   Per tree and member position: the position's edge toward the root as
+   a slot of the domain's [adj] (so a step reads the next node and the
+   latency without a scan of the row) and its hop count, both unsigned
+   16-bit ([no_hop] at the root); for the trees past 0 also the
+   distance from the root, which prices the candidate paths, and
+   whether every node from the position up to the root passes
+   [mark_ties] (1) or not (2). *)
+type trees = {
+  size : int; (* the domain's member count: tree [r]'s entries start at [r * size] *)
+  roots : int array; (* member positions *)
+  root_of : Bytes.t; (* position -> its index in [roots] past 0, else 0 *)
+  t_dist : float array; (* tree [r > 0]'s entries start at [(r - 1) * size] *)
+  t_up : Bytes.t;
+  t_depth : Bytes.t;
+  clear : Bytes.t;
+}
+
+(* A domain's in-domain pairs are answered from its trees once planted,
+   or each by its own solve when the domain has more than [max_roots]
+   roots past the gateway or more edge slots than two bytes can number. *)
+type oracle = Unplanted | Per_pair | Trees of trees
+
+let max_roots = 6
+
 (* Link-state routing over a transit-stub hierarchy.  A stub domain
    touches the rest of the graph through exactly one access link, so
    every inter-domain shortest path factors as
    stub -> gateway -> transit backbone -> gateway -> stub.  The backbone
-   (a handful of nodes) keeps an all-pairs block.  Stub domains keep only
-   their adjacency: a query inside a domain runs its source's Dijkstra
-   until the target settles and memoizes the answer, and each host's leg
-   to its domain's gateway — read twice by every cross-domain message —
-   lives in three per-host arrays filled on first use.  Memory follows
-   what a run asks for, not O(Σ sᵢ²). *)
+   (a handful of nodes) keeps an all-pairs block.  Stub domains keep their
+   adjacency and, once asked for a pair inside, a few shortest-path
+   trees: an in-domain answer is read off the trees when they vouch for
+   it and otherwise solved by its source's Dijkstra, stopped when the
+   target settles, and memoized either way.  Each host's leg to its
+   domain's gateway — read twice by every cross-domain message — lives
+   in three per-host arrays filled on first use.  Memory follows what a
+   run asks for, not O(Σ sᵢ²). *)
 type link_state = {
   ls_graph : Graph.t;
   domain_of : int array; (* stub-domain id per node; -1 for transit nodes *)
@@ -98,7 +129,9 @@ type link_state = {
   leg_hops : int array; (* ... hop count; -1 while not yet solved *)
   leg_next : int array; (* ... first hop, -1 at the gateway itself *)
   legs_rooted : bool array; (* domain -> its gateway tree has run *)
+  oracle : oracle array; (* per domain *)
   work : scratch;
+  walk : int array; (* a tree path's lower half, climbed before it is folded *)
   memo : memo;
   mutable solves : int;
 }
@@ -455,10 +488,12 @@ let build_link_state graph ~is_transit =
     leg_hops = Array.make n (-1);
     leg_next = Array.make n (-1);
     legs_rooted = Array.make domains false;
+    oracle = Array.make domains Unplanted;
     work =
       scratch
         ~nodes:(widest (fun set -> Array.length set.members))
         ~edges:(widest edge_count);
+    walk = Array.make (widest (fun set -> Array.length set.members)) 0;
     memo = { keys = [||]; m_dist = [||]; m_route = [||]; m_count = 0 };
     solves = 0;
   }
@@ -505,29 +540,15 @@ let solve ls d ~src ~stop =
   ls.solves <- ls.solves + 1;
   settle ls.work ls.domains.(d) ~src:ls.index.(src) ~stop:ls.index.(stop)
 
-(* All of domain [d]'s legs from one gateway-rooted solve.  A host's leg
-   is its own solve's distance to the gateway: the left fold, from the
-   host up, of the latencies along its path.  When that path is the
-   host's path up the gateway's tree, the fold along the tree gives the
-   same float bit for bit, the same first hop and the same hop count.
-   It is, unless some node on the way up (the host and the gateway
-   included) has an edge off its tree edge whose reduced cost
-   [w + D(y) - D(x)] is within a rounding margin of zero: any other
-   path's excess over the tree path is a sum of reduced costs, the first
-   of them at such a node, so a margin far above the float error of the
-   sums rules out every tie and near-tie.  Hosts below a node that fails
-   the test (equal-cost paths, as in unit-weight graphs) are left for
-   their own solve on first use. *)
-let root_legs ls d =
-  ls.legs_rooted.(d) <- true;
-  let set = ls.domains.(d) and sc = ls.work in
-  let gw = ls.index.(ls.dom_gateway.(d)) in
-  ls.solves <- ls.solves + 1;
-  settle sc set ~src:gw ~stop:(-1);
-  let s = Array.length set.members in
-  (* [settled] is all true after a full solve of the connected domain;
-     it now marks the nodes that pass the reduced-cost test *)
-  for x = 0 to s - 1 do
+(* After a full solve of a connected set, [settled] is all true; this
+   leaves it true only at the nodes that have no edge off their tree
+   edge whose reduced cost [w + D(y) - D(x)] is within a rounding margin
+   of zero.  Any other path from a node up to the root exceeds the tree
+   path by a sum of reduced costs, the first of them at the first node
+   where the two part, so a margin far above the float error of the sums
+   rules out every tie and near-tie when all nodes on the way up pass. *)
+let mark_ties sc set =
+  for x = 0 to Array.length set.members - 1 do
     let dx = sc.tent.(x) in
     for k = set.adj_start.(x) to set.adj_start.(x + 1) - 1 do
       let y = set.adj.(k) in
@@ -536,8 +557,25 @@ let root_legs ls d =
         if w +. sc.tent.(y) -. dx <= 1e-9 *. (dx +. w) then sc.settled.(x) <- false
       end
     done
-  done;
-  for u = 0 to s - 1 do
+  done
+
+(* All of domain [d]'s legs from one gateway-rooted solve.  A host's leg
+   is its own solve's distance to the gateway: the left fold, from the
+   host up, of the latencies along its path.  When that path is the
+   host's path up the gateway's tree, the fold along the tree gives the
+   same float bit for bit, the same first hop and the same hop count.
+   It is, unless some node on the way up (the host and the gateway
+   included) fails [mark_ties].  Hosts below a node that fails the test
+   (equal-cost paths, as in unit-weight graphs) are left for their own
+   solve on first use. *)
+let root_legs ls d =
+  ls.legs_rooted.(d) <- true;
+  let set = ls.domains.(d) and sc = ls.work in
+  let gw = ls.index.(ls.dom_gateway.(d)) in
+  ls.solves <- ls.solves + 1;
+  settle sc set ~src:gw ~stop:(-1);
+  mark_ties sc set;
+  for u = 0 to Array.length set.members - 1 do
     let node = set.members.(u) in
     if ls.leg_hops.(node) < 0 then begin
       let acc = ref 0.0 and hops = ref 0 and x = ref u and clear = ref sc.settled.(gw) in
@@ -576,17 +614,212 @@ let ensure_leg ls u du =
     end
   end
 
+(* --- in-domain answers from the trees --- *)
+
+let[@inline] tree_entry tr r i = (r * tr.size) + i
+let[@inline] tree_dist tr r i = tr.t_dist.(tree_entry tr (r - 1) i)
+let[@inline] tree_up tr r i = Bytes.get_uint16_ne tr.t_up (2 * tree_entry tr r i)
+let[@inline] tree_depth tr r i = Bytes.get_uint16_ne tr.t_depth (2 * tree_entry tr r i)
+let[@inline] path_clear tr r i = Bytes.get tr.clear (tree_entry tr r i) = '\001'
+let[@inline] root_bit tr i = 1 lsl Char.code (Bytes.get tr.root_of i)
+
+(* [i]'s predecessor in tree 0, -1 at its root *)
+let[@inline] parent0 tr set i = if i = tr.roots.(0) then -1 else set.adj.(tree_up tr 0 i)
+
+(* [walk]'s flags, above the root bits *)
+let off_tree = 1 lsl 20 (* an edge of the path is not in tree 0 *)
+let not_simple = 1 lsl 21 (* the path through tree [r]'s root repeats an edge *)
+
+(* Tree [r]'s states after [mark_ties]: [i]'s entry becomes 1 when [i]
+   and every node above it up to [root] passed, 2 otherwise.  Each
+   position is climbed until a node already decided, so the pass is
+   linear. *)
+let clear_paths tr sc buf r ~root =
+  let state i = Bytes.get tr.clear (tree_entry tr r i) in
+  let decide i ok = Bytes.set tr.clear (tree_entry tr r i) (if ok then '\001' else '\002') in
+  decide root sc.settled.(root);
+  for i = 0 to tr.size - 1 do
+    let n = ref 0 and x = ref i in
+    while state !x = '\000' do
+      buf.(!n) <- !x;
+      incr n;
+      x := sc.prev.(!x)
+    done;
+    for j = !n - 1 downto 0 do
+      let y = buf.(j) in
+      decide y (sc.settled.(y) && state sc.prev.(y) = '\001')
+    done
+  done
+
+(* Domain [d]'s trees: a full solve from the gateway, then one from each
+   endpoint of an edge off the gateway's tree, or [Per_pair] when there
+   are more than [max_roots] such endpoints or more edge slots than two
+   bytes can number. *)
+let plant ls d =
+  let set = ls.domains.(d) and sc = ls.work in
+  let s = Array.length set.members in
+  if edge_count set >= no_hop then Per_pair
+  else begin
+    let gw = if ls.dom_gateway.(d) < 0 then 0 else ls.index.(ls.dom_gateway.(d)) in
+    ls.solves <- ls.solves + 1;
+    settle sc set ~src:gw ~stop:(-1);
+    let roots = ref [] in
+    for a = 0 to s - 1 do
+      for k = set.adj_start.(a) to set.adj_start.(a + 1) - 1 do
+        let b = set.adj.(k) in
+        if a < b && sc.prev.(a) <> b && sc.prev.(b) <> a then
+          List.iter (fun x -> if not (List.mem x !roots) then roots := x :: !roots) [ a; b ]
+      done
+    done;
+    if List.length !roots > max_roots then Per_pair
+    else begin
+      let roots = Array.of_list (gw :: List.rev !roots) in
+      let trees = Array.length roots in
+      let tr =
+        {
+          size = s;
+          roots;
+          root_of = Bytes.make s '\000';
+          t_dist = Array.make ((trees - 1) * s) 0.0;
+          t_up = Bytes.make (2 * trees * s) '\255';
+          t_depth = Bytes.make (2 * trees * s) '\000';
+          clear = Bytes.make (trees * s) '\000';
+        }
+      in
+      for r = 0 to trees - 1 do
+        if r > 0 then begin
+          Bytes.set tr.root_of roots.(r) (Char.chr r);
+          ls.solves <- ls.solves + 1;
+          settle sc set ~src:roots.(r) ~stop:(-1)
+        end;
+        for i = 0 to s - 1 do
+          let e = 2 * tree_entry tr r i in
+          if sc.prev.(i) >= 0 then begin
+            let k = ref set.adj_start.(i) in
+            while set.adj.(!k) <> sc.prev.(i) do
+              incr k
+            done;
+            Bytes.set_uint16_ne tr.t_up e !k
+          end;
+          Bytes.set_uint16_ne tr.t_depth e sc.depth.(i)
+        done;
+        if r > 0 then begin
+          Array.blit sc.tent 0 tr.t_dist (tree_entry tr (r - 1) 0) s;
+          mark_ties sc set;
+          clear_paths tr sc ls.walk r ~root:roots.(r)
+        end
+      done;
+      Trees tr
+    end
+  end
+
+(* The path [iu -> iv] in tree [r], up from [iu] to the two positions'
+   lowest common ancestor and down to [iv].  Leaves in the work arrays at
+   [iv] what a solve from [iu] leaves there when this path is its tree
+   path: the left fold of the latencies from [iu], the first hop and the
+   hop count.  Returns the [root_bit]s of the nodes passed, with
+   [off_tree] when [check_tree0] and an edge is not in tree 0, and
+   [not_simple] when [r > 0] and the ancestor is not tree [r]'s root:
+   the path through the root then doubles back.  The way down reads
+   each edge's latency from the lower node's row: [Graph] stores one
+   latency for both directions. *)
+let walk ls tr set r iu iv ~check_tree0 =
+  let sc = ls.work and buf = ls.walk in
+  let acc = ref 0.0 and n = ref 0 and m = ref 0 in
+  let a = ref iu and b = ref iv in
+  let da = ref (tree_depth tr r iu) and db = ref (tree_depth tr r iv) in
+  while !a <> !b do
+    (* the deeper side climbs: [a]'s steps are the path's from [iu], in
+       order; [b]'s are stacked in [buf] and folded below *)
+    let x = if !da >= !db then !a else !b in
+    let k = tree_up tr r x in
+    let p = set.adj.(k) in
+    if check_tree0 && parent0 tr set x <> p && parent0 tr set p <> x then m := !m lor off_tree;
+    m := !m lor root_bit tr x;
+    if !da >= !db then begin
+      acc := !acc +. set.adj_w.(k);
+      decr da;
+      a := p
+    end
+    else begin
+      buf.(!n) <- x;
+      incr n;
+      decr db;
+      b := p
+    end
+  done;
+  let hops = tree_depth tr r iu - !da in
+  let top = !a in
+  for j = !n - 1 downto 0 do
+    acc := !acc +. set.adj_w.(tree_up tr r buf.(j))
+  done;
+  sc.tent.(iv) <- !acc;
+  sc.first.(iv) <- (if iu <> top then set.adj.(tree_up tr r iu) else buf.(!n - 1));
+  sc.depth.(iv) <- hops + !n;
+  !m lor root_bit tr top lor if r > 0 && top <> tr.roots.(r) then not_simple else 0
+
+(* Pair [iu -> iv] (distinct positions) from the trees, left in the work
+   arrays at [iv] as [walk] leaves it; [false] when the trees cannot
+   vouch for it.  The candidates are tree 0's path and, per root [x], the
+   shortest path through [x], of length [d_x(iu) + d_x(iv)]; every
+   simple path is one of them or longer, so the shortest is the best
+   candidate's.  A solve from [iu] settles exactly that path when every
+   other path is longer by more than the float error of the sums, and
+   only then is the answer taken.  Another path can come within a margin
+   only as tree 0's path or through a root whose candidate is within the
+   margin of the best.  So it is taken when the best path is simple, tree
+   0's path is either outside the margin or the best path itself, and
+   each root within the margin lies on the best path with both its tree
+   paths, to [iu] and to [iv], clear of near-ties.  The walk folds the
+   latencies from [iu], so the distance, first hop and hop count are the
+   solve's bit for bit. *)
+let tree_answer ls tr set iu iv =
+  let mask = walk ls tr set 0 iu iv ~check_tree0:false in
+  let c0 = ls.work.tent.(iv) in
+  let k = Array.length tr.roots - 1 in
+  let best = ref 0 and best_c = ref c0 in
+  for r = 1 to k do
+    let c = tree_dist tr r iu +. tree_dist tr r iv in
+    if c < !best_c then begin
+      best := r;
+      best_c := c
+    end
+  done;
+  let r = !best and limit = !best_c +. (1e-9 *. !best_c) in
+  let mask = if r = 0 then mask else walk ls tr set r iu iv ~check_tree0:(c0 <= limit) in
+  let ok = ref (mask land (off_tree lor not_simple) = 0) in
+  for x = 1 to k do
+    if !ok && tree_dist tr x iu +. tree_dist tr x iv <= limit then
+      ok := mask land (1 lsl x) <> 0 && path_clear tr x iu && path_clear tr x iv
+  done;
+  !ok
+
 (* The memo slot of in-domain pair [u -> v] ([u <> v], both in [d]),
-   solved and stored if new. *)
+   answered and stored if new: from the domain's trees, or else by [u]'s
+   solve. *)
 let pair_slot ls d u v =
   let m = ls.memo in
   let key = (u * Array.length ls.index) + v in
   let slot = if m.m_count = 0 then -1 else memo_slot m key in
   if slot >= 0 && m.keys.(slot) = key then slot
   else begin
-    solve ls d ~src:u ~stop:v;
+    let oracle =
+      match ls.oracle.(d) with
+      | Unplanted ->
+        let o = plant ls d in
+        ls.oracle.(d) <- o;
+        o
+      | o -> o
+    in
+    let j = ls.index.(v) in
+    let answered =
+      match oracle with
+      | Trees tr -> tree_answer ls tr ls.domains.(d) ls.index.(u) j
+      | Unplanted | Per_pair -> false
+    in
+    if not answered then solve ls d ~src:u ~stop:v;
     if 4 * (m.m_count + 1) > 3 * Array.length m.keys then memo_grow m;
-    let slot = memo_slot m key and sc = ls.work and j = ls.index.(v) in
+    let slot = memo_slot m key and sc = ls.work in
     m.keys.(slot) <- key;
     m.m_dist.(slot) <- sc.tent.(j);
     m.m_route.(slot) <- (ls.domains.(d).members.(sc.first.(j)) lsl route_bits) lor sc.depth.(j);
@@ -724,6 +957,21 @@ let path t u v =
     build [] v
   | Synthetic _ -> if u = v then [ u ] else [ u; v ]
   | Link_state ls -> ls_path ls u v
+
+let next_hop t u v =
+  if u = v then u
+  else if distance t u v = infinity then raise Not_found
+  else
+    match t with
+    | Graph_routed t ->
+      let r = source_result t u in
+      let node = ref v in
+      while r.prev.(!node) <> u do
+        node := r.prev.(!node)
+      done;
+      !node
+    | Synthetic _ -> v
+    | Link_state ls -> ls_next_hop ls u v
 
 (* Hop counting never materializes the path: graph mode walks the
    predecessor chain, link-state mode adds three table entries. *)

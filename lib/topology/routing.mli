@@ -8,12 +8,21 @@
       hierarchy: each stub domain reaches the backbone through exactly
       one access link, so every inter-domain path factors through the
       gateways.  The transit backbone keeps an all-pairs {!block}.  A
-      stub domain keeps only its adjacency: a pair inside it is solved
-      on first use (its source's Dijkstra, stopped when the target
-      settles) and memoized, and each host's leg to its gateway is
-      solved once and kept in per-host arrays.  Memory follows the pairs
-      a run asks for, not the O(Σ sᵢ²) of all-pairs tables, so the real
-      graph stays affordable at 100k nodes.  A link-state router is
+      stub domain keeps its adjacency and, from its first pair asked,
+      a few shortest-path trees: its gateway's, and one from each
+      endpoint of an edge off the gateway's tree (at most four in a
+      generated domain, a spanning chain plus two chords).  Every simple
+      path in the domain is the gateway tree's path or passes through
+      such an endpoint, so a pair is read off the trees, folded from its
+      source, whenever no other path comes within a rounding margin of
+      the best; the answer is then its source's Dijkstra's, bit for bit.
+      A pair the trees cannot vouch for (ties, as in unit-weight graphs)
+      and every pair of a domain with more than six endpoints is solved
+      by that Dijkstra, stopped when the target settles.  Either way the
+      answer is memoized, and each host's leg to its gateway is solved
+      once and kept in per-host arrays.  Memory follows the pairs a run
+      asks for, not the O(Σ sᵢ²) of all-pairs tables, so the real graph
+      stays affordable at 100k nodes.  A link-state router is
       therefore mutable: it belongs to one world, and no two OCaml
       [Domain]s may query it at once.
       {!Transit_stub.routing} builds it for a generated topology.
@@ -37,11 +46,12 @@ val create : Graph.t -> t
     access link) — a domain with none is simply unreachable from the
     outside.  Construction runs all-pairs shortest paths over the
     backbone only ({!restricted_all_pairs}) and flattens each stub
-    domain's adjacency.  Queries inside a domain solve on first use and
-    then read a memo the router owns: the answers are those of the
-    domain's all-pairs block, bit for bit, whatever order they are asked
-    in, but each first answer mutates the router, so no two OCaml
-    [Domain]s may query it at once.
+    domain's adjacency.  Queries inside a domain are answered on first
+    use, from the domain's trees or by a solve, and then read a memo the
+    router owns: the answers are those of the domain's all-pairs block,
+    bit for bit, whatever order they are asked in, but each first answer
+    mutates the router, so no two OCaml [Domain]s may query it at
+    once.
     @raise Invalid_argument when some stub domain has several access
     links (the graph is not transit-stub shaped), or when the backbone
     has more than 65,534 nodes (its block's two-byte entries; the CLI's
@@ -65,6 +75,11 @@ val distance : t -> int -> int -> float
 (** [path t u v] is the node sequence [u; ...; v] of a shortest path.
     @raise Not_found when unreachable. *)
 val path : t -> int -> int -> int list
+
+(** [next_hop t u v] is the node after [u] on [path t u v], read without
+    building the path; [u] when [u = v].
+    @raise Not_found when unreachable. *)
+val next_hop : t -> int -> int -> int
 
 (** [hop_count t u v] is the number of physical links on a shortest path;
     0 when [u = v].  Never materializes the path: the Dijkstra backend
@@ -119,8 +134,12 @@ val block_hops : block -> int -> int -> int
 val graph : t -> Graph.t
 
 (** [solves t] counts the shortest-path solves a link-state router has
-    run since {!link_state} built it: one per in-domain pair answered
-    for the first time, one per domain whose gateway tree was grown and
-    one per host whose leg to its gateway that tree could not give.  0
-    on the other backends. *)
+    run since {!link_state} built it: the tree builds, one per tree a
+    domain plants on its first in-domain pair (its gateway's and one per
+    root); the fallbacks, one per in-domain pair the trees could not
+    vouch for (every pair, in a domain with too many roots); one per
+    domain whose gateway legs were grown; and one per host whose leg to
+    its gateway that tree could not give.  A generated domain answered
+    from its trees alone costs at most six.  0 on the other
+    backends. *)
 val solves : t -> int

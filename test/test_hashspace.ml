@@ -19,6 +19,26 @@ let test_normalize () =
   checki "wrap+1" 1 (Id_space.normalize (Id_space.size + 1));
   checki "negative wraps" (Id_space.size - 1) (Id_space.normalize (-1))
 
+(* The mask [normalize] computes is the non-negative remainder it
+   replaced, over the whole int range: negative inputs, multiples of the
+   size and the extremes included. *)
+let prop_normalize_is_mod =
+  let modulo i =
+    let r = i mod Id_space.size in
+    if r < 0 then r + Id_space.size else r
+  in
+  let ints =
+    QCheck.oneof
+      [
+        QCheck.int;
+        QCheck.make ~print:string_of_int
+          (QCheck.Gen.map (fun k -> k * Id_space.size) QCheck.Gen.small_signed_int);
+        QCheck.oneofl [ min_int; max_int; min_int + 1; max_int - 1; -Id_space.size; 0; -1 ];
+      ]
+  in
+  QCheck.Test.make ~name:"normalize = non-negative mod size" ~count:5000 ints (fun i ->
+      Id_space.normalize i = modulo i)
+
 let test_distance () =
   checki "same" 0 (Id_space.distance ~src:5 ~dst:5);
   checki "forward" 3 (Id_space.distance ~src:5 ~dst:8);
@@ -151,6 +171,7 @@ let suite =
   [
     Alcotest.test_case "size and validity" `Quick test_size;
     Alcotest.test_case "normalize" `Quick test_normalize;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261020 |]) prop_normalize_is_mod;
     Alcotest.test_case "distance" `Quick test_distance;
     Alcotest.test_case "between" `Quick test_between;
     Alcotest.test_case "between_incl_right" `Quick test_between_incl_right;

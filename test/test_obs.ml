@@ -319,6 +319,37 @@ let test_engine_profiling () =
   checkb "messages fired" true (row "message" > 0);
   checki "one timer fire per attempt" (1 + (H.config h).Config.reflood_attempts) (row "timer")
 
+(* [Engine.charge] books CPU to a row of its own, one fire per call, and
+   takes it out of the running event's row, so the rows still add up to
+   what the handlers spent; charged outside an event it lands in its
+   row alone.  The underlay charges its route reads to [routing], one
+   fire per message between two hosts. *)
+let test_engine_charge () =
+  let e = Engine.create ~seed:1 () in
+  Engine.enable_profiling e;
+  Engine.charge e "routing" ~cpu_s:0.25;
+  ignore
+    (Engine.schedule e ~label:"message" ~delay:1.0 (fun () ->
+         Engine.charge e "routing" ~cpu_s:1.0)
+      : Engine.handle);
+  Engine.run e;
+  (match Engine.profile e with
+   | [ ("message", 1, message); ("routing", 2, routing) ] ->
+     checkb "both charges in the routing row" true (routing = 1.25);
+     checkb "the inner one left the message row" true
+       (message < 0.0 && message +. 1.0 >= 0.0)
+   | rows -> Alcotest.failf "%d profile rows" (List.length rows));
+  let h, _, _ = traced_system ~seed:41 ~n:10 () in
+  Engine.enable_profiling (H.engine h);
+  let sent = Metrics.messages (H.metrics h) in
+  ignore (insert_items h ~count:10 : string list);
+  let sent = Metrics.messages (H.metrics h) - sent in
+  match List.find_opt (fun (l, _, _) -> l = "routing") (Engine.profile (H.engine h)) with
+  | Some (_, fires, cpu) ->
+    checkb "a fire per message routed" true (fires > 0 && fires <= sent);
+    checkb "routing CPU non-negative" true (cpu >= 0.0)
+  | None -> Alcotest.fail "no routing row"
+
 (* --- export + report --- *)
 
 let test_metrics_json_roundtrip () =
@@ -729,6 +760,7 @@ let suite =
     Alcotest.test_case "registry: scripted counters" `Quick test_scripted_counters;
     Alcotest.test_case "registry: legacy metrics view" `Quick test_legacy_metrics_view;
     Alcotest.test_case "engine: profiling" `Quick test_engine_profiling;
+    Alcotest.test_case "engine: charged rows" `Quick test_engine_charge;
     Alcotest.test_case "report: json round-trip" `Quick test_metrics_json_roundtrip;
     Alcotest.test_case "report: render" `Quick test_report_render;
     Alcotest.test_case "report: health section" `Quick test_report_health_section;

@@ -572,6 +572,141 @@ let widest_domain t =
   in
   (members, gw)
 
+(* [t]'s graph rebuilt edge for edge, each latency redrawn by [draw]. *)
+let reweight t draw =
+  let g = t.Transit_stub.graph in
+  let g' = Graph.create (Graph.node_count g) in
+  List.iter (fun e -> Graph.add_edge g' e.Graph.u e.Graph.v ~latency:(draw e)) (Graph.edges g);
+  { t with Transit_stub.graph = g' }
+
+(* The CLI's underlay for [peers] (as [Pipeline.build] generates it at
+   seed 42) with its own random latencies, with every latency redrawn
+   from {1, 2}, and with unit latencies. *)
+let cli_underlays peers =
+  let t =
+    Transit_stub.generate ~rng:(Rng.create 43) (P2p_scenario.Pipeline.topology_for peers)
+  in
+  let rng = Rng.create peers in
+  [
+    ("random", t);
+    ("{1, 2}", reweight t (fun _ -> if Rng.bool rng then 1.0 else 2.0));
+    ("unit", reweight t (fun _ -> 1.0));
+  ]
+
+(* Every pair inside every stub domain of [t], asked of a link-state
+   router once each, against a fresh settle from its source (a row of
+   [Routing.restricted_all_pairs]): the distance as an IEEE bit pattern,
+   the first hop and the hop count.  Returns the first disagreement. *)
+let settle_disagreement t =
+  let g = t.Transit_stub.graph in
+  let ls = Transit_stub.routing t in
+  let index = Array.make (Graph.node_count g) (-1) in
+  List.find_map
+    (fun (members, in_set) ->
+      Array.iteri (fun i u -> index.(u) <- i) members;
+      let b = Routing.restricted_all_pairs g ~members ~index_of:(fun v -> index.(v)) ~in_set in
+      let s = Array.length members in
+      let bad = ref None in
+      for i = 0 to s - 1 do
+        for j = 0 to s - 1 do
+          let u = members.(i) and v = members.(j) in
+          if !bad = None && i <> j then begin
+            if
+              Int64.bits_of_float (Routing.distance ls u v)
+              <> Int64.bits_of_float (Routing.block_dist b i j)
+              || Routing.next_hop ls u v <> Routing.block_next b i j
+              || Routing.hop_count ls u v <> Routing.block_hops b i j
+            then bad := Some (u, v)
+          end
+        done
+      done;
+      !bad)
+    (List.tl (routing_sets t))
+
+let test_trees_match_settle () =
+  List.iter
+    (fun peers ->
+      List.iter
+        (fun (weights, t) ->
+          match settle_disagreement t with
+          | None -> ()
+          | Some (u, v) ->
+            Alcotest.failf "%d peers, %s latencies: %d -> %d differs from its settle" peers
+              weights u v)
+        (cli_underlays peers))
+    [ 1000; 5000 ]
+
+(* The roots [Routing] plants trees at in a domain: its gateway and the
+   endpoints of the edges off the gateway's shortest-path tree, found
+   here from the reference router's paths (random latencies leave no
+   ties, so the tree is unique). *)
+let tree_roots g members gw =
+  let dij = Routing.create g in
+  let tree = Hashtbl.create 64 in
+  Array.iter
+    (fun v ->
+      let rec edges = function
+        | a :: (b :: _ as rest) ->
+          Hashtbl.replace tree (min a b, max a b) ();
+          edges rest
+        | _ -> ()
+      in
+      edges (Routing.path dij gw v))
+    members;
+  let inside = Array.to_list members in
+  let ends =
+    List.concat_map
+      (fun u ->
+        List.filter_map
+          (fun (v, _) ->
+            if List.mem v inside && not (Hashtbl.mem tree (min u v, max u v)) then Some u
+            else None)
+          (Graph.neighbors g u))
+      inside
+  in
+  List.length (List.sort_uniq compare ends)
+
+(* One domain of the 5,000-peer underlay (139 members) answered pair by
+   pair: with random latencies from its trees alone, one solve per root;
+   with unit latencies the trees cannot vouch for some pairs, which fall
+   back to solves of their own. *)
+let test_tree_solve_counts () =
+  let solves t =
+    let members, gw = widest_domain t in
+    let ls = Transit_stub.routing t in
+    Array.iter
+      (fun u ->
+        Array.iter
+          (fun v -> if v <> u && v <> gw then ignore (Routing.distance ls u v : float))
+          members)
+      members;
+    (members, gw, Routing.solves ls)
+  in
+  match cli_underlays 5000 with
+  | [ (_, random); _; (_, unit) ] ->
+    let members, gw, n = solves random in
+    checki "139 members" 139 (Array.length members);
+    let roots = tree_roots random.Transit_stub.graph members gw in
+    checkb (Printf.sprintf "%d solves <= 1 + %d roots" n roots) true (n <= 1 + roots);
+    (* two roots per edge off the tree at most, whatever the latencies *)
+    let inside = Array.to_list members in
+    let edges =
+      List.fold_left
+        (fun acc u ->
+          acc
+          + List.length
+              (List.filter (fun (v, _) -> u < v && List.mem v inside)
+                 (Graph.neighbors random.Transit_stub.graph u)))
+        0 inside
+    in
+    let off_tree = edges - (Array.length members - 1) in
+    let _, _, n = solves unit in
+    checkb
+      (Printf.sprintf "unit latencies fall back (%d solves, %d edges off the tree)" n off_tree)
+      true
+      (n > 1 + (2 * off_tree))
+  | _ -> assert false
+
 (* With random latencies every host's leg to its gateway comes from the
    one gateway-rooted solve; with unit latencies, ties send hosts to
    solves of their own, and the answers still match Dijkstra's hop
@@ -714,6 +849,9 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261039 |])
       prop_on_demand_matches_blocks;
     Alcotest.test_case "routing: gateway legs from one rooted solve" `Quick test_gateway_legs;
+    Alcotest.test_case "routing: tree answers = settle, bit for bit" `Quick
+      test_trees_match_settle;
+    Alcotest.test_case "routing: one solve per tree root" `Quick test_tree_solve_counts;
     Alcotest.test_case "stress: accounting" `Quick test_stress_basic;
     Alcotest.test_case "stress: trivial paths" `Quick test_stress_trivial_paths;
     Alcotest.test_case "stress: clear" `Quick test_stress_clear;
