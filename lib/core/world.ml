@@ -12,18 +12,6 @@ type snet_policy =
   | By_interest
   | By_cluster of Landmark.t
 
-(* The server's size table as (s-network size, p_id, host), smallest
-   first: ring order breaks ties, as a first-minimum scan of the ring
-   would. *)
-module By_size = Set.Make (struct
-  type t = int * int * int
-
-  let compare (s1, p1, h1) (s2, p2, h2) =
-    if s1 <> s2 then Int.compare s1 s2
-    else if p1 <> p2 then Int.compare p1 p2
-    else Int.compare h1 h2
-end)
-
 (* Membership state is flat: hosts are dense graph-node ids, so a
    [Peer.t option array] indexed by host replaces the host->peer Hashtbl,
    and an int array (-1 = no entry) replaces the s-network size table.
@@ -51,8 +39,7 @@ type t = {
   mutable ring_joined : Peer.t list;
   mutable ring_dropped : Peer.t list;
   mutable ring_left : Peer.t list;
-  mutable by_size : By_size.t;
-  mutable size_key : int array;
+  by_size : Size_heap.t;
   mutable fingers_dirty : bool;
   mutable finger_sorted : Peer.t array;
   mutable finger_ids : int array;
@@ -100,8 +87,7 @@ let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
     ring_joined = [];
     ring_dropped = [];
     ring_left = [];
-    by_size = By_size.empty;
-    size_key = [||];
+    by_size = Size_heap.create ();
     fingers_dirty = false;
     finger_sorted = [||];
     finger_ids = [||];
@@ -223,24 +209,14 @@ let ensure_slot t host =
     let snet = Array.make !cap (-1) in
     Array.blit t.snet 0 snet 0 n;
     t.snet <- snet;
-    let size_key = Array.make !cap (-1) in
-    Array.blit t.size_key 0 size_key 0 n;
-    t.size_key <- size_key;
     rebuild_index t
   end
 
-(* [size_key.(host)] is the p_id under which the ring member on [host]
-   sits in [by_size] (-1 = none).  Every size-table write goes through
-   [write_snet], so an entry always carries its host's current size. *)
-let size_entry t host = (max 0 t.snet.(host), t.size_key.(host), host)
-
+(* The ring members' hosts sit in [by_size] keyed by their current
+   size, so every size-table write goes through [write_snet]. *)
 let write_snet t host n =
-  if t.size_key.(host) < 0 then t.snet.(host) <- n
-  else begin
-    t.by_size <- By_size.remove (size_entry t host) t.by_size;
-    t.snet.(host) <- n;
-    t.by_size <- By_size.add (size_entry t host) t.by_size
-  end
+  t.snet.(host) <- n;
+  if Size_heap.mem t.by_size host then Size_heap.set_size t.by_size host (max 0 n)
 
 (* The replication heal books each key's holders between passes; a peer
    entering or leaving the membership with copies moves holders no store
@@ -383,9 +359,8 @@ let index_in_ring sorted ids p =
    arrays into fresh ones (so a snapshot of the old arrays stays valid),
    and move the size-table entries along.  Each pending peer is checked
    against the membership rule now: a peer registered and unregistered
-   in between, or registered twice, counts once.  [size_key] doubles as
-   the membership mark — it is set exactly on the hosts of ring
-   members. *)
+   in between, or registered twice, counts once.  [by_size] doubles as
+   the membership mark — it holds exactly the hosts of ring members. *)
 let t_peers t =
   if t.t_dirty then begin
     let old = t.t_sorted and old_ids = t.t_ids in
@@ -393,11 +368,10 @@ let t_peers t =
     List.iter
       (fun p ->
         let host = p.Peer.host in
-        if (not (on_ring t p)) && t.size_key.(host) >= 0 then begin
+        if (not (on_ring t p)) && Size_heap.mem t.by_size host then begin
           let i = index_in_ring old old_ids p in
           if i >= 0 then begin
-            t.by_size <- By_size.remove (size_entry t host) t.by_size;
-            t.size_key.(host) <- -1;
+            Size_heap.remove t.by_size host;
             t.ring_left <- p :: t.ring_left;
             removed := i :: !removed
           end
@@ -407,9 +381,8 @@ let t_peers t =
     List.iter
       (fun p ->
         let host = p.Peer.host in
-        if on_ring t p && t.size_key.(host) < 0 then begin
-          t.size_key.(host) <- p.Peer.p_id;
-          t.by_size <- By_size.add (size_entry t host) t.by_size;
+        if on_ring t p && not (Size_heap.mem t.by_size host) then begin
+          Size_heap.add t.by_size ~host ~size:(max 0 t.snet.(host)) ~p_id:p.Peer.p_id;
           added := p :: !added
         end)
       t.ring_joined;
@@ -526,9 +499,9 @@ let fingers_fresh t = not t.fingers_dirty
    [by_size], found back on the ring by its (p_id, host) key. *)
 let smallest_s_network t =
   let arr = t_peers t in
-  match By_size.min_elt_opt t.by_size with
-  | None -> None
-  | Some (_, p_id, host) -> Some arr.(ring_position arr t.t_ids ~p_id ~host)
+  let host = Size_heap.min t.by_size in
+  if host < 0 then None
+  else Some arr.(ring_position arr t.t_ids ~p_id:(Size_heap.p_id t.by_size host) ~host)
 
 (* Interest-based assignment: a category's home is the s-network serving
    the category's routing ID, so interested peers and the category's data

@@ -22,9 +22,6 @@ type snet_policy =
       (** topology-aware: same landmark cluster -> same s-network, spread
           round-robin when clusters outnumber s-networks (Section 5.2) *)
 
-(** The server's size table ordered by (size, p_id, host). *)
-module By_size : Set.S with type elt = int * int * int
-
 type t = {
   engine : P2p_sim.Engine.t;
   underlay : P2p_net.Underlay.t;
@@ -74,12 +71,9 @@ type t = {
   mutable ring_left : Peer.t list;
       (** peers dropped from [t_sorted] since the last finger refresh
           point *)
-  mutable by_size : By_size.t;
-      (** the ring members' rows of the size table, keyed
-          (size, p_id, host) *)
-  mutable size_key : int array;
-      (** host-indexed p_id under which the host's ring member sits in
-          [by_size]; [-1] = none *)
+  by_size : Size_heap.t;
+      (** the ring members' hosts, keyed (size, p_id, host) by their
+          rows of the size table: exactly the hosts of ring members *)
   mutable fingers_dirty : bool;
   mutable finger_sorted : Peer.t array;
       (** the ring ([t_sorted]) as of the last finger refresh point *)

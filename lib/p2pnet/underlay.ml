@@ -41,11 +41,14 @@ let delay t ~src ~dst =
    the delay, and the hop count is read without checking reachability
    again.  An unreachable pair raises [Not_found] before anything is
    counted, as [Routing.hop_count] does.  While the engine profiles, the
-   route reads are timed into a row of their own, [routing], and taken
-   out of the handler that sent. *)
+   route reads are timed with its stopwatch into a row of their own,
+   [routing], and taken out of the handler that sent; reads made
+   between events, as a join's or an issued operation's first send,
+   go to [routing-top]. *)
 let outside t host = host < 0 || host >= t.hosts
 
 let routing_label = "routing"
+let routing_top_label = "routing-top"
 
 let send t ~src ~dst f =
   if outside t src || outside t dst then
@@ -53,7 +56,7 @@ let send t ~src ~dst f =
       (Printf.sprintf "Underlay.send: host %d is outside the underlay (hosts 0..%d)"
          (if outside t src then src else dst) (t.hosts - 1));
   let profiling = src <> dst && Engine.profiling t.engine in
-  let started = if profiling then Sys.time () else 0.0 in
+  let started = if profiling then Engine.stopwatch () else 0.0 in
   let distance = if src = dst then 0.0 else Routing.distance t.routing src dst in
   if distance = infinity then raise Not_found;
   let path_hops =
@@ -65,7 +68,10 @@ let send t ~src ~dst f =
       Routing.reachable_hops t.routing src dst
     end
   in
-  if profiling then Engine.charge t.engine routing_label ~cpu_s:(Sys.time () -. started);
+  if profiling then
+    Engine.charge t.engine
+      (if Engine.in_timed_event t.engine then routing_label else routing_top_label)
+      ~cpu_s:(Engine.stopwatch () -. started);
   Metrics.record_message t.metrics ~physical_hops:path_hops;
   let transmission = transmission t ~src ~dst in
   let delay =

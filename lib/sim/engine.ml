@@ -15,6 +15,7 @@ type t = {
   mutable profiling : bool;
   label_table : (string, label_stats) Hashtbl.t;
   carved : carved;  (* CPU the running handler booked to other rows *)
+  mutable in_timed : bool;  (* a timed event's handler is running *)
   (* the executor closure, built once — [pop_apply] then runs events
      without a fresh closure per pop *)
   mutable exec : float -> (unit -> unit) -> unit;
@@ -37,6 +38,7 @@ let create ~seed () =
       profiling = false;
       label_table = Hashtbl.create 16;
       carved = { inner_s = 0.0 };
+      in_timed = false;
       exec = (fun _ _ -> ());
     }
   in
@@ -69,11 +71,17 @@ let timed t label f =
     let s = stats t label in
     fun () ->
       t.carved.inner_s <- 0.0;
+      t.in_timed <- true;
       let started = Sys.time () in
       f ();
+      t.in_timed <- false;
       s.fires <- s.fires + 1;
       s.cpu_s <- s.cpu_s +. (Sys.time () -. started -. t.carved.inner_s)
   | Some _ | None -> f
+
+let in_timed_event t = t.in_timed
+
+let stopwatch = Unix.gettimeofday
 
 let charge t label ~cpu_s =
   let s = stats t label in

@@ -92,6 +92,19 @@ val profiling : t -> bool
     while {!profiling} is on. *)
 val charge : t -> string -> cpu_s:float -> unit
 
+(** Is the handler of a timed event — one scheduled with a label while
+    profiling was on — running now?  [false] in code the driver runs
+    between events, such as a join's or an issued operation's first
+    send. *)
+val in_timed_event : t -> bool
+
+(** [stopwatch ()] reads a cheap host clock, in seconds: wall time, one
+    vDSO call (~50 ns, against ~0.45 µs for [Sys.time]), so two reads
+    can time a span as short as one route read inside an event.  Spans
+    timed with it may be {!charge}d: a single-threaded handler's wall
+    time is its CPU time. *)
+val stopwatch : unit -> float
+
 (** Number of events executed so far. *)
 val events_executed : t -> int
 

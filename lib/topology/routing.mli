@@ -8,23 +8,25 @@
       hierarchy: each stub domain reaches the backbone through exactly
       one access link, so every inter-domain path factors through the
       gateways.  The transit backbone keeps an all-pairs {!block}.  A
-      stub domain keeps its adjacency and, from its first pair asked,
-      a few shortest-path trees: its gateway's, and one from each
-      endpoint of an edge off the gateway's tree (at most four in a
-      generated domain, a spanning chain plus two chords).  Every simple
-      path in the domain is the gateway tree's path or passes through
-      such an endpoint, so a pair is read off the trees, folded from its
-      source, whenever no other path comes within a rounding margin of
-      the best; the answer is then its source's Dijkstra's, bit for bit.
-      A pair the trees cannot vouch for (ties, as in unit-weight graphs)
-      and every pair of a domain with more than six endpoints is solved
-      by that Dijkstra, stopped when the target settles.  Either way the
-      answer is memoized, and each host's leg to its gateway is solved
-      once and kept in per-host arrays.  Memory follows the pairs a run
-      asks for, not the O(Σ sᵢ²) of all-pairs tables, so the real graph
-      stays affordable at 100k nodes.  A link-state router is
-      therefore mutable: it belongs to one world, and no two OCaml
-      [Domain]s may query it at once.
+      stub domain keeps its adjacency and a few shortest-path trees: its
+      gateway's, from one solve that also gives every host's leg to the
+      gateway (run by the first of the two to be asked), and, from its
+      first in-domain pair, one from each endpoint of an edge off the
+      gateway's tree (at most four in a generated domain, a spanning
+      chain plus two chords).  Every simple path in the domain is the
+      gateway tree's path or passes through such an endpoint, so a pair
+      is read off the trees, folded from its source, whenever no other
+      path comes within a rounding margin of the best; the answer is
+      then its source's Dijkstra's, bit for bit.  A pair the trees
+      cannot vouch for (ties, as in unit-weight graphs) and every pair
+      of a domain with more than six endpoints is solved by that
+      Dijkstra, stopped when the target settles and resumed when the
+      next such pair has the same source.  Either way the answer is
+      memoized, and each host's leg is kept in per-host arrays.  Memory
+      follows the pairs a run asks for, not the O(Σ sᵢ²) of all-pairs
+      tables, so the real graph stays affordable at 100k nodes.  A
+      link-state router is therefore mutable: it belongs to one world,
+      and no two OCaml [Domain]s may query it at once.
       {!Transit_stub.routing} builds it for a generated topology.
     - {!create} — the reference: exact per-source Dijkstra on any graph,
       each source's tree cached once computed.  Tests check the other
@@ -58,6 +60,25 @@ val create : Graph.t -> t
     topologies have 9). *)
 val link_state : Graph.t -> is_transit:(int -> bool) -> t
 
+(** The stub-domain decomposition a link-state router is built on: per
+    node its stub domain ([-1] for a transit node); per domain, numbered
+    in the order of their lowest nodes, its members in ascending node
+    order, its gateway, the transit node of its access link and that
+    link's latency ([-1], [-1] and [infinity] for a domain with no
+    access link). *)
+type decomposition = {
+  domain_of : int array;
+  members : int array array;
+  gateway : int array;
+  attach : int array;
+  access : float array;
+}
+
+(** [decomposition t] is a copy of [t]'s decomposition, for the tests
+    that hold {!link_state}'s construction to a reference.
+    @raise Invalid_argument on the other backends. *)
+val decomposition : t -> decomposition
+
 (** [synthetic ~nodes ~latency] is a router over [nodes] hosts in which
     every distinct pair is directly connected at a uniform [latency] (ms)
     — one physical hop, no path computation, O(1) memory.  This is the
@@ -72,7 +93,10 @@ val synthetic : nodes:int -> latency:float -> t
     unreachable. *)
 val distance : t -> int -> int -> float
 
-(** [path t u v] is the node sequence [u; ...; v] of a shortest path.
+(** [path t u v] is the node sequence [u; ...; v] of a shortest path,
+    the chain of {!next_hop}s.  The link-state backend reads the stretch
+    inside the destination's stub domain in one go, off a tree walk or
+    off one solve, not a pair answer per hop.
     @raise Not_found when unreachable. *)
 val path : t -> int -> int -> int list
 
@@ -134,12 +158,13 @@ val block_hops : block -> int -> int -> int
 val graph : t -> Graph.t
 
 (** [solves t] counts the shortest-path solves a link-state router has
-    run since {!link_state} built it: the tree builds, one per tree a
-    domain plants on its first in-domain pair (its gateway's and one per
-    root); the fallbacks, one per in-domain pair the trees could not
-    vouch for (every pair, in a domain with too many roots); one per
-    domain whose gateway legs were grown; and one per host whose leg to
-    its gateway that tree could not give.  A generated domain answered
-    from its trees alone costs at most six.  0 on the other
-    backends. *)
+    run since {!link_state} built it: one per domain from its gateway,
+    for its legs and its gateway's tree alike, whichever asks first; one
+    per further tree a domain plants on its first in-domain pair, one
+    per root; the fallbacks, one per in-domain pair the trees could not
+    vouch for (every pair, in a domain with too many roots), unless it
+    resumes the solve of the fallback before it from the same source;
+    and one per host whose leg the gateway's tree could not give.  A
+    generated domain answered from its trees alone costs at most five.
+    0 on the other backends. *)
 val solves : t -> int

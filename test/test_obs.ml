@@ -350,6 +350,29 @@ let test_engine_charge () =
     checkb "routing CPU non-negative" true (cpu >= 0.0)
   | None -> Alcotest.fail "no routing row"
 
+(* The underlay splits its route reads by where they run: inside an
+   event handler to [routing], in driver code between events (an issued
+   insert's first send) to [routing-top].  Together the two rows have
+   one fire per message between two distinct hosts. *)
+let test_routing_rows () =
+  let h, _, _ = traced_system ~seed:41 ~n:10 () in
+  Engine.enable_profiling (H.engine h);
+  let sent = Metrics.messages (H.metrics h) in
+  ignore (insert_items h ~count:10 : string list);
+  let sent = Metrics.messages (H.metrics h) - sent in
+  let fires label =
+    match List.find_opt (fun (l, _, _) -> l = label) (Engine.profile (H.engine h)) with
+    | Some (_, fires, cpu) ->
+      checkb (label ^ " CPU non-negative") true (cpu >= 0.0);
+      fires
+    | None -> 0
+  in
+  let inside = fires "routing" and top = fires "routing-top" in
+  checkb "handlers' reads in the routing row" true (inside > 0);
+  checkb (Printf.sprintf "at most one top-level read per insert (%d)" top) true
+    (top > 0 && top <= 10);
+  checkb "at most one fire per message" true (inside + top <= sent)
+
 (* --- export + report --- *)
 
 let test_metrics_json_roundtrip () =
@@ -761,6 +784,8 @@ let suite =
     Alcotest.test_case "registry: legacy metrics view" `Quick test_legacy_metrics_view;
     Alcotest.test_case "engine: profiling" `Quick test_engine_profiling;
     Alcotest.test_case "engine: charged rows" `Quick test_engine_charge;
+    Alcotest.test_case "profile: route reads between events in a row apart" `Quick
+      test_routing_rows;
     Alcotest.test_case "report: json round-trip" `Quick test_metrics_json_roundtrip;
     Alcotest.test_case "report: render" `Quick test_report_render;
     Alcotest.test_case "report: health section" `Quick test_report_health_section;

@@ -294,6 +294,82 @@ let test_link_state_rejects_multi_access () =
      | exception Invalid_argument _ -> true
      | (_ : Routing.t) -> false)
 
+(* The decomposition [Routing.link_state] was first built with: stub
+   domains found by a search over a list stack, each domain's members
+   sorted, then every member's edges scanned for its access link.  Kept
+   here as the reference the flat construction is held to. *)
+let reference_decomposition g ~is_transit =
+  let n = Graph.node_count g in
+  let transit = Array.init n is_transit in
+  let domain_of = Array.make n (-1) in
+  let members_rev = ref [] and count = ref 0 in
+  for u = 0 to n - 1 do
+    if (not transit.(u)) && domain_of.(u) < 0 then begin
+      let d = !count in
+      incr count;
+      let acc = ref [] and stack = ref [ u ] in
+      domain_of.(u) <- d;
+      while !stack <> [] do
+        match !stack with
+        | [] -> ()
+        | v :: rest ->
+          stack := rest;
+          acc := v :: !acc;
+          Graph.iter_neighbors g v (fun w _ ->
+              if (not transit.(w)) && domain_of.(w) < 0 then begin
+                domain_of.(w) <- d;
+                stack := w :: !stack
+              end)
+      done;
+      members_rev := Array.of_list (List.sort Int.compare !acc) :: !members_rev
+    end
+  done;
+  let members = Array.of_list (List.rev !members_rev) in
+  let domains = Array.length members in
+  let gateway = Array.make domains (-1) and attach = Array.make domains (-1) in
+  let access = Array.make domains infinity in
+  Array.iteri
+    (fun d m ->
+      Array.iter
+        (fun u ->
+          Graph.iter_neighbors g u (fun v w ->
+              if transit.(v) then begin
+                if gateway.(d) >= 0 then invalid_arg "several access links";
+                gateway.(d) <- u;
+                attach.(d) <- v;
+                access.(d) <- w
+              end))
+        m)
+    members;
+  { Routing.domain_of; members; gateway; attach; access }
+
+(* The CLI's 1,000-, 5,000- and 20,000-peer underlays (as
+   [Pipeline.build] generates them at seed 42) decompose as the
+   reference does, array for array, latencies bit for bit. *)
+let test_construction_matches_reference () =
+  List.iter
+    (fun peers ->
+      let t =
+        Transit_stub.generate ~rng:(Rng.create 43) (P2p_scenario.Pipeline.topology_for peers)
+      in
+      let g = t.Transit_stub.graph in
+      let is_transit u =
+        match t.Transit_stub.classes.(u) with
+        | Transit_stub.Transit _ -> true
+        | Transit_stub.Stub _ -> false
+      in
+      let got = Routing.decomposition (Transit_stub.routing t)
+      and want = reference_decomposition g ~is_transit in
+      let label what = Printf.sprintf "%d peers: %s" peers what in
+      checkb (label "domain_of") true (got.Routing.domain_of = want.Routing.domain_of);
+      checkb (label "members") true (got.Routing.members = want.Routing.members);
+      checkb (label "gateways") true (got.Routing.gateway = want.Routing.gateway);
+      checkb (label "attachments") true (got.Routing.attach = want.Routing.attach);
+      checkb (label "access latencies") true
+        (Array.map Int64.bits_of_float got.Routing.access
+        = Array.map Int64.bits_of_float want.Routing.access))
+    [ 1000; 5000; 20000 ]
+
 (* The scan-min all-pairs build [Routing.restricted_all_pairs] replaced:
    per source, settle the unsettled node with the smallest tentative
    distance (ties to the lowest position), relaxing with a strict [<].
@@ -838,6 +914,8 @@ let suite =
     Alcotest.test_case "routing: link-state matches Dijkstra" `Quick
       test_link_state_matches_dijkstra;
     Alcotest.test_case "routing: link-state manual hierarchy" `Quick test_link_state_manual;
+    Alcotest.test_case "routing: flat construction = the list-based reference" `Quick
+      test_construction_matches_reference;
     Alcotest.test_case "routing: link-state rejects multi-access domains" `Quick
       test_link_state_rejects_multi_access;
     Alcotest.test_case "routing: table-test graphs have ties and big domains" `Quick

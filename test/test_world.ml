@@ -313,6 +313,45 @@ let prop_ring_matches_scan =
         ops
       && agrees ())
 
+(* Property: the size table's heap answers like a scan.  Ring joins and
+   leaves on hosts spread past several doublings of the host arrays,
+   sizes set outright and moved by deltas (ties are frequent: sizes stay
+   small), and after every step the smallest-first server picks what a
+   first-minimum scan of the live ring in (p_id, host) order picks. *)
+let prop_size_heap_matches_scan =
+  QCheck.Test.make ~name:"size heap: smallest s-network = a first-minimum scan" ~count:200
+    QCheck.(
+      list_of_size Gen.(int_range 1 120) (triple (int_bound 4) (int_bound 199) (int_bound 5)))
+    (fun ops ->
+      let h = H.create_star ~seed:5 ~peers:8 () in
+      let w = H.world h in
+      let joiner = make_peer w ~host:999 ~p_id:0 ~role:Peer.S_peer ~link_capacity:1.0 () in
+      let scan () =
+        World.live_peers w
+        |> List.filter (fun p -> Peer.is_t_peer p && p.Peer.alive)
+        |> List.sort (fun a b -> compare (a.Peer.p_id, a.Peer.host) (b.Peer.p_id, b.Peer.host))
+        |> List.fold_left
+             (fun best p ->
+               match best with
+               | Some b when World.snet_size w b <= World.snet_size w p -> best
+               | Some _ | None -> Some p)
+             None
+      in
+      List.for_all
+        (fun (kind, host, x) ->
+          let host = 16 + host in
+          (match (kind, World.find_peer w ~host) with
+           | (0 | 1), None ->
+             World.register w (make_peer w ~host ~p_id:(x * 7) ~role:Peer.T_peer ~link_capacity:1.0 ())
+           | 2, Some p ->
+             Peer.set_alive p false;
+             World.unregister w p
+           | 3, Some p when Peer.is_t_peer p -> World.set_snet_size w p x
+           | 4, Some p when Peer.is_t_peer p -> World.snet_size_changed w p ~delta:(x - 2)
+           | _ -> ());
+          Option.equal ( == ) (scan ()) (World.choose_s_network w ~joiner))
+        ops)
+
 (* Property: under any mix of registrations on hosts spread over several
    doublings of the slot array, re-registrations of an occupied host
    (displacing a t-peer among them) and unregistrations, the rank
@@ -553,6 +592,8 @@ let suite =
       test_smallest_s_network_matches_scan;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
       prop_ring_matches_scan;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
+      prop_size_heap_matches_scan;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
       prop_nth_live_peer_matches_list;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
