@@ -141,7 +141,7 @@ let link_stress ~scale () =
       let topo =
         P2p_topology.Transit_stub.generate ~rng:(Rng.create 99) scale.topology
       in
-      let routing = P2p_topology.Transit_stub.routing topo in
+      let routing = P2p_topology.Routing.create topo.P2p_topology.Transit_stub.graph in
       let stress = P2p_topology.Link_stress.create topo.P2p_topology.Transit_stub.graph in
       let snet_policy =
         if landmarks > 0 then begin

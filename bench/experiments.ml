@@ -94,7 +94,7 @@ let build ?(config = Config.paper) ?(seed = 1) ?(ps = 0.5) ?(heterogeneity = fal
     ?(landmarks = 0) ~scale () =
   let rng = Rng.create (seed * 7919) in
   let topo = Transit_stub.generate ~rng:(Rng.create (seed * 31 + 7)) scale.topology in
-  let routing = Transit_stub.routing topo in
+  let routing = P2p_topology.Routing.create topo.Transit_stub.graph in
   let snet_policy =
     if landmarks > 0 then begin
       let marks =

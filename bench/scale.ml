@@ -250,9 +250,10 @@ let transit_stub_params n =
   }
 
 let link_state_routing ~seed n =
-  P2p_topology.Transit_stub.routing
-    (P2p_topology.Transit_stub.generate ~rng:(Rng.create (seed + 3))
-       (transit_stub_params n))
+  let topo =
+    P2p_topology.Transit_stub.generate ~rng:(Rng.create (seed + 3)) (transit_stub_params n)
+  in
+  P2p_topology.Routing.create topo.P2p_topology.Transit_stub.graph
 
 (* One sweep point in three steps, so that two points can run side by
    side: [start_leg] builds and populates the system, [advance] runs the

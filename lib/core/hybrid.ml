@@ -52,7 +52,8 @@ let create_star ~seed ~peers ?(latency = 1.0) ?config ?snet_policy ?s_fraction ?
     Graph.add_edge graph host hub ~latency
   done;
   (* the hub is the only transit node; each host is a one-node stub domain *)
-  let routing = Routing.link_state graph ~is_transit:(fun u -> u = hub) in
+  Graph.mark_transit graph hub;
+  let routing = Routing.create graph in
   create ~seed ~routing ?config ?snet_policy ?s_fraction ?trace ()
 
 let engine t = t.w.World.engine

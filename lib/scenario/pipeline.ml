@@ -45,7 +45,8 @@ let topology_for n =
 
 let build ?trace ?(profile = false) ?ps ~seed ~n ~config () =
   let topo = Transit_stub.generate ~rng:(Rng.create (seed + 1)) (topology_for n) in
-  let h = H.create ~seed ~routing:(Transit_stub.routing topo) ~config ?trace () in
+  let routing = P2p_topology.Routing.create topo.Transit_stub.graph in
+  let h = H.create ~seed ~routing ~config ?trace () in
   if profile then Engine.enable_profiling (H.engine h);
   let rng = Rng.create (seed + 2) in
   Option.iter

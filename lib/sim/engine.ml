@@ -61,10 +61,13 @@ let stats t label =
     Hashtbl.add t.label_table label s;
     s
 
+let stopwatch = Unix.gettimeofday
+
 (* The queue holds bare thunks.  A labelled event scheduled while
    profiling is on is wrapped here, once, in a closure that times it
    into its label's row, less what it {!charge}d to other rows; every
-   other event is queued as given. *)
+   other event is queued as given.  The event is timed with the same
+   clock as the spans charged out of it. *)
 let timed t label f =
   match label with
   | Some label when t.profiling ->
@@ -72,16 +75,14 @@ let timed t label f =
     fun () ->
       t.carved.inner_s <- 0.0;
       t.in_timed <- true;
-      let started = Sys.time () in
+      let started = stopwatch () in
       f ();
       t.in_timed <- false;
       s.fires <- s.fires + 1;
-      s.cpu_s <- s.cpu_s +. (Sys.time () -. started -. t.carved.inner_s)
+      s.cpu_s <- s.cpu_s +. (stopwatch () -. started -. t.carved.inner_s)
   | Some _ | None -> f
 
 let in_timed_event t = t.in_timed
-
-let stopwatch = Unix.gettimeofday
 
 let charge t label ~cpu_s =
   let s = stats t label in

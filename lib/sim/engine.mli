@@ -125,5 +125,7 @@ val note_cancel_late : t -> unit
 
 (** [profile t] — per-label [(label, fires, cpu_seconds)] rows, sorted by
     label.  Empty unless {!enable_profiling} was called and labelled events
-    fired.  CPU time is host time ([Sys.time]), not simulated time. *)
+    fired.  CPU time is host time read with {!stopwatch} (a
+    single-threaded handler's wall time is its CPU time), not simulated
+    time. *)
 val profile : t -> (string * int * float) list

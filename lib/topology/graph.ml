@@ -3,11 +3,12 @@ type edge = { u : int; v : int; latency : float }
 type t = {
   adjacency : (int * float) list array;
   mutable edge_count : int;
+  transit : Bytes.t; (* '\001' at a transit node *)
 }
 
 let create n =
   if n < 0 then invalid_arg "Graph.create: negative size";
-  { adjacency = Array.make n []; edge_count = 0 }
+  { adjacency = Array.make n []; edge_count = 0; transit = Bytes.make n '\000' }
 
 let node_count t = Array.length t.adjacency
 
@@ -30,6 +31,14 @@ let add_edge t u v ~latency =
   t.adjacency.(u) <- (v, latency) :: t.adjacency.(u);
   t.adjacency.(v) <- (u, latency) :: t.adjacency.(v);
   t.edge_count <- t.edge_count + 1
+
+let mark_transit t u =
+  check_node t u;
+  Bytes.set t.transit u '\001'
+
+let is_transit t u =
+  check_node t u;
+  Bytes.get t.transit u = '\001'
 
 let latency t u v =
   check_node t u;

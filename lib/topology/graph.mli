@@ -2,7 +2,9 @@
 
     Nodes are dense integers [0 .. node_count - 1]; edge weights are
     latencies in milliseconds.  The graph is the *underlay*: overlay links
-    of the P2P system map onto shortest physical paths through it. *)
+    of the P2P system map onto shortest physical paths through it.  Each
+    node is a transit (backbone) node or a stub node, as GT-ITM labels
+    its output; {!Routing.create} reads the labels. *)
 
 type t
 
@@ -21,6 +23,15 @@ val edge_count : t -> int
     existing edge or a self-loop raises [Invalid_argument]; latency must be
     positive. *)
 val add_edge : t -> int -> int -> latency:float -> unit
+
+(** [mark_transit t u] labels node [u] a transit node; every node starts
+    as a stub node.  Marking a node twice is harmless.
+    @raise Invalid_argument when [u] is out of range. *)
+val mark_transit : t -> int -> unit
+
+(** [is_transit t u] is [true] iff [u] was marked by {!mark_transit}.
+    @raise Invalid_argument when [u] is out of range. *)
+val is_transit : t -> int -> bool
 
 (** [has_edge t u v] tests adjacency. *)
 val has_edge : t -> int -> int -> bool

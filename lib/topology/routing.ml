@@ -1,9 +1,3 @@
-type source_result = { dist : float array; prev : int array }
-
-(* The reference router: one Dijkstra tree per source, cached without
-   bound once computed. *)
-type graph_routed = { graph : Graph.t; cache : source_result option array }
-
 (* The subgraph induced by a member set — a stub domain or the transit
    backbone — flattened into a set-local adjacency (CSR arrays over
    member positions, neighbours in [Graph.iter_neighbors] order), so a
@@ -127,7 +121,9 @@ let max_roots = 6
    target settles, and memoized either way.  Each host's leg to its
    domain's gateway — read twice by every cross-domain message — lives
    in three per-host arrays filled on first use.  Memory follows what a
-   run asks for, not O(Σ sᵢ²). *)
+   run asks for, not O(Σ sᵢ²).  A graph with no transit node is one or
+   more stub domains with no access link: each connected component is
+   routed by its trees and solves alone. *)
 type link_state = {
   ls_graph : Graph.t;
   domain_of : int array; (* stub-domain id per node; -1 for transit nodes *)
@@ -153,107 +149,14 @@ type link_state = {
 }
 
 (* [Synthetic] short-circuits path computation entirely: every distinct
-   pair is one hop at a fixed latency.  Million-node underlays cannot
-   afford per-source Dijkstra (the cache alone is O(n) per source), and
-   overlay-scalability studies do not need real path diversity. *)
-type t =
-  | Graph_routed of graph_routed
-  | Synthetic of { graph : Graph.t; latency : float }
-  | Link_state of link_state
-
-let create graph =
-  Graph_routed { graph; cache = Array.make (Graph.node_count graph) None }
+   pair is one hop at a fixed latency, for overlay-scalability studies
+   that do not need real path diversity. *)
+type t = Synthetic of { graph : Graph.t; latency : float } | Link_state of link_state
 
 let synthetic ~nodes ~latency =
   if nodes < 0 then invalid_arg "Routing.synthetic: negative node count";
   if latency <= 0.0 then invalid_arg "Routing.synthetic: latency must be positive";
   Synthetic { graph = Graph.create nodes; latency }
-
-(* Dijkstra with a simple binary heap of (distance, node). *)
-module Heap = struct
-  type t = { mutable data : (float * int) array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let push h x =
-    let cap = Array.length h.data in
-    if h.size = cap then begin
-      let data = Array.make (if cap = 0 then 16 else cap * 2) x in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end;
-    h.data.(h.size) <- x;
-    h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.data.(!i) in
-      h.data.(!i) <- h.data.(p);
-      h.data.(p) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.data.(0) <- h.data.(h.size);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-          if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-          if !smallest = !i then continue := false
-          else begin
-            let tmp = h.data.(!i) in
-            h.data.(!i) <- h.data.(!smallest);
-            h.data.(!smallest) <- tmp;
-            i := !smallest
-          end
-        done
-      end;
-      Some top
-    end
-end
-
-let dijkstra graph src =
-  let n = Graph.node_count graph in
-  let dist = Array.make n infinity in
-  let prev = Array.make n (-1) in
-  let settled = Array.make n false in
-  dist.(src) <- 0.0;
-  let heap = Heap.create () in
-  Heap.push heap (0.0, src);
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        Graph.iter_neighbors graph u (fun v w ->
-            let alt = d +. w in
-            if alt < dist.(v) then begin
-              dist.(v) <- alt;
-              prev.(v) <- u;
-              Heap.push heap (alt, v)
-            end)
-      end;
-      loop ()
-  in
-  loop ();
-  { dist; prev }
-
-let source_result t src =
-  match t.cache.(src) with
-  | Some r -> r
-  | None ->
-    let r = dijkstra t.graph src in
-    t.cache.(src) <- Some r;
-    r
 
 (* --- the per-source settle loop --- *)
 
@@ -412,7 +315,7 @@ let restricted_all_pairs graph ~members ~index_of ~in_set =
   let s = Array.length members in
   if s > max_block_members then
     invalid_arg
-      (Printf.sprintf "Routing.link_state: a member set of %d nodes (at most %d)" s
+      (Printf.sprintf "Routing.create: a member set of %d nodes (at most %d)" s
          max_block_members);
   let slots = Array.fold_left (fun acc u -> acc + Graph.degree graph u) 0 members in
   let set =
@@ -505,9 +408,9 @@ let power_of_two x =
   done;
   !p
 
-let build_link_state graph ~is_transit =
+let create graph =
   let n = Graph.node_count graph in
-  let transit = Array.init n is_transit in
+  let transit = Array.init n (Graph.is_transit graph) in
   let domain_of, domains = stub_components graph transit in
   let index = Array.make n 0 in
   let dom_members = domain_members domain_of domains index in
@@ -538,7 +441,7 @@ let build_link_state graph ~is_transit =
             if dom_gateway.(d) >= 0 then
               invalid_arg
                 (Printf.sprintf
-                   "Routing.link_state: stub domain %d has several access links (not \
+                   "Routing.create: stub domain %d has several access links (not \
                     transit-stub shaped)"
                    d);
             dom_gateway.(d) <- u;
@@ -547,41 +450,39 @@ let build_link_state graph ~is_transit =
       dom_members
   in
   let widest f = Array.fold_left (fun acc set -> max acc (f set)) 0 subgraphs in
-  {
-    ls_graph = graph;
-    domain_of;
-    index;
-    dom_gateway;
-    dom_attach;
-    dom_access;
-    domains = subgraphs;
-    backbone =
-      restricted_all_pairs graph ~members:t_nodes ~index_of ~in_set:(fun v -> transit.(v));
-    leg_dist = Array.make n infinity;
-    leg_hops = Array.make n (-1);
-    leg_next = Array.make n (-1);
-    legs_rooted = Array.make domains false;
-    oracle = Array.make domains Unplanted;
-    work =
-      scratch
-        ~nodes:(widest (fun set -> Array.length set.members))
-        ~edges:(widest edge_count);
-    warm_dom = -1;
-    warm_src = -1;
-    walk = Array.make (widest (fun set -> Array.length set.members)) 0;
-    memo =
-      {
-        start = power_of_two (max 256 (2 * (n - Array.length t_nodes)));
-        keys = [||];
-        m_dist = [||];
-        m_route = [||];
-        m_count = 0;
-      };
-    solves = 0;
-  }
-
-let link_state graph ~is_transit =
-  Link_state (build_link_state graph ~is_transit)
+  Link_state
+    {
+      ls_graph = graph;
+      domain_of;
+      index;
+      dom_gateway;
+      dom_attach;
+      dom_access;
+      domains = subgraphs;
+      backbone =
+        restricted_all_pairs graph ~members:t_nodes ~index_of ~in_set:(fun v -> transit.(v));
+      leg_dist = Array.make n infinity;
+      leg_hops = Array.make n (-1);
+      leg_next = Array.make n (-1);
+      legs_rooted = Array.make domains false;
+      oracle = Array.make domains Unplanted;
+      work =
+        scratch
+          ~nodes:(widest (fun set -> Array.length set.members))
+          ~edges:(widest edge_count);
+      warm_dom = -1;
+      warm_src = -1;
+      walk = Array.make (widest (fun set -> Array.length set.members)) 0;
+      memo =
+        {
+          start = power_of_two (max 256 (2 * (n - Array.length t_nodes)));
+          keys = [||];
+          m_dist = [||];
+          m_route = [||];
+          m_count = 0;
+        };
+      solves = 0;
+    }
 
 (* --- on-demand stub-domain answers --- *)
 
@@ -1096,53 +997,23 @@ let ls_path ls u v =
 
 let distance t u v =
   match t with
-  | Graph_routed t -> (source_result t u).dist.(v)
   | Synthetic { latency; _ } -> if u = v then 0.0 else latency
   | Link_state ls -> ls_distance ls u v
 
 let path t u v =
   match t with
-  | Graph_routed t ->
-    let r = source_result t u in
-    if r.dist.(v) = infinity then raise Not_found;
-    let rec build acc node =
-      if node = u then u :: acc else build (node :: acc) r.prev.(node)
-    in
-    build [] v
   | Synthetic _ -> if u = v then [ u ] else [ u; v ]
   | Link_state ls -> ls_path ls u v
 
 let next_hop t u v =
   if u = v then u
   else if distance t u v = infinity then raise Not_found
-  else
-    match t with
-    | Graph_routed t ->
-      let r = source_result t u in
-      let node = ref v in
-      while r.prev.(!node) <> u do
-        node := r.prev.(!node)
-      done;
-      !node
-    | Synthetic _ -> v
-    | Link_state ls -> ls_next_hop ls u v
+  else match t with Synthetic _ -> v | Link_state ls -> ls_next_hop ls u v
 
-(* Hop counting never materializes the path: graph mode walks the
-   predecessor chain, link-state mode adds three table entries. *)
+(* Hop counting never materializes the path: link-state mode adds three
+   table entries. *)
 let reachable_hops t u v =
   match t with
-  | Graph_routed t ->
-    if u = v then 0
-    else begin
-      let r = source_result t u in
-      let hops = ref 0 in
-      let node = ref v in
-      while !node <> u do
-        node := r.prev.(!node);
-        incr hops
-      done;
-      !hops
-    end
   | Synthetic _ -> if u = v then 0 else 1
   | Link_state ls -> ls_hop_count ls u v
 
@@ -1150,12 +1021,9 @@ let hop_count t u v =
   if u <> v && distance t u v = infinity then raise Not_found;
   reachable_hops t u v
 
-let graph = function
-  | Graph_routed t -> t.graph
-  | Synthetic { graph; _ } -> graph
-  | Link_state ls -> ls.ls_graph
+let graph = function Synthetic { graph; _ } -> graph | Link_state ls -> ls.ls_graph
 
-let solves = function Link_state ls -> ls.solves | Graph_routed _ | Synthetic _ -> 0
+let solves = function Link_state ls -> ls.solves | Synthetic _ -> 0
 
 type decomposition = {
   domain_of : int array;
@@ -1174,4 +1042,4 @@ let decomposition : t -> decomposition = function
       attach = Array.copy ls.dom_attach;
       access = Array.copy ls.dom_access;
     }
-  | Graph_routed _ | Synthetic _ -> invalid_arg "Routing.decomposition: not a link-state router"
+  | Synthetic _ -> invalid_arg "Routing.decomposition: not a link-state router"

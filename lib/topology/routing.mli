@@ -2,10 +2,11 @@
 
     Overlay links are logical: a message sent over the overlay edge
     [u -> v] traverses the latency-shortest physical path from [u] to [v].
-    Three backends compute those paths:
+    One backend computes those paths, with a stand-in beside it:
 
-    - {!link_state} — the runtime router, exploiting the transit-stub
-      hierarchy: each stub domain reaches the backbone through exactly
+    - {!create} — the link-state router, exploiting the transit-stub
+      hierarchy the graph's transit marks ({!Graph.mark_transit})
+      describe: each stub domain reaches the backbone through exactly
       one access link, so every inter-domain path factors through the
       gateways.  The transit backbone keeps an all-pairs {!block}.  A
       stub domain keeps its adjacency and a few shortest-path trees: its
@@ -26,39 +27,36 @@
       follows the pairs a run asks for, not the O(Σ sᵢ²) of all-pairs
       tables, so the real graph stays affordable at 100k nodes.  A
       link-state router is therefore mutable: it belongs to one world,
-      and no two OCaml [Domain]s may query it at once.
-      {!Transit_stub.routing} builds it for a generated topology.
-    - {!create} — the reference: exact per-source Dijkstra on any graph,
-      each source's tree cached once computed.  Tests check the other
-      backends against it.
+      and no two OCaml [Domain]s may query it at once.  A graph with no
+      transit marks routes flat: each connected component is one stub
+      domain with no access link.
     - {!synthetic} — a fake uniform-latency clique for overlay-only
-      scalability studies. *)
+      scalability studies.
+
+    The tests hold the link-state router to a whole-graph Dijkstra that
+    lives beside them, not in this library. *)
 
 type t
 
-(** [create graph] prepares the reference Dijkstra router; no paths are
-    computed yet.  Each source's shortest-path tree is cached once
-    computed, so memory grows to O(n²) once every node has sent. *)
-val create : Graph.t -> t
-
-(** [link_state graph ~is_transit] builds the hierarchical router over a
-    transit-stub graph; [is_transit u] classifies node [u].  Stub domains
+(** [create graph] builds the link-state router over [graph], whose
+    backbone is the nodes {!Graph.mark_transit} marked.  Stub domains
     are the connected components of the stub-only subgraph; each must
     touch the backbone through at most one stub-to-transit edge (its
     access link) — a domain with none is simply unreachable from the
-    outside.  Construction runs all-pairs shortest paths over the
+    outside, and on a graph with no marks every connected component is
+    such a domain.  Construction runs all-pairs shortest paths over the
     backbone only ({!restricted_all_pairs}) and flattens each stub
     domain's adjacency.  Queries inside a domain are answered on first
     use, from the domain's trees or by a solve, and then read a memo the
     router owns: the answers are those of the domain's all-pairs block,
     bit for bit, whatever order they are asked in, but each first answer
     mutates the router, so no two OCaml [Domain]s may query it at
-    once.
+    once.  The marks are read once, here.
     @raise Invalid_argument when some stub domain has several access
     links (the graph is not transit-stub shaped), or when the backbone
     has more than 65,534 nodes (its block's two-byte entries; the CLI's
     topologies have 9). *)
-val link_state : Graph.t -> is_transit:(int -> bool) -> t
+val create : Graph.t -> t
 
 (** The stub-domain decomposition a link-state router is built on: per
     node its stub domain ([-1] for a transit node); per domain, numbered
@@ -75,8 +73,8 @@ type decomposition = {
 }
 
 (** [decomposition t] is a copy of [t]'s decomposition, for the tests
-    that hold {!link_state}'s construction to a reference.
-    @raise Invalid_argument on the other backends. *)
+    that hold {!create}'s construction to a reference.
+    @raise Invalid_argument on a {!synthetic} router. *)
 val decomposition : t -> decomposition
 
 (** [synthetic ~nodes ~latency] is a router over [nodes] hosts in which
@@ -106,9 +104,8 @@ val path : t -> int -> int -> int list
 val next_hop : t -> int -> int -> int
 
 (** [hop_count t u v] is the number of physical links on a shortest path;
-    0 when [u = v].  Never materializes the path: the Dijkstra backend
-    walks the predecessor chain, the link-state backend composes hop
-    counts.
+    0 when [u = v].  Never materializes the path: the link-state backend
+    composes hop counts.
     @raise Not_found when unreachable. *)
 val hop_count : t -> int -> int -> int
 
@@ -158,7 +155,7 @@ val block_hops : block -> int -> int -> int
 val graph : t -> Graph.t
 
 (** [solves t] counts the shortest-path solves a link-state router has
-    run since {!link_state} built it: one per domain from its gateway,
+    run since {!create} built it: one per domain from its gateway,
     for its legs and its gateway's tree alike, whichever asks first; one
     per further tree a domain plants on its first in-domain pair, one
     per root; the fallbacks, one per in-domain pair the trees could not
@@ -166,5 +163,5 @@ val graph : t -> Graph.t
     resumes the solve of the fallback before it from the same source;
     and one per host whose leg the gateway's tree could not give.  A
     generated domain answered from its trees alone costs at most five.
-    0 on the other backends. *)
+    0 on a {!synthetic} router. *)
 val solves : t -> int

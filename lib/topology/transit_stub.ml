@@ -79,7 +79,11 @@ let generate ~rng p =
   in
   Array.iteri
     (fun d nodes ->
-      Array.iter (fun u -> classes.(u) <- Transit d) nodes;
+      Array.iter
+        (fun u ->
+          classes.(u) <- Transit d;
+          Graph.mark_transit graph u)
+        nodes;
       connect_domain rng graph nodes ~extra:p.extra_transit_edges
         ~latency_range:p.intra_transit_latency)
     domains;
@@ -128,5 +132,3 @@ let nodes_where t pred =
 
 let transit_nodes t = nodes_where t (is_transit t)
 let stub_nodes t = nodes_where t (fun u -> not (is_transit t u))
-
-let routing t = Routing.link_state t.graph ~is_transit:(is_transit t)

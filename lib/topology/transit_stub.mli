@@ -39,7 +39,11 @@ type t = {
   classes : node_class array;
 }
 
-(** [generate ~rng params] builds a random transit-stub topology.
+(** [generate ~rng params] builds a random transit-stub topology and
+    marks its [Transit _] nodes on the graph ({!Graph.mark_transit}), so
+    [Routing.create t.graph] is the hierarchical router: every stub
+    domain it builds has exactly one access link, the shape that router
+    requires.
     @raise Invalid_argument if any size parameter is non-positive. *)
 val generate : rng:P2p_sim.Rng.t -> params -> t
 
@@ -48,9 +52,3 @@ val transit_nodes : t -> int list
 
 (** [stub_nodes t] lists node indices that are stub nodes. *)
 val stub_nodes : t -> int list
-
-(** [routing t] is the runtime router over [t.graph]: the
-    {!Routing.link_state} router whose backbone is the transit nodes of
-    [t.classes].  Every stub domain {!generate} builds has exactly one
-    access link, the shape that router requires. *)
-val routing : t -> Routing.t

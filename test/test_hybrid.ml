@@ -10,6 +10,7 @@ module Summary = P2p_stats.Summary
 module Rng = P2p_sim.Rng
 module Transit_stub = P2p_topology.Transit_stub
 module Routing = P2p_topology.Routing
+module Graph = P2p_topology.Graph
 module Pipeline = P2p_scenario.Pipeline
 module Keys = P2p_workload.Keys
 
@@ -337,11 +338,14 @@ let test_determinism () =
   let a = run () and b = run () in
   checkb "identical runs" true (a = b)
 
-(* The runtime router against the reference: one seeded workload over
-   the transit-stub graph p2psim builds for 200 peers, routed once by
-   link-state tables and once by per-source Dijkstra, must behave the
-   same. *)
-let test_link_state_run_matches_dijkstra () =
+(* The hierarchical router against the flat one: one seeded workload
+   over the transit-stub graph p2psim builds for 200 peers, routed once
+   with its transit marks (backbone block, gateway legs, per-domain
+   trees) and once on an unmarked copy (the whole graph one stub domain,
+   answered by its trees and solves alone), must behave the same.  The
+   two add a path's latencies in different orders, so latencies agree to
+   a tolerance; every count is exact. *)
+let test_hierarchical_run_matches_flat () =
   let params =
     {
       Transit_stub.default_params with
@@ -351,9 +355,9 @@ let test_link_state_run_matches_dijkstra () =
       stub_nodes = 6;
     }
   in
-  let run routing_of =
+  let run graph_of =
     let topo = Transit_stub.generate ~rng:(Rng.create 31) params in
-    let h = H.create ~seed:30 ~routing:(routing_of topo) () in
+    let h = H.create ~seed:30 ~routing:(Routing.create (graph_of topo.Transit_stub.graph)) () in
     let rng = Rng.create 32 in
     for host = 0 to 199 do
       let role = if host = 0 || not (Rng.bernoulli rng 0.7) then Peer.T_peer else Peer.S_peer in
@@ -373,8 +377,17 @@ let test_link_state_run_matches_dijkstra () =
     H.run h;
     (H.metrics h, H.total_items h, latencies)
   in
-  let m, items, lat = run (fun topo -> Routing.create topo.Transit_stub.graph) in
-  let m', items', lat' = run Transit_stub.routing in
+  let unmarked g =
+    let copy = Graph.create (Graph.node_count g) in
+    List.iter (fun e -> Graph.add_edge copy e.Graph.u e.Graph.v ~latency:e.Graph.latency)
+      (Graph.edges g);
+    (* connected and unmarked: one stub domain *)
+    checki "flat domains" 1
+      (Array.length (Routing.decomposition (Routing.create copy)).Routing.members);
+    copy
+  in
+  let m, items, lat = run Fun.id in
+  let m', items', lat' = run unmarked in
   List.iter
     (fun (name, f) -> checki name (f m) (f m'))
     [
@@ -386,6 +399,23 @@ let test_link_state_run_matches_dijkstra () =
     ];
   checki "stored items" items items';
   Array.iter2 (Alcotest.check (Alcotest.float 1e-6) "lookup latency") lat lat'
+
+(* The graphs the library builds carry their tiers: [Transit_stub.generate]
+   marks exactly its [Transit _] nodes, and [create_star] only its hub. *)
+let test_graphs_mark_transit () =
+  let topo = Transit_stub.generate ~rng:(Rng.create 33) Transit_stub.default_params in
+  Array.iteri
+    (fun u cls ->
+      let transit = match cls with Transit_stub.Transit _ -> true | Transit_stub.Stub _ -> false in
+      checkb (Printf.sprintf "node %d" u) transit (Graph.is_transit topo.Transit_stub.graph u))
+    topo.Transit_stub.classes;
+  let peers = 12 in
+  let h = H.create_star ~seed:34 ~peers () in
+  let g = Routing.graph (P2p_net.Underlay.routing (H.world h).Hybrid_p2p.World.underlay) in
+  checki "star nodes" (peers + 1) (Graph.node_count g);
+  for u = 0 to peers do
+    checkb (Printf.sprintf "star node %d" u) (u = peers) (Graph.is_transit g u)
+  done
 
 (* The hybrid at p_s 0 is a Chord ring: with fingers routing data, a
    lookup on compare's workload (300 peers, 2,000 items and lookups)
@@ -434,8 +464,10 @@ let suite =
     Alcotest.test_case "interest-based s-networks" `Quick test_interest_policy_groups;
     Alcotest.test_case "delta respected" `Quick test_delta_respected_under_load;
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "link-state run matches Dijkstra" `Quick
-      test_link_state_run_matches_dijkstra;
+    Alcotest.test_case "link-state run: hierarchical = flat" `Quick
+      test_hierarchical_run_matches_flat;
+    Alcotest.test_case "generated and star graphs mark their transit nodes" `Quick
+      test_graphs_mark_transit;
     Alcotest.test_case "pure ring: finger routing stays logarithmic" `Quick
       test_pure_ring_logarithmic;
   ]

@@ -109,7 +109,9 @@ let test_underlay_link_state () =
   List.iter
     (fun (a, b, latency) -> Graph.add_edge g a b ~latency)
     [ (0, 1, 10.0); (2, 3, 1.0); (3, 4, 1.0); (0, 2, 2.0); (5, 6, 1.0); (1, 5, 3.0) ];
-  let routing = Routing.link_state g ~is_transit:(fun u -> u < 2) in
+  Graph.mark_transit g 0;
+  Graph.mark_transit g 1;
+  let routing = Routing.create g in
   let engine = Engine.create ~seed:1 () in
   let metrics = Metrics.create () in
   let u = Underlay.create ~engine ~routing ~metrics ~processing_delay:0.5 () in

@@ -301,8 +301,8 @@ let test_batches_per_instant () =
 (* The link-state router of a run's underlay at creation: the graph, the
    per-host arrays and each stub domain's adjacency, with no in-domain
    answer solved yet.  At 5,000 peers (36 stub domains of 139 nodes) it
-   is 133,536 words, 76,249 of them the graph; at 20,000 (36 of 556),
-   527,601.  The all-pairs tables it replaced held 1,135,293 and
+   is 144,667 words, 76,878 of them the graph; at 20,000 (36 of 556),
+   571,467.  The all-pairs tables it replaced held 1,135,293 and
    17,055,537 words, growing with the square of a domain's size. *)
 let test_routing_table_words () =
   List.iter
@@ -311,7 +311,10 @@ let test_routing_table_words () =
         P2p_topology.Transit_stub.generate ~rng:(P2p_sim.Rng.create 42001)
           (Pipeline.topology_for peers)
       in
-      let words = Obj.reachable_words (Obj.repr (P2p_topology.Transit_stub.routing topo)) in
+      let words =
+        Obj.reachable_words
+          (Obj.repr (P2p_topology.Routing.create topo.P2p_topology.Transit_stub.graph))
+      in
       checkb
         (Printf.sprintf "%d words of link-state routing at %d peers (ceiling %d)" words peers
            ceiling)

@@ -188,13 +188,31 @@ let test_routing_triangle_inequality () =
 
 (* --- link-state routing --- *)
 
-(* When [u ~ v], the backend's reported path must be real (edges exist),
+(* A router's three queries, so one check serves [Routing] and the
+   reference alike. *)
+type queries = {
+  distance : int -> int -> float;
+  path : int -> int -> int list;
+  hop_count : int -> int -> int;
+}
+
+let of_routing r =
+  { distance = Routing.distance r; path = Routing.path r; hop_count = Routing.hop_count r }
+
+let of_reference d =
+  {
+    distance = Dijkstra_ref.distance d;
+    path = Dijkstra_ref.path d;
+    hop_count = Dijkstra_ref.hop_count d;
+  }
+
+(* When [u ~ v], the router's reported path must be real (edges exist),
    cost exactly the reported distance, and agree with [hop_count].  This
-   is checked per backend, not across backends: equal-cost ties may give
-   the two backends different — equally shortest — paths. *)
+   is checked per router, not across routers: equal-cost ties may give
+   the two different — equally shortest — paths. *)
 let check_path_valid g r name u v =
-  if Routing.distance r u v < infinity then begin
-    let p = Routing.path r u v in
+  if r.distance u v < infinity then begin
+    let p = r.path u v in
     (match p with
      | first :: _ -> checki (name ^ ": path starts at u") u first
      | [] -> Alcotest.fail (name ^ ": empty path"));
@@ -205,13 +223,9 @@ let check_path_valid g r name u v =
         Graph.latency g a b +. cost rest
       | _ -> 0.0
     in
-    Alcotest.check (Alcotest.float 1e-6)
-      (name ^ ": path cost = distance")
-      (Routing.distance r u v) (cost p);
-    checki
-      (name ^ ": hop_count = |path| - 1")
-      (List.length p - 1)
-      (Routing.hop_count r u v)
+    Alcotest.check (Alcotest.float 1e-6) (name ^ ": path cost = distance") (r.distance u v)
+      (cost p);
+    checki (name ^ ": hop_count = |path| - 1") (List.length p - 1) (r.hop_count u v)
   end
 
 (* The star [Hybrid.create_star] builds: hub [n - 1] is the only transit
@@ -221,34 +235,113 @@ let star_routing n =
   for host = 0 to n - 2 do
     Graph.add_edge g host (n - 1) ~latency:1.5
   done;
-  (g, Routing.link_state g ~is_transit:(fun u -> u = n - 1))
+  Graph.mark_transit g (n - 1);
+  (g, Routing.create g)
 
 (* Property: over random transit-stub graphs and a star, the link-state
-   router answers like per-source Dijkstra on every pair —
+   router answers like the per-source Dijkstra reference on every pair —
    distances to float tolerance (hierarchical composition sums in a
    different order), hop counts exactly (random latencies leave no
-   equal-cost ties) — and both backends report self-consistent paths. *)
+   equal-cost ties) — and both routers report self-consistent paths. *)
 let test_link_state_matches_dijkstra () =
   List.iter
     (fun (g, ls) ->
-      let dij = Routing.create g in
+      let dij = Dijkstra_ref.create g in
       let n = Graph.node_count g in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
           Alcotest.check (Alcotest.float 1e-6) "distance agrees"
-            (Routing.distance dij u v)
+            (Dijkstra_ref.distance dij u v)
             (Routing.distance ls u v);
-          checki "hop count agrees" (Routing.hop_count dij u v) (Routing.hop_count ls u v);
-          check_path_valid g dij "dijkstra" u v;
-          check_path_valid g ls "link_state" u v
+          checki "hop count agrees" (Dijkstra_ref.hop_count dij u v) (Routing.hop_count ls u v);
+          check_path_valid g (of_reference dij) "dijkstra" u v;
+          check_path_valid g (of_routing ls) "link_state" u v
         done
       done)
     (star_routing 9
     :: List.map
          (fun seed ->
            let t = Transit_stub.generate ~rng:(Rng.create seed) small_params in
-           (t.Transit_stub.graph, Transit_stub.routing t))
+           (t.Transit_stub.graph, Routing.create t.Transit_stub.graph))
          [ 11; 12; 13 ])
+
+(* --- the flat router: no transit marks --- *)
+
+(* An unmarked graph routes flat: each connected component is one stub
+   domain with no access link.  The degenerate shapes: no node, one
+   node, and two components, which reach each other not at all. *)
+let test_flat_edge_cases () =
+  let empty = Routing.create (Graph.create 0) in
+  checki "empty graph: no solve" 0 (Routing.solves empty);
+  let one = Routing.create (Graph.create 1) in
+  checkf "single node: self distance" 0.0 (Routing.distance one 0 0);
+  Alcotest.check (Alcotest.list Alcotest.int) "single node: path" [ 0 ] (Routing.path one 0 0);
+  checki "single node: hops" 0 (Routing.hop_count one 0 0);
+  checki "single node: next hop" 0 (Routing.next_hop one 0 0);
+  let g = Graph.create 5 in
+  Graph.add_edge g 0 1 ~latency:1.0;
+  Graph.add_edge g 1 2 ~latency:2.0;
+  Graph.add_edge g 3 4 ~latency:4.0;
+  let r = Routing.create g in
+  checkf "within a component" 3.0 (Routing.distance r 0 2);
+  checkf "within the other" 4.0 (Routing.distance r 4 3);
+  List.iter
+    (fun (u, v) ->
+      let pair = Printf.sprintf "%d -> %d" u v in
+      checkb (pair ^ ": infinite") true (Routing.distance r u v = infinity);
+      Alcotest.check_raises (pair ^ ": no path") Not_found (fun () ->
+          ignore (Routing.path r u v : int list));
+      Alcotest.check_raises (pair ^ ": no hop count") Not_found (fun () ->
+          ignore (Routing.hop_count r u v : int));
+      Alcotest.check_raises (pair ^ ": no next hop") Not_found (fun () ->
+          ignore (Routing.next_hop r u v : int)))
+    [ (0, 3); (4, 2); (1, 4) ]
+
+(* A random unmarked graph of 1-40 nodes, possibly disconnected: each
+   node draws up to two edges to random others, at a latency drawn from
+   [1, 10) ms, or 1 ms throughout when [unit]. *)
+let random_flat_graph ~seed ~unit =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 40 in
+  let g = Graph.create n in
+  for u = 0 to n - 1 do
+    for _ = 1 to Rng.int rng 3 do
+      let v = Rng.int rng n in
+      let latency = if unit then 1.0 else Rng.float_in_range rng ~lo:1.0 ~hi:10.0 in
+      if u <> v && not (Graph.has_edge g u v) then Graph.add_edge g u v ~latency
+    done
+  done;
+  g
+
+(* Property: on random unmarked graphs the flat router answers every
+   pair like the reference.  With random latencies (no ties): the
+   distance bit for bit (both fold the latencies from the source), the
+   hop count, the first hop and the path.  With unit latencies, where
+   ties leave several shortest paths: the distance and the hop count. *)
+let prop_flat_matches_reference =
+  QCheck.Test.make ~name:"flat router = Dijkstra reference" ~count:40
+    QCheck.(pair (int_bound 10_000) bool)
+    (fun (seed, unit) ->
+      let g = random_flat_graph ~seed ~unit in
+      let r = Routing.create g and dij = Dijkstra_ref.create g in
+      let n = Graph.node_count g in
+      let agree = ref true in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let d = Dijkstra_ref.distance dij u v in
+          let same_route () =
+            Routing.hop_count r u v = Dijkstra_ref.hop_count dij u v
+            && (unit
+               || Routing.next_hop r u v = Dijkstra_ref.next_hop dij u v
+                  && Routing.path r u v = Dijkstra_ref.path dij u v)
+          in
+          agree :=
+            !agree
+            && Int64.bits_of_float (Routing.distance r u v) = Int64.bits_of_float d
+            && (d = infinity || same_route ())
+        done
+      done;
+      !agree)
 
 (* Hand-built hierarchy where every figure is known exactly: transit
    backbone 0 -- 1, a 3-node stub domain {2,3,4} on node 0, a 2-node
@@ -262,7 +355,9 @@ let manual_hierarchy () =
   Graph.add_edge g 0 2 ~latency:2.0;
   Graph.add_edge g 5 6 ~latency:1.0;
   Graph.add_edge g 1 5 ~latency:3.0;
-  Routing.link_state g ~is_transit:(fun u -> u < 2)
+  Graph.mark_transit g 0;
+  Graph.mark_transit g 1;
+  Routing.create g
 
 let test_link_state_manual () =
   let r = manual_hierarchy () in
@@ -288,13 +383,15 @@ let test_link_state_rejects_multi_access () =
   Graph.add_edge g 2 3 ~latency:1.0;
   Graph.add_edge g 0 2 ~latency:1.0;
   Graph.add_edge g 1 3 ~latency:1.0;
+  Graph.mark_transit g 0;
+  Graph.mark_transit g 1;
   (* stub domain {2,3} touches the backbone twice: not transit-stub *)
   checkb "rejected" true
-    (match Routing.link_state g ~is_transit:(fun u -> u < 2) with
+    (match Routing.create g with
      | exception Invalid_argument _ -> true
      | (_ : Routing.t) -> false)
 
-(* The decomposition [Routing.link_state] was first built with: stub
+(* The decomposition [Routing.create] was first built with: stub
    domains found by a search over a list stack, each domain's members
    sorted, then every member's edges scanned for its access link.  Kept
    here as the reference the flat construction is held to. *)
@@ -358,7 +455,7 @@ let test_construction_matches_reference () =
         | Transit_stub.Transit _ -> true
         | Transit_stub.Stub _ -> false
       in
-      let got = Routing.decomposition (Transit_stub.routing t)
+      let got = Routing.decomposition (Routing.create g)
       and want = reference_decomposition g ~is_transit in
       let label what = Printf.sprintf "%d peers: %s" peers what in
       checkb (label "domain_of") true (got.Routing.domain_of = want.Routing.domain_of);
@@ -458,6 +555,15 @@ let routing_sets t =
   let backbone = Array.of_list (List.filter transit (List.init n Fun.id)) in
   (backbone, transit) :: List.rev !sets
 
+(* [t]'s graph rebuilt edge for edge, each latency redrawn by [draw],
+   with its transit marks. *)
+let reweight t draw =
+  let g = t.Transit_stub.graph in
+  let g' = Graph.create (Graph.node_count g) in
+  List.iter (fun e -> Graph.add_edge g' e.Graph.u e.Graph.v ~latency:(draw e)) (Graph.edges g);
+  List.iter (Graph.mark_transit g') (Transit_stub.transit_nodes t);
+  { t with Transit_stub.graph = g' }
+
 (* Graphs for the table comparison: [shape] 0 is small, 1 the paper's
    1,000-node default, 2 four stub domains of 101-140 nodes with extra
    chords.  With [ties], the graph is rebuilt edge for edge with every
@@ -480,17 +586,7 @@ let table_graph ~seed ~shape ~ties =
       }
   in
   let t = Transit_stub.generate ~rng params in
-  if not ties then t
-  else begin
-    let g = t.Transit_stub.graph in
-    let tied = Graph.create (Graph.node_count g) in
-    List.iter
-      (fun e ->
-        Graph.add_edge tied e.Graph.u e.Graph.v
-          ~latency:(if Rng.bool rng then 1.0 else 2.0))
-      (Graph.edges g);
-    { t with Transit_stub.graph = tied }
-  end
+  if ties then reweight t (fun _ -> if Rng.bool rng then 1.0 else 2.0) else t
 
 (* A block's entries decoded into the reference's three row-major
    arrays: distances, first hops as global ids (-1 for none), hop
@@ -528,10 +624,10 @@ let prop_all_pairs_match_scan_min =
 
 (* Property: on transit-stub graphs whose stub domains have 257-296
    nodes — member positions past one byte — the two-byte tables answer
-   like per-source Dijkstra on every pair: distances to float tolerance
-   (the hierarchical sum adds in another order), hop counts and paths
-   exactly (random latencies leave no equal-cost ties), and every block
-   decodes to the scan-min reference.  The blocks are compared first: a
+   like the per-source Dijkstra reference on every pair: distances to
+   float tolerance (the hierarchical sum adds in another order), hop
+   counts and paths exactly (random latencies leave no equal-cost
+   ties), and every block decodes to the scan-min reference.  The blocks are compared first: a
    wrong first-hop entry can send [path]'s walk round a cycle. *)
 let prop_wide_domains_match_dijkstra =
   QCheck.Test.make ~name:"link_state over 257+-node domains = Dijkstra" ~count:3
@@ -550,27 +646,23 @@ let prop_wide_domains_match_dijkstra =
       in
       let t = Transit_stub.generate ~rng params in
       let g = t.Transit_stub.graph in
-      let ls = Transit_stub.routing t and dij = Routing.create g in
+      let ls = Routing.create g and dij = Dijkstra_ref.create g in
       let n = Graph.node_count g in
       let agree = ref (blocks_match_scan_min t) in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
-          let d = Routing.distance dij u v in
+          let d = Dijkstra_ref.distance dij u v in
           agree :=
             !agree
             && Float.abs (Routing.distance ls u v -. d) <= 1e-6
-            && Routing.hop_count ls u v = Routing.hop_count dij u v
-            && Routing.path ls u v = Routing.path dij u v
+            && Routing.hop_count ls u v = Dijkstra_ref.hop_count dij u v
+            && Routing.path ls u v = Dijkstra_ref.path dij u v
         done
       done;
       !agree)
 
 (* [t] with every latency set to 1.0: equal-length paths everywhere. *)
-let unit_weights t =
-  let g = t.Transit_stub.graph in
-  let unit = Graph.create (Graph.node_count g) in
-  List.iter (fun e -> Graph.add_edge unit e.Graph.u e.Graph.v ~latency:1.0) (Graph.edges g);
-  { t with Transit_stub.graph = unit }
+let unit_weights t = reweight t (fun _ -> 1.0)
 
 (* [true] when a link-state router over [t] answers every pair inside
    each stub domain as [Routing.restricted_all_pairs]' block of that
@@ -581,7 +673,7 @@ let unit_weights t =
    stored gateway leg) and must equal the miss that stored it. *)
 let on_demand_matches_blocks ~rng t =
   let g = t.Transit_stub.graph in
-  let ls = Transit_stub.routing t in
+  let ls = Routing.create g in
   let index = Array.make (Graph.node_count g) (-1) in
   let agree = ref true in
   List.iter
@@ -648,13 +740,6 @@ let widest_domain t =
   in
   (members, gw)
 
-(* [t]'s graph rebuilt edge for edge, each latency redrawn by [draw]. *)
-let reweight t draw =
-  let g = t.Transit_stub.graph in
-  let g' = Graph.create (Graph.node_count g) in
-  List.iter (fun e -> Graph.add_edge g' e.Graph.u e.Graph.v ~latency:(draw e)) (Graph.edges g);
-  { t with Transit_stub.graph = g' }
-
 (* The CLI's underlay for [peers] (as [Pipeline.build] generates it at
    seed 42) with its own random latencies, with every latency redrawn
    from {1, 2}, and with unit latencies. *)
@@ -675,7 +760,7 @@ let cli_underlays peers =
    the first hop and the hop count.  Returns the first disagreement. *)
 let settle_disagreement t =
   let g = t.Transit_stub.graph in
-  let ls = Transit_stub.routing t in
+  let ls = Routing.create g in
   let index = Array.make (Graph.node_count g) (-1) in
   List.find_map
     (fun (members, in_set) ->
@@ -717,7 +802,7 @@ let test_trees_match_settle () =
    here from the reference router's paths (random latencies leave no
    ties, so the tree is unique). *)
 let tree_roots g members gw =
-  let dij = Routing.create g in
+  let dij = Dijkstra_ref.create g in
   let tree = Hashtbl.create 64 in
   Array.iter
     (fun v ->
@@ -727,7 +812,7 @@ let tree_roots g members gw =
           edges rest
         | _ -> ()
       in
-      edges (Routing.path dij gw v))
+      edges (Dijkstra_ref.path dij gw v))
     members;
   let inside = Array.to_list members in
   let ends =
@@ -749,7 +834,7 @@ let tree_roots g members gw =
 let test_tree_solve_counts () =
   let solves t =
     let members, gw = widest_domain t in
-    let ls = Transit_stub.routing t in
+    let ls = Routing.create t.Transit_stub.graph in
     Array.iter
       (fun u ->
         Array.iter
@@ -785,15 +870,17 @@ let test_tree_solve_counts () =
 
 (* With random latencies every host's leg to its gateway comes from the
    one gateway-rooted solve; with unit latencies, ties send hosts to
-   solves of their own, and the answers still match Dijkstra's hop
+   solves of their own, and the answers still match the reference's hop
    counts. *)
 let test_gateway_legs () =
   let legs_solves t =
     let members, gw = widest_domain t in
-    let ls = Transit_stub.routing t and dij = Routing.create t.Transit_stub.graph in
+    let g = t.Transit_stub.graph in
+    let ls = Routing.create g and dij = Dijkstra_ref.create g in
     Array.iter
       (fun u ->
-        checki "leg hops = Dijkstra's" (Routing.hop_count dij u gw) (Routing.hop_count ls u gw))
+        checki "leg hops = Dijkstra's" (Dijkstra_ref.hop_count dij u gw)
+          (Routing.hop_count ls u gw))
       members;
     (Array.length members, Routing.solves ls)
   in
@@ -914,6 +1001,10 @@ let suite =
     Alcotest.test_case "routing: link-state matches Dijkstra" `Quick
       test_link_state_matches_dijkstra;
     Alcotest.test_case "routing: link-state manual hierarchy" `Quick test_link_state_manual;
+    Alcotest.test_case "routing: flat router's empty, single and split graphs" `Quick
+      test_flat_edge_cases;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261044 |])
+      prop_flat_matches_reference;
     Alcotest.test_case "routing: flat construction = the list-based reference" `Quick
       test_construction_matches_reference;
     Alcotest.test_case "routing: link-state rejects multi-access domains" `Quick
