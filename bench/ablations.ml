@@ -9,7 +9,7 @@
 open Experiments
 module Summary = P2p_stats.Summary
 
-let ablate_delta ~scale () =
+let ablate_delta ctx ~scale () =
   header "Ablation — degree constraint delta at p_s = 0.9";
   row "%8s  %12s  %14s  %14s  %12s\n" "delta" "join hops" "lookup fail" "lookup ms" "max degree";
   List.iter
@@ -17,7 +17,7 @@ let ablate_delta ~scale () =
       let config = { Config.paper with Config.delta } in
       let b = build ~config ~seed:11 ~ps:0.9 ~scale () in
       insert_corpus b;
-      run_lookups b ~count:scale.n_lookups;
+      run_lookups ctx b ~count:scale.n_lookups;
       let m = H.metrics b.h in
       let max_degree =
         List.fold_left (fun acc p -> max acc (Peer.tree_degree p)) 0 (H.peers b.h)
@@ -29,7 +29,7 @@ let ablate_delta ~scale () =
         max_degree)
     [ 2; 3; 4; 8 ]
 
-let ablate_fingers ~scale () =
+let ablate_fingers ctx ~scale () =
   header "Ablation — finger tables for data forwarding (p_s = 0.3)";
   row "%16s  %14s  %14s  %14s\n" "routing" "lookup hops" "lookup ms" "connum/lookup";
   List.iter
@@ -37,7 +37,7 @@ let ablate_fingers ~scale () =
       let b = build ~config ~seed:12 ~ps:0.3 ~scale () in
       insert_corpus b;
       let before = Metrics.connum (H.metrics b.h) in
-      run_lookups b ~count:scale.n_lookups;
+      run_lookups ctx b ~count:scale.n_lookups;
       let m = H.metrics b.h in
       row "%16s  %14.2f  %14.2f  %14.2f\n%!" label
         (Summary.mean (Metrics.lookup_hops m))
@@ -79,7 +79,7 @@ let ablate_bypass ~scale () =
         (float_of_int (Metrics.connum m - before) /. float_of_int !count))
     [ ("off", false); ("on", true) ]
 
-let ablate_bittorrent ~scale () =
+let ablate_bittorrent ctx ~scale () =
   header "Ablation — BitTorrent-style s-networks vs flooding (p_s = 0.85, TTL = 2)";
   row "%18s  %10s  %14s  %14s\n" "s-network style" "failures" "lookup ms" "connum/lookup";
   List.iter
@@ -88,7 +88,7 @@ let ablate_bittorrent ~scale () =
       let b = build ~config ~seed:15 ~ps:0.85 ~scale () in
       insert_corpus b;
       let before = Metrics.connum (H.metrics b.h) in
-      run_lookups b ~count:scale.n_lookups;
+      run_lookups ctx b ~count:scale.n_lookups;
       let m = H.metrics b.h in
       row "%18s  %10d  %14.2f  %14.2f\n%!" label (Metrics.lookups_failed m)
         (Summary.mean (Metrics.lookup_latency m))

@@ -135,28 +135,56 @@ let build ?(config = Config.paper) ?(seed = 1) ?(ps = 0.5) ?(heterogeneity = fal
   let items = Keys.generate ~rng ~count:scale.n_items ~categories:8 in
   { h; peers; items; rng }
 
+(* --- the run context --- *)
+
+(* What one bench run's experiments share: main's --metrics-dir, --slo
+   and --audit flags, and the tallies the dumps and the SLO gate keep
+   as the run goes. *)
+type ctx = {
+  (* every measured system dumps its metrics registry as JSON into this
+     directory, one file per dump, readable with `p2psim report` *)
+  metrics_dir : string option;
+  mutable dump_counter : int;
+  (* every bench that measures lookup latency checks each spec
+     ("lookup:p99<=40") against each measured system's registry through
+     [slo_pass], turning the bench into a latency regression gate *)
+  slo_specs : string list;
+  (* systems checked against the specs so far, and the labels of those
+     that failed one *)
+  mutable slo_checked : int;
+  mutable slo_failures : string list;
+  (* every measured system also runs the full invariant-check catalogue
+     after its lookup phase; violations are printed and Error-severity
+     ones abort the bench run, so a structural bug cannot silently shape
+     the numbers being reported *)
+  audit_enabled : bool;
+}
+
+let context ~metrics_dir ~slo_specs ~audit_enabled =
+  {
+    metrics_dir;
+    dump_counter = 0;
+    slo_specs;
+    slo_checked = 0;
+    slo_failures = [];
+    audit_enabled;
+  }
+
 (* --- registry dumps (--metrics-dir) --- *)
-
-(* When set (by main's --metrics-dir flag), every measured system dumps
-   its metrics registry as JSON into this directory, one file per dump,
-   readable with `p2psim report`. *)
-let metrics_dir : string option ref = ref None
-
-let dump_counter = ref 0
 
 (* Dump [b]'s registry to "<metrics-dir>/<name>.json"; [name] defaults to
    a running "dump-NNN" counter so sweep iterations stay distinct.  No-op
-   unless --metrics-dir was given. *)
-let dump_metrics ?name b =
-  match !metrics_dir with
+   without a metrics directory. *)
+let dump_metrics ctx ?name b =
+  match ctx.metrics_dir with
   | None -> ()
   | Some dir ->
     let name =
       match name with
       | Some n -> n
       | None ->
-        incr dump_counter;
-        Printf.sprintf "dump-%03d" !dump_counter
+        ctx.dump_counter <- ctx.dump_counter + 1;
+        Printf.sprintf "dump-%03d" ctx.dump_counter
     in
     let path = Filename.concat dir (name ^ ".json") in
     P2p_obs.Export.write_metrics ~path (Metrics.registry (H.metrics b.h));
@@ -164,43 +192,31 @@ let dump_metrics ?name b =
 
 (* --- latency SLO gates (--slo) --- *)
 
-(* When non-empty (filled by main's repeatable --slo flag), every bench
-   that measures lookup latency checks each spec ("lookup:p99<=40")
-   against each measured system's registry through [slo_pass], turning
-   the bench into a latency regression gate for CI. *)
-let slo_specs : string list ref = ref []
-
-(* Systems checked against the specs so far, and the labels of those
-   that failed one. *)
-let slo_checked = ref 0
-
-let slo_failures : string list ref = ref []
-
 (* Check every --slo spec against [reg], one printed line per spec;
    [label] names the system there and in [slo_verdict].  Returns [false]
    on a violation.  Without specs, checks nothing and returns [true]. *)
-let slo_pass ?label reg =
-  match !slo_specs with
+let slo_pass ctx ?label reg =
+  match ctx.slo_specs with
   | [] -> true
   | specs ->
-    incr slo_checked;
+    ctx.slo_checked <- ctx.slo_checked + 1;
     let label =
-      match label with Some l -> l | None -> Printf.sprintf "system %d" !slo_checked
+      match label with Some l -> l | None -> Printf.sprintf "system %d" ctx.slo_checked
     in
     let ok =
       P2p_obs.Slo.enforce reg ~specs ~print:(fun line ->
           Printf.printf "  [slo %s] %s\n%!" label line)
     in
-    if not ok then slo_failures := label :: !slo_failures;
+    if not ok then ctx.slo_failures <- label :: ctx.slo_failures;
     ok
 
 (* Exit 1 when a spec failed, and also when specs were given but
    [command] checked none of them: a gate that measured nothing must not
    pass. *)
-let slo_verdict ~command =
-  if !slo_specs <> [] then
-    match List.rev !slo_failures with
-    | [] when !slo_checked = 0 ->
+let slo_verdict ctx ~command =
+  if ctx.slo_specs <> [] then
+    match List.rev ctx.slo_failures with
+    | [] when ctx.slo_checked = 0 ->
       Printf.eprintf "bench: %s checked no --slo spec (it measures no lookup latency)\n"
         command;
       exit 1
@@ -211,14 +227,8 @@ let slo_verdict ~command =
 
 (* --- invariant sanity pass (--audit) --- *)
 
-(* When set (by main's --audit flag), every measured system also runs the
-   full invariant-check catalogue after its lookup phase; violations are
-   printed and Error-severity ones abort the bench run, so a structural
-   bug cannot silently shape the numbers being reported. *)
-let audit_enabled = ref false
-
-let audit_pass b =
-  if !audit_enabled then begin
+let audit_pass ctx b =
+  if ctx.audit_enabled then begin
     let snap = P2p_audit.Checks.run_all (H.world b.h) in
     match P2p_audit.Checks.violations snap with
     | [] -> ()
@@ -246,7 +256,7 @@ let insert_corpus b =
 
 (* Issue [count] uniform lookups of previously inserted items from random
    live peers; returns (succeeded, failed). *)
-let run_lookups ?ttl b ~count =
+let run_lookups ctx ?ttl b ~count =
   let live = Array.of_list (H.peers b.h) in
   let targets = Keys.lookup_sequence ~rng:b.rng ~items:b.items ~count in
   Array.iter
@@ -255,9 +265,9 @@ let run_lookups ?ttl b ~count =
       H.lookup b.h ~from ~key:item.Keys.key ?ttl ~on_result:(fun _ -> ()) ())
     targets;
   H.run b.h;
-  audit_pass b;
-  ignore (slo_pass (Metrics.registry (H.metrics b.h)) : bool);
-  dump_metrics b
+  audit_pass ctx b;
+  ignore (slo_pass ctx (Metrics.registry (H.metrics b.h)) : bool);
+  dump_metrics ctx b
 
 (* --- output helpers --- *)
 

@@ -8,7 +8,7 @@ open Experiments
 module Ascii_plot = P2p_stats.Ascii_plot
 module Replication = P2p_replication.Manager
 
-let fig5a ~scale () =
+let fig5a ctx ~scale () =
   header "Fig 5a — lookup failure ratio vs p_s, TTL in {1, 2, 4}";
   row "%6s  %10s  %10s  %10s\n" "p_s" "TTL=1" "TTL=2" "TTL=4";
   let collected = ref [] in
@@ -19,7 +19,7 @@ let fig5a ~scale () =
           (fun ttl ->
             let b = build ~seed:5 ~ps ~scale () in
             insert_corpus b;
-            run_lookups ~ttl b ~count:scale.n_lookups;
+            run_lookups ctx ~ttl b ~count:scale.n_lookups;
             Metrics.failure_ratio (H.metrics b.h))
           [ 1; 2; 4 ]
       in
@@ -38,7 +38,7 @@ let fig5a ~scale () =
            { Ascii_plot.name = "TTL=4"; points = points (fun (_, _, c) -> c) } ]
        ())
 
-let fig5b ~scale () =
+let fig5b ctx ~scale () =
   header "Fig 5b — lookup failure ratio vs crashed fraction (no load transfer)";
   row "%8s  %10s  %10s  %10s\n" "crashed" "p_s=0.4" "p_s=0.6" "p_s=0.8";
   List.iter
@@ -54,7 +54,7 @@ let fig5b ~scale () =
             Array.iter (fun i -> H.crash b.h b.peers.(i)) victims;
             H.repair b.h;
             H.run b.h;
-            run_lookups b ~count:scale.n_lookups;
+            run_lookups ctx b ~count:scale.n_lookups;
             Metrics.failure_ratio (H.metrics b.h))
           [ 0.4; 0.6; 0.8 ]
       in
@@ -68,7 +68,7 @@ let fig5b ~scale () =
    its replication heal) between waves — the sustained-churn regime the
    layer is built for, rather than one simultaneous storm that can wipe a
    primary and all its replicas before any reaction. *)
-let durability ~scale () =
+let durability ctx ~scale () =
   header "Durability — failure ratio & items lost vs crashed fraction (p_s = 0.6, waves of 5%)";
   let factors = [ 0; 1; 2 ] in
   let wave = 0.05 in
@@ -104,7 +104,7 @@ let durability ~scale () =
               H.repair b.h;
               H.run b.h
             done;
-            run_lookups b ~count:scale.n_lookups;
+            run_lookups ctx b ~count:scale.n_lookups;
             let lost = before - H.total_items b.h in
             (Metrics.failure_ratio (H.metrics b.h), lost))
           factors

@@ -63,7 +63,7 @@ let counter_value b ~subsystem ~name =
   Registry.counter_value
     (Registry.counter (Metrics.registry (H.metrics b.h)) ~subsystem ~name)
 
-let measure ~scale ~lookups ~ps ~exponent (variant, (bloom_bits, cache_cap)) =
+let measure ctx ~scale ~lookups ~ps ~exponent (variant, (bloom_bits, cache_cap)) =
   let config =
     {
       base_config with
@@ -112,13 +112,13 @@ let measure ~scale ~lookups ~ps ~exponent (variant, (bloom_bits, cache_cap)) =
     targets;
   H.run b.h;
   let wall = Sys.time () -. t0 in
-  audit_pass b;
-  dump_metrics b;
+  audit_pass ctx b;
+  dump_metrics ctx b;
   (* The registry was reset after corpus insertion, so
      data_ops/lookup_latency_ms (the shorthand fallback for specs like
      "lookup:p99<=40") holds exactly the lookups this variant replayed. *)
   ignore
-    (slo_pass
+    (slo_pass ctx
        ~label:(Printf.sprintf "zipf=%.2f ps=%.2f %s" exponent ps variant)
        (Metrics.registry (H.metrics b.h))
       : bool);
@@ -183,7 +183,7 @@ let sample_json s =
 
 let output_path = "BENCH_lookup.json"
 
-let run ?(smoke = false) ~scale () =
+let run ctx ?(smoke = false) ~scale () =
   header
     (Printf.sprintf "Lookup perf — Bloom-guided floods + Zipf caching%s"
        (if smoke then " (smoke)" else ""));
@@ -201,7 +201,7 @@ let run ?(smoke = false) ~scale () =
       List.iter
         (fun ps ->
           let point =
-            List.map (measure ~scale ~lookups ~ps ~exponent) variants
+            List.map (measure ctx ~scale ~lookups ~ps ~exponent) variants
           in
           let baseline = List.hd point in
           List.iter

@@ -33,38 +33,40 @@ let bad_usage fmt =
     fmt
 
 (* The commands by name.  [all] runs the experiments in list order;
-   [scale] and the [lookup_perf] spelling run only when named. *)
-let commands ~scale ~smoke =
+   [scale] and the [lookup_perf] spelling run only when named.  Those that
+   dump, audit or check --slo specs take the run context [ctx]. *)
+let commands ctx ~scale ~smoke =
   let experiments =
     [
       ("fig3a", fun () -> Fig3.fig3a ());
       ("fig3b", fun () -> Fig3.fig3b ());
       ("fig3-sim", fun () -> Fig3.fig3_sim ~scale ());
       ("fig4", fun () -> Fig4.run ~scale ());
-      ("fig5a", fun () -> Fig5.fig5a ~scale ());
-      ("fig5b", fun () -> Fig5.fig5b ~scale ());
-      ("durability", fun () -> Fig5.durability ~scale ());
-      ("fig6a", fun () -> Fig6.fig6a ~scale ());
-      ("fig6b", fun () -> Fig6.fig6b ~scale ());
-      ("table2", fun () -> Table2.run ~scale ());
-      ("ablate-delta", fun () -> Ablations.ablate_delta ~scale ());
-      ("ablate-fingers", fun () -> Ablations.ablate_fingers ~scale ());
+      ("fig5a", fun () -> Fig5.fig5a ctx ~scale ());
+      ("fig5b", fun () -> Fig5.fig5b ctx ~scale ());
+      ("durability", fun () -> Fig5.durability ctx ~scale ());
+      ("fig6a", fun () -> Fig6.fig6a ctx ~scale ());
+      ("fig6b", fun () -> Fig6.fig6b ctx ~scale ());
+      ("table2", fun () -> Table2.run ctx ~scale ());
+      ("ablate-delta", fun () -> Ablations.ablate_delta ctx ~scale ());
+      ("ablate-fingers", fun () -> Ablations.ablate_fingers ctx ~scale ());
       ("ablate-bypass", fun () -> Ablations.ablate_bypass ~scale ());
-      ("ablate-bt", fun () -> Ablations.ablate_bittorrent ~scale ());
+      ("ablate-bt", fun () -> Ablations.ablate_bittorrent ctx ~scale ());
       ("ablate-cache", fun () -> Ablations.ablate_cache ~scale ());
       ("stress", fun () -> Ablations.link_stress ~scale ());
       ("churn-live", fun () -> Ablations.churn_live ());
-      ("lookup-perf", fun () -> Lookup_perf.run ~smoke ~scale ());
+      ("lookup-perf", fun () -> Lookup_perf.run ctx ~smoke ~scale ());
     ]
   in
   (("all", fun () -> List.iter (fun (_, run) -> run ()) experiments) :: experiments)
   @ [
-      ("lookup_perf", fun () -> Lookup_perf.run ~smoke ~scale ());
-      ("scale", fun () -> Scale.run ~smoke ());
+      ("lookup_perf", fun () -> Lookup_perf.run ctx ~smoke ~scale ());
+      ("scale", fun () -> Scale.run ctx ~smoke ());
     ]
 
 let () =
   let paper = ref false and smoke = ref false and command = ref None in
+  let metrics_dir = ref None and slo_specs = ref [] and audit_enabled = ref false in
   let rec parse = function
     | [] -> ()
     | "--paper" :: rest ->
@@ -100,12 +102,15 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let scale = if !paper then paper_scale else small_scale in
   let command = Option.value !command ~default:"all" in
+  let ctx =
+    context ~metrics_dir:!metrics_dir ~slo_specs:!slo_specs ~audit_enabled:!audit_enabled
+  in
   let run =
-    match List.assoc_opt command (commands ~scale ~smoke:!smoke) with
+    match List.assoc_opt command (commands ctx ~scale ~smoke:!smoke) with
     | Some run -> run
     | None -> bad_usage "unknown command %S" command
   in
   Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) !metrics_dir;
   Printf.printf "scale: %s\n%!" scale.label;
   run ();
-  slo_verdict ~command
+  slo_verdict ctx ~command

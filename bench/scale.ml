@@ -4,6 +4,11 @@
    per event, memory footprint (live heap + process high-water RSS) and
    lookup latency percentiles over populations of 10k / 100k / 1M peers.
 
+   Every point runs on a transit-stub graph routed by the link-state
+   router, the runtime router of every CLI and figure run: the paper's
+   4x5 backbone with 25-node stub domains, as many as it takes to cover
+   the population.
+
    The swept populations are built directly through the membership
    oracle — the paper's centralized server — rather than through
    protocol joins: we register peers, wire the ring once with
@@ -12,19 +17,14 @@
    converges to.  The measured workload (inserts and lookups) then runs
    through the genuine protocol message paths.
 
-   The 10k point runs on two underlays: the synthetic uniform-latency
-   clique (the routing-cost ceiling) and a real transit-stub graph
-   routed by the link-state router (the runtime router of every CLI and
-   figure run), the latter with head-sampled tracing.
-
    Protocol joins no longer cost O(n^2): a t-join recomputes only the
    finger tables its walks read, and the ring and the size table change
    by one entry per join.  `p2psim run --peers 5000 --ps 0.6 --items 1
    --lookups 1 --profile` (2,026 t-peers) spends 6.2 s of message CPU
    when every t-join refreshes every table, about 0.2 s now (one core
    of a shared 2-vCPU Linux VM).  A protocol-built leg measures that path:
-   5,000 peers through [H.grow] at s_fraction 0.6, gated on the
-   deterministic count of finger tables recomputed.
+   5,000 peers through [H.grow] at s_fraction 0.6 on the same underlay
+   shape, gated on the deterministic count of finger tables recomputed.
 
    An engine-only leg measures the event queue at depth: K concurrent
    delivery chains for K = 100, 2,000 and 20,000, the depths between a
@@ -34,16 +34,17 @@
    protocol-built leg and the deep-queue leg only — the CI
    configuration.  The run exits 1 when any gate fails:
      - recall 1.0 and clean invariants on every point
-     - an events/sec floor on both 10k points
+     - an events/sec floor on the full-tracing and the sampled 10k
+       points
      - the median telemetry overhead over alternating off/sampled pairs
        (full tracing's overhead, over off/full pairs, is reported as a
        median with its min-max, not gated), and telemetry leaving the
        event schedule and outcomes unchanged
-     - link-state minor words/event under an absolute ceiling (the
-       allocation-regression check)
+     - the sampled point's minor words/event under an absolute ceiling
+       (the allocation-regression check)
      - every deep-queue depth under an absolute minor-words/event
        ceiling (deterministic; its ns/event is recorded, not gated)
-     - every --slo spec against the link-state point's registry
+     - every --slo spec against the sampled point's registry
      - the finger-refresh count of the protocol-built leg *)
 
 module H = Hybrid_p2p.Hybrid
@@ -63,7 +64,6 @@ module Log_hist = P2p_obs.Log_hist
 module Json = P2p_obs.Json
 module Checks = P2p_audit.Checks
 
-let underlay_latency_ms = 5.0
 let s_fraction = 0.8
 
 (* CI floor: an order-of-magnitude regression guard, not a race.  The
@@ -89,7 +89,7 @@ let overhead_chunk = 100
    does, and interleaved, the off leg would pay much of the major GC
    work that allocation schedules. *)
 
-(* Allocation-regression ceiling for the link-state point, in minor
+(* Allocation-regression ceiling for the sampled point, in minor
    words per executed event at [telemetry_sample_rate].  The residue is
    protocol payload closures and sampled-trace spans: the event queue
    recycles entries and routing queries allocate no tuples.  The ceiling
@@ -110,7 +110,6 @@ let deep_depths = [ 100; 2_000; 20_000 ]
 type point = {
   n : int;
   telemetry : string;  (* "off" | "sampled-<rate>" | "full" *)
-  routing : string;  (* "synthetic" | "link_state" *)
   t_count : int;
   items : int;
   lookups : int;
@@ -253,7 +252,7 @@ let link_state_routing ~seed n =
   let topo =
     P2p_topology.Transit_stub.generate ~rng:(Rng.create (seed + 3)) (transit_stub_params n)
   in
-  P2p_topology.Routing.create topo.P2p_topology.Transit_stub.graph
+  Routing.create topo.P2p_topology.Transit_stub.graph
 
 (* One sweep point in three steps, so that two points can run side by
    side: [start_leg] builds and populates the system, [advance] runs the
@@ -270,7 +269,6 @@ type leg = {
   l_t_count : int;
   l_build_s : float;
   l_telemetry : string;
-  l_routing : string;
   l_ev0 : int;
   mutable l_next : int;  (* workload operations run so far *)
   mutable l_found : int;
@@ -278,14 +276,9 @@ type leg = {
   mutable l_minor_words : float;
 }
 
-let start_leg ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () =
+let start_leg ?(telemetry = `Full) ~seed ~n () =
   let items, lookups = sized n in
-  let routing, routing_label =
-    match routing_mode with
-    | `Synthetic ->
-      (Routing.synthetic ~nodes:n ~latency:underlay_latency_ms, "synthetic")
-    | `Link_state -> (link_state_routing ~seed n, "link_state")
-  in
+  let routing = link_state_routing ~seed n in
   (* Ring buffer sized so the lookup phase stays fully traced. *)
   let capacity = max 100_000 (60 * lookups) in
   let trace, telemetry_label =
@@ -311,7 +304,6 @@ let start_leg ?(telemetry = `Full) ?(routing_mode = `Synthetic) ~seed ~n () =
     l_t_count = t_count;
     l_build_s = build_s;
     l_telemetry = telemetry_label;
-    l_routing = routing_label;
     l_ev0 = Engine.events_executed (H.engine h);
     l_next = 0;
     l_found = 0;
@@ -387,7 +379,6 @@ let finish_leg l =
     {
       n;
       telemetry = l.l_telemetry;
-      routing = l.l_routing;
       t_count = l.l_t_count;
       items = l.l_items;
       lookups = l.l_lookups;
@@ -439,8 +430,7 @@ type protocol_point = {
 (* Every peer joins through the protocol, one at a time, each join run
    to quiescence — the path `p2psim run` builds its systems on. *)
 let protocol_build ~seed =
-  let routing = Routing.synthetic ~nodes:protocol_peers ~latency:underlay_latency_ms in
-  let h = H.create ~seed ~routing () in
+  let h = H.create ~seed ~routing:(link_state_routing ~seed protocol_peers) () in
   let t0 = Sys.time () in
   ignore (H.grow h ~count:protocol_peers ~s_fraction:protocol_s_fraction : Peer.t array);
   let build_s = Sys.time () -. t0 in
@@ -511,7 +501,6 @@ let point_json p =
       ("peers", Json.Int p.n);
       ("t_peers", Json.Int p.t_count);
       ("telemetry", Json.String p.telemetry);
-      ("routing", Json.String p.routing);
       ("items", Json.Int p.items);
       ("lookups", Json.Int p.lookups);
       ("found", Json.Int p.found);
@@ -537,8 +526,8 @@ let point_json p =
 
 let print_point p =
   Printf.printf
-    "  %7d peers (%d t) [%-12s %-10s]  %8.0f ev/s  %6.1f minor w/ev  %6.1f MB live (%5.0f B/peer)  found %d/%d  p50 %s p99 %s\n%!"
-    p.n p.t_count p.telemetry p.routing p.events_per_s p.minor_words_per_event
+    "  %7d peers (%d t) [%-12s]  %8.0f ev/s  %6.1f minor w/ev  %6.1f MB live (%5.0f B/peer)  found %d/%d  p50 %s p99 %s\n%!"
+    p.n p.t_count p.telemetry p.events_per_s p.minor_words_per_event
     (float_of_int p.live_bytes /. 1048576.0)
     p.bytes_per_peer p.found p.lookups
     (match p.p50_ms with Some f -> Printf.sprintf "%.1fms" f | None -> "-")
@@ -568,7 +557,7 @@ let write_json ~path doc =
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
-let run ~smoke () =
+let run ctx ~smoke () =
   let seed = 42 in
   Printf.printf "== scale sweep%s ==\n%!" (if smoke then " (smoke)" else "");
   let failures = ref [] in
@@ -658,28 +647,24 @@ let run ~smoke () =
         fail "telemetry changed lookup outcomes (off %d, %s %d, full %d)"
           off.found traced.telemetry traced.found p10k.found)
     (pairs @ full_pairs);
-  (* The real transit-stub underlay, routed by the link-state router, at
-     the sampled telemetry rate the scale runs use: it holds the same
-     events/sec floor as the synthetic clique, and its allocation and
-     its latency are what the ceilings and --slo gate. *)
-  let ls =
-    start_leg ~telemetry:(`Sampled telemetry_sample_rate) ~routing_mode:`Link_state ~seed
-      ~n:10_000 ()
-  in
-  advance ls ~ops:max_int;
-  let p10k_ls = finish_leg ls in
-  print_point p10k_ls;
-  if p10k_ls.minor_words_per_event > max_minor_words_per_event then
-    fail "link_state: %.1f minor words/event exceeds the ceiling %.1f"
-      p10k_ls.minor_words_per_event max_minor_words_per_event;
-  if not (Experiments.slo_pass ~label:"10k link_state" (Metrics.registry (H.metrics ls.l_h)))
-  then fail "link_state: latency SLO violated (see the [slo] lines above)";
+  (* The sampled point: the telemetry rate the scale runs use, on a leg of
+     its own (not interleaved), whose allocation and latency are what the
+     ceilings and --slo gate. *)
+  let sl = start_leg ~telemetry:(`Sampled telemetry_sample_rate) ~seed ~n:10_000 () in
+  advance sl ~ops:max_int;
+  let p10k_gated = finish_leg sl in
+  print_point p10k_gated;
+  if p10k_gated.minor_words_per_event > max_minor_words_per_event then
+    fail "10k sampled: %.1f minor words/event exceeds the ceiling %.1f"
+      p10k_gated.minor_words_per_event max_minor_words_per_event;
+  if not (Experiments.slo_pass ctx ~label:"10k sampled" (Metrics.registry (H.metrics sl.l_h)))
+  then fail "10k sampled: latency SLO violated (see the [slo] lines above)";
   List.iter
     (fun p ->
       if p.events_per_s < smoke_min_events_per_s then
-        fail "10k %s: events/sec %.0f below floor %.0f" p.routing p.events_per_s
+        fail "10k %s: events/sec %.0f below floor %.0f" p.telemetry p.events_per_s
           smoke_min_events_per_s)
-    [ p10k; p10k_ls ];
+    [ p10k; p10k_gated ];
   let pb = protocol_build ~seed in
   let pb_ceiling = refresh_ceiling pb.pb_t_count in
   Printf.printf
@@ -703,7 +688,7 @@ let run ~smoke () =
         fail "deep queue K=%d: %.1f minor words/event exceeds the ceiling %.1f" d.chains
           d.deep_minor_words_per_event max_deep_minor_words_per_event)
     deep;
-  let points = ref [ p10k; p10k_ls ] in
+  let points = ref [ p10k; p10k_gated ] in
   let attempted_1m = ref "not attempted (smoke mode)" in
   if not smoke then begin
     let p100k = measure_point ~seed ~n:100_000 () in
@@ -721,10 +706,10 @@ let run ~smoke () =
   List.iter
     (fun p ->
       if p.found <> p.lookups then
-        fail "%d %s: recall %d/%d (expected 1.0)" p.n p.routing p.found p.lookups;
+        fail "%d %s: recall %d/%d (expected 1.0)" p.n p.telemetry p.found p.lookups;
       match p.invariant_error with
       | None -> ()
-      | Some msg -> fail "%d %s: invariants violated: %s" p.n p.routing msg)
+      | Some msg -> fail "%d %s: invariants violated: %s" p.n p.telemetry msg)
     !points;
   let doc =
     Json.Obj
@@ -733,7 +718,6 @@ let run ~smoke () =
         ("smoke", Json.Bool smoke);
         ("seed", Json.Int seed);
         ("s_fraction", Json.Float s_fraction);
-        ("underlay_latency_ms", Json.Float underlay_latency_ms);
         ("one_million_point", Json.String !attempted_1m);
         ( "telemetry",
           Json.Obj

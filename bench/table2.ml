@@ -6,7 +6,7 @@
 
 open Experiments
 
-let run ~scale () =
+let run ctx ~scale () =
   header "Table 2 — total connum under different p_s and TTL values";
   row "%6s  %12s  %12s  %12s\n" "p_s" "TTL=1" "TTL=2" "TTL=4";
   List.iter
@@ -17,7 +17,7 @@ let run ~scale () =
             let b = build ~seed:10 ~ps ~scale () in
             insert_corpus b;
             let before = Metrics.connum (H.metrics b.h) in
-            run_lookups ~ttl b ~count:scale.n_lookups;
+            run_lookups ctx ~ttl b ~count:scale.n_lookups;
             Metrics.connum (H.metrics b.h) - before)
           [ 1; 2; 4 ]
       in

@@ -10,16 +10,19 @@ module Histogram = P2p_stats.Histogram
 type t = {
   w : World.t;
   routing : Routing.t;
-  s_fraction : float;
   mutable next_host : int;
   lookups : Data_ops.expiry;
 }
 
 type join_outcome = { peer : Peer.t; hops : int; latency : float }
 
-let create ~seed ~routing ?(config = Config.default) ?snet_policy ?(s_fraction = 0.5)
-    ?(processing_delay = 0.1) ?stress ?trace () =
-  if s_fraction < 0.0 || s_fraction > 1.0 then invalid_arg "Hybrid.create: s_fraction";
+(* The paper's p_s for a join that names no role. *)
+let s_fraction = 0.5
+
+(* Per-message handling cost, ms. *)
+let processing_delay = 0.1
+
+let create ~seed ~routing ?(config = Config.default) ?snet_policy ?stress ?trace () =
   let engine = Engine.create ~seed () in
   let metrics = Metrics.create () in
   (* exact latency path: Spans.record sees the listener and skips its
@@ -41,10 +44,9 @@ let create ~seed ~routing ?(config = Config.default) ?snet_policy ?(s_fraction =
           | None -> 1.0
         in
         config.Config.transmission_ms /. Float.min (capacity src) (capacity dst));
-  { w; routing; s_fraction; next_host = 0; lookups = Data_ops.expiry () }
+  { w; routing; next_host = 0; lookups = Data_ops.expiry () }
 
-let create_star ~seed ~peers ?(latency = 1.0) ?config ?snet_policy ?s_fraction ?trace
-    () =
+let create_star ~seed ~peers ?(latency = 1.0) ?config ?snet_policy ?trace () =
   if peers <= 0 then invalid_arg "Hybrid.create_star: peers";
   let graph = Graph.create (peers + 1) in
   let hub = peers in
@@ -54,7 +56,7 @@ let create_star ~seed ~peers ?(latency = 1.0) ?config ?snet_policy ?s_fraction ?
   (* the hub is the only transit node; each host is a one-node stub domain *)
   Graph.mark_transit graph hub;
   let routing = Routing.create graph in
-  create ~seed ~routing ?config ?snet_policy ?s_fraction ?trace ()
+  create ~seed ~routing ?config ?snet_policy ?trace ()
 
 let engine t = t.w.World.engine
 let trace t = World.trace t.w
@@ -102,7 +104,7 @@ let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
       match role with
       | Some r -> r
       | None ->
-        if Rng.bernoulli t.w.World.rng t.s_fraction then Peer.S_peer else Peer.T_peer
+        if Rng.bernoulli t.w.World.rng s_fraction then Peer.S_peer else Peer.T_peer
   in
   let started = now t in
   match role with

@@ -24,34 +24,30 @@ type t
 (** Completed join, reported through [on_done]. *)
 type join_outcome = { peer : Peer.t; hops : int; latency : float }
 
-(** [create ~seed ~routing ?config ?snet_policy ?s_fraction
-    ?processing_delay ?stress ()] makes an empty system over the given
-    physical topology.  [s_fraction] is the paper's [p_s], used when
-    {!join} is called without an explicit role (default [0.5]).
-    [processing_delay] (ms, default [0.1]) is added to every message. *)
+(** [create ~seed ~routing ?config ?snet_policy ?stress ()] makes an
+    empty system over the given physical topology.  A {!join} without an
+    explicit role makes an s-peer with probability 0.5 (the paper's
+    [p_s]), and every message pays 0.1 ms of processing delay. *)
 val create :
   seed:int ->
   routing:P2p_topology.Routing.t ->
   ?config:Config.t ->
   ?snet_policy:World.snet_policy ->
-  ?s_fraction:float ->
-  ?processing_delay:float ->
   ?stress:P2p_topology.Link_stress.t ->
   ?trace:P2p_sim.Trace.t ->
   unit ->
   t
 
-(** [create_star ~seed ~peers ?latency ?config ?s_fraction ()] builds a
-    synthetic hub-and-spoke underlay of [peers] hosts (every pair is two
-    [latency]-ms hops apart) — handy for unit tests and examples that do
-    not care about the physical topology. *)
+(** [create_star ~seed ~peers ?latency ?config ()] builds a hub-and-spoke
+    underlay of [peers] hosts (every pair is two [latency]-ms hops apart)
+    — handy for unit tests and examples that do not care about the
+    physical topology. *)
 val create_star :
   seed:int ->
   peers:int ->
   ?latency:float ->
   ?config:Config.t ->
   ?snet_policy:World.snet_policy ->
-  ?s_fraction:float ->
   ?trace:P2p_sim.Trace.t ->
   unit ->
   t
@@ -94,7 +90,7 @@ val run_for : t -> float -> unit
 
 (** [join t ~host ...] starts a join.  The peer is visible immediately but
     only wired once the protocol completes (drive the engine!).  [role]
-    overrides the server's coin-flip on [s_fraction]; the very first peer
+    overrides the server's coin-flip at p_s 0.5; the very first peer
     always bootstraps the ring.  [p_id] overrides the server-generated ID
     (t-peers only; conflicts resolve by ring midpoint).
     @raise Invalid_argument if [host] is already occupied. *)

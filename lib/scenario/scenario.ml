@@ -211,17 +211,6 @@ let exec p ~seed ~script =
     audit;
   }
 
-let run ?audit_interval ?audit_checks ?on_audit h ~seed ~script =
-  let auditor =
-    Option.map
-      (fun interval ->
-        let a = Auditor.create ~interval ?checks:audit_checks (H.world h) in
-        Option.iter (Auditor.set_on_snapshot a) on_audit;
-        a)
-      audit_interval
-  in
-  exec (Pipeline.attach ?auditor h) ~seed ~script
-
 let pp_report ppf (r : report) =
   Format.fprintf ppf
     "@[<v>joined %d, left %d, crashed %d@,inserted %d items@,lookups: %d ok, %d failed@,final: %d peers, %d items@,invariants: %s@]"

@@ -10,7 +10,7 @@
     Example — a flash-crowd-under-churn scenario:
     {[
       let report =
-        Scenario.run h ~seed:7
+        Scenario.exec (Pipeline.attach h) ~seed:7
           ~script:
             [ Join_many (100, 0.7); Insert_items 500; Settle;
               Crash_fraction 0.2; Repair; Settle;
@@ -41,7 +41,7 @@ type action =
           [replication_factor > 0]). *)
 
 (** What the online auditor saw across the whole run (present only when
-    [run] was given an [audit_interval]). *)
+    the pipeline has an auditor). *)
 type audit_summary = {
   audit_ticks : int;  (** how many times the catalogue ran *)
   audit_violations : int;  (** all violations, both severities *)
@@ -64,37 +64,21 @@ type report = {
   audit : audit_summary option;
 }
 
-(** [run ?audit_interval ?audit_checks h ~seed ~script] executes the
-    script.  Lookups before any insert are counted as failed.  The
-    scenario's randomness is independent of the system's.
+(** [exec p ~seed ~script] executes the script over a system whose
+    observers are already attached.  Lookups before any insert are
+    counted as failed.  The scenario's randomness is independent of the
+    system's.
 
-    With [audit_interval] (simulated ms), an online
-    {!P2p_audit.Auditor} audits the system throughout the run: every
-    settle/advance passes through the auditor so invariant checks fire on
-    cadence mid-churn, and the report's [audit] field summarizes what
-    they saw, closing with a tick over the drained, repaired end state.
-    [audit_checks] narrows the online catalogue (default: all checks),
-    and [on_audit] sees every tick's snapshot
-    ({!P2p_audit.Auditor.set_on_snapshot}).
-    Either way [invariants] comes from {!P2p_audit.Checks.final} over
-    the end state.
+    With an auditor on [p] ({!Pipeline.attach}), every settle/advance
+    passes through it, so invariant checks fire on cadence mid-churn, and
+    the report's [audit] field summarizes what they saw, closing with a
+    tick over the drained, repaired end state.  Either way [invariants]
+    comes from {!P2p_audit.Checks.final} over the end state.
 
     When the system's config has [replication_factor > 0] the runner
     installs the replication manager before the first action, so inserts
     fan out, crashes re-replicate, and the [replication_factor] audit
     check is live. *)
-val run :
-  ?audit_interval:float ->
-  ?audit_checks:P2p_audit.Checks.check list ->
-  ?on_audit:(P2p_audit.Checks.snapshot -> unit) ->
-  Hybrid_p2p.Hybrid.t ->
-  seed:int ->
-  script:action list ->
-  report
-
-(** [exec p ~seed ~script] is {!run} over a system whose observers are
-    already attached: the pipeline's auditor, if any, audits the run
-    and closes it with a tick at the end state. *)
 val exec : Pipeline.t -> seed:int -> script:action list -> report
 
 val pp_report : Format.formatter -> report -> unit

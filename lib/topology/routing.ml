@@ -124,8 +124,8 @@ let max_roots = 6
    run asks for, not O(Σ sᵢ²).  A graph with no transit node is one or
    more stub domains with no access link: each connected component is
    routed by its trees and solves alone. *)
-type link_state = {
-  ls_graph : Graph.t;
+type t = {
+  graph : Graph.t;
   domain_of : int array; (* stub-domain id per node; -1 for transit nodes *)
   index : int array; (* node -> its position in its domain, or the backbone's *)
   dom_gateway : int array; (* domain -> gateway node, -1 when isolated *)
@@ -147,16 +147,6 @@ type link_state = {
   memo : memo;
   mutable solves : int;
 }
-
-(* [Synthetic] short-circuits path computation entirely: every distinct
-   pair is one hop at a fixed latency, for overlay-scalability studies
-   that do not need real path diversity. *)
-type t = Synthetic of { graph : Graph.t; latency : float } | Link_state of link_state
-
-let synthetic ~nodes ~latency =
-  if nodes < 0 then invalid_arg "Routing.synthetic: negative node count";
-  if latency <= 0.0 then invalid_arg "Routing.synthetic: latency must be positive";
-  Synthetic { graph = Graph.create nodes; latency }
 
 (* --- the per-source settle loop --- *)
 
@@ -450,39 +440,38 @@ let create graph =
       dom_members
   in
   let widest f = Array.fold_left (fun acc set -> max acc (f set)) 0 subgraphs in
-  Link_state
-    {
-      ls_graph = graph;
-      domain_of;
-      index;
-      dom_gateway;
-      dom_attach;
-      dom_access;
-      domains = subgraphs;
-      backbone =
-        restricted_all_pairs graph ~members:t_nodes ~index_of ~in_set:(fun v -> transit.(v));
-      leg_dist = Array.make n infinity;
-      leg_hops = Array.make n (-1);
-      leg_next = Array.make n (-1);
-      legs_rooted = Array.make domains false;
-      oracle = Array.make domains Unplanted;
-      work =
-        scratch
-          ~nodes:(widest (fun set -> Array.length set.members))
-          ~edges:(widest edge_count);
-      warm_dom = -1;
-      warm_src = -1;
-      walk = Array.make (widest (fun set -> Array.length set.members)) 0;
-      memo =
-        {
-          start = power_of_two (max 256 (2 * (n - Array.length t_nodes)));
-          keys = [||];
-          m_dist = [||];
-          m_route = [||];
-          m_count = 0;
-        };
-      solves = 0;
-    }
+  {
+    graph;
+    domain_of;
+    index;
+    dom_gateway;
+    dom_attach;
+    dom_access;
+    domains = subgraphs;
+    backbone =
+      restricted_all_pairs graph ~members:t_nodes ~index_of ~in_set:(fun v -> transit.(v));
+    leg_dist = Array.make n infinity;
+    leg_hops = Array.make n (-1);
+    leg_next = Array.make n (-1);
+    legs_rooted = Array.make domains false;
+    oracle = Array.make domains Unplanted;
+    work =
+      scratch
+        ~nodes:(widest (fun set -> Array.length set.members))
+        ~edges:(widest edge_count);
+    warm_dom = -1;
+    warm_src = -1;
+    walk = Array.make (widest (fun set -> Array.length set.members)) 0;
+    memo =
+      {
+        start = power_of_two (max 256 (2 * (n - Array.length t_nodes)));
+        keys = [||];
+        m_dist = [||];
+        m_route = [||];
+        m_count = 0;
+      };
+    solves = 0;
+  }
 
 (* --- on-demand stub-domain answers --- *)
 
@@ -876,7 +865,7 @@ let ls_up_hops ls u du =
     ls.leg_hops.(u) + 1
   end
 
-let ls_distance ls u v =
+let distance ls u v =
   if u = v then 0.0
   else begin
     let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
@@ -889,9 +878,9 @@ let ls_distance ls u v =
     end
   end
 
-(* 0 when [v] is unreachable from [u]: callers check [ls_distance]
+(* 0 when [v] is unreachable from [u]: callers check [distance]
    first *)
-let ls_hop_count ls u v =
+let reachable_hops ls u v =
   if u = v then 0
   else begin
     let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
@@ -908,7 +897,7 @@ let ls_hop_count ls u v =
    distance decomposition: head for the gateway, cross the backbone to
    the destination domain's attachment, drop down its access link,
    finish inside the domain. *)
-let ls_next_hop ls u v =
+let first_hop ls u v =
   let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
   if u = v then u
   else if du >= 0 && du = dv then dom_next ls du u v
@@ -982,48 +971,31 @@ let dom_path ls d u v =
     | Unplanted | Rooted _ | Per_pair -> hop_by_hop ()
 
 (* Hop by hop to the destination's domain, then one in-domain read. *)
-let ls_path ls u v =
-  if ls_distance ls u v = infinity then raise Not_found;
+let path ls u v =
+  if distance ls u v = infinity then raise Not_found;
   let dv = ls.domain_of.(v) in
   let rec collect node acc =
     if node = v then List.rev (v :: acc)
     else if dv >= 0 && ls.domain_of.(node) = dv && v <> ls.dom_gateway.(dv) then
       List.rev_append acc (dom_path ls dv node v)
-    else collect (ls_next_hop ls node v) (node :: acc)
+    else collect (first_hop ls node v) (node :: acc)
   in
   collect u []
 
-(* --- the common query surface --- *)
-
-let distance t u v =
-  match t with
-  | Synthetic { latency; _ } -> if u = v then 0.0 else latency
-  | Link_state ls -> ls_distance ls u v
-
-let path t u v =
-  match t with
-  | Synthetic _ -> if u = v then [ u ] else [ u; v ]
-  | Link_state ls -> ls_path ls u v
+(* --- the rest of the query surface --- *)
 
 let next_hop t u v =
   if u = v then u
   else if distance t u v = infinity then raise Not_found
-  else match t with Synthetic _ -> v | Link_state ls -> ls_next_hop ls u v
-
-(* Hop counting never materializes the path: link-state mode adds three
-   table entries. *)
-let reachable_hops t u v =
-  match t with
-  | Synthetic _ -> if u = v then 0 else 1
-  | Link_state ls -> ls_hop_count ls u v
+  else first_hop t u v
 
 let hop_count t u v =
   if u <> v && distance t u v = infinity then raise Not_found;
   reachable_hops t u v
 
-let graph = function Synthetic { graph; _ } -> graph | Link_state ls -> ls.ls_graph
+let graph t = t.graph
 
-let solves = function Link_state ls -> ls.solves | Synthetic _ -> 0
+let solves t = t.solves
 
 type decomposition = {
   domain_of : int array;
@@ -1033,13 +1005,11 @@ type decomposition = {
   access : float array;
 }
 
-let decomposition : t -> decomposition = function
-  | Link_state ls ->
-    {
-      domain_of = Array.copy ls.domain_of;
-      members = Array.map (fun (set : subgraph) -> Array.copy set.members) ls.domains;
-      gateway = Array.copy ls.dom_gateway;
-      attach = Array.copy ls.dom_attach;
-      access = Array.copy ls.dom_access;
-    }
-  | Synthetic _ -> invalid_arg "Routing.decomposition: not a link-state router"
+let decomposition (t : t) : decomposition =
+  {
+    domain_of = Array.copy t.domain_of;
+    members = Array.map (fun (set : subgraph) -> Array.copy set.members) t.domains;
+    gateway = Array.copy t.dom_gateway;
+    attach = Array.copy t.dom_attach;
+    access = Array.copy t.dom_access;
+  }

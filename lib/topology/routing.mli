@@ -2,39 +2,35 @@
 
     Overlay links are logical: a message sent over the overlay edge
     [u -> v] traverses the latency-shortest physical path from [u] to [v].
-    One backend computes those paths, with a stand-in beside it:
+    One router computes those paths for every run: the link-state router
+    {!create} builds.  It exploits the transit-stub hierarchy the graph's
+    transit marks ({!Graph.mark_transit}) describe: each stub domain
+    reaches the backbone through exactly one access link, so every
+    inter-domain path factors through the gateways.  The transit
+    backbone keeps an all-pairs {!block}.  A stub domain keeps its
+    adjacency and a few shortest-path trees: its gateway's, from one
+    solve that also gives every host's leg to the gateway (run by the
+    first of the two to be asked), and, from its first in-domain pair,
+    one from each endpoint of an edge off the gateway's tree (at most
+    four in a generated domain, a spanning chain plus two chords).
+    Every simple path in the domain is the gateway tree's path or passes
+    through such an endpoint, so a pair is read off the trees, folded
+    from its source, whenever no other path comes within a rounding
+    margin of the best; the answer is then its source's Dijkstra's, bit
+    for bit.  A pair the trees cannot vouch for (ties, as in unit-weight
+    graphs) and every pair of a domain with more than six endpoints is
+    solved by that Dijkstra, stopped when the target settles and resumed
+    when the next such pair has the same source.  Either way the answer
+    is memoized, and each host's leg is kept in per-host arrays.  Memory
+    follows the pairs a run asks for, not the O(Σ sᵢ²) of all-pairs
+    tables, so the real graph stays affordable at 100k nodes.  A
+    router is therefore mutable: it belongs to one world, and no two
+    OCaml [Domain]s may query it at once.  A graph with no transit marks
+    routes flat: each connected component is one stub domain with no
+    access link.
 
-    - {!create} — the link-state router, exploiting the transit-stub
-      hierarchy the graph's transit marks ({!Graph.mark_transit})
-      describe: each stub domain reaches the backbone through exactly
-      one access link, so every inter-domain path factors through the
-      gateways.  The transit backbone keeps an all-pairs {!block}.  A
-      stub domain keeps its adjacency and a few shortest-path trees: its
-      gateway's, from one solve that also gives every host's leg to the
-      gateway (run by the first of the two to be asked), and, from its
-      first in-domain pair, one from each endpoint of an edge off the
-      gateway's tree (at most four in a generated domain, a spanning
-      chain plus two chords).  Every simple path in the domain is the
-      gateway tree's path or passes through such an endpoint, so a pair
-      is read off the trees, folded from its source, whenever no other
-      path comes within a rounding margin of the best; the answer is
-      then its source's Dijkstra's, bit for bit.  A pair the trees
-      cannot vouch for (ties, as in unit-weight graphs) and every pair
-      of a domain with more than six endpoints is solved by that
-      Dijkstra, stopped when the target settles and resumed when the
-      next such pair has the same source.  Either way the answer is
-      memoized, and each host's leg is kept in per-host arrays.  Memory
-      follows the pairs a run asks for, not the O(Σ sᵢ²) of all-pairs
-      tables, so the real graph stays affordable at 100k nodes.  A
-      link-state router is therefore mutable: it belongs to one world,
-      and no two OCaml [Domain]s may query it at once.  A graph with no
-      transit marks routes flat: each connected component is one stub
-      domain with no access link.
-    - {!synthetic} — a fake uniform-latency clique for overlay-only
-      scalability studies.
-
-    The tests hold the link-state router to a whole-graph Dijkstra that
-    lives beside them, not in this library. *)
+    The tests hold the router to a whole-graph Dijkstra that lives beside
+    them, not in this library. *)
 
 type t
 
@@ -73,28 +69,17 @@ type decomposition = {
 }
 
 (** [decomposition t] is a copy of [t]'s decomposition, for the tests
-    that hold {!create}'s construction to a reference.
-    @raise Invalid_argument on a {!synthetic} router. *)
+    that hold {!create}'s construction to a reference. *)
 val decomposition : t -> decomposition
-
-(** [synthetic ~nodes ~latency] is a router over [nodes] hosts in which
-    every distinct pair is directly connected at a uniform [latency] (ms)
-    — one physical hop, no path computation, O(1) memory.  This is the
-    underlay for overlay-scalability runs (the million-peer sweep in
-    [bench/scale.ml]) where per-source shortest-path state is
-    unaffordable and physical path diversity is not under study.
-    {!graph} returns an edgeless placeholder of [nodes] nodes.
-    @raise Invalid_argument when [nodes < 0] or [latency <= 0]. *)
-val synthetic : nodes:int -> latency:float -> t
 
 (** [distance t u v] is the latency of the shortest path.  [infinity] when
     unreachable. *)
 val distance : t -> int -> int -> float
 
 (** [path t u v] is the node sequence [u; ...; v] of a shortest path,
-    the chain of {!next_hop}s.  The link-state backend reads the stretch
-    inside the destination's stub domain in one go, off a tree walk or
-    off one solve, not a pair answer per hop.
+    the chain of {!next_hop}s.  The stretch inside the destination's
+    stub domain is read in one go, off a tree walk or off one solve, not
+    a pair answer per hop.
     @raise Not_found when unreachable. *)
 val path : t -> int -> int -> int list
 
@@ -104,15 +89,15 @@ val path : t -> int -> int -> int list
 val next_hop : t -> int -> int -> int
 
 (** [hop_count t u v] is the number of physical links on a shortest path;
-    0 when [u = v].  Never materializes the path: the link-state backend
-    composes hop counts.
+    0 when [u = v].  Never materializes the path: it composes stored hop
+    counts.
     @raise Not_found when unreachable. *)
 val hop_count : t -> int -> int -> int
 
 (** [reachable_hops t u v] is [hop_count t u v] for a pair the caller
     already knows to be reachable ([distance t u v < infinity]), read
-    without checking reachability again: on the link-state backend one
-    composition of stored answers instead of two.  Unspecified when [v]
+    without checking reachability again: one composition of stored
+    answers instead of two.  Unspecified when [v]
     cannot be reached from [u]. *)
 val reachable_hops : t -> int -> int -> int
 
@@ -126,9 +111,8 @@ type block
 (** [restricted_all_pairs graph ~members ~index_of ~in_set] is the
     all-pairs block of the subgraph induced by [members] ([in_set v]
     tells membership, [index_of v] the position of member [v] in
-    [members]): the link-state backend's table for the transit
-    backbone, and the reference its on-demand stub-domain answers are
-    tested against.  Each source runs the same settle loop those answers
+    [members]): the router's table for the transit backbone, and the
+    reference its on-demand stub-domain answers are tested against.  Each source runs the same settle loop those answers
     stop early.  Among equal-length paths the one whose nodes settle
     first — smallest distance, then lowest position — wins, so the
     tables are a pure function of the graph and the member order (stub
@@ -154,14 +138,13 @@ val block_hops : block -> int -> int -> int
 (** [graph t] is the underlying graph. *)
 val graph : t -> Graph.t
 
-(** [solves t] counts the shortest-path solves a link-state router has
-    run since {!create} built it: one per domain from its gateway,
+(** [solves t] counts the shortest-path solves [t] has run since
+    {!create} built it: one per domain from its gateway,
     for its legs and its gateway's tree alike, whichever asks first; one
     per further tree a domain plants on its first in-domain pair, one
     per root; the fallbacks, one per in-domain pair the trees could not
     vouch for (every pair, in a domain with too many roots), unless it
     resumes the solve of the fallback before it from the same source;
     and one per host whose leg the gateway's tree could not give.  A
-    generated domain answered from its trees alone costs at most five.
-    0 on a {!synthetic} router. *)
+    generated domain answered from its trees alone costs at most five. *)
 val solves : t -> int

@@ -358,8 +358,11 @@ let handle t ~src ~trace msg =
 
 (* [client] is the orchestrator's node index (= [n]); it gets an address
    so replies can dial back to it. *)
-let create ?dump_dir ?epoch ?(trace_capacity = 8192) ?(sample_rate = 1.0)
-    ?(sample_seed = 0) ~node ~n ~port_base () =
+(* Spans and events a node's trace rings hold. *)
+let trace_capacity = 8192
+
+let create ?dump_dir ?epoch ?(sample_rate = 1.0) ?(sample_seed = 0) ~node ~n
+    ~port_base () =
   let port = port_base + node in
   let p_id = Key_hash.of_address ~ip:"127.0.0.1" ~port in
   let tr = Live_transport.create ~p_id ~self:node () in

@@ -35,11 +35,10 @@ type t
     passes one epoch to all workers so cross-process span times align.
     [sample_rate]/[sample_seed] configure head-based op sampling and
     must match cluster-wide for the wire sampling bit to agree with
-    local decisions; [trace_capacity] bounds the span/event rings. *)
+    local decisions.  The span/event rings hold 8,192 entries. *)
 val create :
   ?dump_dir:string ->
   ?epoch:float ->
-  ?trace_capacity:int ->
   ?sample_rate:float ->
   ?sample_seed:int ->
   node:int ->

@@ -71,8 +71,6 @@ type t = {
   p_id : int;
   window : int;
   max_queued : int;
-  backoff_base : float;  (* ms *)
-  backoff_max : float;  (* ms *)
   epoch : float;
   addrs : (int, Unix.sockaddr) Hashtbl.t;
   conns : (int, conn) Hashtbl.t;  (* outbound, by destination *)
@@ -86,8 +84,12 @@ type t = {
   mutable running : bool;
 }
 
-let create ?(p_id = 0) ?(window = 256 * 1024) ?max_queued
-    ?(backoff_base = 50.) ?(backoff_max = 2_000.) ~self () =
+(* The reconnect backoff doubles from [backoff_base] up to [backoff_max]
+   (ms). *)
+let backoff_base = 50.
+let backoff_max = 2_000.
+
+let create ?(p_id = 0) ?(window = 256 * 1024) ?max_queued ~self () =
   (* Writes to a peer-closed socket must raise EPIPE, not deliver a
      fatal SIGPIPE before the Unix_error handlers ever run. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -114,8 +116,6 @@ let create ?(p_id = 0) ?(window = 256 * 1024) ?max_queued
     p_id;
     window;
     max_queued;
-    backoff_base;
-    backoff_max;
     epoch;
     addrs = Hashtbl.create 64;
     conns = Hashtbl.create 64;
@@ -173,8 +173,7 @@ let conn_failed t c =
   c.state <- Backoff;
   c.retry_at <-
     now t
-    +. Float.min t.backoff_max
-         (t.backoff_base *. (2. ** float_of_int (c.attempts - 1)));
+    +. Float.min backoff_max (backoff_base *. (2. ** float_of_int (c.attempts - 1)));
   Registry.incr t.wire.retries
 
 let hello_frame t = Wire.encode (Wire.Hello { node = t.self; p_id = t.p_id })

@@ -31,14 +31,12 @@ include Transport.S with type t := t and type payload = Wire.msg and type addr =
     advertised in the connection handshake; [window] caps queued bytes
     per connection before sends count as stalled; [max_queued]
     (default [16 * window]) is the hard per-connection cap past which
-    sends are dropped and counted; [backoff_base] / [backoff_max] (ms)
-    bound the reconnect backoff. *)
+    sends are dropped and counted.  The reconnect backoff doubles from
+    50 ms up to 2 s. *)
 val create :
   ?p_id:int ->
   ?window:int ->
   ?max_queued:int ->
-  ?backoff_base:float ->
-  ?backoff_max:float ->
   self:int ->
   unit ->
   t

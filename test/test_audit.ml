@@ -261,10 +261,18 @@ let test_gini () =
 let scenario_system ~seed =
   H.create_star ~seed ~peers:400 ()
 
+(* A scenario run under an online auditor ticking every [interval]
+   simulated ms, as the CLI attaches one; [on_audit] sees every tick's
+   snapshot. *)
+let audited_exec ~interval ?on_audit h ~seed ~script =
+  let auditor = Auditor.create ~interval (H.world h) in
+  Option.iter (Auditor.set_on_snapshot auditor) on_audit;
+  Scenario.exec (Pipeline.attach ~auditor h) ~seed ~script
+
 let test_scenario_clean_audit () =
   let h = scenario_system ~seed:3 in
   let report =
-    Scenario.run ~audit_interval:100.0 h ~seed:3
+    audited_exec ~interval:100.0 h ~seed:3
       ~script:
         [
           Scenario.Join_many (30, 0.6); Scenario.Insert_items 80; Scenario.Settle;
@@ -283,7 +291,7 @@ let test_scenario_clean_audit () =
 let test_scenario_violations_over_time () =
   let h = scenario_system ~seed:5 in
   let report =
-    Scenario.run ~audit_interval:50.0 h ~seed:5
+    audited_exec ~interval:50.0 h ~seed:5
       ~script:
         [
           Scenario.Join_many (30, 0.5); Scenario.Insert_items 60; Scenario.Settle;
@@ -310,7 +318,7 @@ let test_scenario_violations_over_time () =
 let test_scenario_audit_off () =
   let h = scenario_system ~seed:9 in
   let report =
-    Scenario.run h ~seed:9
+    Scenario.exec (Pipeline.attach h) ~seed:9
       ~script:[ Scenario.Join_many (15, 0.5); Scenario.Insert_items 20; Scenario.Settle ]
   in
   checkb "no audit summary" true (report.Scenario.audit = None);
@@ -486,7 +494,7 @@ let test_stateful_matches_fresh_scan () =
   let w = H.world h in
   let ticks = ref 0 and evicting = ref 0 and judged = ref 0 in
   let report =
-    Scenario.run ~audit_interval:40.0 h ~seed:23
+    audited_exec ~interval:40.0 h ~seed:23
       ~on_audit:(fun snap ->
         if fst (Trace.span_window trace) > 0 then incr evicting;
         (match gauge_of snap "latency_sanity" "spans_checked" with
@@ -516,7 +524,7 @@ let test_churn_100_snapshots_pinned () =
   let h = replicated_star ~base:Config.paper ~seed ~trace () in
   let buf = Buffer.create 4096 in
   let report =
-    Scenario.run ~audit_interval:2000.0 h ~seed
+    audited_exec ~interval:2000.0 h ~seed
       ~on_audit:(fun snap -> Buffer.add_string buf (snapshot_text snap))
       ~script:
         (churn_script ~peers:100 ~initial:300 ~crashes:3 ~inserts:100 ~lookups:300
@@ -555,7 +563,7 @@ let compare_with_reference h ~seed ~script =
   let w = H.world h in
   let ticks = ref 0 and fresh = ref 0 in
   let report =
-    Scenario.run ~audit_interval:60.0 h ~seed
+    audited_exec ~interval:60.0 h ~seed
       ~on_audit:(fun snap ->
         incr ticks;
         if gauge_of snap "finger_tables" "fingers_fresh" = Some 1.0 then incr fresh;

@@ -30,10 +30,6 @@ let test_invalid_config_rejected_at_create () =
     (Invalid_argument "World.create: delta must be >= 2") (fun () ->
       ignore (H.create_star ~seed:1 ~peers:4 ~config () : H.t))
 
-let test_bad_s_fraction_rejected () =
-  Alcotest.check_raises "s_fraction" (Invalid_argument "Hybrid.create: s_fraction")
-    (fun () -> ignore (H.create_star ~seed:1 ~peers:4 ~s_fraction:1.5 () : H.t))
-
 let test_two_peer_system_operates () =
   let h = H.create_star ~seed:2 ~peers:8 () in
   let a = H.join h ~host:0 () in
@@ -484,7 +480,6 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "invalid config rejected at create" `Quick
       test_invalid_config_rejected_at_create;
-    Alcotest.test_case "bad s_fraction rejected" `Quick test_bad_s_fraction_rejected;
     Alcotest.test_case "two-peer system" `Quick test_two_peer_system_operates;
     Alcotest.test_case "single peer self-lookup" `Quick test_single_peer_self_lookup;
     Alcotest.test_case "bypass shortcut skips ring" `Quick test_bypass_shortcut_skips_ring;

@@ -299,20 +299,18 @@ let test_transmission_delay_slows_slow_links () =
   Graph.add_edge g 0 1 ~latency:1.0;
   Graph.add_edge g 1 2 ~latency:1.0;
   let config = { default_config with Config.transmission_ms = 10.0 } in
-  let h =
-    Hybrid_p2p.Hybrid.create ~seed:70 ~routing:(Routing.create g) ~config
-      ~processing_delay:0.0 ()
-  in
+  let h = Hybrid_p2p.Hybrid.create ~seed:70 ~routing:(Routing.create g) ~config () in
   ignore (H.join h ~host:0 ~role:Peer.T_peer ~link_capacity:10.0 () : Peer.t);
   H.run h;
   ignore (H.join h ~host:1 ~role:Peer.S_peer ~link_capacity:1.0 () : Peer.t);
   H.run h;
   let u = (Hybrid_p2p.Hybrid.world h).Hybrid_p2p.World.underlay in
-  (* fast-fast pair: 10/10 = 1ms extra; fast-slow: 10/1 = 10ms extra *)
-  checkf "fast-slow penalized" 11.0 (P2p_net.Underlay.delay u ~src:0 ~dst:1);
+  (* fast-fast pair: 10/10 = 1ms extra; fast-slow: 10/1 = 10ms extra;
+     each on top of the path's latency and 0.1 ms of processing *)
+  checkf "fast-slow penalized" 11.1 (P2p_net.Underlay.delay u ~src:0 ~dst:1);
   ignore (H.join h ~host:2 ~role:Peer.S_peer ~link_capacity:10.0 () : Peer.t);
   H.run h;
-  checkf "fast-fast cheap" 3.0 (P2p_net.Underlay.delay u ~src:0 ~dst:2)
+  checkf "fast-fast cheap" 3.1 (P2p_net.Underlay.delay u ~src:0 ~dst:2)
 
 let suite =
   [

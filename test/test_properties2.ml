@@ -15,6 +15,7 @@ module Cache = Hybrid_p2p.Cache
 module Trace = P2p_sim.Trace
 module Ascii_plot = P2p_stats.Ascii_plot
 module Scenario = P2p_scenario.Scenario
+module Pipeline = P2p_scenario.Pipeline
 module H = Hybrid_p2p.Hybrid
 module Checks = P2p_audit.Checks
 
@@ -128,14 +129,14 @@ let prop_scenario_always_checkable =
   QCheck.Test.make ~name:"scenario scripts always end with invariants intact" ~count:20
     scenario_arb (fun (seed, script) ->
       let h = H.create_star ~seed:(seed + 1) ~peers:200 () in
-      let report = Scenario.run h ~seed ~script in
+      let report = Scenario.exec (Pipeline.attach h) ~seed ~script in
       Result.is_ok report.Scenario.invariants)
 
 let prop_scenario_population_arithmetic =
   QCheck.Test.make ~name:"scenario population = joined - left - crashed" ~count:20
     scenario_arb (fun (seed, script) ->
       let h = H.create_star ~seed:(seed + 2) ~peers:200 () in
-      let report = Scenario.run h ~seed ~script in
+      let report = Scenario.exec (Pipeline.attach h) ~seed ~script in
       report.Scenario.final_peers
       = report.Scenario.joined - report.Scenario.left - report.Scenario.crashed)
 
@@ -148,7 +149,7 @@ let prop_scenario_lookups_accounted =
           0 script
       in
       let h = H.create_star ~seed:(seed + 3) ~peers:200 () in
-      let report = Scenario.run h ~seed ~script in
+      let report = Scenario.exec (Pipeline.attach h) ~seed ~script in
       report.Scenario.lookups_ok + report.Scenario.lookups_failed = requested)
 
 (* --- plots never fail --- *)

@@ -11,6 +11,7 @@ module Registry = P2p_obs.Registry
 module Metrics = P2p_net.Metrics
 module Checks = P2p_audit.Checks
 module Scenario = P2p_scenario.Scenario
+module Pipeline = P2p_scenario.Pipeline
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -596,7 +597,7 @@ let test_digest_order_independent () =
 let test_scenario_anti_entropy_action () =
   let h = H.create_star ~seed:70 ~peers:400 ~config:(r_config 2) () in
   let report =
-    Scenario.run h ~seed:70
+    Scenario.exec (Pipeline.attach h) ~seed:70
       ~script:
         [ Scenario.Join_many (40, 0.7); Scenario.Insert_items 150; Scenario.Settle;
           Scenario.Crash_fraction 0.1; Scenario.Repair;

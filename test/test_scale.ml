@@ -539,6 +539,36 @@ let test_default_lookup_hops () =
   checkb (Printf.sprintf "paper: %.2f hops over %d t-peers (> %d / 4)" linear t t) true
     (linear > float_of_int t /. 4.0)
 
+(* --- telemetry leaves the simulation alone --------------------------------- *)
+
+(* Tracing observes a run and must never steer it: one seeded 1,000-peer
+   world, built and driven through [Pipeline] with tracing off,
+   head-sampled at 0.01 and full, executes the same events, sends the
+   same underlay messages and finds the same lookups. *)
+let test_telemetry_leaves_simulation_unchanged () =
+  let run trace =
+    let h, rng = Pipeline.build ?trace ~ps:0.8 ~seed:11 ~n:1000 ~config:Config.default () in
+    let p = Pipeline.attach h in
+    let corpus = Pipeline.insert p ~rng ~count:300 in
+    Pipeline.lookup p (P2p_workload.Keys.lookup_sequence ~rng ~items:corpus ~count:300);
+    let m = H.metrics h in
+    ( Engine.events_executed (H.engine h),
+      P2p_net.Metrics.messages m,
+      P2p_net.Metrics.lookups_succeeded m )
+  in
+  let events, messages, found = run None in
+  checkb "the workload ran" true (events > 0 && messages > 0 && found > 0);
+  List.iter
+    (fun (label, trace) ->
+      let events', messages', found' = run (Some trace) in
+      checki (label ^ ": events executed") events events';
+      checki (label ^ ": underlay/messages") messages messages';
+      checki (label ^ ": lookups found") found found')
+    [
+      ("sampled", P2p_sim.Trace.create ~capacity:100_000 ~sample_rate:0.01 ~sample_seed:11 ());
+      ("full", P2p_sim.Trace.create ~capacity:100_000 ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "intern: round trips" `Quick test_intern_round_trip;
@@ -572,6 +602,8 @@ let suite =
     Alcotest.test_case "lookups: finger-routed by default" `Slow test_default_lookup_hops;
     Alcotest.test_case "schedule: concurrent joins pinned" `Slow
       test_concurrent_joins_pinned;
+    Alcotest.test_case "telemetry: simulation unchanged" `Quick
+      test_telemetry_leaves_simulation_unchanged;
     Alcotest.test_case "joins: finger work near-linear" `Slow
       test_join_refresh_work_bounded;
   ]

@@ -4,6 +4,7 @@
 module Trace = P2p_sim.Trace
 module Ascii_plot = P2p_stats.Ascii_plot
 module Scenario = P2p_scenario.Scenario
+module Pipeline = P2p_scenario.Pipeline
 module H = Hybrid_p2p.Hybrid
 
 let checkb = Alcotest.check Alcotest.bool
@@ -133,7 +134,7 @@ let test_histogram_bars () =
 let test_scenario_basic_flow () =
   let h = H.create_star ~seed:82 ~peers:256 () in
   let report =
-    Scenario.run h ~seed:1
+    Scenario.exec (Pipeline.attach h) ~seed:1
       ~script:
         [ Scenario.Join_many (60, 0.7); Scenario.Insert_items 100; Scenario.Settle;
           Scenario.Lookup_items 100; Scenario.Settle ]
@@ -148,7 +149,7 @@ let test_scenario_basic_flow () =
 let test_scenario_crash_storm () =
   let h = H.create_star ~seed:83 ~peers:256 () in
   let report =
-    Scenario.run h ~seed:2
+    Scenario.exec (Pipeline.attach h) ~seed:2
       ~script:
         [ Scenario.Join_many (80, 0.7); Scenario.Insert_items 200;
           Scenario.Crash_fraction 0.25; Scenario.Repair;
@@ -164,7 +165,7 @@ let test_scenario_implicit_repair () =
   (* a script that crashes without repairing still ends checkable *)
   let h = H.create_star ~seed:84 ~peers:128 () in
   let report =
-    Scenario.run h ~seed:3
+    Scenario.exec (Pipeline.attach h) ~seed:3
       ~script:[ Scenario.Join_many (30, 0.6); Scenario.Crash_random; Scenario.Crash_random ]
   in
   checki "two crashed" 2 report.Scenario.crashed;
@@ -173,7 +174,7 @@ let test_scenario_implicit_repair () =
 let test_scenario_lookup_before_insert () =
   let h = H.create_star ~seed:85 ~peers:64 () in
   let report =
-    Scenario.run h ~seed:4
+    Scenario.exec (Pipeline.attach h) ~seed:4
       ~script:[ Scenario.Join_many (10, 0.5); Scenario.Lookup_items 5 ]
   in
   checki "counted as failed" 5 report.Scenario.lookups_failed
@@ -181,7 +182,7 @@ let test_scenario_lookup_before_insert () =
 let test_scenario_mixed_churn () =
   let h = H.create_star ~seed:86 ~peers:256 () in
   let report =
-    Scenario.run h ~seed:5
+    Scenario.exec (Pipeline.attach h) ~seed:5
       ~script:
         [ Scenario.Join_many (50, 0.7); Scenario.Insert_items 100;
           Scenario.Leave_random; Scenario.Leave_random; Scenario.Join_t;
