@@ -317,7 +317,9 @@ let key i = Printf.sprintf "item-%06d" i
 
 let advance l ~ops =
   let stop = l.l_next + min ops (l.l_items + l.l_lookups - l.l_next) in
-  let g0 = Gc.quick_stat () in
+  (* [Gc.minor_words] is exact, where [Gc.quick_stat]'s minor count may
+     advance only at collections, a whole minor heap at a time *)
+  let w0 = Gc.minor_words () in
   let t0 = Sys.time () in
   while l.l_next < stop do
     let from = l.l_peers.(Rng.int l.l_rng l.l_n) in
@@ -335,18 +337,20 @@ let advance l ~ops =
     l.l_next <- l.l_next + 1
   done;
   l.l_cpu_s <- l.l_cpu_s +. (Sys.time () -. t0);
-  l.l_minor_words <-
-    l.l_minor_words +. ((Gc.quick_stat ()).Gc.minor_words -. g0.Gc.minor_words)
+  l.l_minor_words <- l.l_minor_words +. (Gc.minor_words () -. w0)
 
 (* Two legs over the same workload in alternating chunks of
    [overhead_chunk] operations: both see the same host conditions, so
    their throughput ratio is not at the mercy of which one a noisy
-   neighbour happened to slow down. *)
-let interleave a b =
-  while not (leg_done a && leg_done b) do
+   neighbour happened to slow down.  The leg that runs first swaps every
+   round: on the transit-stub graph a fixed order costs the second leg a
+   few percent. *)
+let rec interleave a b =
+  if not (leg_done a && leg_done b) then begin
     advance a ~ops:overhead_chunk;
-    advance b ~ops:overhead_chunk
-  done
+    advance b ~ops:overhead_chunk;
+    interleave b a
+  end
 
 let finish_leg l =
   let h = l.l_h and n = l.l_n in
@@ -471,17 +475,17 @@ let deep_queue ~seed ~chains ~events =
   for _ = 1 to chains do
     Engine.schedule_detached e ~label:None ~delay:(Rng.float rng 100.0) deliver
   done;
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and m0 = Gc.minor_words () in
   let w0 = Sys.time () in
   Engine.run e;
   let wall = Sys.time () -. w0 in
-  let g1 = Gc.quick_stat () in
+  let g1 = Gc.quick_stat () and m1 = Gc.minor_words () in
   let n = float_of_int (Engine.events_executed e) in
   {
     chains;
     deep_events = Engine.events_executed e;
     ns_per_event = wall *. 1e9 /. n;
-    deep_minor_words_per_event = (g1.Gc.minor_words -. g0.Gc.minor_words) /. n;
+    deep_minor_words_per_event = (m1 -. m0) /. n;
     promoted_words_per_event = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. n;
   }
 

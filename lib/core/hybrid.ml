@@ -89,7 +89,8 @@ let finish_join t peer started ~op ?(on_done = fun (_ : join_outcome) -> ()) ~ho
   Trace.end_op (trace t) ~time:(now t) ~op
     "#%d joined, %d hops, %.2f ms" peer.Peer.host hops latency;
   Failure.enable_heartbeats t.w peer;
-  on_done { peer; hops; latency }
+  on_done { peer; hops; latency };
+  T_network.process_queue peer
 
 let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
   (match World.find_peer t.w ~host with
@@ -203,22 +204,19 @@ let leave t peer ?(on_done = fun () -> ()) () =
       "#%d left" peer.Peer.host;
     on_done ()
   in
-  match peer.Peer.role with
-  | Peer.T_peer -> T_network.leave t.w ~op peer ~on_done
-  | Peer.S_peer ->
-    (* a joining s-peer has no tree to leave until its join wires it;
-       retry shortly, as a t-peer leave waits out pending joins *)
-    let rec leave_wired () =
-      if Option.is_none peer.Peer.t_home then
-        ignore
-          (World.one_shot t.w ~delay:1.0 (fun () -> if peer.Peer.alive then leave_wired ())
-            : P2p_transport.Transport.timer)
-      else begin
+  (* a peer has nothing to leave until its join wires it: the leave
+     waits in its own queue, which [finish_join] drains *)
+  let rec leave_wired () =
+    if Option.is_none peer.Peer.t_home then
+      T_network.wait_at peer (fun () -> if peer.Peer.alive then leave_wired ())
+    else
+      match peer.Peer.role with
+      | Peer.T_peer -> T_network.leave t.w ~op peer ~on_done
+      | Peer.S_peer ->
         S_network.leave t.w ~op peer;
         on_done ()
-      end
-    in
-    leave_wired ()
+  in
+  leave_wired ()
 
 let crash t peer = Failure.crash t.w peer
 

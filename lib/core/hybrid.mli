@@ -116,10 +116,10 @@ val fresh_host : t -> int
 
 (** [leave t peer ?on_done ()] departs gracefully (role transfer /
     leave triangle for t-peers; load handoff and subtree rejoin for
-    s-peers).  A t-peer with joins pending and an s-peer whose join has
-    not yet wired it into a tree retry every simulated millisecond
-    until they can leave; [on_done] fires once, when the peer has
-    left. *)
+    s-peers).  A peer whose join has not wired it yet waits in its own
+    queue until the join completes, and a t-peer leave then waits behind
+    its own and its predecessor's segment locks ({!T_network.leave}); no
+    wait arms a timer.  [on_done] fires once, when the peer has left. *)
 val leave : t -> Peer.t -> ?on_done:(unit -> unit) -> unit -> unit
 
 (** [crash t peer] rips the peer out without notice; its data is lost. *)

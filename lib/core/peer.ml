@@ -2,13 +2,6 @@ open P2p_hashspace
 
 type role = T_peer | S_peer
 
-type 'peer pending_join = {
-  candidate : 'peer;
-  announce : hops:int -> unit;
-  hops_so_far : int;
-  op : int option;
-}
-
 type t = {
   host : int;
   mutable p_id : Id_space.id;
@@ -21,7 +14,7 @@ type t = {
   mutable fingers : t option array;
   mutable joining : bool;
   mutable leaving : bool;
-  mutable join_queue : t pending_join list;
+  mutable join_queue : (unit -> unit) list;
   mutable t_home : t option;
   mutable cp : t option;
   mutable children : t list;

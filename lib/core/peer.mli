@@ -17,17 +17,6 @@ open P2p_hashspace
 
 type role = T_peer | S_peer
 
-(** A pending t-network join, queued while the predecessor's segment is
-    locked by another join/leave (Section 3.3). *)
-type 'peer pending_join = {
-  candidate : 'peer;  (** the joining peer *)
-  announce : hops:int -> unit;
-      (** called when the join triangle completes, with the hop count the
-          join request accumulated *)
-  hops_so_far : int;
-  op : int option;  (** trace operation id of the join, if tracing *)
-}
-
 type t = private {
   host : int;  (** physical node the peer runs on; also its address *)
   mutable p_id : Id_space.id;
@@ -44,9 +33,15 @@ type t = private {
           {!World.fingers}, which brings it up to date first, and write
           its entries only through {!set_finger}: the array itself is
           mutable, so the type cannot keep an unlogged write out. *)
-  mutable joining : bool;  (** mutex: a join after me is in flight *)
-  mutable leaving : bool;  (** mutex: I am executing the leave triangle *)
-  mutable join_queue : t pending_join list;  (** FIFO, newest last *)
+  mutable joining : bool;
+      (** segment lock: a join triangle after me, or my successor's leave
+          triangle, is in flight *)
+  mutable leaving : bool;  (** segment lock: I am executing the leave triangle *)
+  mutable join_queue : (unit -> unit) list;
+      (** ring changes waiting for my segment lock, FIFO, newest last: a
+          join whose predecessor I am, a leave of mine or of my successor,
+          and, until my own join wires me, my leave (Section 3.3).
+          {!T_network.process_queue} runs them. *)
   (* s-network state *)
   mutable t_home : t option;  (** t-peer of my s-network; self for t-peers *)
   mutable cp : t option;  (** connect point = tree parent; [None] for roots *)
@@ -140,7 +135,7 @@ val set_succ : t -> t option -> unit
 val set_pred : t -> t option -> unit
 val set_joining : t -> bool -> unit
 val set_leaving : t -> bool -> unit
-val set_join_queue : t -> t pending_join list -> unit
+val set_join_queue : t -> (unit -> unit) list -> unit
 val set_t_home : t -> t option -> unit
 val set_cp : t -> t option -> unit
 

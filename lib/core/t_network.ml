@@ -75,15 +75,21 @@ let load_transfer_on_join w ~joiner ~succ ~pre_id =
           moved)
       (Peer.tree_members succ)
 
-let rec process_queue w pre =
-  match pre.Peer.join_queue with
-  | [] -> ()
-  | { Peer.candidate; announce; hops_so_far; op } :: rest ->
-    Peer.set_join_queue pre rest;
-    begin_insert w ?op ~pre ~joiner:candidate ~hops:hops_so_far ~announce
-      ~on_fail:(fun () -> ()) ()
+(* A t-peer's segment lock: a join triangle after it, or a leave
+   triangle it is in, as the leaver or as the leaver's predecessor. *)
+let locked peer = peer.Peer.joining || peer.Peer.leaving
 
-and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
+let wait_at peer k = Peer.set_join_queue peer (peer.Peer.join_queue @ [ k ])
+
+let rec process_queue peer =
+  match peer.Peer.join_queue with
+  | k :: rest when not (locked peer) ->
+    Peer.set_join_queue peer rest;
+    k ();
+    process_queue peer
+  | [] | _ :: _ -> ()
+
+let rec begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
   let succ = successor_or_self pre in
   if not pre.Peer.alive then
     (* The located predecessor died meanwhile; restart from the oracle. *)
@@ -94,24 +100,19 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
            begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail ())
          ()
      | None -> on_fail ())
-  else if pre.Peer.joining || pre.Peer.leaving then
-    Peer.set_join_queue pre
-      (pre.Peer.join_queue
-       @ [ { Peer.candidate = joiner; announce; hops_so_far = hops; op } ])
+  else if locked pre then
+    wait_at pre (fun () -> begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail ())
   else if
     succ != pre
     && not
          (Id_space.between_incl_right joiner.Peer.p_id ~left:pre.Peer.p_id
             ~right:succ.Peer.p_id)
-  then begin
-    (* The segment shrank while this request was queued; re-route the
-       candidate and keep draining this peer's queue. *)
+  then
+    (* The segment shrank while this request was queued; re-route it. *)
     find_position w ?op ~current:pre ~p_id:joiner.Peer.p_id ~hops
       ~on_found:(fun ~pre ~hops ->
         begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail ())
-      ();
-    process_queue w pre
-  end
+      ()
   else begin
     (* pre.check: resolve an ID conflict by the ring midpoint. *)
     let conflict =
@@ -126,10 +127,7 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
           true
         | None -> false
     in
-    if not id_ok then begin
-      on_fail ();
-      process_queue w pre
-    end
+    if not id_ok then on_fail ()
     else begin
       Peer.set_joining pre true;
       let pre_id = pre.Peer.p_id in
@@ -151,7 +149,7 @@ and begin_insert w ?op ~pre ~joiner ~hops ~announce ~on_fail () =
                   Peer.set_joining pre false;
                   World.bump w ~subsystem:"t_network" ~name:"joins_completed";
                   announce ~hops:(hops + 3);
-                  process_queue w pre)))
+                  process_queue pre)))
     end
   end
 
@@ -248,9 +246,10 @@ let promote_replacement w ?op ~old_peer ~replacement ~transfer_data () =
             ~on_done:(fun ~hops:_ -> ()) ()))
     orphans
 
-(* Leave triangle (Fig. 2, right): leaving -> pre -> suc -> leaving. *)
+(* Leave triangle (Fig. 2, right): leaving -> pre -> suc -> leaving.
+   The leaver holds its own lock and its predecessor's for the whole
+   triangle: both segments it rewires are closed to other changes. *)
 let leave_triangle w ?op peer ~on_done =
-  Peer.set_leaving peer true;
   let succ = successor_or_self peer in
   if succ == peer then begin
     (* Last t-peer of the system. *)
@@ -260,6 +259,8 @@ let leave_triangle w ?op peer ~on_done =
   end
   else begin
     let pred = Option.value peer.Peer.pred ~default:succ in
+    Peer.set_leaving peer true;
+    Peer.set_joining pred true;
     (* n.loaddump(): all data moves to the successor. *)
     List.iter
       (fun (key, value, route_id) ->
@@ -282,45 +283,37 @@ let leave_triangle w ?op peer ~on_done =
                 Peer.set_alive peer false;
                 World.unregister w peer;
                 World.substitute_in_fingers w ~old_peer:peer ~replacement:succ;
-                (* Joins queued at [peer] while it was leaving would never
-                   be served: re-route each from [succ], which now covers
-                   the segment they were headed for. *)
-                let stranded = peer.Peer.join_queue in
-                Peer.set_join_queue peer [];
-                List.iter
-                  (fun { Peer.candidate; announce; hops_so_far; op } ->
-                    find_position w ?op ~current:succ ~p_id:candidate.Peer.p_id
-                      ~hops:hops_so_far
-                      ~on_found:(fun ~pre ~hops ->
-                        begin_insert w ?op ~pre ~joiner:candidate ~hops ~announce
-                          ~on_fail:(fun () -> ())
-                          ())
-                      ())
-                  stranded;
-                on_done ())))
+                Peer.set_leaving peer false;
+                Peer.set_joining pred false;
+                on_done ();
+                (* joins that waited at the leaver find it dead and
+                   re-resolve their segment from the live ring *)
+                process_queue peer;
+                process_queue pred)))
   end
 
 let rec leave w ?op peer ~on_done =
   if not peer.Peer.alive then invalid_arg "T_network.leave: dead peer";
   if not (Peer.is_t_peer peer) then invalid_arg "T_network.leave: not a t-peer";
-  if peer.Peer.joining || peer.Peer.join_queue <> [] || peer.Peer.leaving then
-    (* Pending joins must complete first; retry shortly. *)
-    ignore
-      (World.one_shot w ~delay:1.0 (fun () ->
-           if peer.Peer.alive then leave w ?op peer ~on_done)
-        : P2p_transport.Transport.timer)
-  else begin
-    World.bump w ~subsystem:"t_network" ~name:"leaves";
-    let members =
-      List.filter (fun m -> m != peer && m.Peer.alive) (Peer.tree_members peer)
-    in
-    match members with
-    | [] -> leave_triangle w ?op peer ~on_done
-    | _ ->
-      let replacement = Rng.pick_list w.World.rng members in
-      promote_replacement w ?op ~old_peer:peer ~replacement ~transfer_data:true ();
-      on_done ()
-  end
+  (* The paper's "will not accept any leave request ... process the join
+     request first": wait behind this segment's lock, then behind the
+     predecessor's. *)
+  let retry () = if peer.Peer.alive then leave w ?op peer ~on_done in
+  if locked peer then wait_at peer retry
+  else
+    match peer.Peer.pred with
+    | Some pred when pred.Peer.alive && locked pred -> wait_at pred retry
+    | Some _ | None -> (
+      World.bump w ~subsystem:"t_network" ~name:"leaves";
+      let members =
+        List.filter (fun m -> m != peer && m.Peer.alive) (Peer.tree_members peer)
+      in
+      match members with
+      | [] -> leave_triangle w ?op peer ~on_done
+      | _ ->
+        let replacement = Rng.pick_list w.World.rng members in
+        promote_replacement w ?op ~old_peer:peer ~replacement ~transfer_data:true ();
+        on_done ())
 
 let route_to_owner w ?op ~from ~d_id ~visit ~on_arrive () =
   if not (Peer.is_t_peer from) then invalid_arg "T_network.route_to_owner: from";

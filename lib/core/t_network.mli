@@ -4,11 +4,11 @@
 
     - position finding for a joining t-peer, walking the ring (optionally
       finger-accelerated) as messages through the underlay;
-    - the {e join triangle}: [pre -> new -> suc -> pre], serialized per
-      segment by the [joining]/[leaving] mutexes with a FIFO queue of
-      deferred joins;
-    - the {e leave triangle}: [leaving -> pre -> suc -> leaving], with the
-      predecessor-identity check at [suc];
+    - the {e join triangle}: [pre -> new -> suc -> pre], and the {e leave
+      triangle}: [leaving -> pre -> suc -> leaving], with the
+      predecessor-identity check at [suc]; both serialized per segment by
+      the [joining]/[leaving] locks, every change that finds a lock held
+      waiting in that peer's FIFO queue ({!wait_at}, {!process_queue});
     - ID-conflict resolution by ring midpoint;
     - role transfer: a leaving t-peer with a non-empty s-network promotes a
       random s-peer instead of tearing the segment down, so finger tables
@@ -24,13 +24,16 @@ open P2p_hashspace
 
 (** [join w ~joiner ~introducer ~on_done] inserts [joiner] (role must be
     [T_peer]) into the ring.  The join request routes from [introducer] to
-    the correct segment, waits in the predecessor's queue if the segment is
-    locked, runs the join triangle, pulls the joiner's data segment out of
+    the correct segment, waits in the predecessor's queue while the
+    predecessor is locked, runs the join triangle under the predecessor's
+    [joining] lock, pulls the joiner's data segment out of
     the successor's s-network, registers the peer and finally calls
     [on_done ~hops].  On an unresolvable ID conflict (full segment) the
     join is abandoned and [on_fail] fires.  [op] stamps every message the
     join causes — including messages of queued, re-routed and restarted
-    attempts — with the operation id in the trace. *)
+    attempts — with the operation id in the trace.  A join still waiting
+    at a peer whose leave ends re-resolves its segment from the live
+    ring. *)
 val join :
   World.t ->
   ?op:int ->
@@ -47,10 +50,27 @@ val bootstrap : World.t -> Peer.t -> unit
 (** [leave w peer ~on_done] removes a t-peer gracefully.  With a non-empty
     s-network a random s-peer is promoted in place (Section 3.2.1); with an
     empty one the leave triangle runs and the data load dumps to the
-    successor.  If the peer's segment is busy the leave retries shortly
+    successor.  The leave waits in the peer's own queue while the peer is
+    locked, then in its live predecessor's queue while that one is locked
     (the paper's "will not accept any leave request ... process the join
-    request first").  [op] is the trace operation id of the leave. *)
+    request first"); it arms no timer.  The triangle holds the peer's
+    [leaving] lock and the predecessor's [joining] lock until its last
+    leg, then drains both queues.  [op] is the trace operation id of the
+    leave. *)
 val leave : World.t -> ?op:int -> Peer.t -> on_done:(unit -> unit) -> unit
+
+(** [wait_at peer k] queues the ring change [k] at [peer], behind the
+    changes already waiting there.  Callers queue only at a locked peer,
+    or a leave at a peer its join has not wired yet; [k] re-checks its
+    conditions when it runs. *)
+val wait_at : Peer.t -> (unit -> unit) -> unit
+
+(** [process_queue peer] runs [peer]'s queued changes in order, stopping
+    as soon as one takes [peer]'s lock again (or the queue empties).  The
+    lock holders call it when they release: the join and leave triangles'
+    last legs, and {!Hybrid}'s join completion for a leave that waited to
+    be wired. *)
+val process_queue : Peer.t -> unit
 
 (** [promote_replacement w ~old_peer ~replacement ~transfer_data] executes
     the role transfer shared by graceful leave ([transfer_data = true])

@@ -926,9 +926,7 @@ let test_setter_corruption_next_tick () =
       ( "join_queue",
         `Gauge,
         fun w ->
-          Peer.set_join_queue (root w 1)
-            [ { Peer.candidate = root w 2; announce = (fun ~hops:_ -> ()); hops_so_far = 0;
-                op = None } ] );
+          Peer.set_join_queue (root w 1) [ (fun () -> ()) ] );
       ( "fingers",
         `Violation,
         fun w ->

@@ -114,6 +114,23 @@ let test_leave_during_pending_join_queue () =
   List.iter (fun p -> checkb "joiner alive" true p.Peer.alive) joiners;
   ok_invariants h
 
+let test_stuck_leave_queues_no_events () =
+  (* an s-peer whose join is abandoned (every t-peer crashes while its
+     request is in flight) is never wired: its leave waits in its own
+     queue for good, with no timer re-armed *)
+  let h = H.create_star ~seed:9 ~peers:16 () in
+  let roots = List.init 3 (fun i -> H.join h ~host:i ~p_id:(i * 1_000_000) ~role:Peer.T_peer ()) in
+  H.run h;
+  let s = H.join h ~host:5 ~role:Peer.S_peer () in
+  List.iter (H.crash h) roots;
+  let left = ref false in
+  H.leave h s ~on_done:(fun () -> left := true) ();
+  H.run_for h 5_000.0;
+  checkb "join never wired" true (Option.is_none s.Peer.t_home);
+  checkb "leave never completed" false !left;
+  checki "leave waits in the peer's queue" 1 (List.length s.Peer.join_queue);
+  checki "no events queued" 0 (P2p_sim.Engine.pending (H.engine h))
+
 let test_crash_during_lookup_times_out () =
   let config = { default_config with Config.lookup_timeout = 500.0 } in
   let h, _ = star_system ~config ~seed:7 ~n:60 ~ps:0.5 () in
@@ -485,6 +502,8 @@ let suite =
     Alcotest.test_case "bypass shortcut skips ring" `Quick test_bypass_shortcut_skips_ring;
     Alcotest.test_case "link-usage-aware tree" `Quick test_link_usage_aware_tree;
     Alcotest.test_case "leave with pending joins" `Quick test_leave_during_pending_join_queue;
+    Alcotest.test_case "stuck leave queues no events" `Quick
+      test_stuck_leave_queues_no_events;
     Alcotest.test_case "crash during lookup" `Quick test_crash_during_lookup_times_out;
     Alcotest.test_case "run_for partial progress" `Quick test_run_for_partial_progress;
     Alcotest.test_case "empty distribution" `Quick test_zero_items_distribution;

@@ -207,16 +207,15 @@ let join_leave_run ~seed ~k ~j =
   H.run h;
   (h, joiners, joined, left)
 
-(* A join queued at a peer that is leaving is re-routed from the
-   leaver's successor when the leave ends, instead of vanishing: over
-   500 seeds with 2 joins (1 leaving) and with 12 joins (4 leaving),
-   every join's [on_done] fires exactly once, every leave completes once
-   and every joiner that stayed is registered.  (The ring itself is not
-   checked: a leave still rewires a predecessor that is mid-join.) *)
+(* A join queued at a peer that is leaving re-resolves its segment from
+   the live ring when the leave ends, instead of vanishing: over 500
+   seeds with 2 or 3 joins (1 leaving) and with 12 joins (4 leaving), every
+   join's [on_done] fires exactly once, every leave completes once,
+   every joiner that stayed is registered and [Checks.final] passes. *)
 let test_joins_queued_at_a_leaver () =
   List.iter
     (fun (k, j) ->
-      let bad = ref 0 in
+      let bad = ref 0 and broken = ref 0 in
       for seed = 1 to 500 do
         let h, joiners, joined, left = join_leave_run ~seed ~k ~j in
         let registered = H.peers h in
@@ -227,10 +226,12 @@ let test_joins_queued_at_a_leaver () =
               !ok && joined.(i) = 1
               && if i < j then left.(i) = 1 else List.memq p registered)
           joiners;
-        if not !ok then incr bad
+        if not !ok then incr bad;
+        if Result.is_error (final_invariants h) then incr broken
       done;
-      checki (Printf.sprintf "seeds with a lost join (k=%d, j=%d)" k j) 0 !bad)
-    [ (2, 1); (12, 4) ]
+      checki (Printf.sprintf "seeds with a lost join (k=%d, j=%d)" k j) 0 !bad;
+      checki (Printf.sprintf "seeds with a broken ring (k=%d, j=%d)" k j) 0 !broken)
+    [ (2, 1); (3, 1); (12, 4) ]
 
 let test_join_load_transfer () =
   (* items whose d_id falls into a new t-peer's segment move to it *)
