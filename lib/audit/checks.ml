@@ -649,6 +649,14 @@ let member_full inc ~final who w =
             "server size table: s-network of #%d recorded as %d, counted %d" host recorded
             actual);
   inc.member_base <- base_if inc (col.acc = [] && !in_transit = 0 && !odd = 0);
+  (* at rest every join and leave has ended: one still open waits on a
+     lock that never frees *)
+  if final then begin
+    if w.World.open_joins > 0 then
+      err col "%d join(s) begun through Hybrid never ended" w.World.open_joins;
+    if w.World.open_leaves > 0 then
+      err col "%d leave(s) begun through Hybrid never ended" w.World.open_leaves
+  end;
   inc.work <- inc.work + World.peer_count w;
   inc.scanned <- who :: inc.scanned;
   finish col

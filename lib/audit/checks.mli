@@ -110,7 +110,9 @@ val describe : check -> string
     never miss); it rebuilds stale summaries first (derived state only)
     and is a no-op while [bloom_bits_per_key = 0].
     [membership] also checks the parent side of every s-tree edge: a
-    rooted s-peer's connect point lists it among its children.
+    rooted s-peer's connect point lists it among its children; at rest
+    it reports every join or leave begun through [Hybrid] that never
+    ended ([World.open_joins], [World.open_leaves]).
     [replication_factor] holds
     every primary item to [min r (Policy.expected_copies)] live replica
     copies; online it stays quiet (gauges only) while copies are in
@@ -176,8 +178,8 @@ val run_all : ?state:state -> ?checks:check list -> Hybrid_p2p.World.t -> snapsh
     invariant check behind every [invariants:] line.  Every in-flight
     tolerance is off — an engaged join/leave mutex or a queued join on
     any t-peer, a ring segment with a busy endpoint, a detached s-peer,
-    an unsettled segment boundary and outstanding replica copies are
-    all errors.  Call it once the event queue holds no protocol work
+    an unsettled segment boundary, outstanding replica copies and a
+    join or leave that never ended are all errors.  Call it once the event queue holds no protocol work
     (periodic timers such as heartbeats may stay armed).  Runs from a
     fresh state. *)
 val final : Hybrid_p2p.World.t -> snapshot

@@ -1,7 +1,7 @@
 open P2p_hashspace
 module Rng = P2p_sim.Rng
 module Engine = P2p_sim.Engine
-module Transport = P2p_transport.Transport
+module Timer = P2p_sim.Timer
 module Trace = P2p_sim.Trace
 module Metrics = P2p_net.Metrics
 
@@ -154,7 +154,7 @@ type ctx = {
 and batch = {
   expiry : expiry;
   armed_at : float;
-  mutable timer : Transport.timer option;  (* [None] once fired or cancelled *)
+  mutable timer : Timer.t option;  (* [None] once fired or cancelled *)
   mutable members : ctx array;  (* [members.(0 .. size - 1)], in arming order *)
   mutable size : int;
   mutable live : int;  (* members still open in this batch *)
@@ -182,7 +182,7 @@ let leave_batch ctx =
   let b = ctx.batch in
   b.live <- b.live - 1;
   if b.live = 0 then begin
-    Option.iter Transport.cancel b.timer;
+    Option.iter Timer.cancel b.timer;
     b.timer <- None;
     b.members <- [||];
     b.size <- 0
@@ -485,7 +485,7 @@ let keyword_lookup w ~from ~substring ~route_id ?ttl ~window () ~on_result =
          Trace.end_op (World.trace w) ~time:(World.now w) ~op
            "%d matches" (List.length !matches);
          on_result (List.rev !matches))
-      : Transport.timer);
+      : Timer.t);
   let scan_peer peer =
     Metrics.record_contact w.World.metrics;
     Data_store.iter peer.Peer.store (fun ~key ~value:_ ~route_id:_ ->

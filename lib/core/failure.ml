@@ -1,4 +1,4 @@
-module Transport = P2p_transport.Transport
+module Timer = P2p_sim.Timer
 module Trace = P2p_sim.Trace
 
 (* Every overlay link a peer maintains: its tree edges plus, for a t-peer,
@@ -15,7 +15,7 @@ let overlay_neighbors peer =
 let is_neighbor peer q = List.exists (fun n -> n == q) (overlay_neighbors peer)
 
 let cancel_watchdogs peer =
-  Option.iter (Hashtbl.iter (fun _ t -> Transport.cancel t)) peer.Peer.watchdogs;
+  Option.iter (Hashtbl.iter (fun _ t -> Timer.cancel t)) peer.Peer.watchdogs;
   Peer.drop_watchdogs peer
 
 (* Collect the live members of a crashed t-peer's former s-network by
@@ -68,7 +68,7 @@ let elect w ~dead =
 
 let rec arm_watchdog w peer ~target =
   match Peer.watchdog peer target.Peer.host with
-  | Some t -> Transport.reset t
+  | Some t -> Timer.reset t
   | None ->
     let t =
       World.one_shot w ~delay:w.World.config.Config.hello_timeout (fun () ->
@@ -134,7 +134,7 @@ let broadcast_hello w peer () =
 let enable_heartbeats w peer =
   if w.World.config.Config.heartbeats && peer.Peer.alive then begin
     (match peer.Peer.hello_timer with
-     | Some t -> Transport.cancel t
+     | Some t -> Timer.cancel t
      | None -> ());
     Peer.set_hello_timer peer
       (Some
@@ -161,7 +161,7 @@ let install_query_hook w =
               (* The scheduled HELLO is cancelled to save bandwidth: the ack
                  doubles as the heartbeat. *)
               (match receiver.Peer.hello_timer with
-               | Some t -> Transport.reset t
+               | Some t -> Timer.reset t
                | None -> ());
               World.send w ~src:receiver ~dst:sender (fun () ->
                   if sender.Peer.alive && receiver.Peer.alive then
@@ -180,7 +180,7 @@ let crash w peer =
   Peer.set_bypass peer [];
   (match peer.Peer.hello_timer with
    | Some t ->
-     Transport.cancel t;
+     Timer.cancel t;
      Peer.set_hello_timer peer None
    | None -> ());
   cancel_watchdogs peer;

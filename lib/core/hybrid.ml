@@ -25,8 +25,7 @@ let processing_delay = 0.1
 let create ~seed ~routing ?(config = Config.default) ?snet_policy ?stress ?trace () =
   let engine = Engine.create ~seed () in
   let metrics = Metrics.create () in
-  (* exact latency path: Spans.record sees the listener and skips its
-     own (sampled, ring-bounded) totals fold *)
+  (* latency totals from every op, sampled or not *)
   (match trace with
    | Some tr when Trace.enabled tr ->
      P2p_obs.Spans.record_totals (Metrics.registry metrics) tr
@@ -84,6 +83,7 @@ let run t = Engine.run (engine t)
 let run_for t ms = Engine.run_until (engine t) ~time:(now t +. ms)
 
 let finish_join t peer started ~op ?(on_done = fun (_ : join_outcome) -> ()) ~hops () =
+  t.w.World.open_joins <- t.w.World.open_joins - 1;
   let latency = now t -. started in
   Metrics.record_join (metrics t) ~latency ~hops;
   Trace.end_op (trace t) ~time:(now t) ~op
@@ -108,6 +108,7 @@ let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
         if Rng.bernoulli t.w.World.rng s_fraction then Peer.S_peer else Peer.T_peer
   in
   let started = now t in
+  t.w.World.open_joins <- t.w.World.open_joins + 1;
   match role with
   | Peer.T_peer ->
     let p_id = match p_id with Some id -> id | None -> World.fresh_p_id t.w in
@@ -134,8 +135,7 @@ let join t ~host ?role ?p_id ?(link_capacity = 1.0) ?interest ?on_done () =
             incr retries;
             if !retries <= 30 then
               ignore
-                (World.one_shot t.w ~delay:1.0 start_join
-                  : P2p_transport.Transport.timer))
+                (World.one_shot t.w ~delay:1.0 start_join : P2p_sim.Timer.t))
           ~on_done:(fun ~hops -> finish_join t peer started ~op ?on_done ~hops ())
           ()
     in
@@ -199,7 +199,9 @@ let leave t peer ?(on_done = fun () -> ()) () =
     Trace.begin_op (trace t) ~time:(now t) ~kind:Trace.Leave
       (Printf.sprintf "#%d" peer.Peer.host)
   in
+  t.w.World.open_leaves <- t.w.World.open_leaves + 1;
   let on_done () =
+    t.w.World.open_leaves <- t.w.World.open_leaves - 1;
     Trace.end_op (trace t) ~time:(now t) ~op
       "#%d left" peer.Peer.host;
     on_done ()

@@ -25,8 +25,8 @@ type t = {
   mutable summaries_epoch : int;
   mutable tracker_index : (string, t) Hashtbl.t option;
   mutable bypass : (t * float) list;
-  mutable watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t option;
-  mutable hello_timer : P2p_transport.Transport.timer option;
+  mutable watchdogs : (int, P2p_sim.Timer.t) Hashtbl.t option;
+  mutable hello_timer : P2p_sim.Timer.t option;
   mutable last_ack_sent : float;
   log : log;
   mutable logged : int;

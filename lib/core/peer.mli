@@ -77,10 +77,10 @@ type t = private {
   (* bypass links, with absolute expiry times *)
   mutable bypass : (t * float) list;
   (* failure detection bookkeeping (driven by the [Failure] module) *)
-  mutable watchdogs : (int, P2p_transport.Transport.timer) Hashtbl.t option;
+  mutable watchdogs : (int, P2p_sim.Timer.t) Hashtbl.t option;
       (** neighbour host -> HELLO watchdog; created by the first armed
           watchdog (heartbeats on), dropped when the peer crashes *)
-  mutable hello_timer : P2p_transport.Transport.timer option;
+  mutable hello_timer : P2p_sim.Timer.t option;
   mutable last_ack_sent : float;  (** for the suppress timer *)
   log : log;  (** the world's change journal ({!World.change_log}) *)
   mutable logged : int;  (** the recording this peer was last journaled in *)
@@ -158,7 +158,7 @@ val refill_finger : t -> int -> t option -> unit
 
 val set_summaries_epoch : t -> int -> unit
 val set_bypass : t -> (t * float) list -> unit
-val set_hello_timer : t -> P2p_transport.Transport.timer option -> unit
+val set_hello_timer : t -> P2p_sim.Timer.t option -> unit
 val set_last_ack_sent : t -> float -> unit
 
 (** {1:features Feature tables}
@@ -180,9 +180,9 @@ val remove_tracked : t -> string -> unit
 val drop_tracker_index : t -> unit
 
 (** [watchdog p host] is [p]'s armed watchdog on neighbour [host]. *)
-val watchdog : t -> int -> P2p_transport.Transport.timer option
+val watchdog : t -> int -> P2p_sim.Timer.t option
 
-val set_watchdog : t -> int -> P2p_transport.Transport.timer -> unit
+val set_watchdog : t -> int -> P2p_sim.Timer.t -> unit
 val remove_watchdog : t -> int -> unit
 
 (** [drop_watchdogs p] forgets the table; it cancels no timer. *)

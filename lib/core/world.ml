@@ -60,6 +60,8 @@ type t = {
   mutable on_peer_failure : (Peer.t -> unit) option;
   mutable on_repaired : (op:int option -> unit) option;
   mutable replication_pending : int;
+  mutable open_joins : int;
+  mutable open_leaves : int;
 }
 
 let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
@@ -101,6 +103,8 @@ let create ~engine ~underlay ~metrics ?(trace = Trace.disabled) ~config
     on_peer_failure = None;
     on_repaired = None;
     replication_pending = 0;
+    open_joins = 0;
+    open_leaves = 0;
   }
 
 let now t = Transport.now t.transport
@@ -115,8 +119,7 @@ let send t ~src ~dst f =
   Transport.send t.transport ~src:src.Peer.host ~dst:dst.Peer.host f
 
 (* Timers on the transport clock — the protocol layers' only way to arm
-   delayed work, so the same code runs over the simulation engine and
-   the live wall-clock wheel. *)
+   delayed work. *)
 let one_shot t ?label ~delay f = Transport.one_shot t.transport ?label ~delay f
 
 let periodic t ?label ~period f =

@@ -27,9 +27,8 @@ type t = {
   underlay : P2p_net.Underlay.t;
   transport : P2p_transport.Transport.t;
       (** the seam every protocol message and timer goes through — a
-          {!P2p_transport.Sim_transport} over [underlay] here; the live
-          Unix backend implements the same signature for real
-          deployments *)
+          {!P2p_transport.Sim_transport} over [underlay].  The core's
+          messages are closures, which only that backend carries *)
   metrics : P2p_net.Metrics.t;
   trace : P2p_sim.Trace.t;
       (** where operation ids are minted and their span trees recorded *)
@@ -122,6 +121,13 @@ type t = {
           messages not yet delivered).  Audit checks treat a non-zero
           value as "mid-operation" and withhold under-replication
           errors. *)
+  mutable open_joins : int;
+      (** joins begun through [Hybrid.join] whose [finish_join] has not
+          run yet *)
+  mutable open_leaves : int;
+      (** leaves begun through [Hybrid.leave] that have not ended yet.
+          The final audit reports an open join or leave: at rest, a
+          change still open waits on a lock that never frees *)
 }
 
 val create :
@@ -146,16 +152,16 @@ val trace : t -> P2p_sim.Trace.t
 val send : t -> src:Peer.t -> dst:Peer.t -> (unit -> unit) -> unit
 
 (** [one_shot t ~delay f] arms a timer on the transport clock.  The
-    protocol layers must use these (not {!P2p_sim.Timer} directly) so
-    the same code runs over the simulation engine and the live
-    wall-clock wheel.  Cancelling after firing is a counted no-op (the
-    [timer/cancel_late] counter). *)
+    protocol layers arm timers only through these, never on an engine
+    of their own, and cancel, reset or test them with
+    {!P2p_sim.Timer}'s functions.  Cancelling after firing is a counted
+    no-op (the [timer/cancel_late] counter). *)
 val one_shot :
-  t -> ?label:string -> delay:float -> (unit -> unit) -> P2p_transport.Transport.timer
+  t -> ?label:string -> delay:float -> (unit -> unit) -> P2p_sim.Timer.t
 
 (** [periodic t ~period f] fires [f] every [period] until cancelled. *)
 val periodic :
-  t -> ?label:string -> period:float -> (unit -> unit) -> P2p_transport.Transport.timer
+  t -> ?label:string -> period:float -> (unit -> unit) -> P2p_sim.Timer.t
 
 (** [send_span t ?op ~tier ~phase ~src ~dst f] — {!send}, plus a causal
     span of [op] (parented on the op's root span) covering the message's

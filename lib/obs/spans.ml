@@ -111,7 +111,8 @@ let record_totals reg trace =
       Log_hist.observe h (c.Trace.comp_stop -. c.Trace.comp_start))
 
 (* Fold the analysis into the registry under subsystem "latency":
-   - log-histograms  <kind>_total_ms / <kind>_critical_ms  (percentiles)
+   - log-histograms  <kind>_critical_ms  (percentiles; <kind>_total_ms
+     is {!record_totals}' listener's)
    - log-histograms  phase_<phase>_ms  (per-phase span durations)
    - gauges          <kind>_tier_<tier>_ms  (critical-path ms per tier)
    - span-health gauges under subsystem "trace". *)
@@ -120,19 +121,9 @@ let record reg trace =
   Registry.incr
     ~by:(List.length ops)
     (Registry.counter reg ~subsystem:"latency" ~name:"ops_analyzed");
-  (* when an op-completion listener is wired ({!record_totals} feeds
-     <kind>_total_ms from 100% of ops), the retained root spans are
-     a sampled, bounded subset — folding them into the same histograms
-     would double count, so the exact path wins *)
-  let exact_totals = Trace.has_op_listener trace in
   let tier_totals = Hashtbl.create 16 in
   List.iter
     (fun o ->
-      if not exact_totals then
-        Log_hist.observe
-          (Registry.log_histogram reg ~subsystem:"latency"
-             ~name:(o.kind ^ "_total_ms"))
-          o.total_ms;
       Log_hist.observe
         (Registry.log_histogram reg ~subsystem:"latency"
            ~name:(o.kind ^ "_critical_ms"))

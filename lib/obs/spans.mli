@@ -37,12 +37,14 @@ val completed : P2p_sim.Trace.t -> op list
 
 (** [record_totals reg trace] installs the op-completion listener that
     feeds [latency/<kind>_total_ms] from every completed operation,
-    sampled or not.  {!record} then leaves those histograms to it. *)
+    sampled or not.  It is those histograms' only writer: every enabled
+    trace on a user path gets it at creation ([Hybrid.create],
+    [Live_node.create]). *)
 val record_totals : Registry.t -> P2p_sim.Trace.t -> unit
 
 (** [record reg trace] folds the analysis into [reg]: log-bucketed
-    latency histograms [latency/<kind>_total_ms], [<kind>_critical_ms]
-    and [phase_<phase>_ms], per-tier critical-path attribution gauges
+    latency histograms [latency/<kind>_critical_ms] and
+    [phase_<phase>_ms], per-tier critical-path attribution gauges
     [latency/<kind>_tier_<tier>_ms], and span-health gauges under
     [trace/]. *)
 val record : Registry.t -> P2p_sim.Trace.t -> unit

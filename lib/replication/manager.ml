@@ -4,7 +4,7 @@ module Config = Hybrid_p2p.Config
 module Data_store = Hybrid_p2p.Data_store
 module Intern = Hybrid_p2p.Intern
 module Summaries = Hybrid_p2p.Summaries
-module Transport = P2p_transport.Transport
+module Timer = P2p_sim.Timer
 module Trace = P2p_sim.Trace
 module Registry = P2p_obs.Registry
 module Metrics = P2p_net.Metrics
@@ -118,8 +118,8 @@ type t = {
   digest_mismatches : Registry.counter;
   stale_pruned : Registry.counter;
   live_factor : Registry.gauge;
-  mutable heal_timer : Transport.timer option;  (* debounced post-crash heal *)
-  mutable ae_timer : Transport.timer option;  (* periodic anti-entropy *)
+  mutable heal_timer : Timer.t option;  (* debounced post-crash heal *)
+  mutable ae_timer : Timer.t option;  (* periodic anti-entropy *)
   book : book;  (* what the last heal pass left *)
 }
 
@@ -491,7 +491,7 @@ let heal_stats t =
 let on_failure t _dead =
   let w = t.w in
   match t.heal_timer with
-  | Some timer -> Transport.reset timer
+  | Some timer -> Timer.reset timer
   | None ->
     w.World.replication_pending <- w.World.replication_pending + 1;
     t.heal_timer <-
@@ -593,7 +593,7 @@ let start t =
 let stop t =
   match t.ae_timer with
   | Some timer ->
-    Transport.cancel timer;
+    Timer.cancel timer;
     t.ae_timer <- None
   | None -> ()
 

@@ -130,6 +130,10 @@ let run_until t ~time =
   done;
   if time > t.clock then t.clock <- time
 
+let next_time t = Event_queue.next_time t.queue
+
+let advance t ~time = t.clock <- Float.max t.clock (Float.min time (next_time t))
+
 let events_executed t = t.executed
 
 let pending t = Event_queue.live_length t.queue

@@ -73,6 +73,18 @@ val run : t -> unit
     advances the clock to exactly [time]. *)
 val run_until : t -> time:float -> unit
 
+(** Timestamp of the earliest pending event, or [infinity] when none:
+    how long a driver outside the engine may sleep before it must call
+    {!run_until} again. *)
+val next_time : t -> float
+
+(** [advance t ~time] moves the clock forward to [time] without running
+    anything, but never past the earliest pending event: a driver that
+    reads time from outside (the live loop's wall clock) keeps the
+    clock fresh between {!run_until} calls, so a delay counts from its
+    own reading.  A [time] behind the clock changes nothing. *)
+val advance : t -> time:float -> unit
+
 (** {1 Profiling} *)
 
 (** [enable_profiling t] turns on per-label handler timing for events

@@ -499,8 +499,6 @@ let on_op_complete t f =
             g c;
             f c)
 
-let has_op_listener t = t.op_listener <> None
-
 let op_root_span t op = match op_root t op with r when r >= 0 -> Some r | _ -> None
 
 (* --- views --- *)

@@ -132,11 +132,6 @@ type op_completion = {
     regardless of the sample rate.  No-op on a disabled trace. *)
 val on_op_complete : t -> (op_completion -> unit) -> unit
 
-(** Is at least one {!on_op_complete} listener installed?  Consumers that
-    would otherwise derive per-op totals from retained root spans (a
-    sampled, bounded set) use this to avoid double counting. *)
-val has_op_listener : t -> bool
-
 (** [begin_op t ~time ~kind detail] mints a fresh operation id.  Ids are
     consecutive from [0] in minting order, so a fixed seed yields identical
     ids run to run.  The id is minted (and unique) even when the trace is

@@ -24,10 +24,14 @@
    per-connection buffer — a decode error closes the connection and
    counts [decode_errors], it never raises.
 
-   Wall-clock timers live on a {!Timer_wheel} sharing the engine timer's
-   cancel-after-fire semantics; [step] drives sockets and wheel
-   together.  Times are milliseconds since the transport's creation. *)
+   Timers are the simulation's own [P2p_sim.Timer]s, armed on an engine
+   the transport owns; [step] advances that engine to the wall clock
+   right after [select] returns, so timer actions run before any socket
+   is serviced and socket handlers arm timers from a fresh clock.  A
+   connection's reconnect is a one-shot on the same engine.  Times are
+   milliseconds since the transport's creation. *)
 
+open P2p_sim
 module Registry = P2p_obs.Registry
 
 type payload = Wire.msg
@@ -46,7 +50,6 @@ type conn = {
   rbuf : Buffer.t;
   mutable remote : int;  (* peer identified by Hello (inbound) *)
   mutable attempts : int;
-  mutable retry_at : float;  (* ms; meaningful in Backoff *)
 }
 
 (* The transport's [wire/*] counters, handles into its registry: the
@@ -78,7 +81,7 @@ type t = {
   mutable listen_fd : Unix.file_descr option;
   mutable handler :
     src:int -> dst:int -> trace:Wire.trace_ctx option -> Wire.msg -> unit;
-  wheel : Timer_wheel.t;
+  engine : Engine.t;  (* wall-clock timers and reconnect deadlines *)
   reg : Registry.t;
   wire : wire;
   mutable running : bool;
@@ -96,7 +99,6 @@ let create ?(p_id = 0) ?(window = 256 * 1024) ?max_queued ~self () =
    with Invalid_argument _ | Sys_error _ -> ());
   let max_queued = Option.value max_queued ~default:(16 * window) in
   let epoch = Unix.gettimeofday () in
-  let clock () = (Unix.gettimeofday () -. epoch) *. 1000.0 in
   let reg = Registry.create () in
   let c name = Registry.counter reg ~subsystem:"wire" ~name in
   (* bound in turn: a record's fields are evaluated in no fixed order,
@@ -122,7 +124,7 @@ let create ?(p_id = 0) ?(window = 256 * 1024) ?max_queued ~self () =
     inbound = [];
     listen_fd = None;
     handler = (fun ~src:_ ~dst:_ ~trace:_ _ -> ());
-    wheel = Timer_wheel.create ~clock;
+    engine = Engine.create ~seed:0 ();
     reg;
     wire =
       {
@@ -144,7 +146,7 @@ let now t = (Unix.gettimeofday () -. t.epoch) *. 1000.0
 
 let registry t = t.reg
 
-(* The trace-blind [Transport.S] handler; context-carrying callers use
+(* The trace-blind handler; context-carrying callers use
    {!set_handler_traced}.  Either setter replaces the other. *)
 let set_handler t f = t.handler <- (fun ~src ~dst ~trace:_ msg -> f ~src ~dst msg)
 
@@ -162,20 +164,6 @@ let listen t sockaddr =
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Connection failed or dropped: park it in backoff, keeping its queued
-   frames for the retry.  The handshake is re-staged so the next attempt
-   leads with a fresh [Hello]. *)
-let conn_failed t c =
-  (match c.fd with Some fd -> close_fd fd | None -> ());
-  c.fd <- None;
-  c.woff <- 0;
-  c.attempts <- c.attempts + 1;
-  c.state <- Backoff;
-  c.retry_at <-
-    now t
-    +. Float.min backoff_max (backoff_base *. (2. ** float_of_int (c.attempts - 1)));
-  Registry.incr t.wire.retries
-
 let hello_frame t = Wire.encode (Wire.Hello { node = t.self; p_id = t.p_id })
 
 (* Connection established: clear the attempt count so the next drop of
@@ -190,11 +178,32 @@ let self_connected fd =
   | local, remote -> local = remote
   | exception Unix.Unix_error _ -> false
 
+(* The engine, its clock brought up to the wall clock as far as no due
+   event is passed over: a timer or redial armed between steps counts
+   its delay from now, not from the last step. *)
+let engine t =
+  Engine.advance t.engine ~time:(now t);
+  t.engine
+
+(* Connection failed or dropped: park it in backoff, keeping its queued
+   frames for the retry, and arm the redial.  The handshake is re-staged
+   so the next attempt leads with a fresh [Hello]. *)
+let rec conn_failed t c =
+  (match c.fd with Some fd -> close_fd fd | None -> ());
+  c.fd <- None;
+  c.woff <- 0;
+  c.attempts <- c.attempts + 1;
+  c.state <- Backoff;
+  Engine.schedule_detached (engine t) ~label:None
+    ~delay:(Float.min backoff_max (backoff_base *. (2. ** float_of_int (c.attempts - 1))))
+    (fun () -> if c.state = Backoff then attempt_connect t c);
+  Registry.incr t.wire.retries
+
 (* A completed connect counts only when it reached another socket.  A
    dial to an unbound port inside the ephemeral range can be given that
    very port as its own source, and TCP's simultaneous open then
    connects the socket to itself; it is treated as refused. *)
-let connect_done t c fd =
+and connect_done t c fd =
   if self_connected fd then conn_failed t c else mark_connected c
 
 (* Start (or restart) a non-blocking connect.  On loopback the kernel
@@ -202,7 +211,7 @@ let connect_done t c fd =
    Outbound sockets set SO_REUSEADDR too: Linux lets a listener bind
    over a TIME_WAIT address only when the closed socket had it, and a
    self-connection closed above leaves its port in TIME_WAIT. *)
-let attempt_connect t c =
+and attempt_connect t c =
   match Hashtbl.find_opt t.addrs c.peer with
   | None -> conn_failed t c
   | Some sockaddr -> (
@@ -235,7 +244,6 @@ let ensure_conn t dst =
         rbuf = Buffer.create 4096;
         remote = dst;
         attempts = 0;
-        retry_at = 0.;
       }
     in
     Hashtbl.replace t.conns dst c;
@@ -376,7 +384,6 @@ let accept_all t =
             rbuf = Buffer.create 4096;
             remote = -1;
             attempts = 0;
-            retry_at = 0.;
           }
         in
         t.inbound <- c :: t.inbound;
@@ -388,20 +395,14 @@ let accept_all t =
 
 let outbound_conns t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
 
-(* One event-loop turn: redial due backoffs, select on every live fd
-   (bounded by [timeout] seconds and the earliest timer/retry deadline),
-   service readiness, then fire due wall-clock timers.  Returns true if
-   any socket activity or timer fired — callers poll [step] in a loop
-   and may sleep harder when it reports idleness. *)
+(* One event-loop turn: select on every live fd (bounded by [timeout]
+   seconds and the engine's earliest timer or redial), run the engine up
+   to the wall clock, then service readiness.  Returns true if any
+   socket activity or engine event happened — callers poll [step] in a
+   loop and may sleep harder when it reports idleness. *)
 let step ?(timeout = 0.05) t =
   if not t.running then false
   else begin
-    let now_ms = now t in
-    let outbound = outbound_conns t in
-    List.iter
-      (fun c ->
-        if c.state = Backoff && c.retry_at <= now_ms then attempt_connect t c)
-      outbound;
     let outbound = outbound_conns t in
     let reads =
       (match t.listen_fd with Some fd -> [ fd ] | None -> [])
@@ -420,20 +421,14 @@ let step ?(timeout = 0.05) t =
           | _ -> None)
         outbound
     in
-    let deadline =
-      List.fold_left
-        (fun acc ms -> Float.min acc ((ms -. now t) /. 1000.))
-        timeout
-        (Option.to_list (Timer_wheel.next_deadline t.wheel)
-        @ List.filter_map
-            (fun c -> if c.state = Backoff then Some c.retry_at else None)
-            outbound)
-    in
-    let select_timeout = Float.max 0. deadline in
+    let deadline = Float.min timeout ((Engine.next_time t.engine -. now t) /. 1000.) in
     let rset, wset, _ =
-      try Unix.select reads writes [] select_timeout
+      try Unix.select reads writes [] (Float.max 0. deadline)
       with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
     in
+    let executed = Engine.events_executed t.engine in
+    Engine.run_until t.engine ~time:(now t);
+    let fired = Engine.events_executed t.engine - executed in
     List.iter
       (fun fd ->
         if Some fd = t.listen_fd then accept_all t
@@ -459,15 +454,14 @@ let step ?(timeout = 0.05) t =
           | _ -> ())
         | None -> ())
       wset;
-    let fired = Timer_wheel.run_due t.wheel in
     rset <> [] || wset <> [] || fired > 0
   end
 
-let one_shot t ?label:_ ~delay f = Timer_wheel.one_shot t.wheel ~delay f
+let one_shot t ?label ~delay f = Timer.one_shot ?label (engine t) ~delay f
 
-let cancel_late t = Timer_wheel.cancel_late t.wheel
+let periodic t ?label ~period f = Timer.periodic ?label (engine t) ~period f
 
-let periodic t ?label:_ ~period f = Timer_wheel.periodic t.wheel ~period f
+let cancel_late t = Engine.cancel_late t.engine
 
 let connected t peer =
   match Hashtbl.find_opt t.conns peer with

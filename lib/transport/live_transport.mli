@@ -14,9 +14,17 @@
     through backoff instead of killing the process.
 
     The loop owner calls {!step} repeatedly; each step selects on every
-    live socket (bounded by the earliest wall-clock timer or retry
-    deadline), services readiness, and fires due {!Timer_wheel} timers.
-    Time is milliseconds since {!create}.
+    live socket (bounded by the earliest timer or redial deadline), runs
+    the transport's own {!P2p_sim.Engine} up to the wall clock, then
+    services readiness.  Timers are {!P2p_sim.Timer}s armed on that
+    engine, with the simulation's semantics: a periodic re-arms from its
+    own deadline, so after a stalled loop it fires once per missed
+    period.  A connection in backoff redials from a one-shot event on the
+    same engine.  Arming a timer or a redial first brings the engine's
+    clock up to the wall clock ({!P2p_sim.Engine.advance}), so its delay
+    counts from the moment it is armed, in a step or between steps; a
+    {!P2p_sim.Timer.reset} between steps counts from the clock's last
+    reading.  Time is milliseconds since {!create}.
 
     Known limit: the loop uses [Unix.select], whose [fd_set] holds
     [FD_SETSIZE] (typically 1024) descriptors — one transport can drive
@@ -26,6 +34,11 @@
 type t
 
 include Transport.S with type t := t and type payload = Wire.msg and type addr = int
+
+(** [set_handler t f] installs the receive dispatch: every delivered
+    message is passed to [f].  Replaces — and is replaced by —
+    {!set_handler_traced}. *)
+val set_handler : t -> (src:int -> dst:int -> Wire.msg -> unit) -> unit
 
 (** [create ~self ()] makes a transport for node [self].  [p_id] is
     advertised in the connection handshake; [window] caps queued bytes
@@ -64,7 +77,7 @@ val set_handler_traced :
   unit
 
 (** Cancels of this transport's timers that arrived after the timer had
-    fired ({!Timer_wheel.cancel_late}). *)
+    fired (its engine's {!P2p_sim.Engine.cancel_late}). *)
 val cancel_late : t -> int
 
 (** [set_peer_addr t peer sockaddr] registers where [peer] listens. *)
@@ -81,9 +94,10 @@ val listen : t -> Unix.sockaddr -> unit
     listen there.  [false] when [fd] is not connected. *)
 val self_connected : Unix.file_descr -> bool
 
-(** [step ?timeout t] runs one event-loop turn: redial due backoffs,
-    select (at most [timeout] seconds, default 0.05), read/write ready
-    sockets, fire due timers.  Returns [true] iff anything happened. *)
+(** [step ?timeout t] runs one event-loop turn: select (at most
+    [timeout] seconds, default 0.05, and no later than the engine's next
+    event), run every timer and redial due by the wall clock, then
+    read/write ready sockets.  Returns [true] iff anything happened. *)
 val step : ?timeout:float -> t -> bool
 
 (** [connected t peer] is [true] iff the outbound connection to [peer]

@@ -5,7 +5,9 @@
     (engine-clock timers).  It introduces no scheduling of its own:
     [send] maps 1:1 onto [Underlay.send] and timers onto [Timer], so a
     simulation driven through this seam runs event for event like one
-    calling the underlay directly. *)
+    calling the underlay directly.  A payload is a closure that is its
+    own handler: the underlay runs it on delivery, so there is no
+    dispatch to install. *)
 
 type t
 

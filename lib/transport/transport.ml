@@ -1,24 +1,11 @@
-(* The transport seam: everything the protocol layers are allowed to ask
-   of the outside world — deliver a message to a peer, arm a timer, read
-   the clock.  Two families implement it: the deterministic simulation
-   backend ([Sim_transport], closures over the event engine) and the live
-   Unix backend ([Live_transport], wire-encoded messages over real
-   sockets).  Protocol code written against this seam cannot tell which
-   one is underneath. *)
-
-(* A timer is one block: the backend's own timer and its backend's
-   static operations, so arming one allocates no closures here. *)
-type 'a timer_ops = {
-  cancel : 'a -> unit;
-  reset : 'a -> unit;
-  active : 'a -> bool;
-}
-
-type timer = Timer : 'a timer_ops * 'a -> timer
-
-let cancel (Timer (ops, tm)) = ops.cancel tm
-let reset (Timer (ops, tm)) = ops.reset tm
-let active (Timer (ops, tm)) = ops.active tm
+(* The transport seam: what the protocol layers ask of the outside world
+   — deliver a message to a peer, arm a timer, read the clock.  Two
+   backends implement it: the deterministic simulation ([Sim_transport],
+   closures over the event engine) and the live Unix loop
+   ([Live_transport], wire-encoded messages over real sockets).  Both arm
+   the same [P2p_sim.Timer.t] on an engine of their own.  The hybrid core
+   sends closures, which only the simulation can carry; the live backend
+   runs its own ring over [Wire] messages. *)
 
 module type S = sig
   type t
@@ -33,7 +20,7 @@ module type S = sig
   type addr
 
   (** Monotonic transport clock, in milliseconds.  Simulated time or the
-      wall clock — protocol code must not care which. *)
+      wall clock. *)
   val now : t -> float
 
   (** [send t ~src ~dst payload] hands [payload] to the transport for
@@ -41,16 +28,12 @@ module type S = sig
       protocol layers trace a message as a span before sending it. *)
   val send : t -> src:addr -> dst:addr -> payload -> unit
 
-  (** [set_handler t f] installs the receive dispatch: every delivered
-      payload is passed to [f]. *)
-  val set_handler : t -> (src:addr -> dst:addr -> payload -> unit) -> unit
-
   (** [one_shot t ~delay f] arms a timer on the transport clock.
       Cancelling a fired timer is a counted no-op (the [timer/cancel_late]
       counter), never a ghost queue entry. *)
-  val one_shot : t -> ?label:string -> delay:float -> (unit -> unit) -> timer
+  val one_shot : t -> ?label:string -> delay:float -> (unit -> unit) -> P2p_sim.Timer.t
 
-  val periodic : t -> ?label:string -> period:float -> (unit -> unit) -> timer
+  val periodic : t -> ?label:string -> period:float -> (unit -> unit) -> P2p_sim.Timer.t
 end
 
 (* First-class instance of the signature, specialised to the closure
@@ -62,8 +45,8 @@ end
 type t = {
   now : unit -> float;
   send : src:int -> dst:int -> (unit -> unit) -> unit;
-  one_shot : ?label:string -> delay:float -> (unit -> unit) -> timer;
-  periodic : ?label:string -> period:float -> (unit -> unit) -> timer;
+  one_shot : ?label:string -> delay:float -> (unit -> unit) -> P2p_sim.Timer.t;
+  periodic : ?label:string -> period:float -> (unit -> unit) -> P2p_sim.Timer.t;
 }
 
 let now t = t.now ()

@@ -129,7 +129,18 @@ let test_stuck_leave_queues_no_events () =
   checkb "join never wired" true (Option.is_none s.Peer.t_home);
   checkb "leave never completed" false !left;
   checki "leave waits in the peer's queue" 1 (List.length s.Peer.join_queue);
-  checki "no events queued" 0 (P2p_sim.Engine.pending (H.engine h))
+  checki "no events queued" 0 (P2p_sim.Engine.pending (H.engine h));
+  (* the final audit reports both changes still open *)
+  let open_change what =
+    List.exists
+      (fun (v : P2p_audit.Checks.violation) ->
+        v.check = "membership"
+        && v.severity = P2p_audit.Checks.Error
+        && v.detail = Printf.sprintf "1 %s(s) begun through Hybrid never ended" what)
+      (P2p_audit.Checks.violations (P2p_audit.Checks.final (H.world h)))
+  in
+  checkb "final reports the open join" true (open_change "join");
+  checkb "final reports the open leave" true (open_change "leave")
 
 let test_crash_during_lookup_times_out () =
   let config = { default_config with Config.lookup_timeout = 500.0 } in

@@ -238,14 +238,16 @@ let test_critical_path_overlap () =
     checkf "total still measured" 1.0 o2.Spans.total_ms
   | ops -> Alcotest.failf "expected 2 ops, got %d" (List.length ops)
 
-(* Spans.record folds the analysis into the registry. *)
+(* Spans.record folds the analysis into the registry; the totals come
+   from the op-completion listener every user path installs. *)
 let test_record_into_registry () =
   let t = Trace.create ~capacity:64 () in
+  let reg = Registry.create () in
+  Spans.record_totals reg t;
   let op = Trace.begin_op t ~time:0.0 ~kind:Trace.Lookup "k" in
   let a = Trace.begin_span t ~time:1.0 ~op ~tier:"t_network" ~phase:"ring_hop" "a" in
   Trace.end_span t ~time:3.0 a;
   Trace.end_op t ~time:4.0 ~op "found";
-  let reg = Registry.create () in
   Spans.record reg t;
   let h = Registry.log_histogram reg ~subsystem:"latency" ~name:"lookup_total_ms" in
   checki "one op observed" 1 (Log_hist.count h);
@@ -489,8 +491,8 @@ let test_sampling_exact_latency () =
   checkb "totals identical at rate 0.02" true (full = sparse);
   checkb "totals identical at rate 0" true (full = off);
   (match full with n, _, _ -> checki "every op counted" 250 n);
-  (* and Spans.record defers to the listener: no double counting when
-     both run over the same trace *)
+  (* and Spans.record leaves the totals to the listener: no double
+     counting when both run over the same trace *)
   let t = Trace.create ~capacity:4096 () in
   let reg = Registry.create () in
   observe_exact t reg;

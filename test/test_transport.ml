@@ -1,6 +1,6 @@
 (* Transport seam: wire codec (round-trip, golden bytes, fuzz), timer
-   cancel-late semantics (engine clock and wall-clock wheel), and the
-   live TCP loop driven entirely in-process — two [Live_transport]
+   cancel-late semantics (the simulation's engine and the live loop's
+   wall-clock engine), and the live TCP loop driven entirely in-process — two [Live_transport]
    endpoints on localhost stepped by hand through connect,
    retry-after-refused, windowed send under a full buffer, and clean
    shutdown. *)
@@ -8,7 +8,6 @@
 module Wire = P2p_transport.Wire
 module Transport = P2p_transport.Transport
 module Live = P2p_transport.Live_transport
-module Wheel = P2p_transport.Timer_wheel
 module Sim_transport = P2p_transport.Sim_transport
 module Timer = P2p_sim.Timer
 module Engine = P2p_sim.Engine
@@ -266,7 +265,7 @@ let cancel_late_per_world () =
     for _ = 1 to n do
       let tm = World.one_shot w ~delay:1.0 (fun () -> ()) in
       H.run h;
-      Transport.cancel tm
+      Timer.cancel tm
     done;
     let reg = P2p_net.Metrics.registry (H.metrics h) in
     P2p_obs.Engine_stats.record reg (H.engine h);
@@ -280,66 +279,92 @@ let cancel_late_per_world () =
   Alcotest.(check (float 0.0)) "first world unchanged by the second" 2.0
     (late_cancels first 0)
 
-let wheel_fires_and_counts_late_cancel () =
-  let clock_now = ref 0.0 in
-  let wheel = Wheel.create ~clock:(fun () -> !clock_now) in
+(* Step the transports until [pred ()] or a wall-clock deadline. *)
+let pump ?(seconds = 5.0) transports pred =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec loop () =
+    if pred () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      List.iter (fun tr -> ignore (Live.step ~timeout:0.01 tr)) transports;
+      loop ()
+    end
+  in
+  loop ()
+
+let live_fires_and_counts_late_cancel () =
+  let a = Live.create ~self:0 () and b = Live.create ~self:1 () in
   let fired = ref 0 in
-  let tm = Wheel.one_shot wheel ~delay:10.0 (fun () -> incr fired) in
-  Alcotest.(check int) "armed" 1 (Wheel.pending wheel);
-  clock_now := 5.0;
-  Alcotest.(check int) "not due yet" 0 (Wheel.run_due wheel);
-  clock_now := 10.0;
-  Alcotest.(check int) "fires when due" 1 (Wheel.run_due wheel);
-  Alcotest.(check int) "fired once" 1 !fired;
-  Alcotest.(check int) "wheel drained" 0 (Wheel.pending wheel);
-  Transport.cancel tm;
-  Alcotest.(check int) "the wheel counts its late cancel" 1 (Wheel.cancel_late wheel);
-  Transport.cancel tm;
-  Alcotest.(check int) "wheel double cancel uncounted" 1 (Wheel.cancel_late wheel)
+  (* armed well after the last step: the delay still counts from now *)
+  Unix.sleepf 0.15;
+  let tm = Live.one_shot a ~delay:100.0 (fun () -> incr fired) in
+  Alcotest.(check bool) "nothing due yet" false (Live.step ~timeout:0.0 a);
+  Alcotest.(check int) "not fired before its delay" 0 !fired;
+  (* the select sleeps no later than the timer's deadline, however long
+     the caller lets it block *)
+  let started = Unix.gettimeofday () in
+  while !fired = 0 && Unix.gettimeofday () -. started < 5.0 do
+    ignore (Live.step ~timeout:5.0 a : bool)
+  done;
+  Alcotest.(check int) "fires once when due" 1 !fired;
+  Alcotest.(check bool) "a 5 s select wakes for the timer" true
+    (Unix.gettimeofday () -. started < 2.0);
+  Alcotest.(check bool) "inactive after firing" false (Timer.active tm);
+  Timer.cancel tm;
+  Alcotest.(check int) "the transport counts its late cancel" 1 (Live.cancel_late a);
+  Timer.cancel tm;
+  Alcotest.(check int) "double cancel uncounted" 1 (Live.cancel_late a);
+  Alcotest.(check int) "another transport counts none of it" 0 (Live.cancel_late b);
+  Live.stop a;
+  Live.stop b
 
-let wheel_periodic_reset_cancel () =
-  let clock_now = ref 0.0 in
-  let wheel = Wheel.create ~clock:(fun () -> !clock_now) in
+let live_periodic_catch_up_reset_cancel () =
+  let tr = Live.create ~self:0 () in
   let ticks = ref 0 in
-  let tm = Wheel.periodic wheel ~period:10.0 (fun () -> incr ticks) in
-  clock_now := 35.0;
-  ignore (Wheel.run_due wheel);
-  (* Wall-clock periodics re-arm from now: a stalled loop fires once and
-     moves on, it does not burst through the missed intervals. *)
-  Alcotest.(check int) "stall fires once, no catch-up burst" 1 !ticks;
-  Transport.reset tm;
-  clock_now := 44.0;
-  Alcotest.(check int) "reset pushed next tick out" 0 (Wheel.run_due wheel);
-  clock_now := 45.0;
-  Alcotest.(check int) "tick after reset" 1 (Wheel.run_due wheel);
-  Transport.cancel tm;
-  clock_now := 1000.0;
-  Alcotest.(check int) "cancelled periodic stays quiet" 0 (Wheel.run_due wheel);
-  Alcotest.(check int) "wheel empty after cancel" 0 (Wheel.pending wheel)
+  let tm = Live.periodic tr ~period:50.0 (fun () -> incr ticks) in
+  (* A periodic re-arms from its own deadline, as on the simulation
+     engine: a loop stalled past five periods fires it once per missed
+     period on its next step. *)
+  Unix.sleepf 0.27;
+  ignore (Live.step ~timeout:0.0 tr : bool);
+  Alcotest.(check bool) "stall fires once per missed period" true (!ticks >= 5);
+  let caught_up = !ticks in
+  Timer.reset tm;
+  ignore (Live.step ~timeout:0.0 tr : bool);
+  Alcotest.(check int) "reset pushed the next tick out" caught_up !ticks;
+  Alcotest.(check bool) "tick after reset" true
+    (pump [ tr ] (fun () -> !ticks = caught_up + 1));
+  Timer.cancel tm;
+  Alcotest.(check bool) "cancelled periodic is inactive" false (Timer.active tm);
+  Unix.sleepf 0.12;
+  ignore (Live.step ~timeout:0.0 tr : bool);
+  Alcotest.(check int) "cancelled periodic stays quiet" (caught_up + 1) !ticks;
+  Alcotest.(check int) "a timely cancel is not late" 0 (Live.cancel_late tr);
+  Live.stop tr
 
-(* Both backends hand out the same [Transport.timer] block; through it,
-   the late-cancel count, [active] and [reset] behave alike.  [fire ()]
+(* Both backends hand out the same [Timer.t]; through it, the
+   late-cancel count, [active] and [reset] behave alike.  [fire ()]
    drives the backend until every due timer has run. *)
 let transport_timer_semantics name ~one_shot ~fire ~late =
   let fired = ref 0 in
-  let tm : Transport.timer = one_shot ~delay:10.0 (fun () -> incr fired) in
+  let tm : Timer.t = one_shot ~delay:10.0 (fun () -> incr fired) in
   let label what = Printf.sprintf "%s: %s" name what in
-  Alcotest.(check bool) (label "armed") true (Transport.active tm);
+  Alcotest.(check bool) (label "armed") true (Timer.active tm);
   let before = late () in
-  Transport.cancel tm;
-  Alcotest.(check bool) (label "cancelled") false (Transport.active tm);
+  Timer.cancel tm;
+  Alcotest.(check bool) (label "cancelled") false (Timer.active tm);
   fire ();
   Alcotest.(check int) (label "a timely cancel stops the action") 0 !fired;
   Alcotest.(check int) (label "a timely cancel is not late") before (late ());
-  Transport.reset tm;
-  Alcotest.(check bool) (label "reset re-arms") true (Transport.active tm);
+  Timer.reset tm;
+  Alcotest.(check bool) (label "reset re-arms") true (Timer.active tm);
   fire ();
   Alcotest.(check int) (label "fired once") 1 !fired;
-  Alcotest.(check bool) (label "inactive after firing") false (Transport.active tm);
-  Transport.cancel tm;
+  Alcotest.(check bool) (label "inactive after firing") false (Timer.active tm);
+  Timer.cancel tm;
   Alcotest.(check int) (label "cancel after fire is counted") (before + 1)
     (late ());
-  Transport.cancel tm;
+  Timer.cancel tm;
   Alcotest.(check int) (label "second cancel is uncounted") (before + 1)
     (late ());
   fire ();
@@ -359,14 +384,17 @@ let timer_block_both_backends () =
     ~fire:(fun () -> Engine.run engine)
     ~late:(fun () -> Engine.cancel_late engine);
   Alcotest.(check int) "sim: the cancelled arming never ran" 1 (Engine.events_executed engine);
-  let clock_now = ref 0.0 in
-  let wheel = Wheel.create ~clock:(fun () -> !clock_now) in
-  transport_timer_semantics "wheel" ~one_shot:(Wheel.one_shot wheel)
+  (* a timer armed before a step is due [delay] after the transport's
+     engine clock, which no later wall-clock reading precedes: sleeping
+     past the delay and stepping fires whatever is due *)
+  let live = Live.create ~self:0 () in
+  transport_timer_semantics "live"
+    ~one_shot:(fun ~delay f -> Live.one_shot live ~delay f)
     ~fire:(fun () ->
-      clock_now := !clock_now +. 100.0;
-      ignore (Wheel.run_due wheel : int))
-    ~late:(fun () -> Wheel.cancel_late wheel);
-  Alcotest.(check int) "wheel: drained" 0 (Wheel.pending wheel)
+      Unix.sleepf 0.02;
+      ignore (Live.step ~timeout:0.0 live : bool))
+    ~late:(fun () -> Live.cancel_late live);
+  Live.stop live
 
 (* --- live loop ------------------------------------------------------- *)
 
@@ -375,19 +403,6 @@ let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 (* A [wire/*] counter of a transport's registry. *)
 let wire tr name =
   Registry.counter_value (Registry.counter (Live.registry tr) ~subsystem:"wire" ~name)
-
-(* Step both endpoints until [pred ()] or a wall-clock deadline. *)
-let pump ?(seconds = 5.0) transports pred =
-  let deadline = Unix.gettimeofday () +. seconds in
-  let rec loop () =
-    if pred () then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      List.iter (fun tr -> ignore (Live.step ~timeout:0.01 tr)) transports;
-      loop ()
-    end
-  in
-  loop ()
 
 let make_pair ~port_a ~port_b =
   let a = Live.create ~self:0 () in
@@ -691,7 +706,7 @@ let sim_transport_timer_is_engine_timer () =
   let fired = ref [] in
   ignore
     (Transport.one_shot tr ~delay:3.0 (fun () -> fired := `T :: !fired)
-      : Transport.timer);
+      : Timer.t);
   Transport.send tr ~src:1 ~dst:2 (fun () -> fired := `M :: !fired);
   Engine.run engine;
   (* message at underlay delay (< 3.0), then the timer *)
@@ -723,12 +738,12 @@ let suite =
       cancel_late_per_world;
     Alcotest.test_case "sim timer: timely cancel is not late" `Quick
       sim_cancel_in_time_not_counted;
-    Alcotest.test_case "wheel: fires due timers, separate late-cancel count" `Quick
-      wheel_fires_and_counts_late_cancel;
+    Alcotest.test_case "live timer: due one-shot fires, late cancels per transport" `Quick
+      live_fires_and_counts_late_cancel;
     Alcotest.test_case "timer block: same cancel-late semantics on both backends" `Quick
       timer_block_both_backends;
-    Alcotest.test_case "wheel: periodic catch-up, reset, cancel" `Quick
-      wheel_periodic_reset_cancel;
+    Alcotest.test_case "live timer: periodic catch-up, reset, cancel" `Quick
+      live_periodic_catch_up_reset_cancel;
     Alcotest.test_case "live: connect and exchange" `Quick
       live_connect_and_exchange;
     Alcotest.test_case "live: trace context crosses the socket" `Quick

@@ -332,8 +332,6 @@ let on_op_complete t f =
             g c;
             f c)
 
-let has_op_listener t = t.op_listener <> None
-
 let op_root_span t op = Hashtbl.find_opt t.op_roots op
 
 let find = find_span
